@@ -10,11 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dfpr/internal/batch"
-	"dfpr/internal/graph"
-	"dfpr/internal/keymap"
 	"dfpr/internal/repl"
-	"dfpr/internal/snapshot"
 	"dfpr/internal/telemetry"
 	"dfpr/internal/wal"
 )
@@ -166,125 +162,16 @@ func (e *Engine) initReplicationTelemetry() {
 		func() float64 { return float64(stats().Failovers) })
 }
 
-// newFollowerEngine builds a follower from a feed bootstrap checkpoint —
-// recoverDurable's construction without a log: store sealed at the
-// checkpoint's version, ranker resumed at the checkpointed vector, and the
-// follower flag set so public writes bounce with ErrNotWriter.
-func newFollowerEngine(st settings, ck *wal.State) (*Engine, error) {
-	if len(ck.Keys) > 0 && !st.keyed {
-		return nil, fmt.Errorf("dfpr: bootstrap checkpoint is keyed; the handshake disagreed")
-	}
-	if ck.Graph.N() > st.maxN {
-		return nil, fmt.Errorf("dfpr: bootstrap state holds %d vertices, beyond the bound %d (WithMaxVertices): %w",
-			ck.Graph.N(), st.maxN, ErrTooManyVertices)
-	}
-	if len(ck.Keys) > 0 && len(ck.Keys) < ck.Graph.N() {
-		return nil, fmt.Errorf("dfpr: bootstrap checkpoint covers %d vertices with only %d keys", ck.Graph.N(), len(ck.Keys))
-	}
-	e := &Engine{
-		opts:     st,
-		store:    snapshot.NewStoreAt(graph.DynamicFromCSR(ck.Graph), st.history, ck.Seq),
-		subs:     make(map[uint64]*Subscription),
-		applyble: true,
-	}
-	e.initTelemetry(st.tel)
-	if st.keyed {
-		e.keys = keymap.New()
-		for i, k := range ck.Keys {
-			if id := e.keys.Intern(k); int(id) != i {
-				return nil, fmt.Errorf("dfpr: bootstrap checkpoint repeats key %q", k)
-			}
-		}
-		e.keys.Sync()
-	}
-	if ck.Ranks != nil {
-		rk, err := snapshot.ResumeRanker(e.store, st.algo, st.cfg, ck.Ranks, ck.Seq)
-		if err != nil {
-			return nil, fmt.Errorf("dfpr: resume bootstrap ranks: %w", err)
-		}
-		rk.DisableFallback = st.noFallback
-		rk.CoalesceSpans = !st.uncoalesced
-		e.ranker = rk
-		// Publish the bootstrapped ranks right away: the replica serves
-		// reads at the writer's checkpointed watermark before its first Rank.
-		e.publishLocked(&Result{Seq: ck.Seq, Converged: true})
-	}
-	e.verWM.init(ck.Seq)
-	e.follower.Store(true)
-	return e, nil
-}
-
-// applyReplicated folds a contiguous run of streamed WAL records into ONE
-// merged store application landing at the run's tip — the same span shape
-// recovery replay uses, which the resumed ranker refreshes incrementally as
-// a single coalesced span. Records at or below the applied version are
-// skipped (promotion replays a tail that may overlap the stream); a gap is
-// a protocol violation and errors.
-func (e *Engine) applyReplicated(recs []wal.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if !e.applyble {
-		return ErrClosed
-	}
-	cur := e.store.Current()
-	want := cur.Seq
-	ups := make([]batch.Update, 0, len(recs))
-	for i := range recs {
-		r := &recs[i]
-		if r.Seq <= want {
-			continue
-		}
-		if r.Seq != want+1 {
-			return fmt.Errorf("dfpr: replication gap: record %d follows version %d", r.Seq, want)
-		}
-		want++
-		if len(r.Keys) > 0 {
-			if e.keys == nil {
-				return fmt.Errorf("dfpr: keyed record %d streamed to a dense-ID follower", r.Seq)
-			}
-			if int(r.KeyBase) != e.keys.Len() {
-				return fmt.Errorf("dfpr: record %d logs keys from id %d, key space has %d", r.Seq, r.KeyBase, e.keys.Len())
-			}
-			for _, k := range r.Keys {
-				e.keys.Intern(k)
-			}
-		}
-		ups = append(ups, batch.Update{Del: r.Del, Ins: r.Ins, N: int(r.N)})
-	}
-	if len(ups) == 0 {
-		return nil
-	}
-	if e.keys != nil {
-		e.keys.Sync()
-	}
-	up := batch.Merge(ups...)
-	before := cur.G.N()
-	e.met.notePublished(before, up.Universe(before))
-	//lint:allow lockorder followers apply records the writer already logged; re-appending them would fork the log
-	e.store.ApplyAt(up, want)
-	e.verWM.advance(want)
-	return nil
-}
-
 // promote turns a follower into the writer over the shared durability
 // directory: it opens the WAL, replays the tail records the stream had not
-// delivered yet, installs the durability sidecar, and clears the follower
-// flag — the next accepted write appends at tip+1, resuming the dead
-// writer's sequence exactly.
+// delivered yet, takes the log over, and clears the follower flag — the next
+// accepted write appends at tip+1, resuming the dead writer's sequence
+// exactly.
 func (e *Engine) promote(dir string) error {
 	if e.durable() != nil {
 		return fmt.Errorf("dfpr: engine already holds a log (promoted, or a deposed writer; restart to rejoin)")
 	}
-	st := e.opts
-	fsyncSeconds := e.met.reg.Histogram("dfpr_wal_fsync_seconds",
-		"WAL fsync latency (per Append under FsyncAlways, per flush otherwise).", walBuckets())
-	log, rec, err := wal.Open(dir, wal.Options{
-		Mode: st.fsync.mode, Interval: st.fsync.interval, FS: st.walFS,
-		OnFsync: func(d time.Duration) { fsyncSeconds.Observe(d.Seconds()) },
-	})
+	log, rec, err := openLog(e.opts, dir)
 	if err != nil {
 		return fmt.Errorf("dfpr: promote: open log: %w", err)
 	}
@@ -306,33 +193,13 @@ func (e *Engine) promote(dir string) error {
 	if applied < ck.Seq {
 		return fmt.Errorf("dfpr: promote: replica at version %d predates the log's checkpoint %d; the tail cannot catch it up", applied, ck.Seq)
 	}
-	var pend []wal.Record
-	for _, r := range rec.Tail {
-		if r.Seq > applied {
-			pend = append(pend, r)
-		}
-	}
-	if err := e.applyReplicated(pend); err != nil {
+	replayed, err := e.replay(rec.Tail)
+	if err != nil {
 		return fmt.Errorf("dfpr: promote: replay tail: %w", err)
 	}
-	d := &durability{log: log, ckptEvery: uint64(st.ckptEvery)}
-	if e.keys != nil {
-		d.keysLogged = e.keys.Len()
-	}
-	d.noteCheckpoint(ck.Seq)
-	d.recoverTip = tip
-	d.replayed = len(pend)
-	var ranked uint64
-	if v := e.latest.Load(); v != nil {
-		ranked = v.seq
-	}
-	if tip > ranked {
-		d.recovering.Store(true)
-	}
-	// Order matters: the sidecar is visible before writes are accepted, so
-	// the first post-promotion apply logs its record at tip+1.
-	e.dur.Store(d)
-	e.initDurabilityTelemetry()
+	// Order matters: the log is installed before writes are accepted, so the
+	// first post-promotion apply logs its record at tip+1.
+	e.installLog(log, ck.Seq, replayed)
 	e.follower.Store(false)
 	ok = true
 	return nil
@@ -396,13 +263,16 @@ func startReplica(ctx context.Context, leaderURL string, st settings, lg *slog.L
 		cancel()
 		return nil, fmt.Errorf("dfpr: feed sent no bootstrap checkpoint")
 	}
+	// A follower is an engine restored at the bootstrap checkpoint that
+	// takes its writes from the stream: public writes bounce ErrNotWriter.
 	st.keyed = cl.Keyed()
-	eng, err := newFollowerEngine(st, boot)
+	eng, err := restore(st, boot)
 	if err != nil {
 		cl.Close()
 		cancel()
-		return nil, err
+		return nil, fmt.Errorf("dfpr: feed bootstrap: %w", err)
 	}
+	eng.follower.Store(true)
 	r := &Replica{
 		eng: eng, lg: lg, ctx: rctx, cancel: cancel,
 		cl: cl, done: make(chan struct{}), leaderURL: leaderURL,
@@ -441,8 +311,8 @@ func (r *Replica) Close() error {
 	return r.eng.Close()
 }
 
-// run is the apply loop of one stream: drain every delivered event, fold
-// them into one replicated span, refresh ranks, repeat. It exits when the
+// run is the apply loop of one stream: drain every delivered event, replay
+// them as one span, refresh ranks, repeat. It exits when the
 // client's channel closes (terminal error, redial, or shutdown).
 func (r *Replica) run(cl *repl.Client, done chan struct{}) {
 	defer close(done)
@@ -490,7 +360,7 @@ func (r *Replica) run(cl *repl.Client, done chan struct{}) {
 		for i, ev := range evs {
 			recs[i] = ev.Rec
 		}
-		if err := r.eng.applyReplicated(recs); err != nil {
+		if _, err := r.eng.replay(recs); err != nil {
 			r.fail(err)
 			return
 		}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -205,6 +206,9 @@ func TestReplicaKeyedFollowsWriter(t *testing.T) {
 type clusterNode struct {
 	srv *httptest.Server
 	c   *Cluster
+	// live is c as the serve stub sees it: peers poll the stub's healthz
+	// from their own goroutines while the test goroutine is still joining.
+	live atomic.Pointer[Cluster]
 }
 
 func TestClusterElectionAndFailover(t *testing.T) {
@@ -218,10 +222,11 @@ func TestClusterElectionAndFailover(t *testing.T) {
 	for i := range nodes {
 		n := &clusterNode{}
 		n.srv = httptest.NewServer(feedMux(func() *Engine {
-			if n.c == nil {
+			c := n.live.Load()
+			if c == nil {
 				return nil
 			}
-			return n.c.Engine()
+			return c.Engine()
 		}))
 		nodes[i] = n
 	}
@@ -250,6 +255,7 @@ func TestClusterElectionAndFailover(t *testing.T) {
 			t.Fatalf("join node-%d: %v", i, err)
 		}
 		nodes[i].c = c
+		nodes[i].live.Store(c)
 	}
 	join(0)
 	if nodes[0].c.Role() != RoleWriter {

@@ -90,7 +90,6 @@ func main() {
 		maxLat   = flag.Duration("rank-max-latency", 100*time.Millisecond, "debounce: hard freshness deadline")
 		everyN   = flag.Int("rank-every", 4096, "every: edits between refreshes")
 		queue    = flag.Int("queue", dfpr.DefaultIngestQueue, "ingest queue bound in edits (backpressure above)")
-		syncW    = flag.Bool("sync-apply", false, "serve /v1/apply synchronously (apply+rank per request; baseline mode)")
 		keyed    = flag.Bool("keyed", false, "serve an open-universe keyed engine: -in is a keyed edge list ('fromKey toKey' per line); with -gen, vertices get synthetic v<id> keys")
 		data     = flag.String("data", "", "durability directory (WAL + checkpoints); applied edits survive restarts, and a directory with state warm-restarts the engine from it (-in/-gen then ignored)")
 		fsyncS   = flag.String("fsync", "batched", "with -data, WAL fsync policy: always|batched|batched:<dur>|none")
@@ -221,8 +220,7 @@ func main() {
 		"version", res.Seq, "iterations", res.Iterations, "duration", res.Elapsed)
 
 	srvOpts := []serve.Option{
-		serve.WithDefaultTopK(*topk), serve.WithSyncApply(*syncW),
-		serve.WithLogger(logger), serve.WithPprof(*pprofOn),
+		serve.WithDefaultTopK(*topk), serve.WithLogger(logger), serve.WithPprof(*pprofOn),
 	}
 	if cl != nil {
 		srvOpts = append(srvOpts, serve.WithCluster(cl))
@@ -233,11 +231,7 @@ func main() {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe(*addr) }()
-	mode := "async apply, policy " + rp.String()
-	if *syncW {
-		mode = "sync apply"
-	}
-	logger.Info("serving", "addr", *addr, "surface", "/v1", "mode", mode,
+	logger.Info("serving", "addr", *addr, "surface", "/v1", "mode", "async apply, policy "+rp.String(),
 		"version", res.Seq, "pprof", *pprofOn)
 
 	select {

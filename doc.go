@@ -57,8 +57,7 @@
 //
 // WithIngestQueue bounds the queue (Submit reports ErrQueueFull —
 // backpressure, not an outage), and a Rank catching up across several
-// pending versions replays them as one merged incremental run
-// (WithSpanCoalescing, on by default).
+// pending versions always replays them as one merged incremental run.
 //
 // WithDurability(dir) makes all of it survive the process: every published
 // round is appended to a write-ahead log (CRC-framed, fsynced per

@@ -81,6 +81,11 @@ func TestDurableRecoveryEquivalenceDense(t *testing.T) {
 	if eng2.Recovering() {
 		t.Fatal("still recovering after Rank caught the tip")
 	}
+	// The replayed tail is one merged publication through storeApply, counted
+	// and clocked exactly as on a replica applying the same three records.
+	if a, p := eng2.met.applies.Value(), eng2.met.publishSeconds.Count(); a != 1 || p != 1 {
+		t.Errorf("after restart+Rank: dfpr_graph_applies_total=%d, dfpr_publish_to_ranked_seconds count=%d, want 1 and 1", a, p)
+	}
 	if d := topk.LInf(ranksOf(res.View), preRanks); d > 1e-12 {
 		t.Errorf("recovered ranks deviate from pre-crash ranks by %g (bound 1e-12)", d)
 	}

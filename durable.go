@@ -8,14 +8,17 @@ import (
 
 	"dfpr/internal/batch"
 	"dfpr/internal/graph"
-	"dfpr/internal/keymap"
 	"dfpr/internal/snapshot"
 	"dfpr/internal/wal"
 )
 
-// This file wires the durability subsystem (internal/wal) into the engine:
-// construction-time recovery (openDurable), the log-before-publish apply
-// path (storeApply), background checkpointing off the publish path, and the
+// This file is the engine's one apply path and its durability wiring
+// (internal/wal): storeApply is the single point where a batch becomes a
+// published version (log-before-publish on durable engines), replay turns
+// logged records back into a version through it, and restore rebuilds an
+// engine at a checkpoint. Warm restart (recoverDurable), followers
+// (startReplica) and promotion (promote) are compositions of those three;
+// the rest is background checkpointing off the publish path and the
 // observability surface (Recovering, Stats.Durability, Checkpoint).
 
 // durability is the engine's durable-state sidecar.
@@ -34,11 +37,11 @@ type durability struct {
 	ckptBusy atomic.Bool   // one background checkpoint in flight at a time
 	ckptWG   sync.WaitGroup
 
-	// recoverTip is the graph version recovery replayed up to; recovering
-	// stays set until published ranks catch it.
+	// recoverTip is the graph version replay reached before the log was
+	// installed; recovering stays set until published ranks catch it.
 	recoverTip uint64
 	recovering atomic.Bool
-	replayed   int // tail records replayed at recovery (diagnostic)
+	replayed   int // records replayed ahead of installation (diagnostic)
 }
 
 // durable returns the engine's durability sidecar, nil while the engine has
@@ -52,22 +55,42 @@ func HasDurableState(dir string) (bool, error) {
 	return wal.HasState(dir, nil)
 }
 
-// openDurable is New/Open for WithDurability engines: a fresh directory is
-// seeded with checkpoint 0 of the newly built engine; a directory with
-// state recovers it instead — the latest valid checkpoint is loaded, the
-// rank vector (if one was checkpointed) is resumed without recomputation,
-// and the WAL tail is replayed through the normal apply path. Persisted
-// state takes precedence over the n/edges arguments.
-func openDurable(n int, edges []Edge, st settings) (*Engine, error) {
-	// The fsync histogram is registered ahead of the log so the hook exists
-	// for fsyncs issued during recovery; the engine's initTelemetry later
-	// get-or-creates the same series.
-	fsyncSeconds := st.tel.Histogram("dfpr_wal_fsync_seconds",
-		"WAL fsync latency (per Append under FsyncAlways, per flush otherwise).", walBuckets())
-	log, rec, err := wal.Open(st.durDir, wal.Options{
+// openLog opens the write-ahead log under dir with the engine's fsync
+// policy. The fsync histogram is resolved ahead of the log so the hook
+// exists for fsyncs issued during recovery.
+func openLog(st settings, dir string) (*wal.Log, *wal.Recovered, error) {
+	fsyncSeconds := walFsyncHistogram(st.tel)
+	return wal.Open(dir, wal.Options{
 		Mode: st.fsync.mode, Interval: st.fsync.interval, FS: st.walFS,
 		OnFsync: func(d time.Duration) { fsyncSeconds.Observe(d.Seconds()) },
 	})
+}
+
+// installLog makes the engine the owner of log: every later storeApply
+// appends before it publishes. It runs after restore and replay, so the
+// sidecar starts from what they left: the key prefix already durable, the
+// replayed tip ranks must catch before Recovering clears, and ckptSeq as the
+// newest checkpoint.
+func (e *Engine) installLog(log *wal.Log, ckptSeq uint64, replayed int) {
+	d := &durability{
+		log: log, ckptEvery: uint64(e.opts.ckptEvery),
+		recoverTip: e.store.Current().Seq, replayed: replayed,
+	}
+	if e.keys != nil {
+		d.keysLogged = e.keys.Len()
+	}
+	d.lastCkpt.Store(ckptSeq)
+	d.recovering.Store(replayed > 0)
+	e.dur.Store(d)
+	e.initDurabilityTelemetry()
+}
+
+// openDurable is New/Open for WithDurability engines: a fresh directory is
+// seeded with checkpoint 0 of the newly built engine; a directory with
+// state recovers it instead. Persisted state takes precedence over the
+// n/edges arguments.
+func openDurable(n int, edges []Edge, st settings) (*Engine, error) {
+	log, rec, err := openLog(st, st.durDir)
 	if err != nil {
 		return nil, fmt.Errorf("dfpr: open durability dir: %w", err)
 	}
@@ -91,100 +114,103 @@ func seedDurable(n int, edges []Edge, st settings, log *wal.Log) (*Engine, error
 	if err != nil {
 		return nil, err
 	}
-	d := &durability{log: log, ckptEvery: uint64(st.ckptEvery)}
-	if e.keys != nil {
-		d.keysLogged = e.keys.Len()
-	}
-	e.dur.Store(d)
-	e.initDurabilityTelemetry()
-	cur := e.store.Current()
-	ckpt := &wal.State{Seq: cur.Seq, Graph: cur.G}
-	if e.keys != nil {
-		ckpt.Keys = e.keys.KeysRange(0, e.keys.Len())
-	}
-	if err := log.WriteCheckpoint(ckpt); err != nil {
+	e.installLog(log, 0, 0)
+	if err := e.Checkpoint(); err != nil {
 		// A directory that cannot take its seed checkpoint would be
 		// unrecoverable; refuse to start rather than run silently volatile.
 		return nil, fmt.Errorf("dfpr: seed checkpoint: %w", err)
 	}
-	d.noteCheckpoint(cur.Seq)
 	return e, nil
 }
 
-// recoverDurable rebuilds an engine from recovered state: store sealed at
-// the checkpoint's version, ranker resumed at the checkpointed vector, tail
-// replayed on top. The engine serves reads at the checkpointed rank version
-// immediately; Recovering reports true until a Rank catches the replayed
-// tip (the serve layer holds writes off with 503 meanwhile).
+// recoverDurable is the warm restart: restore at the latest valid
+// checkpoint, replay the WAL tail on top, then take the log over. The engine
+// serves reads at the checkpointed rank version immediately; Recovering
+// reports true until a Rank catches the replayed tip (the serve layer holds
+// writes off with 503 meanwhile).
 func recoverDurable(st settings, log *wal.Log, rec *wal.Recovered) (*Engine, error) {
-	ck := rec.Checkpoint
+	e, err := restore(st, rec.Checkpoint)
+	var replayed int
+	if err == nil {
+		replayed, err = e.replay(rec.Tail)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dfpr: recover %s: %w", st.durDir, err)
+	}
+	e.installLog(log, rec.Checkpoint.Seq, replayed)
+	return e, nil
+}
+
+// restore rebuilds an engine at a checkpoint — from the durability
+// directory at warm restart, from a feed bootstrap on a follower: store
+// sealed at the checkpoint's version, key prefix re-interned in id order,
+// ranker resumed at the checkpointed vector and published as the first view,
+// so reads come back at the checkpoint's watermark without waiting for a
+// refresh. The caller replays whatever was logged past the checkpoint.
+func restore(st settings, ck *wal.State) (*Engine, error) {
 	if keyedState := len(ck.Keys) > 0; keyedState != st.keyed && (keyedState || ck.Graph.N() > 0) {
 		if keyedState {
-			return nil, fmt.Errorf("dfpr: %s holds a keyed engine's state — recover it with Open, not New", st.durDir)
+			return nil, fmt.Errorf("dfpr: checkpoint holds a keyed engine's state — build the engine with Open, not New")
 		}
-		return nil, fmt.Errorf("dfpr: %s holds a dense-ID engine's state — recover it with New, not Open", st.durDir)
+		return nil, fmt.Errorf("dfpr: checkpoint holds a dense-ID engine's state — build the engine with New, not Open")
 	}
 	if ck.Graph.N() > st.maxN {
-		return nil, fmt.Errorf("dfpr: recovered state holds %d vertices, beyond the bound %d (WithMaxVertices): %w",
+		return nil, fmt.Errorf("dfpr: checkpoint holds %d vertices, beyond the bound %d (WithMaxVertices): %w",
 			ck.Graph.N(), st.maxN, ErrTooManyVertices)
 	}
 	if len(ck.Keys) > 0 && len(ck.Keys) < ck.Graph.N() {
-		return nil, fmt.Errorf("dfpr: recovered checkpoint covers %d vertices with only %d keys", ck.Graph.N(), len(ck.Keys))
+		return nil, fmt.Errorf("dfpr: checkpoint covers %d vertices with only %d keys", ck.Graph.N(), len(ck.Keys))
 	}
-	e := &Engine{
-		opts:     st,
-		store:    snapshot.NewStoreAt(graph.DynamicFromCSR(ck.Graph), st.history, ck.Seq),
-		subs:     make(map[uint64]*Subscription),
-		applyble: true,
-	}
-	e.initTelemetry(st.tel)
-	d := &durability{log: log, ckptEvery: uint64(st.ckptEvery)}
-	e.dur.Store(d)
-	e.initDurabilityTelemetry()
-	d.noteCheckpoint(ck.Seq)
-	if st.keyed {
-		e.keys = keymap.New()
+	e := engineOver(st, snapshot.NewStoreAt(graph.DynamicFromCSR(ck.Graph), st.history, ck.Seq))
+	if e.keys != nil {
 		for i, k := range ck.Keys {
 			if id := e.keys.Intern(k); int(id) != i {
-				return nil, fmt.Errorf("dfpr: recovered checkpoint repeats key %q", k)
+				return nil, fmt.Errorf("dfpr: checkpoint repeats key %q", k)
 			}
 		}
-		d.keysLogged = len(ck.Keys)
+		e.keys.Sync()
 	}
-	// Resume the rank vector BEFORE replaying the tail: the ranker's parent
-	// version is then the store's base, so the first Rank replays the tail
-	// incrementally — the same refresh path a live engine would have taken.
+	// The ranker resumes BEFORE any replay: its parent version is then the
+	// store's base, so the first Rank refreshes over the replayed span
+	// incrementally — the path a live engine several versions behind takes.
 	if ck.Ranks != nil {
 		rk, err := snapshot.ResumeRanker(e.store, st.algo, st.cfg, ck.Ranks, ck.Seq)
 		if err != nil {
 			return nil, fmt.Errorf("dfpr: resume ranks: %w", err)
 		}
-		rk.DisableFallback = st.noFallback
-		rk.CoalesceSpans = !st.uncoalesced
-		e.ranker = rk
-		// Publish the checkpointed ranks as a view right away: reads come
-		// back at the pre-crash watermark without waiting for a refresh.
+		e.setRanker(rk)
 		e.publishLocked(&Result{Seq: ck.Seq, Converged: true})
 	}
-	// Replay the tail through the store (NOT storeApply — these records are
-	// already durable; re-logging them would double the log). The wal layer
-	// guaranteed contiguity from ck.Seq+1. The records are folded into ONE
-	// merged application landing at the tail's tip sequence: a store version
-	// costs a full CSR materialisation, so per-record replay would make
-	// restart time scale with tail length; merged replay makes it one
-	// snapshot regardless. The resumed ranker sees the merged batch as a
-	// single coalesced span — the same shape a live engine's refresh takes
-	// when it is several versions behind.
-	ups := make([]batch.Update, 0, len(rec.Tail))
-	for _, r := range rec.Tail {
-		if e.keys == nil && len(r.Keys) > 0 {
-			// The checkpoint predated the first key (so the flavour check
-			// above could not tell), but the tail is unmistakably keyed.
-			return nil, fmt.Errorf("dfpr: %s holds a keyed engine's state — recover it with Open, not New", st.durDir)
+	return e, nil
+}
+
+// replay publishes a contiguous run of logged records — a WAL tail at warm
+// restart or promotion, a drained stretch of the feed on a follower — as ONE
+// merged version landing at the run's tip. A store version costs a full CSR
+// materialisation, so folding makes the cost independent of the run's
+// length, and the resumed ranker refreshes over the merged batch as a single
+// coalesced span. Records at or below the applied version are skipped (a
+// promoted follower already streamed part of the tail); a gap is an error.
+// Each record's key tail is re-interned first, in logged order, so ids match
+// the writer's. It returns how many records it applied.
+func (e *Engine) replay(recs []wal.Record) (int, error) {
+	tip := e.store.Current().Seq
+	ups := make([]batch.Update, 0, len(recs))
+	for i := range recs {
+		r := &recs[i]
+		if r.Seq <= tip {
+			continue
 		}
-		if e.keys != nil && len(r.Keys) > 0 {
+		if r.Seq != tip+1 {
+			return 0, fmt.Errorf("dfpr: replay gap: record %d follows version %d", r.Seq, tip)
+		}
+		tip++
+		if len(r.Keys) > 0 {
+			if e.keys == nil {
+				return 0, fmt.Errorf("dfpr: record %d carries keys but the engine is dense-ID — build it with Open, not New", r.Seq)
+			}
 			if int(r.KeyBase) != e.keys.Len() {
-				return nil, fmt.Errorf("dfpr: replay record %d logs keys from id %d, key space has %d", r.Seq, r.KeyBase, e.keys.Len())
+				return 0, fmt.Errorf("dfpr: record %d logs keys from id %d, key space has %d", r.Seq, r.KeyBase, e.keys.Len())
 			}
 			for _, k := range r.Keys {
 				e.keys.Intern(k)
@@ -192,60 +218,74 @@ func recoverDurable(st settings, log *wal.Log, rec *wal.Recovered) (*Engine, err
 		}
 		ups = append(ups, batch.Update{Del: r.Del, Ins: r.Ins, N: int(r.N)})
 	}
-	if len(ups) > 0 {
-		//lint:allow lockorder replaying already-durable records; appending them again would double-log the tail
-		e.store.ApplyAt(batch.Merge(ups...), ck.Seq+uint64(len(ups)))
-		d.replayed = len(ups)
+	if len(ups) == 0 {
+		return 0, nil
 	}
 	if e.keys != nil {
-		d.keysLogged = e.keys.Len()
 		e.keys.Sync()
 	}
-	tip := e.store.Current().Seq
-	e.verWM.init(tip)
-	d.recoverTip = tip
-	if tip > ck.Seq {
-		d.recovering.Store(true)
+	if _, err := e.storeApply(batch.Merge(ups...), tip, true); err != nil {
+		return 0, err
 	}
-	return e, nil
+	return len(ups), nil
 }
 
-// storeApply publishes one batch through the store, appending its WAL
-// record first when durability is on (log-before-publish: the record hits
-// the log — and, under FsyncAlways, stable storage — before any reader can
-// observe the version). On a degraded log the append is a cheap error
-// return and the apply proceeds in memory: reads keep working, Stats
-// surfaces ErrDurabilityDegraded. Callers hold e.closeMu.RLock with
-// applyble true, exactly like the direct store.Apply they replace.
-func (e *Engine) storeApply(up batch.Update) *snapshot.Version {
-	d := e.durable()
-	if d == nil {
-		before := e.store.Current().G.N()
-		e.met.notePublished(before, up.Universe(before))
-		_, next := e.store.Apply(up)
-		return next
+// storeApply is the engine's one publish point: every batch — a public
+// Apply, an ingest round, a replayed span — becomes a version here and
+// nowhere else. It excludes a concurrent Close without making writers wait
+// behind Rank (the read side of closeMu keeps concurrent applies concurrent;
+// no version is published after Close returns), appends the WAL record
+// first when the engine owns a log (log-before-publish: the record hits the
+// log — and, under FsyncAlways, stable storage — before any reader can
+// observe the version), counts the publication and advances the version
+// watermark. at is the sequence the version lands at, 0 for the next one;
+// logged marks a span that came out of the log, which is published without
+// being appended again.
+//
+// On a degraded log the append is a cheap error return and the apply
+// proceeds in memory: reads keep working, Stats surfaces
+// ErrDurabilityDegraded.
+func (e *Engine) storeApply(up batch.Update, at uint64, logged bool) (uint64, error) {
+	e.closeMu.RLock()
+	defer e.closeMu.RUnlock()
+	if !e.applyble {
+		return 0, ErrClosed
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d := e.durable()
+	if d != nil {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+	}
 	cur := e.store.Current()
 	nAfter := up.Universe(cur.G.N())
-	rec := wal.Record{Seq: cur.Seq + 1, N: uint64(nAfter), Del: up.Del, Ins: up.Ins}
-	if e.keys != nil && nAfter > d.keysLogged {
-		// First durable mention of ids [keysLogged, nAfter): log their keys
-		// with the record, so replay re-interns them in the same dense order.
-		rec.KeyBase = uint32(d.keysLogged)
-		rec.Keys = e.keys.KeysRange(d.keysLogged, nAfter)
-		d.keysLogged = nAfter
+	if d != nil && !logged {
+		rec := wal.Record{Seq: at, N: uint64(nAfter), Del: up.Del, Ins: up.Ins}
+		if at == 0 {
+			rec.Seq = cur.Seq + 1
+		}
+		if e.keys != nil && nAfter > d.keysLogged {
+			// First durable mention of ids [keysLogged, nAfter): log their keys
+			// with the record, so replay re-interns them in the same dense order.
+			rec.KeyBase = uint32(d.keysLogged)
+			rec.Keys = e.keys.KeysRange(d.keysLogged, nAfter)
+			d.keysLogged = nAfter
+		}
+		// Degradation is deliberate fire-and-continue: the error is sticky in
+		// the log and surfaced via Stats; wedging the apply path would turn a
+		// disk failure into an outage.
+		t0 := time.Now()
+		_ = d.log.Append(&rec)
+		e.met.walAppend.ObserveSince(t0)
 	}
-	// Degradation is deliberate fire-and-continue: the error is sticky in
-	// the log and surfaced via Stats; wedging the apply path would turn a
-	// disk failure into an outage.
-	t0 := time.Now()
-	_ = d.log.Append(&rec)
-	e.met.walAppend.ObserveSince(t0)
 	e.met.notePublished(cur.G.N(), nAfter)
-	_, next := e.store.Apply(up)
-	return next
+	var next *snapshot.Version
+	if at == 0 {
+		_, next = e.store.Apply(up)
+	} else {
+		_, next = e.store.ApplyAt(up, at)
+	}
+	e.verWM.advance(next.Seq)
+	return next.Seq, nil
 }
 
 // maybeCheckpointLocked runs at every rank publication (caller holds e.mu):

@@ -186,9 +186,15 @@ func newEngine(n int, edges []Edge, st settings) (*Engine, error) {
 	for _, e := range ges {
 		d.AddEdge(e.U, e.V)
 	}
+	return engineOver(st, snapshot.NewStore(d, st.history)), nil
+}
+
+// engineOver wraps a sealed store in an engine: the construction shared by
+// fresh builds (newEngine) and checkpoint restores (restore).
+func engineOver(st settings, store *snapshot.Store) *Engine {
 	e := &Engine{
 		opts:     st,
-		store:    snapshot.NewStore(d, st.history),
+		store:    store,
 		subs:     make(map[uint64]*Subscription),
 		applyble: true,
 	}
@@ -196,8 +202,8 @@ func newEngine(n int, edges []Edge, st settings) (*Engine, error) {
 		e.keys = keymap.New()
 	}
 	e.initTelemetry(st.tel)
-	e.verWM.init(0) // version 0 exists from construction
-	return e, nil
+	e.verWM.init(store.Current().Seq) // the sealed version exists from construction
+	return e
 }
 
 // Open builds an empty open-universe engine with an engine-owned key space:
@@ -264,22 +270,16 @@ func (e *Engine) errIfFollower() error {
 	return nil
 }
 
-// applyInternal publishes one converted batch, excluding a concurrent Close
-// without making writers wait behind Rank: the read side keeps concurrent
-// Applies concurrent (the store serialises them itself), so no version can
-// be published after Close returns.
+// applyInternal publishes one converted batch as one version: the shared
+// tail of Apply, Grow and ApplyKeyed. It calls storeApply directly rather
+// than going through the ingest queue — the loop would rank underneath the
+// caller, and the contract here is that ranks do not move until the next
+// Rank.
 func (e *Engine) applyInternal(up batch.Update) (uint64, error) {
 	if err := e.checkUniverse(up); err != nil {
 		return 0, err
 	}
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if !e.applyble {
-		return 0, ErrClosed
-	}
-	next := e.storeApply(up)
-	e.verWM.advance(next.Seq)
-	return next.Seq, nil
+	return e.storeApply(up, 0, false)
 }
 
 // checkUniverse rejects a batch that would grow the vertex universe past
@@ -344,9 +344,7 @@ func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return failedResultOf(res, 0), err
 		}
-		rk.DisableFallback = e.opts.noFallback
-		rk.CoalesceSpans = !e.opts.uncoalesced
-		e.ranker = rk
+		e.setRanker(rk)
 		e.syncStatsLocked()
 		// The initial convergence covers every version up to the current
 		// one, matching what Behind() reported before the call.
@@ -379,6 +377,16 @@ func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 		out.View = e.latest.Load()
 	}
 	return out, nil
+}
+
+// setRanker installs rk under the engine's refresh policy: the configured
+// failure fallback, and multi-version catch-ups always replayed as one
+// merged span (the paper's cost model — work scales with the union movement
+// set, not the version count).
+func (e *Engine) setRanker(rk *snapshot.Ranker) {
+	rk.DisableFallback = e.opts.noFallback
+	rk.CoalesceSpans = true
+	e.ranker = rk
 }
 
 // RankTrace is Rank with frontier observability for the Dynamic Frontier

@@ -356,43 +356,19 @@ func (e *Engine) ingestLoop() {
 				// change, so publishing a version — which no policy would
 				// ever rank, stranding WaitRanked on it — is wrong. Resolve
 				// the tickets to the current version instead.
-				seq := e.store.Current().Seq
-				for _, p := range q {
-					p.t.seq = seq
-					close(p.t.done)
-				}
+				resolveTickets(q, e.store.Current().Seq, nil)
 			} else {
-				// Share the close-exclusion side like Apply: no version may
-				// be published once Close has flipped applyble (stopIngest
-				// runs before that flip, so in practice the loop is gone
-				// first).
-				e.closeMu.RLock()
-				ok := e.applyble
-				var seq uint64
-				if ok {
-					// storeApply is the log-before-publish point: on durable
-					// engines the round's WAL record is appended (fsynced per
-					// policy) before the version becomes visible.
-					next := e.storeApply(merged)
-					seq = next.Seq
-				}
-				e.closeMu.RUnlock()
-				if !ok {
-					for _, p := range q {
-						p.t.err = ErrClosed
-						close(p.t.done)
-					}
-					for _, f := range flushes {
-						f.err = ErrClosed
-						close(f.done)
-					}
+				// storeApply is the publish point: it refuses once Close has
+				// flipped applyble (stopIngest runs before that flip, so in
+				// practice the loop is gone first), and on durable engines the
+				// round's WAL record is appended (fsynced per policy) before the
+				// version becomes visible.
+				seq, err := e.storeApply(merged, 0, false)
+				resolveTickets(q, seq, err)
+				if err != nil {
+					resolveFlushes(flushes, err)
 					continue
 				}
-				for _, p := range q {
-					p.t.seq = seq
-					close(p.t.done)
-				}
-				e.verWM.advance(seq)
 				e.ingestRounds.Add(1)
 				e.ingestCoalesced.Add(int64(merged.Size()))
 				if pending == 0 {
@@ -455,16 +431,12 @@ func (e *Engine) ingestLoop() {
 				pending = 0
 			}
 		}
-		for _, f := range flushes {
-			err := rankErr
-			// A refresh canceled by the pipeline's own shutdown is the
-			// documented close state, not a caller-visible cancellation.
-			if err != nil && e.ingestCtx.Err() != nil {
-				err = ErrClosed
-			}
-			f.err = err
-			close(f.done)
+		// A refresh canceled by the pipeline's own shutdown is the documented
+		// close state, not a caller-visible cancellation.
+		if rankErr != nil && e.ingestCtx.Err() != nil {
+			rankErr = ErrClosed
 		}
+		resolveFlushes(flushes, rankErr)
 	}
 }
 
@@ -484,10 +456,20 @@ func (e *Engine) failPending(err error) {
 	e.flushQ = nil
 	e.ingestEdits = 0
 	e.ingestMu.Unlock()
+	resolveTickets(q, 0, err)
+	resolveFlushes(flushes, err)
+}
+
+// resolveTickets completes every submission of one round with the version
+// that carries it, or the error that lost it.
+func resolveTickets(q []pendingSubmit, seq uint64, err error) {
 	for _, p := range q {
-		p.t.err = err
+		p.t.seq, p.t.err = seq, err
 		close(p.t.done)
 	}
+}
+
+func resolveFlushes(flushes []*flushReq, err error) {
 	for _, f := range flushes {
 		f.err = err
 		close(f.done)

@@ -12,22 +12,27 @@
 //  2. ingestMu is a leaf. It guards the submit queue and lifecycle flags
 //     and is NEVER held across an apply or a rank — the ingest loop drops
 //     it before publishing so submitters are not blocked behind a sweep.
-//  3. Log-before-publish. While holding the durability mutex, a publish
-//     through snapshot.Store.Apply* must be preceded by a wal Log.Append in
-//     the same critical section; and outside Engine.storeApply no
-//     production code publishes through the store directly at all — the
-//     wrapper is the single point where WAL ordering is enforced. (The
-//     store's own methods delegating to each other, and tests driving the
-//     store directly, are exempt; they are below the WAL, not around it.)
+//  3. One publish point, log-before-publish. Outside Engine.storeApply no
+//     production code publishes through snapshot.Store.Apply* at all: a
+//     public Apply, an ingest round and a replayed span (warm restart,
+//     follower stream, promotion) all become versions there, which is where
+//     the WAL record, the publish counters and the version watermark are
+//     owned. Inside it, while holding the durability mutex, the publish must
+//     be preceded by a wal Log.Append in the same critical section. The
+//     append may be conditional — storeApply skips it for spans that came
+//     out of the log, since appending them again would double the log — the
+//     rule is about order in the source, not about every path taking it.
+//     (The store's own methods delegating to each other, and tests driving
+//     the store directly, are exempt; they are below the WAL, not around it.)
 //
 // The analysis is a linear, defer-aware scan of each function body (lock
 // intervals by source position, closures analyzed as their own scopes).
 // It is deliberately intra-procedural: the repo's convention is that no
 // function calls another Engine method while holding an Engine mutex
 // except through the documented *Locked helpers, so single-function
-// intervals capture the real discipline. Cross-function protocols that the
-// scan cannot see (recovery replay of already-durable records, say) carry
-// a //lint:allow lockorder with the reason.
+// intervals capture the real discipline. The root package carries no
+// //lint:allow lockorder: a helper that needs to publish (replay, say)
+// calls storeApply, it does not get an exemption.
 package lockorder
 
 import (
@@ -161,7 +166,7 @@ func simulate(pass *analysis.Pass, fname string, body *ast.BlockStmt, exemptDire
 					}
 				}
 				if fname != "storeApply" && !exemptDirect {
-					pass.Reportf(ev.pos, "%s publishes through Store.%s directly; production publishes go through Engine.storeApply so the WAL append ordering holds",
+					pass.Reportf(ev.pos, "%s publishes through Store.%s directly; production publishes go through Engine.storeApply, the one publish point",
 						fname, ev.callee)
 				}
 			}

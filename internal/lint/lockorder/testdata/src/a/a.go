@@ -75,7 +75,7 @@ func (e *Engine) sequential() {
 func (e *Engine) drainHeld(up Update) {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
-	e.storeApply(up) // want `drainHeld calls storeApply while holding Engine\.ingestMu`
+	e.storeApply(up, 0, false) // want `drainHeld calls storeApply while holding Engine\.ingestMu`
 }
 
 func (e *Engine) drainRankHeld() {
@@ -88,21 +88,27 @@ func (e *Engine) drainRankHeld() {
 func (e *Engine) drainReleased(up Update) {
 	e.ingestMu.Lock()
 	e.ingestMu.Unlock()
-	e.storeApply(up)
+	e.storeApply(up, 0, false)
 }
 
 // storeApply is the one sanctioned publish point; append-before-apply under
-// the durability mutex is log-before-publish done right.
-func (e *Engine) storeApply(up Update) *Version {
+// the durability mutex is log-before-publish done right. Records that came
+// out of the log are published without being appended again: the append is
+// conditional, its place ahead of the publish is not.
+func (e *Engine) storeApply(up Update, at uint64, logged bool) *Version {
 	d := e.dur
-	if d == nil {
+	if d != nil {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+	}
+	if d != nil && !logged {
+		_ = d.log.Append(&Record{})
+	}
+	if at == 0 {
 		_, next := e.store.Apply(up)
 		return next
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	_ = d.log.Append(&Record{})
-	_, next := e.store.Apply(up)
+	_, next := e.store.ApplyAt(up, at)
 	return next
 }
 
@@ -119,10 +125,12 @@ func (e *Engine) bypasses(up Update) {
 	e.store.ApplyAt(up, 1) // want `bypasses publishes through Store\.ApplyAt directly`
 }
 
-// A suppression carries the justification for the one legitimate bypass
-// (recovery replays records that are already durable).
-func (e *Engine) replay(up Update) {
-	e.store.ApplyAt(up, 1) //lint:allow lockorder replayed records are already durable
+// Replaying already-durable records is no exemption: a helper that lands a
+// merged span at the tail's tip on its own skips the counters and the
+// watermark storeApply owns.
+func (e *Engine) replay(ups []Update, tip uint64) {
+	var merged Update
+	e.store.ApplyAt(merged, tip) // want `replay publishes through Store\.ApplyAt directly`
 }
 
 // A closure is its own scope: the goroutine holds nothing from the

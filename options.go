@@ -150,19 +150,18 @@ const (
 
 // settings is the resolved configuration an Engine is built with.
 type settings struct {
-	cfg         core.Config
-	algo        core.Algo
-	history     int
-	noFallback  bool
-	policy      RankPolicy
-	queue       int
-	uncoalesced bool
-	maxN        int
-	keyed       bool
-	durDir      string
-	fsync       FsyncPolicy
-	ckptEvery   int
-	walFS       wal.FS // test hook: fault-injecting filesystem
+	cfg        core.Config
+	algo       core.Algo
+	history    int
+	noFallback bool
+	policy     RankPolicy
+	queue      int
+	maxN       int
+	keyed      bool
+	durDir     string
+	fsync      FsyncPolicy
+	ckptEvery  int
+	walFS      wal.FS // test hook: fault-injecting filesystem
 
 	// tel is the engine's metrics registry, created by New after the options
 	// resolve (it is not an option: every engine has one, and the durable
@@ -379,18 +378,6 @@ func WithIngestQueue(maxEdits int) Option {
 			return fmt.Errorf("dfpr: ingest queue bound %d must be positive", maxEdits)
 		}
 		s.queue = maxEdits
-		return nil
-	}
-}
-
-// WithSpanCoalescing controls whether a Rank that catches up across several
-// pending versions replays them as ONE merged incremental run instead of
-// one run per version (default true). The merged run's cost scales with the
-// union movement set — the paper's cost model — so disabling this is mainly
-// for measuring the per-version replay it replaces.
-func WithSpanCoalescing(enabled bool) Option {
-	return func(s *settings) error {
-		s.uncoalesced = !enabled
 		return nil
 	}
 }

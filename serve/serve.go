@@ -49,11 +49,10 @@
 // open on the dense side too: an applied edge naming an id beyond the
 // current vertex count grows the graph instead of erroring.
 //
-// Writes are asynchronous by default: the batch is coalesced with whatever
+// Writes are asynchronous: the batch is coalesced with whatever
 // else is in flight, 202 Accepted names the version it landed in, and the
 // rank refresh runs behind the engine's RankPolicy. `?wait=ranked` turns a
-// request into read-your-ranks; WithSyncApply restores the old synchronous
-// apply+rank behaviour for comparison. A full ingest queue surfaces as 429.
+// request into read-your-ranks. A full ingest queue surfaces as 429.
 //
 // Errors are JSON too: {"error":"…"} with 400 (malformed request), 404
 // (unknown vertex/route), 410 (version evicted from retention), 429 (ingest
@@ -112,14 +111,13 @@ type Server struct {
 }
 
 type options struct {
-	defaultK  int
-	maxK      int
-	maxBatch  int
-	syncApply bool
-	maxWait   time.Duration
-	pprof     bool
-	log       *slog.Logger
-	cluster   ClusterInfo
+	defaultK int
+	maxK     int
+	maxBatch int
+	maxWait  time.Duration
+	pprof    bool
+	log      *slog.Logger
+	cluster  ClusterInfo
 }
 
 // ClusterInfo is the server's window into the replication membership: the
@@ -173,17 +171,6 @@ func WithMaxBatch(n int) Option {
 			return fmt.Errorf("serve: max batch %d must be positive", n)
 		}
 		o.maxBatch = n
-		return nil
-	}
-}
-
-// WithSyncApply restores the synchronous write path: /v1/apply publishes
-// the batch with Engine.Apply and runs a full Rank before responding
-// (default off — writes flow through the ingest pipeline and return 202).
-// Mainly a baseline for measuring what the asynchronous path buys.
-func WithSyncApply(sync bool) Option {
-	return func(o *options) error {
-		o.syncApply = sync
 		return nil
 	}
 }
@@ -325,9 +312,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// PIPELINE has outstanding work — edits still queued (even ones whose
 	// handler timed out before acknowledging: they were accepted and must
 	// not be dropped at engine Close), or applied rounds the ranks have not
-	// covered yet. An idle, sync-mode, or never-written engine skips the
-	// flush, so teardown never hands surprise work to an engine that saw no
-	// pipeline traffic.
+	// covered yet. An idle or never-written engine skips the flush, so
+	// teardown never hands surprise work to an engine that saw no pipeline
+	// traffic.
 	st := s.eng.Stats()
 	if st.QueuedEdits > 0 || (st.IngestRounds > 0 && s.eng.Behind() > 0) {
 		if ferr := s.eng.Flush(ctx); ferr != nil && !errors.Is(ferr, dfpr.ErrClosed) && err == nil {
@@ -610,8 +597,6 @@ type applyResponse struct {
 	Version     uint64 `json:"version"`
 	RankVersion uint64 `json:"rank_version"`
 	Ranked      bool   `json:"ranked"`
-	Advanced    int    `json:"advanced,omitempty"`
-	Rebuilt     bool   `json:"rebuilt,omitempty"`
 }
 
 func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
@@ -651,12 +636,8 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if s.opts.syncApply {
-		s.applySync(w, r, del, ins, kdel, kins, keyed)
-		return
-	}
 
-	// Default path: enqueue onto the ingest pipeline. The only wait on the
+	// Enqueue onto the ingest pipeline. The only wait on the
 	// request path is for the coalescing round that assigns the version —
 	// the rank refresh runs behind the engine's policy, never here. Both
 	// waits are bounded server-side by maxWait so a stalled pipeline (or a
@@ -786,39 +767,6 @@ func retryAfterRecovery(behind uint64) string {
 		secs = 8
 	}
 	return strconv.Itoa(secs)
-}
-
-// applySync is the synchronous baseline behind WithSyncApply: publish with
-// Apply, then run a full Rank before responding. The triggered Rank runs on
-// a context detached from the request: the batch is already published, so a
-// client disconnect mid-refresh must not abort a rank whose version readers
-// are waiting on (it would leave Behind() > 0 until the next write).
-func (s *Server) applySync(w http.ResponseWriter, r *http.Request, del, ins []dfpr.Edge, kdel, kins []dfpr.KeyEdge, keyed bool) {
-	var seq uint64
-	var err error
-	if keyed {
-		seq, err = s.eng.ApplyKeyed(r.Context(), kdel, kins)
-	} else {
-		seq, err = s.eng.Apply(r.Context(), del, ins)
-	}
-	if err != nil {
-		writeErr(w, statusOf(err), "%v", err)
-		return
-	}
-	// The batch is published from here on: count the accepted write even if
-	// the refresh below fails, so stats reconcile against Version().
-	s.writes.Add(1)
-	resp := applyResponse{Version: seq}
-	res, err := s.eng.Rank(context.WithoutCancel(r.Context()))
-	if err != nil {
-		// The client's request was valid and is already applied; a failing
-		// refresh is a server-side condition, not a 4xx.
-		writeErr(w, refreshStatusOf(err), "batch published as version %d but refresh failed: %v", seq, err)
-		return
-	}
-	resp.RankVersion, resp.Advanced, resp.Rebuilt = res.Seq, res.Advanced, res.Rebuilt
-	resp.Ranked = resp.RankVersion >= seq
-	writeJSON(w, resp.RankVersion, resp)
 }
 
 type waitResponse struct {
@@ -1046,16 +994,6 @@ func waitStatusOf(reqCtx context.Context, err error) int {
 	if errors.Is(err, context.DeadlineExceeded) && reqCtx.Err() == nil {
 		return http.StatusGatewayTimeout
 	}
-	if code := statusOf(err); code != http.StatusBadRequest {
-		return code
-	}
-	return http.StatusInternalServerError
-}
-
-// refreshStatusOf maps a failed post-apply Rank onto HTTP statuses: the
-// request was already validated and applied, so unknown failures are the
-// server's (500), never the client's.
-func refreshStatusOf(err error) int {
 	if code := statusOf(err); code != http.StatusBadRequest {
 		return code
 	}

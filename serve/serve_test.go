@@ -262,9 +262,9 @@ func TestServeGracefulDrain(t *testing.T) {
 }
 
 // TestServeApplyRefreshFailureIs5xx arms a crash-everything fault plan with
-// the static fallback off: the batch is accepted and published, so the
-// failing refresh must surface as a server error (5xx, never 4xx) and the
-// write must still be counted.
+// the static fallback off: the batch is accepted and published, so a
+// read-your-ranks apply whose refresh keeps failing must surface as a server
+// error (5xx, never 4xx) and the write must still be counted.
 func TestServeApplyRefreshFailureIs5xx(t *testing.T) {
 	const n = 32
 	var edges []dfpr.Edge
@@ -283,11 +283,11 @@ func TestServeApplyRefreshFailureIs5xx(t *testing.T) {
 	if err := eng.SetFaultPlan(dfpr.FaultPlan{CrashWorkers: dfpr.CrashSet(2, 2), Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(eng, WithSyncApply(true))
+	s, err := New(eng, WithMaxWait(100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, body, _ := do(t, s.Handler(), "POST", "/v1/apply", `{"ins":[{"u":1,"v":3}]}`, nil)
+	code, body, _ := do(t, s.Handler(), "POST", "/v1/apply?wait=ranked", `{"ins":[{"u":1,"v":3}]}`, nil)
 	if code < 500 || code >= 600 {
 		t.Fatalf("failing refresh after accepted apply: %d (%v), want 5xx", code, body)
 	}

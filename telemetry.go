@@ -45,6 +45,13 @@ type engineMetrics struct {
 // a buffered write (microseconds) and an fsync tens of micros to millis.
 func walBuckets() []float64 { return telemetry.ExpBuckets(1e-5, 4, 10) }
 
+// walFsyncHistogram get-or-creates the fsync latency series: openLog needs it
+// for the log's fsync hook before the engine (and its instruments) exists.
+func walFsyncHistogram(reg *telemetry.Registry) *telemetry.Histogram {
+	return reg.Histogram("dfpr_wal_fsync_seconds",
+		"WAL fsync latency (per Append under FsyncAlways, per flush otherwise).", walBuckets())
+}
+
 // Metrics returns the engine's telemetry registry. Mount
 // Metrics().Handler() to expose it; layers above the engine register their
 // own instruments on it so one scrape covers the stack.
@@ -66,7 +73,7 @@ func (e *Engine) initTelemetry(reg *telemetry.Registry) {
 			"Submit batches rejected before enqueue, by reason.",
 			telemetry.L("reason", "universe_bound")),
 		applies: reg.Counter("dfpr_graph_applies_total",
-			"Graph versions published (Apply calls and coalesced ingest rounds)."),
+			"Graph versions published (Apply calls, coalesced ingest rounds and replayed spans)."),
 		growEvents: reg.Counter("dfpr_graph_grow_events_total",
 			"Publications that widened the vertex universe."),
 		rankSeconds: reg.Histogram("dfpr_rank_refresh_seconds",
@@ -75,8 +82,7 @@ func (e *Engine) initTelemetry(reg *telemetry.Registry) {
 			"Freshness lag from a version's publication to ranks covering it.", nil),
 		walAppend: reg.Histogram("dfpr_wal_append_seconds",
 			"WAL record append latency on the apply path.", walBuckets()),
-		walFsync: reg.Histogram("dfpr_wal_fsync_seconds",
-			"WAL fsync latency (per Append under FsyncAlways, per flush otherwise).", walBuckets()),
+		walFsync: walFsyncHistogram(reg),
 		ckptSeconds: reg.Histogram("dfpr_checkpoint_seconds",
 			"Durable checkpoint write duration.", telemetry.ExpBuckets(1e-3, 4, 8)),
 	}
