@@ -7,7 +7,6 @@ package dfpr
 // full-scale versions.
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -155,13 +154,11 @@ func BenchmarkAlgoDFLFUnderDelays(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// PR 1 benchmarks: the incremental snapshot pipeline and the
-// contribution-cached kernel, measured in isolation. cmd/prbench -benchjson
-// records the same quantities machine-readably in BENCH_PR1.json.
+// PR 1 benchmarks: the incremental snapshot pipeline, measured in isolation
+// (BENCH_PR1.json holds the same quantities as recorded at PR 1).
 
 // largestSpec returns the largest Table 2 stand-in (the sk-2005 class: most
-// edges of the generator suite) from the suite itself, so the Go benchmarks
-// and cmd/prbench -benchjson measure the same graph by construction.
+// edges of the generator suite) from the suite itself.
 func largestSpec(b *testing.B) gen.Spec {
 	b.Helper()
 	for _, s := range gen.SuiteSparse12(1) {
@@ -218,69 +215,3 @@ func BenchmarkSnapshotFull1e4(b *testing.B) { benchSnapshot(b, 1e-4, true) }
 // sweeps.
 func BenchmarkSnapshotDelta1e3(b *testing.B) { benchSnapshot(b, 1e-3, false) }
 func BenchmarkSnapshotFull1e3(b *testing.B)  { benchSnapshot(b, 1e-3, true) }
-
-func kernelSweepBench(b *testing.B, cached bool) {
-	d := largestSpec(b).Build()
-	k := core.NewKernelBench(d.Snapshot(), core.DefaultAlpha)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if cached {
-			k.CachedSweep()
-		} else {
-			k.SeedSweep()
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k.Edges()), "ns/edge")
-	if s := k.Checksum(); s < 0.5 || s > 1.5 {
-		b.Fatalf("checksum %v, sweep is broken", s)
-	}
-}
-
-// BenchmarkKernelSweepSeed measures the uncached seed kernel: two loads and
-// two multiplies per edge.
-func BenchmarkKernelSweepSeed(b *testing.B) { kernelSweepBench(b, false) }
-
-// BenchmarkKernelSweepCached measures the contribution-cached kernel: one
-// load and one add per edge.
-func BenchmarkKernelSweepCached(b *testing.B) { kernelSweepBench(b, true) }
-
-// BenchmarkKernelSweepBlocked measures the cache-blocked parallel cached
-// sweep: the same contribution-cached kernel threaded through the
-// edge-balanced scheduler in LLC-sized blocks. Scales with -cpu.
-func BenchmarkKernelSweepBlocked(b *testing.B) {
-	d := largestSpec(b).Build()
-	k := core.NewKernelBench(d.Snapshot(), core.DefaultAlpha)
-	threads := runtime.GOMAXPROCS(0)
-	k.ParallelCachedSweep(threads) // build the pool before timing
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.ParallelCachedSweep(threads)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k.Edges()), "ns/edge")
-	if s := k.Checksum(); s < 0.5 || s > 1.5 {
-		b.Fatalf("checksum %v, sweep is broken", s)
-	}
-}
-
-// BenchmarkKernelSweepDecode measures the decode-on-sweep kernel over the
-// delta-compressed CSR: varint row decode plus the cached gather, the CPU
-// price of halving the graph's resident bytes.
-func BenchmarkKernelSweepDecode(b *testing.B) {
-	d := largestSpec(b).Build()
-	c := graph.CompressCSR(d.Snapshot())
-	k := core.NewDecodeBench(c, core.DefaultAlpha)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.CachedSweep()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k.Edges()), "ns/edge")
-	if s := k.Checksum(); s < 0.5 || s > 1.5 {
-		b.Fatalf("checksum %v, sweep is broken", s)
-	}
-}

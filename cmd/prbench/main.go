@@ -12,24 +12,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"math/rand"
-	"net"
-	"net/http"
 	"os"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"testing"
 	"time"
 
-	"dfpr"
-	"dfpr/internal/batch"
-	"dfpr/internal/exutil"
-	"dfpr/internal/gen"
 	"dfpr/internal/harness"
 )
 
@@ -43,28 +31,8 @@ func main() {
 		seed    = flag.Int64("seed", 42, "base random seed")
 		reps    = flag.Int("reps", 1, "timing repetitions per measurement (min reported)")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		bjson   = flag.String("benchjson", "", "write kernel + snapshot micro-benchmarks as JSON to this path and exit")
-		matrixS = flag.String("matrix", "1,2,4,8,16", "with -benchjson: comma-separated worker counts for the multi-core scaling matrix ('' disables)")
 	)
 	flag.Parse()
-
-	if *bjson != "" {
-		matrix, err := parseMatrix(*matrixS)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: %v\n", err)
-			os.Exit(2)
-		}
-		extras := []func(*harness.BenchReport){
-			queryBench(*scale, *threads), ingestBench(*scale, *threads),
-			keyedBench(*scale, *threads), growthBench(*scale, *threads),
-			durabilityBench(*scale, *threads), replicationBench(*scale, *threads),
-		}
-		if err := harness.RunBenchJSON(*bjson, *scale, *reps, matrix, extras...); err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list || *expFlag == "" {
 		fmt.Println("Available experiments:")
@@ -110,840 +78,5 @@ func main() {
 			fmt.Println()
 		}
 		fmt.Printf("-- %s completed in %s --\n\n", id, time.Since(start).Round(time.Millisecond))
-	}
-}
-
-// parseMatrix resolves the -matrix flag: a comma-separated list of worker
-// counts, empty to skip the threads section.
-func parseMatrix(s string) ([]int, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		var t int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &t); err != nil || t < 1 {
-			return nil, fmt.Errorf("bad -matrix entry %q (want positive integers)", part)
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// ingestBench contributes the write-path section of the benchjson report:
-// the synchronous apply+rank-per-call path against the coalescing ingest
-// pipeline on the suite's largest graph (the sk-2005 stand-in), at an equal
-// ranked-freshness deadline — the async engine's debounce max-latency is
-// set to the sync path's measured p99 publish→ranked latency, so whatever
-// throughput it gains comes purely from coalescing and amortised ranking.
-func ingestBench(scale float64, threads int) func(*harness.BenchReport) {
-	return func(rep *harness.BenchReport) {
-		ctx := context.Background()
-		var spec gen.Spec
-		for _, s := range gen.SuiteSparse12(scale) {
-			if s.Name == "sk-2005" {
-				spec = s
-				break
-			}
-		}
-		d := spec.Build()
-		n, edges := exutil.Flatten(d)
-		tol := 1e-3 / float64(n)
-		opts := func(extra ...dfpr.Option) []dfpr.Option {
-			return append([]dfpr.Option{
-				dfpr.WithThreads(threads),
-				dfpr.WithTolerance(tol),
-				dfpr.WithFrontierTolerance(tol),
-				dfpr.WithHistory(256),
-			}, extra...)
-		}
-		const batchEdges = 10
-		syncApplies := 150
-		if scale < 1 {
-			syncApplies = 60
-		}
-		// Pre-generate distinct batches against the unmutated graph; no-op
-		// deletes/inserts from replays are harmless set operations.
-		batches := make([]batch.Update, 64)
-		for i := range batches {
-			batches[i] = batch.Random(d, batchEdges, int64(1000+i))
-		}
-
-		// --- Synchronous baseline: one Apply + one full Rank per call. ---
-		engS, err := dfpr.New(n, edges, opts()...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: ingestbench: %v\n", err)
-			return
-		}
-		defer engS.Close()
-		if _, err := engS.Rank(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: ingestbench: %v\n", err)
-			return
-		}
-		syncLat := make([]time.Duration, 0, syncApplies)
-		t0 := time.Now()
-		for i := 0; i < syncApplies; i++ {
-			up := batches[i%len(batches)]
-			a0 := time.Now()
-			if _, err := engS.Apply(ctx, exutil.Convert(up.Del), exutil.Convert(up.Ins)); err != nil {
-				fmt.Fprintf(os.Stderr, "prbench: ingestbench: %v\n", err)
-				return
-			}
-			if _, err := engS.Rank(ctx); err != nil {
-				fmt.Fprintf(os.Stderr, "prbench: ingestbench: %v\n", err)
-				return
-			}
-			syncLat = append(syncLat, time.Since(a0))
-		}
-		syncElapsed := time.Since(t0)
-		syncRate := float64(syncApplies) / syncElapsed.Seconds()
-		deadline := percentile(syncLat, 0.99)
-		stS := engS.Stats()
-		rep.Ingest = append(rep.Ingest, harness.IngestResult{
-			Graph: spec.Name, Vertices: n, Edges: d.M(),
-			Mode: "sync", Policy: "rank per apply", BatchEdges: batchEdges,
-			Applies: syncApplies, Rounds: int64(syncApplies), Refreshes: stS.Refreshes,
-			AppliesSec:    syncRate,
-			P50Ms:         percentile(syncLat, 0.50).Seconds() * 1e3,
-			P99Ms:         deadline.Seconds() * 1e3,
-			SpeedupVsSync: 1,
-		})
-		fmt.Fprintf(os.Stderr, "benchjson: ingest sync  %-14s %7.0f applies/s  p99 %6.2fms\n",
-			spec.Name, syncRate, deadline.Seconds()*1e3)
-
-		// --- Asynchronous pipeline at the same freshness deadline. ---
-		// The debounce max-latency is when a refresh STARTS; the refresh
-		// itself still runs. Budgeting half the sync p99 for the wait keeps
-		// the end-to-end publish→ranked latency in the sync path's league.
-		maxLat := deadline / 2
-		quiet := maxLat / 10
-		if quiet < 200*time.Microsecond {
-			quiet = 200 * time.Microsecond
-		}
-		if maxLat < quiet {
-			maxLat = quiet // tiny graphs: keep the policy valid
-		}
-		policy := dfpr.RankDebounce(quiet, maxLat)
-		engA, err := dfpr.New(n, edges, opts(dfpr.WithRankPolicy(policy))...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: ingestbench: %v\n", err)
-			return
-		}
-		defer engA.Close()
-		if _, err := engA.Rank(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: ingestbench: %v\n", err)
-			return
-		}
-		asyncApplies := syncApplies * 20
-		asyncLat := make([]time.Duration, asyncApplies)
-		var waitErrs atomic.Int64
-		// Paced into bursts spanning several freshness deadlines, so the
-		// numbers show a SUSTAINED stream across many coalescing rounds and
-		// refreshes, not one giant round.
-		burst := asyncApplies / 16
-		var wg sync.WaitGroup
-		t0 = time.Now()
-		for i := 0; i < asyncApplies; i++ {
-			if i > 0 && i%burst == 0 {
-				time.Sleep(deadline / 8)
-			}
-			up := batches[i%len(batches)]
-			tk, err := engA.Submit(ctx, exutil.Convert(up.Del), exutil.Convert(up.Ins))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "prbench: ingestbench: %v\n", err)
-				return
-			}
-			wg.Add(1)
-			go func(i int, start time.Time, tk *dfpr.Ticket) {
-				defer wg.Done()
-				seq, err := tk.Wait(ctx)
-				if err == nil {
-					err = engA.WaitRanked(ctx, seq)
-				}
-				if err != nil {
-					waitErrs.Add(1)
-					fmt.Fprintf(os.Stderr, "prbench: ingestbench: %v\n", err)
-					return
-				}
-				asyncLat[i] = time.Since(start)
-			}(i, time.Now(), tk)
-		}
-		wg.Wait() // every submission applied AND ranked
-		if n := waitErrs.Load(); n > 0 {
-			// A failed waiter leaves a zero sample that would deflate the
-			// percentiles — the numbers the acceptance criterion rests on.
-			// Drop the section rather than publish corrupted latencies.
-			fmt.Fprintf(os.Stderr, "prbench: ingestbench: %d of %d async waits failed; skipping the async row\n", n, asyncApplies)
-			return
-		}
-		asyncElapsed := time.Since(t0)
-		asyncRate := float64(asyncApplies) / asyncElapsed.Seconds()
-		stA := engA.Stats()
-		rep.Ingest = append(rep.Ingest, harness.IngestResult{
-			Graph: spec.Name, Vertices: n, Edges: d.M(),
-			Mode: "async", Policy: policy.String(), BatchEdges: batchEdges,
-			Applies: asyncApplies, Rounds: stA.IngestRounds, Refreshes: stA.Refreshes,
-			AppliesSec:    asyncRate,
-			P50Ms:         percentile(asyncLat, 0.50).Seconds() * 1e3,
-			P99Ms:         percentile(asyncLat, 0.99).Seconds() * 1e3,
-			SpeedupVsSync: asyncRate / syncRate,
-		})
-		fmt.Fprintf(os.Stderr, "benchjson: ingest async %-14s %7.0f applies/s  p99 %6.2fms  (%d rounds, %d refreshes, %.1fx sync)\n",
-			spec.Name, asyncRate, percentile(asyncLat, 0.99).Seconds()*1e3, stA.IngestRounds, stA.Refreshes, asyncRate/syncRate)
-	}
-}
-
-// keyedBench contributes the keyed-lookup section of the benchjson report:
-// the string-keyed read path (View.ScoreOfKey — one lock-free interner
-// probe plus the dense bounds check) against the raw dense View.ScoreOf on
-// the suite's largest graph, with URL-shaped keys. The dense load compiles
-// to ~a nanosecond, so the honest number for the keyed path is its absolute
-// cost and its zero allocations; Resolve is measured separately because a
-// hot client resolves once and reads densely from there on.
-func keyedBench(scale float64, threads int) func(*harness.BenchReport) {
-	return func(rep *harness.BenchReport) {
-		ctx := context.Background()
-		var spec gen.Spec
-		for _, s := range gen.SuiteSparse12(scale) {
-			if s.Name == "sk-2005" {
-				spec = s
-				break
-			}
-		}
-		d := spec.Build()
-		n, edges := exutil.Flatten(d)
-		keys := make([]dfpr.Key, n)
-		var keyBytes int
-		for i := range keys {
-			keys[i] = fmt.Sprintf("https://sk2005.example/%d", i)
-			keyBytes += len(keys[i])
-		}
-		eng, err := dfpr.Open(dfpr.WithThreads(threads), dfpr.WithTolerance(1e-3/float64(n)))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: keyedbench: %v\n", err)
-			return
-		}
-		defer eng.Close()
-		kedges := exutil.KeyEdges(edges, func(u uint32) string { return keys[u] })
-		// Chunked keyed loading keeps the interner promoting as it grows.
-		const chunk = 1 << 15
-		for lo := 0; lo < len(kedges); lo += chunk {
-			hi := lo + chunk
-			if hi > len(kedges) {
-				hi = len(kedges)
-			}
-			if _, err := eng.ApplyKeyed(ctx, nil, kedges[lo:hi]); err != nil {
-				fmt.Fprintf(os.Stderr, "prbench: keyedbench: %v\n", err)
-				return
-			}
-		}
-		if _, err := eng.Rank(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: keyedbench: %v\n", err)
-			return
-		}
-		v, err := eng.View()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: keyedbench: %v\n", err)
-			return
-		}
-		nsPerOp := func(f func(b *testing.B)) float64 {
-			r := testing.Benchmark(f)
-			return float64(r.T.Nanoseconds()) / float64(r.N)
-		}
-		q := harness.KeyedResult{
-			Graph: spec.Name, Vertices: v.N(), Edges: v.M(),
-			Keys: eng.Keys(), KeyBytes: float64(keyBytes) / float64(n),
-		}
-		q.ScoreOfNs = nsPerOp(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, ok := v.ScoreOf(uint32(i % n)); !ok {
-					b.Fatal("dense lookup failed")
-				}
-			}
-		})
-		q.KeyNs = nsPerOp(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, ok := v.ScoreOfKey(keys[i%n]); !ok {
-					b.Fatal("keyed lookup failed")
-				}
-			}
-		})
-		q.ResolveNs = nsPerOp(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, ok := eng.Resolve(keys[i%n]); !ok {
-					b.Fatal("resolve failed")
-				}
-			}
-		})
-		q.Overhead = q.KeyNs / q.ScoreOfNs
-		q.KeyAllocs = testing.AllocsPerRun(200, func() { v.ScoreOfKey(keys[7]) })
-		const k = 10
-		v.TopKKeys(k) // warm the order cache
-		buf := make([]dfpr.RankedKey, 0, k)
-		q.TopKKeysNs = nsPerOp(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				buf = v.AppendTopKKeys(buf[:0], k)
-			}
-		})
-		rep.Keyed = append(rep.Keyed, q)
-		fmt.Fprintf(os.Stderr,
-			"benchjson: keyed %-14s scoreofkey %.1f ns (%.0f allocs, %.1fx dense %.1f ns)  resolve %.1f ns  topkkeys %.0f ns\n",
-			spec.Name, q.KeyNs, q.KeyAllocs, q.Overhead, q.ScoreOfNs, q.ResolveNs, q.TopKKeysNs)
-	}
-}
-
-// growthBench contributes the growth-heavy ingest section: a keyed stream
-// whose population keeps expanding (every batch mentions never-seen keys)
-// pushed through the coalescing pipeline, then the grown engine is pinned
-// against a cold rebuild of the final graph — the growth-equivalence
-// acceptance measured at serving scale.
-func growthBench(scale float64, threads int) func(*harness.BenchReport) {
-	return func(rep *harness.BenchReport) {
-		ctx := context.Background()
-		users := int(float64(1<<15) * scale)
-		if users < 1<<10 {
-			users = 1 << 10
-		}
-		events := 12 * users
-		key := func(u int) dfpr.Key { return fmt.Sprintf("user/%d", u) }
-		tol := 1e-3 / float64(users)
-		opts := []dfpr.Option{
-			dfpr.WithThreads(threads),
-			dfpr.WithTolerance(tol),
-			dfpr.WithFrontierTolerance(tol),
-			dfpr.WithRankPolicy(dfpr.RankEveryN(events / 32)),
-		}
-		// The stream: endpoints drawn from a window that expands with time,
-		// so the tail constantly grows the universe.
-		rng := rand.New(rand.NewSource(77))
-		stream := make([]dfpr.KeyEdge, events)
-		for i := range stream {
-			active := 64 + (users-64)*i/events + 1
-			stream[i] = dfpr.KeyEdge{From: key(rng.Intn(active)), To: key(rng.Intn(active))}
-		}
-		preload := events / 10
-		eng, err := dfpr.Open(opts...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: growthbench: %v\n", err)
-			return
-		}
-		defer eng.Close()
-		if _, err := eng.ApplyKeyed(ctx, nil, stream[:preload]); err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: growthbench: %v\n", err)
-			return
-		}
-		if _, err := eng.Rank(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: growthbench: %v\n", err)
-			return
-		}
-		start := eng.Keys()
-
-		const batchEdges = 64
-		subs := 0
-		t0 := time.Now()
-		for lo := preload; lo < events; lo += batchEdges {
-			hi := lo + batchEdges
-			if hi > events {
-				hi = events
-			}
-			if _, err := eng.SubmitKeyed(ctx, nil, stream[lo:hi]); err != nil {
-				fmt.Fprintf(os.Stderr, "prbench: growthbench: %v\n", err)
-				return
-			}
-			subs++
-			if subs%128 == 0 {
-				// Paced into bursts so the run spans many coalescing rounds
-				// and refreshes — a sustained growing stream, not one giant
-				// round.
-				time.Sleep(time.Millisecond)
-			}
-		}
-		if err := eng.Flush(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: growthbench: %v\n", err)
-			return
-		}
-		elapsed := time.Since(t0)
-		v, err := eng.View()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: growthbench: %v\n", err)
-			return
-		}
-
-		// Cold rebuild of the final graph in the same first-mention order.
-		cold, err := dfpr.Open(opts...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: growthbench: %v\n", err)
-			return
-		}
-		defer cold.Close()
-		if _, err := cold.ApplyKeyed(ctx, nil, stream); err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: growthbench: %v\n", err)
-			return
-		}
-		coldRes, err := cold.Rank(ctx)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: growthbench: %v\n", err)
-			return
-		}
-		var linf float64
-		v.Range(func(u uint32, s float64) bool {
-			k, _ := v.KeyOf(u)
-			cs, _ := coldRes.View.ScoreOfKey(k)
-			if d := s - cs; d > linf {
-				linf = d
-			} else if -d > linf {
-				linf = -d
-			}
-			return true
-		})
-		st := eng.Stats()
-		edits := events - preload
-		g := harness.GrowthResult{
-			Graph:         "growing-social",
-			StartVertices: start, FinalVertices: v.N(),
-			Edits: edits, Submissions: subs,
-			Rounds: st.IngestRounds, Refreshes: st.Refreshes,
-			EditsSec:  float64(edits) / elapsed.Seconds(),
-			ElapsedMs: elapsed.Seconds() * 1e3,
-			ColdLInf:  linf, Tol: tol,
-		}
-		rep.Growth = append(rep.Growth, g)
-		fmt.Fprintf(os.Stderr,
-			"benchjson: growth %d→%d vertices, %d edits in %d submissions → %d rounds, %d refreshes, %.0f edits/s, L∞ vs cold %.1e\n",
-			start, v.N(), edits, subs, st.IngestRounds, st.Refreshes, g.EditsSec, linf)
-	}
-}
-
-// durabilityBench contributes the durability section of the benchjson
-// report on a 65k web graph: the cost side is apply throughput with the WAL
-// on the write path against the same loop unlogged (acceptance: within 2×);
-// the benefit side is a warm restart — checkpoint load plus a short tail
-// replay plus the catch-up Rank — against a cold build-and-converge of the
-// same graph (acceptance: ≥5× faster).
-func durabilityBench(scale float64, threads int) func(*harness.BenchReport) {
-	return func(rep *harness.BenchReport) {
-		ctx := context.Background()
-		fail := func(err error) { fmt.Fprintf(os.Stderr, "prbench: durabilitybench: %v\n", err) }
-		n := int(float64(1<<16) * scale)
-		if n < 1<<12 {
-			n = 1 << 12
-		}
-		spec := gen.Spec{Name: "web-65k", Class: gen.Web, N: n, Deg: 12, Seed: 42}
-		d := spec.Build()
-		nv, edges := exutil.Flatten(d)
-		tol := 1e-3 / float64(nv)
-		opts := func(extra ...dfpr.Option) []dfpr.Option {
-			return append([]dfpr.Option{
-				dfpr.WithThreads(threads),
-				dfpr.WithTolerance(tol),
-				dfpr.WithFrontierTolerance(tol),
-			}, extra...)
-		}
-		const batchEdges = 10
-		applies := 300
-		if scale < 1 {
-			applies = 100
-		}
-		batches := make([]batch.Update, 64)
-		for i := range batches {
-			batches[i] = batch.Random(d, batchEdges, int64(2000+i))
-		}
-		applyLoop := func(eng *dfpr.Engine) (float64, error) {
-			t0 := time.Now()
-			for i := 0; i < applies; i++ {
-				up := batches[i%len(batches)]
-				if _, err := eng.Apply(ctx, exutil.Convert(up.Del), exutil.Convert(up.Ins)); err != nil {
-					return 0, err
-				}
-			}
-			return float64(applies) / time.Since(t0).Seconds(), nil
-		}
-
-		// Cold build-and-converge — best of three runs, the harness's usual
-		// min-of-reps convention (timing noise on shared runners otherwise
-		// swamps a ~100ms measurement) — then the unlogged apply baseline on
-		// the first cold engine.
-		var cold *dfpr.Engine
-		var coldMs float64
-		for i := 0; i < 3; i++ {
-			t0 := time.Now()
-			eng, err := dfpr.New(nv, edges, opts()...)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if _, err := eng.Rank(ctx); err != nil {
-				fail(err)
-				return
-			}
-			ms := time.Since(t0).Seconds() * 1e3
-			if coldMs == 0 || ms < coldMs {
-				coldMs = ms
-			}
-			if cold == nil {
-				cold = eng
-			} else {
-				eng.Close()
-			}
-		}
-		defer cold.Close()
-		unloggedSec, err := applyLoop(cold)
-		if err != nil {
-			fail(err)
-			return
-		}
-
-		// Durable twin: the same applies with every batch logged (default
-		// batched fsync — the group-commit flusher stays off the apply path),
-		// then a checkpoint and a short uncheckpointed tail to give the warm
-		// restart real replay work.
-		dir, err := os.MkdirTemp("", "dfpr-bench-durability-")
-		if err != nil {
-			fail(err)
-			return
-		}
-		defer os.RemoveAll(dir)
-		fsync := dfpr.FsyncBatched(0)
-		engL, err := dfpr.New(nv, edges, opts(dfpr.WithDurability(dir), dfpr.WithFsync(fsync))...)
-		if err != nil {
-			fail(err)
-			return
-		}
-		defer engL.Close()
-		if _, err := engL.Rank(ctx); err != nil {
-			fail(err)
-			return
-		}
-		loggedSec, err := applyLoop(engL)
-		if err != nil {
-			fail(err)
-			return
-		}
-		if _, err := engL.Rank(ctx); err != nil {
-			fail(err)
-			return
-		}
-		if err := engL.Checkpoint(); err != nil {
-			fail(err)
-			return
-		}
-		const tail = 16
-		for i := 0; i < tail; i++ {
-			up := batches[i%len(batches)]
-			if _, err := engL.Apply(ctx, exutil.Convert(up.Del), exutil.Convert(up.Ins)); err != nil {
-				fail(err)
-				return
-			}
-		}
-		if err := engL.Close(); err != nil {
-			fail(err)
-			return
-		}
-
-		// Warm restart: recover from the directory alone and catch up — best
-		// of three restarts. Nothing is applied between restarts and the tail
-		// stays short of the checkpoint cadence, so every restart replays the
-		// same 16 records.
-		var warmMs float64
-		var replayed int
-		for i := 0; i < 3; i++ {
-			t0 := time.Now()
-			warm, err := dfpr.New(0, nil, opts(dfpr.WithDurability(dir), dfpr.WithFsync(fsync))...)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if _, err := warm.Rank(ctx); err != nil {
-				warm.Close()
-				fail(err)
-				return
-			}
-			ms := time.Since(t0).Seconds() * 1e3
-			if warmMs == 0 || ms < warmMs {
-				warmMs = ms
-			}
-			replayed = warm.Stats().Durability.ReplayedRecords
-			if err := warm.Close(); err != nil {
-				fail(err)
-				return
-			}
-		}
-
-		r := harness.DurabilityResult{
-			Graph: spec.Name, Vertices: nv, Edges: d.M(),
-			FsyncPolicy:        fsync.String(),
-			ColdBuildMs:        coldMs,
-			WarmRestartMs:      warmMs,
-			WarmSpeedup:        coldMs / warmMs,
-			ReplayedRecords:    replayed,
-			UnloggedAppliesSec: unloggedSec,
-			LoggedAppliesSec:   loggedSec,
-			LoggedOverhead:     unloggedSec / loggedSec,
-		}
-		rep.Durability = append(rep.Durability, r)
-		fmt.Fprintf(os.Stderr,
-			"benchjson: durability %-10s cold %.1fms warm %.1fms (%.1fx, %d replayed)  applies %s %.0f/s vs unlogged %.0f/s (%.2fx cost)\n",
-			spec.Name, coldMs, warmMs, r.WarmSpeedup, replayed, fsync, loggedSec, unloggedSec, r.LoggedOverhead)
-	}
-}
-
-// replicationBench contributes the replication section of the benchjson
-// report on a 65k web graph: a durable writer streaming its WAL over a real
-// loopback HTTP listener to one replica. It measures the snapshot bootstrap
-// time, the per-apply replication lag (writer Apply returns → the replica
-// has applied that record, the full append→frame→stream→decode→apply path),
-// the feed's catch-up throughput on a back-to-back burst, and the final
-// rank divergence between the two engines at the same version.
-func replicationBench(scale float64, threads int) func(*harness.BenchReport) {
-	return func(rep *harness.BenchReport) {
-		ctx := context.Background()
-		fail := func(err error) { fmt.Fprintf(os.Stderr, "prbench: replicationbench: %v\n", err) }
-		n := int(float64(1<<16) * scale)
-		if n < 1<<12 {
-			n = 1 << 12
-		}
-		spec := gen.Spec{Name: "web-65k", Class: gen.Web, N: n, Deg: 12, Seed: 42}
-		d := spec.Build()
-		nv, edges := exutil.Flatten(d)
-		tol := 1e-3 / float64(nv)
-		opts := func(extra ...dfpr.Option) []dfpr.Option {
-			return append([]dfpr.Option{
-				dfpr.WithThreads(threads),
-				dfpr.WithTolerance(tol),
-				dfpr.WithFrontierTolerance(tol),
-			}, extra...)
-		}
-		dir, err := os.MkdirTemp("", "dfpr-bench-repl-")
-		if err != nil {
-			fail(err)
-			return
-		}
-		defer os.RemoveAll(dir)
-		writer, err := dfpr.New(nv, edges, opts(dfpr.WithDurability(dir), dfpr.WithFsync(dfpr.FsyncBatched(0)))...)
-		if err != nil {
-			fail(err)
-			return
-		}
-		defer writer.Close()
-		if _, err := writer.Rank(ctx); err != nil {
-			fail(err)
-			return
-		}
-
-		// The feed over a real loopback listener, so the lag numbers include
-		// the HTTP streaming path a production replica pays.
-		mux := http.NewServeMux()
-		mux.HandleFunc("GET /v1/feed", func(w http.ResponseWriter, r *http.Request) {
-			if f := writer.Feed(); f != nil {
-				f.ServeHTTP(w, r)
-				return
-			}
-			http.Error(w, "no feed", http.StatusServiceUnavailable)
-		})
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fail(err)
-			return
-		}
-		hs := &http.Server{Handler: mux}
-		go hs.Serve(l)
-		defer hs.Close()
-
-		t0 := time.Now()
-		replica, err := dfpr.StartReplica(ctx, "http://"+l.Addr().String(), opts()...)
-		if err != nil {
-			fail(err)
-			return
-		}
-		defer replica.Close()
-		reng := replica.Engine()
-		if err := reng.WaitVersion(ctx, writer.Version()); err != nil {
-			fail(err)
-			return
-		}
-		bootstrapMs := time.Since(t0).Seconds() * 1e3
-
-		const batchEdges = 10
-		applies := 200
-		if scale < 1 {
-			applies = 80
-		}
-		batches := make([]batch.Update, 64)
-		for i := range batches {
-			batches[i] = batch.Random(d, batchEdges, int64(3000+i))
-		}
-		lags := make([]time.Duration, 0, applies)
-		for i := 0; i < applies; i++ {
-			up := batches[i%len(batches)]
-			seq, err := writer.Apply(ctx, exutil.Convert(up.Del), exutil.Convert(up.Ins))
-			if err != nil {
-				fail(err)
-				return
-			}
-			a0 := time.Now()
-			if err := reng.WaitVersion(ctx, seq); err != nil {
-				fail(err)
-				return
-			}
-			lags = append(lags, time.Since(a0))
-		}
-
-		// Catch-up throughput: a back-to-back burst with no per-record waits,
-		// timed from the first apply until the replica holds the last record.
-		burst := 512
-		if scale < 1 {
-			burst = 128
-		}
-		b0 := time.Now()
-		var last uint64
-		for i := 0; i < burst; i++ {
-			up := batches[(applies+i)%len(batches)]
-			if last, err = writer.Apply(ctx, exutil.Convert(up.Del), exutil.Convert(up.Ins)); err != nil {
-				fail(err)
-				return
-			}
-		}
-		if err := reng.WaitVersion(ctx, last); err != nil {
-			fail(err)
-			return
-		}
-		recSec := float64(burst) / time.Since(b0).Seconds()
-
-		// Final divergence at a common version: both sides ranked at `last`.
-		if _, err := writer.Rank(ctx); err != nil {
-			fail(err)
-			return
-		}
-		if err := reng.WaitRanked(ctx, last); err != nil {
-			fail(err)
-			return
-		}
-		wv, err := writer.ViewAt(last)
-		if err != nil {
-			fail(err)
-			return
-		}
-		rv, err := reng.ViewAt(last)
-		if err != nil {
-			fail(err)
-			return
-		}
-		var linf float64
-		wv.Range(func(u uint32, s float64) bool {
-			rs, _ := rv.ScoreOf(u)
-			if diff := s - rs; diff > linf {
-				linf = diff
-			} else if -diff > linf {
-				linf = -diff
-			}
-			return true
-		})
-
-		r := harness.ReplicationResult{
-			Graph: spec.Name, Vertices: nv, Edges: d.M(),
-			BootstrapMs:  bootstrapMs,
-			Applies:      applies,
-			LagP50Ms:     percentile(lags, 0.50).Seconds() * 1e3,
-			LagP99Ms:     percentile(lags, 0.99).Seconds() * 1e3,
-			BurstRecords: burst,
-			RecordsSec:   recSec,
-			LInf:         linf,
-			Tol:          tol,
-		}
-		rep.Replication = append(rep.Replication, r)
-		fmt.Fprintf(os.Stderr,
-			"benchjson: replication %-10s bootstrap %.1fms  lag p50 %.2fms p99 %.2fms  burst %.0f rec/s  L∞ %.1e\n",
-			spec.Name, r.BootstrapMs, r.LagP50Ms, r.LagP99Ms, r.RecordsSec, r.LInf)
-	}
-}
-
-// percentile returns the p-th (0..1) order statistic of the samples.
-func percentile(samples []time.Duration, p float64) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-	i := int(p * float64(len(s)-1))
-	return s[i]
-}
-
-// queryBench contributes the view-query section of the benchjson report:
-// the zero-copy read path (View.ScoreOf, View.TopK) measured through the
-// public API on the suite's largest graph, against the deprecated
-// full-copy Snapshot as baseline. It runs here rather than in the harness
-// because internal packages cannot import the root package.
-func queryBench(scale float64, threads int) func(*harness.BenchReport) {
-	return func(rep *harness.BenchReport) {
-		var spec gen.Spec
-		for _, s := range gen.SuiteSparse12(scale) {
-			if s.Name == "sk-2005" {
-				spec = s
-				break
-			}
-		}
-		d := spec.Build()
-		n, edges := exutil.Flatten(d)
-		eng, err := dfpr.New(n, edges, dfpr.WithThreads(threads), dfpr.WithTolerance(1e-3/float64(n)))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: querybench: %v\n", err)
-			return
-		}
-		defer eng.Close()
-		if _, err := eng.Rank(context.Background()); err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: querybench: %v\n", err)
-			return
-		}
-		v, err := eng.View()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prbench: querybench: %v\n", err)
-			return
-		}
-		const k = 10
-		q := harness.QueryResult{Graph: spec.Name, Vertices: v.N(), Edges: v.M(), K: k}
-
-		firstStart := time.Now()
-		v.TopK(k) // builds the per-version order cache
-		q.TopKFirstNs = float64(time.Since(firstStart).Nanoseconds())
-
-		nsPerOp := func(f func(b *testing.B)) float64 {
-			r := testing.Benchmark(f)
-			return float64(r.T.Nanoseconds()) / float64(r.N)
-		}
-		q.ScoreOfNs = nsPerOp(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, ok := v.ScoreOf(uint32(i % n)); !ok {
-					b.Fatal("lookup failed")
-				}
-			}
-		})
-		q.TopKWarmNs = nsPerOp(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if len(v.TopK(k)) != k {
-					b.Fatal("topk failed")
-				}
-			}
-		})
-		q.SnapshotCopyNs = nsPerOp(func(b *testing.B) {
-			// The O(|V|)-copy baseline the view path replaced (the removed
-			// Snapshot() shim): materialise the full vector per call.
-			for i := 0; i < b.N; i++ {
-				ranks := make([]float64, 0, n)
-				v.Range(func(_ uint32, s float64) bool {
-					ranks = append(ranks, s)
-					return true
-				})
-				if len(ranks) != n {
-					b.Fatal("copy failed")
-				}
-			}
-		})
-		q.ScoreOfAllocs = testing.AllocsPerRun(200, func() { v.ScoreOf(7) })
-		q.TopKAllocs = testing.AllocsPerRun(200, func() { v.TopK(k) })
-		rep.Queries = append(rep.Queries, q)
-		fmt.Fprintf(os.Stderr,
-			"benchjson: query %-14s scoreof %.1f ns (%.0f allocs)  topk %.0f ns (%.0f allocs)  snapshot-copy %.0f ns\n",
-			spec.Name, q.ScoreOfNs, q.ScoreOfAllocs, q.TopKWarmNs, q.TopKAllocs, q.SnapshotCopyNs)
 	}
 }

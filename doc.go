@@ -140,9 +140,10 @@
 // RED series, exposes everything as Prometheus text exposition on GET
 // /metrics, mounts net/http/pprof on request (WithPprof), and logs through
 // a caller-supplied log/slog Logger (WithLogger; silent by default).
-// cmd/prload drives a running server with a configurable read/write mix
-// and reports latency percentiles plus a validated final scrape. DESIGN.md
-// §11 holds the metric inventory.
+// The end-to-end benchmark (benchmark/, its own module) drives real
+// prserve processes with a read/write mix and reconciles its own request
+// counts against the final scrape. DESIGN.md §11 holds the metric
+// inventory.
 //
 // The paper's contribution — the Dynamic Frontier approach for updating
 // PageRank after batch edge updates, and its lock-free fault-tolerant
@@ -192,24 +193,23 @@
 // graphs load from versioned binary CSR containers (DFPRCSR1) that a
 // page-aligned mmap aliases zero-parse — ~45× faster than parsing the
 // text edge list — with an optional delta-compressed adjacency (~2.6×
-// smaller, decoded on the fly during sweeps); WithBlockedSweeps turns the
-// pull kernels cache-blocked (LLC-sized destination blocks, word-at-a-time
-// frontier scans; WithBlockBytes sizes them), all eight variants pinned
-// L∞ ≤ 1e-12 against the unblocked sweeps; and a threads section records
-// the multi-core scaling matrix with host CPU and GOMAXPROCS metadata.
+// smaller, decompressed once on load); the pull kernels are cache-blocked
+// (edge-balanced chunks capped at an LLC-sized working set, word-at-a-time
+// frontier scans that see exactly what per-vertex probes would); and a
+// threads section records the multi-core scaling matrix with host CPU and
+// GOMAXPROCS metadata.
 // BENCH_PR10.json adds the replication numbers: replica bootstrap time,
 // per-apply replication lag percentiles over a real loopback stream, and
-// the feed's catch-up throughput on a backlogged burst.
+// the feed's catch-up throughput on a backlogged burst. Each BENCH_PR*.json
+// was recorded at its PR by a generator that has since been removed; the
+// figure of record is the end-to-end benchmark under benchmark/
+// (BENCHMARK.json), which measures the same layers inside whole requests.
 //
-// Binaries (all built on the public API): cmd/prbench regenerates every
-// table and figure (and, with -benchjson, records kernel, snapshot,
-// view-query, ingest, keyed and growth micro-benchmarks machine-readably,
-// e.g. BENCH_PR5.json, plus a -matrix thread sweep and container-load
-// timings), cmd/prgen emits datasets as edge lists or binary CSR
-// containers (-csr, -compress), cmd/prrank
-// ranks an edge list with any variant (-keyed for string keys),
-// cmd/prserve serves ranks over HTTP, cmd/prload load-tests a running
-// server and validates its metrics exposition.
+// Binaries: cmd/prbench regenerates every table and figure of the paper's
+// evaluation, cmd/prgen emits datasets as edge lists or binary CSR
+// containers (-csr, -compress), cmd/prrank ranks an edge list with any
+// variant (-keyed for string keys), cmd/prserve serves ranks over HTTP,
+// cmd/prlint runs the invariant analyzers.
 // Runnable examples live under examples/. The benchmarks in this root
 // package (bench_test.go) run trimmed versions of every experiment under
 // `go test -bench`.

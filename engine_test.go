@@ -273,13 +273,21 @@ func TestSubscribeSlowConsumerMonotoneViews(t *testing.T) {
 	go func() {
 		defer writer.Done()
 		defer eng.Close() // closes the stream; the pending latest stays readable
-		if res, err := eng.Rank(ctx); err != nil {
+		// rank holds mu across the publish and the record of it: the stream
+		// delivers inside Rank, so the consumer may look a version up before
+		// Rank has returned here.
+		rank := func() error {
+			mu.Lock()
+			defer mu.Unlock()
+			res, err := eng.Rank(ctx)
+			if err == nil {
+				published[res.Seq] = checksum(res.View)
+			}
+			return err
+		}
+		if err := rank(); err != nil {
 			t.Error(err)
 			return
-		} else {
-			mu.Lock()
-			published[res.Seq] = checksum(res.View)
-			mu.Unlock()
 		}
 		for i := 0; i < versions; i++ {
 			up := batch.Random(mirror, 8, int64(500+i))
@@ -288,14 +296,10 @@ func TestSubscribeSlowConsumerMonotoneViews(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			res, err := eng.Rank(ctx)
-			if err != nil {
+			if err := rank(); err != nil {
 				t.Error(err)
 				return
 			}
-			mu.Lock()
-			published[res.Seq] = checksum(res.View)
-			mu.Unlock()
 		}
 	}()
 
@@ -504,7 +508,7 @@ func TestEngineRankTrace(t *testing.T) {
 func TestOptionValidationAndParse(t *testing.T) {
 	bad := []Option{
 		WithAlpha(0), WithAlpha(1), WithTolerance(0), WithFrontierTolerance(-1),
-		WithMaxIter(0), WithThreads(-1), WithChunk(-1), WithHistory(-1), WithHistory(0),
+		WithMaxIter(0), WithThreads(-1), WithHistory(-1), WithHistory(0),
 		WithAlgorithm(Algorithm(99)), WithFaultPlan(FaultPlan{DelayProb: 2}),
 	}
 	for i, opt := range bad {

@@ -1,22 +1,14 @@
 // Package avec provides the atomic vector primitives the lock-free PageRank
 // algorithms are built on: a shared float64 rank vector with atomic
-// load/store semantics, and lock-free per-vertex flag vectors.
+// load/store semantics, and a lock-free per-vertex flag vector.
 //
 // The paper (Sahu, "Lock-Free Computation of PageRank in Dynamic Graphs")
 // relies on racy-but-word-atomic accesses to a shared C++ double vector and
 // on 8-bit flag vectors (VA, C, RC). Go's memory model requires explicit
 // atomics for that pattern, so ranks are stored as []uint64 and bit-cast via
-// math.Float64bits / math.Float64frombits on every access, and flags are
-// offered in two representations:
-//
-//   - Flags: a word-packed bitset using compare-and-swap on 64-bit words.
-//     All-zero detection scans n/64 words.
-//   - U8: a byte-per-entry flag vector backed by []uint32 (sync/atomic has
-//     no 8-bit operations), matching the paper's 8-bit vectors more
-//     literally. Kept for the flag-representation ablation.
-//
-// Both flag types share the FlagVec interface so the algorithms can be
-// parameterised over the representation.
+// math.Float64bits / math.Float64frombits on every access, and flags are a
+// word-packed bitset (Flags) using compare-and-swap on 64-bit words, whose
+// all-zero detection scans n/64 words.
 package avec
 
 import (
@@ -100,43 +92,12 @@ func (v *F64) Add(i int, delta float64) float64 {
 	}
 }
 
-// FlagVec is a vector of per-index boolean flags supporting concurrent,
-// lock-free set/clear/test plus whole-vector queries. It abstracts the
-// paper's 8-bit flag vectors VA (affected), C (checked) and RC
-// (not-yet-converged).
-type FlagVec interface {
-	// Len returns the number of flags.
-	Len() int
-	// Set sets flag i and reports whether it was previously clear.
-	Set(i int) bool
-	// Clear clears flag i and reports whether it was previously set.
-	Clear(i int) bool
-	// Get reports whether flag i is set.
-	Get(i int) bool
-	// AllClear reports whether every flag is currently clear. The answer is
-	// a snapshot: concurrent mutations may invalidate it immediately, which
-	// is the same semantics the paper's per-vertex convergence scan has.
-	AllClear() bool
-	// Count returns the number of set flags (snapshot semantics).
-	Count() int
-	// Reset clears all flags (element-wise atomic).
-	Reset()
-	// SetAll sets all flags (element-wise atomic).
-	SetAll()
-	// NextSet returns the index of the first set flag in [from, limit), or
-	// limit when none is set there. Each call re-reads the underlying
-	// storage, so a forward scan that calls NextSet after processing each
-	// hit observes exactly the flags set at the moment it passes them —
-	// semantically identical to probing Get per index in order, but
-	// word-at-a-time for the packed representation. The blocked rank sweeps
-	// use it to visit the affected frontier in sorted order within a block.
-	NextSet(from, limit int) int
-}
-
-// Flags is a word-packed atomic bitset. Set and Clear use CAS on the
-// containing 64-bit word; AllClear scans ⌈n/64⌉ words with atomic loads.
-// This is the default flag representation: it keeps the frequent
-// all-converged scan cheap on large graphs.
+// Flags is a word-packed atomic bitset of per-index boolean flags supporting
+// concurrent, lock-free set/clear/test plus whole-vector queries — the
+// paper's flag vectors VA (affected), C (checked) and RC (not-yet-converged).
+// Set and Clear use CAS on the containing 64-bit word; AllClear scans ⌈n/64⌉
+// words with atomic loads, which keeps the frequent all-converged scan cheap
+// on large graphs.
 type Flags struct {
 	n     int
 	words []uint64
@@ -151,6 +112,8 @@ func NewFlags(n int) *Flags {
 func (f *Flags) Len() int { return f.n }
 
 // Set sets flag i, returning true when the flag transitioned clear→set.
+//
+//dfpr:hotpath
 func (f *Flags) Set(i int) bool {
 	w, b := i>>6, uint64(1)<<(uint(i)&63)
 	for {
@@ -165,6 +128,8 @@ func (f *Flags) Set(i int) bool {
 }
 
 // Clear clears flag i, returning true when the flag transitioned set→clear.
+//
+//dfpr:hotpath
 func (f *Flags) Clear(i int) bool {
 	w, b := i>>6, uint64(1)<<(uint(i)&63)
 	for {
@@ -179,15 +144,21 @@ func (f *Flags) Clear(i int) bool {
 }
 
 // Get reports whether flag i is set.
+//
+//dfpr:hotpath
 func (f *Flags) Get(i int) bool {
 	w, b := i>>6, uint64(1)<<(uint(i)&63)
 	return atomic.LoadUint64(&f.words[w])&b != 0
 }
 
-// NextSet returns the first set flag in [from, limit), or limit. The scan
-// masks the partial first word and then skips clear words whole, so a
-// sparse frontier costs one atomic load per 64 vertices instead of one per
-// vertex.
+// NextSet returns the first set flag in [from, limit), or limit when none
+// is set there. The scan masks the partial first word and then skips clear
+// words whole, so a sparse frontier costs one atomic load per 64 vertices
+// instead of one per vertex. Each call re-reads the words, so a forward scan
+// that calls NextSet after processing each hit observes exactly the flags
+// set at the moment it passes them — semantically identical to probing Get
+// per index in order. The rank sweeps use it to visit the affected frontier
+// in sorted order within a chunk.
 //
 //dfpr:hotpath
 func (f *Flags) NextSet(from, limit int) int {
@@ -209,7 +180,11 @@ func (f *Flags) NextSet(from, limit int) int {
 	return limit
 }
 
-// AllClear reports whether every flag is clear (snapshot).
+// AllClear reports whether every flag is currently clear. The answer is a
+// snapshot: concurrent mutations may invalidate it immediately, which is the
+// same semantics the paper's per-vertex convergence scan has.
+//
+//dfpr:hotpath
 func (f *Flags) AllClear() bool {
 	for w := range f.words {
 		if atomic.LoadUint64(&f.words[w]) != 0 {
@@ -264,100 +239,6 @@ func popcount(x uint64) int {
 	return int((x * 0x0101010101010101) >> 56)
 }
 
-// U8 is a flag vector with one addressable cell per flag, mirroring the
-// paper's 8-bit integer vectors. sync/atomic offers no byte operations, so
-// each cell is a uint32; this spends 4× the memory of the paper's layout
-// (and 32× the bitset) in exchange for CAS-free stores and no false sharing
-// between neighbouring flags within a word. Used by the flag-representation
-// ablation.
-type U8 struct {
-	cells []uint32
-}
-
-// NewU8 returns an all-clear cell-per-flag vector of length n.
-func NewU8(n int) *U8 {
-	return &U8{cells: make([]uint32, n)}
-}
-
-// Len returns the number of flags.
-func (f *U8) Len() int { return len(f.cells) }
-
-// Set sets flag i, returning true when it transitioned clear→set. An
-// already-set flag is detected with a plain load so the hot marking paths
-// (frontier expansion re-marks the same neighbours every pass) do not issue
-// store traffic for no transition.
-func (f *U8) Set(i int) bool {
-	if atomic.LoadUint32(&f.cells[i]) != 0 {
-		return false
-	}
-	return atomic.SwapUint32(&f.cells[i], 1) == 0
-}
-
-// Clear clears flag i, returning true when it transitioned set→clear.
-func (f *U8) Clear(i int) bool {
-	if atomic.LoadUint32(&f.cells[i]) == 0 {
-		return false
-	}
-	return atomic.SwapUint32(&f.cells[i], 0) == 1
-}
-
-// Get reports whether flag i is set.
-func (f *U8) Get(i int) bool {
-	return atomic.LoadUint32(&f.cells[i]) != 0
-}
-
-// NextSet returns the first set flag in [from, limit), or limit. Cells are
-// unpacked, so this is the plain load-per-index scan the packed bitset
-// improves on — kept exactly equivalent for the representation ablation.
-//
-//dfpr:hotpath
-func (f *U8) NextSet(from, limit int) int {
-	if from < 0 {
-		from = 0
-	}
-	for ; from < limit; from++ {
-		if atomic.LoadUint32(&f.cells[from]) != 0 {
-			return from
-		}
-	}
-	return limit
-}
-
-// AllClear reports whether every flag is clear (snapshot).
-func (f *U8) AllClear() bool {
-	for i := range f.cells {
-		if atomic.LoadUint32(&f.cells[i]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Count returns the number of set flags (snapshot).
-func (f *U8) Count() int {
-	c := 0
-	for i := range f.cells {
-		if atomic.LoadUint32(&f.cells[i]) != 0 {
-			c++
-		}
-	}
-	return c
-}
-
-// Reset clears every flag.
-func (f *U8) Reset() {
-	for i := range f.cells {
-		atomic.StoreUint32(&f.cells[i], 0)
-	}
-}
-
-// SetAll sets every flag.
-func (f *U8) SetAll() {
-	for i := range f.cells {
-		atomic.StoreUint32(&f.cells[i], 1)
-	}
-}
-
 // Counter is a cache-line padded atomic counter used for work tickets and
 // convergence bookkeeping. Padding keeps independent counters from sharing
 // a line when several live in one struct.
@@ -379,36 +260,4 @@ func (c *Counter) Store(x uint64) { atomic.StoreUint64(&c.v, x) }
 // CompareAndSwap atomically replaces old with new, reporting success.
 func (c *Counter) CompareAndSwap(old, new uint64) bool {
 	return atomic.CompareAndSwapUint64(&c.v, old, new)
-}
-
-// FlagKind selects a FlagVec representation.
-type FlagKind int
-
-const (
-	// FlagBitset selects the word-packed CAS bitset (default).
-	FlagBitset FlagKind = iota
-	// FlagBytes selects the cell-per-flag vector.
-	FlagBytes
-)
-
-// String returns the kind's name.
-func (k FlagKind) String() string {
-	switch k {
-	case FlagBitset:
-		return "bitset"
-	case FlagBytes:
-		return "bytes"
-	default:
-		return "unknown"
-	}
-}
-
-// NewFlagVec constructs a FlagVec of the given kind and length.
-func NewFlagVec(kind FlagKind, n int) FlagVec {
-	switch kind {
-	case FlagBytes:
-		return NewU8(n)
-	default:
-		return NewFlags(n)
-	}
 }

@@ -26,20 +26,16 @@ func BenchmarkF64Store(b *testing.B) {
 	}
 }
 
-func benchFlagSet(b *testing.B, f FlagVec) {
+func BenchmarkFlagsSetBitset(b *testing.B) {
+	f := NewFlags(8192)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f.Set(i & 8191) // mostly already-set: the marking hot case
 	}
 }
 
-func BenchmarkFlagsSetBitset(b *testing.B) { benchFlagSet(b, NewFlags(8192)) }
-func BenchmarkFlagsSetBytes(b *testing.B)  { benchFlagSet(b, NewU8(8192)) }
-func BenchmarkFlagsSetCounted(b *testing.B) {
-	benchFlagSet(b, NewCounted(NewFlags(8192)))
-}
-
-func benchFlagGet(b *testing.B, f FlagVec) {
+func BenchmarkFlagsGetBitset(b *testing.B) {
+	f := NewFlags(8192)
 	for i := 0; i < f.Len(); i += 3 {
 		f.Set(i)
 	}
@@ -52,11 +48,9 @@ func benchFlagGet(b *testing.B, f FlagVec) {
 	_ = sink
 }
 
-func BenchmarkFlagsGetBitset(b *testing.B) { benchFlagGet(b, NewFlags(8192)) }
-func BenchmarkFlagsGetBytes(b *testing.B)  { benchFlagGet(b, NewU8(8192)) }
-
-func benchAllClear(b *testing.B, f FlagVec) {
+func BenchmarkAllClearBitset64k(b *testing.B) {
 	// Worst case for the scan: one straggler flag at the end.
+	f := NewFlags(1 << 16)
 	f.Set(f.Len() - 1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -65,10 +59,4 @@ func benchAllClear(b *testing.B, f FlagVec) {
 		sink = f.AllClear()
 	}
 	_ = sink
-}
-
-func BenchmarkAllClearBitset64k(b *testing.B) { benchAllClear(b, NewFlags(1<<16)) }
-func BenchmarkAllClearBytes64k(b *testing.B)  { benchAllClear(b, NewU8(1<<16)) }
-func BenchmarkAllClearCounted64k(b *testing.B) {
-	benchAllClear(b, NewCounted(NewFlags(1<<16)))
 }

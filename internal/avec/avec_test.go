@@ -88,12 +88,8 @@ func TestF64ConcurrentAddIsExact(t *testing.T) {
 	}
 }
 
-func flagKinds(n int) map[string]FlagVec {
-	return map[string]FlagVec{
-		"bitset":  NewFlags(n),
-		"bytes":   NewU8(n),
-		"counted": NewCounted(NewFlags(n)),
-	}
+func flagKinds(n int) map[string]*Flags {
+	return map[string]*Flags{"bitset": NewFlags(n)}
 }
 
 func TestFlagVecBasics(t *testing.T) {
@@ -157,8 +153,8 @@ func TestFlagVecSetAllBoundary(t *testing.T) {
 }
 
 func TestFlagVecMatchesModelProperty(t *testing.T) {
-	// Random Set/Clear sequences must leave every representation agreeing
-	// with a plain map model.
+	// Random Set/Clear sequences must leave the vector agreeing with a plain
+	// slice model.
 	f := func(ops []uint16, seed int64) bool {
 		const n = 97
 		model := make([]bool, n)
@@ -204,7 +200,7 @@ func TestFlagVecMatchesModelProperty(t *testing.T) {
 func TestFlagVecConcurrentTransitionsCountExactly(t *testing.T) {
 	// Under concurrent hammering on the same flag, exactly one Set per
 	// clear→set transition may report true — this is the property the
-	// Counted wrapper and the helping protocol rely on.
+	// helping protocol relies on.
 	for name, f := range flagKinds(1) {
 		t.Run(name, func(t *testing.T) {
 			const workers = 8
@@ -237,10 +233,8 @@ func TestFlagVecConcurrentTransitionsCountExactly(t *testing.T) {
 			if total != want {
 				t.Errorf("net transitions = %d, final state wants %d", total, want)
 			}
-			if name == "counted" {
-				if c := f.Count(); c != want {
-					t.Errorf("counter drifted: %d vs state %d", c, want)
-				}
+			if c := f.Count(); c != want {
+				t.Errorf("Count = %d, final state wants %d", c, want)
 			}
 		})
 	}
@@ -263,18 +257,6 @@ func TestCounterBasics(t *testing.T) {
 	}
 	if c.Load() != 7 {
 		t.Error("CAS result wrong")
-	}
-}
-
-func TestNewFlagVecKinds(t *testing.T) {
-	if _, ok := NewFlagVec(FlagBitset, 10).(*Flags); !ok {
-		t.Error("FlagBitset did not produce *Flags")
-	}
-	if _, ok := NewFlagVec(FlagBytes, 10).(*U8); !ok {
-		t.Error("FlagBytes did not produce *U8")
-	}
-	if FlagBitset.String() != "bitset" || FlagBytes.String() != "bytes" {
-		t.Error("FlagKind names wrong")
 	}
 }
 

@@ -127,25 +127,19 @@ func runBB(ctx context.Context, vr variant, in Input, cfg Config) Result {
 		contribNew: append([]float64(nil), cb...),
 	}
 
-	var va avec.FlagVec
+	var va *avec.Flags
 	var edges []graph.Edge
 	if vr == vDT || vr == vDF {
-		va = newFlags(cfg, n)
+		va = avec.NewFlags(n)
 		edges = append(append(make([]graph.Edge, 0, len(in.Del)+len(in.Ins)), in.Del...), in.Ins...)
 	}
 
 	inj := fault.NewInjector(cfg.Threads, cfg.Fault)
 	bar := sched.NewBarrier(cfg.Threads)
-	var pool *sched.Pool
-	if cfg.UniformChunks {
-		pool = sched.NewPool(n, cfg.Chunk)
-	} else {
-		pool = sched.NewPoolBounds(vertexBounds(g, cfg))
-	}
+	pool := sched.NewPoolBounds(vertexBounds(g, cfg.Chunk))
 	edgePool := sched.NewPool(len(edges), cfg.Chunk)
 	localMax := make([]pad64, cfg.Threads)
 	stats := make([]padStats, cfg.Threads)
-	blocked := cfg.blocked()
 
 	// Cancellation: an AfterFunc flips the flag and aborts the chunk pools,
 	// so in-pass workers stop at their next chunk fetch instead of finishing
@@ -210,21 +204,16 @@ func runBB(ctx context.Context, vr variant, in Input, cfg Config) Result {
 					return
 				}
 				for v := lo; v < hi; v++ {
-					// Blocked sweeps visit the affected frontier in sorted
-					// order with a word-at-a-time scan: NextSet re-reads the
-					// flags on every call, so the visit sequence is exactly
-					// the per-vertex Get probes of the unblocked loop — the
-					// DF mid-pass marking (va.Set below) is observed at the
-					// same points either way.
+					// The affected frontier is visited in sorted order with
+					// a word-at-a-time scan: NextSet re-reads the flags on
+					// every call, so the visit sequence is exactly that of a
+					// Get probe per vertex — the DF mid-pass marking (va.Set
+					// below) is observed at the same points.
 					if va != nil {
-						if blocked {
-							if v = va.NextSet(v, hi); v >= hi {
-								break
-							}
-							st.frontier++
-						} else if !va.Get(v) {
-							continue
+						if v = va.NextSet(v, hi); v >= hi {
+							break
 						}
+						st.frontier++
 					}
 					vv := uint32(v)
 					var nr float64

@@ -10,7 +10,8 @@ import (
 
 // The equivalence tests pin the contribution-cached kernels against the seed
 // kernels they replaced. Both engines run a *fixed* number of iterations
-// (Tol far below reachable precision) so the iteration structure is
+// (Tol far below reachable precision) with a worker count at which pass
+// membership does not depend on scheduling, so the iteration structure is
 // identical and the only difference is the kernel arithmetic: the seed form
 // α·r[u]·inv[u] versus the cached gather of contrib[u] = r[u]·(α·inv[u]).
 // Those associate the same products differently, so results agree to
@@ -57,9 +58,14 @@ func TestCachedKernelMatchesSeedKernel(t *testing.T) {
 			Threads: 4,
 			Chunk:   64,
 		}
-		if a.LockFree() {
-			// Lock-free runs are asynchronous; one worker makes the pass
-			// order (and therefore the arithmetic) deterministic.
+		if a.LockFree() || a == AlgoDFBB {
+			// A fixed iteration count fixes the arithmetic only when pass
+			// membership is schedule-independent. Lock-free runs are
+			// asynchronous, and DF-BB marks va mid-pass, so whether a vertex
+			// one worker marks is swept in the same pass by another depends
+			// on timing; one worker makes both deterministic. The remaining
+			// barrier-based variants read immutable vectors (Jacobi) over a
+			// fixed vertex set, so four workers cannot change their result.
 			cfg.Threads = 1
 		}
 		in := Input{GOld: gOld, GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev}
@@ -110,22 +116,5 @@ func TestCachedKernelConvergesToReference(t *testing.T) {
 		if d := linf(res.Ranks, ref); d > 1e-6 {
 			t.Errorf("%v: L∞ vs reference = %g", a, d)
 		}
-	}
-}
-
-// TestUniformChunksMatchesEdgeBalanced pins the two scheduling modes against
-// each other on a deterministic barrier-based run: chunk boundaries must not
-// change results, only load balance.
-func TestUniformChunksMatchesEdgeBalanced(t *testing.T) {
-	_, gNew, _, _ := cacheFixture(t)
-	cfg := testCfg()
-	balanced := StaticBB(gNew, cfg)
-	cfg.UniformChunks = true
-	uniform := StaticBB(gNew, cfg)
-	if balanced.Iterations != uniform.Iterations {
-		t.Errorf("iteration count differs: balanced %d vs uniform %d", balanced.Iterations, uniform.Iterations)
-	}
-	if d := linf(balanced.Ranks, uniform.Ranks); d != 0 {
-		t.Errorf("BB results depend on chunking: L∞ = %g", d)
 	}
 }

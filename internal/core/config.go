@@ -24,7 +24,6 @@ import (
 	"strings"
 	"time"
 
-	"dfpr/internal/avec"
 	"dfpr/internal/fault"
 	"dfpr/internal/graph"
 	"dfpr/internal/sched"
@@ -36,19 +35,6 @@ const (
 	DefaultTol     = 1e-10
 	DefaultMaxIter = 500
 )
-
-// DefaultBlockBytes is the cache-block budget for the blocked rank sweeps:
-// chunk boundaries are capped so one chunk's working set (adjacency plus
-// the contributions it gathers) stays within this many bytes — sized for a
-// typical last-level-cache slice, so the contrib reads a block triggers
-// mostly stay resident while the block is swept.
-const DefaultBlockBytes = 4 << 20
-
-// blockBytesPerWeight converts chunk weight units (indeg+1 per vertex) to
-// the bytes a pull sweep touches per unit: 4 B of adjacency and 8 B of
-// gathered contribution per in-edge, plus ~4 B of per-vertex rank state
-// amortised over the +1.
-const blockBytesPerWeight = 16
 
 // Config carries the tunable parameters shared by all algorithm variants.
 // The zero value selects the paper's defaults.
@@ -65,31 +51,10 @@ type Config struct {
 	MaxIter int
 	// Threads is the number of worker goroutines (default runtime.NumCPU()).
 	Threads int
-	// Chunk is the dynamic-scheduling chunk size (default 2048).
+	// Chunk is the dynamic-scheduling chunk size (default 2048): chunk cuts
+	// are placed by prefix in-degree so every chunk carries roughly
+	// Chunk×avg-degree edges (see vertexBounds).
 	Chunk int
-	// Flags selects the flag-vector representation (default word-packed
-	// bitset; avec.FlagBytes selects the byte-per-flag ablation variant).
-	Flags avec.FlagKind
-	// CountedConvergence switches the lock-free convergence check from the
-	// paper's flag-vector scan to an O(1) atomic not-converged counter
-	// (ablation; see DESIGN.md).
-	CountedConvergence bool
-	// UniformChunks restores the paper's fixed vertex-count chunks
-	// (`schedule(dynamic, 2048)`). The default (false) uses edge-balanced
-	// chunk boundaries instead: chunk cuts are placed by prefix in-degree so
-	// every chunk carries roughly Chunk×avg-degree edges, which stops a
-	// power-law hub row from serialising a whole pass behind one worker.
-	// Either way Chunk scales the per-chunk work, so the chunk-size ablation
-	// stays meaningful.
-	UniformChunks bool
-	// BlockBytes bounds the working set of one rank-loop chunk for the
-	// cache-blocked sweeps: edge-balanced chunk boundaries are additionally
-	// capped so a chunk's adjacency plus gathered contributions fit in this
-	// many bytes, and within a chunk the affected frontier is visited in
-	// sorted order via word-at-a-time flag scans (sequential contrib reads
-	// instead of per-vertex probes). 0 selects DefaultBlockBytes; negative
-	// disables blocking entirely and restores the probe-per-vertex loop.
-	BlockBytes int
 	// PruneFrontier removes a vertex from the DF affected set once its rank
 	// change falls within the iteration tolerance (the "DF with pruning"
 	// refinement from the paper's companion work). A pruned vertex is
@@ -130,15 +95,8 @@ func (c Config) withDefaults() Config {
 	if c.Chunk <= 0 {
 		c.Chunk = 2048
 	}
-	if c.BlockBytes == 0 {
-		c.BlockBytes = DefaultBlockBytes
-	}
 	return c
 }
-
-// blocked reports whether the cache-blocked sweep path is enabled. The
-// config must have passed withDefaults.
-func (c Config) blocked() bool { return c.BlockBytes > 0 }
 
 // Result reports the outcome of one algorithm run.
 type Result struct {
@@ -159,12 +117,12 @@ type Result struct {
 	// barriers (zero for lock-free variants). Regenerates Figure 1.
 	BarrierWait time.Duration
 	// SweepBlocks is the number of rank-loop chunks workers fetched over the
-	// whole run — the unit the cache-blocked scheduler dispatches. Feeds the
+	// whole run — the unit the chunk scheduler dispatches. Feeds the
 	// dfpr_rank_sweep_block_scheduled_total counter.
 	SweepBlocks int64
 	// FrontierScanned is the number of affected-frontier vertices located by
-	// the sorted word-at-a-time flag scans of the blocked sweeps (zero when
-	// blocking is disabled or the variant has no frontier). Feeds the
+	// the sorted word-at-a-time flag scans of the rank sweeps (zero when the
+	// variant has no frontier). Feeds the
 	// dfpr_rank_sweep_block_frontier_total counter.
 	FrontierScanned int64
 	// Err is non-nil when the run could not complete — notably
@@ -343,8 +301,8 @@ func alphaInv(inv []float64, alpha float64) []float64 {
 }
 
 // balancedTarget is the per-chunk weight for edge-balanced chunking: Chunk
-// vertices' worth of average in-weight, so a pass dispenses about the same
-// number of chunks as uniform Chunk-sized chunks would.
+// vertices' worth of average in-weight, so a pass dispenses about as many
+// chunks as fixed Chunk-sized vertex ranges would.
 func balancedTarget(g *graph.CSR, chunk int) int {
 	n := g.N()
 	if n == 0 {
@@ -359,32 +317,27 @@ func balancedTarget(g *graph.CSR, chunk int) int {
 
 // vertexBounds computes the edge-balanced chunk boundaries for the rank
 // loop: weight[v] = indeg(v)+1 matches the pull kernel's per-vertex cost
-// (one gather per in-edge plus constant overhead). With blocking enabled
-// the per-chunk weight is additionally capped so one chunk's working set
-// fits in cfg.BlockBytes — on small graphs the balanced target is already
-// far below the cap and nothing changes; on graphs whose hub rows would
-// make a chunk overflow the LLC, the cap splits them.
-func vertexBounds(g *graph.CSR, cfg Config) []int {
+// (one gather per in-edge plus constant overhead), which stops a power-law
+// hub row from serialising a whole pass behind one worker. The per-chunk
+// weight is additionally capped so one chunk's working set stays within a
+// typical last-level-cache slice — on small graphs the balanced target is
+// already far below the cap and nothing changes; on graphs whose hub rows
+// would make a chunk overflow the LLC, the cap splits them.
+func vertexBounds(g *graph.CSR, chunk int) []int {
+	const (
+		// blockBytes is the working-set budget of one chunk (adjacency plus
+		// the contributions it gathers).
+		blockBytes = 4 << 20
+		// bytesPerWeight converts weight units to the bytes a pull sweep
+		// touches per unit: 4 B of adjacency and 8 B of gathered
+		// contribution per in-edge, plus ~4 B of per-vertex rank state
+		// amortised over the +1.
+		bytesPerWeight = 16
+	)
 	n := g.N()
 	w := make([]int, n)
 	for v := uint32(0); int(v) < n; v++ {
 		w[v] = g.InDeg(v) + 1
 	}
-	target := balancedTarget(g, cfg.Chunk)
-	if cfg.blocked() {
-		if lim := cfg.BlockBytes / blockBytesPerWeight; lim >= 1 && lim < target {
-			target = lim
-		}
-	}
-	return sched.BalancedBounds(w, target)
-}
-
-// newFlags builds a flag vector per the configured representation, wrapping
-// it in a transition counter when counted convergence is selected.
-func newFlags(cfg Config, n int) avec.FlagVec {
-	f := avec.NewFlagVec(cfg.Flags, n)
-	if cfg.CountedConvergence {
-		return avec.NewCounted(f)
-	}
-	return f
+	return sched.BalancedBounds(w, min(balancedTarget(g, chunk), blockBytes/bytesPerWeight))
 }

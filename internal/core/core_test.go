@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"dfpr/internal/avec"
 	"dfpr/internal/batch"
 	"dfpr/internal/gen"
 	"dfpr/internal/graph"
@@ -189,30 +188,6 @@ func TestTinyAndDegenerateGraphs(t *testing.T) {
 		}
 		if len(res.Ranks) != 1 || math.Abs(res.Ranks[0]-1) > 1e-9 {
 			t.Errorf("%v single vertex: ranks=%v, want [1]", a, res.Ranks)
-		}
-	}
-}
-
-func TestFlagRepresentationsAgree(t *testing.T) {
-	d := randomGraph(8, 33)
-	gOld := d.Snapshot()
-	prev := StaticBB(gOld, testCfg()).Ranks
-	up := batch.Random(d, 40, 9)
-	_, gNew := batch.Transition(d, up)
-	ref := Reference(gNew, Config{})
-	in := Input{GOld: gOld, GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev}
-	for _, kind := range []avec.FlagKind{avec.FlagBitset, avec.FlagBytes} {
-		for _, counted := range []bool{false, true} {
-			cfg := testCfg()
-			cfg.Flags = kind
-			cfg.CountedConvergence = counted
-			res := DFLF(in.GOld, in.GNew, in.Del, in.Ins, in.Prev, cfg)
-			if !res.Converged || res.Err != nil {
-				t.Fatalf("flags=%v counted=%v: converged=%v err=%v", kind, counted, res.Converged, res.Err)
-			}
-			if e := topk.LInf(res.Ranks, ref); e > 1e-8 {
-				t.Errorf("flags=%v counted=%v: error %g", kind, counted, e)
-			}
 		}
 	}
 }

@@ -46,7 +46,7 @@ func StaticLFNS(g *graph.CSR, cfg Config) Result {
 	for v := 0; v < n; v++ {
 		contribs.Store(v, ranks.Load(v)*ainv[v])
 	}
-	rc := newFlags(cfg, n)
+	rc := avec.NewFlags(n)
 	rc.SetAll()
 	ranges := sched.StaticRanges(n, cfg.Threads)
 	inj := fault.NewInjector(cfg.Threads, cfg.Fault)
@@ -73,11 +73,31 @@ func StaticLFNS(g *graph.CSR, cfg Config) Result {
 	// same. The protocol never blocks (waiters spin with Gosched), and a
 	// crashed worker simply never reaches standby, so survivors exhaust
 	// their idle budget and report the starvation instead of hanging.
+	//
+	// A crashed peer and a runnable peer still waiting for a processor look
+	// the same from here — no version advance, flags or standby short of
+	// consensus — and a no-change pass over one worker's range takes
+	// microseconds, so MaxIter of them can go by before a descheduled peer
+	// runs again. The idle budget therefore only counts once the version
+	// has also stood still for starveGrace of wall-clock time.
+	const starveGrace = 50 * time.Millisecond
 	worker := func(w int) {
 		r := ranges[w]
 		round, idle := 0, 0
+		seen, seenAt := version.Load(), time.Now()
 		for {
-			if round >= cfg.MaxIter || idle >= cfg.MaxIter {
+			// The crash point is checked before the exit conditions so a
+			// worker whose crash is due is counted even when it is first
+			// scheduled after its peers have already given up on it.
+			if inj != nil && inj.AtChunk(w) {
+				atomicMaxU64(&maxRound, uint64(round))
+				return
+			}
+			v0 := version.Load()
+			if v0 != seen {
+				seen, seenAt = v0, time.Now()
+			}
+			if round >= cfg.MaxIter || (idle >= cfg.MaxIter && time.Since(seenAt) >= starveGrace) {
 				// Budget exhausted: pull everyone out. Leaving silently
 				// would let the remaining workers reach a bogus consensus
 				// that never covers this worker's range again.
@@ -87,11 +107,6 @@ func StaticLFNS(g *graph.CSR, cfg Config) Result {
 			if done.Load() != 0 || quit.Load() != 0 {
 				return
 			}
-			if inj != nil && inj.AtChunk(w) {
-				atomicMaxU64(&maxRound, uint64(round))
-				return
-			}
-			v0 := version.Load()
 			useful := false
 			for v := r.Lo; v < r.Hi; v++ {
 				vv := uint32(v)

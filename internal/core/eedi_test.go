@@ -12,7 +12,13 @@ import (
 func TestStaticLFNSMatchesReference(t *testing.T) {
 	g := randomGraph(9, 71).Snapshot()
 	ref := Reference(g, Config{})
-	res := StaticLFNS(g, testCfg())
+	cfg := testCfg()
+	// Static ranges have no lockstep: when workers time-slice fewer cores
+	// than there are ranges, each converges its block against frozen
+	// neighbour blocks, and that block iteration needs far more (cheap)
+	// passes than the 500 a lockstep run fits in.
+	cfg.MaxIter = 1 << 14
+	res := StaticLFNS(g, cfg)
 	if !res.Converged || res.Err != nil {
 		t.Fatalf("converged=%v err=%v", res.Converged, res.Err)
 	}

@@ -45,47 +45,6 @@ func rankOfCachedAtomic(g *graph.CSR, contrib *avec.F64, base float64, v uint32)
 	return r
 }
 
-// rankOfRow is rankOfCached over an explicit neighbour row — the kernel of
-// the decode-on-sweep path, where compressed adjacency is materialised into
-// a recycled buffer before the gather.
-//
-//dfpr:hotpath
-func rankOfRow(row []uint32, contrib []float64, base float64) float64 {
-	r := base
-	for _, u := range row {
-		r += contrib[u]
-	}
-	return r
-}
-
-// cachedSweepRange runs the contribution-cached Jacobi update over the
-// vertex range [lo, hi) — the inner body of one cache-sized block in the
-// blocked sweeps.
-//
-//dfpr:hotpath
-func cachedSweepRange(g *graph.CSR, cb, cbNew, rNew, ainv []float64, base float64, lo, hi int) {
-	for v := lo; v < hi; v++ {
-		nr := rankOfCached(g, cb, base, uint32(v))
-		rNew[v] = nr
-		cbNew[v] = nr * ainv[v]
-	}
-}
-
-// decodeSweepRange is cachedSweepRange over delta-compressed adjacency:
-// each in-row is varint-decoded into buf (recycled across vertices and
-// calls, so steady state allocates nothing) and gathered with rankOfRow.
-//
-//dfpr:hotpath
-func decodeSweepRange(c *graph.CompressedCSR, cb, cbNew, rNew, ainv []float64, base float64, lo, hi int, buf []uint32) []uint32 {
-	for v := lo; v < hi; v++ {
-		buf = c.AppendIn(uint32(v), buf[:0])
-		nr := rankOfRow(buf, cb, base)
-		rNew[v] = nr
-		cbNew[v] = nr * ainv[v]
-	}
-	return buf
-}
-
 // rankOfSeed is the uncached synchronous kernel (two reads and a multiply
 // per edge) the contribution cache replaces.
 //
@@ -123,8 +82,8 @@ type marker interface {
 // lock-free runs the same vertices are flagged not-converged.
 type dfMarker struct {
 	gOld, gNew *graph.CSR
-	va         avec.FlagVec
-	rc         avec.FlagVec // nil in barrier-based runs
+	va         *avec.Flags
+	rc         *avec.Flags // nil in barrier-based runs
 }
 
 func (m *dfMarker) markFrom(u uint32) {
@@ -141,8 +100,8 @@ func (m *dfMarker) markFrom(u uint32) {
 // Each worker owns one dtMarker so the DFS scratch stack is unshared.
 type dtMarker struct {
 	gOld, gNew *graph.CSR
-	va         avec.FlagVec
-	rc         avec.FlagVec // nil in barrier-based runs
+	va         *avec.Flags
+	rc         *avec.Flags // nil in barrier-based runs
 	stack      []uint32
 }
 

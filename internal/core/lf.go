@@ -80,27 +80,21 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 	// after one pass; following the published implementation we initialise
 	// to one and also re-set the flag whenever Δr exceeds τ, so a vertex
 	// disturbed after converging is never lost.)
-	rc := newFlags(cfg, n)
-	var va, checked avec.FlagVec
+	rc := avec.NewFlags(n)
+	var va, checked *avec.Flags
 	var edges []graph.Edge
 	if vr == vDT || vr == vDF {
-		va = newFlags(cfg, n)
-		checked = newFlags(cfg, n)
+		va = avec.NewFlags(n)
+		checked = avec.NewFlags(n)
 		edges = append(append(make([]graph.Edge, 0, len(in.Del)+len(in.Ins)), in.Del...), in.Ins...)
 	} else {
 		rc.SetAll()
 	}
 
 	inj := fault.NewInjector(cfg.Threads, cfg.Fault)
-	var rounds *sched.Rounds
-	if cfg.UniformChunks {
-		rounds = sched.NewRounds(n, cfg.Chunk)
-	} else {
-		rounds = sched.NewRoundsBounds(vertexBounds(g, cfg))
-	}
+	rounds := sched.NewRoundsBounds(vertexBounds(g, cfg.Chunk))
 	edgePool := sched.NewPool(len(edges), cfg.Chunk)
 	stats := make([]padStats, cfg.Threads)
-	blocked := cfg.blocked()
 	var maxRound avec.Counter
 
 	// Cancellation: aborting the ticket stream makes every worker's next
@@ -186,23 +180,19 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 				// guard such a vertex would be unreachable yet unconverged
 				// and the run could never terminate.
 				if va != nil {
-					if blocked {
-						// Sorted-frontier scan over VA ∪ RC: jump to the
-						// nearest vertex either vector flags. NextSet reloads
-						// the words per call, so a single-threaded pass sees
-						// exactly what the per-vertex probes below would see.
-						nv := va.NextSet(v, hi)
-						if nr := rc.NextSet(v, nv); nr < nv {
-							nv = nr
-						}
-						if nv >= hi {
-							break
-						}
-						v = nv
-						st.frontier++
-					} else if !va.Get(v) && !rc.Get(v) {
-						continue
+					// Sorted-frontier scan over VA ∪ RC: jump to the nearest
+					// vertex either vector flags. NextSet reloads the words
+					// per call, so a single-threaded pass sees exactly what
+					// probing both flags per vertex would see.
+					nv := va.NextSet(v, hi)
+					if nr := rc.NextSet(v, nv); nr < nv {
+						nv = nr
 					}
+					if nv >= hi {
+						break
+					}
+					v = nv
+					st.frontier++
 				}
 				vv := uint32(v)
 				var nr float64
@@ -225,9 +215,7 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 				if vr == vDF && dr > cfg.FrontierTol {
 					// Probe before Set: already-marked neighbours are the
 					// common case once a frontier is hot, and the probe keeps
-					// the expansion read-only for every FlagVec flavour —
-					// including the Counted wrapper, whose Set would otherwise
-					// be an interface call per neighbour per pass.
+					// the expansion read-only for them.
 					for _, v2 := range g.Out(vv) {
 						if !va.Get(int(v2)) {
 							va.Set(int(v2))

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"dfpr/internal/avec"
 	"dfpr/internal/graph"
 )
 
@@ -53,8 +54,8 @@ func TraceDF(ctx context.Context, gOld, gNew *graph.CSR, del, ins []graph.Edge, 
 	} else {
 		copy(ranks, uniformRanks(n))
 	}
-	va := newFlags(cfg, n)
-	rc := newFlags(cfg, n)
+	va := avec.NewFlags(n)
+	rc := avec.NewFlags(n)
 	for _, e := range append(append([]graph.Edge(nil), del...), ins...) {
 		graph.UnionOut(gOld, gNew, e.U, func(v uint32) {
 			va.Set(int(v))

@@ -1,32 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"dfpr/internal/graph"
-)
-
-// This file implements the paper's stated future-work extension (§6):
-// handling vertex additions and removals "by scaling existing vertex ranks
-// before computation". Vertices are appended at the tail of the id space on
-// addition; removal retires a vertex in place — all its non-self-loop edges
-// are deleted, leaving an isolated self-loop vertex (whose stationary rank
-// is exactly 1/n). This keeps ids stable, which is what every dynamic-graph
-// system downstream of a vertex-id allocator actually wants.
-
-// VertexUpdate is a batch update that may also add or retire vertices.
-type VertexUpdate struct {
-	// Del and Ins are the edge changes, expressed in the *new* vertex id
-	// space. Edges incident to added vertices appear in Ins; every
-	// non-self-loop edge incident to a retired vertex must appear in Del.
-	Del, Ins []graph.Edge
-	// Added is the number of vertices appended: their ids are
-	// [oldN, oldN+Added).
-	Added int
-	// Retired lists vertices whose edges are being removed. They remain in
-	// the graph as isolated self-loop vertices.
-	Retired []uint32
-}
+import "fmt"
 
 // GrowRanks rescales a rank vector for a vertex-count change from len(prev)
 // to newN: existing ranks are multiplied by len(prev)/newN and each new
@@ -62,72 +36,4 @@ func GrowRanks(prev []float64, newN int) []float64 {
 		out[i] = uniform
 	}
 	return out
-}
-
-// DFLFVertex updates PageRanks across a batch that adds and/or retires
-// vertices, using lock-free Dynamic Frontier PageRank. gOld is the snapshot
-// before the update (with the old, smaller vertex count); gNew is the
-// snapshot after (new vertex count, self-loops ensured). prev is the rank
-// vector on gOld.
-//
-// Added vertices and retired vertices are injected into the initial
-// frontier by appending synthetic self-loop edges to the batch: a self-loop
-// source marks its own out-neighbourhood, which contains the vertex itself,
-// so both the fresh vertices (whose ranks start at the uniform guess) and
-// the retired ones (whose ranks must collapse to 1/n) are processed from
-// the first pass.
-func DFLFVertex(gOld, gNew *graph.CSR, up VertexUpdate, prev []float64, cfg Config) Result {
-	return runVertex(AlgoDFLF, gOld, gNew, up, prev, cfg)
-}
-
-// DFBBVertex is the barrier-based counterpart of DFLFVertex.
-func DFBBVertex(gOld, gNew *graph.CSR, up VertexUpdate, prev []float64, cfg Config) Result {
-	return runVertex(AlgoDFBB, gOld, gNew, up, prev, cfg)
-}
-
-func runVertex(a Algo, gOld, gNew *graph.CSR, up VertexUpdate, prev []float64, cfg Config) Result {
-	oldN, newN := gOld.N(), gNew.N()
-	if newN != oldN+up.Added {
-		return Result{Err: fmt.Errorf("core: vertex counts inconsistent: old %d + added %d != new %d", oldN, up.Added, newN)}
-	}
-	if len(prev) != oldN {
-		return Result{Err: fmt.Errorf("core: prev ranks length %d != old vertex count %d", len(prev), oldN)}
-	}
-	ranks := GrowRanks(prev, newN)
-	ins := up.Ins
-	if up.Added > 0 || len(up.Retired) > 0 {
-		ins = make([]graph.Edge, 0, len(up.Ins)+up.Added+len(up.Retired))
-		ins = append(ins, up.Ins...)
-		for v := oldN; v < newN; v++ {
-			ins = append(ins, graph.Edge{U: uint32(v), V: uint32(v)})
-		}
-		for _, v := range up.Retired {
-			ins = append(ins, graph.Edge{U: v, V: v})
-		}
-	}
-	return Run(a, Input{
-		GOld: gOld.WithN(newN),
-		GNew: gNew,
-		Del:  up.Del,
-		Ins:  ins,
-		Prev: ranks,
-	}, cfg)
-}
-
-// RetireVertex builds the deletion list that retires vertex v in d: every
-// outgoing and incoming non-self-loop edge. The caller appends these to a
-// VertexUpdate and applies them to the dynamic graph.
-func RetireVertex(d *graph.Dynamic, v uint32) []graph.Edge {
-	var del []graph.Edge
-	for _, w := range d.Out(v) {
-		if w != v {
-			del = append(del, graph.Edge{U: v, V: w})
-		}
-	}
-	for u := uint32(0); int(u) < d.N(); u++ {
-		if u != v && d.HasEdge(u, v) {
-			del = append(del, graph.Edge{U: u, V: v})
-		}
-	}
-	return del
 }

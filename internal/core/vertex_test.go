@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"dfpr/internal/graph"
 	"dfpr/internal/topk"
 )
 
@@ -34,117 +33,6 @@ func TestGrowRanksShrinkPanics(t *testing.T) {
 		}
 	}()
 	GrowRanks([]float64{1, 2, 3}, 2)
-}
-
-func TestDFLFVertexAddition(t *testing.T) {
-	// Start with a converged graph, add two vertices wired into it, and
-	// check the incremental result against a full reference on the grown
-	// graph.
-	d := randomGraph(8, 61)
-	gOld := d.Snapshot()
-	prev := Reference(gOld, Config{})
-	oldN := d.N()
-
-	grown := graph.NewDynamic(oldN + 2)
-	for u := uint32(0); int(u) < oldN; u++ {
-		for _, v := range d.Out(u) {
-			grown.AddEdge(u, v)
-		}
-	}
-	a, b := uint32(oldN), uint32(oldN+1)
-	ins := []graph.Edge{
-		{U: a, V: 0}, {U: 0, V: a}, {U: a, V: b}, {U: b, V: 5}, {U: 3, V: b},
-	}
-	for _, e := range ins {
-		grown.AddEdge(e.U, e.V)
-	}
-	grown.EnsureSelfLoops()
-	gNew := grown.Snapshot()
-
-	up := VertexUpdate{Ins: ins, Added: 2}
-	for _, run := range []struct {
-		name string
-		fn   func(*graph.CSR, *graph.CSR, VertexUpdate, []float64, Config) Result
-	}{{"DFLFVertex", DFLFVertex}, {"DFBBVertex", DFBBVertex}} {
-		res := run.fn(gOld, gNew, up, prev, testCfg())
-		if res.Err != nil || !res.Converged {
-			t.Fatalf("%s: converged=%v err=%v", run.name, res.Converged, res.Err)
-		}
-		ref := Reference(gNew, Config{})
-		if e := topk.LInf(res.Ranks, ref); e > 1e-8 {
-			t.Errorf("%s: error vs reference %g", run.name, e)
-		}
-	}
-}
-
-func TestDFLFVertexRetirement(t *testing.T) {
-	d := randomGraph(8, 62)
-	gOld := d.Snapshot()
-	prev := Reference(gOld, Config{})
-	victim := uint32(7)
-	del := RetireVertex(d, victim)
-	if len(del) == 0 {
-		t.Fatal("victim had no edges; pick a better seed")
-	}
-	d.Apply(del, nil)
-	d.EnsureSelfLoops()
-	gNew := d.Snapshot()
-
-	res := DFLFVertex(gOld, gNew, VertexUpdate{Del: del, Retired: []uint32{victim}}, prev, testCfg())
-	if res.Err != nil || !res.Converged {
-		t.Fatalf("converged=%v err=%v", res.Converged, res.Err)
-	}
-	ref := Reference(gNew, Config{})
-	if e := topk.LInf(res.Ranks, ref); e > 1e-8 {
-		t.Errorf("error vs reference %g", e)
-	}
-	// A retired vertex keeps only its self-loop; its stationary rank is
-	// exactly 1/n.
-	want := 1 / float64(gNew.N())
-	if math.Abs(res.Ranks[victim]-want) > 1e-8 {
-		t.Errorf("retired vertex rank %g, want %g", res.Ranks[victim], want)
-	}
-}
-
-func TestDFLFVertexAdditionAndRetirementTogether(t *testing.T) {
-	d := randomGraph(7, 63)
-	gOld := d.Snapshot()
-	prev := Reference(gOld, Config{})
-	oldN := d.N()
-
-	grown := graph.NewDynamic(oldN + 1)
-	for u := uint32(0); int(u) < oldN; u++ {
-		for _, v := range d.Out(u) {
-			grown.AddEdge(u, v)
-		}
-	}
-	victim := uint32(3)
-	del := RetireVertex(grown, victim)
-	nv := uint32(oldN)
-	ins := []graph.Edge{{U: nv, V: 0}, {U: 1, V: nv}}
-	grown.Apply(del, ins)
-	grown.EnsureSelfLoops()
-	gNew := grown.Snapshot()
-
-	up := VertexUpdate{Del: del, Ins: ins, Added: 1, Retired: []uint32{victim}}
-	res := DFLFVertex(gOld, gNew, up, prev, testCfg())
-	if res.Err != nil || !res.Converged {
-		t.Fatalf("converged=%v err=%v", res.Converged, res.Err)
-	}
-	ref := Reference(gNew, Config{})
-	if e := topk.LInf(res.Ranks, ref); e > 1e-8 {
-		t.Errorf("error vs reference %g", e)
-	}
-}
-
-func TestRunVertexValidation(t *testing.T) {
-	g := smallGraph()
-	if res := DFLFVertex(g, g, VertexUpdate{Added: 1}, make([]float64, g.N()), testCfg()); res.Err == nil {
-		t.Error("inconsistent vertex counts accepted")
-	}
-	if res := DFLFVertex(g, g, VertexUpdate{}, make([]float64, 2), testCfg()); res.Err == nil {
-		t.Error("bad prev length accepted")
-	}
 }
 
 func TestWithNPadding(t *testing.T) {

@@ -26,8 +26,8 @@ type CSRFileOption func(*csrFileOptions)
 
 // WithCompressedEdges selects the delta-compressed (varint within sorted
 // adjacency) edge-array layout. It roughly halves the file and the resident
-// footprint of the loaded graph, in exchange for a decode-on-sweep access
-// path (see core.DecodeBench) or a one-time decompression on load.
+// footprint of the loaded graph, in exchange for row-at-a-time decoding
+// (graph.CompressedCSR.AppendIn) or a one-time decompression on load.
 func WithCompressedEdges() CSRFileOption {
 	return func(o *csrFileOptions) { o.compressed = true }
 }
@@ -93,8 +93,7 @@ func (m *MappedCSR) Compressed() *graph.CompressedCSR { return m.c }
 
 // CSR returns the plain snapshot. For a compressed container this
 // decompresses once and memoizes — callers that want to stay in the
-// compressed footprint should use Compressed with the decode-on-sweep
-// kernels instead.
+// compressed footprint should decode rows from Compressed instead.
 func (m *MappedCSR) CSR() *graph.CSR {
 	if m.g != nil {
 		return m.g

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"dfpr/internal/avec"
 	"dfpr/internal/batch"
 	"dfpr/internal/core"
 	"dfpr/internal/gen"
@@ -360,63 +359,44 @@ func TauF(o Options) []Section {
 	}}
 }
 
-// Ablate measures the design choices DESIGN.md calls out: flag-vector
-// representation (bitset vs byte cells), convergence detection (scan vs
-// counter), and chunk size, all on DFLF at batch 1e-4·|E|.
+// Ablate measures the two rank-loop choices still open: chunk size and
+// frontier pruning, on DFLF at batch 1e-4·|E|.
 func Ablate(o Options) []Section {
 	o = o.norm()
 	chunkSizes := []int{256, 2048, 16384}
-	if o.Quick {
-		chunkSizes = []int{2048}
-	}
-	t := topk.NewTable("Flags", "Convergence", "Chunk", "Prune", "GeoMean runtime")
-	type key struct {
-		kind    avec.FlagKind
-		counted bool
-		chunk   int
-		prune   bool
-	}
-	times := map[key][]float64{}
 	prunes := []bool{false, true}
 	if o.Quick {
+		chunkSizes = []int{2048}
 		prunes = []bool{false}
 	}
+	t := topk.NewTable("Chunk", "Prune", "GeoMean runtime")
+	type key struct {
+		chunk int
+		prune bool
+	}
+	times := map[key][]float64{}
 	for _, spec := range specsFor(o) {
 		p := prepare(spec, o)
 		_, in, _ := makeBatch(p, 1e-4, o.Seed+spec.Seed, false)
-		for _, kind := range []avec.FlagKind{avec.FlagBitset, avec.FlagBytes} {
-			for _, counted := range []bool{false, true} {
-				for _, chunk := range chunkSizes {
-					for _, prune := range prunes {
-						c := p.cfg
-						c.Flags = kind
-						c.CountedConvergence = counted
-						c.Chunk = chunk
-						c.PruneFrontier = prune
-						dur, _ := timeRun(core.AlgoDFLF, in, c, o.Reps)
-						k := key{kind, counted, chunk, prune}
-						times[k] = append(times[k], float64(dur))
-					}
-				}
+		for _, chunk := range chunkSizes {
+			for _, prune := range prunes {
+				c := p.cfg
+				c.Chunk = chunk
+				c.PruneFrontier = prune
+				dur, _ := timeRun(core.AlgoDFLF, in, c, o.Reps)
+				k := key{chunk, prune}
+				times[k] = append(times[k], float64(dur))
 			}
 		}
 	}
-	for _, kind := range []avec.FlagKind{avec.FlagBitset, avec.FlagBytes} {
-		for _, counted := range []bool{false, true} {
-			for _, chunk := range chunkSizes {
-				for _, prune := range prunes {
-					conv := "scan"
-					if counted {
-						conv = "counter"
-					}
-					t.AddRow(kind.String(), conv, chunk, prune, time.Duration(topk.GeoMean(times[key{kind, counted, chunk, prune}])))
-				}
-			}
+	for _, chunk := range chunkSizes {
+		for _, prune := range prunes {
+			t.AddRow(chunk, prune, time.Duration(topk.GeoMean(times[key{chunk, prune}])))
 		}
 	}
 	return []Section{{
-		Title: "Ablation: flag representation × convergence detection × chunk size (DFLF)",
-		Note:  "The counter makes the all-converged check O(1) at the cost of a fetch-add per transition; the bitset keeps the scan cheap (n/64 words). Chunk size trades scheduling overhead against load balance (cf. Figure 1). Prune drops converged vertices from the frontier (the DF-P refinement) at the cost of possible re-marking.",
+		Title: "Ablation: chunk size × frontier pruning (DFLF)",
+		Note:  "Chunk size trades scheduling overhead against load balance (cf. Figure 1). Prune drops converged vertices from the frontier (the DF-P refinement) at the cost of possible re-marking.",
 		Table: t,
 	}}
 }

@@ -32,7 +32,7 @@ func TestPoolBoundsAbort(t *testing.T) {
 }
 
 func TestRoundsAbortEndsTicketStream(t *testing.T) {
-	r := NewRounds(100, 10)
+	r := NewRoundsBounds([]int{0, 10, 100})
 	if _, _, round := r.Next(); round != 0 {
 		t.Fatalf("first ticket round = %d", round)
 	}

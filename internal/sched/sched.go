@@ -118,38 +118,19 @@ func (p *Pool) NumChunks() int {
 type Rounds struct {
 	next           avec.Counter
 	aborted        avec.Counter // non-zero once Abort has been called
-	n              int
-	chunk          int
 	chunksPerRound uint64
-	bounds         []int // nil → uniform chunks of size chunk
-}
-
-// NewRounds returns a continuous round scheduler over [0, n) with uniform
-// chunks. A non-positive chunk selects DefaultChunk.
-func NewRounds(n, chunk int) *Rounds {
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
-	cpr := uint64((n + chunk - 1) / chunk)
-	if cpr == 0 {
-		cpr = 1
-	}
-	return &Rounds{n: n, chunk: chunk, chunksPerRound: cpr}
+	bounds         []int
 }
 
 // NewRoundsBounds returns a continuous round scheduler dispensing the
 // precomputed edge-balanced chunks bounds[c]..bounds[c+1] each round (see
 // BalancedBounds).
 func NewRoundsBounds(bounds []int) *Rounds {
-	n := 0
 	cpr := uint64(1)
-	if len(bounds) > 0 {
-		n = bounds[len(bounds)-1]
-		if len(bounds) > 1 {
-			cpr = uint64(len(bounds) - 1)
-		}
+	if len(bounds) > 1 {
+		cpr = uint64(len(bounds) - 1)
 	}
-	return &Rounds{n: n, chunk: DefaultChunk, chunksPerRound: cpr, bounds: bounds}
+	return &Rounds{chunksPerRound: cpr, bounds: bounds}
 }
 
 // Next returns the next chunk [lo, hi) and the round it belongs to. Rounds
@@ -163,18 +144,10 @@ func (r *Rounds) Next() (lo, hi int, round uint64) {
 	t := r.next.Add(1) - 1
 	round = t / r.chunksPerRound
 	c := int(t % r.chunksPerRound)
-	if r.bounds != nil {
-		if c+1 >= len(r.bounds) {
-			return 0, 0, round
-		}
-		return r.bounds[c], r.bounds[c+1], round
+	if c+1 >= len(r.bounds) {
+		return 0, 0, round
 	}
-	lo = c * r.chunk
-	hi = lo + r.chunk
-	if hi > r.n {
-		hi = r.n
-	}
-	return lo, hi, round
+	return r.bounds[c], r.bounds[c+1], round
 }
 
 // ChunksPerRound returns the number of chunks in one full pass.
@@ -202,37 +175,6 @@ func StaticRanges(n, parties int) []Range {
 	out := make([]Range, parties)
 	for w := 0; w < parties; w++ {
 		out[w] = Range{Lo: w * n / parties, Hi: (w + 1) * n / parties}
-	}
-	return out
-}
-
-// EdgeBalancedRanges splits [0, n) into parties contiguous ranges such that
-// each range holds roughly the same total weight, where weight[v] is
-// typically vertex v's degree. This is the paper's "edge-balanced" load
-// balancing strategy (§1); it needs a pre-processing pass, which is why the
-// paper favours vertex chunking.
-func EdgeBalancedRanges(weight []int, parties int) []Range {
-	n := len(weight)
-	if parties < 1 {
-		parties = 1
-	}
-	total := 0
-	for _, w := range weight {
-		total += w
-	}
-	out := make([]Range, 0, parties)
-	target := float64(total) / float64(parties)
-	lo, acc := 0, 0
-	for v := 0; v < n; v++ {
-		acc += weight[v]
-		if float64(acc) >= target*float64(len(out)+1) && len(out) < parties-1 {
-			out = append(out, Range{Lo: lo, Hi: v + 1})
-			lo = v + 1
-		}
-	}
-	out = append(out, Range{Lo: lo, Hi: n})
-	for len(out) < parties {
-		out = append(out, Range{Lo: n, Hi: n})
 	}
 	return out
 }

@@ -18,7 +18,11 @@ func BenchmarkPoolNext(b *testing.B) {
 }
 
 func BenchmarkRoundsNext(b *testing.B) {
-	r := NewRounds(1<<20, 2048)
+	bounds := make([]int, 513)
+	for i := range bounds {
+		bounds[i] = i * 2048
+	}
+	r := NewRoundsBounds(bounds)
 	b.ReportAllocs()
 	var sink uint64
 	for i := 0; i < b.N; i++ {
@@ -46,17 +50,5 @@ func BenchmarkStaticRanges(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		StaticRanges(1<<20, 64)
-	}
-}
-
-func BenchmarkEdgeBalancedRanges(b *testing.B) {
-	weight := make([]int, 1<<16)
-	for i := range weight {
-		weight[i] = i % 37
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EdgeBalancedRanges(weight, 16)
 	}
 }

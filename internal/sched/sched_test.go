@@ -83,7 +83,7 @@ func TestPoolDefaultChunk(t *testing.T) {
 }
 
 func TestRoundsAdvanceWithoutBarrier(t *testing.T) {
-	r := NewRounds(100, 30) // 4 chunks per round
+	r := NewRoundsBounds([]int{0, 30, 60, 90, 100})
 	if r.ChunksPerRound() != 4 {
 		t.Fatalf("chunks per round = %d", r.ChunksPerRound())
 	}
@@ -109,7 +109,7 @@ func TestRoundsAdvanceWithoutBarrier(t *testing.T) {
 }
 
 func TestRoundsTinyRange(t *testing.T) {
-	r := NewRounds(5, 2048)
+	r := NewRoundsBounds([]int{0, 5})
 	lo, hi, round := r.Next()
 	if lo != 0 || hi != 5 || round != 0 {
 		t.Errorf("got [%d,%d)@%d", lo, hi, round)
@@ -134,41 +134,6 @@ func TestStaticRanges(t *testing.T) {
 	}
 	if covered != 10 {
 		t.Errorf("covered %d", covered)
-	}
-}
-
-func TestEdgeBalancedRanges(t *testing.T) {
-	// One huge-degree vertex: edge balancing must give it its own range-ish
-	// split rather than splitting by vertex count.
-	weight := make([]int, 100)
-	for i := range weight {
-		weight[i] = 1
-	}
-	weight[0] = 1000
-	rs := EdgeBalancedRanges(weight, 4)
-	if len(rs) != 4 {
-		t.Fatalf("len = %d", len(rs))
-	}
-	if rs[0].Hi-rs[0].Lo > 10 {
-		t.Errorf("first range too wide for a 1000-weight vertex: %+v", rs[0])
-	}
-	covered := 0
-	for _, r := range rs {
-		covered += r.Hi - r.Lo
-	}
-	if covered != 100 {
-		t.Errorf("covered %d", covered)
-	}
-}
-
-func TestEdgeBalancedRangesDegenerate(t *testing.T) {
-	rs := EdgeBalancedRanges(nil, 3)
-	if len(rs) != 3 {
-		t.Fatalf("empty weights: %v", rs)
-	}
-	rs = EdgeBalancedRanges([]int{5}, 0)
-	if len(rs) != 1 || rs[0].Hi != 1 {
-		t.Fatalf("parties<1: %v", rs)
 	}
 }
 

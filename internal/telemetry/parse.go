@@ -13,7 +13,7 @@ import (
 // Snapshot is a parsed exposition: every sample keyed by its canonical
 // spelling — name plus sorted label signature, exactly as the encoder
 // prints it (histogram expansions appear as their _bucket/_sum/_count
-// samples). It is what the soak tests and cmd/prload assert against after
+// samples). It is what the soak tests and the benchmark assert against after
 // scraping /metrics.
 type Snapshot map[string]float64
 

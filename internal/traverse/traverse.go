@@ -11,7 +11,7 @@ import "dfpr/internal/graph"
 
 // MarkReachable marks start and everything reachable from it along out-edges
 // of g. visit must atomically mark a vertex and report whether it was newly
-// marked (e.g. avec.FlagVec.Set); traversal descends only through newly
+// marked (e.g. avec.Flags.Set); traversal descends only through newly
 // marked vertices. stack is an optional scratch buffer reused across calls;
 // the (possibly grown) buffer is returned.
 func MarkReachable(g *graph.CSR, start uint32, visit func(v uint32) bool, stack []uint32) []uint32 {

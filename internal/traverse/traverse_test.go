@@ -17,7 +17,7 @@ func lineGraph(n int) *graph.CSR {
 	return graph.FromEdges(n, edges)
 }
 
-func visitor(n int) (func(uint32) bool, avec.FlagVec) {
+func visitor(n int) (func(uint32) bool, *avec.Flags) {
 	f := avec.NewFlags(n)
 	return func(v uint32) bool { return f.Set(int(v)) }, f
 }

@@ -255,54 +255,6 @@ func WithThreads(n int) Option {
 	}
 }
 
-// WithChunk sets the dynamic-scheduling chunk size (default 2048).
-func WithChunk(n int) Option {
-	return func(s *settings) error {
-		if n < 0 {
-			return fmt.Errorf("dfpr: chunk size %d must be non-negative", n)
-		}
-		s.cfg.Chunk = n
-		return nil
-	}
-}
-
-// WithUniformChunks restores the paper's fixed vertex-count chunks instead
-// of the default edge-balanced chunk boundaries.
-func WithUniformChunks(uniform bool) Option {
-	return func(s *settings) error {
-		s.cfg.UniformChunks = uniform
-		return nil
-	}
-}
-
-// WithBlockedSweeps toggles the cache-blocked rank sweeps (default on):
-// chunk working sets capped at the block-byte budget and the affected
-// frontier visited in sorted order by word-at-a-time flag scans. Disabling
-// restores the probe-per-vertex loop over purely edge-balanced chunks.
-func WithBlockedSweeps(enabled bool) Option {
-	return func(s *settings) error {
-		if enabled {
-			s.cfg.BlockBytes = 0 // core.DefaultBlockBytes at run time
-		} else {
-			s.cfg.BlockBytes = -1
-		}
-		return nil
-	}
-}
-
-// WithBlockBytes sets the cache-block working-set budget in bytes for the
-// blocked sweeps (default core.DefaultBlockBytes, 4 MiB — an LLC-slice
-// sized target). Implies blocked sweeps on.
-func WithBlockBytes(n int) Option {
-	return func(s *settings) error {
-		if n <= 0 {
-			return fmt.Errorf("dfpr: block bytes %d must be positive (use WithBlockedSweeps(false) to disable)", n)
-		}
-		s.cfg.BlockBytes = n
-		return nil
-	}
-}
-
 // WithPruneFrontier removes converged vertices from the Dynamic Frontier
 // affected set (the "DF with pruning" refinement; default off).
 func WithPruneFrontier(prune bool) Option {

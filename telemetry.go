@@ -109,10 +109,10 @@ func (e *Engine) initTelemetry(reg *telemetry.Registry) {
 		"Rank refreshes that fell back to a full static recomputation.",
 		func() float64 { return float64(e.rebuilds.Load()) })
 	reg.CounterFunc("dfpr_rank_sweep_block_scheduled_total",
-		"Rank-sweep chunks dispatched by the cache-blocked scheduler across all runs.",
+		"Rank-sweep chunks dispatched by the chunk scheduler across all runs.",
 		func() float64 { return float64(e.sweepBlocks.Load()) })
 	reg.CounterFunc("dfpr_rank_sweep_block_frontier_total",
-		"Affected-frontier vertices located by the sorted word-at-a-time flag scans of the blocked sweeps.",
+		"Affected-frontier vertices located by the sorted word-at-a-time flag scans of the rank sweeps.",
 		func() float64 { return float64(e.frontierScanned.Load()) })
 	reg.GaugeFunc("dfpr_graph_bytes",
 		"Resident bytes of the latest published graph snapshot's CSR arrays, by layout.",
