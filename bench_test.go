@@ -154,8 +154,7 @@ func BenchmarkAlgoDFLFUnderDelays(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// PR 1 benchmarks: the incremental snapshot pipeline, measured in isolation
-// (BENCH_PR1.json holds the same quantities as recorded at PR 1).
+// PR 1 benchmarks: the incremental snapshot pipeline, measured in isolation.
 
 // largestSpec returns the largest Table 2 stand-in (the sk-2005 class: most
 // edges of the generator suite) from the suite itself.

@@ -11,8 +11,7 @@
 //	prgen -graph indochina-2004 -scale 0.5 > web.el
 //	prgen -temporal wiki-talk-temporal > stream.tel
 //	prgen -graph asia_osm -batch 0.0001 -seed 7 > update.batch
-//	prgen -graph indochina-2004 -csr web.csr            # binary CSR container
-//	prgen -graph indochina-2004 -csr web.csr -compress  # delta-compressed edges
+//	prgen -graph indochina-2004 -csr web.csr   # binary CSR container
 package main
 
 import (
@@ -36,7 +35,6 @@ func main() {
 		seed      = flag.Int64("seed", 42, "random seed for -batch")
 		batchFrac = flag.Float64("batch", 0, "emit a batch update of this fraction of |E| instead of the graph")
 		csrPath   = flag.String("csr", "", "with -graph: write a binary CSR container to this path instead of text to stdout")
-		compress  = flag.Bool("compress", false, "with -csr: delta-compress the adjacency (smaller file, decode-on-sweep)")
 	)
 	flag.Parse()
 
@@ -78,11 +76,8 @@ func main() {
 				if *batchFrac > 0 {
 					fatalf("-csr and -batch are mutually exclusive")
 				}
-				writeCSR(d.Snapshot(), *csrPath, *compress)
+				writeCSR(d.Snapshot(), *csrPath)
 				return
-			}
-			if *compress {
-				fatalf("-compress requires -csr")
 			}
 			if *batchFrac > 0 {
 				size := int(*batchFrac * float64(d.M()))
@@ -113,23 +108,14 @@ func main() {
 }
 
 // writeCSR writes the snapshot as a binary CSR container — the zero-parse
-// format gio.LoadCSRMapped memory-maps — optionally with delta-compressed
-// adjacency. Unlike the text form this stores the exact CSR, so a loader
-// skips both parsing and rebuild.
-func writeCSR(g *graph.CSR, path string, compress bool) {
-	var opts []gio.CSRFileOption
-	if compress {
-		opts = append(opts, gio.WithCompressedEdges())
-	}
-	if err := gio.WriteCSRFile(path, g, opts...); err != nil {
+// format gio.LoadCSRMapped memory-maps. Unlike the text form this stores the
+// exact CSR, so a loader skips both parsing and rebuild.
+func writeCSR(g *graph.CSR, path string) {
+	if err := gio.WriteCSRFile(path, g); err != nil {
 		fatalf("write %s: %v", path, err)
 	}
-	layout := "plain"
-	if compress {
-		layout = "compressed"
-	}
-	fmt.Fprintf(os.Stderr, "prgen: wrote %s (%d vertices, %d edges, %s)\n",
-		path, g.N(), g.M(), layout)
+	fmt.Fprintf(os.Stderr, "prgen: wrote %s (%d vertices, %d edges)\n",
+		path, g.N(), g.M())
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -66,7 +66,6 @@ import (
 	"dfpr"
 	"dfpr/internal/exutil"
 	"dfpr/internal/gen"
-	"dfpr/internal/telemetry"
 	"dfpr/serve"
 )
 
@@ -181,16 +180,6 @@ func main() {
 		defer cl.Close() // releases the lease (when held) and closes the engine
 	} else {
 		defer eng.Close()
-	}
-	if src != nil && src.Layout == "csr-compressed" {
-		// The engine exports dfpr_graph_bytes{layout="plain"} for its live
-		// snapshot; when serving from a compressed container, export the
-		// compressed footprint next to it so the trade is visible per scrape.
-		resident := src.ResidentBytes
-		eng.Metrics().GaugeFunc("dfpr_graph_bytes",
-			"Resident bytes of the latest published graph snapshot's CSR arrays, by layout.",
-			func() float64 { return float64(resident) },
-			telemetry.L("layout", "compressed"))
 	}
 	if src != nil && src.Layout != "text" && *in != "" {
 		logger.Info("loaded binary CSR container", "path", *in,

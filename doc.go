@@ -113,9 +113,9 @@
 // the ranks at the last completed version. Subscribe streams versioned
 // rank updates — each carrying the version's View — over a conflating
 // channel sized for live serving; WithFaultPlan/SetFaultPlan inject the
-// paper's thread-delay and crash-stop faults for chaos drills; RankTrace
-// exposes the per-pass frontier sizes that explain where the Dynamic
-// Frontier saving comes from.
+// paper's thread-delay and crash-stop faults for chaos drills. Frontier
+// size is observable from the run that served: the
+// dfpr_rank_sweep_block_frontier_total counter over dfpr_rank_refreshes_total.
 //
 // The serve package exposes an Engine over HTTP/JSON (GET /v1/rank/{u},
 // /v1/topk, /v1/delta, /v1/wait/{seq}, /v1/healthz, /v1/stats, and a
@@ -156,7 +156,7 @@
 //	internal/keymap    append-only string↔id interner (lock-free reads)
 //	internal/graph     CSR snapshots (incremental delta-merge + parallel
 //	                   cold build), growable dynamic edge store, batches,
-//	                   binary container codec + delta-compressed adjacency
+//	                   the DFPRCSR1 binary container
 //	internal/gio       edge-list/MatrixMarket readers, binary CSR container
 //	                   files and the zero-parse mmap loader
 //	internal/gen       synthetic stand-ins for the paper's datasets
@@ -183,34 +183,27 @@
 // power-law hub rows do not serialise a pass behind one worker. The read
 // path adds per-version views: one shared immutable vector and one shared
 // top-k selection per version, so point lookups allocate nothing and
-// leaderboards allocate O(k) (measured in BENCH_PR3.json). The write path
-// adds the coalescing ingest pipeline measured in BENCH_PR4.json: sustained
-// asynchronous applies per second against the synchronous apply+rank
-// baseline at an equal ranked-freshness deadline. BENCH_PR5.json adds the
-// keyed-lookup overhead (ScoreOfKey vs the raw dense load, 0 allocs) and
-// growth-heavy ingest (a stream that keeps growing the universe, pinned
-// against a cold rebuild). BENCH_PR9.json adds the memory-layout story:
-// graphs load from versioned binary CSR containers (DFPRCSR1) that a
-// page-aligned mmap aliases zero-parse — ~45× faster than parsing the
-// text edge list — with an optional delta-compressed adjacency (~2.6×
-// smaller, decompressed once on load); the pull kernels are cache-blocked
-// (edge-balanced chunks capped at an LLC-sized working set, word-at-a-time
-// frontier scans that see exactly what per-vertex probes would); and a
-// threads section records the multi-core scaling matrix with host CPU and
-// GOMAXPROCS metadata.
-// BENCH_PR10.json adds the replication numbers: replica bootstrap time,
-// per-apply replication lag percentiles over a real loopback stream, and
-// the feed's catch-up throughput on a backlogged burst. Each BENCH_PR*.json
-// was recorded at its PR by a generator that has since been removed; the
-// figure of record is the end-to-end benchmark under benchmark/
-// (BENCHMARK.json), which measures the same layers inside whole requests.
+// leaderboards allocate O(k) (ScoreOf ≈ 3.6 ns, 0 allocs). The write path
+// adds the coalescing ingest pipeline: 4 315 sustained asynchronous applies
+// per second against 13 for the synchronous apply+rank baseline at an equal
+// ranked-freshness deadline. Graphs load from the versioned binary CSR
+// container (DFPRCSR1, the one on-disk layout) that a page-aligned mmap
+// aliases zero-parse — 7.1 ms against 326 ms for parsing the text edge
+// list; the pull kernels are cache-blocked (edge-balanced chunks capped at
+// an LLC-sized working set, word-at-a-time frontier scans that see exactly
+// what per-vertex probes would). Those figures were measured at PRs 3, 4
+// and 9 on a 1-CPU box by a generator since removed; the figure of record
+// is the end-to-end benchmark under benchmark/ (BENCHMARK.json), which
+// measures the same layers inside whole requests. Thread-scaling beyond 2
+// cores is unverified.
 //
 // Binaries: cmd/prbench regenerates every table and figure of the paper's
 // evaluation, cmd/prgen emits datasets as edge lists or binary CSR
-// containers (-csr, -compress), cmd/prrank ranks an edge list with any
+// containers (-csr), cmd/prrank ranks an edge list with any
 // variant (-keyed for string keys), cmd/prserve serves ranks over HTTP,
 // cmd/prlint runs the invariant analyzers.
-// Runnable examples live under examples/. The benchmarks in this root
+// Four runnable examples live under examples/, one per API surface
+// (quickstart, liveranker, leaderboard, faultsim). The benchmarks in this root
 // package (bench_test.go) run trimmed versions of every experiment under
 // `go test -bench`.
 //

@@ -41,6 +41,11 @@ func TestDurableRecoveryEquivalenceDense(t *testing.T) {
 	if _, err := eng.Rank(ctx); err != nil {
 		t.Fatal(err)
 	}
+	// Checkpoint the converged version 0, so the restart resumes its ranks
+	// and refreshes over the three-record tail instead of converging cold.
+	if err := eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 3; i++ {
 		del, ins := s.nextBatch(4 + i)
 		if _, err := eng.Apply(ctx, del, ins); err != nil {
@@ -58,7 +63,7 @@ func TestDurableRecoveryEquivalenceDense(t *testing.T) {
 	}
 
 	// Restart from the directory alone: n/edges are ignored in favour of the
-	// persisted state (seed checkpoint + replayed tail).
+	// persisted state (ranked checkpoint + replayed tail).
 	eng2, err := New(0, nil, durableOpts(dir)...)
 	if err != nil {
 		t.Fatalf("warm restart: %v", err)
@@ -74,9 +79,15 @@ func TestDurableRecoveryEquivalenceDense(t *testing.T) {
 	if !st.Enabled || st.ReplayedRecords != 3 {
 		t.Fatalf("durability stats after recovery: %+v", st)
 	}
+	behind := eng2.Behind()
 	res, err := eng2.Rank(ctx)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The tail is one store version three sequence numbers past the resumed
+	// ranks; Advanced counts versions of the log, not of the replay.
+	if behind != 3 || res.Advanced != 3 {
+		t.Errorf("first Rank after restart: Behind()=%d before, Advanced=%d, want 3 and 3", behind, res.Advanced)
 	}
 	if eng2.Recovering() {
 		t.Fatal("still recovering after Rank caught the tip")

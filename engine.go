@@ -389,43 +389,6 @@ func (e *Engine) setRanker(rk *snapshot.Ranker) {
 	e.ranker = rk
 }
 
-// RankTrace is Rank with frontier observability for the Dynamic Frontier
-// algorithms: each pending batch is replayed with a deterministic
-// single-threaded traced run, and the affected-set size after every pass is
-// returned alongside the result. The initial convergence must already have
-// happened (call Rank once first); algorithms other than DFBB/DFLF are
-// rejected.
-func (e *Engine) RankTrace(ctx context.Context) (*Result, []FrontierStats, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil, nil, ErrClosed
-	}
-	if e.ranker == nil {
-		return nil, nil, fmt.Errorf("dfpr: RankTrace before initial Rank (no baseline to trace from)")
-	}
-	rebuilds := e.ranker.Rebuilds
-	res, series, advanced, err := e.ranker.RefreshTrace(ctx)
-	e.syncStatsLocked()
-	if err != nil {
-		out := failedResultOf(res, advanced)
-		out.Seq = e.ranker.Seq()
-		return out, nil, err
-	}
-	out := resultOf(res, advanced, e.ranker.Rebuilds > rebuilds)
-	out.Seq = e.ranker.Seq()
-	if advanced > 0 {
-		e.publishLocked(out)
-	} else {
-		out.View = e.latest.Load()
-	}
-	stats := make([]FrontierStats, len(series))
-	for i, s := range series {
-		stats[i] = FrontierStats{Affected: s.Affected, NotConverged: s.NotConverged}
-	}
-	return out, stats, nil
-}
-
 // resultOf converts an internal result's diagnostics. The rank vector is
 // not carried here: successful results get a zero-copy View attached at
 // publication (publishLocked), failed ones stay without rank state.

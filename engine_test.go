@@ -464,47 +464,6 @@ func TestEngineFaultDrillWithoutFallback(t *testing.T) {
 	}
 }
 
-func TestEngineRankTrace(t *testing.T) {
-	ctx := context.Background()
-	n, edges, mirror := testGraph(t, 9, 11)
-	eng, err := New(n, edges,
-		WithAlgorithm(DFLF), WithThreads(1), WithTolerance(1e-6), WithFrontierTolerance(1e-6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := eng.RankTrace(ctx); err == nil {
-		t.Error("RankTrace before Rank accepted")
-	}
-	if _, err := eng.Rank(ctx); err != nil {
-		t.Fatal(err)
-	}
-	up := batch.Random(mirror, 8, 4)
-	if _, err := eng.Apply(ctx, toPublic(up.Del), toPublic(up.Ins)); err != nil {
-		t.Fatal(err)
-	}
-	res, series, err := eng.RankTrace(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged || res.Seq != 1 {
-		t.Fatalf("trace result: converged=%v seq=%d", res.Converged, res.Seq)
-	}
-	if len(series) == 0 || series[0].Affected == 0 {
-		t.Fatalf("frontier series empty or starts at zero: %v", series)
-	}
-	// Non-DF algorithms cannot trace.
-	nd, err := New(n, edges, WithAlgorithm(NDLF), WithThreads(1), WithTolerance(1e-6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nd.Rank(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := nd.RankTrace(ctx); err == nil {
-		t.Error("RankTrace accepted a non-DF algorithm")
-	}
-}
-
 func TestOptionValidationAndParse(t *testing.T) {
 	bad := []Option{
 		WithAlpha(0), WithAlpha(1), WithTolerance(0), WithFrontierTolerance(-1),

@@ -11,6 +11,11 @@
 // keys resolve against exactly the universe of its own version. Movements
 // against the previous frame are shown as ▲/▼/＊ markers.
 //
+// The writer never calls Rank: a debounce rank policy refreshes at a bounded
+// freshness deadline however many rounds arrived meanwhile, and a full
+// ingest queue surfaces as ErrQueueFull backpressure, which the writer
+// answers by yielding and retrying.
+//
 // Run with:
 //
 //	go run ./examples/leaderboard
@@ -18,8 +23,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"time"
 
 	"dfpr"
 	"dfpr/internal/topk"
@@ -45,6 +52,9 @@ func main() {
 		dfpr.WithThreads(4),
 		dfpr.WithTolerance(1e-3/players),
 		dfpr.WithFrontierTolerance(1e-3/players),
+		// Ranks start within 40ms of the oldest unranked round — the
+		// freshness promise — or after 5ms of quiet, whichever comes first.
+		dfpr.WithRankPolicy(dfpr.RankDebounce(5*time.Millisecond, 40*time.Millisecond)),
 	)
 	if err != nil {
 		panic(err)
@@ -75,6 +85,10 @@ func main() {
 				ins = append(ins, dfpr.KeyEdge{From: handle(loser), To: handle(winner)})
 			}
 			tk, err := eng.SubmitKeyed(ctx, nil, ins)
+			for errors.Is(err, dfpr.ErrQueueFull) {
+				time.Sleep(time.Millisecond) // backpressure: yield and retry
+				tk, err = eng.SubmitKeyed(ctx, nil, ins)
+			}
 			if err != nil {
 				panic(err)
 			}

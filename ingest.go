@@ -190,11 +190,11 @@ func (e *Engine) submitInternal(ctx context.Context, gdel, gins []graph.Edge) (*
 		e.ingestMu.Unlock()
 		return nil, ErrClosed
 	}
-	if e.opts.queue > 0 && e.ingestEdits+size > e.opts.queue {
+	if queued := e.ingestEdits; e.opts.queue > 0 && queued+size > e.opts.queue {
 		e.ingestMu.Unlock()
 		e.met.rejectFull.Inc()
 		return nil, fmt.Errorf("dfpr: %d edits queued, %d more would exceed the bound %d: %w",
-			e.ingestEdits, size, e.opts.queue, ErrQueueFull)
+			queued, size, e.opts.queue, ErrQueueFull)
 	}
 	e.ingestQ = append(e.ingestQ, pendingSubmit{del: gdel, ins: gins, n: up.N, t: t})
 	e.ingestEdits += size

@@ -62,8 +62,8 @@ type Config struct {
 	// tolerance, so convergence is unaffected; what changes is that
 	// long-converged frontier vertices stop being recomputed every pass.
 	// Honoured by the lock-free variants (whose per-vertex convergence
-	// flags close the prune/re-mark race; see lf.go) and by TraceDF;
-	// barrier-based variants ignore it. Default off — the paper's DF keeps
+	// flags close the prune/re-mark race; see lf.go); barrier-based
+	// variants ignore it. Default off — the paper's DF keeps
 	// vertices affected once marked.
 	PruneFrontier bool
 	// Fault describes delays/crashes to inject (§5.1.6). The zero Plan

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"dfpr/internal/batch"
 	"dfpr/internal/gen"
@@ -250,5 +251,57 @@ func TestDFSequenceOfBatches(t *testing.T) {
 			t.Errorf("step %d: error %g (accumulated drift too high)", step, e)
 		}
 		prev = res.Ranks
+	}
+}
+
+// TestRankMassInvariantProperty: on any dead-end-free graph, every variant's
+// converged ranks sum to ≈ 1 — the PageRank probability-mass invariant.
+func TestRankMassInvariantProperty(t *testing.T) {
+	f := func(seed int64, scaleRaw uint8) bool {
+		scale := int(scaleRaw)%3 + 6 // 64..256 vertices
+		d := gen.RMAT(scale, 6, seed)
+		d.EnsureSelfLoops()
+		g := d.Snapshot()
+		for _, a := range []Algo{AlgoStaticBB, AlgoStaticLF} {
+			res := Run(a, Input{GNew: g}, testCfg())
+			if !res.Converged {
+				return false
+			}
+			if math.Abs(topk.Sum(res.Ranks)-1) > 1e-6 {
+				t.Logf("%v: sum %v", a, topk.Sum(res.Ranks))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDFAgreesWithStaticProperty: for random graphs and random batches, the
+// incremental DFLF result agrees with a full static recomputation — the
+// correctness contract of the DF approach.
+func TestDFAgreesWithStaticProperty(t *testing.T) {
+	f := func(seed int64, sizeRaw uint8) bool {
+		d := gen.RMAT(8, 6, seed)
+		d.EnsureSelfLoops()
+		gOld := d.Snapshot()
+		prev := StaticBB(gOld, testCfg()).Ranks
+		up := batch.Random(d, int(sizeRaw)%60+1, seed+1)
+		_, gNew := batch.Transition(d, up)
+		res := DFLF(gOld, gNew, up.Del, up.Ins, prev, testCfg())
+		if !res.Converged || res.Err != nil {
+			return false
+		}
+		full := StaticBB(gNew, testCfg())
+		if e := topk.LInf(res.Ranks, full.Ranks); e > 1e-7 {
+			t.Logf("seed %d size %d: disagreement %g", seed, sizeRaw, e)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+		t.Error(err)
 	}
 }

@@ -85,12 +85,10 @@ func LoadGraph(path string) (int, []dfpr.Edge, error) {
 type GraphSource struct {
 	N     int
 	Edges []dfpr.Edge
-	// Layout is "text" (edge list / MatrixMarket), "csr" (binary CSR
-	// container, prgen -csr), or "csr-compressed" (container written with
-	// delta-compressed adjacency).
-	Layout        string
-	FileBytes     int64 // on-disk size of the input file
-	ResidentBytes int   // CSR arrays' in-memory footprint as stored (0 for text)
+	// Layout is "text" (edge list / MatrixMarket) or "csr" (binary CSR
+	// container, prgen -csr).
+	Layout    string
+	FileBytes int64 // on-disk size of the input file
 }
 
 // LoadGraphSource loads a graph in any supported on-disk format. Binary CSR
@@ -115,12 +113,8 @@ func LoadGraphSource(path string) (*GraphSource, error) {
 		return nil, err
 	}
 	defer m.Close()
-	src := &GraphSource{Layout: "csr", FileBytes: int64(m.FileBytes()), ResidentBytes: m.ResidentBytes()}
-	if m.Compressed() != nil {
-		src.Layout = "csr-compressed"
-	}
 	g := m.CSR()
-	src.N = g.N()
+	src := &GraphSource{N: g.N(), Layout: "csr", FileBytes: int64(m.FileBytes())}
 	src.Edges = make([]dfpr.Edge, 0, g.M())
 	for u := uint32(0); int(u) < g.N(); u++ {
 		for _, v := range g.Out(u) {

@@ -10,8 +10,8 @@ import (
 )
 
 // TestLoadGraphSourceAllLayouts pins that the same graph loads identically
-// from a text edge list, a plain CSR container, and a compressed container —
-// and that the source metadata identifies each layout.
+// from a text edge list and a CSR container, and that the source metadata
+// identifies each layout.
 func TestLoadGraphSourceAllLayouts(t *testing.T) {
 	dir := t.TempDir()
 	d := graph.NewDynamic(6)
@@ -35,10 +35,6 @@ func TestLoadGraphSourceAllLayouts(t *testing.T) {
 	if err := gio.WriteCSRFile(plain, g); err != nil {
 		t.Fatal(err)
 	}
-	comp := filepath.Join(dir, "gc.csr")
-	if err := gio.WriteCSRFile(comp, g, gio.WithCompressedEdges()); err != nil {
-		t.Fatal(err)
-	}
 
 	want, err := LoadGraphSource(text)
 	if err != nil {
@@ -47,25 +43,23 @@ func TestLoadGraphSourceAllLayouts(t *testing.T) {
 	if want.Layout != "text" || want.FileBytes != int64(len(lines)) {
 		t.Fatalf("text source: %+v", want)
 	}
-	for path, layout := range map[string]string{plain: "csr", comp: "csr-compressed"} {
-		src, err := LoadGraphSource(path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if src.Layout != layout {
-			t.Errorf("%s: layout %q, want %q", path, src.Layout, layout)
-		}
-		if src.N != g.N() || len(src.Edges) != g.M() {
-			t.Errorf("%s: %d vertices %d edges, want %d/%d", path, src.N, len(src.Edges), g.N(), g.M())
-		}
-		if src.ResidentBytes <= 0 || src.FileBytes <= 0 {
-			t.Errorf("%s: footprint not recorded: %+v", path, src)
-		}
-		for i, e := range src.Edges {
-			w := want.Edges[i]
-			if e.U != w.U || e.V != w.V {
-				t.Fatalf("%s: edge %d = %v, text loader got %v", path, i, e, w)
-			}
+	src, err := LoadGraphSource(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.Layout != "csr" {
+		t.Errorf("layout %q, want csr", src.Layout)
+	}
+	if src.N != g.N() || len(src.Edges) != g.M() {
+		t.Errorf("%d vertices %d edges, want %d/%d", src.N, len(src.Edges), g.N(), g.M())
+	}
+	if src.FileBytes <= 0 {
+		t.Errorf("file size not recorded: %+v", src)
+	}
+	for i, e := range src.Edges {
+		w := want.Edges[i]
+		if e.U != w.U || e.V != w.V {
+			t.Fatalf("edge %d = %v, text loader got %v", i, e, w)
 		}
 	}
 }

@@ -42,41 +42,23 @@ func graphsEqual(a, b *graph.CSR) bool {
 
 func TestCSRFileRoundTrip(t *testing.T) {
 	g := testGraph(t, 500, 3000, 1)
-	for _, tc := range []struct {
-		name string
-		opts []CSRFileOption
-	}{
-		{"plain", nil},
-		{"compressed", []CSRFileOption{WithCompressedEdges()}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "g.csr")
-			if err := WriteCSRFile(path, g, tc.opts...); err != nil {
-				t.Fatal(err)
-			}
-			m, err := LoadCSRMapped(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m.Close()
-			if tc.name == "compressed" {
-				if m.Compressed() == nil {
-					t.Fatal("compressed file loaded without compressed view")
-				}
-				if m.ResidentBytes() >= g.Bytes() {
-					t.Errorf("compressed resident %d >= plain %d", m.ResidentBytes(), g.Bytes())
-				}
-			} else if m.Compressed() != nil {
-				t.Fatal("plain file loaded with compressed view")
-			}
-			if !graphsEqual(g, m.CSR()) {
-				t.Fatal("mapped graph differs from written snapshot")
-			}
-			if m.FileBytes() <= 0 {
-				t.Error("FileBytes not positive")
-			}
-		})
-	}
+	t.Run("plain", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "g.csr")
+		if err := WriteCSRFile(path, g); err != nil {
+			t.Fatal(err)
+		}
+		m, err := LoadCSRMapped(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		if !graphsEqual(g, m.CSR()) {
+			t.Fatal("mapped graph differs from written snapshot")
+		}
+		if m.FileBytes() <= 0 {
+			t.Error("FileBytes not positive")
+		}
+	})
 }
 
 // TestMappedMatchesParsedText is the load-path equivalence bar: the same
@@ -101,19 +83,17 @@ func TestMappedMatchesParsedText(t *testing.T) {
 		parsedG = parsedG.WithN(g.N())
 	}
 
-	for _, opts := range [][]CSRFileOption{nil, {WithCompressedEdges()}} {
-		path := filepath.Join(dir, fmt.Sprintf("g%d.csr", len(opts)))
-		if err := WriteCSRFile(path, g, opts...); err != nil {
-			t.Fatal(err)
-		}
-		m, err := LoadCSRMapped(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !graphsEqual(parsedG, m.CSR()) {
-			t.Errorf("opts=%d: mapped snapshot differs from text-parsed snapshot", len(opts))
-		}
-		m.Close()
+	path := filepath.Join(dir, "g.csr")
+	if err := WriteCSRFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadCSRMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if !graphsEqual(parsedG, m.CSR()) {
+		t.Error("mapped snapshot differs from text-parsed snapshot")
 	}
 }
 
@@ -128,6 +108,16 @@ func TestLoadCSRMappedRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadCSRMapped(filepath.Join(dir, "missing.csr")); err == nil {
 		t.Error("LoadCSRMapped accepted a missing file")
+	}
+	// A container from an older prgen -compress (flag bit 0 set) is refused
+	// with the way out, not decoded as garbage.
+	old := testGraph(t, 50, 200, 3).AppendContainer(nil)
+	old[12] |= 1
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCSRMapped(path); err == nil || !strings.Contains(err.Error(), "regenerate with `prgen -csr`") {
+		t.Errorf("compressed-flag container: err = %v, want the regenerate message", err)
 	}
 }
 

@@ -1,18 +1,23 @@
 package graph
 
 // Versioned binary CSR container ("DFPRCSR1"). This is the one on-disk
-// layout shared by durability checkpoints (via AppendBinary/DecodeCSR in
-// codec.go) and the zero-parse graph files that internal/gio memory-maps:
-// a fixed 64-byte header, both offset arrays, then both adjacency blobs.
-// All integers are little-endian and every array starts 8- or 4-aligned
-// relative to the container's first byte, so on a little-endian host a
-// page-aligned mapping can alias the arrays in place instead of copying.
+// layout, shared by durability checkpoints (internal/wal) and the
+// zero-parse graph files that internal/gio memory-maps: a fixed 64-byte
+// header, both offset arrays, then both adjacency blobs. All integers are
+// little-endian and every array starts 8- or 4-aligned relative to the
+// container's first byte, so on a little-endian host a page-aligned mapping
+// can alias the arrays in place instead of copying. Integrity is the
+// caller's concern (checkpoint files carry a checksum over the whole
+// payload); decoding still validates the structural invariants so a
+// corrupted but checksum-colliding payload cannot smuggle out-of-range
+// offsets into the kernels.
 //
 // Layout:
 //
 //	off  0  magic   "DFPRCSR1" (8 bytes)
 //	off  8  u32     version (currently 1)
-//	off 12  u32     flags (bit 0: compressed edge blobs)
+//	off 12  u32     flags (must be zero; bit 0, the retired delta-compressed
+//	                edge blobs, is refused with its own message)
 //	off 16  u64     n (vertices)
 //	off 24  u64     mOut (out-edges)
 //	off 32  u64     mIn (in-edges)
@@ -24,32 +29,22 @@ package graph
 //	     …  outBytes   out-adjacency blob
 //	     …  inBytes    in-adjacency blob
 //
-// Plain containers store adjacency as raw little-endian uint32 arrays
-// (outBytes = 4·mOut) and the ptr arrays hold edge indices, exactly the
-// in-memory CSR. Compressed containers store each row varint-delta coded
-// (first neighbour as a uvarint, then strictly positive uvarint gaps —
-// rows are sorted and duplicate-free, so gaps are ≥ 1) and the ptr arrays
-// hold byte offsets into the blob.
+// Adjacency is stored as raw little-endian uint32 arrays (outBytes = 4·mOut)
+// and the ptr arrays hold edge indices, exactly the in-memory CSR.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"runtime"
-	"sync"
 	"unsafe"
 )
 
-// containerMagic identifies a DFPRCSR1 container. Read as a little-endian
-// uint64 it is ≈ 3.5e18, far beyond any plausible vertex count, which is
-// how DecodeCSR distinguishes containers from the legacy headerless format
-// (whose first field is n).
+// containerMagic identifies a DFPRCSR1 container.
 var containerMagic = [8]byte{'D', 'F', 'P', 'R', 'C', 'S', 'R', '1'}
 
 const (
 	containerVersion = 1
 	containerHeader  = 64
-	flagCompressed   = 1 << 0
 )
 
 // IsContainer reports whether b starts with the DFPRCSR1 magic.
@@ -62,11 +57,19 @@ func (g *CSR) ContainerSize() int {
 	return containerHeader + 16*(g.n+1) + 4*(len(g.outAdj)+len(g.inAdj))
 }
 
-// AppendContainer serialises g as a plain DFPRCSR1 container onto dst and
-// returns the extended slice.
+// AppendContainer serialises g as a DFPRCSR1 container onto dst and returns
+// the extended slice.
 func (g *CSR) AppendContainer(dst []byte) []byte {
-	dst = appendContainerHeader(dst, 0, g.n, len(g.outAdj), len(g.inAdj),
-		4*len(g.outAdj), 4*len(g.inAdj))
+	le := binary.LittleEndian
+	dst = append(dst, containerMagic[:]...)
+	dst = le.AppendUint32(dst, containerVersion)
+	dst = le.AppendUint32(dst, 0) // flags
+	dst = le.AppendUint64(dst, uint64(g.n))
+	dst = le.AppendUint64(dst, uint64(len(g.outAdj)))
+	dst = le.AppendUint64(dst, uint64(len(g.inAdj)))
+	dst = le.AppendUint64(dst, uint64(4*len(g.outAdj)))
+	dst = le.AppendUint64(dst, uint64(4*len(g.inAdj)))
+	dst = le.AppendUint64(dst, 0) // reserved
 	dst = appendU64s(dst, g.outPtr)
 	dst = appendU64s(dst, g.inPtr)
 	dst = appendU32s(dst, g.outAdj)
@@ -75,317 +78,78 @@ func (g *CSR) AppendContainer(dst []byte) []byte {
 }
 
 // Bytes returns the resident size of the snapshot's arrays in bytes — the
-// RAM the graph itself occupies, exported as the plain-layout graph_bytes
-// gauge.
+// RAM the graph itself occupies, exported as the graph_bytes gauge.
 func (g *CSR) Bytes() int {
 	return 8*(len(g.outPtr)+len(g.inPtr)) + 4*(len(g.outAdj)+len(g.inAdj))
 }
 
-// CompressedCSR is a CSR snapshot with varint-delta-coded adjacency rows.
-// It halves (typically) the edge-array footprint in exchange for a
-// decode-on-sweep access path: rows are materialised into a caller-owned
-// buffer via AppendOut/AppendIn instead of being sliced in place.
-type CompressedCSR struct {
-	n         int
-	mOut, mIn int
-	outPtr    []uint64 // byte offsets into outBlob, length n+1
-	outBlob   []byte
-	inPtr     []uint64
-	inBlob    []byte
-}
-
-// N returns the number of vertices.
-func (c *CompressedCSR) N() int { return c.n }
-
-// M returns the number of directed edges.
-func (c *CompressedCSR) M() int { return c.mOut }
-
-// Bytes returns the resident size of the compressed arrays in bytes,
-// exported as the compressed-layout graph_bytes gauge.
-func (c *CompressedCSR) Bytes() int {
-	return 8*(len(c.outPtr)+len(c.inPtr)) + len(c.outBlob) + len(c.inBlob)
-}
-
-// ContainerSize returns the exact byte length AppendContainer produces.
-func (c *CompressedCSR) ContainerSize() int {
-	return containerHeader + 16*(c.n+1) + len(c.outBlob) + len(c.inBlob)
-}
-
-// AppendContainer serialises c as a compressed DFPRCSR1 container onto dst
-// and returns the extended slice.
-func (c *CompressedCSR) AppendContainer(dst []byte) []byte {
-	dst = appendContainerHeader(dst, flagCompressed, c.n, c.mOut, c.mIn,
-		len(c.outBlob), len(c.inBlob))
-	dst = appendU64s(dst, c.outPtr)
-	dst = appendU64s(dst, c.inPtr)
-	dst = append(dst, c.outBlob...)
-	dst = append(dst, c.inBlob...)
-	return dst
-}
-
-// AppendOut decodes the out-row of v onto buf and returns it. buf keeps its
-// backing array across calls, so a recycled per-worker buffer makes this
-// allocation-free in steady state.
-//
-//dfpr:hotpath
-func (c *CompressedCSR) AppendOut(v uint32, buf []uint32) []uint32 {
-	return appendRow(c.outBlob[c.outPtr[v]:c.outPtr[v+1]], buf)
-}
-
-// AppendIn decodes the in-row of v onto buf and returns it (see AppendOut).
-//
-//dfpr:hotpath
-func (c *CompressedCSR) AppendIn(v uint32, buf []uint32) []uint32 {
-	return appendRow(c.inBlob[c.inPtr[v]:c.inPtr[v+1]], buf)
-}
-
-// appendRow decodes one varint-delta row onto buf. Rows are validated at
-// decode time, so a malformed varint (k ≤ 0) cannot occur on data that
-// reached a kernel; the guard only prevents a pathological infinite loop.
-//
-//dfpr:hotpath
-func appendRow(row []byte, buf []uint32) []uint32 {
-	prev := uint32(0)
-	first := true
-	for len(row) > 0 {
-		d, k := binary.Uvarint(row)
-		if k <= 0 {
-			break
-		}
-		row = row[k:]
-		if first {
-			prev = uint32(d)
-			first = false
-		} else {
-			prev += uint32(d)
-		}
-		buf = append(buf, prev)
-	}
-	return buf
-}
-
-// CompressCSR delta-compresses g's adjacency rows. The offset arrays stay
-// uncompressed (they are the row index the kernels seek by); only the edge
-// blobs shrink.
-func CompressCSR(g *CSR) *CompressedCSR {
-	c := &CompressedCSR{n: g.n, mOut: len(g.outAdj), mIn: len(g.inAdj)}
-	c.outPtr, c.outBlob = compressSide(g.n, g.outPtr, g.outAdj)
-	c.inPtr, c.inBlob = compressSide(g.n, g.inPtr, g.inAdj)
-	return c
-}
-
-func compressSide(n int, ptr []uint64, adj []uint32) ([]uint64, []byte) {
-	bptr := make([]uint64, n+1)
-	blob := make([]byte, 0, len(adj)+n/4+16)
-	var tmp [binary.MaxVarintLen64]byte
-	for v := 0; v < n; v++ {
-		bptr[v] = uint64(len(blob))
-		row := adj[ptr[v]:ptr[v+1]]
-		prev := uint64(0)
-		for i, x := range row {
-			d := uint64(x) - prev
-			if i == 0 {
-				d = uint64(x)
-			}
-			blob = append(blob, tmp[:binary.PutUvarint(tmp[:], d)]...)
-			prev = uint64(x)
-		}
-	}
-	bptr[n] = uint64(len(blob))
-	return bptr, blob
-}
-
-// Decompress materialises the plain CSR. The result shares nothing with c.
-func (c *CompressedCSR) Decompress() *CSR {
-	g := &CSR{n: c.n}
-	g.outPtr, g.outAdj = decompressSide(c.n, c.mOut, c.outPtr, c.outBlob)
-	g.inPtr, g.inAdj = decompressSide(c.n, c.mIn, c.inPtr, c.inBlob)
-	return g
-}
-
-func decompressSide(n, m int, bptr []uint64, blob []byte) ([]uint64, []uint32) {
-	ptr := make([]uint64, n+1)
-	adj := make([]uint32, 0, m)
-	for v := 0; v < n; v++ {
-		ptr[v] = uint64(len(adj))
-		adj = appendRow(blob[bptr[v]:bptr[v+1]], adj)
-	}
-	ptr[n] = uint64(len(adj))
-	return ptr, adj
-}
-
-// DecodeContainer parses a DFPRCSR1 container. Exactly one of the returned
-// graphs is non-nil, matching the container's compressed flag. With
-// alias=true (and a little-endian host and suitably aligned buffer) the
-// returned arrays alias b directly — the caller must keep b alive and
-// unmodified for the graph's lifetime; this is the zero-copy path under
-// gio.LoadCSRMapped. Either way the structural invariants are validated
-// before returning, so a corrupted container cannot smuggle out-of-range
-// offsets into the kernels.
-func DecodeContainer(b []byte, alias bool) (*CSR, *CompressedCSR, error) {
+// DecodeContainer parses a DFPRCSR1 container. With alias=true (and a
+// little-endian host and suitably aligned buffer) the returned arrays alias
+// b directly — the caller must keep b alive and unmodified for the graph's
+// lifetime; this is the zero-copy path under gio.LoadCSRMapped. Either way
+// the structural invariants are validated before returning, so a corrupted
+// container cannot smuggle out-of-range offsets into the kernels.
+func DecodeContainer(b []byte, alias bool) (*CSR, error) {
 	le := binary.LittleEndian
 	if !IsContainer(b) {
-		return nil, nil, fmt.Errorf("graph: not a DFPRCSR1 container")
+		return nil, fmt.Errorf("graph: not a DFPRCSR1 container")
 	}
 	if len(b) < containerHeader {
-		return nil, nil, fmt.Errorf("graph: truncated container header (%d bytes)", len(b))
+		return nil, fmt.Errorf("graph: truncated container header (%d bytes)", len(b))
 	}
 	if v := le.Uint32(b[8:]); v != containerVersion {
-		return nil, nil, fmt.Errorf("graph: unsupported container version %d", v)
+		return nil, fmt.Errorf("graph: unsupported container version %d", v)
 	}
-	flags := le.Uint32(b[12:])
+	switch flags := le.Uint32(b[12:]); {
+	case flags&1 != 0:
+		return nil, fmt.Errorf("graph: delta-compressed containers are no longer supported; regenerate with `prgen -csr`")
+	case flags != 0:
+		return nil, fmt.Errorf("graph: unknown container flags %#x", flags)
+	}
 	n := int(le.Uint64(b[16:]))
 	mOut := int(le.Uint64(b[24:]))
 	mIn := int(le.Uint64(b[32:]))
 	outBytes := int(le.Uint64(b[40:]))
 	inBytes := int(le.Uint64(b[48:]))
 	if n < 0 || mOut < 0 || mIn < 0 || outBytes < 0 || inBytes < 0 {
-		return nil, nil, fmt.Errorf("graph: negative container dimensions (n=%d mOut=%d mIn=%d)", n, mOut, mIn)
+		return nil, fmt.Errorf("graph: negative container dimensions (n=%d mOut=%d mIn=%d)", n, mOut, mIn)
 	}
 	if mOut != mIn {
-		return nil, nil, fmt.Errorf("graph: out edges (%d) != in edges (%d)", mOut, mIn)
+		return nil, fmt.Errorf("graph: out edges (%d) != in edges (%d)", mOut, mIn)
 	}
 	want := containerHeader + 16*(n+1) + outBytes + inBytes
 	if len(b) != want {
-		return nil, nil, fmt.Errorf("graph: container payload %d bytes, want %d (n=%d mOut=%d mIn=%d)", len(b), want, n, mOut, mIn)
-	}
-	ptrB := b[containerHeader:]
-	outPtr := u64view(ptrB[:8*(n+1)], alias)
-	inPtr := u64view(ptrB[8*(n+1):16*(n+1)], alias)
-	blobB := ptrB[16*(n+1):]
-	outBlob := blobB[:outBytes]
-	inBlob := blobB[outBytes:]
-
-	if flags&flagCompressed != 0 {
-		c := &CompressedCSR{n: n, mOut: mOut, mIn: mIn, outPtr: outPtr, inPtr: inPtr}
-		if alias {
-			c.outBlob, c.inBlob = outBlob, inBlob
-		} else {
-			c.outBlob = append([]byte(nil), outBlob...)
-			c.inBlob = append([]byte(nil), inBlob...)
-		}
-		if err := c.validate(); err != nil {
-			return nil, nil, err
-		}
-		return nil, c, nil
+		return nil, fmt.Errorf("graph: container payload %d bytes, want %d (n=%d mOut=%d mIn=%d)", len(b), want, n, mOut, mIn)
 	}
 	if outBytes != 4*mOut || inBytes != 4*mIn {
-		return nil, nil, fmt.Errorf("graph: plain container blob sizes %d/%d do not match edge counts %d/%d", outBytes, inBytes, mOut, mIn)
+		return nil, fmt.Errorf("graph: container blob sizes %d/%d do not match edge counts %d/%d", outBytes, inBytes, mOut, mIn)
 	}
+	ptrB := b[containerHeader:]
+	blobB := ptrB[16*(n+1):]
 	g := &CSR{
 		n:      n,
-		outPtr: outPtr,
-		outAdj: u32view(outBlob, alias),
-		inPtr:  inPtr,
-		inAdj:  u32view(inBlob, alias),
+		outPtr: u64view(ptrB[:8*(n+1)], alias),
+		outAdj: u32view(blobB[:outBytes], alias),
+		inPtr:  u64view(ptrB[8*(n+1):16*(n+1)], alias),
+		inAdj:  u32view(blobB[outBytes:], alias),
 	}
 	if err := validateSide("out", n, g.outPtr, g.outAdj); err != nil {
-		return nil, nil, fmt.Errorf("graph: decoded container invalid: %w", err)
+		return nil, fmt.Errorf("graph: decoded container invalid: %w", err)
 	}
 	if err := validateSide("in", n, g.inPtr, g.inAdj); err != nil {
-		return nil, nil, fmt.Errorf("graph: decoded container invalid: %w", err)
+		return nil, fmt.Errorf("graph: decoded container invalid: %w", err)
 	}
-	return g, nil, nil
+	return g, nil
 }
 
-// validate checks the compressed container's structural invariants by
-// walking every row: byte offsets spanning the blobs monotonically, rows
-// strictly increasing with in-range ids, and total decoded edge counts
-// matching the header. Rows are independent once the span check passes, so
-// large graphs validate in parallel chunks, mirroring validateSide.
-func (c *CompressedCSR) validate() error {
-	if err := validateCompressedSide("out", c.n, c.mOut, c.outPtr, c.outBlob); err != nil {
-		return err
-	}
-	return validateCompressedSide("in", c.n, c.mIn, c.inPtr, c.inBlob)
-}
-
-func validateCompressedSide(name string, n, m int, ptr []uint64, blob []byte) error {
-	if len(ptr) != n+1 || ptr[0] != 0 || ptr[n] != uint64(len(blob)) {
-		return fmt.Errorf("graph: %s byte offsets do not span blob", name)
-	}
-	workers := 1
-	if n >= 1<<15 {
-		workers = min(runtime.GOMAXPROCS(0), 8)
-	}
-	counts := make([]int, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	per := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := min(lo+per, n)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			counts[w], errs[w] = validateCompressedRows(name, n, lo, hi, ptr, blob)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := 0
-	for w := range counts {
-		if errs[w] != nil {
-			return errs[w]
-		}
-		total += counts[w]
-	}
-	if total != m {
-		return fmt.Errorf("graph: %s blob decodes %d edges, header says %d", name, total, m)
-	}
-	return nil
-}
-
-func validateCompressedRows(name string, n, lo, hi int, ptr []uint64, blob []byte) (int, error) {
-	count := 0
-	for v := lo; v < hi; v++ {
-		a, b := ptr[v], ptr[v+1]
-		if a > b || b > uint64(len(blob)) {
-			return 0, fmt.Errorf("graph: %s byte offsets not monotone at vertex %d", name, v)
-		}
-		row := blob[a:b]
-		prev := int64(-1)
-		for len(row) > 0 {
-			d, k := binary.Uvarint(row)
-			if k <= 0 {
-				return 0, fmt.Errorf("graph: %s row %d: malformed varint", name, v)
-			}
-			row = row[k:]
-			var x int64
-			if prev < 0 {
-				x = int64(d)
-			} else {
-				if d == 0 {
-					return 0, fmt.Errorf("graph: %s row %d: duplicate neighbour %d", name, v, prev)
-				}
-				x = prev + int64(d)
-			}
-			if x >= int64(n) {
-				return 0, fmt.Errorf("graph: %s row %d: neighbour %d out of range (n=%d)", name, v, x, n)
-			}
-			prev = x
-			count++
-		}
-	}
-	return count, nil
-}
-
-// appendContainerHeader writes the fixed 64-byte DFPRCSR1 header.
-func appendContainerHeader(dst []byte, flags uint32, n, mOut, mIn, outBytes, inBytes int) []byte {
-	le := binary.LittleEndian
-	dst = append(dst, containerMagic[:]...)
-	dst = le.AppendUint32(dst, containerVersion)
-	dst = le.AppendUint32(dst, flags)
-	dst = le.AppendUint64(dst, uint64(n))
-	dst = le.AppendUint64(dst, uint64(mOut))
-	dst = le.AppendUint64(dst, uint64(mIn))
-	dst = le.AppendUint64(dst, uint64(outBytes))
-	dst = le.AppendUint64(dst, uint64(inBytes))
-	dst = le.AppendUint64(dst, 0)
-	return dst
-}
+// leHost reports whether the host lays out integers little-endian — the
+// container's wire order — in which case each array encodes and decodes as
+// one block copy (or an aliased view) instead of an element-wise loop. The
+// element-wise fallback keeps the format portable to big-endian hosts.
+var leHost = func() bool {
+	x := uint16(0x0102)
+	return *(*byte)(unsafe.Pointer(&x)) == 0x02
+}()
 
 // appendU64s appends xs little-endian onto dst; one block copy on LE hosts.
 func appendU64s(dst []byte, xs []uint64) []byte {

@@ -3,8 +3,10 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -24,28 +26,6 @@ func csrSame(a, b *CSR) bool {
 		reflect.DeepEqual(a.inAdj, b.inAdj)
 }
 
-// appendLegacyBinary reproduces the pre-container checkpoint payload so we
-// can prove old checkpoints still decode.
-func appendLegacyBinary(dst []byte, g *CSR) []byte {
-	le := binary.LittleEndian
-	dst = le.AppendUint64(dst, uint64(g.n))
-	dst = le.AppendUint64(dst, uint64(len(g.outAdj)))
-	dst = le.AppendUint64(dst, uint64(len(g.inAdj)))
-	for _, p := range g.outPtr {
-		dst = le.AppendUint64(dst, p)
-	}
-	for _, v := range g.outAdj {
-		dst = le.AppendUint32(dst, v)
-	}
-	for _, p := range g.inPtr {
-		dst = le.AppendUint64(dst, p)
-	}
-	for _, v := range g.inAdj {
-		dst = le.AppendUint32(dst, v)
-	}
-	return dst
-}
-
 func TestContainerPlainRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, dims := range [][2]int{{1, 0}, {5, 8}, {300, 2000}, {1 << 15, 1 << 15}} {
@@ -58,12 +38,9 @@ func TestContainerPlainRoundTrip(t *testing.T) {
 			t.Fatal("container does not sniff as container")
 		}
 		for _, alias := range []bool{false, true} {
-			got, c, err := DecodeContainer(b, alias)
+			got, err := DecodeContainer(b, alias)
 			if err != nil {
 				t.Fatalf("n=%d alias=%v: %v", dims[0], alias, err)
-			}
-			if c != nil {
-				t.Fatal("plain container decoded as compressed")
 			}
 			if !csrSame(g, got) {
 				t.Fatalf("n=%d alias=%v: round trip mismatch", dims[0], alias)
@@ -71,88 +48,46 @@ func TestContainerPlainRoundTrip(t *testing.T) {
 			mustValid(t, got)
 		}
 	}
-}
+	if !bytes.Equal(containerMagic[:], []byte("DFPRCSR1")) {
+		t.Error("magic drifted from documented value")
+	}
 
-func TestContainerCompressedRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, dims := range [][2]int{{1, 0}, {5, 8}, {300, 2000}, {1 << 15, 1 << 16}} {
-		g := randomCSR(rng, dims[0], dims[1])
-		c := CompressCSR(g)
-		if c.N() != g.N() || c.M() != g.M() {
-			t.Fatalf("compressed dims %d/%d, want %d/%d", c.N(), c.M(), g.N(), g.M())
-		}
-		if !csrSame(g, c.Decompress()) {
-			t.Fatal("Decompress does not invert CompressCSR")
-		}
-		b := c.AppendContainer(nil)
-		if len(b) != c.ContainerSize() {
-			t.Fatalf("encoded %d bytes, ContainerSize says %d", len(b), c.ContainerSize())
-		}
-		for _, alias := range []bool{false, true} {
-			p, got, err := DecodeContainer(b, alias)
-			if err != nil {
-				t.Fatalf("alias=%v: %v", alias, err)
-			}
-			if p != nil {
-				t.Fatal("compressed container decoded as plain")
-			}
-			if !csrSame(g, got.Decompress()) {
-				t.Fatalf("alias=%v: compressed round trip mismatch", alias)
-			}
-		}
+	// The byte layout is a compatibility contract: checkpoints and prgen -csr
+	// files written by earlier builds must keep loading. This is the
+	// container PR 20's AppendContainer produced for the 3-vertex graph below.
+	golden, err := hex.DecodeString(strings.Join([]string{
+		"4446505243535231010000000000000003000000000000000400000000000000",
+		"0400000000000000100000000000000010000000000000000000000000000000",
+		"0000000000000000020000000000000003000000000000000400000000000000",
+		"0000000000000000010000000000000002000000000000000400000000000000",
+		"0100000002000000020000000000000002000000000000000000000001000000",
+	}, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := FromEdges(3, []Edge{{0, 1}, {0, 2}, {1, 2}, {2, 0}})
+	if b := g.AppendContainer(nil); !bytes.Equal(b, golden) {
+		t.Errorf("container bytes moved:\n got %x\nwant %x", b, golden)
+	}
+	if got, err := DecodeContainer(golden, false); err != nil || !csrSame(g, got) {
+		t.Errorf("golden container does not decode back: err=%v", err)
 	}
 }
 
-func TestCompressedRowAccess(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := randomCSR(rng, 200, 1500)
-	c := CompressCSR(g)
-	buf := make([]uint32, 0, 64)
-	for v := uint32(0); int(v) < g.N(); v++ {
-		buf = c.AppendOut(v, buf[:0])
-		if len(buf) != len(g.Out(v)) || (len(buf) > 0 && !reflect.DeepEqual(buf, g.Out(v))) {
-			t.Fatalf("AppendOut(%d) = %v, want %v", v, buf, g.Out(v))
-		}
-		buf = c.AppendIn(v, buf[:0])
-		if len(buf) != len(g.In(v)) || (len(buf) > 0 && !reflect.DeepEqual(buf, g.In(v))) {
-			t.Fatalf("AppendIn(%d) = %v, want %v", v, buf, g.In(v))
-		}
-	}
-}
-
-func TestCompressedShrinksDenseRows(t *testing.T) {
-	// A graph with clustered neighbourhoods (small deltas) must compress
-	// well below 4 bytes/edge; this is the ~2× RAM trade the option sells.
-	n := 4096
-	edges := make([]Edge, 0, 8*n)
-	for u := 0; u < n; u++ {
-		for d := 1; d <= 8; d++ {
-			edges = append(edges, Edge{uint32(u), uint32((u + d) % n)})
-		}
-	}
-	g := FromEdges(n, edges)
-	c := CompressCSR(g)
-	plain, packed := g.Bytes(), c.Bytes()
-	if packed >= plain/2 {
-		t.Errorf("compressed %d bytes vs plain %d: expected < half", packed, plain)
-	}
-}
-
+// TestDecodeCSRAcceptsAllFormats pins the checkpoint decode call
+// (DecodeContainer with alias=false) on the one surviving format: the graph
+// comes back equal and owns its arrays, so the payload buffer can be reused.
 func TestDecodeCSRAcceptsAllFormats(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := randomCSR(rng, 100, 700)
-	for name, payload := range map[string][]byte{
-		"legacy":     appendLegacyBinary(nil, g),
-		"container":  g.AppendContainer(nil),
-		"compressed": CompressCSR(g).AppendContainer(nil),
-	} {
-		got, err := DecodeCSR(payload)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !csrSame(g, got) {
-			t.Fatalf("%s: decode mismatch", name)
-		}
+	payload := g.AppendContainer(nil)
+	got, err := DecodeContainer(payload, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(payload)
+	if !csrSame(g, got) {
+		t.Fatal("decode mismatch, or the copying decode aliased its payload")
 	}
 }
 
@@ -160,7 +95,6 @@ func TestDecodeContainerRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomCSR(rng, 50, 300)
 	base := g.AppendContainer(nil)
-	cbase := CompressCSR(g).AppendContainer(nil)
 
 	mutate := func(b []byte, f func([]byte)) []byte {
 		m := append([]byte(nil), b...)
@@ -177,17 +111,17 @@ func TestDecodeContainerRejectsCorruption(t *testing.T) {
 		"adjacency out of range": mutate(base, func(b []byte) {
 			binary.LittleEndian.PutUint32(b[containerHeader+16*(g.n+1):], 1<<20)
 		}),
-		"compressed bad varint": mutate(cbase, func(b []byte) {
-			off := containerHeader + 16*(g.n+1)
-			for i := off; i < len(b); i++ {
-				b[i] = 0x80 // continuation bit forever: malformed
-			}
-		}),
+		"unknown flag bit":    mutate(base, func(b []byte) { binary.LittleEndian.PutUint32(b[12:], 2) }),
+		"compressed flag bit": mutate(base, func(b []byte) { binary.LittleEndian.PutUint32(b[12:], 1) }),
 	}
 	for name, b := range cases {
-		if _, _, err := DecodeContainer(b, false); err == nil {
+		if _, err := DecodeContainer(b, false); err == nil {
 			t.Errorf("%s: DecodeContainer accepted corrupt payload", name)
 		}
+	}
+	// A file from an older prgen -compress must say what to do about it.
+	if _, err := DecodeContainer(cases["compressed flag bit"], false); err == nil || !strings.Contains(err.Error(), "regenerate with `prgen -csr`") {
+		t.Errorf("compressed flag bit: err = %v, want the regenerate message", err)
 	}
 }
 
@@ -195,7 +129,7 @@ func TestDecodeContainerAliasSharesStorage(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := randomCSR(rng, 64, 400)
 	b := g.AppendContainer(nil)
-	got, _, err := DecodeContainer(b, true)
+	got, err := DecodeContainer(b, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,22 +146,5 @@ func TestDecodeContainerAliasSharesStorage(t *testing.T) {
 	binary.LittleEndian.PutUint32(b[adjOff:], want)
 	if got.outAdj[0] != want {
 		t.Error("alias decode copied the adjacency array")
-	}
-}
-
-func TestContainerMagicCannotCollideWithLegacy(t *testing.T) {
-	// A legacy payload's first 8 bytes are the vertex count; the magic as a
-	// uint64 is astronomically larger than any payload the length check
-	// would accept, so sniffing cannot misroute either format.
-	magicAsN := binary.LittleEndian.Uint64(containerMagic[:])
-	if magicAsN < 1<<60 {
-		t.Fatalf("container magic %d is small enough to be a plausible vertex count", magicAsN)
-	}
-	legacy := appendLegacyBinary(nil, FromEdges(3, []Edge{{0, 1}}))
-	if IsContainer(legacy) {
-		t.Error("legacy payload sniffs as container")
-	}
-	if !bytes.Equal(containerMagic[:], []byte("DFPRCSR1")) {
-		t.Error("magic drifted from documented value")
 	}
 }

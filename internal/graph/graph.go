@@ -128,7 +128,7 @@ func (g *CSR) Validate() error {
 // the adjacency monotonically, every neighbour in range, every row sorted
 // and duplicate-free. Rows are independent once the span check has passed,
 // so large graphs are validated in parallel chunks — this is a per-element
-// branchy walk that sits on the warm-restart critical path via DecodeCSR.
+// branchy walk that sits on the warm-restart critical path via DecodeContainer.
 func validateSide(name string, n int, ptr []uint64, adj []uint32) error {
 	if ptr[0] != 0 || ptr[n] != uint64(len(adj)) {
 		return fmt.Errorf("graph: %s offsets do not span adjacency", name)

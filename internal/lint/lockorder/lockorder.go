@@ -22,8 +22,8 @@
 //     append may be conditional — storeApply skips it for spans that came
 //     out of the log, since appending them again would double the log — the
 //     rule is about order in the source, not about every path taking it.
-//     (The store's own methods delegating to each other, and tests driving
-//     the store directly, are exempt; they are below the WAL, not around it.)
+//     (Tests driving the store directly are exempt; they are below the WAL,
+//     not around it.)
 //
 // The analysis is a linear, defer-aware scan of each function body (lock
 // intervals by source position, closures analyzed as their own scopes).
@@ -81,11 +81,8 @@ var durMuKey = lockKey{"durability", "mu"}
 func run(pass *analysis.Pass) (interface{}, error) {
 	lintutil.ForEachFuncDecl(pass.Files, func(fd *ast.FuncDecl) {
 		inTest := strings.HasSuffix(pass.Fset.Position(fd.Pos()).Filename, "_test.go")
-		// The store's own methods delegating to each other is not a
-		// publish around the WAL; rule 3 targets callers of the store.
-		onStore := receiverName(pass.TypesInfo, fd) == "Store"
 		for _, scope := range scopes(fd.Body) {
-			simulate(pass, fd.Name.Name, scope, inTest || onStore)
+			simulate(pass, fd.Name.Name, scope, inTest)
 		}
 	})
 	return nil, nil
@@ -260,19 +257,6 @@ func mutexField(info *types.Info, call *ast.CallExpr) (lockKey, bool) {
 		return lockKey{}, false
 	}
 	return lockKey{owner: owner, field: field.Sel.Name}, true
-}
-
-// receiverName returns the named type a method declaration is bound to, or
-// "" for plain functions.
-func receiverName(info *types.Info, fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	tv, ok := info.Types[fd.Recv.List[0].Type]
-	if !ok {
-		return ""
-	}
-	return namedName(tv.Type)
 }
 
 // namedName returns the name of t's named type, dereferencing one pointer.

@@ -149,11 +149,6 @@ func (s *Store) applyLocked(up batch.Update, seq uint64) (prev, next *Version) {
 	return prev, next
 }
 
-// ApplyEdges is Apply for callers holding raw edge slices.
-func (s *Store) ApplyEdges(del, ins []graph.Edge) (prev, next *Version) {
-	return s.Apply(batch.Update{Del: del, Ins: ins})
-}
-
 // Since returns the contiguous chain of versions with Seq in (afterSeq,
 // latest], oldest first, and ok=false when the requested range has been
 // evicted from history (the caller must then recompute statically).
@@ -353,108 +348,101 @@ func (r *Ranker) Behind() uint64 {
 	return r.store.Current().Seq - r.seq
 }
 
-// Refresh brings the ranks up to the store's latest version, replaying each
-// pending batch with the configured dynamic algorithm (or recomputing once
-// with the configured static algorithm). When the pending history has been
-// evicted (the ranker lagged more than the store's retention) it falls back
-// to one static recomputation. It returns the last result and the number of
-// versions advanced.
+// Refresh brings the ranks up to the store's latest version and returns the
+// last run's result with the number of versions advanced — always the Seq
+// distance the ranks moved during the call, whatever path moved them (a
+// version published by ApplyAt at a sequence jump counts the whole jump).
+//
+// A dynamic algo replays the pending chain span by span: the whole chain as
+// one span under CoalesceSpans, one version per span otherwise. When the
+// pending history has been evicted (the ranker lagged more than the store's
+// retention), or an incremental run fails, it falls back to one static
+// recomputation on the newest version. A static algo recomputes with itself
+// once per Refresh that finds a new version.
 //
 // Cancellation of ctx aborts the run in progress; the rank vector then
 // stays at the last version that completed, the returned error wraps
 // core.ErrCanceled, and no static fallback is attempted (cancellation is
 // the caller's decision, not a failure to recover from).
 func (r *Ranker) Refresh(ctx context.Context) (core.Result, int, error) {
-	if !r.algo.Dynamic() {
-		return r.refreshStatic(ctx)
-	}
-	chain, ok := r.store.Since(r.seq)
-	if !ok {
-		return r.rebuild(ctx)
-	}
-	if len(chain) == 0 {
-		return core.Result{Ranks: r.ranks, Converged: true}, 0, nil
-	}
-	advanced := 0
-	var last core.Result
-	// The first pending update applies on top of the ranker's own version;
-	// its graph is needed as G^{t-1} so that marking sees deleted edges'
-	// targets. If that parent version has just been evicted, replaying would
-	// silently miss deletion targets — rebuild instead.
-	parent, ok := r.store.Get(r.seq)
-	if !ok {
-		return r.rebuild(ctx)
-	}
-	prevG := parent.G
-	if r.CoalesceSpans && len(chain) > 1 {
-		return r.refreshSpan(ctx, prevG, chain)
-	}
-	for _, v := range chain {
-		gOld, prev := grownInputs(prevG, r.ranks, v.G.N())
-		in := core.Input{
-			GOld: gOld, GNew: v.G,
-			Del: v.Update.Del, Ins: v.Update.Ins,
-			Prev: prev,
-		}
-		last = core.RunCtx(ctx, r.algo, in, r.cfg)
-		r.noteRun(last)
-		if last.Err != nil {
-			if errors.Is(last.Err, core.ErrCanceled) {
-				return last, advanced, fmt.Errorf("snapshot: refresh aborted at version %d: %w", v.Seq, last.Err)
-			}
-			if r.DisableFallback {
-				return last, advanced, fmt.Errorf("snapshot: incremental refresh failed at version %d: %w", v.Seq, last.Err)
-			}
-			// A crashed/failed incremental step must not poison the vector:
-			// rebuild from scratch on the newest snapshot.
-			return r.rebuild(ctx)
-		}
-		r.ranks = last.Ranks
-		r.seq = v.Seq
-		r.cur = v
-		prevG = v.G
-		r.Refreshes++
-		advanced++
-	}
-	return last, advanced, nil
+	from := r.seq
+	res, err := r.catchUp(ctx)
+	return res, int(r.seq - from), err
 }
 
-// refreshSpan replays a multi-version pending chain as one incremental run
-// over the merged batch (see CoalesceSpans). prevG is the graph the current
-// ranks were converged on; the run lands directly on the chain's final
-// version. Error handling mirrors the per-version path: cancellation
-// surfaces as-is (advanced 0, ranks untouched), a failed run rebuilds
-// statically unless DisableFallback holds it back.
-func (r *Ranker) refreshSpan(ctx context.Context, prevG *graph.CSR, chain []*Version) (core.Result, int, error) {
-	ups := make([]batch.Update, len(chain))
-	for i, v := range chain {
-		ups[i] = v.Update
+// catchUp is Refresh without the distance bookkeeping: it moves the ranker
+// only through land, so Refresh reads the advance off r.seq.
+func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
+	if r.store.Current().Seq == r.seq {
+		return core.Result{Ranks: r.ranks, Converged: true}, nil
 	}
-	merged := batch.Merge(ups...)
-	last := chain[len(chain)-1]
-	gOld, prev := grownInputs(prevG, r.ranks, last.G.N())
-	in := core.Input{
-		GOld: gOld, GNew: last.G,
-		Del: merged.Del, Ins: merged.Ins,
-		Prev: prev,
+	if !r.algo.Dynamic() {
+		return r.recompute(ctx, r.algo, &r.Refreshes)
 	}
-	res := core.RunCtx(ctx, r.algo, in, r.cfg)
+	// Replaying needs the pending chain and the ranker's own version still
+	// retained (in the ring or by a pin): the first span applies on top of
+	// it, and its graph is the G^{t-1} where marking finds deleted edges'
+	// targets.
+	chain, ok := r.store.Since(r.seq)
+	if _, held := r.store.Get(r.seq); !ok || !held {
+		return r.recompute(ctx, core.AlgoStaticBB, &r.Rebuilds)
+	}
+	step := 1
+	if r.CoalesceSpans {
+		step = len(chain)
+	}
+	var last core.Result
+	for ; len(chain) > 0; chain = chain[step:] {
+		tip := chain[step-1]
+		up := tip.Update
+		if step > 1 {
+			ups := make([]batch.Update, step)
+			for i, v := range chain[:step] {
+				ups[i] = v.Update
+			}
+			up = batch.Merge(ups...)
+		}
+		gOld, prev := grownInputs(r.cur.G, r.ranks, tip.G.N())
+		in := core.Input{GOld: gOld, GNew: tip.G, Del: up.Del, Ins: up.Ins, Prev: prev}
+		last = core.RunCtx(ctx, r.algo, in, r.cfg)
+		r.noteRun(last)
+		switch {
+		case last.Err == nil:
+			r.land(tip, last, &r.Refreshes)
+		case errors.Is(last.Err, core.ErrCanceled):
+			return last, fmt.Errorf("snapshot: refresh aborted at version %d: %w", tip.Seq, last.Err)
+		case r.DisableFallback:
+			return last, fmt.Errorf("snapshot: incremental refresh failed at version %d: %w", tip.Seq, last.Err)
+		default:
+			// A crashed/failed incremental run must not poison the vector:
+			// rebuild from scratch on the newest snapshot.
+			return r.recompute(ctx, core.AlgoStaticBB, &r.Rebuilds)
+		}
+	}
+	return last, nil
+}
+
+// recompute runs static algo on the store's newest version and lands the
+// ranker there, counting it in counter: a static ranker's Refreshes, or a
+// dynamic ranker's Rebuilds when it cannot (or failed to) replay.
+func (r *Ranker) recompute(ctx context.Context, algo core.Algo, counter *int) (core.Result, error) {
+	v := r.store.Current()
+	res := core.RunCtx(ctx, algo, core.Input{GNew: v.G}, r.cfg)
 	r.noteRun(res)
 	if res.Err != nil {
-		if errors.Is(res.Err, core.ErrCanceled) {
-			return res, 0, fmt.Errorf("snapshot: coalesced refresh aborted at version %d: %w", last.Seq, res.Err)
-		}
-		if r.DisableFallback {
-			return res, 0, fmt.Errorf("snapshot: coalesced incremental refresh failed at version %d: %w", last.Seq, res.Err)
-		}
-		return r.rebuild(ctx)
+		return res, fmt.Errorf("snapshot: static recomputation failed at version %d: %w", v.Seq, res.Err)
 	}
-	advanced := int(last.Seq - r.seq)
-	r.ranks = res.Ranks
-	r.seq = last.Seq
-	r.cur = last
-	r.Refreshes++ // one run covered the whole span
-	return res, advanced, nil
+	r.land(v, res, counter)
+	return res, nil
+}
+
+// land makes a finished run the ranker's state. It is the only writer of
+// ranks/seq/cur and of the Refreshes/Rebuilds counters after construction,
+// so Seq() == Version().Seq and len(ranks) == Version().G.N() hold after
+// every outcome.
+func (r *Ranker) land(v *Version, res core.Result, counter *int) {
+	r.ranks, r.seq, r.cur = res.Ranks, v.Seq, v
+	*counter++
 }
 
 // grownInputs adapts the (previous graph, previous ranks) pair of an
@@ -471,88 +459,4 @@ func grownInputs(gOld *graph.CSR, ranks []float64, n int) (*graph.CSR, []float64
 		return gOld, ranks
 	}
 	return gOld.WithN(n), core.GrowRanks(ranks, n)
-}
-
-// RefreshTrace is Refresh with frontier observability: each pending version
-// is replayed with core.TraceDF (single-threaded, deterministic), and the
-// per-pass frontier sizes of every replayed version are concatenated into
-// one series. Only meaningful for the Dynamic Frontier algorithms; other
-// algos are rejected. Evicted history falls back to an untraced static
-// rebuild (the frontier concept does not apply to a full recompute).
-func (r *Ranker) RefreshTrace(ctx context.Context) (core.Result, []core.FrontierStats, int, error) {
-	if r.algo != core.AlgoDFBB && r.algo != core.AlgoDFLF {
-		return core.Result{}, nil, 0, fmt.Errorf("snapshot: %v cannot trace a frontier (Dynamic Frontier only)", r.algo)
-	}
-	chain, ok := r.store.Since(r.seq)
-	if !ok {
-		res, advanced, err := r.rebuild(ctx)
-		return res, nil, advanced, err
-	}
-	if len(chain) == 0 {
-		return core.Result{Ranks: r.ranks, Converged: true}, nil, 0, nil
-	}
-	parent, ok := r.store.Get(r.seq)
-	if !ok {
-		res, advanced, err := r.rebuild(ctx)
-		return res, nil, advanced, err
-	}
-	prevG := parent.G
-	advanced := 0
-	var last core.Result
-	var series []core.FrontierStats
-	for _, v := range chain {
-		gOld, prev := grownInputs(prevG, r.ranks, v.G.N())
-		res, s := core.TraceDF(ctx, gOld, v.G, v.Update.Del, v.Update.Ins, prev, r.cfg)
-		r.noteRun(res)
-		if res.Err != nil {
-			return res, series, advanced, fmt.Errorf("snapshot: traced refresh aborted at version %d: %w", v.Seq, res.Err)
-		}
-		if !res.Converged {
-			return res, series, advanced, fmt.Errorf("snapshot: traced refresh did not converge at version %d", v.Seq)
-		}
-		last = res
-		series = append(series, s...)
-		r.ranks = res.Ranks
-		r.seq = v.Seq
-		r.cur = v
-		prevG = v.G
-		r.Refreshes++
-		advanced++
-	}
-	return last, series, advanced, nil
-}
-
-// refreshStatic is Refresh for static algorithms: every new store version
-// costs one full recomputation with the configured algo.
-func (r *Ranker) refreshStatic(ctx context.Context) (core.Result, int, error) {
-	v := r.store.Current()
-	if v.Seq == r.seq {
-		return core.Result{Ranks: r.ranks, Converged: true}, 0, nil
-	}
-	res := core.RunCtx(ctx, r.algo, core.Input{GNew: v.G}, r.cfg)
-	r.noteRun(res)
-	if res.Err != nil {
-		return res, 0, fmt.Errorf("snapshot: static refresh failed: %w", res.Err)
-	}
-	advanced := int(v.Seq - r.seq)
-	r.ranks = res.Ranks
-	r.seq = v.Seq
-	r.cur = v
-	r.Refreshes++
-	return res, advanced, nil
-}
-
-func (r *Ranker) rebuild(ctx context.Context) (core.Result, int, error) {
-	v := r.store.Current()
-	res := core.RunCtx(ctx, core.AlgoStaticBB, core.Input{GNew: v.G}, r.cfg)
-	r.noteRun(res)
-	if res.Err != nil {
-		return res, 0, fmt.Errorf("snapshot: static rebuild failed: %w", res.Err)
-	}
-	advanced := int(v.Seq - r.seq)
-	r.ranks = res.Ranks
-	r.seq = v.Seq
-	r.cur = v
-	r.Rebuilds++
-	return res, advanced, nil
 }

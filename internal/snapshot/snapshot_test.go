@@ -14,6 +14,7 @@ import (
 	"dfpr/internal/fault"
 	"dfpr/internal/gen"
 	"dfpr/internal/graph"
+	"dfpr/internal/sched"
 	"dfpr/internal/topk"
 )
 
@@ -139,6 +140,14 @@ func TestRankerCatchesUpMultipleVersions(t *testing.T) {
 	if e := topk.LInf(r.Ranks(), ref); e > 20*testCfg(n).Tol {
 		t.Errorf("error after catch-up: %g", e)
 	}
+	// One pending version published across a sequence jump (what replay does
+	// with a folded WAL tail) advances by the jump, not by the chain length.
+	s.ApplyAt(batch.Random(graph.DynamicFromCSR(s.Current().G), 6, 105), s.Current().Seq+5)
+	behind := r.Behind()
+	_, advanced, err = r.Refresh(context.Background())
+	if err != nil || behind != 5 || advanced != 5 || r.Seq() != 10 {
+		t.Fatalf("sequence jump: behind=%d advanced=%d seq=%d err=%v, want 5/5/10", behind, advanced, r.Seq(), err)
+	}
 }
 
 // TestRankerCoalescedSpanMatchesPerVersionReplay pins the span-coalescing
@@ -225,6 +234,86 @@ func TestRankerCoalescedSpanCancelAndFailure(t *testing.T) {
 	ref := core.Reference(s.Current().G, core.Config{})
 	if e := topk.LInf(r.Ranks(), ref); e > 20*cfg.Tol {
 		t.Errorf("error after span recovery: %g", e)
+	}
+}
+
+// TestRankerLandingInvariants drives every way a Refresh can end and pins
+// what the one landing guarantees after each: the ranker's sequence, version
+// and vector agree, advanced is the Seq distance moved, a success counts
+// exactly one of Refreshes/Rebuilds and a failure neither, and the sweep
+// counters grew because a run executed.
+func TestRankerLandingInvariants(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name     string
+		algo     core.Algo
+		keep     int
+		pending  int
+		coalesce bool
+		noFall   bool
+		crash    bool
+		ctx      context.Context
+		// wantErr is the failure the Refresh must report (nil for success);
+		// refreshes/rebuilds are the counter movements expected.
+		wantErr             error
+		refreshes, rebuilds int
+	}{
+		{name: "one version", algo: core.AlgoDFLF, pending: 1, coalesce: true, refreshes: 1},
+		{name: "coalesced span", algo: core.AlgoDFLF, pending: 4, coalesce: true, refreshes: 1},
+		{name: "per-version arm", algo: core.AlgoDFLF, pending: 4, refreshes: 4},
+		{name: "static algo", algo: core.AlgoStaticLF, pending: 3, refreshes: 1},
+		{name: "eviction rebuild", algo: core.AlgoDFLF, keep: 2, pending: 5, coalesce: true, rebuilds: 1},
+		// The plan outlives the failed run, so the fallback rebuild runs into
+		// it too (a barrier with a dead participant) and fails as itself.
+		{name: "failure with fallback", algo: core.AlgoDFLF, pending: 2, coalesce: true, crash: true, wantErr: sched.ErrBroken},
+		{name: "failure without fallback", algo: core.AlgoDFLF, pending: 2, coalesce: true, crash: true, noFall: true, wantErr: core.ErrAllCrashed},
+		{name: "cancellation", algo: core.AlgoDFLF, pending: 2, coalesce: true, ctx: canceled, wantErr: core.ErrCanceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := testStore(t, tc.keep)
+			cfg := testCfg(s.Current().G.N())
+			r, _, err := NewRanker(context.Background(), s, tc.algo, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.CoalesceSpans, r.DisableFallback = tc.coalesce, tc.noFall
+			for i := 0; i < tc.pending; i++ {
+				s.Apply(batch.Random(graph.DynamicFromCSR(s.Current().G), 6, int64(300+i)))
+			}
+			if tc.crash {
+				r.SetFault(fault.Plan{CrashWorkers: fault.CrashSet(cfg.Threads, cfg.Threads), Seed: 5})
+			}
+			ctx := tc.ctx
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			seq, refreshes, rebuilds, blocks := r.Seq(), r.Refreshes, r.Rebuilds, r.SweepBlocks
+			_, advanced, err := r.Refresh(ctx)
+			if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil) != (err == nil) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if r.Seq() != r.Version().Seq || len(r.RanksShared()) != r.Version().G.N() {
+				t.Errorf("ranker at seq %d holds version %d with %d ranks for %d vertices",
+					r.Seq(), r.Version().Seq, len(r.RanksShared()), r.Version().G.N())
+			}
+			if advanced != int(r.Seq()-seq) {
+				t.Errorf("advanced = %d, ranks moved %d → %d", advanced, seq, r.Seq())
+			}
+			if err == nil && r.Seq() != s.Current().Seq {
+				t.Errorf("successful refresh left the ranker at %d, store at %d", r.Seq(), s.Current().Seq)
+			}
+			if got := r.Refreshes - refreshes; got != tc.refreshes {
+				t.Errorf("Refreshes moved by %d, want %d", got, tc.refreshes)
+			}
+			if got := r.Rebuilds - rebuilds; got != tc.rebuilds {
+				t.Errorf("Rebuilds moved by %d, want %d", got, tc.rebuilds)
+			}
+			// A canceled context stops the run before its first sweep.
+			if tc.ctx == nil && r.SweepBlocks <= blocks {
+				t.Errorf("SweepBlocks stayed at %d although a run executed", blocks)
+			}
+		})
 	}
 }
 

@@ -29,12 +29,12 @@ var ckptMagic = [8]byte{'D', 'F', 'P', 'R', 'C', 'K', 'P', '1'}
 
 func encodeCheckpoint(st *State) []byte {
 	le := binary.LittleEndian
-	dst := make([]byte, 0, 8+4+8+1+4+st.Graph.EncodedSize()+8*len(st.Ranks)+4)
+	dst := make([]byte, 0, 8+4+8+1+4+st.Graph.ContainerSize()+8*len(st.Ranks)+4)
 	dst = append(dst, ckptMagic[:]...)
 	dst = append(dst, 0, 0, 0, 0) // checksum placeholder
 	body := len(dst)
 	dst = le.AppendUint64(dst, st.Seq)
-	g := st.Graph.AppendBinary(nil)
+	g := st.Graph.AppendContainer(nil)
 	dst = le.AppendUint32(dst, uint32(len(g)))
 	dst = append(dst, g...)
 	if st.Ranks != nil {
@@ -74,7 +74,7 @@ func decodeCheckpoint(b []byte) (*State, error) {
 	if gl < 0 || off+gl > len(body) {
 		return nil, fmt.Errorf("%w: checkpoint graph overruns body", ErrCorrupt)
 	}
-	g, err := graph.DecodeCSR(body[off : off+gl])
+	g, err := graph.DecodeContainer(body[off:off+gl], false)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

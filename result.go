@@ -143,13 +143,3 @@ type DurabilityStats struct {
 	// (diagnostic; zero on a fresh directory or checkpoint-exact restart).
 	ReplayedRecords int
 }
-
-// FrontierStats describes the Dynamic Frontier affected set after one pass
-// of a traced refresh — see Engine.RankTrace.
-type FrontierStats struct {
-	// Affected is the number of vertices currently marked affected.
-	Affected int
-	// NotConverged is the number of vertices whose rank has not yet settled
-	// within tolerance.
-	NotConverged int
-}

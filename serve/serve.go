@@ -159,10 +159,6 @@ func WithMaxK(k int) Option {
 	}
 }
 
-// WithMaxTopK is the original name of WithMaxK, kept for callers of the
-// earlier API.
-func WithMaxTopK(k int) Option { return WithMaxK(k) }
-
 // WithMaxBatch caps the edges (deletions plus insertions) one /v1/apply
 // request may carry (default 100000).
 func WithMaxBatch(n int) Option {

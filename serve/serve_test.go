@@ -302,7 +302,7 @@ func TestServeApplyRefreshFailureIs5xx(t *testing.T) {
 
 func TestServeOptionValidation(t *testing.T) {
 	eng := mustEngine(t)
-	for i, opt := range []Option{WithDefaultTopK(0), WithMaxTopK(-1), WithMaxBatch(0), WithMaxWait(0)} {
+	for i, opt := range []Option{WithDefaultTopK(0), WithMaxK(-1), WithMaxBatch(0), WithMaxWait(0)} {
 		if _, err := New(eng, opt); err == nil {
 			t.Errorf("bad option %d accepted", i)
 		}

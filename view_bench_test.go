@@ -25,8 +25,7 @@ func benchView(tb testing.TB) *View {
 
 // TestViewQueryAllocations is the acceptance guard for the zero-copy read
 // path: after the first TopK on a version, ScoreOf allocates nothing and
-// TopK allocates only its O(k) result slice — never an O(|V|) copy
-// (BENCH_PR3.json holds the same numbers as recorded at PR 3).
+// TopK allocates only its O(k) result slice — never an O(|V|) copy.
 func TestViewQueryAllocations(t *testing.T) {
 	v := benchView(t)
 	v.TopK(16) // warm the per-version order cache
