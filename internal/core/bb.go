@@ -71,13 +71,14 @@ type pad64 struct {
 }
 
 // padStats is a cache-line padded per-worker tally of sweep instrumentation
-// (chunks fetched, frontier vertices located by flag scan). Workers own one
-// slot each and the totals are summed after the run joins, so the hot loop
-// pays plain increments, never atomics.
+// (chunks fetched, frontier vertices located by flag scan, out-edge walks of
+// the DF-LF expansion). Workers own one slot each and the totals are summed
+// after the run joins, so the hot loop pays plain increments, never atomics.
 type padStats struct {
 	blocks   int64
 	frontier int64
-	_        [6]uint64
+	expanded int64
+	_        [5]uint64
 }
 
 // sumStats folds the per-worker tallies into a Result.
@@ -85,6 +86,7 @@ func sumStats(stats []padStats, res *Result) {
 	for i := range stats {
 		res.SweepBlocks += stats[i].blocks
 		res.FrontierScanned += stats[i].frontier
+		res.FrontierExpanded += stats[i].expanded
 	}
 }
 

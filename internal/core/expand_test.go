@@ -1,0 +1,229 @@
+package core
+
+import (
+	"math"
+	"testing"
+	"time"
+
+	"dfpr/internal/batch"
+	"dfpr/internal/fault"
+	"dfpr/internal/graph"
+	"dfpr/internal/topk"
+)
+
+// dflfModel is a sequential model of DF-LF's two expansion rules, the
+// yardstick the single-threaded kernel is pinned against bit for bit: with
+// prune it walks out(v) on every visit whose Δr exceeds τ_f (the rule both
+// arms ran before the expanded flag existed), without it only on the first
+// such visit. One worker takes the chunks of every pass in order, so the
+// kernel's visit order is the model's.
+type dflfModel struct {
+	ranks                 []float64
+	visits, walks, passes int64
+	affected              int // |VA| at exit
+}
+
+func modelDFLF(in Input, cfg Config) dflfModel {
+	cfg = cfg.withDefaults()
+	g := in.GNew
+	n := g.N()
+	base := (1 - cfg.Alpha) / float64(n)
+	ainv := alphaInv(invOutDeg(g), cfg.Alpha)
+	m := dflfModel{ranks: append([]float64(nil), in.Prev...)}
+	contrib := make([]float64, n)
+	for v := range contrib {
+		contrib[v] = m.ranks[v] * ainv[v]
+	}
+	va, rc, ex := make([]bool, n), make([]bool, n), make([]bool, n)
+	for _, e := range append(append([]graph.Edge(nil), in.Del...), in.Ins...) {
+		graph.UnionOut(in.GOld, g, e.U, func(v uint32) { va[v], rc[v] = true, true })
+	}
+	pending := func() bool {
+		for _, f := range rc {
+			if f {
+				return true
+			}
+		}
+		return false
+	}
+	bounds := vertexBounds(g, cfg.Chunk)
+	for ; m.passes < int64(cfg.MaxIter); m.passes++ {
+		for c := 0; c+1 < len(bounds); c++ {
+			for v := bounds[c]; v < bounds[c+1]; v++ {
+				if !va[v] && !rc[v] {
+					continue
+				}
+				m.visits++
+				nr := base
+				for _, u := range g.In(uint32(v)) {
+					nr += contrib[u]
+				}
+				dr := math.Abs(nr - m.ranks[v])
+				contrib[v], m.ranks[v] = nr*ainv[v], nr
+				if dr > cfg.FrontierTol && (cfg.PruneFrontier || !ex[v]) {
+					m.walks++
+					for _, w := range g.Out(uint32(v)) {
+						va[w], rc[w] = true, true
+					}
+					ex[v] = true
+				}
+				rc[v] = dr > cfg.Tol
+				if !rc[v] && cfg.PruneFrontier {
+					va[v] = false
+				}
+			}
+			if !pending() {
+				m.passes++
+				for _, f := range va {
+					if f {
+						m.affected++
+					}
+				}
+				return m
+			}
+		}
+	}
+	return m
+}
+
+// ringInput is a directed ring with self-loops, converged, then perturbed by
+// one chord. Every moving vertex has its successor as out-neighbour and
+// vertex n-1's successor is vertex 0 — the lower-index neighbour through
+// which a per-visit walk re-arms a pass that would otherwise have ended.
+func ringInput(n int) Input {
+	d := graph.NewDynamic(n)
+	for u := 0; u < n; u++ {
+		d.AddEdge(uint32(u), uint32((u+1)%n))
+	}
+	d.EnsureSelfLoops()
+	gOld := d.Snapshot()
+	prev := StaticBB(gOld, Config{Tol: 1e-16, Threads: 1}).Ranks
+	up := batch.Update{Ins: []graph.Edge{{U: 0, V: uint32(n / 2)}}}
+	_, gNew := batch.Transition(d, up)
+	return Input{GOld: gOld, GNew: gNew, Ins: up.Ins, Prev: prev}
+}
+
+func rmatInput(scale int) Input {
+	d := randomGraph(scale, 31)
+	gOld := d.Snapshot()
+	prev := StaticBB(gOld, testCfg()).Ranks
+	up := batch.Random(d, 10, 32)
+	_, gNew := batch.Transition(d, up)
+	return Input{GOld: gOld, GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev}
+}
+
+// TestExpandOnceMatchesModel pins both expansion rules on one worker, where
+// the kernel is deterministic: ranks bit for bit, visits, walks and passes
+// equal to the sequential model's. Without pruning that makes
+// FrontierExpanded at most the number of vertices ever affected; with it,
+// the walk stays per visit — the behaviour the arm had before the expanded
+// flag existed.
+func TestExpandOnceMatchesModel(t *testing.T) {
+	for name, in := range map[string]Input{"rmat10": rmatInput(10), "ring64": ringInput(64)} {
+		for _, prune := range []bool{false, true} {
+			cfg := testCfg()
+			cfg.Threads, cfg.PruneFrontier = 1, prune
+			want := modelDFLF(in, cfg)
+			got := Run(AlgoDFLF, in, cfg)
+			if got.Err != nil || !got.Converged {
+				t.Fatalf("%s prune=%v: converged=%v err=%v", name, prune, got.Converged, got.Err)
+			}
+			for v := range want.ranks {
+				if got.Ranks[v] != want.ranks[v] {
+					t.Fatalf("%s prune=%v: rank[%d] = %v, model %v", name, prune, v, got.Ranks[v], want.ranks[v])
+				}
+			}
+			if got.FrontierScanned != want.visits || got.FrontierExpanded != want.walks || int64(got.Iterations) != want.passes {
+				t.Errorf("%s prune=%v: visits/walks/passes = %d/%d/%d, model %d/%d/%d", name, prune,
+					got.FrontierScanned, got.FrontierExpanded, got.Iterations, want.visits, want.walks, want.passes)
+			}
+			if !prune && got.FrontierExpanded > int64(want.affected) {
+				t.Errorf("%s: %d out-edge walks for %d affected vertices", name, got.FrontierExpanded, want.affected)
+			}
+		}
+	}
+}
+
+// TestExpandOnceBoundedUnderThreads is the multi-worker side of the walk
+// bound. A worker sets the expanded flag after its own walk, so it walks a
+// vertex at most once; two workers in overlapping passes may both find the
+// flag clear, which the bound allows for. A per-visit walk would be passes ×
+// frontier, an order of magnitude above it.
+func TestExpandOnceBoundedUnderThreads(t *testing.T) {
+	for name, in := range map[string]Input{"rmat10": rmatInput(10), "ring64": ringInput(64)} {
+		cfg := testCfg()
+		res := Run(AlgoDFLF, in, cfg)
+		if res.Err != nil || !res.Converged {
+			t.Fatalf("%s: converged=%v err=%v", name, res.Converged, res.Err)
+		}
+		if limit := int64(cfg.Threads * in.GNew.N()); res.FrontierExpanded == 0 || res.FrontierExpanded > limit {
+			t.Errorf("%s: %d out-edge walks, want 1..%d (%d visits)", name, res.FrontierExpanded, limit, res.FrontierScanned)
+		}
+		for _, a := range []Algo{AlgoNDLF, AlgoDTLF, AlgoDFBB} {
+			if r := Run(a, in, cfg); r.FrontierExpanded != 0 {
+				t.Errorf("%s: %v reports %d DF-LF walks", name, a, r.FrontierExpanded)
+			}
+		}
+	}
+}
+
+// TestExpandOnceStoppingRule pins the stopping rule from both sides on the
+// graph where it differs from a per-visit walk. A ring keeps re-arming a
+// per-visit walk through the n-1 → 0 edge until every Δr is below τ_f (64
+// passes against ND-LF's 50 on this input, ending 2e-12 from the fixed
+// point); expanding once, DF-LF stops where ND-LF does — every visited
+// vertex within τ — and owes the same error budget, ατ/(1−α).
+func TestExpandOnceStoppingRule(t *testing.T) {
+	in := ringInput(64)
+	fixed := StaticBB(in.GNew, Config{Tol: 1e-16, Threads: 1}).Ranks
+	for _, threads := range []int{1, 4} {
+		cfg := testCfg()
+		cfg.Threads = threads
+		nd := Run(AlgoNDLF, in, cfg)
+		df := Run(AlgoDFLF, in, cfg)
+		if !nd.Converged || !df.Converged {
+			t.Fatalf("threads=%d: converged nd=%v df=%v", threads, nd.Converged, df.Converged)
+		}
+		// Iterations is the highest pass index any worker reached, which a
+		// lagging worker inflates; only one worker makes it comparable.
+		if d := df.Iterations - nd.Iterations; threads == 1 && (d < -2 || d > 2) {
+			t.Errorf("DF-LF ran %d passes, ND-LF %d; want within ±2", df.Iterations, nd.Iterations)
+		}
+		cfg = cfg.withDefaults()
+		budget := cfg.Alpha * cfg.Tol / (1 - cfg.Alpha) * 1.5
+		if e := topk.LInf(df.Ranks, fixed); e > budget {
+			t.Errorf("threads=%d: DF-LF is %g from the fixed point, budget %g", threads, e, budget)
+		}
+	}
+}
+
+// TestExpandOnceSurvivesFaults runs the non-pruning arm under the fault
+// plans of TestPruneFrontierSurvivesFaults plus a mid-run crash horizon and
+// random delays: a worker that dies after setting some expanded flags, or
+// between a walk and its flag, must not strand a vertex the survivors need.
+func TestExpandOnceSurvivesFaults(t *testing.T) {
+	in := faultInput(t)
+	ref := Reference(in.GNew, Config{})
+	plans := map[string]fault.Plan{
+		"crash at first chunk": {CrashWorkers: fault.CrashSet(2, 4), Seed: 8},
+		"crash mid-run":        {CrashWorkers: fault.CrashSet(3, 4), CrashHorizon: 2000, Seed: 9},
+		"delays and a crash": {DelayProb: 1e-3, DelayDur: 200 * time.Microsecond,
+			CrashWorkers: fault.CrashSet(1, 4), CrashHorizon: 500, Seed: 10},
+	}
+	for name, plan := range plans {
+		cfg := testCfg()
+		cfg.Fault = plan
+		res := Run(AlgoDFLF, in, cfg)
+		if !res.Converged || res.Err != nil {
+			t.Fatalf("%s: converged=%v err=%v", name, res.Converged, res.Err)
+		}
+		// A horizon crash fires only on a worker that gets that far before
+		// the others finish the run, so only the immediate plan has a count.
+		if plan.CrashHorizon == 0 && res.CrashedWorkers != len(plan.CrashWorkers) {
+			t.Errorf("%s: %d workers crashed, plan names %d", name, res.CrashedWorkers, len(plan.CrashWorkers))
+		}
+		if e := topk.LInf(res.Ranks, ref); e > 1e-8 {
+			t.Errorf("%s: error %g", name, e)
+		}
+	}
+}

@@ -81,11 +81,16 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 	// to one and also re-set the flag whenever Δr exceeds τ, so a vertex
 	// disturbed after converging is never lost.)
 	rc := avec.NewFlags(n)
-	var va, checked *avec.Flags
+	var va, checked, ex *avec.Flags
 	var edges []graph.Edge
 	if vr == vDT || vr == vDF {
 		va = avec.NewFlags(n)
 		checked = avec.NewFlags(n)
+		// ex[v]=1 ⇔ this run has already walked out(v) into VA; only the
+		// non-pruning DF arm keeps it (see the expansion in phase 2).
+		if vr == vDF && !cfg.PruneFrontier {
+			ex = avec.NewFlags(n)
+		}
 		edges = append(append(make([]graph.Edge, 0, len(in.Del)+len(in.Ins)), in.Del...), in.Ins...)
 	} else {
 		rc.SetAll()
@@ -157,13 +162,24 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 		// Phase 2 — asynchronous rank computation (lines 17-31). Tickets
 		// from the continuous round scheduler stand in for the `nowait`
 		// dynamic loops: a worker finishing pass r flows straight into pass
-		// r+1 while slower workers are still inside pass r.
+		// r+1 while slower workers are still inside pass r. A DF vertex
+		// whose Δr exceeds τ_f marks out(v) affected: once per run, on the
+		// first such visit, when the affected set only grows; on every such
+		// visit under PruneFrontier (see the expansion below).
 		completed := uint64(0)
 		st := &stats[w]
+		// A run with fewer workers than the process has CPUs checks, once
+		// per pass, that its thread is not time-slicing one CPU with another
+		// process's worker while a second CPU idles (see sched.CPUWatch).
+		cw := sched.WatchCPU(cfg.Threads)
+		defer cw.Close()
 		for {
 			lo, hi, round := rounds.Next()
 			if round >= uint64(cfg.MaxIter) {
 				break
+			}
+			if round != completed {
+				cw.Tick()
 			}
 			st.blocks++
 			if inj != nil && inj.AtChunk(w) {
@@ -212,7 +228,22 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 				// single-vector reads already admit — bounded, not corrupt.
 				contribs.Store(v, nr*ainv[v])
 				ranks.Store(v, nr)
-				if vr == vDF && dr > cfg.FrontierTol {
+				// Frontier expansion (lines 26-28). Without pruning VA is
+				// monotone, so out(v) is walked once per run, the first time
+				// Δr crosses τ_f: every neighbour it marked stays in VA and
+				// is visited each pass regardless, and re-walking would only
+				// re-set RC on neighbours that already settled within τ —
+				// the run stops, like ND-LF and StaticLF, once every visited
+				// vertex has Δr ≤ τ. ex[v] is set after the walk completes,
+				// so a worker that crashes mid-walk leaves it clear and the
+				// survivors treat v as a per-visit walk would (it stays in
+				// VA and is walked the next time its Δr exceeds τ_f): the
+				// hazard window of §4.4 is unchanged.
+				// With pruning VA is not monotone and this walk is what
+				// re-admits a pruned vertex, so that arm (ex == nil) walks on
+				// every visit above τ_f.
+				if vr == vDF && dr > cfg.FrontierTol && (ex == nil || !ex.Get(v)) {
+					st.expanded++
 					// Probe before Set: already-marked neighbours are the
 					// common case once a frontier is hot, and the probe keeps
 					// the expansion read-only for them.
@@ -223,6 +254,9 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 						if !rc.Get(int(v2)) {
 							rc.Set(int(v2))
 						}
+					}
+					if ex != nil {
+						ex.Set(v)
 					}
 				}
 				if dr <= cfg.Tol {

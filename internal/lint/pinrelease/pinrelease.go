@@ -1,12 +1,12 @@
 // Package pinrelease defines an analyzer pairing snapshot pins with their
 // releases.
 //
-// snapshot.Store.Pin(seq) marks a version as held by a reader: it stays
-// reachable (and keeps its CSR alive) after the retention ring trims past
-// it, until a matching Release(seq). Pins nest and are counted, so a leaked
-// pin is invisible — nothing crashes, the store just retains one version's
-// graph forever and memory creeps. That failure mode is exactly the kind a
-// machine should watch for.
+// snapshot.Store.Pin(seq) marks a version's chain link (its sequence number
+// and batch) as held by a reader: it stays resolvable after the retention
+// ring trims past it, until a matching Release(seq). Pins nest and are
+// counted, so a leaked pin is invisible — nothing crashes, the store just
+// retains one more batch per leak forever and memory creeps. That failure
+// mode is exactly the kind a machine should watch for.
 //
 // The analysis is lexical and intra-procedural: within one function body
 // (closures are their own scopes), every call to Pin on a Store must have a

@@ -25,13 +25,23 @@ import (
 	"dfpr/internal/graph"
 )
 
-// Version is one immutable published state of the graph. Seq increases by
-// one per applied batch; Update is the batch that produced this version
-// (empty for the initial version).
-type Version struct {
-	G      *graph.CSR
+// Link is the chain link of one version: its sequence number and the batch
+// that produced it (empty for the initial version). It is everything a walk
+// across the version needs — a Delta seeding its frontier, a replay merging
+// a span — and it is what a Pin retains, so holding a chain reachable costs
+// a batch per round, not a graph.
+type Link struct {
 	Seq    uint64
 	Update batch.Update
+}
+
+// Version is one immutable published state of the graph: a chain link plus
+// the graph snapshot it produced. Seq increases by one per applied batch.
+// The CSR lives exactly as long as something holds the *Version — the
+// store's retention ring, a view, or a ranker positioned on it.
+type Version struct {
+	Link
+	G *graph.CSR
 }
 
 // Store is a single-writer multi-reader dynamic-graph store. Writers call
@@ -44,15 +54,15 @@ type Store struct {
 	cur     atomic.Value // *Version
 	history []*Version   // ring of recent versions, oldest first
 	keep    int
-	// pins maps versions that readers hold pinned (see Pin) to their
-	// refcount entry; a pinned version survives history trimming until its
-	// last Release.
+	// pins maps sequence numbers that readers hold pinned (see Pin) to
+	// their refcount entry; a pinned chain link survives history trimming
+	// until its last Release.
 	pins map[uint64]*pinEntry
 }
 
-// pinEntry is one pinned version and its reference count.
+// pinEntry is one pinned chain link and its reference count.
 type pinEntry struct {
-	v    *Version
+	link Link
 	refs int
 }
 
@@ -76,7 +86,7 @@ func NewStoreAt(d *graph.Dynamic, keepHistory int, seq uint64) *Store {
 	}
 	d.EnsureSelfLoops()
 	s := &Store{d: d, keep: keepHistory}
-	v := &Version{G: d.Snapshot(), Seq: seq}
+	v := &Version{Link: Link{Seq: seq}, G: d.Snapshot()}
 	s.cur.Store(v)
 	s.history = append(s.history, v)
 	return s
@@ -131,7 +141,7 @@ func (s *Store) applyLocked(up batch.Update, seq uint64) (prev, next *Version) {
 	up.Del = up.ClampDel(s.d.N())
 	s.d.Apply(up.Del, up.Ins)
 	s.d.EnsureSelfLoops()
-	next = &Version{G: s.d.Snapshot(), Seq: seq, Update: up}
+	next = &Version{Link: Link{Seq: seq, Update: up}, G: s.d.Snapshot()}
 	s.history = append(s.history, next)
 	if len(s.history) > s.keep {
 		// Shift in place and nil the vacated tail instead of re-slicing:
@@ -174,18 +184,18 @@ func (s *Store) Since(afterSeq uint64) (chain []*Version, ok bool) {
 	return chain, true
 }
 
-// Get returns the version with the given sequence number if it is still
-// reachable — in the retention ring, or held alive by a Pin.
-func (s *Store) Get(seq uint64) (*Version, bool) {
+// Retained returns the version with the given sequence number, graph
+// included, if the retention ring still holds it. Pins do not extend it: a
+// pinned-but-trimmed sequence number resolves through Get to its chain link
+// only, so a caller that needs the graph of an older version must hold the
+// *Version itself.
+func (s *Store) Retained(seq uint64) (*Version, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.getLocked(seq)
+	return s.retainedLocked(seq)
 }
 
-func (s *Store) getLocked(seq uint64) (*Version, bool) {
-	if e, ok := s.pins[seq]; ok {
-		return e.v, true
-	}
+func (s *Store) retainedLocked(seq uint64) (*Version, bool) {
 	for _, v := range s.history {
 		if v.Seq == seq {
 			return v, true
@@ -194,27 +204,48 @@ func (s *Store) getLocked(seq uint64) (*Version, bool) {
 	return nil, false
 }
 
-// Pin marks the version with the given sequence number as held by a reader:
-// it stays reachable through Get (and keeps its CSR alive) even after the
-// retention ring trims past it, until a matching Release. Pins nest — each
-// successful Pin must be paired with one Release. Pinning a version that is
-// already gone reports false.
-func (s *Store) Pin(seq uint64) (*Version, bool) {
+// Get returns the chain link of the version with the given sequence number
+// if it is still reachable — in the retention ring, or held by a Pin. It
+// never hands out a graph: see Retained.
+func (s *Store) Get(seq uint64) (Link, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.getLocked(seq)
+}
+
+func (s *Store) getLocked(seq uint64) (Link, bool) {
+	if e, ok := s.pins[seq]; ok {
+		return e.link, true
+	}
+	if v, ok := s.retainedLocked(seq); ok {
+		return v.Link, true
+	}
+	return Link{}, false
+}
+
+// Pin marks the chain link with the given sequence number as held by a
+// reader: it stays resolvable through Get, with its Update, even after the
+// retention ring trims past it, until a matching Release. A pin retains the
+// link only — the version's CSR is released with the ring like any other,
+// so the cost of a pinned chain is its batches, however many rounds it
+// spans. Pins nest — each successful Pin must be paired with one Release.
+// Pinning a sequence number that is already gone reports false.
+func (s *Store) Pin(seq uint64) (Link, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.pins[seq]; ok {
 		e.refs++
-		return e.v, true
+		return e.link, true
 	}
-	v, ok := s.getLocked(seq)
+	l, ok := s.getLocked(seq)
 	if !ok {
-		return nil, false
+		return Link{}, false
 	}
 	if s.pins == nil {
 		s.pins = make(map[uint64]*pinEntry)
 	}
-	s.pins[seq] = &pinEntry{v: v, refs: 1}
-	return v, true
+	s.pins[seq] = &pinEntry{link: l, refs: 1}
+	return l, true
 }
 
 // Release undoes one Pin. Releasing an unpinned version is a no-op, so
@@ -310,7 +341,7 @@ func (r *Ranker) noteRun(res core.Result) {
 // seq incrementally, exactly as if the ranker had been alive all along. The
 // ranker takes ownership of ranks (treat it as frozen).
 func ResumeRanker(s *Store, algo core.Algo, cfg core.Config, ranks []float64, seq uint64) (*Ranker, error) {
-	v, ok := s.Get(seq)
+	v, ok := s.Retained(seq)
 	if !ok {
 		return nil, fmt.Errorf("snapshot: resume at version %d: not retained", seq)
 	}
@@ -379,12 +410,12 @@ func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
 	if !r.algo.Dynamic() {
 		return r.recompute(ctx, r.algo, &r.Refreshes)
 	}
-	// Replaying needs the pending chain and the ranker's own version still
-	// retained (in the ring or by a pin): the first span applies on top of
-	// it, and its graph is the G^{t-1} where marking finds deleted edges'
-	// targets.
+	// Replaying needs the pending chain still in the ring. The version the
+	// first span applies on top of — the G^{t-1} where marking finds deleted
+	// edges' targets — is r.cur, the ranker's own reference, whatever the
+	// ring has trimmed.
 	chain, ok := r.store.Since(r.seq)
-	if _, held := r.store.Get(r.seq); !ok || !held {
+	if !ok {
 		return r.recompute(ctx, core.AlgoStaticBB, &r.Rebuilds)
 	}
 	step := 1

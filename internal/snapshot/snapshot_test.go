@@ -3,6 +3,7 @@ package snapshot
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -467,70 +468,67 @@ func TestHistoryTrimReleasesEvictedVersions(t *testing.T) {
 	}
 }
 
-// TestPinKeepsVersionAcrossTrim extends the weak-pointer reachability test
-// to pinned-then-released versions: a version a View has pinned must stay
-// alive (and resolvable through Get) while the retention ring trims past
-// it, and must become collectable again after the last Release.
+// TestPinKeepsVersionAcrossTrim pins the Pin contract: a pin retains the
+// chain link (Seq, Update) a Delta walk or replay needs — resolvable
+// through Get while the retention ring trims past it — and nothing else:
+// the version and its CSR go with the ring, pinned or not. After the last
+// Release the link is gone too.
 func TestPinKeepsVersionAcrossTrim(t *testing.T) {
 	const keep = 3
 	s := testStore(t, keep)
 
 	// Advance to version 2 and pin it twice (two concurrent views).
+	var want batch.Update
 	for i := 0; i < 2; i++ {
-		up := batch.Random(graph.DynamicFromCSR(s.Current().G), 2, int64(i))
-		s.Apply(up)
+		want = batch.Random(graph.DynamicFromCSR(s.Current().G), 2, int64(i))
+		s.Apply(want)
 	}
 	const pinSeq = 2
-	v2, ok := s.Pin(pinSeq)
-	if !ok || v2.Seq != pinSeq {
-		t.Fatalf("Pin(%d): ok=%v v=%v", pinSeq, ok, v2)
+	l2, ok := s.Pin(pinSeq)
+	if !ok || l2.Seq != pinSeq {
+		t.Fatalf("Pin(%d): ok=%v link=%+v", pinSeq, ok, l2)
 	}
 	if _, ok := s.Pin(pinSeq); !ok {
 		t.Fatalf("second Pin(%d) failed", pinSeq)
 	}
-	w2 := weak.Make(v2)
-	v1, ok := s.Get(1)
+	v2, ok := s.Retained(pinSeq)
 	if !ok {
-		t.Fatal("version 1 missing before trim")
+		t.Fatal("version 2 missing from the ring before trim")
 	}
-	wUnpinned := weak.Make(v1) // v2's neighbour, never pinned
-	// v1 and v2 are not read below; the locals go dead here, so the weak
-	// pointers observe only what the store itself keeps reachable.
+	wVer, wCSR := weak.Make(v2), weak.Make(v2.G)
+	// v2 is not read below; the local goes dead here, so the weak pointers
+	// observe only what the store itself keeps reachable.
 
-	// Trim far past both versions.
+	// Trim far past the pinned version.
 	for i := 0; i < 8; i++ {
 		up := batch.Random(graph.DynamicFromCSR(s.Current().G), 2, int64(10+i))
 		s.Apply(up)
 	}
 	runtime.GC()
 	runtime.GC()
-	if w2.Value() == nil {
-		t.Fatal("pinned version collected while pinned")
+	if wVer.Value() != nil || wCSR.Value() != nil {
+		t.Error("a pin kept the trimmed version's graph alive; it must retain the link only")
 	}
-	if got, ok := s.Get(pinSeq); !ok || got.Seq != pinSeq {
-		t.Fatalf("Get(%d) after trim: ok=%v (pinned versions must stay resolvable)", pinSeq, ok)
+	if _, ok := s.Retained(pinSeq); ok {
+		t.Errorf("Retained(%d) resolves after the ring trimmed past it", pinSeq)
+	}
+	got, ok := s.Get(pinSeq)
+	if !ok || got.Seq != pinSeq {
+		t.Fatalf("Get(%d) after trim: ok=%v (pinned links must stay resolvable)", pinSeq, ok)
+	}
+	if !reflect.DeepEqual(got.Update, want) {
+		t.Fatalf("pinned link's Update = %+v, want the batch that produced version %d: %+v", got.Update, pinSeq, want)
 	}
 
 	// First release: still pinned by the second holder.
 	s.Release(pinSeq)
-	runtime.GC()
-	runtime.GC()
-	if w2.Value() == nil {
-		t.Fatal("version collected after first of two releases")
+	if _, ok := s.Get(pinSeq); !ok {
+		t.Fatal("link gone after first of two releases")
 	}
 
-	// Last release: the store must let go. (The other version was trimmed
-	// without ever being pinned and must be long gone.)
+	// Last release: the store must let go.
 	s.Release(pinSeq)
 	s.Release(pinSeq) // over-release is a documented no-op
-	runtime.GC()
-	runtime.GC()
-	if w2.Value() != nil {
-		t.Error("version still reachable after last release")
-	}
-	if wUnpinned.Value() != nil && wUnpinned.Value().Seq != s.Current().Seq {
-		t.Error("unpinned evicted version still reachable")
-	}
 	if _, ok := s.Get(pinSeq); ok {
 		t.Errorf("Get(%d) still resolves after release and trim", pinSeq)
 	}

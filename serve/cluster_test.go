@@ -81,11 +81,15 @@ func TestServeClusterEquivalence(t *testing.T) {
 			edges = append(edges, dfpr.Edge{U: uint32(u), V: 0})
 		}
 	}
+	// Writer and replicas replay different spans of the same stream, so at
+	// tolerance τ they agree to ~2ατ/(1−α); τ = 1e-14 on both sides makes
+	// the 1e-12 assertion hold by construction.
+	tight := dfpr.WithTolerance(1e-14)
 	// Delay faults fire inside the writer's refreshes (internal/fault via
 	// the engine's fault plan): replication equivalence must hold under
 	// scheduling noise, not just on the happy path.
 	writer, err := dfpr.New(n, edges,
-		dfpr.WithDurability(t.TempDir()), dfpr.WithThreads(4), dfpr.WithTolerance(1e-10),
+		dfpr.WithDurability(t.TempDir()), dfpr.WithThreads(4), tight,
 		dfpr.WithFaultPlan(dfpr.FaultPlan{DelayProb: 5e-4, DelayDur: time.Millisecond, Seed: 7}))
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +107,7 @@ func TestServeClusterEquivalence(t *testing.T) {
 	reps := make([]*dfpr.Replica, 2)
 	rbases := make([]string, 2)
 	for i := range reps {
-		rep, err := dfpr.StartReplica(ctx, wbase)
+		rep, err := dfpr.StartReplica(ctx, wbase, tight)
 		if err != nil {
 			t.Fatalf("replica %d: %v", i, err)
 		}

@@ -64,7 +64,7 @@ func (s *Subscription) Close() {
 
 // publishLocked turns a successful Rank outcome into the published view of
 // its version: attaches the view to the result, retains it in the ViewAt
-// ring (pinning its store version so Delta chains stay reachable), makes it
+// ring (pinning its chain links so Delta chains stay reachable), makes it
 // the lock-free latest, and pushes an update to every subscriber. All of it
 // is zero-copy — the rank vector is shared between the result, the ring,
 // Snapshot readers and every subscriber. Caller holds e.mu, which also
@@ -76,11 +76,13 @@ func (e *Engine) publishLocked(res *Result) {
 	e.viewMu.Lock()
 	// Pin the batch chain (previous published version, this version] so
 	// Delta between retained views can walk it even after the store's own
-	// retention ring trims past those versions. Ranges of successive views
-	// are disjoint, so ring eviction releases exactly what publication
-	// pinned. A Pin may miss when a concurrent Apply burst already trimmed
-	// a chain link; the view still holds its own graph strongly, and Delta
-	// across the missing link degrades to a full scan.
+	// retention ring trims past those versions. A pin holds a link — the
+	// sequence number and its batch — never a graph: the only CSR a view
+	// keeps alive is its own (v.ver), so the ring bounds views, not
+	// rounds-per-view × CSR. Ranges of successive views are disjoint, so
+	// ring eviction releases exactly what publication pinned. A Pin may
+	// miss when an Apply burst already trimmed a chain link; Delta across
+	// the missing link degrades to a full scan.
 	v.chainFrom = v.seq
 	if p := e.latest.Load(); p != nil {
 		v.chainFrom = p.seq

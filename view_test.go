@@ -3,10 +3,13 @@ package dfpr
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sort"
 	"testing"
+	"weak"
 
 	"dfpr/internal/batch"
+	"dfpr/internal/graph"
 	"dfpr/internal/topk"
 )
 
@@ -388,6 +391,54 @@ func TestViewDeltaChainPinnedAcrossStoreTrim(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("movement %d: %+v vs %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestLiveGraphsIndependentOfRoundsPerView pins what a chain pin costs: a
+// view published every k applied rounds pins k chain links, not k CSRs, so
+// the number of graph snapshots alive is bounded by the store ring, the
+// retained views and the ranker's own version — whatever k is. Weak
+// pointers observe reachability directly.
+func TestLiveGraphsIndependentOfRoundsPerView(t *testing.T) {
+	ctx := context.Background()
+	const history, views = 4, 6
+	for _, k := range []int{1, 8, 32} {
+		n, edges, mirror := testGraph(t, 8, 45)
+		tol := 1e-3 / float64(n)
+		eng, err := New(n, edges, WithThreads(2), WithTolerance(tol), WithFrontierTolerance(tol), WithHistory(history))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Rank(ctx); err != nil {
+			t.Fatal(err)
+		}
+		graphs := []weak.Pointer[graph.CSR]{weak.Make(eng.store.Current().G)}
+		for round := 0; round < views; round++ {
+			for j := 0; j < k; j++ {
+				up := batch.Random(mirror, 4, int64(900+round*k+j))
+				mirror.Apply(up.Del, up.Ins)
+				if _, err := eng.Apply(ctx, toPublic(up.Del), toPublic(up.Ins)); err != nil {
+					t.Fatal(err)
+				}
+				graphs = append(graphs, weak.Make(eng.store.Current().G))
+			}
+			if _, err := eng.Rank(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.GC()
+		live := 0
+		for _, w := range graphs {
+			if w.Value() != nil {
+				live++
+			}
+		}
+		if limit := 2*history + 1; live > limit {
+			t.Errorf("k=%d: %d of %d graph snapshots alive, want ≤ %d (store ring %d + views %d + ranker)",
+				k, live, len(graphs), limit, history, history)
+		}
+		eng.Close()
 	}
 }
 
