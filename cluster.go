@@ -83,19 +83,6 @@ type ReplicationStats struct {
 	// Err is a replica's terminal replication error, if its stream died for
 	// good (repl.ErrBehindFloor, protocol damage).
 	Err error
-	// Peers is the last liveness observation of every other cluster node.
-	Peers []ReplicaPeer
-}
-
-// ReplicaPeer is one peer's last observed liveness and progress.
-type ReplicaPeer struct {
-	URL   string
-	Alive bool
-	// Role, Seq and LagSeq echo the peer's healthz (empty/zero while it has
-	// never been seen alive).
-	Role   string
-	Seq    uint64
-	LagSeq uint64
 }
 
 // Feed returns the replication feed handler of a durable engine — the
@@ -482,18 +469,17 @@ type ClusterConfig struct {
 	// Dir is the shared durability directory: the writer's WAL, the
 	// election lease, and the state a promoted replica resumes from.
 	Dir string
-	// SelfURL is this node's advertised serve base URL — where peers find
-	// its healthz and, when it is the writer, its feed.
+	// SelfURL is this node's advertised serve base URL — where replicas
+	// find its feed while it is the writer.
 	SelfURL string
 	// Peers lists every cluster node's base URL (with or without SelfURL;
-	// membership is static — restart with a longer list to grow).
+	// membership is static — restart with a longer list to grow). Nothing
+	// dials it: its only use is this node's place in the election stagger
+	// (electionRank), and safety rests on the lease alone.
 	Peers []string
 	// LeaseTTL is the writer lease time-to-live (repl.DefaultLeaseTTL when
 	// zero): the failover detection horizon.
 	LeaseTTL time.Duration
-	// HeartbeatEvery is the peer liveness polling cadence
-	// (repl.DefaultHeartbeatEvery when zero).
-	HeartbeatEvery time.Duration
 	// Engine are the engine options every role shares. They must not
 	// include WithDurability — the cluster wires Dir itself, on the writer
 	// only.
@@ -513,7 +499,6 @@ type Cluster struct {
 	cfg   ClusterConfig
 	lg    *slog.Logger
 	lease *repl.Lease
-	peers *repl.Peers
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -564,12 +549,10 @@ func JoinCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 		cfg:   cfg,
 		lg:    lg,
 		lease: &repl.Lease{Dir: cfg.Dir, ID: cfg.NodeID, URL: cfg.SelfURL, TTL: cfg.LeaseTTL},
-		peers: repl.NewPeers(cfg.SelfURL, cfg.Peers, cfg.HeartbeatEvery),
 		done:  make(chan struct{}),
 	}
-	// ctx bounds only the join; the membership loop, heartbeats and
-	// replication run until Close/Halt and must survive the caller's
-	// startup context ending.
+	// ctx bounds only the join; the membership loop and replication run
+	// until Close/Halt and must survive the caller's startup context ending.
 	//lint:allow ctxflow ctx bounds the join only; membership runs until Close and owns its own lifetime
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 
@@ -598,7 +581,6 @@ func JoinCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 		rep.Engine().setReplStats(c.stats)
 		lg.Info("cluster joined as replica", "node", cfg.NodeID, "leader", rinfo.URL, "term", rinfo.Term)
 	}
-	c.peers.Start()
 	go c.run()
 	return c, nil
 }
@@ -695,16 +677,32 @@ func (c *Cluster) followLeader(rep *Replica, info repl.LeaseInfo) {
 	}
 }
 
-// runForWriter is a replica's candidacy on an expired lease: wait out a
-// stagger proportional to this node's membership index (so stealers do not
-// stampede the lock), re-check, steal, promote.
+// electionRank is self's position among the distinct URLs of the static
+// membership (peers with self added when the list omits it), sorted: every
+// node computes the same order from the same -cluster-peers list, so
+// candidates on an expired lease wait rank·TTL/8 and do not stampede the
+// lock. It only spaces attempts out; the lease decides who wins.
+func electionRank(self string, peers []string) int {
+	seen := make(map[string]bool, len(peers))
+	rank := 0
+	for _, u := range peers {
+		if u < self && !seen[u] {
+			rank++
+		}
+		seen[u] = true
+	}
+	return rank
+}
+
+// runForWriter is a replica's candidacy on an expired lease: wait out this
+// node's stagger, re-check, steal, promote.
 func (c *Cluster) runForWriter(rep *Replica) {
 	if rep == nil || rep.Engine().durable() != nil {
 		// A deposed ex-writer still holds a (fenced) log; it cannot take a
 		// second one. It stays a replica until restarted.
 		return
 	}
-	if delay := time.Duration(c.peers.SelfIndex()) * (c.cfg.LeaseTTL / 8); delay > 0 {
+	if delay := time.Duration(electionRank(c.cfg.SelfURL, c.cfg.Peers)) * (c.cfg.LeaseTTL / 8); delay > 0 {
 		select {
 		case <-c.ctx.Done():
 			return
@@ -827,21 +825,17 @@ func (c *Cluster) stats() ReplicationStats {
 	} else {
 		rs.LeaderURL = leader
 	}
-	for _, p := range c.peers.Snapshot() {
-		rs.Peers = append(rs.Peers, ReplicaPeer{URL: p.URL, Alive: p.Alive, Role: p.Role, Seq: p.Seq, LagSeq: p.LagSeq})
-	}
 	return rs
 }
 
-// Halt freezes this node as if it crashed: the election loop, peer polling
-// and replication all stop, the lease is NOT released, and a writer's log
+// Halt freezes this node as if it crashed: the election loop and
+// replication stop, the lease is NOT released, and a writer's log
 // is fenced so the halted node can never write again. Nothing is flushed.
 // It exists for failover drills — the in-process stand-in for kill -9 —
 // and leaves the engine to be abandoned (or Closed) by the caller.
 func (c *Cluster) Halt() {
 	c.cancel()
 	<-c.done
-	c.peers.Stop()
 	c.mu.Lock()
 	role, rep, eng := c.role, c.rep, c.eng
 	c.mu.Unlock()
@@ -862,7 +856,6 @@ func (c *Cluster) Halt() {
 func (c *Cluster) Close() error {
 	c.cancel()
 	<-c.done
-	c.peers.Stop()
 	c.mu.Lock()
 	role, rep, eng := c.role, c.rep, c.eng
 	c.mu.Unlock()

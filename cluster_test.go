@@ -2,7 +2,6 @@ package dfpr
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -13,9 +12,9 @@ import (
 	"time"
 )
 
-// feedMux mounts an engine provider's feed (and a minimal healthz for peer
-// polling) the way the serve layer does: re-resolved per request, so a
-// promoted replica starts feeding without a remount.
+// feedMux mounts an engine provider's feed the way the serve layer does:
+// re-resolved per request, so a promoted replica starts feeding without a
+// remount.
 func feedMux(eng func() *Engine) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/feed", func(w http.ResponseWriter, r *http.Request) {
@@ -30,14 +29,6 @@ func feedMux(eng func() *Engine) http.Handler {
 			return
 		}
 		h.ServeHTTP(w, r)
-	})
-	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		e := eng()
-		role := "writer"
-		if e != nil && e.follower.Load() {
-			role = "replica"
-		}
-		json.NewEncoder(w).Encode(map[string]any{"status": "ok", "ready": true, "role": role})
 	})
 	return mux
 }
@@ -211,7 +202,7 @@ func TestReplicaKeyedFollowsWriter(t *testing.T) {
 type clusterNode struct {
 	srv *httptest.Server
 	c   *Cluster
-	// live is c as the serve stub sees it: peers poll the stub's healthz
+	// live is c as the serve stub sees it: other nodes dial the stub's feed
 	// from their own goroutines while the test goroutine is still joining.
 	live atomic.Pointer[Cluster]
 }
@@ -258,14 +249,13 @@ func TestClusterElectionAndFailover(t *testing.T) {
 	join := func(i int) {
 		t.Helper()
 		c, err := JoinCluster(ctx, ClusterConfig{
-			NodeID:         fmt.Sprintf("node-%d", i),
-			Dir:            dir,
-			SelfURL:        nodes[i].srv.URL,
-			Peers:          peers,
-			LeaseTTL:       500 * time.Millisecond,
-			HeartbeatEvery: 100 * time.Millisecond,
-			SeedN:          8,
-			SeedEdges:      ringEdges(8),
+			NodeID:    fmt.Sprintf("node-%d", i),
+			Dir:       dir,
+			SelfURL:   nodes[i].srv.URL,
+			Peers:     peers,
+			LeaseTTL:  500 * time.Millisecond,
+			SeedN:     8,
+			SeedEdges: ringEdges(8),
 			// τ = 1e-14 on every role: the 1e-12 equivalence checks below
 			// compare nodes that replay different spans (see
 			// TestReplicaFollowsWriter).
@@ -385,4 +375,39 @@ func ringEdges(n int) []Edge {
 		out[i] = Edge{U: uint32(i), V: uint32((i + 1) % n)}
 	}
 	return out
+}
+
+// TestElectionRank pins the stagger order: a node's rank is its position
+// among the distinct membership URLs, whatever order -cluster-peers lists
+// them in, whether or not the list names the node itself, and however often
+// a URL is repeated.
+func TestElectionRank(t *testing.T) {
+	a, b, c := "http://10.0.0.1:8081", "http://10.0.0.2:8081", "http://10.0.0.3:8081"
+	for _, tc := range []struct {
+		name  string
+		self  string
+		peers []string
+		want  int
+	}{
+		{"first of three", a, []string{a, b, c}, 0},
+		{"last of three", c, []string{a, b, c}, 2},
+		{"list order does not matter", b, []string{c, b, a}, 1},
+		{"self absent from the list", b, []string{c, a}, 1},
+		{"duplicates count once", c, []string{a, a, b, c, b, c}, 2},
+		{"alone", a, nil, 0},
+	} {
+		if got := electionRank(tc.self, tc.peers); got != tc.want {
+			t.Errorf("%s: electionRank(%q, %v) = %d, want %d", tc.name, tc.self, tc.peers, got, tc.want)
+		}
+	}
+	// Every node of one membership gets its own slot.
+	peers := []string{c, a, b, a}
+	seen := map[int]string{}
+	for _, self := range []string{a, b, c} {
+		r := electionRank(self, peers)
+		if other, dup := seen[r]; dup {
+			t.Errorf("%s and %s share stagger slot %d", other, self, r)
+		}
+		seen[r] = self
+	}
 }

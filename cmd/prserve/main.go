@@ -5,7 +5,9 @@
 // pipeline — coalesced off the request path, ranked per -rank-policy — and
 // come back 202 with the assigned version (append ?wait=ranked for
 // read-your-ranks). SIGINT/SIGTERM drains in-flight requests and flushes
-// the ingest queue before exiting.
+// the ingest queue before exiting. The server refreshes with lock-free
+// Dynamic Frontier PageRank (DFLF) at the paper's damping factor; comparing
+// algorithms is prrank's and prbench's job.
 //
 // With -data the engine is durable: every applied batch is written to a
 // write-ahead log under the directory, checkpoints bound replay, and a
@@ -69,6 +71,15 @@ import (
 	"dfpr/serve"
 )
 
+const (
+	// genSeed seeds the -gen generators: one synthetic graph per
+	// (class, n, deg), the same on every node and every restart.
+	genSeed = 42
+	// drainBudget bounds the graceful shutdown: in-flight requests and the
+	// ingest flush get this long after SIGINT/SIGTERM.
+	drainBudget = 10 * time.Second
+)
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -76,14 +87,9 @@ func main() {
 		genClass = flag.String("gen", "", "generate a synthetic graph instead of -in: web|social|road|kmer")
 		n        = flag.Int("n", 1<<14, "vertex count for -gen")
 		deg      = flag.Int("deg", 12, "average degree for -gen")
-		seed     = flag.Int64("seed", 42, "random seed for -gen")
-		algoName = flag.String("algo", "DFLF", "refresh algorithm (case-insensitive)")
 		threads  = flag.Int("threads", 0, "worker goroutines (0 = NumCPU)")
-		alpha    = flag.Float64("alpha", dfpr.DefaultAlpha, "damping factor")
 		tol      = flag.Float64("tol", dfpr.DefaultTolerance, "iteration tolerance (L∞)")
 		history  = flag.Int("history", dfpr.DefaultHistory, "retained versions (ViewAt / delta window)")
-		topk     = flag.Int("topk", 10, "default k for /v1/topk")
-		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		policy   = flag.String("rank-policy", "immediate", "ingest rank scheduling: immediate|debounce|every")
 		quiet    = flag.Duration("rank-quiet", 5*time.Millisecond, "debounce: quiet gap before ranking")
 		maxLat   = flag.Duration("rank-max-latency", 100*time.Millisecond, "debounce: hard freshness deadline")
@@ -109,17 +115,11 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	algo, err := dfpr.ParseAlgorithm(*algoName)
-	if err != nil {
-		fatalf("%v", err)
-	}
 	rp, err := parsePolicy(*policy, *quiet, *maxLat, *everyN)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	opts := []dfpr.Option{
-		dfpr.WithAlgorithm(algo),
-		dfpr.WithAlpha(*alpha),
 		dfpr.WithTolerance(*tol),
 		dfpr.WithThreads(*threads),
 		dfpr.WithHistory(*history),
@@ -148,7 +148,7 @@ func main() {
 	var src *exutil.GraphSource
 	switch {
 	case *clusterNode != "":
-		cl, err = joinCluster(*clusterNode, *clusterSelf, *clusterPeers, *data, *leaseTTL, *keyed, *in, *genClass, *n, *deg, *seed, opts, logger)
+		cl, err = joinCluster(*clusterNode, *clusterSelf, *clusterPeers, *data, *leaseTTL, *keyed, *in, *genClass, *n, *deg, opts, logger)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -165,9 +165,9 @@ func main() {
 			eng, err = dfpr.New(0, nil, opts...)
 		}
 	case *keyed:
-		eng, nv, ne, err = openKeyed(*in, *genClass, *n, *deg, *seed, opts)
+		eng, nv, ne, err = openKeyed(*in, *genClass, *n, *deg, opts)
 	default:
-		src, err = loadOrGenerate(*in, *genClass, *n, *deg, *seed)
+		src, err = loadOrGenerate(*in, *genClass, *n, *deg)
 		if err == nil {
 			nv, ne = src.N, len(src.Edges)
 			eng, err = dfpr.New(nv, src.Edges, opts...)
@@ -209,7 +209,7 @@ func main() {
 		"version", res.Seq, "iterations", res.Iterations, "duration", res.Elapsed)
 
 	srvOpts := []serve.Option{
-		serve.WithDefaultTopK(*topk), serve.WithLogger(logger), serve.WithPprof(*pprofOn),
+		serve.WithLogger(logger), serve.WithPprof(*pprofOn),
 	}
 	if cl != nil {
 		srvOpts = append(srvOpts, serve.WithCluster(cl))
@@ -228,9 +228,9 @@ func main() {
 		fatalf("serve: %v", err)
 	case <-ctx.Done():
 	}
-	logger.Info("draining", "budget", *drain)
+	logger.Info("draining", "budget", drainBudget)
 	t0 := time.Now()
-	dctx, cancel := context.WithTimeout(context.Background(), *drain)
+	dctx, cancel := context.WithTimeout(context.Background(), drainBudget)
 	defer cancel()
 	if err := srv.Shutdown(dctx); err != nil {
 		logger.Warn("drain incomplete", "err", err, "duration", time.Since(t0))
@@ -284,7 +284,7 @@ func parsePolicy(name string, quiet, maxLat time.Duration, everyN int) (dfpr.Ran
 // this node becomes the first-ever writer of a fresh directory — recovered
 // or streamed state supersedes it everywhere else.
 func joinCluster(node, self, peersCSV, data string, ttl time.Duration, keyed bool,
-	in, genClass string, n, deg int, seed int64, opts []dfpr.Option, logger *slog.Logger) (*dfpr.Cluster, error) {
+	in, genClass string, n, deg int, opts []dfpr.Option, logger *slog.Logger) (*dfpr.Cluster, error) {
 	if data == "" || self == "" {
 		return nil, fmt.Errorf("prserve: -cluster-node requires -data (the shared directory) and -cluster-self (this node's base URL)")
 	}
@@ -300,7 +300,7 @@ func joinCluster(node, self, peersCSV, data string, ttl time.Duration, keyed boo
 	var seedN int
 	var seedEdges []dfpr.Edge
 	if in != "" || genClass != "" {
-		src, err := loadOrGenerate(in, genClass, n, deg, seed)
+		src, err := loadOrGenerate(in, genClass, n, deg)
 		if err != nil {
 			return nil, err
 		}
@@ -328,7 +328,7 @@ func joinCluster(node, self, peersCSV, data string, ttl time.Duration, keyed boo
 // engine whose graph arrives entirely through the keyed write path — from a
 // keyed edge-list file, or synthesised v<id> keys over a generated graph.
 // The engine owns the key→id compaction; prserve never sees a dense id.
-func openKeyed(in, genClass string, n, deg int, seed int64, opts []dfpr.Option) (*dfpr.Engine, int, int, error) {
+func openKeyed(in, genClass string, n, deg int, opts []dfpr.Option) (*dfpr.Engine, int, int, error) {
 	var kedges []dfpr.KeyEdge
 	if in != "" {
 		var err error
@@ -336,7 +336,7 @@ func openKeyed(in, genClass string, n, deg int, seed int64, opts []dfpr.Option) 
 			return nil, 0, 0, err
 		}
 	} else {
-		src, err := loadOrGenerate(in, genClass, n, deg, seed)
+		src, err := loadOrGenerate(in, genClass, n, deg)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -356,7 +356,7 @@ func openKeyed(in, genClass string, n, deg int, seed int64, opts []dfpr.Option) 
 // loadOrGenerate resolves the serving graph: a file via -in (text, .mtx, or
 // a binary CSR container — sniffed by magic), or a synthetic family via
 // -gen.
-func loadOrGenerate(in, genClass string, n, deg int, seed int64) (*exutil.GraphSource, error) {
+func loadOrGenerate(in, genClass string, n, deg int) (*exutil.GraphSource, error) {
 	if (in == "") == (genClass == "") {
 		return nil, fmt.Errorf("prserve: exactly one of -in or -gen is required")
 	}
@@ -376,7 +376,7 @@ func loadOrGenerate(in, genClass string, n, deg int, seed int64) (*exutil.GraphS
 	default:
 		return nil, fmt.Errorf("prserve: unknown -gen class %q (web|social|road|kmer)", genClass)
 	}
-	d := gen.Spec{Name: genClass, Class: class, N: n, Deg: deg, Seed: seed}.Build()
+	d := gen.Spec{Name: genClass, Class: class, N: n, Deg: deg, Seed: genSeed}.Build()
 	nv, edges := exutil.Flatten(d)
 	return &exutil.GraphSource{N: nv, Edges: edges, Layout: "gen"}, nil
 }

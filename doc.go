@@ -83,10 +83,11 @@
 // Stats().Replication reporting role, applied sequence and lag. A replica
 // replays the writer's round boundaries, so a follower that keeps pace
 // carries bitwise-identical ranks. JoinCluster adds membership and
-// failover on top: nodes share the durability directory, the writer holds
-// a TTL lease, and when it dies a replica promotes itself — replaying the
-// shared log tail, taking over the feed, and resuming the WAL sequence
-// exactly where the dead writer stopped:
+// failover on top: nodes share the durability directory and a static peer
+// list (which only orders their election stagger — nobody polls anybody),
+// the writer holds a TTL lease, and when it dies a replica promotes itself
+// — replaying the shared log tail, taking over the feed, and resuming the
+// WAL sequence exactly where the dead writer stopped:
 //
 //	c, err := dfpr.JoinCluster(ctx, dfpr.ClusterConfig{
 //		NodeID: "a", Dir: dir, SelfURL: self, Peers: peers,
@@ -112,9 +113,11 @@
 // promptly (workers joined, no goroutine leaks) with ErrCanceled, leaving
 // the ranks at the last completed version. Subscribe streams versioned
 // rank updates — each carrying the version's View — over a conflating
-// channel sized for live serving; WithFaultPlan/SetFaultPlan inject the
-// paper's thread-delay and crash-stop faults for chaos drills. Frontier
-// size is observable from the run that served: the
+// channel sized for live serving; SetFaultPlan injects the paper's
+// thread-delay and crash-stop faults for chaos drills, and a refresh that
+// fails under a plan surfaces as itself with the ranks at the last good
+// version — no static rebuild is tried in its place. Frontier size is
+// observable from the run that served: the
 // dfpr_rank_sweep_block_frontier_total counter over dfpr_rank_refreshes_total.
 //
 // The serve package exposes an Engine over HTTP/JSON (GET /v1/rank/{u},

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -519,5 +520,75 @@ func TestDurableModeMismatch(t *testing.T) {
 	keng.Close()
 	if _, err := New(4, nil, durableOpts(keyed)...); err == nil {
 		t.Fatal("New accepted a keyed engine's state")
+	}
+}
+
+// parkFS is a wal.FS whose segment files park inside Sync once armed: the
+// stand-in for a disk flush that takes its time.
+type parkFS struct {
+	wal.FS
+	armed   atomic.Bool
+	entered chan struct{} // one token per parked Sync
+	release chan struct{} // closed to let every parked Sync finish
+}
+
+func (p *parkFS) OpenAppend(name string) (wal.File, error) {
+	f, err := p.FS.OpenAppend(name)
+	if err != nil {
+		return nil, err
+	}
+	return &parkFile{File: f, fs: p}, nil
+}
+
+type parkFile struct {
+	wal.File
+	fs *parkFS
+}
+
+func (f *parkFile) Sync() error {
+	if f.fs.armed.Load() {
+		f.fs.entered <- struct{}{}
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+// TestStatsDoesNotWaitOnFsync pins the liveness probe's independence from
+// the disk: under fsync-always an Apply holds the log's append lock across
+// f.Sync(), and Engine.Stats — what /v1/healthz, the 429 path and the
+// dfpr_wal_seq gauge read — must return while that fsync is parked.
+func TestStatsDoesNotWaitOnFsync(t *testing.T) {
+	ctx := context.Background()
+	pfs := &parkFS{FS: wal.OSFS(), entered: make(chan struct{}, 1), release: make(chan struct{})}
+	eng, err := New(8, ringEdges(8), durableOpts(t.TempDir(), WithFsync(FsyncAlways()), withWALFS(pfs))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.Rank(ctx); err != nil {
+		t.Fatal(err)
+	}
+	pfs.armed.Store(true)
+	applied := make(chan error, 1)
+	go func() {
+		_, err := eng.Apply(ctx, nil, []Edge{{U: 0, V: 3}})
+		applied <- err
+	}()
+	<-pfs.entered // the Apply now sits in its fsync, append lock held
+
+	stats := make(chan Stats, 1)
+	go func() { stats <- eng.Stats() }()
+	select {
+	case st := <-stats:
+		if d := st.Durability; !d.Enabled || d.WALSeq != 1 || d.Degraded {
+			t.Errorf("stats during a parked fsync: %+v, want WALSeq 1 on a healthy log", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("Engine.Stats waited on a parked fsync")
+	}
+	pfs.armed.Store(false)
+	close(pfs.release)
+	if err := <-applied; err != nil {
+		t.Fatalf("apply after the fsync finished: %v", err)
 	}
 }

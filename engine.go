@@ -320,19 +320,19 @@ func toInternal(edges []Edge) []graph.Edge {
 // Rank brings the PageRank vector up to the latest published graph version
 // and returns it. The first call converges ranks statically; subsequent
 // calls replay the pending batches with the configured algorithm, touching
-// only frontier-sized work for the Dynamic Frontier variants, and fall back
-// to one static recomputation when the engine lagged beyond the retained
+// only frontier-sized work for the Dynamic Frontier variants, and rebuild
+// with one static recomputation when the engine lagged beyond the retained
 // history. Successful calls that advance the version push an Update to
 // every subscriber.
 //
 // Rank honours ctx: cancellation or deadline aborts the run in progress,
 // all worker goroutines exit before Rank returns, the error satisfies
 // errors.Is(err, ErrCanceled), and the engine's ranks remain at the last
-// completed version. On failure (cancellation, or injected crashes /
-// broken barrier with the static fallback disabled) the returned Result
-// carries the failed run's diagnostics — but no rank vector — alongside
-// the error; versions that completed before the failure become visible on
-// the next successful Rank.
+// completed version. On failure (cancellation, or injected crashes / a
+// broken barrier, which surface as themselves and are never answered with
+// a rebuild) the returned Result carries the failed run's diagnostics — but
+// no rank vector — alongside the error; versions that completed before the
+// failure become visible on the next successful Rank.
 func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -379,12 +379,10 @@ func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 	return out, nil
 }
 
-// setRanker installs rk under the engine's refresh policy: the configured
-// failure fallback, and multi-version catch-ups always replayed as one
-// merged span (the paper's cost model — work scales with the union movement
-// set, not the version count).
+// setRanker installs rk under the engine's refresh policy: multi-version
+// catch-ups always replayed as one merged span (the paper's cost model —
+// work scales with the union movement set, not the version count).
 func (e *Engine) setRanker(rk *snapshot.Ranker) {
-	rk.DisableFallback = e.opts.noFallback
 	rk.CoalesceSpans = true
 	e.ranker = rk
 }
@@ -509,9 +507,10 @@ func (e *Engine) syncStatsLocked() {
 }
 
 // SetFaultPlan replaces the fault-injection plan applied to subsequent
-// runs, validating it like WithFaultPlan does. It is the chaos-testing
-// control: converge cleanly, arm a plan, apply a batch, and observe how
-// the configured algorithm behaves under delays or crash-stop failures.
+// runs; a delay probability outside [0, 1] is an error. It is the one
+// chaos-testing control: converge cleanly (or arm before the first Rank),
+// apply a batch, and observe how the configured algorithm behaves under
+// delays or crash-stop failures. The zero plan disarms.
 func (e *Engine) SetFaultPlan(p FaultPlan) error {
 	if p.DelayProb < 0 || p.DelayProb > 1 {
 		return fmt.Errorf("dfpr: delay probability %v out of range [0, 1]", p.DelayProb)

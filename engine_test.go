@@ -151,10 +151,12 @@ func TestRankCancelPromptNoGoroutineLeak(t *testing.T) {
 		WithAlgorithm(DFLF),
 		WithThreads(4),
 		WithTolerance(1e-300), // unreachable before the FP fixpoint…
-		WithMaxIter(1<<30),    // …and no iteration bound to save us
-		WithFaultPlan(FaultPlan{DelayProb: 5e-4, DelayDur: time.Millisecond, Seed: 1}),
+		func(s *settings) error { s.cfg.MaxIter = 1 << 30; return nil }, // …and no iteration bound to save us
 	)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SetFaultPlan(FaultPlan{DelayProb: 5e-4, DelayDur: time.Millisecond, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	waitJoined := testutil.LeakCheck(t, "cancel")
@@ -416,16 +418,22 @@ func TestEngineClose(t *testing.T) {
 	sub.Close() // must not panic on double close
 }
 
+// TestEngineFaultDrillWithoutFallback is the crash drill through the one
+// way in, SetFaultPlan: a refresh whose workers all crash surfaces as
+// itself — no static rebuild is tried under the same plan — the published
+// view stays where it was, and the next Rank after disarming advances.
 func TestEngineFaultDrillWithoutFallback(t *testing.T) {
 	ctx := context.Background()
 	n, edges, mirror := testGraph(t, 9, 10)
-	eng, err := New(n, edges,
-		WithAlgorithm(DFLF), WithThreads(4), WithTolerance(1e-6),
-		WithStaticFallback(false))
+	eng, err := New(n, edges, WithAlgorithm(DFLF), WithThreads(4), WithTolerance(1e-6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Rank(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before, err := eng.View()
+	if err != nil {
 		t.Fatal(err)
 	}
 	up := batch.Random(mirror, 12, 2)
@@ -442,17 +450,17 @@ func TestEngineFaultDrillWithoutFallback(t *testing.T) {
 	if err == nil {
 		t.Fatal("all-workers-crashed Rank reported success")
 	}
-	if errors.Is(err, ErrCanceled) {
-		t.Errorf("crash failure misreported as cancellation: %v", err)
+	if !errors.Is(err, core.ErrAllCrashed) {
+		t.Errorf("err = %v, want the failed run's own ErrAllCrashed", err)
 	}
 	if res == nil || res.CrashedWorkers != 4 {
 		t.Fatalf("failed Result lacks diagnostics: %+v", res)
 	}
-	if v, err := eng.View(); err != nil || v.Seq() != 0 {
-		t.Errorf("failed refresh advanced the published rank version to %d (err=%v)", v.Seq(), err)
+	if v, err := eng.View(); err != nil || v != before {
+		t.Errorf("failed refresh replaced the published view (now version %d, err=%v)", v.Seq(), err)
 	}
 	if eng.Stats().Rebuilds != 0 {
-		t.Error("fallback ran despite WithStaticFallback(false)")
+		t.Error("a failed incremental run was answered with a rebuild")
 	}
 	// Disarm and recover.
 	if err := eng.SetFaultPlan(FaultPlan{}); err != nil {
@@ -467,8 +475,8 @@ func TestEngineFaultDrillWithoutFallback(t *testing.T) {
 func TestOptionValidationAndParse(t *testing.T) {
 	bad := []Option{
 		WithAlpha(0), WithAlpha(1), WithTolerance(0), WithFrontierTolerance(-1),
-		WithMaxIter(0), WithThreads(-1), WithHistory(-1), WithHistory(0),
-		WithAlgorithm(Algorithm(99)), WithFaultPlan(FaultPlan{DelayProb: 2}),
+		WithThreads(-1), WithHistory(-1), WithHistory(0),
+		WithAlgorithm(Algorithm(99)),
 	}
 	for i, opt := range bad {
 		if _, err := New(4, nil, opt); err == nil {

@@ -45,9 +45,6 @@ func main() {
 			dfpr.WithThreads(workers),
 			dfpr.WithTolerance(tol),
 			dfpr.WithFrontierTolerance(tol),
-			// Fault drills want the failure itself, not a rescue attempt
-			// that would run under the same injected faults.
-			dfpr.WithStaticFallback(false),
 		)
 		if err != nil {
 			panic(err)

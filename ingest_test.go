@@ -298,12 +298,12 @@ func TestEmptySubmitResolvesWithoutPublishing(t *testing.T) {
 }
 
 // TestFailedScheduledRankRetries pins the loop's self-healing: a scheduled
-// refresh that fails (crashed workers, fallback disabled) must be retried
-// on a timer, so applied edits do not stay unranked forever once the fault
-// clears — without any further Submit to re-wake the loop.
+// refresh that fails (crashed workers) must be retried on a timer, so
+// applied edits do not stay unranked forever once the fault clears —
+// without any further Submit to re-wake the loop.
 func TestFailedScheduledRankRetries(t *testing.T) {
 	ctx := context.Background()
-	eng, _, _ := ingestEngine(t, WithStaticFallback(false), WithRankPolicy(RankImmediate()))
+	eng, _, _ := ingestEngine(t, WithRankPolicy(RankImmediate()))
 	if err := eng.SetFaultPlan(FaultPlan{CrashWorkers: CrashSet(2, 2), Seed: 7}); err != nil {
 		t.Fatal(err)
 	}

@@ -260,9 +260,6 @@ func NewReplay(stream []gen.TemporalEdge, n int, preload float64) *Replay {
 // Graph returns the replay's current dynamic graph (mutated by NextBatch).
 func (r *Replay) Graph() *graph.Dynamic { return r.d }
 
-// Remaining returns how many events have not been replayed yet.
-func (r *Replay) Remaining() int { return len(r.stream) - r.pos }
-
 // NextBatch consumes up to size events and returns them as an insertion
 // batch together with the before/after snapshots, advancing the underlying
 // graph. ok is false when the stream is exhausted.

@@ -213,9 +213,6 @@ func TestReplayPreloadAndBatches(t *testing.T) {
 	const n, events = 200, 2000
 	stream := gen.TemporalStream(n, events, 5)
 	rep := NewReplay(stream, n, 0.9)
-	if rep.Remaining() != events/10 {
-		t.Fatalf("remaining = %d, want %d", rep.Remaining(), events/10)
-	}
 	if rep.Graph().N() != n {
 		t.Fatalf("graph n = %d", rep.Graph().N())
 	}
@@ -250,8 +247,8 @@ func TestReplayPreloadAndBatches(t *testing.T) {
 func TestReplayDefaultPreload(t *testing.T) {
 	stream := gen.TemporalStream(100, 1000, 2)
 	rep := NewReplay(stream, 100, 0) // invalid → default 0.9
-	if rep.Remaining() != 100 {
-		t.Errorf("remaining = %d", rep.Remaining())
+	if up, _, _, ok := rep.NextBatch(len(stream)); !ok || len(up.Ins) != 100 {
+		t.Errorf("replayed %d events after the default preload, want 100", len(up.Ins))
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"strconv"
 	"strings"
 
-	"dfpr/internal/gen"
 	"dfpr/internal/graph"
 	"dfpr/internal/keymap"
 )
@@ -274,41 +273,6 @@ func WriteEdgeList(w io.Writer, d *graph.Dynamic) error {
 	return bw.Flush()
 }
 
-// ReadTemporal parses "u v t" triples (SNAP temporal format). Events keep
-// file order; timestamps are returned as given.
-func ReadTemporal(r io.Reader) ([]gen.TemporalEdge, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var out []gen.TemporalEdge
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) < 3 {
-			return nil, fmt.Errorf("gio: bad temporal line %q (want 'u v t')", line)
-		}
-		u, err1 := strconv.Atoi(f[0])
-		v, err2 := strconv.Atoi(f[1])
-		ts, err3 := strconv.ParseInt(f[2], 10, 64)
-		if err1 != nil || err2 != nil || err3 != nil || u < 0 || v < 0 {
-			return nil, fmt.Errorf("gio: bad temporal line %q", line)
-		}
-		out = append(out, gen.TemporalEdge{E: graph.Edge{U: uint32(u), V: uint32(v)}, At: ts})
-	}
-	return out, sc.Err()
-}
-
-// WriteTemporal writes "u v t" triples.
-func WriteTemporal(w io.Writer, stream []gen.TemporalEdge) error {
-	bw := bufio.NewWriter(w)
-	for _, te := range stream {
-		fmt.Fprintf(bw, "%d %d %d\n", te.E.U, te.E.V, te.At)
-	}
-	return bw.Flush()
-}
-
 // ReadBatch parses a batch-update file: "+ u v" inserts, "- u v" deletes.
 func ReadBatch(r io.Reader) (del, ins []graph.Edge, err error) {
 	sc := bufio.NewScanner(r)
@@ -337,16 +301,4 @@ func ReadBatch(r io.Reader) (del, ins []graph.Edge, err error) {
 		}
 	}
 	return del, ins, sc.Err()
-}
-
-// WriteBatch writes a batch-update file.
-func WriteBatch(w io.Writer, del, ins []graph.Edge) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range del {
-		fmt.Fprintf(bw, "- %d %d\n", e.U, e.V)
-	}
-	for _, e := range ins {
-		fmt.Fprintf(bw, "+ %d %d\n", e.U, e.V)
-	}
-	return bw.Flush()
 }

@@ -108,37 +108,10 @@ func TestEdgeListCommentsAndErrors(t *testing.T) {
 	}
 }
 
-func TestTemporalRoundTrip(t *testing.T) {
-	stream := gen.TemporalStream(50, 200, 3)
-	var buf bytes.Buffer
-	if err := WriteTemporal(&buf, stream); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTemporal(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stream, back) {
-		t.Error("temporal round trip changed the stream")
-	}
-}
-
-func TestTemporalErrors(t *testing.T) {
-	for _, bad := range []string{"1 2\n", "a b c\n", "1 2 x\n"} {
-		if _, err := ReadTemporal(strings.NewReader(bad)); err == nil {
-			t.Errorf("accepted %q", bad)
-		}
-	}
-}
-
 func TestBatchRoundTrip(t *testing.T) {
 	del := []graph.Edge{{U: 1, V: 2}, {U: 3, V: 4}}
 	ins := []graph.Edge{{U: 5, V: 6}}
-	var buf bytes.Buffer
-	if err := WriteBatch(&buf, del, ins); err != nil {
-		t.Fatal(err)
-	}
-	d2, i2, err := ReadBatch(&buf)
+	d2, i2, err := ReadBatch(strings.NewReader("# prgen -batch\n- 1 2\n+ 5 6\n\n- 3 4\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

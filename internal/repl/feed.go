@@ -75,7 +75,6 @@ type Feed struct {
 
 	conns   atomic.Int64
 	records atomic.Int64
-	served  atomic.Int64 // total streams ever opened
 }
 
 // NewFeed returns a feed over log.
@@ -91,9 +90,6 @@ func (f *Feed) Conns() int64 { return f.conns.Load() }
 
 // Records returns the total records streamed across all connections.
 func (f *Feed) Records() int64 { return f.records.Load() }
-
-// Streams returns the total connections ever accepted.
-func (f *Feed) Streams() int64 { return f.served.Load() }
 
 func (f *Feed) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var from uint64
@@ -151,7 +147,6 @@ func (f *Feed) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	fl.Flush()
 
 	f.conns.Add(1)
-	f.served.Add(1)
 	defer f.conns.Add(-1)
 
 	sr := f.log.SegmentReader(start)

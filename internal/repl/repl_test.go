@@ -2,11 +2,8 @@ package repl
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"testing"
 	"time"
 
@@ -304,47 +301,5 @@ func TestLeaseStealContention(t *testing.T) {
 	info, ok, err := final.Read()
 	if err != nil || !ok || info.Holder != winners[0] || info.Term != 2 {
 		t.Fatalf("final lease = %+v ok=%v err=%v", info, ok, err)
-	}
-}
-
-func fakeHealthz(role string, lag, seq uint64) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-DFPR-Version", strconv.FormatUint(seq, 10))
-		json.NewEncoder(w).Encode(map[string]any{
-			"status": "ok", "ready": true, "role": role, "replication_lag_seq": lag,
-		})
-	})
-	return mux
-}
-
-func TestPeersPolling(t *testing.T) {
-	srv := httptest.NewServer(fakeHealthz("writer", 0, 7))
-	defer srv.Close()
-	p := NewPeers("http://self", []string{srv.URL, "http://127.0.0.1:1"}, 20*time.Millisecond)
-	p.Start()
-	defer p.Stop()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		sn := p.Snapshot()
-		var live, dead bool
-		for _, s := range sn {
-			if s.URL == srv.URL && s.Alive && s.Role == "writer" && s.Seq == 7 {
-				live = true
-			}
-			if s.URL == "http://127.0.0.1:1" && !s.Alive {
-				dead = true
-			}
-		}
-		if live && dead {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("peer snapshot never settled: %+v", sn)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if p.SelfIndex() < 0 || p.SelfIndex() > 2 {
-		t.Fatalf("SelfIndex = %d", p.SelfIndex())
 	}
 }

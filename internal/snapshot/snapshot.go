@@ -274,7 +274,7 @@ type Ranker struct {
 	cur   *Version // the store version ranks correspond to (Seq == seq)
 
 	// Refreshes counts incremental refreshes; Rebuilds counts static
-	// fallbacks (history evicted or incremental failure).
+	// rebuilds after the pending history was evicted.
 	Refreshes, Rebuilds int
 
 	// SweepBlocks and FrontierScanned accumulate the per-run sweep
@@ -282,15 +282,6 @@ type Ranker struct {
 	// run this ranker performed — initial convergence, refreshes, rebuilds.
 	// The engine mirrors them into the dfpr_rank_sweep_block_* counters.
 	SweepBlocks, FrontierScanned int64
-
-	// DisableFallback stops Refresh from converting a *failed* incremental
-	// run (crash, deadlock) into a static rebuild: the failed result and its
-	// error are returned instead, leaving ranks at the last good version.
-	// Eviction of the pending history still rebuilds — there is no other
-	// sound way forward. Fault-injection callers set this so an injected
-	// failure surfaces as itself rather than as a rebuild that would be
-	// subjected to the same faults.
-	DisableFallback bool
 
 	// CoalesceSpans makes Refresh replay a multi-version pending chain as
 	// ONE incremental run: the chain's batches are merged (last op per edge
@@ -387,14 +378,15 @@ func (r *Ranker) Behind() uint64 {
 // A dynamic algo replays the pending chain span by span: the whole chain as
 // one span under CoalesceSpans, one version per span otherwise. When the
 // pending history has been evicted (the ranker lagged more than the store's
-// retention), or an incremental run fails, it falls back to one static
-// recomputation on the newest version. A static algo recomputes with itself
-// once per Refresh that finds a new version.
+// retention) it rebuilds with one static recomputation on the newest
+// version — there is no other sound way forward. A static algo recomputes
+// with itself once per Refresh that finds a new version.
 //
-// Cancellation of ctx aborts the run in progress; the rank vector then
-// stays at the last version that completed, the returned error wraps
-// core.ErrCanceled, and no static fallback is attempted (cancellation is
-// the caller's decision, not a failure to recover from).
+// A run that fails (crashed workers, broken barrier) or is cancelled through
+// ctx surfaces as itself: the rank vector stays at the last version that
+// completed and the returned error wraps the run's own (core.ErrAllCrashed,
+// sched.ErrBroken, core.ErrCanceled). No rebuild is attempted — it would run
+// under the same fault plan, behind a barrier.
 func (r *Ranker) Refresh(ctx context.Context) (core.Result, int, error) {
 	from := r.seq
 	res, err := r.catchUp(ctx)
@@ -442,12 +434,8 @@ func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
 			r.land(tip, last, &r.Refreshes)
 		case errors.Is(last.Err, core.ErrCanceled):
 			return last, fmt.Errorf("snapshot: refresh aborted at version %d: %w", tip.Seq, last.Err)
-		case r.DisableFallback:
-			return last, fmt.Errorf("snapshot: incremental refresh failed at version %d: %w", tip.Seq, last.Err)
 		default:
-			// A crashed/failed incremental run must not poison the vector:
-			// rebuild from scratch on the newest snapshot.
-			return r.recompute(ctx, core.AlgoStaticBB, &r.Rebuilds)
+			return last, fmt.Errorf("snapshot: incremental refresh failed at version %d: %w", tip.Seq, last.Err)
 		}
 	}
 	return last, nil
@@ -455,7 +443,7 @@ func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
 
 // recompute runs static algo on the store's newest version and lands the
 // ranker there, counting it in counter: a static ranker's Refreshes, or a
-// dynamic ranker's Rebuilds when it cannot (or failed to) replay.
+// dynamic ranker's Rebuilds when the history it would replay is gone.
 func (r *Ranker) recompute(ctx context.Context, algo core.Algo, counter *int) (core.Result, error) {
 	v := r.store.Current()
 	res := core.RunCtx(ctx, algo, core.Input{GNew: v.G}, r.cfg)

@@ -15,7 +15,6 @@ import (
 	"dfpr/internal/fault"
 	"dfpr/internal/gen"
 	"dfpr/internal/graph"
-	"dfpr/internal/sched"
 	"dfpr/internal/topk"
 )
 
@@ -203,8 +202,8 @@ func TestRankerCoalescedSpanMatchesPerVersionReplay(t *testing.T) {
 
 // TestRankerCoalescedSpanCancelAndFailure drives the span path's error
 // handling: cancellation leaves the ranker untouched without a rebuild, a
-// crash with DisableFallback surfaces as itself, and clearing the fault
-// lets the span replay recover.
+// crash surfaces as itself, and clearing the fault lets the span replay
+// recover.
 func TestRankerCoalescedSpanCancelAndFailure(t *testing.T) {
 	s := testStore(t, 0)
 	n := s.Current().G.N()
@@ -214,7 +213,6 @@ func TestRankerCoalescedSpanCancelAndFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.CoalesceSpans = true
-	r.DisableFallback = true
 	for i := 0; i < 3; i++ {
 		up := batch.Random(graph.DynamicFromCSR(s.Current().G), 8, int64(700+i))
 		s.Apply(up)
@@ -226,7 +224,7 @@ func TestRankerCoalescedSpanCancelAndFailure(t *testing.T) {
 	}
 	r.SetFault(fault.Plan{CrashWorkers: fault.CrashSet(cfg.Threads, cfg.Threads), Seed: 9})
 	if _, adv, err := r.Refresh(context.Background()); !errors.Is(err, core.ErrAllCrashed) || adv != 0 || r.Rebuilds != 0 || r.Seq() != 0 {
-		t.Fatalf("crashed span refresh with fallback off: advanced=%d rebuilds=%d seq=%d err=%v", adv, r.Rebuilds, r.Seq(), err)
+		t.Fatalf("crashed span refresh: advanced=%d rebuilds=%d seq=%d err=%v", adv, r.Rebuilds, r.Seq(), err)
 	}
 	r.SetFault(fault.Plan{})
 	if _, adv, err := r.Refresh(context.Background()); err != nil || adv != 3 || r.Refreshes != 1 {
@@ -252,7 +250,6 @@ func TestRankerLandingInvariants(t *testing.T) {
 		keep     int
 		pending  int
 		coalesce bool
-		noFall   bool
 		crash    bool
 		ctx      context.Context
 		// wantErr is the failure the Refresh must report (nil for success);
@@ -265,10 +262,9 @@ func TestRankerLandingInvariants(t *testing.T) {
 		{name: "per-version arm", algo: core.AlgoDFLF, pending: 4, refreshes: 4},
 		{name: "static algo", algo: core.AlgoStaticLF, pending: 3, refreshes: 1},
 		{name: "eviction rebuild", algo: core.AlgoDFLF, keep: 2, pending: 5, coalesce: true, rebuilds: 1},
-		// The plan outlives the failed run, so the fallback rebuild runs into
-		// it too (a barrier with a dead participant) and fails as itself.
-		{name: "failure with fallback", algo: core.AlgoDFLF, pending: 2, coalesce: true, crash: true, wantErr: sched.ErrBroken},
-		{name: "failure without fallback", algo: core.AlgoDFLF, pending: 2, coalesce: true, crash: true, noFall: true, wantErr: core.ErrAllCrashed},
+		// A failed run surfaces as itself: no rebuild is tried (it would sit
+		// behind a barrier under the same plan and end in sched.ErrBroken).
+		{name: "failure without fallback", algo: core.AlgoDFLF, pending: 2, coalesce: true, crash: true, wantErr: core.ErrAllCrashed},
 		{name: "cancellation", algo: core.AlgoDFLF, pending: 2, coalesce: true, ctx: canceled, wantErr: core.ErrCanceled},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -278,7 +274,7 @@ func TestRankerLandingInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.CoalesceSpans, r.DisableFallback = tc.coalesce, tc.noFall
+			r.CoalesceSpans = tc.coalesce
 			for i := 0; i < tc.pending; i++ {
 				s.Apply(batch.Random(graph.DynamicFromCSR(s.Current().G), 6, int64(300+i)))
 			}
@@ -290,9 +286,14 @@ func TestRankerLandingInvariants(t *testing.T) {
 				ctx = context.Background()
 			}
 			seq, refreshes, rebuilds, blocks := r.Seq(), r.Refreshes, r.Rebuilds, r.SweepBlocks
+			ranks := r.RanksShared()
 			_, advanced, err := r.Refresh(ctx)
 			if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil) != (err == nil) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if err != nil && (r.Seq() != seq || &r.RanksShared()[0] != &ranks[0]) {
+				t.Errorf("failed refresh moved the ranker: seq %d → %d, vector replaced=%v",
+					seq, r.Seq(), &r.RanksShared()[0] != &ranks[0])
 			}
 			if r.Seq() != r.Version().Seq || len(r.RanksShared()) != r.Version().G.N() {
 				t.Errorf("ranker at seq %d holds version %d with %d ranks for %d vertices",
@@ -334,7 +335,7 @@ func TestRankerRebuildsWhenEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	if advanced != 6 || r.Rebuilds != 1 {
-		t.Errorf("advanced=%d rebuilds=%d (want static fallback)", advanced, r.Rebuilds)
+		t.Errorf("advanced=%d rebuilds=%d (want static rebuild)", advanced, r.Rebuilds)
 	}
 	ref := core.Reference(s.Current().G, core.Config{})
 	if e := topk.LInf(r.Ranks(), ref); e > 20*testCfg(n).Tol {
@@ -560,7 +561,7 @@ func TestRankerFallbackWithPruneFrontier(t *testing.T) {
 		t.Fatal(err)
 	}
 	if advanced != 5 || r.Rebuilds != 1 || !res.Converged {
-		t.Fatalf("advanced=%d rebuilds=%d converged=%v (want static fallback)", advanced, r.Rebuilds, res.Converged)
+		t.Fatalf("advanced=%d rebuilds=%d converged=%v (want static rebuild)", advanced, r.Rebuilds, res.Converged)
 	}
 	ref := core.Reference(s.Current().G, core.Config{})
 	if e := topk.LInf(r.Ranks(), ref); e > 20*cfg.Tol {
@@ -635,10 +636,10 @@ func TestRankerRefreshUnderConcurrentApply(t *testing.T) {
 	}
 }
 
-// TestRankerDisableFallback injects a crash of every worker: with the
-// fallback disabled the failure must surface as itself, the vector must
-// stay at its last good version, and clearing the plan must let the ranker
-// recover incrementally.
+// TestRankerDisableFallback injects a crash of every worker: there is no
+// failure fallback, so the failure must surface as itself, the vector must
+// stay at its last good version, and clearing the plan must let the next
+// Refresh land incrementally.
 func TestRankerDisableFallback(t *testing.T) {
 	s := testStore(t, 0)
 	n := s.Current().G.N()
@@ -647,7 +648,6 @@ func TestRankerDisableFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.DisableFallback = true
 	up := batch.Random(graph.DynamicFromCSR(s.Current().G), 12, 77)
 	s.Apply(up)
 
@@ -660,7 +660,7 @@ func TestRankerDisableFallback(t *testing.T) {
 		t.Errorf("err = %v, want ErrAllCrashed", err)
 	}
 	if advanced != 0 || r.Seq() != 0 || r.Rebuilds != 0 {
-		t.Errorf("advanced=%d seq=%d rebuilds=%d after disabled fallback", advanced, r.Seq(), r.Rebuilds)
+		t.Errorf("advanced=%d seq=%d rebuilds=%d after a crashed refresh", advanced, r.Seq(), r.Rebuilds)
 	}
 	if res.CrashedWorkers != cfg.Threads {
 		t.Errorf("CrashedWorkers = %d, want %d", res.CrashedWorkers, cfg.Threads)
@@ -676,8 +676,8 @@ func TestRankerDisableFallback(t *testing.T) {
 	}
 }
 
-// TestRankerRefreshCanceled verifies a canceled refresh does not trigger
-// the static fallback and leaves the ranker at its last good version.
+// TestRankerRefreshCanceled verifies a canceled refresh triggers no
+// rebuild and leaves the ranker at its last good version.
 func TestRankerRefreshCanceled(t *testing.T) {
 	s := testStore(t, 0)
 	n := s.Current().G.N()

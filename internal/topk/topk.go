@@ -70,15 +70,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(logSum / float64(n))
 }
 
-// GeoMeanDur is GeoMean over durations, returned as a duration.
-func GeoMeanDur(ds []time.Duration) time.Duration {
-	xs := make([]float64, len(ds))
-	for i, d := range ds {
-		xs[i] = float64(d)
-	}
-	return time.Duration(GeoMean(xs))
-}
-
 // Speedup returns base/x (how many times faster x is than base). Zero when
 // x is zero.
 func Speedup(base, x time.Duration) float64 {

@@ -83,13 +83,6 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestGeoMeanDur(t *testing.T) {
-	got := GeoMeanDur([]time.Duration{time.Millisecond, 100 * time.Millisecond})
-	if got < 9*time.Millisecond || got > 11*time.Millisecond {
-		t.Errorf("GeoMeanDur = %v", got)
-	}
-}
-
 func TestSpeedup(t *testing.T) {
 	if Speedup(10*time.Second, 2*time.Second) != 5 {
 		t.Error("Speedup arithmetic wrong")

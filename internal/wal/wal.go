@@ -102,9 +102,13 @@ type Log struct {
 
 	ckptMu sync.Mutex // serialises WriteCheckpoint
 
+	// Mirrors of the mu-guarded state that Stats and Degraded read without
+	// the lock: Append and the flusher hold mu across an fsync, and a
+	// liveness probe must not wait on a disk flush.
+	seqA     atomic.Uint64         // seq
+	failure  atomic.Pointer[error] // cause; nil while healthy
 	ckptSeq  atomic.Uint64
 	lastSync atomic.Int64 // unix nanos of the last successful fsync
-	degraded atomic.Bool
 
 	stop chan struct{}
 	done chan struct{}
@@ -163,6 +167,7 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	l.seqA.Store(l.seq)
 	if l.opts.Mode == SyncBatched {
 		l.stop = make(chan struct{})
 		l.done = make(chan struct{})
@@ -305,6 +310,7 @@ func (l *Log) Append(r *Record) error {
 	}
 	l.size += int64(n)
 	l.seq = r.Seq
+	l.seqA.Store(r.Seq)
 	l.dirty = true
 	l.notifyLocked()
 	if l.opts.Mode == SyncAlways {
@@ -362,12 +368,12 @@ func (l *Log) rotateLocked() error {
 func (l *Log) degradeLocked(err error) error {
 	err = fmt.Errorf("wal: %w", err)
 	l.cause = err
-	l.degraded.Store(true)
+	l.failure.Store(&err)
 	return err
 }
 
 // Degraded reports the sticky failure state without taking the lock.
-func (l *Log) Degraded() bool { return l.degraded.Load() }
+func (l *Log) Degraded() bool { return l.failure.Load() != nil }
 
 // WriteCheckpoint makes st durable — temp file, fsync, rename, directory
 // fsync — then prunes: checkpoints beyond the newest two and every sealed
@@ -378,10 +384,8 @@ func (l *Log) Degraded() bool { return l.degraded.Load() }
 func (l *Log) WriteCheckpoint(st *State) error {
 	l.ckptMu.Lock()
 	defer l.ckptMu.Unlock()
-	if l.degraded.Load() {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return l.cause
+	if cause := l.failure.Load(); cause != nil {
+		return *cause
 	}
 	b := encodeCheckpoint(st)
 	tmp := filepath.Join(l.dir, fmt.Sprintf("checkpoint-%016x.tmp", st.Seq))
@@ -456,12 +460,13 @@ func (l *Log) prune(seq uint64) {
 	}
 }
 
-// Stats returns the log's current durability state.
+// Stats returns the log's current durability state. It takes no lock, so
+// it returns while an Append or the flusher sits in an fsync.
 func (l *Log) Stats() Stats {
-	l.mu.Lock()
-	s := Stats{Seq: l.seq, Degraded: l.cause != nil, Err: l.cause}
-	l.mu.Unlock()
-	s.CheckpointSeq = l.ckptSeq.Load()
+	s := Stats{Seq: l.seqA.Load(), CheckpointSeq: l.ckptSeq.Load()}
+	if cause := l.failure.Load(); cause != nil {
+		s.Degraded, s.Err = true, *cause
+	}
 	if ns := l.lastSync.Load(); ns != 0 {
 		s.LastSync = time.Unix(0, ns)
 	}

@@ -126,8 +126,6 @@ const (
 	DefaultAlpha = core.DefaultAlpha
 	// DefaultTolerance is the default iteration tolerance τ (L∞).
 	DefaultTolerance = core.DefaultTol
-	// DefaultMaxIter is the default iteration bound per run.
-	DefaultMaxIter = core.DefaultMaxIter
 	// DefaultHistory is the default number of retained graph versions.
 	DefaultHistory = snapshot.DefaultHistory
 	// DefaultIngestQueue is the default bound on edits queued in the ingest
@@ -150,18 +148,17 @@ const (
 
 // settings is the resolved configuration an Engine is built with.
 type settings struct {
-	cfg        core.Config
-	algo       core.Algo
-	history    int
-	noFallback bool
-	policy     RankPolicy
-	queue      int
-	maxN       int
-	keyed      bool
-	durDir     string
-	fsync      FsyncPolicy
-	ckptEvery  int
-	walFS      wal.FS // test hook: fault-injecting filesystem
+	cfg       core.Config
+	algo      core.Algo
+	history   int
+	policy    RankPolicy
+	queue     int
+	maxN      int
+	keyed     bool
+	durDir    string
+	fsync     FsyncPolicy
+	ckptEvery int
+	walFS     wal.FS // test hook: fault-injecting filesystem
 
 	// tel is the engine's metrics registry, created by New after the options
 	// resolve (it is not an option: every engine has one, and the durable
@@ -232,17 +229,6 @@ func WithFrontierTolerance(tol float64) Option {
 	}
 }
 
-// WithMaxIter bounds the iterations of one run (default 500).
-func WithMaxIter(n int) Option {
-	return func(s *settings) error {
-		if n <= 0 {
-			return fmt.Errorf("dfpr: max iterations %d must be positive", n)
-		}
-		s.cfg.MaxIter = n
-		return nil
-	}
-}
-
 // WithThreads sets the number of worker goroutines per run (default
 // runtime.NumCPU()).
 func WithThreads(n int) Option {
@@ -251,27 +237,6 @@ func WithThreads(n int) Option {
 			return fmt.Errorf("dfpr: thread count %d must be non-negative", n)
 		}
 		s.cfg.Threads = n
-		return nil
-	}
-}
-
-// WithPruneFrontier removes converged vertices from the Dynamic Frontier
-// affected set (the "DF with pruning" refinement; default off).
-func WithPruneFrontier(prune bool) Option {
-	return func(s *settings) error {
-		s.cfg.PruneFrontier = prune
-		return nil
-	}
-}
-
-// WithFaultPlan injects the given faults into every subsequent run — see
-// also Engine.SetFaultPlan for changing the plan between runs.
-func WithFaultPlan(p FaultPlan) Option {
-	return func(s *settings) error {
-		if p.DelayProb < 0 || p.DelayProb > 1 {
-			return fmt.Errorf("dfpr: delay probability %v out of range [0, 1]", p.DelayProb)
-		}
-		s.cfg.Fault = p.internal()
 		return nil
 	}
 }
@@ -453,19 +418,6 @@ func withKeyed() Option {
 func withWALFS(fs wal.FS) Option {
 	return func(s *settings) error {
 		s.walFS = fs
-		return nil
-	}
-}
-
-// WithStaticFallback controls whether a *failed* incremental refresh
-// (crashed workers, broken barrier) falls back to one static recomputation
-// (default true). With the fallback off, Rank surfaces the failure and
-// leaves the ranks at the last good version — the right mode for fault
-// drills, where the fallback would be subjected to the same injected
-// faults.
-func WithStaticFallback(enabled bool) Option {
-	return func(s *settings) error {
-		s.noFallback = !enabled
 		return nil
 	}
 }

@@ -67,9 +67,9 @@ type Result struct {
 	// Advanced is the number of graph versions this call moved the ranks
 	// forward by (0 when the engine was already current).
 	Advanced int
-	// Rebuilt reports that this call fell back to a full static
-	// recomputation (history evicted, or an incremental run failed with the
-	// static fallback enabled) instead of replaying batches incrementally.
+	// Rebuilt reports that this call ran a full static recomputation
+	// because the pending history was evicted, instead of replaying batches
+	// incrementally.
 	Rebuilt bool
 	// View is the zero-copy read handle on the computed ranks — the same
 	// immutable view Engine.View returns for this version. A Rank that
@@ -96,13 +96,13 @@ type Result struct {
 
 // Stats counts how an engine has kept its ranks fresh and what its ingest
 // pipeline has absorbed: Refreshes are incremental (or static-algorithm)
-// refreshes, Rebuilds are static fallbacks after eviction or failure.
+// refreshes, Rebuilds are static rebuilds after the history was evicted.
 type Stats struct {
 	Refreshes, Rebuilds int
 	// QueuedEdits is the number of edits sitting in the ingest queue right
 	// now — accepted by Submit, not yet drained into a round. The
 	// backpressure gauge a load balancer watches. QueueBound is the
-	// WithIngestQueue limit those edits press against (0 = unbounded), so
+	// WithIngestQueue limit those edits press against (always positive), so
 	// a shedding layer can turn depth into a retry hint.
 	QueuedEdits int
 	QueueBound  int

@@ -89,12 +89,14 @@ func TestServeClusterEquivalence(t *testing.T) {
 	// the engine's fault plan): replication equivalence must hold under
 	// scheduling noise, not just on the happy path.
 	writer, err := dfpr.New(n, edges,
-		dfpr.WithDurability(t.TempDir()), dfpr.WithThreads(4), tight,
-		dfpr.WithFaultPlan(dfpr.FaultPlan{DelayProb: 5e-4, DelayDur: time.Millisecond, Seed: 7}))
+		dfpr.WithDurability(t.TempDir()), dfpr.WithThreads(4), tight)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { writer.Close() })
+	if err := writer.SetFaultPlan(dfpr.FaultPlan{DelayProb: 5e-4, DelayDur: time.Millisecond, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := writer.Rank(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -290,13 +292,16 @@ func TestServeClusterFailover(t *testing.T) {
 	join := func(i int) {
 		t.Helper()
 		c, err := dfpr.JoinCluster(ctx, dfpr.ClusterConfig{
-			NodeID:         fmt.Sprintf("node-%d", i),
-			Dir:            dir,
-			SelfURL:        nodes[i].url,
-			Peers:          peers,
-			LeaseTTL:       500 * time.Millisecond,
-			HeartbeatEvery: 100 * time.Millisecond,
-			SeedN:          16,
+			NodeID:   fmt.Sprintf("node-%d", i),
+			Dir:      dir,
+			SelfURL:  nodes[i].url,
+			Peers:    peers,
+			LeaseTTL: 500 * time.Millisecond,
+			// τ = 1e-14 on every role: the promoted node and the survivor
+			// replay different spans, so the 1e-12 check below needs it
+			// (see TestServeClusterEquivalence).
+			Engine: []dfpr.Option{dfpr.WithTolerance(1e-14)},
+			SeedN:  16,
 			SeedEdges: []dfpr.Edge{
 				{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0},
 				{U: 4, V: 0}, {U: 5, V: 0}, {U: 6, V: 4}, {U: 7, V: 4},
@@ -305,7 +310,7 @@ func TestServeClusterFailover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("join node-%d: %v", i, err)
 		}
-		s, err := New(c.Engine(), WithCluster(c), WithMaxWait(10*time.Second))
+		s, err := New(c.Engine(), WithCluster(c))
 		if err != nil {
 			t.Fatal(err)
 		}

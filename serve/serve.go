@@ -31,14 +31,14 @@
 // dfpr.StartReplica). The /v1/feed endpoint streams the writer's WAL to
 // replicas; it answers per request, so a replica promoted to writer starts
 // feeding without a restart. healthz and stats report the node's role and
-// replication lag — the fields peers poll for liveness. With WithCluster
-// the write surface follows the leader: a POST /v1/apply landing on a
-// replica is proxied to the current leader and the response (including its
-// X-DFPR-Version) relayed, so clients write anywhere and read their writes
-// everywhere. Versioned reads are watermark-aware: pinning a version the
-// node has not ranked yet parks the request until replication catches up
-// (bounded by WithMaxWait) instead of serving stale ranks — read-your-ranks
-// survives fan-out through any replica.
+// replication lag. With WithCluster the write surface follows the leader: a
+// POST /v1/apply landing on a replica is proxied to the current leader and
+// the response (including its X-DFPR-Version) relayed, so clients write
+// anywhere and read their writes everywhere. Versioned reads are
+// watermark-aware: pinning a version the node has not ranked yet parks the
+// request until replication catches up (bounded by the 30 s server-side
+// wait cap) instead of serving stale ranks — read-your-ranks survives
+// fan-out through any replica.
 //
 // On a keyed engine (dfpr.Open) the read surface speaks external string
 // keys: /v1/rank/{key} resolves the path as a key, topk and delta entries
@@ -111,14 +111,29 @@ type Server struct {
 }
 
 type options struct {
-	defaultK int
-	maxK     int
-	maxBatch int
-	maxWait  time.Duration
-	pprof    bool
-	log      *slog.Logger
-	cluster  ClusterInfo
+	maxWait time.Duration // defaultMaxWait; in-package tests shorten it
+	pprof   bool
+	log     *slog.Logger
+	cluster ClusterInfo
 }
+
+// The request caps. Each rejects outside input and has had one value in
+// every deployment, so they are constants rather than options.
+const (
+	// defaultTopK is the k of a /v1/topk request that names none.
+	defaultTopK = 10
+	// maxTopK caps the k a /v1/topk request may ask for, so one query cannot
+	// demand an O(|V|) response: k beyond the cap is a 400.
+	maxTopK = 1000
+	// maxBatch caps the edges (deletions plus insertions) one /v1/apply
+	// request may carry.
+	maxBatch = 100000
+	// defaultMaxWait caps how long /v1/wait, /v1/apply?wait=ranked and a
+	// read pinned ahead of the ranked version may block server-side before
+	// answering 504. The request context still bounds every wait from the
+	// client side.
+	defaultMaxWait = 30 * time.Second
+)
 
 // ClusterInfo is the server's window into the replication membership: the
 // node's current role and where the leader's write surface lives. Both
@@ -131,58 +146,6 @@ type ClusterInfo interface {
 
 // Option configures a Server at construction.
 type Option func(*options) error
-
-// WithDefaultTopK sets the k used when /v1/topk carries no k parameter
-// (default 10).
-func WithDefaultTopK(k int) Option {
-	return func(o *options) error {
-		if k <= 0 {
-			return fmt.Errorf("serve: default top-k %d must be positive", k)
-		}
-		o.defaultK = k
-		return nil
-	}
-}
-
-// WithMaxK caps the k a /v1/topk request may ask for (default 1000), so one
-// query cannot demand an O(|V|) response: k beyond the cap is a 400, and
-// within the cap it is additionally clamped to the view's vertex count
-// before any selection or allocation happens — an absurd k never sizes
-// anything.
-func WithMaxK(k int) Option {
-	return func(o *options) error {
-		if k <= 0 {
-			return fmt.Errorf("serve: max top-k %d must be positive", k)
-		}
-		o.maxK = k
-		return nil
-	}
-}
-
-// WithMaxBatch caps the edges (deletions plus insertions) one /v1/apply
-// request may carry (default 100000).
-func WithMaxBatch(n int) Option {
-	return func(o *options) error {
-		if n <= 0 {
-			return fmt.Errorf("serve: max batch %d must be positive", n)
-		}
-		o.maxBatch = n
-		return nil
-	}
-}
-
-// WithMaxWait caps how long /v1/wait and /v1/apply?wait=ranked may block
-// server-side before answering 504 (default 30s). The request context still
-// bounds every wait from the client side.
-func WithMaxWait(d time.Duration) Option {
-	return func(o *options) error {
-		if d <= 0 {
-			return fmt.Errorf("serve: max wait %v must be positive", d)
-		}
-		o.maxWait = d
-		return nil
-	}
-}
 
 // WithPprof mounts net/http/pprof under /debug/pprof/ (default off: the
 // profile endpoints expose internals and can be expensive, so production
@@ -225,7 +188,7 @@ func WithLogger(l *slog.Logger) Option {
 // drains the HTTP side (and flushes the ingest queue) but does not Close
 // the engine.
 func New(eng *dfpr.Engine, opts ...Option) (*Server, error) {
-	o := options{defaultK: 10, maxK: 1000, maxBatch: 100000, maxWait: 30 * time.Second}
+	o := options{maxWait: defaultMaxWait}
 	for _, opt := range opts {
 		if err := opt(&o); err != nil {
 			return nil, err
@@ -440,7 +403,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if v == nil {
 		return
 	}
-	k := s.opts.defaultK
+	k := defaultTopK
 	if q := r.URL.Query().Get("k"); q != "" {
 		kk, err := strconv.Atoi(q)
 		if err != nil || kk <= 0 {
@@ -449,8 +412,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		}
 		k = kk
 	}
-	if k > s.opts.maxK {
-		writeErr(w, http.StatusBadRequest, "k %d exceeds the server cap %d", k, s.opts.maxK)
+	if k > maxTopK {
+		writeErr(w, http.StatusBadRequest, "k %d exceeds the server cap %d", k, maxTopK)
 		return
 	}
 	// Clamp to the universe before any selection or allocation: within the
@@ -623,8 +586,8 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	if n := len(req.Del) + len(req.Ins); n == 0 {
 		writeErr(w, http.StatusBadRequest, "empty batch")
 		return
-	} else if n > s.opts.maxBatch {
-		writeErr(w, http.StatusBadRequest, "batch of %d edges exceeds the server cap %d", n, s.opts.maxBatch)
+	} else if n > maxBatch {
+		writeErr(w, http.StatusBadRequest, "batch of %d edges exceeds the server cap %d", n, maxBatch)
 		return
 	}
 	del, ins, kdel, kins, keyed, err := s.splitApply(req)
@@ -811,10 +774,11 @@ func (s *Server) handleWait(w http.ResponseWriter, r *http.Request) {
 type healthzResponse struct {
 	Status string `json:"status"`
 	Ready  bool   `json:"ready"`
-	// Role and ReplicationLagSeq are the liveness fields cluster peers poll:
-	// whether this node is the writer or a replica, and how many WAL records
-	// it still trails the writer by (always 0 on the writer itself). A
-	// standalone engine is trivially the writer of its own state.
+	// Role and ReplicationLagSeq are the cluster fields a load balancer or
+	// failover script reads: whether this node is the writer or a replica,
+	// and how many WAL records it still trails the writer by (always 0 on
+	// the writer itself). A standalone engine is trivially the writer of its
+	// own state.
 	Role              string `json:"role"`
 	ReplicationLagSeq uint64 `json:"replication_lag_seq"`
 }

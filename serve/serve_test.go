@@ -189,10 +189,11 @@ func TestServeApplyDeltaAndVersionPinning(t *testing.T) {
 	// read parks until the version arrives (read-your-ranks through any
 	// node) and 504s server-side when it never does. A short-wait server
 	// over the same engine keeps the park testable.
-	sw, err := New(eng, WithMaxWait(50*time.Millisecond))
+	sw, err := New(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sw.opts.maxWait = 50 * time.Millisecond
 	if code, _, _ := do(t, sw.Handler(), "GET", "/v1/topk", "", map[string]string{VersionHeader: "7"}); code != http.StatusGatewayTimeout {
 		t.Errorf("read pinned to a future version: %d, want 504", code)
 	}
@@ -261,10 +262,10 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestServeApplyRefreshFailureIs5xx arms a crash-everything fault plan with
-// the static fallback off: the batch is accepted and published, so a
-// read-your-ranks apply whose refresh keeps failing must surface as a server
-// error (5xx, never 4xx) and the write must still be counted.
+// TestServeApplyRefreshFailureIs5xx arms a crash-everything fault plan: the
+// batch is accepted and published, so a read-your-ranks apply whose refresh
+// keeps failing must surface as a server error (5xx, never 4xx) and the
+// write must still be counted.
 func TestServeApplyRefreshFailureIs5xx(t *testing.T) {
 	const n = 32
 	var edges []dfpr.Edge
@@ -272,7 +273,7 @@ func TestServeApplyRefreshFailureIs5xx(t *testing.T) {
 		edges = append(edges, dfpr.Edge{U: uint32(u), V: uint32((u + 1) % n)})
 	}
 	eng, err := dfpr.New(n, edges,
-		dfpr.WithThreads(2), dfpr.WithTolerance(1e-6), dfpr.WithStaticFallback(false))
+		dfpr.WithThreads(2), dfpr.WithTolerance(1e-6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,10 +284,11 @@ func TestServeApplyRefreshFailureIs5xx(t *testing.T) {
 	if err := eng.SetFaultPlan(dfpr.FaultPlan{CrashWorkers: dfpr.CrashSet(2, 2), Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(eng, WithMaxWait(100*time.Millisecond))
+	s, err := New(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.opts.maxWait = 100 * time.Millisecond
 	code, body, _ := do(t, s.Handler(), "POST", "/v1/apply?wait=ranked", `{"ins":[{"u":1,"v":3}]}`, nil)
 	if code < 500 || code >= 600 {
 		t.Fatalf("failing refresh after accepted apply: %d (%v), want 5xx", code, body)
@@ -302,7 +304,7 @@ func TestServeApplyRefreshFailureIs5xx(t *testing.T) {
 
 func TestServeOptionValidation(t *testing.T) {
 	eng := mustEngine(t)
-	for i, opt := range []Option{WithDefaultTopK(0), WithMaxK(-1), WithMaxBatch(0), WithMaxWait(0)} {
+	for i, opt := range []Option{WithCluster(nil), WithLogger(nil)} {
 		if _, err := New(eng, opt); err == nil {
 			t.Errorf("bad option %d accepted", i)
 		}
@@ -403,10 +405,11 @@ func TestServeApplyWaitRanked(t *testing.T) {
 // never be reached answers 504 after maxWait, not a hang.
 func TestServeWaitTimeout(t *testing.T) {
 	eng := mustEngine(t)
-	s, err := New(eng, WithMaxWait(50*time.Millisecond))
+	s, err := New(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.opts.maxWait = 50 * time.Millisecond
 	start := time.Now()
 	code, body, _ := do(t, s.Handler(), "GET", "/v1/wait/999", "", nil)
 	if code != http.StatusGatewayTimeout {

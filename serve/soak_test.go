@@ -35,13 +35,14 @@ func TestServeSoakUnderFaults(t *testing.T) {
 	}
 	// Delay faults only: they stress the lock-free refresh without ever
 	// failing it, so "zero 5xx responses" stays a hard invariant below.
-	eng, err := dfpr.New(n, edges,
-		dfpr.WithThreads(4), dfpr.WithTolerance(1e-6),
-		dfpr.WithFaultPlan(dfpr.FaultPlan{DelayProb: 5e-4, DelayDur: time.Millisecond, Seed: 1}))
+	eng, err := dfpr.New(n, edges, dfpr.WithThreads(4), dfpr.WithTolerance(1e-6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
+	if err := eng.SetFaultPlan(dfpr.FaultPlan{DelayProb: 5e-4, DelayDur: time.Millisecond, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := eng.Rank(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -261,9 +262,9 @@ func TestServeSoakUnderFaults(t *testing.T) {
 		t.Errorf("serve_reads_total=%v, client saw %d successful reads", v, reads.Load())
 	}
 
-	// The liveness surface carries the replication fields cluster peers
-	// poll: a standalone engine is trivially its own writer with zero lag,
-	// and the fields must be present (not omitted) for the pollers to parse.
+	// The liveness surface carries the replication fields a failover script
+	// reads: a standalone engine is trivially its own writer with zero lag,
+	// and the fields must be present (not omitted) for it to parse.
 	resp, err := client.Get(base + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
