@@ -558,6 +558,7 @@ func JoinCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 
 	won, info, err := c.lease.TryAcquire()
 	if err != nil {
+		c.cancel()
 		return nil, err
 	}
 	if won {
@@ -565,13 +566,23 @@ func JoinCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 			append(append(make([]Option, 0, len(cfg.Engine)+1), cfg.Engine...), WithDurability(cfg.Dir))...)
 		if err != nil {
 			c.lease.Release()
+			c.cancel()
 			return nil, err
 		}
 		c.installWriter(eng, info.Term)
 		lg.Info("cluster joined as writer", "node", cfg.NodeID, "term", info.Term)
 	} else {
+		// The dial runs on c.ctx (a replica that joins keeps streaming on
+		// it), so a leader that accepts and never answers is interrupted
+		// only by ending c.ctx: tie it to the join's ctx while the join lasts.
+		stop := context.AfterFunc(ctx, c.cancel)
 		rep, rinfo, err := c.dialReplica(ctx, info, st)
+		if !stop() && err == nil {
+			rep.Close() // ctx ended as the dial succeeded and took c.ctx along
+			err = fmt.Errorf("dfpr: join as replica: %w", ctx.Err())
+		}
 		if err != nil {
+			c.cancel()
 			return nil, err
 		}
 		c.mu.Lock()

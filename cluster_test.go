@@ -10,6 +10,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dfpr/internal/repl"
+	"dfpr/internal/testutil"
 )
 
 // feedMux mounts an engine provider's feed the way the serve layer does:
@@ -410,4 +413,33 @@ func TestElectionRank(t *testing.T) {
 		}
 		seen[r] = self
 	}
+}
+
+// TestClusterFailedJoinLeavesNothingRunning joins against a lease whose
+// holder accepts connections and never answers. The join must end with its
+// ctx — the dial rides the membership's own context, so a failed join has to
+// cancel that too — and leave no goroutine behind: not the transport's, not
+// a half-started replica's.
+func TestClusterFailedJoinLeavesNothingRunning(t *testing.T) {
+	waitJoined := testutil.LeakCheck(t, "a failed JoinCluster")
+	mute := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	}))
+	dir := t.TempDir()
+	holder := &repl.Lease{Dir: dir, ID: "mute", URL: mute.URL, TTL: time.Minute}
+	if won, _, err := holder.TryAcquire(); err != nil || !won {
+		t.Fatalf("seeding the lease: won=%v err=%v", won, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	c, err := JoinCluster(ctx, ClusterConfig{NodeID: "b", Dir: dir, SelfURL: "http://b.invalid"})
+	if err == nil {
+		c.Close()
+		t.Fatal("joined a cluster whose leader never answered")
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("err = %v, want the join ctx's deadline", err)
+	}
+	mute.Close()
+	waitJoined()
 }

@@ -11,7 +11,7 @@
 // Output is one finding per line in the canonical file:line:col form, so
 // editors and CI annotate it like any vet diagnostic:
 //
-//	stream.go:89:3: [pinrelease] publishLocked pins e.store.Pin(s) ...
+//	serve/serve.go:412:9: [senterr] sentinel error ErrNoRanks compared with ==; use errors.Is ...
 //
 // The suite's analyzers and the invariants they pin are documented in
 // DESIGN.md §10 and on each analyzer's package comment.

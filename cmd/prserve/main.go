@@ -89,7 +89,7 @@ func main() {
 		deg      = flag.Int("deg", 12, "average degree for -gen")
 		threads  = flag.Int("threads", 0, "worker goroutines (0 = NumCPU)")
 		tol      = flag.Float64("tol", dfpr.DefaultTolerance, "iteration tolerance (L∞)")
-		history  = flag.Int("history", dfpr.DefaultHistory, "retained versions (ViewAt / delta window)")
+		history  = flag.Int("history", dfpr.DefaultHistory, "pending rounds replayable before a rebuild, and retained rank views (ViewAt / delta window)")
 		policy   = flag.String("rank-policy", "immediate", "ingest rank scheduling: immediate|debounce|every")
 		quiet    = flag.Duration("rank-quiet", 5*time.Millisecond, "debounce: quiet gap before ranking")
 		maxLat   = flag.Duration("rank-max-latency", 100*time.Millisecond, "debounce: hard freshness deadline")

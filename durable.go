@@ -178,7 +178,7 @@ func restore(st settings, ck *wal.State) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dfpr: resume ranks: %w", err)
 		}
-		e.setRanker(rk)
+		e.ranker = rk
 		e.publishLocked(&Result{Seq: ck.Seq, Converged: true})
 	}
 	return e, nil

@@ -80,9 +80,8 @@ type Engine struct {
 	frontierScanned atomic.Int64
 
 	// viewMu guards the ring of retained published views ViewAt serves
-	// from; each entry pins its store version so version chains stay
-	// reachable for Delta. Lock order: mu before viewMu before the store's
-	// internal lock.
+	// from and Delta walks for the chains of the views between two. Lock
+	// order: mu before viewMu; nothing is called under it.
 	viewMu sync.Mutex
 	views  []*View // oldest first, at most opts.history entries
 
@@ -331,8 +330,9 @@ func toInternal(edges []Edge) []graph.Edge {
 // completed version. On failure (cancellation, or injected crashes / a
 // broken barrier, which surface as themselves and are never answered with
 // a rebuild) the returned Result carries the failed run's diagnostics — but
-// no rank vector — alongside the error; versions that completed before the
-// failure become visible on the next successful Rank.
+// no rank vector — alongside the error. A refresh is one run over the whole
+// pending span, so a failure moves nothing: the next successful Rank covers
+// the same span, and whatever was applied since.
 func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -344,7 +344,7 @@ func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return failedResultOf(res, 0), err
 		}
-		e.setRanker(rk)
+		e.ranker = rk
 		e.syncStatsLocked()
 		// The initial convergence covers every version up to the current
 		// one, matching what Behind() reported before the call.
@@ -360,8 +360,7 @@ func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 	if err != nil {
 		// The failed run's vector may be partial (a canceled pass stops
 		// mid-iteration), so it is not servable; the Result carries the
-		// run's diagnostics only. Versions that completed before the
-		// failure become visible on the next successful Rank.
+		// run's diagnostics only.
 		out := failedResultOf(res, advanced)
 		out.Seq = e.ranker.Seq()
 		return out, err
@@ -377,14 +376,6 @@ func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 		out.View = e.latest.Load()
 	}
 	return out, nil
-}
-
-// setRanker installs rk under the engine's refresh policy: multi-version
-// catch-ups always replayed as one merged span (the paper's cost model —
-// work scales with the union movement set, not the version count).
-func (e *Engine) setRanker(rk *snapshot.Ranker) {
-	rk.CoalesceSpans = true
-	e.ranker = rk
 }
 
 // resultOf converts an internal result's diagnostics. The rank vector is

@@ -441,8 +441,8 @@ func (e *Engine) ingestLoop() {
 }
 
 // rankRetryDelay is how long the ingest loop waits before retrying a rank
-// refresh that failed (crashed workers with the static fallback disabled,
-// typically) while applied-but-unranked edits are pending.
+// refresh that failed (crashed workers under a fault plan, typically)
+// while applied-but-unranked edits are pending.
 const rankRetryDelay = 50 * time.Millisecond
 
 // failPending rejects everything still queued at shutdown. Submissions

@@ -111,8 +111,11 @@ func DecodeContainer(b []byte, alias bool) (*CSR, error) {
 	mIn := int(le.Uint64(b[32:]))
 	outBytes := int(le.Uint64(b[40:]))
 	inBytes := int(le.Uint64(b[48:]))
-	if n < 0 || mOut < 0 || mIn < 0 || outBytes < 0 || inBytes < 0 {
-		return nil, fmt.Errorf("graph: negative container dimensions (n=%d mOut=%d mIn=%d)", n, mOut, mIn)
+	// No dimension may exceed what b could hold: past this check none of the
+	// size arithmetic below can overflow.
+	if sz := len(b); n < 0 || n >= sz/16 || mOut < 0 || mOut > sz/4 || mIn < 0 || mIn > sz/4 ||
+		outBytes < 0 || outBytes > sz || inBytes < 0 || inBytes > sz {
+		return nil, fmt.Errorf("graph: container dimensions out of range for %d bytes (n=%d mOut=%d mIn=%d)", sz, n, mOut, mIn)
 	}
 	if mOut != mIn {
 		return nil, fmt.Errorf("graph: out edges (%d) != in edges (%d)", mOut, mIn)

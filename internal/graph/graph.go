@@ -163,8 +163,8 @@ func validateSide(name string, n int, ptr []uint64, adj []uint32) error {
 // need no overlap.
 func validateRows(name string, n, lo, hi int, ptr []uint64, adj []uint32) error {
 	for v := lo; v < hi; v++ {
-		if ptr[v] > ptr[v+1] {
-			return fmt.Errorf("graph: %s offsets not monotone at %d", name, v)
+		if ptr[v] > ptr[v+1] || ptr[v+1] > uint64(len(adj)) {
+			return fmt.Errorf("graph: %s offsets not monotone within the adjacency at %d", name, v)
 		}
 		row := adj[ptr[v]:ptr[v+1]]
 		for i, w := range row {

@@ -7,7 +7,7 @@
 //
 // Suppressions use the shared //lint:allow protocol (see loadpkg):
 //
-//	e.store.Pin(s) //lint:allow pinrelease released by ring eviction below
+//	m.mu.Lock() //lint:allow hotalloc documented cold fallback: promoted keys never reach it
 //
 // The reason is mandatory — an allow without one is itself a finding.
 package lint
@@ -18,7 +18,6 @@ import (
 	"dfpr/internal/lint/ctxflow"
 	"dfpr/internal/lint/hotalloc"
 	"dfpr/internal/lint/lockorder"
-	"dfpr/internal/lint/pinrelease"
 	"dfpr/internal/lint/senterr"
 )
 
@@ -29,7 +28,6 @@ func Analyzers() []*analysis.Analyzer {
 		ctxflow.Analyzer,
 		hotalloc.Analyzer,
 		lockorder.Analyzer,
-		pinrelease.Analyzer,
 		senterr.Analyzer,
 	}
 }

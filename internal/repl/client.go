@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -126,17 +127,11 @@ func Dial(ctx context.Context, opts ClientOptions) (*Client, error) {
 	}
 	c.keyed = hdr.Keyed
 	if hdr.Snapshot > 0 {
-		snap := make([]byte, hdr.Snapshot)
-		if _, err := io.ReadFull(resp.br, snap); err != nil {
-			resp.body.Close()
-			c.cancel()
-			return nil, fmt.Errorf("repl: read bootstrap snapshot: %w", err)
-		}
-		st, err := wal.DecodeState(snap)
+		st, err := readSnapshot(resp.br, hdr.Snapshot)
 		if err != nil {
 			resp.body.Close()
 			c.cancel()
-			return nil, fmt.Errorf("repl: decode bootstrap snapshot: %w", err)
+			return nil, err
 		}
 		c.boot = st
 		c.delivered.Store(st.Seq)
@@ -202,23 +197,55 @@ func (c *Client) connect(from uint64, boot bool) (*feedConn, *feedHeader, error)
 		return nil, nil, fmt.Errorf("repl: feed returned %s: %s", resp.Status, b)
 	}
 	br := bufio.NewReaderSize(resp.Body, 64<<10)
-	line, err := br.ReadBytes('\n')
+	hdr, err := readHeader(br)
 	if err != nil {
 		resp.Body.Close()
-		return nil, nil, fmt.Errorf("repl: read feed header: %w", err)
-	}
-	var hdr feedHeader
-	if err := json.Unmarshal(line, &hdr); err != nil {
-		resp.Body.Close()
-		return nil, nil, fmt.Errorf("repl: parse feed header: %w", err)
-	}
-	if hdr.Proto != feedProto {
-		resp.Body.Close()
-		return nil, nil, fmt.Errorf("repl: feed protocol %d, want %d", hdr.Proto, feedProto)
+		return nil, nil, err
 	}
 	c.connects.Add(1)
 	c.noteTip(hdr.Tip, time.Now().UnixNano())
-	return &feedConn{body: resp.Body, br: br}, &hdr, nil
+	return &feedConn{body: resp.Body, br: br}, hdr, nil
+}
+
+// readHeader parses the JSON line opening a feed response.
+func readHeader(br *bufio.Reader) (*feedHeader, error) {
+	line, err := br.ReadBytes('\n')
+	if err != nil {
+		return nil, fmt.Errorf("repl: read feed header: %w", err)
+	}
+	var hdr feedHeader
+	if err := json.Unmarshal(line, &hdr); err != nil {
+		return nil, fmt.Errorf("repl: parse feed header: %w", err)
+	}
+	if hdr.Proto != feedProto {
+		return nil, fmt.Errorf("repl: feed protocol %d, want %d", hdr.Proto, feedProto)
+	}
+	return &hdr, nil
+}
+
+// readSnapshot reads and decodes the n-byte bootstrap checkpoint that
+// follows a header announcing one.
+func readSnapshot(br *bufio.Reader, n int) (*wal.State, error) {
+	snap, err := readN(br, nil, n)
+	if err != nil {
+		return nil, fmt.Errorf("repl: read bootstrap snapshot: %w", err)
+	}
+	st, err := wal.DecodeState(snap)
+	if err != nil {
+		return nil, fmt.Errorf("repl: decode bootstrap snapshot: %w", err)
+	}
+	return st, nil
+}
+
+// readN returns head followed by exactly n bytes of r. The buffer grows as
+// the bytes arrive, so a forged length costs its sender the bytes it names,
+// not the reader an allocation up front.
+func readN(r io.Reader, head []byte, n int) ([]byte, error) {
+	buf := bytes.NewBuffer(append(make([]byte, 0, len(head)+min(n, 64<<10)), head...))
+	if _, err := io.CopyN(buf, r, int64(n)); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // run streams the first connection, then reconnects with backoff until the
@@ -272,50 +299,60 @@ func (c *Client) run(conn *feedConn) {
 
 // stream reads frames from one connection until it breaks.
 func (c *Client) stream(conn *feedConn) error {
-	var b [16]byte
 	for {
-		t, err := conn.br.ReadByte()
+		rec, tip, sent, err := readFrame(conn.br)
 		if err != nil {
-			return err // disconnect: retryable
+			return err
 		}
-		switch t {
-		case frameHeartbeat:
-			if _, err := io.ReadFull(conn.br, b[:16]); err != nil {
-				return err
-			}
-			c.noteTip(binary.LittleEndian.Uint64(b[:8]), int64(binary.LittleEndian.Uint64(b[8:])))
-		case frameRecord:
-			if _, err := io.ReadFull(conn.br, b[:16]); err != nil {
-				return err
-			}
-			sent := int64(binary.LittleEndian.Uint64(b[:8]))
-			n, perr := wal.FramePayloadLen(b[8:16])
-			if perr != nil {
-				return terminal(perr)
-			}
-			frame := make([]byte, wal.FrameHeaderLen+n)
-			copy(frame, b[8:16])
-			if _, err := io.ReadFull(conn.br, frame[wal.FrameHeaderLen:]); err != nil {
-				return err
-			}
-			rec, _, perr := wal.DecodeRecord(frame)
-			if perr != nil {
-				return terminal(perr)
-			}
-			if want := c.delivered.Load() + 1; rec.Seq != want {
-				return terminal(fmt.Errorf("repl: feed sequence gap: got %d, want %d", rec.Seq, want))
-			}
-			c.noteTip(rec.Seq, sent)
-			select {
-			case c.recs <- Event{Rec: rec, SentAt: time.Unix(0, sent)}:
-				c.delivered.Store(rec.Seq)
-			case <-c.ctx.Done():
-				return c.ctx.Err()
-			}
-		default:
-			return terminal(fmt.Errorf("repl: unknown feed frame 0x%02x", t))
+		if rec == nil {
+			c.noteTip(tip, sent)
+			continue
+		}
+		if want := c.delivered.Load() + 1; rec.Seq != want {
+			return terminal(fmt.Errorf("repl: feed sequence gap: got %d, want %d", rec.Seq, want))
+		}
+		c.noteTip(rec.Seq, sent)
+		select {
+		case c.recs <- Event{Rec: *rec, SentAt: time.Unix(0, sent)}:
+			c.delivered.Store(rec.Seq)
+		case <-c.ctx.Done():
+			return c.ctx.Err()
 		}
 	}
+}
+
+// readFrame reads one feed frame: a record with its writer-clock send time,
+// or (rec nil) a heartbeat carrying the writer's tip. A read error is a
+// disconnect and retryable; protocol damage is terminal.
+func readFrame(br *bufio.Reader) (rec *wal.Record, tip uint64, sent int64, err error) {
+	t, err := br.ReadByte()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if t != frameHeartbeat && t != frameRecord {
+		return nil, 0, 0, terminal(fmt.Errorf("repl: unknown feed frame 0x%02x", t))
+	}
+	var b [16]byte
+	if _, err := io.ReadFull(br, b[:]); err != nil {
+		return nil, 0, 0, err
+	}
+	le := binary.LittleEndian
+	if t == frameHeartbeat {
+		return nil, le.Uint64(b[:8]), int64(le.Uint64(b[8:])), nil
+	}
+	n, err := wal.FramePayloadLen(b[8:])
+	if err != nil {
+		return nil, 0, 0, terminal(err)
+	}
+	frame, err := readN(br, b[8:], n)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	r, _, err := wal.DecodeRecord(frame)
+	if err != nil {
+		return nil, 0, 0, terminal(err)
+	}
+	return &r, r.Seq, int64(le.Uint64(b[:8])), nil
 }
 
 // terminalErr marks errors reconnecting cannot fix.

@@ -26,7 +26,7 @@ func testLog(t *testing.T) *wal.Log {
 	return l
 }
 
-func testCSR(t *testing.T, n int) *graph.CSR {
+func testCSR(t testing.TB, n int) *graph.CSR {
 	t.Helper()
 	d := graph.NewDynamic(n)
 	for u := 0; u < n; u++ {

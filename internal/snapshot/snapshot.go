@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -28,8 +29,8 @@ import (
 // Link is the chain link of one version: its sequence number and the batch
 // that produced it (empty for the initial version). It is everything a walk
 // across the version needs — a Delta seeding its frontier, a replay merging
-// a span — and it is what a Pin retains, so holding a chain reachable costs
-// a batch per round, not a graph.
+// a span — so the store's ring and a view's chain hold links, a batch per
+// round, never a graph.
 type Link struct {
 	Seq    uint64
 	Update batch.Update
@@ -37,8 +38,8 @@ type Link struct {
 
 // Version is one immutable published state of the graph: a chain link plus
 // the graph snapshot it produced. Seq increases by one per applied batch.
-// The CSR lives exactly as long as something holds the *Version — the
-// store's retention ring, a view, or a ranker positioned on it.
+// The CSR lives exactly as long as something holds the *Version: the store
+// as Current(), a view, or a ranker positioned on it.
 type Version struct {
 	Link
 	G *graph.CSR
@@ -52,22 +53,12 @@ type Store struct {
 	mu      sync.Mutex
 	d       *graph.Dynamic
 	cur     atomic.Value // *Version
-	history []*Version   // ring of recent versions, oldest first
+	history []Link       // ring of recent chain links, oldest first
 	keep    int
-	// pins maps sequence numbers that readers hold pinned (see Pin) to
-	// their refcount entry; a pinned chain link survives history trimming
-	// until its last Release.
-	pins map[uint64]*pinEntry
 }
 
-// pinEntry is one pinned chain link and its reference count.
-type pinEntry struct {
-	link Link
-	refs int
-}
-
-// DefaultHistory is how many past versions a store retains for Ranker
-// catch-up before old updates are forgotten.
+// DefaultHistory is how many chain links (the current version's included) a
+// store retains for Ranker catch-up before old updates are forgotten.
 const DefaultHistory = 64
 
 // NewStore seals the dynamic graph (self-loops ensured) as version 0. The
@@ -88,7 +79,7 @@ func NewStoreAt(d *graph.Dynamic, keepHistory int, seq uint64) *Store {
 	s := &Store{d: d, keep: keepHistory}
 	v := &Version{Link: Link{Seq: seq}, G: d.Snapshot()}
 	s.cur.Store(v)
-	s.history = append(s.history, v)
+	s.history = append(s.history, v.Link)
 	return s
 }
 
@@ -142,124 +133,36 @@ func (s *Store) applyLocked(up batch.Update, seq uint64) (prev, next *Version) {
 	s.d.Apply(up.Del, up.Ins)
 	s.d.EnsureSelfLoops()
 	next = &Version{Link: Link{Seq: seq, Update: up}, G: s.d.Snapshot()}
-	s.history = append(s.history, next)
-	if len(s.history) > s.keep {
-		// Shift in place and nil the vacated tail instead of re-slicing:
-		// a re-slice keeps the dropped head of the backing array reachable,
-		// which pins every evicted Version (and its CSR) for as long as the
-		// store lives.
-		drop := len(s.history) - s.keep
+	s.history = append(s.history, next.Link)
+	if drop := len(s.history) - s.keep; drop > 0 {
+		// Shift in place and clear the vacated tail instead of re-slicing: a
+		// re-slice keeps the dropped links' batches reachable through the
+		// head of the backing array for as long as the store lives.
 		copy(s.history, s.history[drop:])
-		for i := s.keep; i < len(s.history); i++ {
-			s.history[i] = nil
-		}
+		clear(s.history[s.keep:])
 		s.history = s.history[:s.keep]
 	}
 	s.cur.Store(next)
 	return prev, next
 }
 
-// Since returns the contiguous chain of versions with Seq in (afterSeq,
-// latest], oldest first, and ok=false when the requested range has been
-// evicted from history (the caller must then recompute statically).
-func (s *Store) Since(afterSeq uint64) (chain []*Version, ok bool) {
+// Since returns the chain links with Seq in (afterSeq, latest], oldest
+// first, together with the version they lead to — read under one lock, so
+// tip is exactly the graph the links produce. ok is false when the requested
+// range has left the ring (the caller must then recompute statically).
+func (s *Store) Since(afterSeq uint64) (links []Link, tip *Version, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.history) == 0 {
-		return nil, false
+	tip = s.Current()
+	if afterSeq >= tip.Seq {
+		return nil, tip, true // already current
 	}
-	latest := s.history[len(s.history)-1].Seq
-	if afterSeq >= latest {
-		return nil, true // already current
+	if afterSeq+1 < s.history[0].Seq {
+		return nil, tip, false // evicted
 	}
-	oldest := s.history[0].Seq
-	if afterSeq+1 < oldest {
-		return nil, false // evicted
-	}
-	for _, v := range s.history {
-		if v.Seq > afterSeq {
-			chain = append(chain, v)
-		}
-	}
-	return chain, true
-}
-
-// Retained returns the version with the given sequence number, graph
-// included, if the retention ring still holds it. Pins do not extend it: a
-// pinned-but-trimmed sequence number resolves through Get to its chain link
-// only, so a caller that needs the graph of an older version must hold the
-// *Version itself.
-func (s *Store) Retained(seq uint64) (*Version, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.retainedLocked(seq)
-}
-
-func (s *Store) retainedLocked(seq uint64) (*Version, bool) {
-	for _, v := range s.history {
-		if v.Seq == seq {
-			return v, true
-		}
-	}
-	return nil, false
-}
-
-// Get returns the chain link of the version with the given sequence number
-// if it is still reachable — in the retention ring, or held by a Pin. It
-// never hands out a graph: see Retained.
-func (s *Store) Get(seq uint64) (Link, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.getLocked(seq)
-}
-
-func (s *Store) getLocked(seq uint64) (Link, bool) {
-	if e, ok := s.pins[seq]; ok {
-		return e.link, true
-	}
-	if v, ok := s.retainedLocked(seq); ok {
-		return v.Link, true
-	}
-	return Link{}, false
-}
-
-// Pin marks the chain link with the given sequence number as held by a
-// reader: it stays resolvable through Get, with its Update, even after the
-// retention ring trims past it, until a matching Release. A pin retains the
-// link only — the version's CSR is released with the ring like any other,
-// so the cost of a pinned chain is its batches, however many rounds it
-// spans. Pins nest — each successful Pin must be paired with one Release.
-// Pinning a sequence number that is already gone reports false.
-func (s *Store) Pin(seq uint64) (Link, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.pins[seq]; ok {
-		e.refs++
-		return e.link, true
-	}
-	l, ok := s.getLocked(seq)
-	if !ok {
-		return Link{}, false
-	}
-	if s.pins == nil {
-		s.pins = make(map[uint64]*pinEntry)
-	}
-	s.pins[seq] = &pinEntry{link: l, refs: 1}
-	return l, true
-}
-
-// Release undoes one Pin. Releasing an unpinned version is a no-op, so
-// callers may release defensively.
-func (s *Store) Release(seq uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.pins[seq]
-	if !ok {
-		return
-	}
-	if e.refs--; e.refs == 0 {
-		delete(s.pins, seq)
-	}
+	i := slices.IndexFunc(s.history, func(l Link) bool { return l.Seq > afterSeq })
+	// A copy: the ring shifts in place under later applies.
+	return slices.Clone(s.history[i:]), tip, true
 }
 
 // Ranker keeps a PageRank vector synchronised with a Store. It is safe for
@@ -270,8 +173,10 @@ type Ranker struct {
 	cfg   core.Config
 	algo  core.Algo
 	ranks []float64
-	seq   uint64
-	cur   *Version // the store version ranks correspond to (Seq == seq)
+	cur   *Version // the store version ranks correspond to
+	// replayed is the chain the last landing replayed to reach cur: nil when
+	// the ranker got there without one (construction, a recomputation).
+	replayed []Link
 
 	// Refreshes counts incremental refreshes; Rebuilds counts static
 	// rebuilds after the pending history was evicted.
@@ -283,17 +188,9 @@ type Ranker struct {
 	// The engine mirrors them into the dfpr_rank_sweep_block_* counters.
 	SweepBlocks, FrontierScanned int64
 
-	// CoalesceSpans makes Refresh replay a multi-version pending chain as
-	// ONE incremental run: the chain's batches are merged (last op per edge
-	// wins, batch.Merge) and the dynamic algorithm runs once from the
-	// ranker's graph to the chain's final graph. This is the paper's cost
-	// model taken seriously — DF work scales with the movement set, so k
-	// pending batches cost one frontier expansion over their union instead
-	// of k expansions over overlapping frontiers. The merged del/ins lists
-	// may be a superset of the true edge diff (churn cancelled within the
-	// span); that only widens the initially affected set, never narrows it,
-	// because marking walks out(u) of every batch-edge source in both
-	// snapshots. Single-version chains are unaffected.
+	// CoalesceSpans is a no-op kept for benchmark/probe.go, which assigns
+	// it: every multi-version catch-up is replayed as ONE incremental run
+	// (see Refresh). It goes when a benchmark-archetype PR drops that line.
 	CoalesceSpans bool
 }
 
@@ -313,7 +210,7 @@ func NewRanker(ctx context.Context, s *Store, algo core.Algo, cfg core.Config) (
 	if res.Err != nil {
 		return nil, res, fmt.Errorf("snapshot: initial ranking failed: %w", res.Err)
 	}
-	r := &Ranker{store: s, cfg: cfg, algo: algo, ranks: res.Ranks, seq: v.Seq, cur: v}
+	r := &Ranker{store: s, cfg: cfg, algo: algo, ranks: res.Ranks, cur: v}
 	r.noteRun(res)
 	return r, res, nil
 }
@@ -332,14 +229,14 @@ func (r *Ranker) noteRun(res core.Result) {
 // seq incrementally, exactly as if the ranker had been alive all along. The
 // ranker takes ownership of ranks (treat it as frozen).
 func ResumeRanker(s *Store, algo core.Algo, cfg core.Config, ranks []float64, seq uint64) (*Ranker, error) {
-	v, ok := s.Retained(seq)
-	if !ok {
-		return nil, fmt.Errorf("snapshot: resume at version %d: not retained", seq)
+	v := s.Current()
+	if v.Seq != seq {
+		return nil, fmt.Errorf("snapshot: resume at version %d: store is at %d", seq, v.Seq)
 	}
 	if v.G.N() != len(ranks) {
 		return nil, fmt.Errorf("snapshot: resume at version %d: %d ranks for %d vertices", seq, len(ranks), v.G.N())
 	}
-	return &Ranker{store: s, cfg: cfg, algo: algo, ranks: ranks, seq: seq, cur: v}, nil
+	return &Ranker{store: s, cfg: cfg, algo: algo, ranks: ranks, cur: v}, nil
 }
 
 // SetFault replaces the fault plan injected into subsequent runs.
@@ -357,17 +254,22 @@ func (r *Ranker) Ranks() []float64 {
 // callers must treat the slice as frozen.
 func (r *Ranker) RanksShared() []float64 { return r.ranks }
 
-// Version returns the store version the current ranks correspond to. Its
-// Seq always equals Seq(); the Version itself carries the graph snapshot
-// the ranks were converged on.
+// Version returns the store version the current ranks correspond to; it
+// carries the graph snapshot the ranks were converged on.
 func (r *Ranker) Version() *Version { return r.cur }
 
 // Seq returns the store version the ranks correspond to.
-func (r *Ranker) Seq() uint64 { return r.seq }
+func (r *Ranker) Seq() uint64 { return r.cur.Seq }
+
+// Replayed returns the chain links the last landing replayed to reach
+// Version() — every batch between the previous Version() and this one — or
+// nil when it got there without a chain (NewRanker, ResumeRanker, a static
+// recomputation). The slice is shared: treat it as frozen.
+func (r *Ranker) Replayed() []Link { return r.replayed }
 
 // Behind reports how many versions the ranker lags the store.
 func (r *Ranker) Behind() uint64 {
-	return r.store.Current().Seq - r.seq
+	return r.store.Current().Seq - r.cur.Seq
 }
 
 // Refresh brings the ranks up to the store's latest version and returns the
@@ -375,70 +277,66 @@ func (r *Ranker) Behind() uint64 {
 // distance the ranks moved during the call, whatever path moved them (a
 // version published by ApplyAt at a sequence jump counts the whole jump).
 //
-// A dynamic algo replays the pending chain span by span: the whole chain as
-// one span under CoalesceSpans, one version per span otherwise. When the
-// pending history has been evicted (the ranker lagged more than the store's
-// retention) it rebuilds with one static recomputation on the newest
-// version — there is no other sound way forward. A static algo recomputes
-// with itself once per Refresh that finds a new version.
+// A dynamic algo replays the whole pending chain as ONE incremental run:
+// the chain's batches are merged (last op per edge wins, batch.Merge) and
+// the algorithm runs once from the ranker's graph to the store's current
+// one. This is the paper's cost model taken seriously — DF work scales with
+// the movement set, so k pending batches cost one frontier expansion over
+// their union instead of k expansions over overlapping frontiers. The merged
+// del/ins lists may be a superset of the true edge diff (churn cancelled
+// within the span); that only widens the initially affected set, never
+// narrows it, because marking walks out(u) of every batch-edge source in
+// both snapshots. When the pending links have left the store's ring (the
+// ranker lagged more than its retention) it rebuilds with one static
+// recomputation on the newest version — there is no other sound way
+// forward. A static algo recomputes with itself once per Refresh that finds
+// a new version.
 //
 // A run that fails (crashed workers, broken barrier) or is cancelled through
-// ctx surfaces as itself: the rank vector stays at the last version that
-// completed and the returned error wraps the run's own (core.ErrAllCrashed,
-// sched.ErrBroken, core.ErrCanceled). No rebuild is attempted — it would run
-// under the same fault plan, behind a barrier.
+// ctx surfaces as itself: the rank vector stays where it was and the
+// returned error wraps the run's own (core.ErrAllCrashed, sched.ErrBroken,
+// core.ErrCanceled). No rebuild is attempted — it would run under the same
+// fault plan, behind a barrier.
 func (r *Ranker) Refresh(ctx context.Context) (core.Result, int, error) {
-	from := r.seq
+	from := r.cur.Seq
 	res, err := r.catchUp(ctx)
-	return res, int(r.seq - from), err
+	return res, int(r.cur.Seq - from), err
 }
 
 // catchUp is Refresh without the distance bookkeeping: it moves the ranker
-// only through land, so Refresh reads the advance off r.seq.
+// only through land, so Refresh reads the advance off r.cur.
 func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
-	if r.store.Current().Seq == r.seq {
+	if r.store.Current().Seq == r.cur.Seq {
 		return core.Result{Ranks: r.ranks, Converged: true}, nil
 	}
 	if !r.algo.Dynamic() {
 		return r.recompute(ctx, r.algo, &r.Refreshes)
 	}
-	// Replaying needs the pending chain still in the ring. The version the
-	// first span applies on top of — the G^{t-1} where marking finds deleted
-	// edges' targets — is r.cur, the ranker's own reference, whatever the
-	// ring has trimmed.
-	chain, ok := r.store.Since(r.seq)
+	// Replaying needs the pending links still in the ring; the two graphs it
+	// runs between are tip and r.cur — the ranker's own reference, the
+	// G^{t-1} where marking finds deleted edges' targets.
+	links, tip, ok := r.store.Since(r.cur.Seq)
 	if !ok {
 		return r.recompute(ctx, core.AlgoStaticBB, &r.Rebuilds)
 	}
-	step := 1
-	if r.CoalesceSpans {
-		step = len(chain)
+	ups := make([]batch.Update, len(links))
+	for i, l := range links {
+		ups[i] = l.Update
 	}
-	var last core.Result
-	for ; len(chain) > 0; chain = chain[step:] {
-		tip := chain[step-1]
-		up := tip.Update
-		if step > 1 {
-			ups := make([]batch.Update, step)
-			for i, v := range chain[:step] {
-				ups[i] = v.Update
-			}
-			up = batch.Merge(ups...)
-		}
-		gOld, prev := grownInputs(r.cur.G, r.ranks, tip.G.N())
-		in := core.Input{GOld: gOld, GNew: tip.G, Del: up.Del, Ins: up.Ins, Prev: prev}
-		last = core.RunCtx(ctx, r.algo, in, r.cfg)
-		r.noteRun(last)
-		switch {
-		case last.Err == nil:
-			r.land(tip, last, &r.Refreshes)
-		case errors.Is(last.Err, core.ErrCanceled):
-			return last, fmt.Errorf("snapshot: refresh aborted at version %d: %w", tip.Seq, last.Err)
-		default:
-			return last, fmt.Errorf("snapshot: incremental refresh failed at version %d: %w", tip.Seq, last.Err)
-		}
+	up := batch.Merge(ups...)
+	gOld, prev := grownInputs(r.cur.G, r.ranks, tip.G.N())
+	in := core.Input{GOld: gOld, GNew: tip.G, Del: up.Del, Ins: up.Ins, Prev: prev}
+	res := core.RunCtx(ctx, r.algo, in, r.cfg)
+	r.noteRun(res)
+	switch {
+	case res.Err == nil:
+		r.land(tip, links, res, &r.Refreshes)
+		return res, nil
+	case errors.Is(res.Err, core.ErrCanceled):
+		return res, fmt.Errorf("snapshot: refresh aborted at version %d: %w", tip.Seq, res.Err)
+	default:
+		return res, fmt.Errorf("snapshot: incremental refresh failed at version %d: %w", tip.Seq, res.Err)
 	}
-	return last, nil
 }
 
 // recompute runs static algo on the store's newest version and lands the
@@ -451,16 +349,15 @@ func (r *Ranker) recompute(ctx context.Context, algo core.Algo, counter *int) (c
 	if res.Err != nil {
 		return res, fmt.Errorf("snapshot: static recomputation failed at version %d: %w", v.Seq, res.Err)
 	}
-	r.land(v, res, counter)
+	r.land(v, nil, res, counter)
 	return res, nil
 }
 
 // land makes a finished run the ranker's state. It is the only writer of
-// ranks/seq/cur and of the Refreshes/Rebuilds counters after construction,
-// so Seq() == Version().Seq and len(ranks) == Version().G.N() hold after
-// every outcome.
-func (r *Ranker) land(v *Version, res core.Result, counter *int) {
-	r.ranks, r.seq, r.cur = res.Ranks, v.Seq, v
+// ranks/cur/replayed and of the Refreshes/Rebuilds counters after
+// construction, so len(ranks) == Version().G.N() holds after every outcome.
+func (r *Ranker) land(v *Version, replayed []Link, res core.Result, counter *int) {
+	r.ranks, r.cur, r.replayed = res.Ranks, v, replayed
 	*counter++
 }
 

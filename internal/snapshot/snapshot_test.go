@@ -3,7 +3,6 @@ package snapshot
 import (
 	"context"
 	"errors"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -60,16 +59,16 @@ func TestSinceChains(t *testing.T) {
 		up := batch.Random(graph.DynamicFromCSR(s.Current().G), 4, int64(i))
 		s.Apply(up)
 	}
-	chain, ok := s.Since(2)
-	if !ok || len(chain) != 3 {
-		t.Fatalf("Since(2): ok=%v len=%d", ok, len(chain))
+	chain, tip, ok := s.Since(2)
+	if !ok || len(chain) != 3 || tip != s.Current() {
+		t.Fatalf("Since(2): ok=%v len=%d tip=%d", ok, len(chain), tip.Seq)
 	}
-	for i, v := range chain {
-		if v.Seq != uint64(3+i) {
-			t.Errorf("chain[%d].Seq = %d", i, v.Seq)
+	for i, l := range chain {
+		if l.Seq != uint64(3+i) {
+			t.Errorf("chain[%d].Seq = %d", i, l.Seq)
 		}
 	}
-	if chain, ok := s.Since(5); !ok || chain != nil {
+	if chain, tip, ok := s.Since(5); !ok || chain != nil || tip != s.Current() {
 		t.Error("Since(latest) should be empty and ok")
 	}
 }
@@ -80,10 +79,10 @@ func TestSinceEvicted(t *testing.T) {
 		up := batch.Random(graph.DynamicFromCSR(s.Current().G), 2, int64(i))
 		s.Apply(up)
 	}
-	if _, ok := s.Since(0); ok {
+	if _, _, ok := s.Since(0); ok {
 		t.Error("evicted history reported available")
 	}
-	if _, ok := s.Since(9); !ok {
+	if _, _, ok := s.Since(9); !ok {
 		t.Error("recent history reported evicted")
 	}
 }
@@ -150,53 +149,57 @@ func TestRankerCatchesUpMultipleVersions(t *testing.T) {
 	}
 }
 
-// TestRankerCoalescedSpanMatchesPerVersionReplay pins the span-coalescing
-// refresh: a ranker replaying a 5-version chain as one merged run must land
-// on the same fixpoint as a per-version twin (both within tolerance of the
-// reference), count ONE refresh for the whole span, and report the full
-// advance.
+// TestRankerCoalescedSpanMatchesPerVersionReplay pins the one replay path
+// against the reference the per-version arm used to provide: a ranker that
+// refreshes after every Apply (k single-version refreshes) and a twin that
+// replays the same k versions as one merged span must land on the same
+// fixpoint within L∞ ≤ 1e-12 (τ tight enough that two converged runs compare
+// there), the twin counting ONE refresh, the full advance, and the whole
+// chain as replayed.
 func TestRankerCoalescedSpanMatchesPerVersionReplay(t *testing.T) {
+	const k = 5
 	s := testStore(t, 0)
-	n := s.Current().G.N()
-	cfg := testCfg(n)
+	cfg := core.Config{Threads: 4, Tol: 5e-14}
 	co, _, err := NewRanker(context.Background(), s, core.AlgoDFLF, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	co.CoalesceSpans = true
 	pv, _, err := NewRanker(context.Background(), s, core.AlgoDFLF, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
+	if co.Replayed() != nil {
+		t.Errorf("a new ranker reports %d replayed links", len(co.Replayed()))
+	}
+	for i := 0; i < k; i++ {
 		up := batch.Random(graph.DynamicFromCSR(s.Current().G), 10, int64(900+i))
 		s.Apply(up)
+		if _, adv, err := pv.Refresh(context.Background()); err != nil || adv != 1 {
+			t.Fatalf("per-version refresh %d: advanced=%d err=%v", i, adv, err)
+		}
 	}
 	_, coAdv, err := co.Refresh(context.Background())
-	if err != nil || coAdv != 5 {
+	if err != nil || coAdv != k {
 		t.Fatalf("coalesced refresh: advanced=%d err=%v", coAdv, err)
 	}
-	if co.Refreshes != 1 || co.Rebuilds != 0 {
-		t.Errorf("coalesced span counted refreshes=%d rebuilds=%d, want one refresh", co.Refreshes, co.Rebuilds)
+	if co.Refreshes != 1 || co.Rebuilds != 0 || pv.Refreshes != k {
+		t.Errorf("refreshes: span %d (rebuilds %d), per-version %d; want 1 (0), %d", co.Refreshes, co.Rebuilds, pv.Refreshes, k)
 	}
-	if co.Seq() != 5 || co.Version() != s.Current() {
+	if co.Seq() != k || co.Version() != s.Current() {
 		t.Errorf("coalesced ranker at seq=%d version=%p, want the store's current", co.Seq(), co.Version())
 	}
-	if _, pvAdv, err := pv.Refresh(context.Background()); err != nil || pvAdv != 5 {
-		t.Fatalf("per-version refresh: advanced=%d err=%v", pvAdv, err)
+	if got := co.Replayed(); len(got) != k || got[0].Seq != 1 || got[k-1].Seq != k {
+		t.Errorf("span replayed %d links, want versions 1..%d", len(got), k)
+	}
+	if got := pv.Replayed(); len(got) != 1 || got[0].Seq != k {
+		t.Errorf("per-version ranker's last landing replayed %d links, want version %d alone", len(got), k)
+	}
+	if e := topk.LInf(co.Ranks(), pv.Ranks()); e > 1e-12 {
+		t.Errorf("coalesced vs per-version divergence %g (bound 1e-12)", e)
 	}
 	ref := core.Reference(s.Current().G, core.Config{})
-	if e := topk.LInf(co.Ranks(), ref); e > 20*cfg.Tol {
-		t.Errorf("coalesced span error %g beyond 20τ", e)
-	}
-	if e := topk.LInf(co.Ranks(), pv.Ranks()); e > 40*cfg.Tol {
-		t.Errorf("coalesced vs per-version divergence %g", e)
-	}
-	// A single-version chain takes the ordinary path (one more refresh).
-	up := batch.Random(graph.DynamicFromCSR(s.Current().G), 6, 999)
-	s.Apply(up)
-	if _, adv, err := co.Refresh(context.Background()); err != nil || adv != 1 || co.Refreshes != 2 {
-		t.Fatalf("single-version step after span: advanced=%d refreshes=%d err=%v", adv, co.Refreshes, err)
+	if e := topk.LInf(co.Ranks(), ref); e > 1e-9 {
+		t.Errorf("coalesced span is %g from the reference", e)
 	}
 }
 
@@ -212,7 +215,6 @@ func TestRankerCoalescedSpanCancelAndFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.CoalesceSpans = true
 	for i := 0; i < 3; i++ {
 		up := batch.Random(graph.DynamicFromCSR(s.Current().G), 8, int64(700+i))
 		s.Apply(up)
@@ -245,27 +247,25 @@ func TestRankerLandingInvariants(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range []struct {
-		name     string
-		algo     core.Algo
-		keep     int
-		pending  int
-		coalesce bool
-		crash    bool
-		ctx      context.Context
+		name    string
+		algo    core.Algo
+		keep    int
+		pending int
+		crash   bool
+		ctx     context.Context
 		// wantErr is the failure the Refresh must report (nil for success);
 		// refreshes/rebuilds are the counter movements expected.
 		wantErr             error
 		refreshes, rebuilds int
 	}{
-		{name: "one version", algo: core.AlgoDFLF, pending: 1, coalesce: true, refreshes: 1},
-		{name: "coalesced span", algo: core.AlgoDFLF, pending: 4, coalesce: true, refreshes: 1},
-		{name: "per-version arm", algo: core.AlgoDFLF, pending: 4, refreshes: 4},
+		{name: "one version", algo: core.AlgoDFLF, pending: 1, refreshes: 1},
+		{name: "coalesced span", algo: core.AlgoDFLF, pending: 4, refreshes: 1},
 		{name: "static algo", algo: core.AlgoStaticLF, pending: 3, refreshes: 1},
-		{name: "eviction rebuild", algo: core.AlgoDFLF, keep: 2, pending: 5, coalesce: true, rebuilds: 1},
+		{name: "eviction rebuild", algo: core.AlgoDFLF, keep: 2, pending: 5, rebuilds: 1},
 		// A failed run surfaces as itself: no rebuild is tried (it would sit
 		// behind a barrier under the same plan and end in sched.ErrBroken).
-		{name: "failure without fallback", algo: core.AlgoDFLF, pending: 2, coalesce: true, crash: true, wantErr: core.ErrAllCrashed},
-		{name: "cancellation", algo: core.AlgoDFLF, pending: 2, coalesce: true, ctx: canceled, wantErr: core.ErrCanceled},
+		{name: "failure without fallback", algo: core.AlgoDFLF, pending: 2, crash: true, wantErr: core.ErrAllCrashed},
+		{name: "cancellation", algo: core.AlgoDFLF, pending: 2, ctx: canceled, wantErr: core.ErrCanceled},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := testStore(t, tc.keep)
@@ -274,7 +274,6 @@ func TestRankerLandingInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.CoalesceSpans = tc.coalesce
 			for i := 0; i < tc.pending; i++ {
 				s.Apply(batch.Random(graph.DynamicFromCSR(s.Current().G), 6, int64(300+i)))
 			}
@@ -437,105 +436,40 @@ func TestRanksAreCopies(t *testing.T) {
 	}
 }
 
-// TestHistoryTrimReleasesEvictedVersions pins the memory-correctness of
-// Store.Apply's trimming: once a version falls out of retention nothing in
-// the store may keep it reachable (a plain re-slice would pin the dropped
-// backing-array head, retaining every evicted CSR for the store's
-// lifetime). Weak pointers observe reachability directly.
+// TestHistoryTrimReleasesEvictedVersions pins the retention rule: the store
+// holds chain links, never graphs, so a superseded version nobody else holds
+// is collectable at once — whatever the ring size — and a held one lives
+// exactly as long as its holder. Weak pointers observe reachability directly.
 func TestHistoryTrimReleasesEvictedVersions(t *testing.T) {
-	const keep = 3
+	const keep, total, heldSeq = 8, 10, 4
 	s := testStore(t, keep)
-	var weaks []weak.Pointer[Version]
-	weaks = append(weaks, weak.Make(s.Current()))
-	const total = 10
+	weaks := []weak.Pointer[Version]{weak.Make(s.Current())}
+	var held *Version
 	for i := 0; i < total; i++ {
 		up := batch.Random(graph.DynamicFromCSR(s.Current().G), 2, int64(i))
 		_, next := s.Apply(up)
 		weaks = append(weaks, weak.Make(next))
+		if next.Seq == heldSeq {
+			held = next
+		}
 	}
-	// Versions 0..total-keep are evicted; the last keep versions are live.
 	runtime.GC()
 	runtime.GC()
 	for seq, w := range weaks {
-		evicted := seq <= total-keep
-		if got := w.Value(); evicted && got != nil {
-			t.Errorf("version %d evicted from history but still reachable", seq)
-		} else if !evicted && got == nil {
-			t.Errorf("version %d should be retained but was collected", seq)
+		live := seq == heldSeq || seq == total
+		if got := w.Value(); !live && got != nil {
+			t.Errorf("version %d is superseded and unheld but still reachable", seq)
+		} else if live && got == nil {
+			t.Errorf("version %d is held but was collected", seq)
 		}
 	}
-	if _, ok := s.Get(uint64(total)); !ok {
-		t.Error("latest version missing from history after trims")
+	runtime.KeepAlive(held)
+	// The ring still replays what it retains: links, trimmed to keep.
+	if links, tip, ok := s.Since(total - keep + 1); !ok || len(links) != keep-1 || tip.Seq != total {
+		t.Errorf("Since(%d): ok=%v links=%d tip=%d, want %d links to %d", total-keep+1, ok, len(links), tip.Seq, keep-1, total)
 	}
-}
-
-// TestPinKeepsVersionAcrossTrim pins the Pin contract: a pin retains the
-// chain link (Seq, Update) a Delta walk or replay needs — resolvable
-// through Get while the retention ring trims past it — and nothing else:
-// the version and its CSR go with the ring, pinned or not. After the last
-// Release the link is gone too.
-func TestPinKeepsVersionAcrossTrim(t *testing.T) {
-	const keep = 3
-	s := testStore(t, keep)
-
-	// Advance to version 2 and pin it twice (two concurrent views).
-	var want batch.Update
-	for i := 0; i < 2; i++ {
-		want = batch.Random(graph.DynamicFromCSR(s.Current().G), 2, int64(i))
-		s.Apply(want)
-	}
-	const pinSeq = 2
-	l2, ok := s.Pin(pinSeq)
-	if !ok || l2.Seq != pinSeq {
-		t.Fatalf("Pin(%d): ok=%v link=%+v", pinSeq, ok, l2)
-	}
-	if _, ok := s.Pin(pinSeq); !ok {
-		t.Fatalf("second Pin(%d) failed", pinSeq)
-	}
-	v2, ok := s.Retained(pinSeq)
-	if !ok {
-		t.Fatal("version 2 missing from the ring before trim")
-	}
-	wVer, wCSR := weak.Make(v2), weak.Make(v2.G)
-	// v2 is not read below; the local goes dead here, so the weak pointers
-	// observe only what the store itself keeps reachable.
-
-	// Trim far past the pinned version.
-	for i := 0; i < 8; i++ {
-		up := batch.Random(graph.DynamicFromCSR(s.Current().G), 2, int64(10+i))
-		s.Apply(up)
-	}
-	runtime.GC()
-	runtime.GC()
-	if wVer.Value() != nil || wCSR.Value() != nil {
-		t.Error("a pin kept the trimmed version's graph alive; it must retain the link only")
-	}
-	if _, ok := s.Retained(pinSeq); ok {
-		t.Errorf("Retained(%d) resolves after the ring trimmed past it", pinSeq)
-	}
-	got, ok := s.Get(pinSeq)
-	if !ok || got.Seq != pinSeq {
-		t.Fatalf("Get(%d) after trim: ok=%v (pinned links must stay resolvable)", pinSeq, ok)
-	}
-	if !reflect.DeepEqual(got.Update, want) {
-		t.Fatalf("pinned link's Update = %+v, want the batch that produced version %d: %+v", got.Update, pinSeq, want)
-	}
-
-	// First release: still pinned by the second holder.
-	s.Release(pinSeq)
-	if _, ok := s.Get(pinSeq); !ok {
-		t.Fatal("link gone after first of two releases")
-	}
-
-	// Last release: the store must let go.
-	s.Release(pinSeq)
-	s.Release(pinSeq) // over-release is a documented no-op
-	if _, ok := s.Get(pinSeq); ok {
-		t.Errorf("Get(%d) still resolves after release and trim", pinSeq)
-	}
-	//lint:allow pinrelease a failed Pin (ok=false) holds nothing to release
-	if _, ok := s.Pin(999); ok {
-		t.Error("Pin of a never-published version succeeded")
+	if _, _, ok := s.Since(total - keep - 1); ok {
+		t.Errorf("Since(%d) resolves past the %d-link ring", total-keep-1, keep)
 	}
 }
 

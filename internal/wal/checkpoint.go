@@ -91,7 +91,7 @@ func decodeCheckpoint(b []byte) (*State, error) {
 		}
 		n := int(le.Uint64(body[off:]))
 		off += 8
-		if n < 0 || off+8*n > len(body) {
+		if n < 0 || n > (len(body)-off)/8 {
 			return nil, fmt.Errorf("%w: checkpoint ranks overrun body", ErrCorrupt)
 		}
 		st.Ranks = make([]float64, n)

@@ -126,7 +126,7 @@ const (
 	DefaultAlpha = core.DefaultAlpha
 	// DefaultTolerance is the default iteration tolerance τ (L∞).
 	DefaultTolerance = core.DefaultTol
-	// DefaultHistory is the default number of retained graph versions.
+	// DefaultHistory is the default WithHistory bound.
 	DefaultHistory = snapshot.DefaultHistory
 	// DefaultIngestQueue is the default bound on edits queued in the ingest
 	// pipeline before Submit reports ErrQueueFull.
@@ -241,10 +241,12 @@ func WithThreads(n int) Option {
 	}
 }
 
-// WithHistory sets how many past graph versions the engine retains for
-// incremental catch-up; keep must be positive (the default is 64). An
-// engine that falls further behind than the retention rebuilds ranks
-// statically instead of replaying.
+// WithHistory bounds two rings; keep must be positive (the default is 64).
+// The store keeps the batches of the last keep graph versions — an engine
+// whose ranks fall further behind than that rebuilds them statically instead
+// of replaying — and the engine keeps the last keep published rank views for
+// ViewAt and Delta. Neither ring holds a graph beyond the views' own: a
+// graph snapshot lives while it is current, ranked on, or viewed.
 func WithHistory(keep int) Option {
 	return func(s *settings) error {
 		if keep <= 0 {

@@ -7,24 +7,34 @@ import "sort"
 // and the full-scan fallback.
 
 // deltaFrontier computes the movement set between lo and hi (lo.seq <
-// hi.seq, same store) by replaying the dirty-row frontier of the batch
+// hi.seq, same engine) by replaying the dirty-row frontier of the batch
 // chain: seed with every endpoint of every batch edge in (lo.seq, hi.seq],
 // then expand along hi's out-edges wherever the two vectors actually
-// differ. ok is false when any link of the chain has been evicted from the
-// store (and not pinned), in which case the caller must fall back to a full
-// scan.
+// differ. The chain is read off the views themselves: hi's own when it was
+// published right after lo, otherwise hi's plus that of every view published
+// in between, found in the engine's view ring. ok is false when one of those
+// has left the ring or carries no chain (a rebuild published it), in which
+// case the caller must fall back to a full scan.
 func deltaFrontier(lo, hi *View, eps float64) ([]Movement, bool) {
 	var seeds []uint32
-	for seq := lo.seq + 1; seq <= hi.seq; seq++ {
-		ver, ok := lo.store.Get(seq)
-		if !ok {
+	for v := hi; ; {
+		if v.chain == nil {
 			return nil, false
 		}
-		for _, e := range ver.Update.Del {
-			seeds = append(seeds, e.U, e.V)
+		for _, l := range v.chain {
+			for _, e := range l.Update.Del {
+				seeds = append(seeds, e.U, e.V)
+			}
+			for _, e := range l.Update.Ins {
+				seeds = append(seeds, e.U, e.V)
+			}
 		}
-		for _, e := range ver.Update.Ins {
-			seeds = append(seeds, e.U, e.V)
+		if v.chainFrom <= lo.seq {
+			break // on lo.seq exactly: each chain starts at a published view, and lo is one
+		}
+		var err error
+		if v, err = hi.eng.ViewAt(v.chainFrom); err != nil {
+			return nil, false
 		}
 	}
 	g := hi.ver.G

@@ -63,42 +63,32 @@ func (s *Subscription) Close() {
 }
 
 // publishLocked turns a successful Rank outcome into the published view of
-// its version: attaches the view to the result, retains it in the ViewAt
-// ring (pinning its chain links so Delta chains stay reachable), makes it
-// the lock-free latest, and pushes an update to every subscriber. All of it
-// is zero-copy — the rank vector is shared between the result, the ring,
-// Snapshot readers and every subscriber. Caller holds e.mu, which also
-// makes it the only publisher — the conflating send below relies on that.
+// its version: attaches the view to the result with the chain its refresh
+// replayed, retains it in the ViewAt ring, makes it the lock-free latest,
+// and pushes an update to every subscriber. All of it is zero-copy — the
+// rank vector is shared between the result, the ring, Snapshot readers and
+// every subscriber. Caller holds e.mu, which also makes it the only
+// publisher — the conflating send below relies on that.
 func (e *Engine) publishLocked(res *Result) {
-	v := newView(e.store, e.ranker.Version(), res.Seq, e.ranker.RanksShared(), e.keys)
+	v := newView(e, e.ranker.Version(), res.Seq, e.ranker.RanksShared(), e.keys)
 	res.View = v
+	// The view takes the batch chain (previous published version, this
+	// version] the refresh replayed, so Delta between views can walk it
+	// however far the store's link ring has moved on. A chain is links —
+	// sequence numbers and batches — never graphs: the only CSR a view keeps
+	// alive is its own (v.ver), so the ring bounds views, not rounds-per-view
+	// × CSR. Every Rank that advances publishes, so the previous view sits
+	// exactly where the ranker started from.
+	if p := e.latest.Load(); p != nil {
+		v.chainFrom, v.chain = p.seq, e.ranker.Replayed()
+	}
 
 	e.viewMu.Lock()
-	// Pin the batch chain (previous published version, this version] so
-	// Delta between retained views can walk it even after the store's own
-	// retention ring trims past those versions. A pin holds a link — the
-	// sequence number and its batch — never a graph: the only CSR a view
-	// keeps alive is its own (v.ver), so the ring bounds views, not
-	// rounds-per-view × CSR. Ranges of successive views are disjoint, so
-	// ring eviction releases exactly what publication pinned. A Pin may
-	// miss when an Apply burst already trimmed a chain link; Delta across
-	// the missing link degrades to a full scan.
-	v.chainFrom = v.seq
-	if p := e.latest.Load(); p != nil {
-		v.chainFrom = p.seq
-	}
-	for s := v.chainFrom + 1; s <= v.seq; s++ {
-		e.store.Pin(s)
-	}
 	e.views = append(e.views, v)
 	if len(e.views) > e.opts.history {
-		old := e.views[0]
 		copy(e.views, e.views[1:])
 		e.views[len(e.views)-1] = nil
 		e.views = e.views[:len(e.views)-1]
-		for s := old.chainFrom + 1; s <= old.seq; s++ {
-			e.store.Release(s)
-		}
 	}
 	e.viewMu.Unlock()
 	e.latest.Store(v)

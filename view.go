@@ -5,8 +5,8 @@ import (
 	"sync"
 
 	"dfpr/internal/keymap"
-	"dfpr/internal/topk"
 	"dfpr/internal/snapshot"
+	"dfpr/internal/topk"
 )
 
 // View is an immutable, zero-copy read handle over one published rank
@@ -25,7 +25,7 @@ import (
 // retention window has trimmed past it; dropping the last reference frees
 // it with ordinary garbage collection.
 type View struct {
-	store *snapshot.Store
+	eng   *Engine // publisher; its view ring resolves the views between two
 	seq   uint64
 	ranks []float64         // shared immutable rank vector
 	ver   *snapshot.Version // graph snapshot at seq
@@ -35,11 +35,13 @@ type View struct {
 	// reads in keys.go resolve exactly the keys that existed at seq with
 	// the same bounds check the dense reads perform.
 	keys *keymap.Map
-	// chainFrom is the previously published rank version (== seq for the
-	// first view): the engine pins the batch chain (chainFrom, seq] in the
-	// store while this view is retained, so Delta between retained views
-	// can walk it. Set at publication, never after.
+	// chain holds the links (chainFrom, seq] the refresh behind this view
+	// replayed, chainFrom being the previously published rank version: the
+	// view owns the batches a Delta from its predecessor seeds with, for as
+	// long as the view itself lives. nil when no chain led here (the first
+	// view, a checkpoint, a rebuild). Set at publication, never after.
 	chainFrom uint64
+	chain     []snapshot.Link
 
 	// topk is the lazily built descending order shared by every reader of
 	// this version: the first TopK(k) runs one partial selection, later
@@ -62,8 +64,8 @@ type Movement struct {
 
 // newView wraps one published rank state. The ranks slice is shared, not
 // copied — the caller guarantees it is frozen (see Ranker.RanksShared).
-func newView(store *snapshot.Store, ver *snapshot.Version, seq uint64, ranks []float64, keys *keymap.Map) *View {
-	return &View{store: store, seq: seq, ranks: ranks, ver: ver, keys: keys}
+func newView(eng *Engine, ver *snapshot.Version, seq uint64, ranks []float64, keys *keymap.Map) *View {
+	return &View{eng: eng, seq: seq, ranks: ranks, ver: ver, keys: keys}
 }
 
 // Seq returns the version this view is pinned to: both the graph version
@@ -193,16 +195,18 @@ func (v *View) Scores() iter.Seq2[uint32, float64] {
 // version yield nil.
 //
 // When the chain of batch updates between the two versions is still
-// reachable in the engine's retained history, Delta seeds a frontier with
-// the batch edges' endpoints and expands it along out-edges exactly where
-// scores actually moved — the same dirty-frontier discipline the Dynamic
-// Frontier algorithm uses — so its cost scales with the true movement set,
-// not |V|. A vertex's rank can only change if an incident in-edge was
+// reachable — v was published right after old, or every view published in
+// between is still in the engine's retained history — Delta seeds a
+// frontier with the batch edges' endpoints and expands it along out-edges
+// exactly where scores actually moved — the same dirty-frontier discipline
+// the Dynamic Frontier algorithm uses — so its cost scales with the true
+// movement set, not |V|. A vertex's rank can only change if an incident in-edge was
 // toggled by a batch (a seeded endpoint), or an in-neighbour's rank or
 // out-degree changed (the neighbour is itself seeded or in the movement
 // set, and out-row changes always come from batch endpoints), so the
-// expansion is exhaustive. When the chain has been evicted — or the views
-// come from different engines — Delta falls back to one full O(|V|) scan.
+// expansion is exhaustive. When a view in between has been evicted or was
+// published by a rebuild — or the views come from different engines — Delta
+// falls back to one full O(|V|) scan.
 //
 // Views of different vertex counts (the universe grew in between) always
 // take the full scan: growth rescales the teleport share of every vertex,
@@ -217,7 +221,7 @@ func (v *View) Delta(old *View) []Movement {
 // eps could hide downstream movement), so eps filters the report, not the
 // walk.
 func (v *View) DeltaAbove(old *View, eps float64) []Movement {
-	if old == nil || old == v || old.seq == v.seq && old.store == v.store {
+	if old == nil || old == v || old.seq == v.seq && old.eng == v.eng {
 		return nil
 	}
 	lo, hi := old, v
@@ -231,7 +235,7 @@ func (v *View) DeltaAbove(old *View, eps float64) []Movement {
 		// for every vertex, so the movement set is the whole universe — a
 		// frontier walk has nothing to prune. One padded scan.
 		moved = deltaScanGrown(lo, hi, eps)
-	case lo.store == hi.store && lo.store != nil:
+	case lo.eng == hi.eng && lo.eng != nil:
 		if m, ok := deltaFrontier(lo, hi, eps); ok {
 			moved = m
 		} else {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"weak"
@@ -296,6 +297,9 @@ func TestViewDeltaEvictedChainFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, ok := deltaFrontier(before, after, 0); ok {
+		t.Error("deltaFrontier claims a chain across evicted views")
+	}
 	got := after.Delta(before)
 	want := deltaScan(before, after, 0)
 	if len(got) != len(want) {
@@ -333,13 +337,25 @@ func TestNoOpRankCarriesLatestView(t *testing.T) {
 	}
 }
 
-// TestViewDeltaChainPinnedAcrossStoreTrim covers the case the chain pins
-// exist for: graph versions advance faster than published rank versions
-// (several Applies per Rank), so the store's retention ring trims past the
-// batch chains of still-retained views. The pins taken at publication must
-// keep those links resolvable — asserted via store.Get — and Delta across
-// the whole span must still match the scan.
-func TestViewDeltaChainPinnedAcrossStoreTrim(t *testing.T) {
+// assertDeltaFrontier pins that the frontier walk from lo to hi finds its
+// chain (ok — no silent degradation to the scan) and reports exactly what
+// the scan reports.
+func assertDeltaFrontier(t *testing.T, lo, hi *View) {
+	t.Helper()
+	got, ok := deltaFrontier(lo, hi, 0)
+	if !ok {
+		t.Fatalf("deltaFrontier(%d → %d) found no chain and would fall back to the O(n) scan", lo.Seq(), hi.Seq())
+	}
+	if want := deltaScan(lo, hi, 0); !slices.Equal(got, want) {
+		t.Fatalf("deltaFrontier(%d → %d) found %d movements, scan %d", lo.Seq(), hi.Seq(), len(got), len(want))
+	}
+}
+
+// TestViewDeltaChainOutlivesStoreRing covers graph versions advancing faster
+// than published rank versions (several Applies per Rank), so the store's
+// link ring trims past the batch chains of still-retained views. The views
+// own their chains, so Delta across the whole span still walks the frontier.
+func TestViewDeltaChainOutlivesStoreRing(t *testing.T) {
 	ctx := context.Background()
 	n, edges, mirror := testGraph(t, 9, 44)
 	tol := 1e-3 / float64(n)
@@ -370,11 +386,6 @@ func TestViewDeltaChainPinnedAcrossStoreTrim(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for seq := uint64(1); seq <= 15; seq++ {
-		if _, ok := eng.store.Get(seq); !ok {
-			t.Fatalf("chain link %d unresolvable: publication pins did not survive the store trim", seq)
-		}
-	}
 	latest, err := eng.View()
 	if err != nil {
 		t.Fatal(err)
@@ -382,26 +393,103 @@ func TestViewDeltaChainPinnedAcrossStoreTrim(t *testing.T) {
 	if latest.Seq() != 15 {
 		t.Fatalf("latest at %d, want 15", latest.Seq())
 	}
-	got := latest.Delta(v0)
-	want := deltaScan(v0, latest, 0)
-	if len(got) != len(want) {
-		t.Fatalf("pinned-chain delta found %d movements, scan %d", len(got), len(want))
+	assertDeltaFrontier(t, v0, latest)
+}
+
+// TestViewDeltaBetweenHeldViewsAfterEviction: two consecutive views the
+// caller still holds, long after both left the WithHistory ring (and the
+// store's ring moved past their batches). The newer view carries the chain
+// from the older, so Delta between them needs neither ring.
+func TestViewDeltaBetweenHeldViewsAfterEviction(t *testing.T) {
+	eng, step := viewEngine(t, WithHistory(2))
+	step(400, 8)
+	older, err := eng.View()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("movement %d: %+v vs %+v", i, got[i], want[i])
+	step(401, 8)
+	newer, err := eng.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ { // far beyond retention of 2
+		step(int64(402+i), 8)
+	}
+	for _, v := range []*View{older, newer} {
+		if _, err := eng.ViewAt(v.Seq()); !errors.Is(err, ErrVersionEvicted) {
+			t.Fatalf("view %d still in the ring (err=%v); the test needs it evicted", v.Seq(), err)
 		}
+	}
+	assertDeltaFrontier(t, older, newer)
+	// Across a view that has left the ring there is no chain to read.
+	latest, err := eng.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := deltaFrontier(older, latest, 0); ok {
+		t.Error("deltaFrontier claims a chain across evicted views")
 	}
 }
 
-// TestLiveGraphsIndependentOfRoundsPerView pins what a chain pin costs: a
-// view published every k applied rounds pins k chain links, not k CSRs, so
-// the number of graph snapshots alive is bounded by the store ring, the
-// retained views and the ranker's own version — whatever k is. Weak
-// pointers observe reachability directly.
+// TestViewDeltaAcrossRestartJump: a warm restart publishes the checkpoint's
+// view, folds the WAL tail into ONE store version landing at the tail's tip
+// (Store.ApplyAt — a sequence jump), and the first Rank refreshes over it.
+// The chain between the two views is that one link; Delta must walk it.
+func TestViewDeltaAcrossRestartJump(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	n, edges, mirror := testGraph(t, 9, 46)
+	tol := 1e-3 / float64(n)
+	opts := []Option{WithDurability(dir), WithThreads(2), WithTolerance(tol), WithFrontierTolerance(tol)}
+	eng, err := New(n, edges, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Rank(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	const tail = 4
+	for i := 0; i < tail; i++ {
+		up := batch.Random(mirror, 6, int64(950+i))
+		mirror.Apply(up.Del, up.Ins)
+		if _, err := eng.Apply(ctx, toPublic(up.Del), toPublic(up.Ins)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	eng2, err := New(0, nil, opts...)
+	if err != nil {
+		t.Fatalf("warm restart: %v", err)
+	}
+	defer eng2.Close()
+	ckpt, err := eng2.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng2.Rank(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ckpt.Seq() != 0 || res.View.Seq() != tail || res.Rebuilt {
+		t.Fatalf("restart ranked %d → %d (rebuilt=%v), want an incremental 0 → %d", ckpt.Seq(), res.View.Seq(), res.Rebuilt, tail)
+	}
+	assertDeltaFrontier(t, ckpt, res.View)
+}
+
+// TestLiveGraphsIndependentOfRoundsPerView pins the retention rule end to
+// end: a view published every k applied rounds carries k chain links, not k
+// CSRs, and the store retains none, so the graph snapshots alive are those
+// of the retained views plus Current() and the ranker's own — whatever k is.
+// Weak pointers observe reachability directly.
 func TestLiveGraphsIndependentOfRoundsPerView(t *testing.T) {
 	ctx := context.Background()
-	const history, views = 4, 6
+	const history, rounds = 4, 6
 	for _, k := range []int{1, 8, 32} {
 		n, edges, mirror := testGraph(t, 8, 45)
 		tol := 1e-3 / float64(n)
@@ -413,7 +501,7 @@ func TestLiveGraphsIndependentOfRoundsPerView(t *testing.T) {
 			t.Fatal(err)
 		}
 		graphs := []weak.Pointer[graph.CSR]{weak.Make(eng.store.Current().G)}
-		for round := 0; round < views; round++ {
+		for round := 0; round < rounds; round++ {
 			for j := 0; j < k; j++ {
 				up := batch.Random(mirror, 4, int64(900+round*k+j))
 				mirror.Apply(up.Del, up.Ins)
@@ -434,9 +522,9 @@ func TestLiveGraphsIndependentOfRoundsPerView(t *testing.T) {
 				live++
 			}
 		}
-		if limit := 2*history + 1; live > limit {
-			t.Errorf("k=%d: %d of %d graph snapshots alive, want ≤ %d (store ring %d + views %d + ranker)",
-				k, live, len(graphs), limit, history, history)
+		if limit := history + 2; live > limit {
+			t.Errorf("k=%d: %d of %d graph snapshots alive, want ≤ %d (%d retained views + Current() + ranker)",
+				k, live, len(graphs), limit, history)
 		}
 		eng.Close()
 	}
