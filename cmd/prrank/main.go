@@ -1,17 +1,18 @@
-// Command prrank computes PageRanks of an edge-list graph with any of the
-// eight algorithm variants, through the public dfpr.Engine API. For the
-// dynamic variants (ND/DT/DF) a batch file of "+ u v" / "- u v" lines
-// describes the update: prrank first converges ranks on the pre-update
-// graph, applies the batch, then refreshes with the requested dynamic
-// algorithm — printing timing for both phases so the incremental saving is
-// visible. Ctrl-C cancels a converging run cleanly via context.
+// Command prrank ranks an edge-list graph with lock-free Dynamic Frontier
+// PageRank (DF-LF), through the public dfpr.Engine API. Without -batch it
+// runs one Rank — the engine's static convergence — and reports it. With
+// -batch, a file of "+ u v" / "- u v" lines, it converges the pre-update
+// graph, applies the batch, and refreshes incrementally, printing timing
+// for both phases so the incremental saving is visible. Ctrl-C cancels a
+// converging run cleanly via context. Comparing DF-LF against the paper's
+// other seven variants is prbench -exp (fig5, fig7, fig8, fig9, dt, eedi).
 //
 // Usage:
 //
 //	prgen -graph asia_osm > g.el
 //	prgen -graph asia_osm -batch 1e-4 > u.batch
-//	prrank -in g.el -algo staticlf -top 5
-//	prrank -in g.el -batch u.batch -algo DFLF -top 5
+//	prrank -in g.el -top 5
+//	prrank -in g.el -batch u.batch -top 5
 //	prrank -keyed -in follows.kel -top 5     # string keys: 'alice bob' lines
 //
 // With -keyed, -in is a keyed edge list whose endpoints are arbitrary
@@ -38,9 +39,7 @@ func main() {
 	var (
 		in        = flag.String("in", "", "graph file: edge list ('u v' per line) or MatrixMarket (.mtx)")
 		batchFile = flag.String("batch", "", "batch update file ('+ u v' / '- u v' lines)")
-		algoName  = flag.String("algo", "StaticLF", "algorithm (case-insensitive): StaticBB|StaticLF|NDBB|NDLF|DTBB|DTLF|DFBB|DFLF")
 		threads   = flag.Int("threads", 0, "worker goroutines (0 = NumCPU)")
-		alpha     = flag.Float64("alpha", dfpr.DefaultAlpha, "damping factor")
 		tol       = flag.Float64("tol", dfpr.DefaultTolerance, "iteration tolerance (L∞)")
 		top       = flag.Int("top", 10, "print the k highest-ranked vertices (0 = all ranks)")
 		keyed     = flag.Bool("keyed", false, "treat -in as a keyed edge list ('fromKey toKey' per line) and report keys")
@@ -49,9 +48,8 @@ func main() {
 	if *in == "" {
 		fatalf("missing -in edge list")
 	}
-	algo, err := dfpr.ParseAlgorithm(*algoName)
-	if err != nil {
-		fatalf("%v", err)
+	if *keyed && *batchFile != "" {
+		fatalf("-batch carries dense ids; keyed updates arrive as keyed edge lists")
 	}
 
 	// A converging run on a large graph can take a while; Ctrl-C aborts it
@@ -60,12 +58,13 @@ func main() {
 	defer cancel()
 
 	opts := []dfpr.Option{
-		dfpr.WithAlgorithm(algo),
-		dfpr.WithAlpha(*alpha),
 		dfpr.WithTolerance(*tol),
 		dfpr.WithThreads(*threads),
 	}
-	var eng *dfpr.Engine
+	var (
+		eng *dfpr.Engine
+		err error
+	)
 	if *keyed {
 		kedges, kerr := exutil.LoadKeyEdges(*in)
 		if kerr != nil {
@@ -88,49 +87,32 @@ func main() {
 		}
 	}
 
-	var res *dfpr.Result
-	if *keyed {
-		if *batchFile != "" {
-			fatalf("-batch carries dense ids; keyed updates arrive as keyed edge lists")
-		}
-		res, err = eng.Rank(ctx)
-		if err != nil {
-			fatalf("%s failed: %v", algo, err)
-		}
-	} else if algo.Dynamic() {
-		pre, err := eng.Rank(ctx)
-		if err != nil {
-			fatalf("baseline ranking failed: %v", err)
-		}
+	// The first Rank is the static convergence; with -batch it is the
+	// baseline, and the reported run is the DF-LF refresh over the batch.
+	label := "static"
+	res, err := eng.Rank(ctx)
+	if err == nil && *batchFile != "" {
 		fmt.Printf("baseline: static pre-update ranking converged in %d iterations (%s)\n",
-			pre.Iterations, topk.FormatDur(pre.Elapsed))
-		var del, ins []dfpr.Edge
-		if *batchFile != "" {
-			del, ins, err = loadBatch(*batchFile)
-			if err != nil {
-				fatalf("loading %s: %v", *batchFile, err)
-			}
+			res.Iterations, topk.FormatDur(res.Elapsed))
+		del, ins, lerr := loadBatch(*batchFile)
+		if lerr != nil {
+			fatalf("loading %s: %v", *batchFile, lerr)
 		}
 		if _, err := eng.Apply(ctx, del, ins); err != nil {
 			fatalf("applying batch: %v", err)
 		}
+		label = "DFLF"
 		res, err = eng.Rank(ctx)
-		if err != nil {
-			fatalf("%s failed: %v", algo, err)
-		}
-	} else {
-		res, err = eng.Rank(ctx)
-		if err != nil {
-			if errors.Is(err, dfpr.ErrCanceled) {
-				fatalf("%s canceled", algo)
-			}
-			fatalf("%s failed: %v", algo, err)
-		}
+	}
+	if errors.Is(err, dfpr.ErrCanceled) {
+		fatalf("%s canceled", label)
+	} else if err != nil {
+		fatalf("%s failed: %v", label, err)
 	}
 
 	view := res.View
 	fmt.Printf("%s: n=%d m=%d iterations=%d converged=%v elapsed=%s\n",
-		algo, view.N(), view.M(), res.Iterations, res.Converged, topk.FormatDur(res.Elapsed))
+		label, view.N(), view.M(), res.Iterations, res.Converged, topk.FormatDur(res.Elapsed))
 
 	switch {
 	case *top > 0 && *keyed:

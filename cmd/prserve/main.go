@@ -6,8 +6,8 @@
 // come back 202 with the assigned version (append ?wait=ranked for
 // read-your-ranks). SIGINT/SIGTERM drains in-flight requests and flushes
 // the ingest queue before exiting. The server refreshes with lock-free
-// Dynamic Frontier PageRank (DFLF) at the paper's damping factor; comparing
-// algorithms is prrank's and prbench's job.
+// Dynamic Frontier PageRank (DFLF) at the paper's damping factor, as every
+// engine does; comparing algorithms is prbench -exp's job.
 //
 // With -data the engine is durable: every applied batch is written to a
 // write-ahead log under the directory, checkpoints bound replay, and a

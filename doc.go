@@ -4,16 +4,14 @@
 // PageRanks fresh on a graph that keeps changing.
 //
 // The public surface is the Engine: a versioned dynamic graph plus a rank
-// vector maintained by the paper's Dynamic Frontier approach (lock-free
-// DFLF by default), constructed with functional options and driven with
+// vector maintained by the paper's contribution, lock-free Dynamic Frontier
+// PageRank (DF-LF), constructed with functional options and driven with
 // contexts. The vertex universe is open and engine-owned: an engine built
 // with Open starts empty and grows as submissions mention entities, with
 // clients addressing vertices by their natural string keys — the key→id
 // compaction lives inside the engine, not in every caller:
 //
-//	eng, err := dfpr.Open(
-//		dfpr.WithAlgorithm(dfpr.DFLF),
-//		dfpr.WithThreads(8))
+//	eng, err := dfpr.Open(dfpr.WithThreads(8))
 //	t, err := eng.SubmitKeyed(ctx, nil, []dfpr.KeyEdge{
 //		{From: "alice", To: "bob"},   // never-seen keys create vertices
 //		{From: "bob", To: "carol"},
@@ -27,7 +25,6 @@
 // Dense-ID construction remains for callers that already hold compact ids:
 //
 //	eng, err := dfpr.New(n, edges,
-//		dfpr.WithAlgorithm(dfpr.DFLF),
 //		dfpr.WithTolerance(1e-10),
 //		dfpr.WithThreads(8))
 //	res, err := eng.Rank(ctx)            // initial static convergence
@@ -202,8 +199,8 @@
 //
 // Binaries: cmd/prbench regenerates every table and figure of the paper's
 // evaluation, cmd/prgen emits datasets as edge lists or binary CSR
-// containers (-csr), cmd/prrank ranks an edge list with any
-// variant (-keyed for string keys), cmd/prserve serves ranks over HTTP,
+// containers (-csr), cmd/prrank ranks an edge list with DF-LF, before and
+// after a batch (-keyed for string keys), cmd/prserve serves ranks over HTTP,
 // cmd/prlint runs the invariant analyzers.
 // Four runnable examples live under examples/, one per API surface
 // (quickstart, liveranker, leaderboard, faultsim). The benchmarks in this root

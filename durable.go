@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dfpr/internal/batch"
+	"dfpr/internal/core"
 	"dfpr/internal/graph"
 	"dfpr/internal/snapshot"
 	"dfpr/internal/wal"
@@ -174,7 +175,7 @@ func restore(st settings, ck *wal.State) (*Engine, error) {
 	// store's base, so the first Rank refreshes over the replayed span
 	// incrementally — the path a live engine several versions behind takes.
 	if ck.Ranks != nil {
-		rk, err := snapshot.ResumeRanker(e.store, st.algo, st.cfg, ck.Ranks, ck.Seq)
+		rk, err := snapshot.ResumeRanker(e.store, core.AlgoDFLF, st.cfg, ck.Ranks, ck.Seq)
 		if err != nil {
 			return nil, fmt.Errorf("dfpr: resume ranks: %w", err)
 		}

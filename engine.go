@@ -25,8 +25,8 @@ type Edge struct {
 }
 
 // Engine is the service entry point of this module: a dynamic graph behind
-// a versioned snapshot store, plus a PageRank vector kept current with the
-// configured algorithm (lock-free Dynamic Frontier by default).
+// a versioned snapshot store, plus a PageRank vector kept current with
+// lock-free Dynamic Frontier PageRank (DF-LF), the paper's contribution.
 //
 // The intended loop of a live-serving deployment runs through the ingest
 // pipeline — callers never pick batch boundaries or block on a refresh:
@@ -318,11 +318,10 @@ func toInternal(edges []Edge) []graph.Edge {
 
 // Rank brings the PageRank vector up to the latest published graph version
 // and returns it. The first call converges ranks statically; subsequent
-// calls replay the pending batches with the configured algorithm, touching
-// only frontier-sized work for the Dynamic Frontier variants, and rebuild
-// with one static recomputation when the engine lagged beyond the retained
-// history. Successful calls that advance the version push an Update to
-// every subscriber.
+// calls replay the pending batches with DF-LF, touching only frontier-sized
+// work, and rebuild with one static recomputation when the engine lagged
+// beyond the retained history. Successful calls that advance the version
+// push an Update to every subscriber.
 //
 // Rank honours ctx: cancellation or deadline aborts the run in progress,
 // all worker goroutines exit before Rank returns, the error satisfies
@@ -340,7 +339,7 @@ func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 		return nil, ErrClosed
 	}
 	if e.ranker == nil {
-		rk, res, err := snapshot.NewRanker(ctx, e.store, e.opts.algo, e.opts.cfg)
+		rk, res, err := snapshot.NewRanker(ctx, e.store, core.AlgoDFLF, e.opts.cfg)
 		if err != nil {
 			return failedResultOf(res, 0), err
 		}
@@ -500,8 +499,8 @@ func (e *Engine) syncStatsLocked() {
 // SetFaultPlan replaces the fault-injection plan applied to subsequent
 // runs; a delay probability outside [0, 1] is an error. It is the one
 // chaos-testing control: converge cleanly (or arm before the first Rank),
-// apply a batch, and observe how the configured algorithm behaves under
-// delays or crash-stop failures. The zero plan disarms.
+// apply a batch, and observe how DF-LF behaves under delays or crash-stop
+// failures. The zero plan disarms.
 func (e *Engine) SetFaultPlan(p FaultPlan) error {
 	if p.DelayProb < 0 || p.DelayProb > 1 {
 		return fmt.Errorf("dfpr: delay probability %v out of range [0, 1]", p.DelayProb)

@@ -3,15 +3,17 @@
 // chaos-tested through the public API: converge cleanly, arm a FaultPlan,
 // apply a batch, and watch Rank.
 //
-// The example runs the same batch update three ways:
+// The example runs the same batch update three ways, each checked against
+// a fault-free reference engine:
 //
 //  1. fault-free, as the baseline;
-//  2. with random thread delays injected after vertex computations —
-//     barrier-based DFBB stalls on every delayed straggler while DFLF's
-//     remaining workers keep making progress;
-//  3. with half the workers crash-stopping mid-computation — DFBB deadlocks
-//     (the barrier detects it deterministically) while DFLF still converges
-//     to the correct ranks.
+//  2. with random thread delays injected after vertex computations — the
+//     remaining workers keep making progress past every delayed straggler;
+//  3. with half the workers crash-stopping mid-computation — the survivors
+//     still converge to the correct ranks.
+//
+// The barrier-based contrast (DFBB stalling on delays and deadlocking on a
+// crash) is the paper's Figures 8–9: go run ./cmd/prbench -exp fig8,fig9.
 //
 // Run with:
 //
@@ -39,9 +41,8 @@ func main() {
 	tol := 1e-3 / float64(n)
 	up := batch.Random(d, d.M()/1000, 5)
 
-	newEngine := func(a dfpr.Algorithm) *dfpr.Engine {
+	newEngine := func() *dfpr.Engine {
 		eng, err := dfpr.New(n, edges,
-			dfpr.WithAlgorithm(a),
 			dfpr.WithThreads(workers),
 			dfpr.WithTolerance(tol),
 			dfpr.WithFrontierTolerance(tol),
@@ -53,7 +54,7 @@ func main() {
 	}
 
 	// Fault-free reference ranks on the post-update graph.
-	refEng := newEngine(dfpr.DFBB)
+	refEng := newEngine()
 	if _, err := refEng.Rank(ctx); err != nil {
 		panic(err)
 	}
@@ -66,8 +67,8 @@ func main() {
 	}
 	ref := refRes.View
 
-	report := func(label string, a dfpr.Algorithm, plan dfpr.FaultPlan) {
-		eng := newEngine(a)
+	report := func(label string, plan dfpr.FaultPlan) {
+		eng := newEngine()
 		if _, err := eng.Rank(ctx); err != nil { // clean convergence first
 			panic(err)
 		}
@@ -93,19 +94,17 @@ func main() {
 		n, d.M(), up.Size(), workers)
 
 	fmt.Println("fault-free baseline")
-	report("DFBB", dfpr.DFBB, dfpr.FaultPlan{})
-	report("DFLF", dfpr.DFLF, dfpr.FaultPlan{})
+	report("DFLF", dfpr.FaultPlan{})
 
 	fmt.Println("\nrandom thread delays (expected ~1 sleep of 2ms per iteration)")
 	delay := dfpr.FaultPlan{DelayProb: 1 / float64(n), DelayDur: 2 * time.Millisecond, Seed: 1}
-	report("DFBB under delays", dfpr.DFBB, delay)
-	report("DFLF under delays", dfpr.DFLF, delay)
+	report("DFLF under delays", delay)
 
 	fmt.Printf("\ncrash-stop: %d of %d workers die mid-computation\n", workers/2, workers)
 	crash := dfpr.FaultPlan{CrashWorkers: dfpr.CrashSet(workers/2, workers), CrashHorizon: n / 2, Seed: 2}
-	report("DFBB with crashes", dfpr.DFBB, crash)
-	report("DFLF with crashes", dfpr.DFLF, crash)
+	report("DFLF with crashes", crash)
 
-	fmt.Println("\nlock-freedom in action: the barrier-based variant cannot outlive a")
-	fmt.Println("single crash, while DFLF finishes at reduced speed with correct ranks.")
+	fmt.Println("\nlock-freedom in action: DFLF finishes at reduced speed with correct")
+	fmt.Println("ranks; prbench -exp fig8,fig9 shows the barrier-based DFBB stalling")
+	fmt.Println("on the same delays and deadlocking on a single crash.")
 }

@@ -48,7 +48,6 @@ func main() {
 		}[p%20], p/20)
 	}
 	eng, err := dfpr.Open(
-		dfpr.WithAlgorithm(dfpr.DFLF),
 		dfpr.WithThreads(4),
 		dfpr.WithTolerance(1e-3/players),
 		dfpr.WithFrontierTolerance(1e-3/players),

@@ -35,18 +35,11 @@ func main() {
 	n, edges := exutil.Flatten(d)
 	tol := 1e-3 / float64(n)
 	eng, err := dfpr.New(n, edges,
-		dfpr.WithAlgorithm(dfpr.DFLF),
 		dfpr.WithThreads(4),
 		dfpr.WithTolerance(tol),
 		dfpr.WithFrontierTolerance(tol),
 		dfpr.WithHistory(4), // keep only 4 versions of history
 	)
-	if err != nil {
-		panic(err)
-	}
-	// A reference engine recomputes statically at full precision — the
-	// yardstick column of the table below.
-	ref, err := dfpr.New(n, edges, dfpr.WithAlgorithm(dfpr.StaticBB), dfpr.WithThreads(4))
 	if err != nil {
 		panic(err)
 	}
@@ -72,9 +65,6 @@ func main() {
 			if _, err := eng.Apply(ctx, exutil.Convert(up.Del), exutil.Convert(up.Ins)); err != nil {
 				panic(err)
 			}
-			if _, err := ref.Apply(ctx, exutil.Convert(up.Del), exutil.Convert(up.Ins)); err != nil {
-				panic(err)
-			}
 		}
 	}
 	refresh := func(label string) {
@@ -83,6 +73,14 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
+		// The yardstick column: a fresh engine over the mirror, whose first
+		// Rank is a static convergence at full precision.
+		rn, redges := exutil.Flatten(d)
+		ref, err := dfpr.New(rn, redges, dfpr.WithThreads(4))
+		if err != nil {
+			panic(err)
+		}
+		defer ref.Close()
 		refRes, err := ref.Rank(ctx)
 		if err != nil {
 			panic(err)

@@ -28,7 +28,7 @@ func main() {
 		{U: 12, V: 13}, {U: 13, V: 4}, {U: 2, V: 6}, {U: 6, V: 2},
 		{U: 9, V: 3}, {U: 4, V: 8},
 	}
-	eng, err := dfpr.New(14, edges, dfpr.WithAlgorithm(dfpr.DFLF), dfpr.WithThreads(4))
+	eng, err := dfpr.New(14, edges, dfpr.WithThreads(4))
 	if err != nil {
 		panic(err)
 	}
@@ -74,7 +74,8 @@ func main() {
 		fmt.Printf("  v%-2d %.6f → %.6f\n", m.V, m.From, m.To)
 	}
 
-	// Cross-check against a full static recomputation on the updated graph.
+	// Cross-check against a full static recomputation on the updated graph:
+	// a fresh engine's first Rank is exactly that.
 	var updated []dfpr.Edge
 	for _, e := range edges {
 		if e != (dfpr.Edge{U: 10, V: 11}) {
@@ -82,7 +83,7 @@ func main() {
 		}
 	}
 	updated = append(updated, dfpr.Edge{U: 7, V: 9})
-	full, err := dfpr.New(14, updated, dfpr.WithAlgorithm(dfpr.StaticLF), dfpr.WithThreads(4))
+	full, err := dfpr.New(14, updated, dfpr.WithThreads(4))
 	if err != nil {
 		panic(err)
 	}

@@ -85,67 +85,64 @@ func (s *growthScript) nextBatch(grow int) (del, ins []Edge) {
 }
 
 // TestGrowthEquivalenceAllVariants is the acceptance criterion: interleaved
-// grow+apply+rank matches a cold build of the final graph within L∞ ≤ 1e-12
-// for every one of the paper's eight algorithm variants, across seeds.
+// grow+apply+rank matches a cold build of the final graph within L∞ ≤ 1e-12,
+// across seeds. This is the engine's DF-LF row; internal/snapshot's test of
+// the same name runs the store and ranker under all eight variants.
 func TestGrowthEquivalenceAllVariants(t *testing.T) {
 	ctx := context.Background()
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	for _, algo := range Algorithms() {
-		for _, seed := range seeds {
-			t.Run(fmt.Sprintf("%v/seed%d", algo, seed), func(t *testing.T) {
-				s := newGrowthScript(40, seed)
-				opts := []Option{
-					WithAlgorithm(algo), WithThreads(4), WithTolerance(growthTol),
-				}
-				eng, err := New(s.n, s.initialEdges(), opts...)
-				if err != nil {
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("DFLF/seed%d", seed), func(t *testing.T) {
+			s := newGrowthScript(40, seed)
+			opts := []Option{WithThreads(4), WithTolerance(growthTol)}
+			eng, err := New(s.n, s.initialEdges(), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			if _, err := eng.Rank(ctx); err != nil {
+				t.Fatal(err)
+			}
+			// Four batches; the middle two land under one Rank so the
+			// span-coalesced path replays growth too.
+			for i := 0; i < 4; i++ {
+				del, ins := s.nextBatch(5 + i)
+				if _, err := eng.Apply(ctx, del, ins); err != nil {
 					t.Fatal(err)
 				}
-				defer eng.Close()
-				if _, err := eng.Rank(ctx); err != nil {
-					t.Fatal(err)
-				}
-				// Four batches; the middle two land under one Rank so the
-				// span-coalesced path replays growth too.
-				for i := 0; i < 4; i++ {
-					del, ins := s.nextBatch(5 + i)
-					if _, err := eng.Apply(ctx, del, ins); err != nil {
+				if i != 1 { // skip → versions 2+3 refresh as one span
+					if _, err := eng.Rank(ctx); err != nil {
 						t.Fatal(err)
 					}
-					if i != 1 { // skip → versions 2+3 refresh as one span
-						if _, err := eng.Rank(ctx); err != nil {
-							t.Fatal(err)
-						}
-					}
 				}
-				res, err := eng.Rank(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !res.Converged {
-					t.Fatal("incremental engine did not converge")
-				}
+			}
+			res, err := eng.Rank(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged {
+				t.Fatal("incremental engine did not converge")
+			}
 
-				cold, err := New(s.n, s.initialEdges(), opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer cold.Close()
-				coldRes, err := cold.Rank(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := res.View.N(), s.n; got != want {
-					t.Fatalf("grown universe N = %d, want %d", got, want)
-				}
-				if d := topk.LInf(ranksOf(res.View), ranksOf(coldRes.View)); d > 1e-12 {
-					t.Errorf("grown-then-ranked deviates from cold build by %g (bound 1e-12)", d)
-				}
-			})
-		}
+			cold, err := New(s.n, s.initialEdges(), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cold.Close()
+			coldRes, err := cold.Rank(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := res.View.N(), s.n; got != want {
+				t.Fatalf("grown universe N = %d, want %d", got, want)
+			}
+			if d := topk.LInf(ranksOf(res.View), ranksOf(coldRes.View)); d > 1e-12 {
+				t.Errorf("grown-then-ranked deviates from cold build by %g (bound 1e-12)", d)
+			}
+		})
 	}
 }
 

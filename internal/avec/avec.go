@@ -194,15 +194,6 @@ func (f *Flags) AllClear() bool {
 	return true
 }
 
-// Count returns the number of set flags (snapshot).
-func (f *Flags) Count() int {
-	c := 0
-	for w := range f.words {
-		c += popcount(atomic.LoadUint64(&f.words[w]))
-	}
-	return c
-}
-
 // Reset clears every flag.
 func (f *Flags) Reset() {
 	for w := range f.words {
@@ -219,7 +210,7 @@ func (f *Flags) SetAll() {
 		atomic.StoreUint64(&f.words[w], ^uint64(0))
 	}
 	// Final word: only bits below n are valid; stray bits would break
-	// AllClear and Count.
+	// AllClear.
 	rem := uint(f.n - (len(f.words)-1)*64)
 	var last uint64
 	if rem == 64 {
@@ -228,15 +219,6 @@ func (f *Flags) SetAll() {
 		last = (uint64(1) << rem) - 1
 	}
 	atomic.StoreUint64(&f.words[len(f.words)-1], last)
-}
-
-func popcount(x uint64) int {
-	// Kernighan would be O(bits set); use the SWAR popcount so Count stays
-	// flat under heavy flag load.
-	x -= (x >> 1) & 0x5555555555555555
-	x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-	x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f
-	return int((x * 0x0101010101010101) >> 56)
 }
 
 // Counter is a cache-line padded atomic counter used for work tickets and

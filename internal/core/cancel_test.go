@@ -94,17 +94,3 @@ func TestRunCtxBackgroundUnaffected(t *testing.T) {
 		t.Fatalf("background ctx: converged=%v err=%v", res.Converged, res.Err)
 	}
 }
-
-func TestParseAlgoCaseInsensitive(t *testing.T) {
-	for _, s := range []string{"DFLF", "dflf", "DfLf", "staticbb", "ndbb", "DTLF"} {
-		if _, ok := ParseAlgo(s); !ok {
-			t.Errorf("ParseAlgo(%q) failed", s)
-		}
-	}
-	if _, ok := ParseAlgo("nope"); ok {
-		t.Error("ParseAlgo accepted junk")
-	}
-	if names := AlgoNames(); len(names) != len(Algos) {
-		t.Errorf("AlgoNames returned %d names", len(names))
-	}
-}

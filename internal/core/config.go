@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"strings"
 	"time"
 
 	"dfpr/internal/fault"
@@ -31,7 +30,7 @@ import (
 
 // Default parameter values from §5.1.2 of the paper.
 const (
-	DefaultAlpha   = 0.85
+	DefaultDamping = 0.85
 	DefaultTol     = 1e-10
 	DefaultMaxIter = 500
 )
@@ -85,7 +84,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Alpha <= 0 || c.Alpha >= 1 {
-		c.Alpha = DefaultAlpha
+		c.Alpha = DefaultDamping
 	}
 	if c.Tol <= 0 {
 		c.Tol = DefaultTol
@@ -208,26 +207,6 @@ func (a Algo) LockFree() bool {
 
 // Dynamic reports whether the variant consumes a previous rank vector.
 func (a Algo) Dynamic() bool { return a != AlgoStaticBB && a != AlgoStaticLF }
-
-// ParseAlgo resolves a variant by its paper name, case-insensitively.
-func ParseAlgo(s string) (Algo, bool) {
-	for _, a := range Algos {
-		if strings.EqualFold(a.String(), s) {
-			return a, true
-		}
-	}
-	return 0, false
-}
-
-// AlgoNames returns the paper names of all variants in presentation order,
-// for listing valid values in flag and option error messages.
-func AlgoNames() []string {
-	names := make([]string, len(Algos))
-	for i, a := range Algos {
-		names[i] = a.String()
-	}
-	return names
-}
 
 // Input bundles the arguments of a dynamic-PageRank invocation. Static
 // variants use only GNew; ND additionally uses Prev; DT and DF use

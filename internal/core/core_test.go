@@ -220,18 +220,6 @@ func TestRunRejectsUnknownAlgo(t *testing.T) {
 	}
 }
 
-func TestParseAlgo(t *testing.T) {
-	for _, a := range Algos {
-		got, ok := ParseAlgo(a.String())
-		if !ok || got != a {
-			t.Errorf("ParseAlgo(%q) = %v,%v", a.String(), got, ok)
-		}
-	}
-	if _, ok := ParseAlgo("nope"); ok {
-		t.Error("ParseAlgo accepted garbage")
-	}
-}
-
 func TestDFSequenceOfBatches(t *testing.T) {
 	// Drive a chain of 5 batch updates, carrying ranks forward, and check
 	// each step against the reference — the realistic usage pattern.

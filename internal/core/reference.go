@@ -16,7 +16,7 @@ import (
 // Only Alpha, Tol and MaxIter from cfg are honoured.
 func Reference(g *graph.CSR, cfg Config) []float64 {
 	if cfg.Alpha <= 0 || cfg.Alpha >= 1 {
-		cfg.Alpha = DefaultAlpha
+		cfg.Alpha = DefaultDamping
 	}
 	if cfg.Tol <= 0 {
 		cfg.Tol = 1e-15

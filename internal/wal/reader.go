@@ -250,7 +250,7 @@ func (l *Log) notifyLocked() {
 func (l *Log) Fence(cause error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.cause == nil {
+	if l.err() == nil {
 		_ = l.degradeLocked(cause)
 	}
 	l.notifyLocked()
@@ -264,9 +264,7 @@ func (l *Log) Floor() uint64 {
 	if err == nil && len(segs) > 0 {
 		return segs[0]
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
+	return l.seq.Load()
 }
 
 // LatestCheckpoint reads back the newest valid checkpoint in the directory —

@@ -94,19 +94,17 @@ type Log struct {
 	f      File
 	base   uint64 // active segment's base sequence
 	size   int64
-	seq    uint64
 	dirty  bool
-	cause  error // sticky degradation cause
 	buf    []byte
 	notify chan struct{} // closed on append to wake AppendWait followers
 
 	ckptMu sync.Mutex // serialises WriteCheckpoint
 
-	// Mirrors of the mu-guarded state that Stats and Degraded read without
-	// the lock: Append and the flusher hold mu across an fsync, and a
-	// liveness probe must not wait on a disk flush.
-	seqA     atomic.Uint64         // seq
-	failure  atomic.Pointer[error] // cause; nil while healthy
+	// Atomics so Stats and Degraded read them without the lock: Append and
+	// the flusher hold mu across an fsync, and a liveness probe must not
+	// wait on a disk flush. Writers hold mu.
+	seq      atomic.Uint64         // last appended sequence
+	cause    atomic.Pointer[error] // sticky degradation cause; nil while healthy
 	ckptSeq  atomic.Uint64
 	lastSync atomic.Int64 // unix nanos of the last successful fsync
 
@@ -167,7 +165,6 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	l.seqA.Store(l.seq)
 	if l.opts.Mode == SyncBatched {
 		l.stop = make(chan struct{})
 		l.done = make(chan struct{})
@@ -223,12 +220,11 @@ func (l *Log) recover() (*Recovered, error) {
 		return nil, fmt.Errorf("wal: %s holds log segments but no valid checkpoint", l.dir)
 	}
 
-	l.seq = 0
+	want := uint64(1)
 	if rec.HasState {
-		l.seq = rec.Checkpoint.Seq
+		want = rec.Checkpoint.Seq + 1
 		l.ckptSeq.Store(rec.Checkpoint.Seq)
 	}
-	want := l.seq + 1
 	for i, base := range segs {
 		name := filepath.Join(l.dir, segmentName(base))
 		b, err := l.fs.ReadFile(name)
@@ -265,14 +261,14 @@ func (l *Log) recover() (*Recovered, error) {
 				_ = l.fs.Remove(filepath.Join(l.dir, segmentName(later)))
 			}
 			l.base, l.size = base, int64(end)
-			l.seq = want - 1
+			l.seq.Store(want - 1)
 			return rec, l.openActive()
 		}
 		l.base, l.size = base, int64(end)
 	}
-	l.seq = want - 1
+	l.seq.Store(want - 1)
 	if len(segs) == 0 {
-		l.base, l.size = l.seq, 0
+		l.base, l.size = want-1, 0
 	}
 	return rec, l.openActive()
 }
@@ -295,10 +291,10 @@ func (l *Log) openActive() error {
 func (l *Log) Append(r *Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.cause != nil {
-		return l.cause
+	if err := l.err(); err != nil {
+		return err
 	}
-	if l.size >= l.opts.SegmentBytes && l.seq > l.base {
+	if l.size >= l.opts.SegmentBytes && l.seq.Load() > l.base {
 		if err := l.rotateLocked(); err != nil {
 			return err
 		}
@@ -309,8 +305,7 @@ func (l *Log) Append(r *Record) error {
 		return l.degradeLocked(fmt.Errorf("append record %d: %w", r.Seq, err))
 	}
 	l.size += int64(n)
-	l.seq = r.Seq
-	l.seqA.Store(r.Seq)
+	l.seq.Store(r.Seq)
 	l.dirty = true
 	l.notifyLocked()
 	if l.opts.Mode == SyncAlways {
@@ -324,8 +319,8 @@ func (l *Log) Append(r *Record) error {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.cause != nil {
-		return l.cause
+	if err := l.err(); err != nil {
+		return err
 	}
 	return l.syncLocked()
 }
@@ -355,11 +350,12 @@ func (l *Log) rotateLocked() error {
 	if err := l.f.Close(); err != nil {
 		return l.degradeLocked(fmt.Errorf("seal segment %d: %w", l.base, err))
 	}
-	f, err := l.fs.OpenAppend(filepath.Join(l.dir, segmentName(l.seq)))
+	seq := l.seq.Load()
+	f, err := l.fs.OpenAppend(filepath.Join(l.dir, segmentName(seq)))
 	if err != nil {
-		return l.degradeLocked(fmt.Errorf("rotate to segment %d: %w", l.seq, err))
+		return l.degradeLocked(fmt.Errorf("rotate to segment %d: %w", seq, err))
 	}
-	l.f, l.base, l.size = f, l.seq, 0
+	l.f, l.base, l.size = f, seq, 0
 	return nil
 }
 
@@ -367,13 +363,20 @@ func (l *Log) rotateLocked() error {
 // every later Append/Sync returns it cheaply, and Stats reports Degraded.
 func (l *Log) degradeLocked(err error) error {
 	err = fmt.Errorf("wal: %w", err)
-	l.cause = err
-	l.failure.Store(&err)
+	l.cause.Store(&err)
 	return err
 }
 
+// err returns the sticky degradation cause, nil while healthy.
+func (l *Log) err() error {
+	if cause := l.cause.Load(); cause != nil {
+		return *cause
+	}
+	return nil
+}
+
 // Degraded reports the sticky failure state without taking the lock.
-func (l *Log) Degraded() bool { return l.failure.Load() != nil }
+func (l *Log) Degraded() bool { return l.cause.Load() != nil }
 
 // WriteCheckpoint makes st durable — temp file, fsync, rename, directory
 // fsync — then prunes: checkpoints beyond the newest two and every sealed
@@ -384,8 +387,8 @@ func (l *Log) Degraded() bool { return l.failure.Load() != nil }
 func (l *Log) WriteCheckpoint(st *State) error {
 	l.ckptMu.Lock()
 	defer l.ckptMu.Unlock()
-	if cause := l.failure.Load(); cause != nil {
-		return *cause
+	if err := l.err(); err != nil {
+		return err
 	}
 	b := encodeCheckpoint(st)
 	tmp := filepath.Join(l.dir, fmt.Sprintf("checkpoint-%016x.tmp", st.Seq))
@@ -420,7 +423,7 @@ func (l *Log) WriteCheckpoint(st *State) error {
 	l.ckptSeq.Store(st.Seq)
 
 	l.mu.Lock()
-	if l.cause == nil && l.seq > l.base {
+	if l.err() == nil && l.seq.Load() > l.base {
 		// Rotate so the rounds logged before this checkpoint sit in sealed
 		// segments a FUTURE checkpoint can prune; errors here degrade but the
 		// checkpoint itself already succeeded.
@@ -463,10 +466,8 @@ func (l *Log) prune(seq uint64) {
 // Stats returns the log's current durability state. It takes no lock, so
 // it returns while an Append or the flusher sits in an fsync.
 func (l *Log) Stats() Stats {
-	s := Stats{Seq: l.seqA.Load(), CheckpointSeq: l.ckptSeq.Load()}
-	if cause := l.failure.Load(); cause != nil {
-		s.Degraded, s.Err = true, *cause
-	}
+	s := Stats{Seq: l.seq.Load(), CheckpointSeq: l.ckptSeq.Load(), Err: l.err()}
+	s.Degraded = s.Err != nil
 	if ns := l.lastSync.Load(); ns != 0 {
 		s.LastSync = time.Unix(0, ns)
 	}
@@ -499,7 +500,7 @@ func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.notifyLocked()
-	err := l.cause
+	err := l.err()
 	if err == nil {
 		err = l.syncLocked()
 	}

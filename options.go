@@ -12,78 +12,6 @@ import (
 	"dfpr/internal/wal"
 )
 
-// Algorithm selects which of the paper's eight PageRank variants an Engine
-// refreshes with. The zero value is DFLF, the paper's contribution and the
-// recommended default: lock-free Dynamic Frontier PageRank.
-type Algorithm int
-
-// The eight algorithm variants, in the paper's naming. DF is the Dynamic
-// Frontier approach (the contribution), ND Naive-dynamic, DT Dynamic
-// Traversal; the BB/LF suffix picks the barrier-based (synchronous Jacobi)
-// or lock-free (asynchronous Gauss–Seidel, fault-tolerant) implementation.
-const (
-	DFLF Algorithm = iota
-	DFBB
-	NDLF
-	NDBB
-	DTLF
-	DTBB
-	StaticLF
-	StaticBB
-)
-
-// algoMap pairs each public Algorithm with its internal counterpart;
-// coreToPub is its inverse.
-var algoMap = map[Algorithm]core.Algo{
-	DFLF:     core.AlgoDFLF,
-	DFBB:     core.AlgoDFBB,
-	NDLF:     core.AlgoNDLF,
-	NDBB:     core.AlgoNDBB,
-	DTLF:     core.AlgoDTLF,
-	DTBB:     core.AlgoDTBB,
-	StaticLF: core.AlgoStaticLF,
-	StaticBB: core.AlgoStaticBB,
-}
-
-var coreToPub = func() map[core.Algo]Algorithm {
-	m := make(map[core.Algo]Algorithm, len(algoMap))
-	for pub, c := range algoMap {
-		m[c] = pub
-	}
-	return m
-}()
-
-// Algorithms lists every variant in the paper's presentation order.
-func Algorithms() []Algorithm {
-	return []Algorithm{StaticBB, NDBB, DFBB, StaticLF, NDLF, DFLF, DTBB, DTLF}
-}
-
-// String returns the paper's name for the variant.
-func (a Algorithm) String() string {
-	if c, ok := algoMap[a]; ok {
-		return c.String()
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
-
-// Dynamic reports whether the variant consumes previous ranks and a batch
-// update; static variants recompute from scratch on every refresh.
-func (a Algorithm) Dynamic() bool { return algoMap[a].Dynamic() }
-
-// LockFree reports whether the variant is barrier-free and therefore
-// tolerates random thread delays and crash-stop worker failures.
-func (a Algorithm) LockFree() bool { return algoMap[a].LockFree() }
-
-// ParseAlgorithm resolves a variant by its paper name, case-insensitively.
-// The error of an unknown name lists every valid name.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	c, ok := core.ParseAlgo(s)
-	if !ok {
-		return 0, fmt.Errorf("dfpr: unknown algorithm %q (valid: %s)", s, strings.Join(core.AlgoNames(), ", "))
-	}
-	return coreToPub[c], nil
-}
-
 // FaultPlan describes thread delays and crash-stop failures to inject into
 // rank computations (the paper's §5.1.6 fault model), for chaos-testing the
 // fault tolerance claims through the public API. The zero plan injects
@@ -122,8 +50,6 @@ func CrashSet(k, workers int) []int { return fault.CrashSet(k, workers) }
 // The paper's default parameters (§5.1.2), shared by the Engine options
 // and the CLI flag defaults.
 const (
-	// DefaultAlpha is the default damping factor.
-	DefaultAlpha = core.DefaultAlpha
 	// DefaultTolerance is the default iteration tolerance τ (L∞).
 	DefaultTolerance = core.DefaultTol
 	// DefaultHistory is the default WithHistory bound.
@@ -149,7 +75,6 @@ const (
 // settings is the resolved configuration an Engine is built with.
 type settings struct {
 	cfg       core.Config
-	algo      core.Algo
 	history   int
 	policy    RankPolicy
 	queue     int
@@ -168,9 +93,8 @@ type settings struct {
 
 func defaultSettings() settings {
 	return settings{
-		algo: core.AlgoDFLF, history: snapshot.DefaultHistory,
-		queue: DefaultIngestQueue, maxN: DefaultMaxVertices,
-		ckptEvery: DefaultCheckpointEvery,
+		history: snapshot.DefaultHistory, queue: DefaultIngestQueue,
+		maxN: DefaultMaxVertices, ckptEvery: DefaultCheckpointEvery,
 	}
 }
 
@@ -178,31 +102,6 @@ func defaultSettings() settings {
 // New reports the first invalid option instead of deferring surprises to
 // the first Rank.
 type Option func(*settings) error
-
-// WithAlgorithm selects the refresh algorithm (default DFLF). A static
-// variant makes every Rank a full recomputation — useful as a baseline or
-// yardstick.
-func WithAlgorithm(a Algorithm) Option {
-	return func(s *settings) error {
-		c, ok := algoMap[a]
-		if !ok {
-			return fmt.Errorf("dfpr: unknown algorithm %v (valid: %s)", a, strings.Join(core.AlgoNames(), ", "))
-		}
-		s.algo = c
-		return nil
-	}
-}
-
-// WithAlpha sets the damping factor, in (0, 1) exclusive (default 0.85).
-func WithAlpha(alpha float64) Option {
-	return func(s *settings) error {
-		if alpha <= 0 || alpha >= 1 {
-			return fmt.Errorf("dfpr: alpha %v out of range (0, 1)", alpha)
-		}
-		s.cfg.Alpha = alpha
-		return nil
-	}
-}
 
 // WithTolerance sets the iteration tolerance τ on the L∞ rank change
 // (default 1e-10).
@@ -216,9 +115,9 @@ func WithTolerance(tol float64) Option {
 	}
 }
 
-// WithFrontierTolerance sets the frontier tolerance τ_f the Dynamic
-// Frontier variants use to decide when a rank change is large enough to
-// mark out-neighbours affected (default τ/1000).
+// WithFrontierTolerance sets the frontier tolerance τ_f DF-LF uses to
+// decide when a rank change is large enough to mark out-neighbours affected
+// (default τ/1000).
 func WithFrontierTolerance(tol float64) Option {
 	return func(s *settings) error {
 		if tol <= 0 {

@@ -77,9 +77,8 @@ type Result struct {
 	// when the call failed: an aborted run's vector may be mid-iteration
 	// and is never exposed.
 	View *View
-	// Iterations is the number of iterations of the final run (for
-	// lock-free variants: the highest pass index any worker completed, plus
-	// one).
+	// Iterations is the number of iterations of the final run (for a
+	// lock-free run: the highest pass index any worker completed, plus one).
 	Iterations int
 	// Converged reports whether the tolerance was met before MaxIter.
 	Converged bool
@@ -90,13 +89,14 @@ type Result struct {
 	// construction.
 	Elapsed time.Duration
 	// BarrierWait is the cumulative time workers spent blocked at iteration
-	// barriers (zero for lock-free variants).
+	// barriers: nonzero only on the barrier-based static convergence of the
+	// first Rank and of rebuilds, zero on every DF-LF refresh.
 	BarrierWait time.Duration
 }
 
 // Stats counts how an engine has kept its ranks fresh and what its ingest
-// pipeline has absorbed: Refreshes are incremental (or static-algorithm)
-// refreshes, Rebuilds are static rebuilds after the history was evicted.
+// pipeline has absorbed: Refreshes are incremental DF-LF refreshes,
+// Rebuilds are static rebuilds after the history was evicted.
 type Stats struct {
 	Refreshes, Rebuilds int
 	// QueuedEdits is the number of edits sitting in the ingest queue right
