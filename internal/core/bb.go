@@ -101,13 +101,14 @@ func runBB(ctx context.Context, vr variant, in Input, cfg Config) Result {
 		return Result{Err: ErrCanceled}
 	}
 	base := (1 - cfg.Alpha) / float64(n)
-	inv := invOutDeg(g)
 	gOld := in.GOld
 	if gOld == nil {
 		gOld = g
 	}
 
-	ainv := alphaInv(inv, cfg.Alpha)
+	// The barrier-based kernel keeps the plain update: solving the self-loop
+	// pays only in Gauss–Seidel (DESIGN §2), so it needs no dinv.
+	ainv, _ := kernelFactors(g, cfg.Alpha, false)
 
 	var init []float64
 	if vr != vStatic && len(in.Prev) == n {
@@ -218,12 +219,7 @@ func runBB(ctx context.Context, vr variant, in Input, cfg Config) Result {
 						st.frontier++
 					}
 					vv := uint32(v)
-					var nr float64
-					if cfg.seedKernel {
-						nr = rankOfSeed(g, inv, r, cfg.Alpha, base, vv)
-					} else {
-						nr = rankOfCached(g, cb, base, vv)
-					}
+					nr := rankOfCached(g, cb, base, vv)
 					dr := math.Abs(nr - r[v])
 					rNew[v] = nr
 					cbNew[v] = nr * ainv[v]

@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"time"
 
 	"dfpr/internal/fault"
@@ -75,11 +76,6 @@ type Config struct {
 	// Fault describes delays/crashes to inject (§5.1.6). The zero Plan
 	// injects nothing.
 	Fault fault.Plan
-
-	// seedKernel switches the engines to the uncached seed kernels. It is
-	// package-private: only the equivalence tests set it, to pin the
-	// contribution-cached kernels against the original arithmetic.
-	seedKernel bool
 }
 
 func (c Config) withDefaults() Config {
@@ -281,14 +277,34 @@ func invOutDeg(g *graph.CSR) []float64 {
 	return inv
 }
 
-// alphaInv precomputes ainv[v] = alpha·inv[v], the factor that turns a rank
-// store into a contribution-cache store (contrib[v] = rank[v]·ainv[v]).
-func alphaInv(inv []float64, alpha float64) []float64 {
-	ainv := make([]float64, len(inv))
-	for v, x := range inv {
-		ainv[v] = alpha * x
+// kernelFactors precomputes, in one pass over the vertices, the factors the
+// cached kernels multiply by: ainv[v] = α·(1/outdeg(v)) (0 for a dead end;
+// rounded as the barrier-based kernel has always had it), which turns a rank
+// store into a contribution-cache store (contrib[v] = rank[v]·ainv[v]), and
+// — when solve is set, for the lock-free kernel —
+// dinv[v] = 1/(1 − ainv[v]) if v has a self-loop and 1 otherwise (see
+// rankOfCachedAtomic). The self-loop is found by binary search of v's
+// sorted in-row, so a graph that never ran EnsureSelfLoops gets dinv = 1
+// wherever v has none.
+func kernelFactors(g *graph.CSR, alpha float64, solve bool) (ainv, dinv []float64) {
+	n := g.N()
+	ainv = make([]float64, n)
+	if solve {
+		dinv = make([]float64, n)
 	}
-	return ainv
+	for v := uint32(0); int(v) < n; v++ {
+		if d := g.OutDeg(v); d > 0 {
+			ainv[v] = alpha * (1 / float64(d))
+		}
+		if !solve {
+			continue
+		}
+		dinv[v] = 1
+		if _, loop := slices.BinarySearch(g.In(v), v); loop {
+			dinv[v] = 1 / (1 - ainv[v])
+		}
+	}
+	return ainv, dinv
 }
 
 // balancedTarget is the per-chunk weight for edge-balanced chunking: Chunk

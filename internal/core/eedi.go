@@ -38,8 +38,7 @@ func StaticLFNS(g *graph.CSR, cfg Config) Result {
 		return Result{Converged: true}
 	}
 	base := (1 - cfg.Alpha) / float64(n)
-	inv := invOutDeg(g)
-	ainv := alphaInv(inv, cfg.Alpha)
+	ainv, dinv := kernelFactors(g, cfg.Alpha, true)
 	ranks := avec.NewF64(n)
 	ranks.Fill(1 / float64(n))
 	contribs := avec.NewF64(n)
@@ -109,13 +108,7 @@ func StaticLFNS(g *graph.CSR, cfg Config) Result {
 			}
 			useful := false
 			for v := r.Lo; v < r.Hi; v++ {
-				vv := uint32(v)
-				var nr float64
-				if cfg.seedKernel {
-					nr = rankOfAtomicSeed(g, inv, ranks, cfg.Alpha, base, vv)
-				} else {
-					nr = rankOfCachedAtomic(g, contribs, base, vv)
-				}
+				nr := rankOfCachedAtomic(g, contribs, base, dinv[v], uint32(v))
 				old := ranks.Load(v)
 				dr := math.Abs(nr - old)
 				if dr > cfg.Tol {

@@ -11,30 +11,38 @@ import (
 	"dfpr/internal/topk"
 )
 
-// dflfModel is a sequential model of DF-LF's two expansion rules, the
-// yardstick the single-threaded kernel is pinned against bit for bit: with
-// prune it walks out(v) on every visit whose Δr exceeds τ_f (the rule both
-// arms ran before the expanded flag existed), without it only on the first
-// such visit. One worker takes the chunks of every pass in order, so the
-// kernel's visit order is the model's.
-type dflfModel struct {
+// lfModel is a sequential model of the lock-free rank loop on one worker,
+// the yardstick the single-threaded kernel is pinned against bit for bit.
+// For DF-LF it models both expansion rules: with prune it walks out(v) on
+// every visit whose Δr exceeds τ_f (the rule both arms ran before the
+// expanded flag existed), without it only on the first such visit. ND-LF
+// is the same loop with every vertex affected and no walk. One worker takes
+// the chunks of every pass in order, so the kernel's visit order is the
+// model's. With plain set the model runs the update the kernel ran before
+// it solved each vertex's self-loop, r_v = b + Σ_{u∈in(v)} contrib[u].
+type lfModel struct {
 	ranks                 []float64
 	visits, walks, passes int64
 	affected              int // |VA| at exit
 }
 
-func modelDFLF(in Input, cfg Config) dflfModel {
+func modelLF(vr variant, in Input, cfg Config, plain bool) lfModel {
 	cfg = cfg.withDefaults()
 	g := in.GNew
 	n := g.N()
 	base := (1 - cfg.Alpha) / float64(n)
-	ainv := alphaInv(invOutDeg(g), cfg.Alpha)
-	m := dflfModel{ranks: append([]float64(nil), in.Prev...)}
+	ainv, dinv := kernelFactors(g, cfg.Alpha, true)
+	m := lfModel{ranks: append([]float64(nil), in.Prev...)}
 	contrib := make([]float64, n)
 	for v := range contrib {
 		contrib[v] = m.ranks[v] * ainv[v]
 	}
 	va, rc, ex := make([]bool, n), make([]bool, n), make([]bool, n)
+	if vr == vND {
+		for v := range va {
+			va[v], rc[v] = true, true
+		}
+	}
 	for _, e := range append(append([]graph.Edge(nil), in.Del...), in.Ins...) {
 		graph.UnionOut(in.GOld, g, e.U, func(v uint32) { va[v], rc[v] = true, true })
 	}
@@ -56,11 +64,16 @@ func modelDFLF(in Input, cfg Config) dflfModel {
 				m.visits++
 				nr := base
 				for _, u := range g.In(uint32(v)) {
-					nr += contrib[u]
+					if plain || u != uint32(v) {
+						nr += contrib[u]
+					}
+				}
+				if !plain {
+					nr *= dinv[v]
 				}
 				dr := math.Abs(nr - m.ranks[v])
 				contrib[v], m.ranks[v] = nr*ainv[v], nr
-				if dr > cfg.FrontierTol && (cfg.PruneFrontier || !ex[v]) {
+				if vr == vDF && dr > cfg.FrontierTol && (cfg.PruneFrontier || !ex[v]) {
 					m.walks++
 					for _, w := range g.Out(uint32(v)) {
 						va[w], rc[w] = true, true
@@ -68,7 +81,7 @@ func modelDFLF(in Input, cfg Config) dflfModel {
 					ex[v] = true
 				}
 				rc[v] = dr > cfg.Tol
-				if !rc[v] && cfg.PruneFrontier {
+				if !rc[v] && cfg.PruneFrontier && vr == vDF {
 					va[v] = false
 				}
 			}
@@ -123,7 +136,7 @@ func TestExpandOnceMatchesModel(t *testing.T) {
 		for _, prune := range []bool{false, true} {
 			cfg := testCfg()
 			cfg.Threads, cfg.PruneFrontier = 1, prune
-			want := modelDFLF(in, cfg)
+			want := modelLF(vDF, in, cfg, false)
 			got := Run(AlgoDFLF, in, cfg)
 			if got.Err != nil || !got.Converged {
 				t.Fatalf("%s prune=%v: converged=%v err=%v", name, prune, got.Converged, got.Err)
@@ -169,10 +182,13 @@ func TestExpandOnceBoundedUnderThreads(t *testing.T) {
 
 // TestExpandOnceStoppingRule pins the stopping rule from both sides on the
 // graph where it differs from a per-visit walk. A ring keeps re-arming a
-// per-visit walk through the n-1 → 0 edge until every Δr is below τ_f (64
-// passes against ND-LF's 50 on this input, ending 2e-12 from the fixed
-// point); expanding once, DF-LF stops where ND-LF does — every visited
-// vertex within τ — and owes the same error budget, ατ/(1−α).
+// per-visit walk through the n-1 → 0 edge until every Δr is below τ_f
+// (under the plain update: 64 passes against ND-LF's 50 on this input,
+// ending 2e-12 from the fixed point); expanding once, DF-LF stops where
+// ND-LF does — every visited vertex within τ — and owes the same error
+// budget, ατ/(1−α). With the self-loop solved, a pass over this ring in id
+// order is nearly a forward substitution, and one worker stops after 3
+// passes on either rule.
 func TestExpandOnceStoppingRule(t *testing.T) {
 	in := ringInput(64)
 	fixed := StaticBB(in.GNew, Config{Tol: 1e-16, Threads: 1}).Ranks

@@ -13,9 +13,9 @@ import (
 // maintained at every rank store. The per-edge work of the pull kernel then
 // drops from two memory reads and two multiplies (rank[u] and inv[u]) to a
 // single read and an add — on large graphs the kernel is memory-bound, so
-// halving the loads per edge is the dominant win. The uncached kernels are
-// kept below as the seed forms: Reference uses them as an independent
-// yardstick and the equivalence tests pin the cached engines against them.
+// halving the loads per edge is the dominant win. The uncached synchronous
+// kernel is kept below as the seed form: Reference iterates it as the
+// independent yardstick every engine is checked against.
 
 // rankOfCached computes the PageRank update for vertex v (Eq. 1) as a pure
 // gather over the plain contribution cache — the synchronous (Jacobi) kernel
@@ -36,13 +36,26 @@ func rankOfCached(g *graph.CSR, contrib []float64, base float64, v uint32) float
 // (Gauss–Seidel) kernel used by the lock-free variants, where neighbours'
 // contributions may be updated concurrently by other workers.
 //
+// It solves v's own equation rather than iterating it. With a self-loop,
+// r_v = b + α·r_v/d_v + Σ_{u∈in(v), u≠v} contrib[u], so
+// r_v = (b + Σ_{u≠v} contrib[u]) · dinv with dinv = 1/(1 − α/d_v), and dinv
+// = 1 for a vertex without one (kernelFactors). The fixed point is the
+// plain update's; only the iteration differs: a dead end, whose one
+// out-edge is its self-loop, lands on its fixed point in the first pass
+// after its in-neighbours settle instead of contracting by α per pass. The
+// gather skips u == v rather than loading contrib[v] and subtracting it: a
+// concurrent store between the two loads would leave a term that cancels
+// nothing.
+//
 //dfpr:hotpath
-func rankOfCachedAtomic(g *graph.CSR, contrib *avec.F64, base float64, v uint32) float64 {
+func rankOfCachedAtomic(g *graph.CSR, contrib *avec.F64, base, dinv float64, v uint32) float64 {
 	r := base
 	for _, u := range g.In(v) {
-		r += contrib.Load(int(u))
+		if u != v {
+			r += contrib.Load(int(u))
+		}
 	}
-	return r
+	return r * dinv
 }
 
 // rankOfSeed is the uncached synchronous kernel (two reads and a multiply
@@ -53,18 +66,6 @@ func rankOfSeed(g *graph.CSR, inv, ranks []float64, alpha, base float64, v uint3
 	r := base
 	for _, u := range g.In(v) {
 		r += alpha * ranks[u] * inv[u]
-	}
-	return r
-}
-
-// rankOfAtomicSeed is the uncached asynchronous kernel the contribution
-// cache replaces.
-//
-//dfpr:hotpath
-func rankOfAtomicSeed(g *graph.CSR, inv []float64, ranks *avec.F64, alpha, base float64, v uint32) float64 {
-	r := base
-	for _, u := range g.In(v) {
-		r += alpha * ranks.Load(int(u)) * inv[u]
 	}
 	return r
 }
@@ -86,12 +87,19 @@ type dfMarker struct {
 	rc         *avec.Flags // nil in barrier-based runs
 }
 
+// markFrom flags v not-converged before adding it to VA, and only while v is
+// not in VA yet. Once v is in VA, whoever put it there has flagged it (the
+// phase-2 expansion sets RC right after VA), and the survivors may since
+// have converged it. A helper whose walk ends after the survivors' last
+// all-clear check and that crash-stops at its first chunk would otherwise
+// leave an RC bit nobody clears, and the run would report a converged
+// vector as unconverged.
 func (m *dfMarker) markFrom(u uint32) {
 	graph.UnionOut(m.gOld, m.gNew, u, func(v uint32) {
-		m.va.Set(int(v))
-		if m.rc != nil {
+		if m.rc != nil && !m.va.Get(int(v)) {
 			m.rc.Set(int(v))
 		}
+		m.va.Set(int(v))
 	})
 }
 

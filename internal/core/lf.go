@@ -52,13 +52,12 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 		return Result{Err: ErrCanceled}
 	}
 	base := (1 - cfg.Alpha) / float64(n)
-	inv := invOutDeg(g)
 	gOld := in.GOld
 	if gOld == nil {
 		gOld = g
 	}
 
-	ainv := alphaInv(inv, cfg.Alpha)
+	ainv, dinv := kernelFactors(g, cfg.Alpha, true)
 
 	ranks := avec.NewF64(n)
 	if vr != vStatic && len(in.Prev) == n {
@@ -101,9 +100,20 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 	edgePool := sched.NewPool(len(edges), cfg.Chunk)
 	stats := make([]padStats, cfg.Threads)
 	var maxRound avec.Counter
+	// settle is the first ticket whose completion may end the run: one
+	// round of tickets handed out after the last chunk that moved a rank by
+	// more than τ. RC alone is not enough when two workers sweep one chunk in
+	// consecutive rounds (every pass, on a graph of at most Chunk vertices):
+	// the trailing worker re-solves a vertex the leader has just moved, from
+	// the same inputs, finds Δr = 0 and clears its RC while the out-neighbours
+	// both have passed still hold values from before the move (DESIGN §2). A
+	// ticket issued after a chunk's stores visits its chunk after them, a
+	// round of such tickets covers every chunk, and a worker holding one
+	// finishes it before it checks the rule itself.
+	var settle avec.Counter
 
 	// Cancellation: aborting the ticket stream makes every worker's next
-	// ticket carry round MaxUint64, which exceeds MaxIter and so exits the
+	// ticket MaxUint64, whose round exceeds MaxIter and so exits the
 	// round loop — no barrier to negotiate, workers simply stop taking work.
 	// The helping loop of the marking phase checks the flag directly, as it
 	// iterates the batch slice rather than a pool.
@@ -174,7 +184,8 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 		cw := sched.WatchCPU(cfg.Threads)
 		defer cw.Close()
 		for {
-			lo, hi, round := rounds.Next()
+			lo, hi, t := rounds.Next()
+			round := rounds.Round(t)
 			if round >= uint64(cfg.MaxIter) {
 				break
 			}
@@ -187,6 +198,7 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 				return
 			}
 			completed = round
+			moved := false
 			for v := lo; v < hi; v++ {
 				// A vertex is processed when it is affected OR still flagged
 				// not-converged. The RC check matters only with frontier
@@ -211,12 +223,7 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 					st.frontier++
 				}
 				vv := uint32(v)
-				var nr float64
-				if cfg.seedKernel {
-					nr = rankOfAtomicSeed(g, inv, ranks, cfg.Alpha, base, vv)
-				} else {
-					nr = rankOfCachedAtomic(g, contribs, base, vv)
-				}
+				nr := rankOfCachedAtomic(g, contribs, base, dinv[v], vv)
 				old := ranks.Load(v)
 				dr := math.Abs(nr - old)
 				// The pair of stores is not atomic as a unit: two workers in
@@ -266,6 +273,7 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 					}
 				} else {
 					rc.Set(v)
+					moved = true
 				}
 				if inj != nil && inj.AfterVertex(w) {
 					// Crash-stop: this worker simply stops. Its chunk's
@@ -275,7 +283,10 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 					return
 				}
 			}
-			if rc.AllClear() {
+			if moved {
+				atomicMaxU64(&settle, rounds.Issued()+rounds.ChunksPerRound()-1)
+			}
+			if rc.AllClear() && t >= settle.Load() {
 				break
 			}
 		}

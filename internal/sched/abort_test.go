@@ -33,22 +33,22 @@ func TestPoolBoundsAbort(t *testing.T) {
 
 func TestRoundsAbortEndsTicketStream(t *testing.T) {
 	r := NewRoundsBounds([]int{0, 10, 100})
-	if _, _, round := r.Next(); round != 0 {
-		t.Fatalf("first ticket round = %d", round)
+	if _, _, tk := r.Next(); tk != 0 {
+		t.Fatalf("first ticket = %d", tk)
 	}
 	r.Abort()
 	if !r.Aborted() {
 		t.Error("Aborted not reported")
 	}
-	if _, _, round := r.Next(); round != ^uint64(0) {
-		t.Errorf("aborted Rounds returned round %d, want MaxUint64", round)
+	if _, _, tk := r.Next(); tk != ^uint64(0) {
+		t.Errorf("aborted Rounds returned ticket %d, want MaxUint64", tk)
 	}
 }
 
 func TestRoundsBoundsAbort(t *testing.T) {
 	r := NewRoundsBounds([]int{0, 50, 100})
 	r.Abort()
-	if lo, hi, round := r.Next(); round != ^uint64(0) || lo != 0 || hi != 0 {
-		t.Errorf("aborted bounds Rounds returned [%d,%d) round %d", lo, hi, round)
+	if lo, hi, tk := r.Next(); tk != ^uint64(0) || lo != 0 || hi != 0 {
+		t.Errorf("aborted bounds Rounds returned [%d,%d) ticket %d", lo, hi, tk)
 	}
 }

@@ -77,16 +77,16 @@ func TestRoundsBoundsRepeatEachRound(t *testing.T) {
 	}
 	var first []int
 	for c := 0; c < perRound; c++ {
-		lo, hi, round := r.Next()
-		if round != 0 {
-			t.Fatalf("chunk %d reported round %d", c, round)
+		lo, hi, tk := r.Next()
+		if r.Round(tk) != 0 {
+			t.Fatalf("chunk %d reported round %d", c, r.Round(tk))
 		}
 		first = append(first, lo, hi)
 	}
 	for c := 0; c < perRound; c++ {
-		lo, hi, round := r.Next()
-		if round != 1 {
-			t.Fatalf("second pass chunk %d reported round %d", c, round)
+		lo, hi, tk := r.Next()
+		if r.Round(tk) != 1 {
+			t.Fatalf("second pass chunk %d reported round %d", c, r.Round(tk))
 		}
 		if lo != first[2*c] || hi != first[2*c+1] {
 			t.Fatalf("round 1 chunk %d = [%d,%d), want [%d,%d)", c, lo, hi, first[2*c], first[2*c+1])
@@ -98,12 +98,12 @@ func TestRoundsBoundsDegenerate(t *testing.T) {
 	for _, bounds := range [][]int{nil, {}, {0}} {
 		r := NewRoundsBounds(bounds)
 		for i := 0; i < 3; i++ {
-			lo, hi, round := r.Next()
+			lo, hi, tk := r.Next()
 			if lo != 0 || hi != 0 {
 				t.Fatalf("bounds %v: chunk [%d,%d), want empty", bounds, lo, hi)
 			}
-			if round != uint64(i) {
-				t.Fatalf("bounds %v: round %d, want %d (rounds must advance)", bounds, round, i)
+			if r.Round(tk) != uint64(i) {
+				t.Fatalf("bounds %v: round %d, want %d (rounds must advance)", bounds, r.Round(tk), i)
 			}
 		}
 	}

@@ -133,22 +133,29 @@ func NewRoundsBounds(bounds []int) *Rounds {
 	return &Rounds{chunksPerRound: cpr, bounds: bounds}
 }
 
-// Next returns the next chunk [lo, hi) and the round it belongs to. Rounds
-// increase without bound; callers bound iteration count themselves. After
-// Abort, Next returns an empty chunk in round MaxUint64, which exceeds any
-// caller's iteration bound and so terminates every worker's round loop.
-func (r *Rounds) Next() (lo, hi int, round uint64) {
+// Next returns the next chunk [lo, hi) and its ticket t, chunk t mod
+// ChunksPerRound of round Round(t). Rounds increase without bound; callers
+// bound iteration count themselves. After Abort, Next returns an empty chunk
+// and ticket MaxUint64, whose round exceeds any caller's iteration bound and
+// so terminates every worker's round loop.
+func (r *Rounds) Next() (lo, hi int, t uint64) {
 	if r.aborted.Load() != 0 {
 		return 0, 0, ^uint64(0)
 	}
-	t := r.next.Add(1) - 1
-	round = t / r.chunksPerRound
+	t = r.next.Add(1) - 1
 	c := int(t % r.chunksPerRound)
 	if c+1 >= len(r.bounds) {
-		return 0, 0, round
+		return 0, 0, t
 	}
-	return r.bounds[c], r.bounds[c+1], round
+	return r.bounds[c], r.bounds[c+1], t
 }
+
+// Round returns the round (pass) ticket t belongs to.
+func (r *Rounds) Round(t uint64) uint64 { return t / r.chunksPerRound }
+
+// Issued returns how many tickets have been dispensed: every ticket from
+// this number on is handed out after the call.
+func (r *Rounds) Issued() uint64 { return r.next.Load() }
 
 // ChunksPerRound returns the number of chunks in one full pass.
 func (r *Rounds) ChunksPerRound() uint64 { return r.chunksPerRound }

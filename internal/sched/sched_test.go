@@ -90,11 +90,14 @@ func TestRoundsAdvanceWithoutBarrier(t *testing.T) {
 	var rounds []uint64
 	var los []int
 	for i := 0; i < 9; i++ {
-		lo, hi, round := r.Next()
+		lo, hi, tk := r.Next()
 		if hi <= lo && lo != 90 { // last chunk is [90,100)
 			t.Fatalf("bad chunk [%d,%d)", lo, hi)
 		}
-		rounds = append(rounds, round)
+		if tk != uint64(i) {
+			t.Fatalf("ticket %d reported as %d", i, tk)
+		}
+		rounds = append(rounds, r.Round(tk))
 		los = append(los, lo)
 	}
 	wantRounds := []uint64{0, 0, 0, 0, 1, 1, 1, 1, 2}
@@ -110,13 +113,13 @@ func TestRoundsAdvanceWithoutBarrier(t *testing.T) {
 
 func TestRoundsTinyRange(t *testing.T) {
 	r := NewRoundsBounds([]int{0, 5})
-	lo, hi, round := r.Next()
-	if lo != 0 || hi != 5 || round != 0 {
-		t.Errorf("got [%d,%d)@%d", lo, hi, round)
+	lo, hi, tk := r.Next()
+	if lo != 0 || hi != 5 || r.Round(tk) != 0 {
+		t.Errorf("got [%d,%d)@%d", lo, hi, r.Round(tk))
 	}
-	_, _, round = r.Next()
-	if round != 1 {
-		t.Errorf("second ticket round = %d", round)
+	_, _, tk = r.Next()
+	if r.Round(tk) != 1 || r.Issued() != 2 {
+		t.Errorf("second ticket round = %d, %d issued", r.Round(tk), r.Issued())
 	}
 }
 
