@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dfpr/internal/repl"
@@ -58,31 +57,32 @@ func (r Role) String() string {
 // engine runs as a replication writer or replica.
 type ReplicationStats struct {
 	// Enabled reports the engine participates in replication at all.
-	Enabled bool
+	Enabled bool `json:"-"`
 	// Role is "writer" or "replica"; NodeID the cluster identity (empty for
 	// a StartReplica follower outside a cluster); LeaderURL where writes go.
-	Role      string
-	NodeID    string
-	LeaderURL string
+	Role      string `json:"role,omitempty"`
+	NodeID    string `json:"node_id,omitempty"`
+	LeaderURL string `json:"leader_url,omitempty"`
 	// Term is the election term of the current lease (0 outside a cluster).
-	Term uint64
+	Term uint64 `json:"term,omitempty"`
 	// AppliedSeq is this node's applied graph version; WriterSeq the
 	// writer's last observed tip. Their difference is LagRecords, and
 	// LagSeconds estimates how stale the newest applied record is (0 when
-	// caught up; measured on the writer's clock at both ends).
-	AppliedSeq uint64
-	WriterSeq  uint64
-	LagRecords uint64
-	LagSeconds float64
+	// caught up): the writer's newest timestamp on the stream minus the
+	// applied record's send time, both read off the writer's clock.
+	AppliedSeq uint64  `json:"applied_seq,omitempty"`
+	WriterSeq  uint64  `json:"writer_seq,omitempty"`
+	LagRecords uint64  `json:"replication_lag_seq,omitempty"`
+	LagSeconds float64 `json:"replication_lag_seconds,omitempty"`
 	// FeedConnections and FeedRecords describe a writer's streaming load:
 	// replicas connected now, records ever streamed.
-	FeedConnections int64
-	FeedRecords     int64
+	FeedConnections int64 `json:"feed_connections,omitempty"`
+	FeedRecords     int64 `json:"feed_records,omitempty"`
 	// Failovers counts promotions this node performed.
-	Failovers uint64
+	Failovers uint64 `json:"failovers,omitempty"`
 	// Err is a replica's terminal replication error, if its stream died for
 	// good (repl.ErrBehindFloor, protocol damage).
-	Err error
+	Err error `json:"-"`
 }
 
 // Feed returns the replication feed handler of a durable engine — the
@@ -111,42 +111,77 @@ func (e *Engine) Feed() http.Handler {
 	return e.feed.Load()
 }
 
-// setReplStats installs the Stats().Replication provider and registers the
-// replication gauges on first install (providers are swapped again when a
-// standalone replica is adopted by a cluster, or a role changes).
-func (e *Engine) setReplStats(fn func() ReplicationStats) {
-	e.replStats.Store(&fn)
-	e.replTel.Do(func() { e.initReplicationTelemetry() })
-}
-
-// initReplicationTelemetry registers the pull-style replication gauges; the
-// values route through the current replStats provider so they survive role
-// changes.
+// initReplicationTelemetry registers the replication series: the failovers
+// counter and the gauges that read replication. It runs once per engine,
+// before the engine follows a feed or joins a cluster as its writer — so
+// before anything can read e.met.failovers.
 func (e *Engine) initReplicationTelemetry() {
 	reg := e.met.reg
-	stats := func() ReplicationStats {
-		if f := e.replStats.Load(); f != nil {
-			return (*f)()
-		}
-		return ReplicationStats{}
-	}
+	e.met.failovers = reg.Counter("dfpr_repl_failovers_total",
+		"Writer promotions this node performed.")
 	reg.GaugeFunc("dfpr_repl_is_writer",
 		"1 while this node is the replication writer, else 0.",
 		func() float64 {
-			if stats().Role == RoleWriter.String() {
+			if e.replication().Role == RoleWriter.String() {
 				return 1
 			}
 			return 0
 		})
 	reg.GaugeFunc("dfpr_repl_lag_records",
 		"Records the writer has logged that this node has not applied yet.",
-		func() float64 { return float64(stats().LagRecords) })
+		func() float64 { return float64(e.replication().LagRecords) })
 	reg.GaugeFunc("dfpr_repl_lag_seconds",
 		"Estimated staleness of this node's applied state behind the writer.",
-		func() float64 { return stats().LagSeconds })
-	reg.CounterFunc("dfpr_repl_failovers_total",
-		"Writer promotions this node performed.",
-		func() float64 { return float64(stats().Failovers) })
+		func() float64 { return e.replication().LagSeconds })
+}
+
+// replication is the engine's one replication provider: Stats and the
+// dfpr_repl_* gauges both read it. A cluster node reports its membership
+// and, while it is a replica, the stream it follows; a StartReplica
+// follower reports its stream; a standalone engine reports nothing.
+func (e *Engine) replication() ReplicationStats {
+	c, rep := e.cluster.Load(), e.replica.Load()
+	if c == nil && rep == nil {
+		return ReplicationStats{}
+	}
+	applied := e.Version()
+	rs := ReplicationStats{
+		Enabled: true, Role: RoleReplica.String(),
+		AppliedSeq: applied, WriterSeq: applied, Failovers: e.met.failovers.Value(),
+	}
+	if c != nil {
+		c.mu.Lock()
+		role, term, leader := c.role, c.term, c.leaderURL
+		rep = c.rep
+		c.mu.Unlock()
+		rs.Role, rs.NodeID, rs.Term, rs.LeaderURL = role.String(), c.cfg.NodeID, term, leader
+	}
+	if rep == nil {
+		// The writer: its own version is the tip; what is left is feed load.
+		if f := e.feed.Load(); f != nil {
+			rs.FeedConnections, rs.FeedRecords = f.Conns(), f.Records()
+		}
+		return rs
+	}
+	rep.mu.Lock()
+	cl, leader, lastSent, err := rep.cl, rep.leaderURL, rep.lastSent, rep.err
+	rep.mu.Unlock()
+	if c == nil {
+		rs.LeaderURL = leader
+	}
+	if cl != nil {
+		cs := cl.Stats()
+		rs.WriterSeq = max(cs.TipSeq, applied)
+		rs.LagRecords = rs.WriterSeq - applied
+		if rs.LagRecords > 0 && !lastSent.IsZero() {
+			rs.LagSeconds = cs.TipAt.Sub(lastSent).Seconds()
+		}
+		if err == nil {
+			err = cs.Err
+		}
+	}
+	rs.Err = err
+	return rs
 }
 
 // promote turns a follower into the writer over the shared durability
@@ -227,7 +262,12 @@ func StartReplica(ctx context.Context, leaderURL string, opts ...Option) (*Repli
 		return nil, fmt.Errorf("dfpr: WithDurability is the writer's option; replicas stream the writer's log (use JoinCluster for failover)")
 	}
 	st.tel = telemetry.NewRegistry()
-	return startReplica(ctx, leaderURL, st, nil)
+	r, err := startReplica(ctx, leaderURL, st, nil)
+	if err != nil {
+		return nil, err
+	}
+	r.eng.replica.Store(r)
+	return r, nil
 }
 
 // startReplica is StartReplica over resolved settings — shared with the
@@ -260,11 +300,11 @@ func startReplica(ctx context.Context, leaderURL string, st settings, lg *slog.L
 		return nil, fmt.Errorf("dfpr: feed bootstrap: %w", err)
 	}
 	eng.follower.Store(true)
+	eng.initReplicationTelemetry()
 	r := &Replica{
 		eng: eng, lg: lg, ctx: rctx, cancel: cancel,
 		cl: cl, done: make(chan struct{}), leaderURL: leaderURL,
 	}
-	eng.setReplStats(r.stats)
 	go r.run(cl, r.done)
 	return r, nil
 }
@@ -431,37 +471,6 @@ func (r *Replica) fail(err error) {
 	}
 }
 
-// stats is the Stats().Replication provider of a standalone replica.
-func (r *Replica) stats() ReplicationStats {
-	r.mu.Lock()
-	cl, leader, lastSent, err := r.cl, r.leaderURL, r.lastSent, r.err
-	r.mu.Unlock()
-	applied := r.eng.Version()
-	tip := applied
-	if cl != nil {
-		cs := cl.Stats()
-		if cs.TipSeq > tip {
-			tip = cs.TipSeq
-		}
-		if err == nil {
-			err = cs.Err
-		}
-	}
-	rs := ReplicationStats{
-		Enabled:    true,
-		Role:       RoleReplica.String(),
-		LeaderURL:  leader,
-		AppliedSeq: applied,
-		WriterSeq:  tip,
-		LagRecords: tip - applied,
-		Err:        err,
-	}
-	if rs.LagRecords > 0 && !lastSent.IsZero() {
-		rs.LagSeconds = time.Since(lastSent).Seconds()
-	}
-	return rs
-}
-
 // ClusterConfig configures JoinCluster.
 type ClusterConfig struct {
 	// NodeID is this node's unique cluster identity (the lease holder name).
@@ -503,8 +512,6 @@ type Cluster struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
-
-	failovers atomic.Uint64
 
 	mu        sync.Mutex
 	eng       *Engine
@@ -569,6 +576,7 @@ func JoinCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 			c.cancel()
 			return nil, err
 		}
+		eng.initReplicationTelemetry()
 		c.installWriter(eng, info.Term)
 		lg.Info("cluster joined as writer", "node", cfg.NodeID, "term", info.Term)
 	} else {
@@ -589,7 +597,7 @@ func JoinCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 		c.eng, c.rep, c.role = rep.Engine(), rep, RoleReplica
 		c.term, c.leaderURL = rinfo.Term, rinfo.URL
 		c.mu.Unlock()
-		rep.Engine().setReplStats(c.stats)
+		rep.Engine().cluster.Store(c)
 		lg.Info("cluster joined as replica", "node", cfg.NodeID, "leader", rinfo.URL, "term", rinfo.Term)
 	}
 	go c.run()
@@ -603,7 +611,7 @@ func (c *Cluster) installWriter(eng *Engine, term uint64) {
 	c.eng, c.rep, c.role = eng, nil, RoleWriter
 	c.term, c.leaderURL = term, c.cfg.SelfURL
 	c.mu.Unlock()
-	eng.setReplStats(c.stats)
+	eng.cluster.Store(c)
 	_ = eng.Feed() // build the feed (and its gauges) before replicas dial
 }
 
@@ -747,7 +755,7 @@ func (c *Cluster) promoteSelf(rep *Replica, info repl.LeaseInfo) error {
 	if _, err := eng.Rank(c.ctx); err != nil && c.ctx.Err() == nil {
 		c.lg.Warn("post-promotion rank failed", "err", err)
 	}
-	c.failovers.Add(1)
+	eng.met.failovers.Inc()
 	c.installWriter(eng, info.Term)
 	c.lg.Info("promoted to writer", "node", c.cfg.NodeID, "term", info.Term, "seq", eng.Version())
 	return nil
@@ -809,34 +817,6 @@ func (c *Cluster) Term() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.term
-}
-
-// stats is the Stats().Replication provider of a cluster node.
-func (c *Cluster) stats() ReplicationStats {
-	c.mu.Lock()
-	role, term, leader, rep, eng := c.role, c.term, c.leaderURL, c.rep, c.eng
-	c.mu.Unlock()
-	var rs ReplicationStats
-	if rep != nil {
-		rs = rep.stats()
-	} else {
-		seq := eng.Version()
-		rs = ReplicationStats{Enabled: true, AppliedSeq: seq, WriterSeq: seq}
-		if f := eng.feed.Load(); f != nil {
-			rs.FeedConnections = f.Conns()
-			rs.FeedRecords = f.Records()
-		}
-	}
-	rs.Role = role.String()
-	rs.NodeID = c.cfg.NodeID
-	rs.Term = term
-	rs.Failovers = c.failovers.Load()
-	if role == RoleWriter {
-		rs.LeaderURL = c.cfg.SelfURL
-	} else {
-		rs.LeaderURL = leader
-	}
-	return rs
 }
 
 // Halt freezes this node as if it crashed: the election loop and

@@ -2,6 +2,7 @@ package dfpr
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -11,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"dfpr/internal/graph"
 	"dfpr/internal/repl"
 	"dfpr/internal/testutil"
+	"dfpr/internal/wal"
 )
 
 // feedMux mounts an engine provider's feed the way the serve layer does:
@@ -136,7 +139,7 @@ func TestReplicaFollowsWriter(t *testing.T) {
 		t.Fatalf("replica ranks diverge: L∞ = %g", d)
 	}
 
-	rs := eng.Stats().Replication
+	rs := eng.Stats().ReplicationStats
 	if !rs.Enabled || rs.Role != "replica" || rs.AppliedSeq != seq || rs.LagRecords != 0 {
 		t.Fatalf("replica stats = %+v", rs)
 	}
@@ -197,6 +200,48 @@ func TestReplicaKeyedFollowsWriter(t *testing.T) {
 	}
 	if eng.Keys() != 4 {
 		t.Fatalf("rejected keyed write grew the key space to %d", eng.Keys())
+	}
+}
+
+// TestReplicaLagReadsWriterClock serves a hand-built feed whose writer clock
+// runs one hour behind this process: record 1 sent at w, then a heartbeat
+// advertising tip 6 at w+2s. The replica applies record 1 and trails by five
+// records; its lag in seconds is the writer-side gap, 2 s, however far the
+// two clocks disagree.
+func TestReplicaLagReadsWriterClock(t *testing.T) {
+	w := time.Now().Add(-time.Hour)
+	d := graph.NewDynamic(4)
+	for _, e := range ringEdges(4) {
+		d.AddEdge(e.U, e.V)
+	}
+	d.EnsureSelfLoops()
+	snap := wal.EncodeState(&wal.State{Seq: 0, Graph: d.Snapshot()})
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		le := binary.LittleEndian
+		out := fmt.Appendf(nil, `{"proto":1,"start":0,"tip":1,"snapshot":%d}`+"\n", len(snap))
+		out = append(out, snap...)
+		out = le.AppendUint64(append(out, 'r'), uint64(w.UnixNano()))
+		out = wal.EncodeRecord(out, &wal.Record{Seq: 1, N: 4, Ins: []graph.Edge{{U: 0, V: 2}}})
+		out = le.AppendUint64(append(out, 'h'), 6)
+		out = le.AppendUint64(out, uint64(w.Add(2*time.Second).UnixNano()))
+		rw.Write(out)
+		rw.(http.Flusher).Flush()
+		<-r.Context().Done()
+	}))
+	defer srv.Close()
+	rep, err := StartReplica(context.Background(), srv.URL)
+	if err != nil {
+		t.Fatalf("StartReplica: %v", err)
+	}
+	defer rep.Close()
+
+	var rs ReplicationStats
+	waitFor(t, "record 1 applied behind tip 6", 10*time.Second, func() bool {
+		rs = rep.Engine().Stats().ReplicationStats
+		return rs.AppliedSeq == 1 && rs.WriterSeq == 6 && rs.LagSeconds != 0
+	})
+	if rs.LagRecords != 5 || math.Abs(rs.LagSeconds-2) > 1e-6 {
+		t.Fatalf("lag = %d records, %.3f s; want 5 records, 2 s on the writer's clock", rs.LagRecords, rs.LagSeconds)
 	}
 }
 
@@ -328,8 +373,8 @@ func TestClusterElectionAndFailover(t *testing.T) {
 		return false
 	})
 	neweng := promoted.c.Engine()
-	if neweng.Stats().Replication.Failovers != 1 {
-		t.Fatalf("failovers = %d, want 1", neweng.Stats().Replication.Failovers)
+	if neweng.Stats().Failovers != 1 {
+		t.Fatalf("failovers = %d, want 1", neweng.Stats().Failovers)
 	}
 	next, err := neweng.Apply(ctx, nil, []Edge{{U: 2, V: 6}})
 	if err != nil {
@@ -338,7 +383,7 @@ func TestClusterElectionAndFailover(t *testing.T) {
 	if next != seq+1 {
 		t.Fatalf("post-failover version = %d, want %d (the WAL sequence must resume)", next, seq+1)
 	}
-	if ds := neweng.Stats().Durability; !ds.Enabled || ds.WALSeq != next {
+	if ds := neweng.Stats().DurabilityStats; !ds.Enabled || ds.WALSeq != next {
 		t.Fatalf("promoted durability stats = %+v, want WALSeq %d", ds, next)
 	}
 	if _, err := neweng.Rank(ctx); err != nil {

@@ -194,7 +194,7 @@ func main() {
 		logger.Info("cluster member ready", "node", *clusterNode,
 			"role", cl.Role().String(), "leader", cl.LeaderURL(), "term", cl.Term())
 	case warm:
-		ds := eng.Stats().Durability
+		ds := eng.Stats().DurabilityStats
 		logger.Info("warm restart",
 			"data", *data, "version", eng.Version(),
 			"checkpoint", ds.CheckpointSeq, "replayed", ds.ReplayedRecords)

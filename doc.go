@@ -68,8 +68,8 @@
 // the tip, and recovered ranks converge to the cold-build fixed point. A
 // torn final record — the normal result of a crash mid-append — is
 // truncated, never fatal. After startup, I/O failure degrades rather than
-// wedges: applies continue in memory and Stats().Durability.Err surfaces
-// ErrDurabilityDegraded wrapping the cause. HasDurableState probes a
+// wedges: applies continue in memory and Stats().DurabilityStats.Err
+// surfaces ErrDurabilityDegraded wrapping the cause. HasDurableState probes a
 // directory; keyed engines recover with Open, dense ones with New.
 //
 // The WAL doubles as a replication stream. Engine.Feed returns the HTTP
@@ -77,8 +77,8 @@
 // records), and StartReplica dials it to build a read-only follower — a
 // full Engine whose views, watermarks and WaitRanked semantics work
 // unchanged, with writes bouncing as ErrNotWriter and
-// Stats().Replication reporting role, applied sequence and lag. A replica
-// replays the writer's round boundaries, so a follower that keeps pace
+// Stats().ReplicationStats reporting role, applied sequence and lag. A
+// replica replays the writer's round boundaries, so a follower that keeps pace
 // carries bitwise-identical ranks. JoinCluster adds membership and
 // failover on top: nodes share the durability directory and a static peer
 // list (which only orders their election stagger — nobody polls anybody),

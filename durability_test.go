@@ -4,15 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dfpr/internal/fault"
-	"dfpr/internal/topk"
+	"dfpr/internal/telemetry"
 	"dfpr/internal/testutil"
+	"dfpr/internal/topk"
 	"dfpr/internal/wal"
 )
 
@@ -76,7 +79,7 @@ func TestDurableRecoveryEquivalenceDense(t *testing.T) {
 	if !eng2.Recovering() {
 		t.Fatal("engine with a replayed tail does not report recovering")
 	}
-	st := eng2.Stats().Durability
+	st := eng2.Stats().DurabilityStats
 	if !st.Enabled || st.ReplayedRecords != 3 {
 		t.Fatalf("durability stats after recovery: %+v", st)
 	}
@@ -321,7 +324,7 @@ func TestDurableDegradedKeepsServing(t *testing.T) {
 	if _, err := eng.Apply(ctx, nil, []Edge{{U: 3, V: 0}}); err != nil {
 		t.Fatalf("apply on a degraded log must proceed in memory: %v", err)
 	}
-	st := eng.Stats().Durability
+	st := eng.Stats().DurabilityStats
 	if !st.Degraded || !errors.Is(st.Err, ErrDurabilityDegraded) || !errors.Is(st.Err, fault.ErrInjected) {
 		t.Fatalf("degradation not surfaced: %+v", st)
 	}
@@ -360,7 +363,7 @@ func TestDurableDegradedKeepsServing(t *testing.T) {
 	if got := eng2.Version(); got != 0 {
 		t.Fatalf("unlogged writes survived: version %d", got)
 	}
-	if st := eng2.Stats().Durability; st.Degraded {
+	if st := eng2.Stats().DurabilityStats; st.Degraded {
 		t.Fatal("fresh log inherited degradation")
 	}
 }
@@ -417,7 +420,7 @@ func TestDurableFsyncAlwaysAndPolicyParse(t *testing.T) {
 	}
 	// Under FsyncAlways the append itself is the sync barrier: LastFsync is
 	// set as soon as a record lands, no Flush needed.
-	if st := eng.Stats().Durability; st.LastFsync.IsZero() || st.WALSeq != 1 {
+	if st := eng.Stats().DurabilityStats; st.LastFsync.IsZero() || st.WALSeq != 1 {
 		t.Fatalf("FsyncAlways stats: %+v", st)
 	}
 	eng.Close()
@@ -464,7 +467,7 @@ func TestDurableCheckpointBoundsReplay(t *testing.T) {
 	if err := eng.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if st := eng.Stats().Durability; st.CheckpointSeq != 4 {
+	if st := eng.Stats().DurabilityStats; st.CheckpointSeq != 4 {
 		t.Fatalf("checkpoint seq %d, want 4", st.CheckpointSeq)
 	}
 	if err := eng.Close(); err != nil {
@@ -479,7 +482,7 @@ func TestDurableCheckpointBoundsReplay(t *testing.T) {
 	if eng2.Recovering() {
 		t.Fatal("checkpoint-exact restart reports recovering")
 	}
-	if st := eng2.Stats().Durability; st.ReplayedRecords != 0 {
+	if st := eng2.Stats().DurabilityStats; st.ReplayedRecords != 0 {
 		t.Fatalf("replayed %d records past a covering checkpoint", st.ReplayedRecords)
 	}
 	// The checkpointed ranks serve immediately — no Rank call needed.
@@ -580,7 +583,7 @@ func TestStatsDoesNotWaitOnFsync(t *testing.T) {
 	go func() { stats <- eng.Stats() }()
 	select {
 	case st := <-stats:
-		if d := st.Durability; !d.Enabled || d.WALSeq != 1 || d.Degraded {
+		if d := st.DurabilityStats; !d.Enabled || d.WALSeq != 1 || d.Degraded {
 			t.Errorf("stats during a parked fsync: %+v, want WALSeq 1 on a healthy log", d)
 		}
 	case <-time.After(5 * time.Second):
@@ -590,5 +593,57 @@ func TestStatsDoesNotWaitOnFsync(t *testing.T) {
 	close(pfs.release)
 	if err := <-applied; err != nil {
 		t.Fatalf("apply after the fsync finished: %v", err)
+	}
+}
+
+// TestStatsDoesNotWaitOnRank pins the other half of the promise: Stats and
+// a /metrics scrape read instruments and atomics, never e.mu, so both answer
+// while a Rank holds the engine — here the test holds e.mu itself. Both read
+// the same refresh count, because there is only one.
+func TestStatsDoesNotWaitOnRank(t *testing.T) {
+	ctx := context.Background()
+	eng, err := New(8, ringEdges(8), durableOpts(t.TempDir())...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.Rank(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Apply(ctx, nil, []Edge{{U: 0, V: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Rank(ctx); err != nil {
+		t.Fatal(err)
+	}
+	eng.mu.Lock()
+	defer eng.mu.Unlock()
+
+	stats := make(chan Stats, 1)
+	go func() { stats <- eng.Stats() }()
+	scrape := make(chan string, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		eng.Metrics().Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		scrape <- rec.Body.String()
+	}()
+	var st Stats
+	select {
+	case st = <-stats:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Engine.Stats waited on e.mu")
+	}
+	var body string
+	select {
+	case body = <-scrape:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a /metrics scrape waited on e.mu")
+	}
+	snap, err := telemetry.ParseExposition(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := snap.Value("dfpr_rank_refreshes_total"); st.Refreshes != 1 || got != 1 {
+		t.Fatalf("refreshes: Stats %d, /metrics %v; want 1 on both", st.Refreshes, got)
 	}
 }

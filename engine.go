@@ -69,15 +69,9 @@ type Engine struct {
 	closeMu  sync.RWMutex
 	applyble bool // false once closed; guarded by closeMu
 
-	// latest is the most recently published view, read lock-free by View
-	// and Behind; refreshes/rebuilds mirror the ranker's counters so Stats
-	// never waits behind an in-flight Rank (it briefly takes ingestMu for
-	// the queue gauge, which no slow operation ever holds).
-	latest          atomic.Pointer[View]
-	refreshes       atomic.Int64
-	rebuilds        atomic.Int64
-	sweepBlocks     atomic.Int64
-	frontierScanned atomic.Int64
+	// latest is the most recently published view, read lock-free by View,
+	// Behind and Stats.
+	latest atomic.Pointer[View]
 
 	// viewMu guards the ring of retained published views ViewAt serves
 	// from and Delta walks for the chains of the views between two. Lock
@@ -109,9 +103,6 @@ type Engine struct {
 	ingestCtx    context.Context
 	ingestHalt   context.CancelFunc
 
-	ingestRounds    atomic.Int64 // coalesced rounds applied
-	ingestCoalesced atomic.Int64 // edits applied through the pipeline
-
 	// dur is the durability sidecar (nil without WithDurability): the WAL
 	// every published round is logged to ahead of publication, plus the
 	// checkpoint machinery and recovery state. It is atomic because a
@@ -121,14 +112,14 @@ type Engine struct {
 
 	// Replication state (cluster.go). follower is true while the engine
 	// applies streamed rounds instead of accepting writes — public writes
-	// bounce with ErrNotWriter until promotion clears it. replStats is the
-	// provider a Replica or Cluster installs for Stats().Replication;
-	// replTel guards the one-time registration of its gauges. feed is the
-	// lazily built WAL streaming handler of a durable engine.
-	follower  atomic.Bool
-	replStats atomic.Pointer[func() ReplicationStats]
-	replTel   sync.Once
-	feed      atomic.Pointer[repl.Feed]
+	// bounce with ErrNotWriter until promotion clears it. cluster is the
+	// membership running the engine, replica the StartReplica follower
+	// driving it outside a cluster; replication reads whichever is set. feed
+	// is the lazily built WAL streaming handler of a durable engine.
+	follower atomic.Bool
+	cluster  atomic.Pointer[Cluster]
+	replica  atomic.Pointer[Replica]
+	feed     atomic.Pointer[repl.Feed]
 
 	// met is the engine's telemetry (never nil): hot-path instruments the
 	// write path observes lock-free, plus the registry /metrics serves. See
@@ -340,11 +331,11 @@ func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 	}
 	if e.ranker == nil {
 		rk, res, err := snapshot.NewRanker(ctx, e.store, core.AlgoDFLF, e.opts.cfg)
+		e.met.noteRun(res)
 		if err != nil {
 			return failedResultOf(res, 0), err
 		}
 		e.ranker = rk
-		e.syncStatsLocked()
 		// The initial convergence covers every version up to the current
 		// one, matching what Behind() reported before the call.
 		out := resultOf(res, int(rk.Seq())+1, false)
@@ -355,7 +346,7 @@ func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 	}
 	rebuilds := e.ranker.Rebuilds
 	res, advanced, err := e.ranker.Refresh(ctx)
-	e.syncStatsLocked()
+	e.met.noteRun(res)
 	if err != nil {
 		// The failed run's vector may be partial (a canceled pass stops
 		// mid-iteration), so it is not servable; the Result carries the
@@ -367,6 +358,7 @@ func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 	out := resultOf(res, advanced, e.ranker.Rebuilds > rebuilds)
 	out.Seq = e.ranker.Seq()
 	if advanced > 0 {
+		e.met.noteLanded(out.Rebuilt)
 		e.publishLocked(out)
 		e.met.rankSeconds.Observe(out.Elapsed.Seconds())
 	} else {
@@ -451,49 +443,51 @@ func (e *Engine) Behind() uint64 {
 	return seq - p.seq
 }
 
-// Stats reports how the engine has kept its ranks fresh so far, and what
-// the ingest pipeline has coalesced. It never blocks behind an in-flight
-// Rank; counters reflect the most recently finished call.
+// Stats reports the engine's versions and size, how it has kept its ranks
+// fresh so far, and what the ingest pipeline has coalesced — the body of
+// /v1/stats. It never blocks behind an in-flight Rank or a WAL fsync (it
+// briefly takes ingestMu for the queue depth, which no slow operation ever
+// holds); counters reflect the most recently finished call.
 func (e *Engine) Stats() Stats {
 	e.ingestMu.Lock()
 	queued := e.ingestEdits
 	e.ingestMu.Unlock()
+	m := e.met
 	s := Stats{
-		Refreshes:      int(e.refreshes.Load()),
-		Rebuilds:       int(e.rebuilds.Load()),
-		QueuedEdits:    queued,
-		QueueBound:     e.opts.queue,
-		IngestRounds:   e.ingestRounds.Load(),
-		CoalescedEdits: e.ingestCoalesced.Load(),
+		Keyed:            e.keys != nil,
+		Keys:             e.Keys(),
+		Refreshes:        int(m.refreshes.Value()),
+		Rebuilds:         int(m.rebuilds.Value()),
+		QueuedEdits:      queued,
+		QueueBound:       e.opts.queue,
+		IngestRounds:     int64(m.ingestRounds.Value()),
+		CoalescedEdits:   int64(m.ingestCoalesced.Value()),
+		ReplicationStats: e.replication(),
+	}
+	// View before store, as in Behind.
+	v := e.latest.Load()
+	s.Version = e.store.Current().Seq
+	s.Behind = s.Version + 1
+	if v != nil {
+		s.RankVersion, s.Behind, s.Ready = v.seq, s.Version-v.seq, true
+		s.Vertices, s.Edges = v.N(), v.M()
 	}
 	if d := e.durable(); d != nil {
 		ls := d.log.Stats()
-		s.Durability = DurabilityStats{
+		s.DurabilityStats = DurabilityStats{
 			Enabled:         true,
 			WALSeq:          ls.Seq,
 			CheckpointSeq:   ls.CheckpointSeq,
-			LastFsync:       ls.LastSync,
+			LastFsync:       ls.LastSync.UTC(),
 			Recovering:      d.recovering.Load(),
 			Degraded:        ls.Degraded,
 			ReplayedRecords: d.replayed,
 		}
 		if ls.Err != nil {
-			s.Durability.Err = fmt.Errorf("%w: %w", ErrDurabilityDegraded, ls.Err)
+			s.DurabilityStats.Err = fmt.Errorf("%w: %w", ErrDurabilityDegraded, ls.Err)
 		}
 	}
-	if f := e.replStats.Load(); f != nil {
-		s.Replication = (*f)()
-	}
 	return s
-}
-
-// syncStatsLocked mirrors the ranker's counters into the atomics Stats
-// and the telemetry counter views read. Caller holds e.mu.
-func (e *Engine) syncStatsLocked() {
-	e.refreshes.Store(int64(e.ranker.Refreshes))
-	e.rebuilds.Store(int64(e.ranker.Rebuilds))
-	e.sweepBlocks.Store(e.ranker.SweepBlocks)
-	e.frontierScanned.Store(e.ranker.FrontierScanned)
 }
 
 // SetFaultPlan replaces the fault-injection plan applied to subsequent

@@ -369,8 +369,8 @@ func (e *Engine) ingestLoop() {
 					resolveFlushes(flushes, err)
 					continue
 				}
-				e.ingestRounds.Add(1)
-				e.ingestCoalesced.Add(int64(merged.Size()))
+				e.met.ingestRounds.Inc()
+				e.met.ingestCoalesced.Add(uint64(merged.Size()))
 				if pending == 0 {
 					dirtySince = time.Now()
 				}

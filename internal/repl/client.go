@@ -62,8 +62,9 @@ type ClientStats struct {
 	// stream ever opened.
 	Connected bool
 	Connects  int64
-	// TipSeq is the writer's last advertised sequence and TipAt when it was
-	// advertised (writer clock).
+	// TipSeq is the writer's last advertised sequence; TipAt the newest
+	// writer-clock time a record or heartbeat frame carried (the Unix epoch
+	// before the first frame). Only the writer's clock reaches it.
 	TipSeq uint64
 	TipAt  time.Time
 	// DeliveredSeq is the last record sequence handed to Records().
@@ -203,7 +204,9 @@ func (c *Client) connect(from uint64, boot bool) (*feedConn, *feedHeader, error)
 		return nil, nil, err
 	}
 	c.connects.Add(1)
-	c.noteTip(hdr.Tip, time.Now().UnixNano())
+	// The header carries no writer time; stamping the local clock here would
+	// mix replica-now into TipAt, which lag estimates read as writer-now.
+	c.noteTip(hdr.Tip, 0)
 	return &feedConn{body: resp.Body, br: br}, hdr, nil
 }
 
@@ -374,7 +377,7 @@ func (c *Client) fail(err error) {
 }
 
 // noteTip advances the writer-tip watermark (tips can arrive out of order
-// across heartbeats and records).
+// across heartbeats and records); atNanos 0 advances the sequence only.
 func (c *Client) noteTip(seq uint64, atNanos int64) {
 	for {
 		cur := c.tipSeq.Load()

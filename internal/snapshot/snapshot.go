@@ -182,12 +182,6 @@ type Ranker struct {
 	// rebuilds after the pending history was evicted.
 	Refreshes, Rebuilds int
 
-	// SweepBlocks and FrontierScanned accumulate the per-run sweep
-	// instrumentation (core.Result.SweepBlocks/FrontierScanned) over every
-	// run this ranker performed — initial convergence, refreshes, rebuilds.
-	// The engine mirrors them into the dfpr_rank_sweep_block_* counters.
-	SweepBlocks, FrontierScanned int64
-
 	// CoalesceSpans is a no-op kept for benchmark/probe.go, which assigns
 	// it: every multi-version catch-up is replayed as ONE incremental run
 	// (see Refresh). It goes when a benchmark-archetype PR drops that line.
@@ -210,16 +204,7 @@ func NewRanker(ctx context.Context, s *Store, algo core.Algo, cfg core.Config) (
 	if res.Err != nil {
 		return nil, res, fmt.Errorf("snapshot: initial ranking failed: %w", res.Err)
 	}
-	r := &Ranker{store: s, cfg: cfg, algo: algo, ranks: res.Ranks, cur: v}
-	r.noteRun(res)
-	return r, res, nil
-}
-
-// noteRun accumulates one core run's sweep instrumentation. Failed runs
-// count too: their sweeps happened.
-func (r *Ranker) noteRun(res core.Result) {
-	r.SweepBlocks += res.SweepBlocks
-	r.FrontierScanned += res.FrontierScanned
+	return &Ranker{store: s, cfg: cfg, algo: algo, ranks: res.Ranks, cur: v}, res, nil
 }
 
 // ResumeRanker positions a ranker at an already-converged rank vector for
@@ -327,7 +312,6 @@ func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
 	gOld, prev := grownInputs(r.cur.G, r.ranks, tip.G.N())
 	in := core.Input{GOld: gOld, GNew: tip.G, Del: up.Del, Ins: up.Ins, Prev: prev}
 	res := core.RunCtx(ctx, r.algo, in, r.cfg)
-	r.noteRun(res)
 	switch {
 	case res.Err == nil:
 		r.land(tip, links, res, &r.Refreshes)
@@ -345,7 +329,6 @@ func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
 func (r *Ranker) recompute(ctx context.Context, algo core.Algo, counter *int) (core.Result, error) {
 	v := r.store.Current()
 	res := core.RunCtx(ctx, algo, core.Input{GNew: v.G}, r.cfg)
-	r.noteRun(res)
 	if res.Err != nil {
 		return res, fmt.Errorf("snapshot: static recomputation failed at version %d: %w", v.Seq, res.Err)
 	}

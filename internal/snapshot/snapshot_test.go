@@ -284,9 +284,9 @@ func TestRankerLandingInvariants(t *testing.T) {
 			if ctx == nil {
 				ctx = context.Background()
 			}
-			seq, refreshes, rebuilds, blocks := r.Seq(), r.Refreshes, r.Rebuilds, r.SweepBlocks
+			seq, refreshes, rebuilds := r.Seq(), r.Refreshes, r.Rebuilds
 			ranks := r.RanksShared()
-			_, advanced, err := r.Refresh(ctx)
+			res, advanced, err := r.Refresh(ctx)
 			if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil) != (err == nil) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
@@ -310,9 +310,10 @@ func TestRankerLandingInvariants(t *testing.T) {
 			if got := r.Rebuilds - rebuilds; got != tc.rebuilds {
 				t.Errorf("Rebuilds moved by %d, want %d", got, tc.rebuilds)
 			}
-			// A canceled context stops the run before its first sweep.
-			if tc.ctx == nil && r.SweepBlocks <= blocks {
-				t.Errorf("SweepBlocks stayed at %d although a run executed", blocks)
+			// Refresh returns the run it executed, a failed one included; a
+			// canceled context stops the run before its first sweep.
+			if tc.ctx == nil && res.SweepBlocks <= 0 {
+				t.Errorf("the refresh's run reports %d sweep blocks although it executed", res.SweepBlocks)
 			}
 		})
 	}

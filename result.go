@@ -55,7 +55,7 @@ var ErrNotWriter = errors.New("dfpr: engine is a replica; writes go to the leade
 // persistent disk failure and stopped logging: the engine keeps applying in
 // memory and serving reads (degradation over outage), but writes since the
 // failure will not survive a restart. It surfaces through
-// Stats().Durability.Err — wrapping the underlying cause — and from
+// Stats().DurabilityStats.Err — wrapping the underlying cause — and from
 // Flush/Close/Checkpoint on a degraded engine; errors.Is identifies it
 // through the wrapping.
 var ErrDurabilityDegraded = errors.New("dfpr: durability degraded, writes no longer logged")
@@ -94,52 +94,70 @@ type Result struct {
 	BarrierWait time.Duration
 }
 
-// Stats counts how an engine has kept its ranks fresh and what its ingest
-// pipeline has absorbed: Refreshes are incremental DF-LF refreshes,
-// Rebuilds are static rebuilds after the history was evicted.
+// Stats is the engine's state and counters at one instant: what the
+// /v1/stats endpoint serves (the JSON tags are its keys) and what the
+// /metrics series of the same name read. Each counter is a telemetry
+// instrument incremented where its event happens; Stats reads it, nothing
+// keeps a copy.
 type Stats struct {
-	Refreshes, Rebuilds int
+	// Version is the latest published graph version; RankVersion the version
+	// the latest published ranks cover, and Behind how many versions they
+	// trail it (see Engine.Behind). Ready reports that ranks exist at all;
+	// Vertices and Edges size the graph those ranks were computed on.
+	Version     uint64 `json:"version"`
+	RankVersion uint64 `json:"rank_version"`
+	Behind      uint64 `json:"behind"`
+	Ready       bool   `json:"ready"`
+	Vertices    int    `json:"vertices"`
+	Edges       int    `json:"edges"`
+	// Keyed reports an engine-owned key space (Open); Keys counts its keys.
+	Keyed bool `json:"keyed"`
+	Keys  int  `json:"keys,omitempty"`
+	// Refreshes are incremental DF-LF refreshes, Rebuilds static rebuilds
+	// after the history was evicted.
+	Refreshes int `json:"refreshes"`
+	Rebuilds  int `json:"rebuilds"`
 	// QueuedEdits is the number of edits sitting in the ingest queue right
 	// now — accepted by Submit, not yet drained into a round. The
 	// backpressure gauge a load balancer watches. QueueBound is the
 	// WithIngestQueue limit those edits press against (always positive), so
 	// a shedding layer can turn depth into a retry hint.
-	QueuedEdits int
-	QueueBound  int
+	QueuedEdits int `json:"ingest_queue_depth"`
+	QueueBound  int `json:"-"`
 	// IngestRounds counts coalescing rounds the pipeline has applied;
 	// CoalescedEdits the edits those rounds carried (after merge). Their
 	// ratio against writes submitted is the amortisation the pipeline won.
-	IngestRounds   int64
-	CoalescedEdits int64
-	// Durability is the write-ahead-log state of a WithDurability engine
-	// (zero value, Enabled false, otherwise).
-	Durability DurabilityStats
-	// Replication is the cluster-role state of an engine running as a
+	IngestRounds   int64 `json:"ingest_rounds"`
+	CoalescedEdits int64 `json:"coalesced_edits"`
+	// DurabilityStats is the write-ahead-log state of a WithDurability
+	// engine (zero value, Enabled false, otherwise).
+	DurabilityStats
+	// ReplicationStats is the cluster-role state of an engine running as a
 	// replication writer or replica (zero value, Enabled false, on a
-	// standalone engine). See ReplicationStats in cluster.go.
-	Replication ReplicationStats
+	// standalone engine). See cluster.go.
+	ReplicationStats
 }
 
 // DurabilityStats is the durable-state gauge of a WithDurability engine.
 type DurabilityStats struct {
 	// Enabled reports whether the engine has a durability directory.
-	Enabled bool
+	Enabled bool `json:"durable,omitempty"`
 	// WALSeq is the sequence of the last record appended to the log —
 	// equal to the published graph version while the log is healthy.
-	WALSeq uint64
+	WALSeq uint64 `json:"wal_seq,omitempty"`
 	// CheckpointSeq is the version of the newest durable checkpoint; replay
 	// after a crash starts there.
-	CheckpointSeq uint64
-	// LastFsync is when appended records last reached stable storage (zero
-	// before the first fsync).
-	LastFsync time.Time
-	// Recovering mirrors Engine.Recovering.
-	Recovering bool
+	CheckpointSeq uint64 `json:"checkpoint_version,omitempty"`
+	// LastFsync is when appended records last reached stable storage, in
+	// UTC (zero before the first fsync).
+	LastFsync time.Time `json:"last_fsync,omitzero"`
+	// Recovering is Engine.Recovering, read from the same flag.
+	Recovering bool `json:"recovering,omitempty"`
 	// Degraded reports the sticky disk-failure state; Err wraps
 	// ErrDurabilityDegraded around the cause.
-	Degraded bool
-	Err      error
+	Degraded bool  `json:"durability_degraded,omitempty"`
+	Err      error `json:"-"`
 	// ReplayedRecords is how many WAL tail records construction replayed
 	// (diagnostic; zero on a fresh directory or checkpoint-exact restart).
-	ReplayedRecords int
+	ReplayedRecords int `json:"-"`
 }

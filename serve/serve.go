@@ -75,10 +75,10 @@ import (
 	"runtime/debug"
 	"sort"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"dfpr"
+	"dfpr/internal/telemetry"
 )
 
 // VersionHeader is the response header naming the rank version a read was
@@ -101,8 +101,11 @@ type Server struct {
 	goVersion  string
 	modVersion string
 
-	reads  atomic.Int64 // rank/topk/delta requests answered
-	writes atomic.Int64 // apply batches accepted
+	// reads counts rank/topk/delta requests answered, writes apply batches
+	// accepted: the dfpr_serve_*_total series, shared by every Server over
+	// the same engine.
+	reads  *telemetry.Counter
+	writes *telemetry.Counter
 
 	// proxy carries replica-received writes to the leader (WithCluster).
 	// Its timeout covers connect+response; the per-request context still
@@ -382,7 +385,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		score, _ := v.ScoreOf(id)
 		resp.Vertex, resp.Key, resp.Score = id, raw, score
 	}
-	s.reads.Add(1)
+	s.reads.Inc()
 	writeJSON(w, v.Seq(), resp)
 }
 
@@ -435,7 +438,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			entries[i] = topkEntry{Vertex: e.V, Key: e.Key, Score: e.Score}
 		}
 	}
-	s.reads.Add(1)
+	s.reads.Inc()
 	writeJSON(w, v.Seq(), topkResponse{Version: v.Seq(), K: len(entries), Entries: entries})
 }
 
@@ -506,7 +509,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			out.Movements[i].Key, _ = to.KeyOf(m.V)
 		}
 	}
-	s.reads.Add(1)
+	s.reads.Inc()
 	writeJSON(w, to.Seq(), out)
 }
 
@@ -625,7 +628,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, waitStatusOf(r.Context(), err), "batch queued but not observed applied: %v", err)
 		return
 	}
-	s.writes.Add(1)
+	s.writes.Inc()
 	resp := applyResponse{Version: seq}
 	if r.URL.Query().Get("wait") == "ranked" {
 		if err := s.eng.WaitRanked(ctx, seq); err != nil {
@@ -693,7 +696,7 @@ func (s *Server) proxyApply(w http.ResponseWriter, r *http.Request, leader strin
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
 	if resp.StatusCode < 300 {
-		s.writes.Add(1)
+		s.writes.Inc()
 	}
 }
 
@@ -793,7 +796,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.eng.Recovering() {
 		resp.Status = "recovering"
 	}
-	if rs := s.eng.Stats().Replication; rs.Enabled {
+	if rs := s.eng.Stats().ReplicationStats; rs.Enabled {
 		resp.Role = rs.Role
 		resp.ReplicationLagSeq = rs.LagRecords
 	}
@@ -805,102 +808,26 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, 0, resp)
 }
 
+// statsResponse is the /v1/stats body: the engine's Stats (its JSON tags
+// name the keys) plus what only the server knows — its request counters,
+// how long it has been up and what built it (module version is "(devel)"
+// outside a released build).
 type statsResponse struct {
-	Version uint64 `json:"version"`
-	// RankVersion is the last-ranked version — the newest published rank
-	// state reads are served from (0 with ready=false before the first
-	// refresh).
-	RankVersion    uint64 `json:"rank_version"`
-	Behind         uint64 `json:"behind"`
-	Ready          bool   `json:"ready"`
-	Vertices       int    `json:"vertices"`
-	Edges          int    `json:"edges"`
-	Keyed          bool   `json:"keyed"`
-	Keys           int    `json:"keys,omitempty"`
-	Refreshes      int    `json:"refreshes"`
-	Rebuilds       int    `json:"rebuilds"`
-	QueueDepth     int    `json:"ingest_queue_depth"`
-	IngestRounds   int64  `json:"ingest_rounds"`
-	CoalescedEdits int64  `json:"coalesced_edits"`
-	Reads          int64  `json:"reads_served"`
-	Writes         int64  `json:"writes_accepted"`
-	// Process identity: how long this server has been up and what built it
-	// (module version is "(devel)" outside a released build).
+	dfpr.Stats
+	Reads         uint64  `json:"reads_served"`
+	Writes        uint64  `json:"writes_accepted"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	GoVersion     string  `json:"go_version,omitempty"`
 	ModVersion    string  `json:"module_version,omitempty"`
-	// Durability gauges, present only on a WithDurability engine.
-	Durable            bool   `json:"durable,omitempty"`
-	WALSeq             uint64 `json:"wal_seq,omitempty"`
-	CheckpointVersion  uint64 `json:"checkpoint_version,omitempty"`
-	LastFsync          string `json:"last_fsync,omitempty"`
-	Recovering         bool   `json:"recovering,omitempty"`
-	DurabilityDegraded bool   `json:"durability_degraded,omitempty"`
-	// Replication gauges, present only on a cluster writer or replica.
-	// Role and ReplicationLagSeq mirror healthz; the rest expose the node's
-	// position in the stream (applied vs writer tip), the election state
-	// (leader, term, promotions performed) and a writer's feed load.
-	Role              string  `json:"role,omitempty"`
-	NodeID            string  `json:"node_id,omitempty"`
-	LeaderURL         string  `json:"leader_url,omitempty"`
-	Term              uint64  `json:"term,omitempty"`
-	AppliedSeq        uint64  `json:"applied_seq,omitempty"`
-	WriterSeq         uint64  `json:"writer_seq,omitempty"`
-	ReplicationLagSeq uint64  `json:"replication_lag_seq,omitempty"`
-	ReplicationLagSec float64 `json:"replication_lag_seconds,omitempty"`
-	FeedConnections   int64   `json:"feed_connections,omitempty"`
-	FeedRecords       int64   `json:"feed_records,omitempty"`
-	Failovers         uint64  `json:"failovers,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.eng.Stats()
-	out := statsResponse{
-		Version:        s.eng.Version(),
-		Behind:         s.eng.Behind(),
-		Refreshes:      st.Refreshes,
-		Rebuilds:       st.Rebuilds,
-		QueueDepth:     st.QueuedEdits,
-		IngestRounds:   st.IngestRounds,
-		CoalescedEdits: st.CoalescedEdits,
-		Reads:          s.reads.Load(),
-		Writes:         s.writes.Load(),
-		UptimeSeconds:  time.Since(s.started).Seconds(),
-		GoVersion:      s.goVersion,
-		ModVersion:     s.modVersion,
-		Keyed:          s.keyed,
-		Keys:           s.eng.Keys(),
-	}
-	if d := st.Durability; d.Enabled {
-		out.Durable = true
-		out.WALSeq = d.WALSeq
-		out.CheckpointVersion = d.CheckpointSeq
-		out.Recovering = d.Recovering
-		out.DurabilityDegraded = d.Degraded
-		if !d.LastFsync.IsZero() {
-			out.LastFsync = d.LastFsync.UTC().Format(time.RFC3339Nano)
-		}
-	}
-	if rs := st.Replication; rs.Enabled {
-		out.Role = rs.Role
-		out.NodeID = rs.NodeID
-		out.LeaderURL = rs.LeaderURL
-		out.Term = rs.Term
-		out.AppliedSeq = rs.AppliedSeq
-		out.WriterSeq = rs.WriterSeq
-		out.ReplicationLagSeq = rs.LagRecords
-		out.ReplicationLagSec = rs.LagSeconds
-		out.FeedConnections = rs.FeedConnections
-		out.FeedRecords = rs.FeedRecords
-		out.Failovers = rs.Failovers
-	}
-	if v, err := s.eng.View(); err == nil {
-		out.RankVersion = v.Seq()
-		out.Ready = true
-		out.Vertices = v.N()
-		out.Edges = v.M()
-	}
-	writeJSON(w, out.RankVersion, out)
+	writeJSON(w, st.RankVersion, statsResponse{
+		Stats: st, Reads: s.reads.Value(), Writes: s.writes.Value(),
+		UptimeSeconds: time.Since(s.started).Seconds(),
+		GoVersion:     s.goVersion, ModVersion: s.modVersion,
+	})
 }
 
 func toEdges(in []applyEdge) []dfpr.Edge {

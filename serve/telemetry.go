@@ -75,16 +75,14 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// initTelemetry registers the server's own pull-style series and mounts the
+// initTelemetry registers the server's own series and mounts the
 // observability routes: GET /metrics always, /debug/pprof/ when opted in.
 func (s *Server) initTelemetry() {
 	reg := s.eng.Metrics()
-	reg.CounterFunc("dfpr_serve_reads_total",
-		"Read requests (rank, topk, delta) answered successfully.",
-		func() float64 { return float64(s.reads.Load()) })
-	reg.CounterFunc("dfpr_serve_writes_total",
-		"Apply batches accepted (202/200).",
-		func() float64 { return float64(s.writes.Load()) })
+	s.reads = reg.Counter("dfpr_serve_reads_total",
+		"Read requests (rank, topk, delta) answered successfully.")
+	s.writes = reg.Counter("dfpr_serve_writes_total",
+		"Apply batches accepted (202/200).")
 	reg.GaugeFunc("dfpr_serve_uptime_seconds",
 		"Seconds since this server was constructed.",
 		func() float64 { return time.Since(s.started).Seconds() })

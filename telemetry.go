@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dfpr/internal/core"
 	"dfpr/internal/telemetry"
 )
 
@@ -12,11 +13,12 @@ import (
 // with whatever sits on top (the serve layer registers its RED metrics on
 // the same registry, so one /metrics scrape covers the whole stack).
 //
-// The split follows the subsystem's hot/cold design: counters and histograms
-// the write path touches live as fields on engineMetrics and are observed
-// with lock-free 0-alloc calls; state that already has a home — queue depth
-// behind ingestMu, graph size behind the snapshot store, WAL sequence behind
-// the log — is exported pull-style and read only at scrape time.
+// One source per number: a count lives in exactly one place and Stats,
+// /v1/stats and /metrics all read it there. Counts of events are counters on
+// engineMetrics, incremented where the event happens with lock-free 0-alloc
+// calls; Stats reads their Value. State that already has a home — queue
+// depth behind ingestMu, graph size behind the snapshot store, WAL sequence
+// behind the log — is exported pull-style and read only at scrape time.
 
 // engineMetrics holds the engine's hot-path instruments.
 type engineMetrics struct {
@@ -27,6 +29,17 @@ type engineMetrics struct {
 	rejectSize  *telemetry.Counter // batches bounced by the universe bound
 	applies     *telemetry.Counter // versions published through storeApply
 	growEvents  *telemetry.Counter // publications that widened the universe
+
+	ingestRounds    *telemetry.Counter // coalesced ingest rounds applied
+	ingestCoalesced *telemetry.Counter // edits those rounds carried, after merge
+	refreshes       *telemetry.Counter // incremental refreshes that advanced the ranks
+	rebuilds        *telemetry.Counter // refreshes that were static rebuilds instead
+	sweepBlocks     *telemetry.Counter // rank-sweep chunks dispatched, over every run
+	frontierScanned *telemetry.Counter // frontier vertices the sweeps located, over every run
+	// failovers counts writer promotions. It is registered with the
+	// replication series (initReplicationTelemetry), before the engine
+	// joins a cluster or follows a feed, and is nil on a standalone engine.
+	failovers *telemetry.Counter
 
 	rankSeconds    *telemetry.Histogram // successful rank refresh wall time
 	publishSeconds *telemetry.Histogram // publish-to-ranked freshness lag
@@ -76,6 +89,18 @@ func (e *Engine) initTelemetry(reg *telemetry.Registry) {
 			"Graph versions published (Apply calls, coalesced ingest rounds and replayed spans)."),
 		growEvents: reg.Counter("dfpr_graph_grow_events_total",
 			"Publications that widened the vertex universe."),
+		ingestRounds: reg.Counter("dfpr_ingest_rounds_total",
+			"Coalesced ingest rounds applied."),
+		ingestCoalesced: reg.Counter("dfpr_ingest_coalesced_edits_total",
+			"Edits applied through the ingest pipeline after coalescing."),
+		refreshes: reg.Counter("dfpr_rank_refreshes_total",
+			"Incremental rank refreshes completed."),
+		rebuilds: reg.Counter("dfpr_rank_rebuilds_total",
+			"Rank refreshes that fell back to a full static recomputation."),
+		sweepBlocks: reg.Counter("dfpr_rank_sweep_block_scheduled_total",
+			"Rank-sweep chunks dispatched by the chunk scheduler across all runs."),
+		frontierScanned: reg.Counter("dfpr_rank_sweep_block_frontier_total",
+			"Affected-frontier vertices located by the sorted word-at-a-time flag scans of the rank sweeps."),
 		rankSeconds: reg.Histogram("dfpr_rank_refresh_seconds",
 			"Wall time of successful rank refreshes that advanced the rank version.", nil),
 		publishSeconds: reg.Histogram("dfpr_publish_to_ranked_seconds",
@@ -96,24 +121,6 @@ func (e *Engine) initTelemetry(reg *telemetry.Registry) {
 			e.ingestMu.Unlock()
 			return float64(q)
 		})
-	reg.CounterFunc("dfpr_ingest_rounds_total",
-		"Coalesced ingest rounds applied.",
-		func() float64 { return float64(e.ingestRounds.Load()) })
-	reg.CounterFunc("dfpr_ingest_coalesced_edits_total",
-		"Edits applied through the ingest pipeline after coalescing.",
-		func() float64 { return float64(e.ingestCoalesced.Load()) })
-	reg.CounterFunc("dfpr_rank_refreshes_total",
-		"Incremental rank refreshes completed.",
-		func() float64 { return float64(e.refreshes.Load()) })
-	reg.CounterFunc("dfpr_rank_rebuilds_total",
-		"Rank refreshes that fell back to a full static recomputation.",
-		func() float64 { return float64(e.rebuilds.Load()) })
-	reg.CounterFunc("dfpr_rank_sweep_block_scheduled_total",
-		"Rank-sweep chunks dispatched by the chunk scheduler across all runs.",
-		func() float64 { return float64(e.sweepBlocks.Load()) })
-	reg.CounterFunc("dfpr_rank_sweep_block_frontier_total",
-		"Affected-frontier vertices located by the sorted word-at-a-time flag scans of the rank sweeps.",
-		func() float64 { return float64(e.frontierScanned.Load()) })
 	reg.GaugeFunc("dfpr_graph_bytes",
 		"Resident bytes of the latest published graph snapshot's CSR arrays, by layout.",
 		func() float64 { return float64(e.store.Current().G.Bytes()) },
@@ -175,6 +182,23 @@ func (m *engineMetrics) notePublished(nBefore, nAfter int) {
 		m.growEvents.Inc()
 	}
 	m.oldestUnranked.CompareAndSwap(0, time.Now().UnixNano())
+}
+
+// noteRun counts one rank run's sweep work. Failed runs count too: their
+// sweeps happened.
+func (m *engineMetrics) noteRun(res core.Result) {
+	m.sweepBlocks.Add(uint64(res.SweepBlocks))
+	m.frontierScanned.Add(uint64(res.FrontierScanned))
+}
+
+// noteLanded counts a Rank that advanced the ranks: an incremental refresh,
+// or a static rebuild when the history it would replay was gone.
+func (m *engineMetrics) noteLanded(rebuilt bool) {
+	if rebuilt {
+		m.rebuilds.Inc()
+	} else {
+		m.refreshes.Inc()
+	}
 }
 
 // noteRanked drains the publish-to-ranked clock into the freshness
