@@ -264,7 +264,7 @@ func testOneApplyPath(t *testing.T, f pathFlavour) {
 	}
 	srv := httptest.NewServer(feedMux(func() *Engine { return writer }))
 	defer srv.Close()
-	follower := func() *Replica {
+	follower := func() *Cluster {
 		rep, err := StartReplica(ctx, srv.URL, opts...)
 		if err != nil {
 			t.Fatalf("StartReplica: %v", err)
@@ -288,7 +288,7 @@ func testOneApplyPath(t *testing.T, f pathFlavour) {
 	// opening Rank until the whole tail is delivered, so the replica replays
 	// it as the one span the recovered engine did.
 	replica.eng.mu.Lock()
-	if err := replica.resume(srv.URL); err != nil {
+	if err := replica.follow(srv.URL); err != nil {
 		t.Fatalf("resume stream: %v", err)
 	}
 	waitFor(t, "tail delivered to the replica", 10*time.Second, func() bool {

@@ -24,11 +24,15 @@ import (
 // promotes itself, replaying the WAL tail it had not yet streamed and
 // resuming the sequence as if the writer had merely restarted.
 //
-// Three entry points, smallest to largest:
+// Engine.Feed is the streaming handler a durable writer mounts. Everything
+// that follows a feed is a *Cluster, built one of two ways:
 //
-//	Engine.Feed    the streaming handler a durable writer mounts
-//	StartReplica   one follower tailing a known leader (no election)
+//	StartReplica   a follower with a fixed leader: no lease, no election
 //	JoinCluster    full membership: lease election, failover, promotion
+//
+// Either way a node has one role (Engine.follower), one dial path
+// (Cluster.follow) and one apply loop (Cluster.apply); promotion and
+// demotion flip the role on the same engine.
 
 // feedPath is where the serve layer mounts Engine.Feed, and therefore where
 // replicas dial a leader's stream: its base URL plus this path.
@@ -113,8 +117,8 @@ func (e *Engine) Feed() http.Handler {
 
 // initReplicationTelemetry registers the replication series: the failovers
 // counter and the gauges that read replication. It runs once per engine,
-// before the engine follows a feed or joins a cluster as its writer — so
-// before anything can read e.met.failovers.
+// from Cluster.attach, before the engine learns its cluster — so before
+// anything can read e.met.failovers.
 func (e *Engine) initReplicationTelemetry() {
 	reg := e.met.reg
 	e.met.failovers = reg.Counter("dfpr_repl_failovers_total",
@@ -135,39 +139,39 @@ func (e *Engine) initReplicationTelemetry() {
 		func() float64 { return e.replication().LagSeconds })
 }
 
+// role is the node's write authority, read off the one place it is stored:
+// a follower engine is a replica, any other engine the writer.
+func (e *Engine) role() Role {
+	if e.follower.Load() {
+		return RoleReplica
+	}
+	return RoleWriter
+}
+
 // replication is the engine's one replication provider: Stats and the
-// dfpr_repl_* gauges both read it. A cluster node reports its membership
-// and, while it is a replica, the stream it follows; a StartReplica
-// follower reports its stream; a standalone engine reports nothing.
+// dfpr_repl_* gauges both read it. A node run by a Cluster reports its
+// membership and, while it is a replica, the stream it follows; a
+// standalone engine reports nothing.
 func (e *Engine) replication() ReplicationStats {
-	c, rep := e.cluster.Load(), e.replica.Load()
-	if c == nil && rep == nil {
+	c := e.cluster.Load()
+	if c == nil {
 		return ReplicationStats{}
 	}
-	applied := e.Version()
+	role, applied := e.role(), e.Version()
 	rs := ReplicationStats{
-		Enabled: true, Role: RoleReplica.String(),
+		Enabled: true, Role: role.String(), NodeID: c.cfg.NodeID,
 		AppliedSeq: applied, WriterSeq: applied, Failovers: e.met.failovers.Value(),
 	}
-	if c != nil {
-		c.mu.Lock()
-		role, term, leader := c.role, c.term, c.leaderURL
-		rep = c.rep
-		c.mu.Unlock()
-		rs.Role, rs.NodeID, rs.Term, rs.LeaderURL = role.String(), c.cfg.NodeID, term, leader
-	}
-	if rep == nil {
+	c.mu.Lock()
+	rs.Term, rs.LeaderURL = c.term, c.leaderURL
+	cl, lastSent, err := c.cl, c.lastSent, c.err
+	c.mu.Unlock()
+	if role == RoleWriter {
 		// The writer: its own version is the tip; what is left is feed load.
 		if f := e.feed.Load(); f != nil {
 			rs.FeedConnections, rs.FeedRecords = f.Conns(), f.Records()
 		}
 		return rs
-	}
-	rep.mu.Lock()
-	cl, leader, lastSent, err := rep.cl, rep.leaderURL, rep.lastSent, rep.err
-	rep.mu.Unlock()
-	if c == nil {
-		rs.LeaderURL = leader
 	}
 	if cl != nil {
 		cs := cl.Stats()
@@ -184,11 +188,11 @@ func (e *Engine) replication() ReplicationStats {
 	return rs
 }
 
-// promote turns a follower into the writer over the shared durability
-// directory: it opens the WAL, replays the tail records the stream had not
-// delivered yet, takes the log over, and clears the follower flag — the next
-// accepted write appends at tip+1, resuming the dead writer's sequence
-// exactly.
+// promote readies a follower to write over the shared durability directory:
+// it opens the WAL, replays the tail records the stream had not delivered
+// yet, and takes the log over. Once the caller clears the follower flag
+// (Cluster.installWriter), the next accepted write appends at tip+1,
+// resuming the dead writer's sequence exactly.
 func (e *Engine) promote(dir string) error {
 	if e.durable() != nil {
 		return fmt.Errorf("dfpr: engine already holds a log (promoted, or a deposed writer; restart to rejoin)")
@@ -219,256 +223,11 @@ func (e *Engine) promote(dir string) error {
 	if err != nil {
 		return fmt.Errorf("dfpr: promote: replay tail: %w", err)
 	}
-	// Order matters: the log is installed before writes are accepted, so the
-	// first post-promotion apply logs its record at tip+1.
+	// The log is installed before the role flips, so the first
+	// post-promotion apply logs its record at tip+1.
 	e.installLog(log, ck.Seq, replayed)
-	e.follower.Store(false)
 	ok = true
 	return nil
-}
-
-// Replica is a follower engine plus the stream keeping it current: built
-// from a leader's feed bootstrap, it applies streamed rounds and refreshes
-// ranks after each, serving reads with the same API as any engine.
-type Replica struct {
-	eng    *Engine
-	lg     *slog.Logger
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu        sync.Mutex
-	cl        *repl.Client
-	done      chan struct{}
-	leaderURL string
-	lastSent  time.Time // writer-clock send time of the newest applied event
-	err       error     // terminal replication error
-}
-
-// StartReplica dials leaderURL's feed (its serve base URL; the feed lives
-// at /v1/feed), builds a follower engine from the bootstrap checkpoint, and
-// streams rounds into it until ctx ends or Close is called. The engine
-// options must not include WithDurability — a replica follows the writer's
-// log rather than owning one (JoinCluster handles the promotion case). The
-// follower rejects public writes with ErrNotWriter; reads, views,
-// subscriptions and waits behave exactly as on the writer.
-func StartReplica(ctx context.Context, leaderURL string, opts ...Option) (*Replica, error) {
-	st := defaultSettings()
-	for _, opt := range opts {
-		if err := opt(&st); err != nil {
-			return nil, err
-		}
-	}
-	if st.durDir != "" {
-		return nil, fmt.Errorf("dfpr: WithDurability is the writer's option; replicas stream the writer's log (use JoinCluster for failover)")
-	}
-	st.tel = telemetry.NewRegistry()
-	r, err := startReplica(ctx, leaderURL, st, nil)
-	if err != nil {
-		return nil, err
-	}
-	r.eng.replica.Store(r)
-	return r, nil
-}
-
-// startReplica is StartReplica over resolved settings — shared with the
-// cluster path, which passes its own logger.
-func startReplica(ctx context.Context, leaderURL string, st settings, lg *slog.Logger) (*Replica, error) {
-	if st.tel == nil {
-		st.tel = telemetry.NewRegistry()
-	}
-	rctx, cancel := context.WithCancel(ctx)
-	cl, err := repl.Dial(rctx, repl.ClientOptions{
-		URL: leaderURL + feedPath, From: 0, Bootstrap: true, Logger: lg,
-	})
-	if err != nil {
-		cancel()
-		return nil, fmt.Errorf("dfpr: dial feed: %w", err)
-	}
-	boot := cl.Bootstrap()
-	if boot == nil {
-		cl.Close()
-		cancel()
-		return nil, fmt.Errorf("dfpr: feed sent no bootstrap checkpoint")
-	}
-	// A follower is an engine restored at the bootstrap checkpoint that
-	// takes its writes from the stream: public writes bounce ErrNotWriter.
-	st.keyed = cl.Keyed()
-	eng, err := restore(st, boot)
-	if err != nil {
-		cl.Close()
-		cancel()
-		return nil, fmt.Errorf("dfpr: feed bootstrap: %w", err)
-	}
-	eng.follower.Store(true)
-	eng.initReplicationTelemetry()
-	r := &Replica{
-		eng: eng, lg: lg, ctx: rctx, cancel: cancel,
-		cl: cl, done: make(chan struct{}), leaderURL: leaderURL,
-	}
-	go r.run(cl, r.done)
-	return r, nil
-}
-
-// Engine returns the follower engine — the read surface of this replica.
-func (r *Replica) Engine() *Engine { return r.eng }
-
-// Role returns RoleReplica; with LeaderURL it satisfies the serve layer's
-// cluster info interface.
-func (r *Replica) Role() Role { return RoleReplica }
-
-// LeaderURL returns the base URL of the leader this replica follows.
-func (r *Replica) LeaderURL() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.leaderURL
-}
-
-// Err returns the terminal replication error, nil while the stream is
-// healthy (transient disconnects are retried internally).
-func (r *Replica) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
-
-// Close stops the stream and closes the engine.
-func (r *Replica) Close() error {
-	r.cancel()
-	r.stopStream()
-	return r.eng.Close()
-}
-
-// run is the apply loop of one stream: drain every delivered event, replay
-// them as one span, refresh ranks, repeat. It exits when the
-// client's channel closes (terminal error, redial, or shutdown).
-func (r *Replica) run(cl *repl.Client, done chan struct{}) {
-	defer close(done)
-	defer func() {
-		r.mu.Lock()
-		if r.cl == cl {
-			r.cl = nil
-		}
-		r.mu.Unlock()
-	}()
-	// Converge once up front: a bootstrap whose checkpoint carried no ranks
-	// (a young writer) would otherwise serve nothing until the first write.
-	if _, err := r.eng.Rank(r.ctx); err != nil && r.ctx.Err() == nil {
-		r.fail(fmt.Errorf("dfpr: replica initial rank: %w", err))
-		return
-	}
-	var evs []repl.Event
-	for {
-		evs = evs[:0]
-		select {
-		case <-r.ctx.Done():
-			return
-		case ev, ok := <-cl.Records():
-			if !ok {
-				if err := cl.Stats().Err; err != nil {
-					r.fail(err)
-				}
-				return
-			}
-			evs = append(evs, ev)
-		}
-	drain:
-		for {
-			select {
-			case ev, ok := <-cl.Records():
-				if !ok {
-					break drain // apply what we have; exit on the next recv
-				}
-				evs = append(evs, ev)
-			default:
-				break drain
-			}
-		}
-		recs := make([]wal.Record, len(evs))
-		for i, ev := range evs {
-			recs[i] = ev.Rec
-		}
-		if _, err := r.eng.replay(recs); err != nil {
-			r.fail(err)
-			return
-		}
-		r.mu.Lock()
-		r.lastSent = evs[len(evs)-1].SentAt
-		r.mu.Unlock()
-		if _, err := r.eng.Rank(r.ctx); err != nil {
-			if r.ctx.Err() != nil || errors.Is(err, ErrClosed) {
-				return
-			}
-			r.fail(fmt.Errorf("dfpr: replica rank: %w", err))
-			return
-		}
-	}
-}
-
-// stopStream ends the stream (keeping the engine) and waits for the apply
-// loop; resume starts a new one. Both are idempotent.
-func (r *Replica) stopStream() {
-	r.mu.Lock()
-	cl, done := r.cl, r.done
-	r.mu.Unlock()
-	if cl != nil {
-		cl.Close()
-	}
-	if done != nil {
-		<-done
-	}
-}
-
-// resume dials a (possibly new) leader from the replica's applied position
-// and restarts the apply loop. The new leader must not have pruned past
-// this replica's version — a follower cannot graft a snapshot mid-life.
-func (r *Replica) resume(leaderURL string) error {
-	if err := r.ctx.Err(); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	streaming := r.cl != nil
-	r.mu.Unlock()
-	if streaming {
-		return nil
-	}
-	cl, err := repl.Dial(r.ctx, repl.ClientOptions{
-		URL: leaderURL + feedPath, From: r.eng.Version(), Logger: r.lg,
-	})
-	if err != nil {
-		return err
-	}
-	if cl.Bootstrap() != nil {
-		cl.Close()
-		return fmt.Errorf("dfpr: leader pruned past this replica's version %d: %w",
-			r.eng.Version(), repl.ErrBehindFloor)
-	}
-	done := make(chan struct{})
-	r.mu.Lock()
-	r.cl, r.done, r.leaderURL, r.err = cl, done, leaderURL, nil
-	r.mu.Unlock()
-	go r.run(cl, done)
-	return nil
-}
-
-// streamingTo returns the leader URL of the live stream, "" when none.
-func (r *Replica) streamingTo() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.cl == nil {
-		return ""
-	}
-	return r.leaderURL
-}
-
-func (r *Replica) fail(err error) {
-	r.mu.Lock()
-	if r.err == nil {
-		r.err = err
-	}
-	r.mu.Unlock()
-	if r.lg != nil {
-		r.lg.Error("replication stopped", "err", err)
-	}
 }
 
 // ClusterConfig configures JoinCluster.
@@ -502,23 +261,73 @@ type ClusterConfig struct {
 	Logger *slog.Logger
 }
 
-// Cluster is one node's membership in a writer-plus-replicas group: it owns
-// the election loop, the role, and the engine serving this node's reads.
+// Cluster is one node's place in a writer-plus-replicas group: the engine
+// serving this node's reads, the stream it follows while a replica, and —
+// when built by JoinCluster — the election loop deciding who writes. The
+// node's role lives on the engine (Role); the engine stays the same across
+// promotion and demotion.
 type Cluster struct {
 	cfg   ClusterConfig
+	st    settings // resolved cfg.Engine: what a bootstrap builds the engine from
 	lg    *slog.Logger
-	lease *repl.Lease
+	lease *repl.Lease // nil for a StartReplica follower: fixed leader, no election
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	done   chan struct{}
+	done   chan struct{} // closed when the election loop exits; nil without one
+
+	// eng is set once, before the Cluster is returned (or its loop starts).
+	eng *Engine
 
 	mu        sync.Mutex
-	eng       *Engine
-	rep       *Replica // non-nil while this node is a replica
-	role      Role
 	term      uint64
-	leaderURL string
+	leaderURL string        // the observed leader; while a stream runs, its source
+	cl        *repl.Client  // the follow stream, nil when none runs
+	applied   chan struct{} // closed when the stream's apply loop exits
+	lastSent  time.Time     // writer-clock send time of the newest applied event
+	err       error         // the stream's terminal error
+}
+
+// newCluster resolves the engine options every role shares. They must not
+// include WithDurability: a follower streams its leader's log rather than
+// owning one, and JoinCluster wires the shared directory itself, on the
+// writer only.
+func newCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
+	st := defaultSettings()
+	for _, opt := range cfg.Engine {
+		if err := opt(&st); err != nil {
+			return nil, err
+		}
+	}
+	if st.durDir != "" {
+		return nil, fmt.Errorf("dfpr: WithDurability is the writer's option; followers stream the writer's log (JoinCluster owns the shared directory)")
+	}
+	c := &Cluster{cfg: cfg, st: st, lg: cfg.Logger}
+	if c.lg == nil {
+		c.lg = slog.New(slog.DiscardHandler)
+	}
+	c.ctx, c.cancel = context.WithCancel(ctx)
+	return c, nil
+}
+
+// StartReplica dials leaderURL's feed (its serve base URL; the feed lives
+// at /v1/feed), builds a follower engine from the bootstrap checkpoint, and
+// streams rounds into it until ctx ends or Close is called. The returned
+// Cluster has a fixed leader: it holds no lease and never runs for writer
+// (JoinCluster handles failover). The engine options must not include
+// WithDurability. The follower rejects public writes with ErrNotWriter;
+// reads, views, subscriptions and waits behave exactly as on the writer. A
+// stream that dies for good reports why in Stats().ReplicationStats.Err.
+func StartReplica(ctx context.Context, leaderURL string, opts ...Option) (*Cluster, error) {
+	c, err := newCluster(ctx, ClusterConfig{Engine: opts})
+	if err != nil {
+		return nil, err
+	}
+	if err := c.follow(leaderURL); err != nil {
+		c.cancel()
+		return nil, err
+	}
+	return c, nil
 }
 
 // JoinCluster starts this node's cluster membership: it races for the
@@ -537,31 +346,14 @@ func JoinCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = repl.DefaultLeaseTTL
 	}
-	lg := cfg.Logger
-	if lg == nil {
-		lg = slog.New(slog.DiscardHandler)
-	}
-	// Resolve the shared options once, for validation: replicas must not
-	// carry a durability dir of their own.
-	st := defaultSettings()
-	for _, opt := range cfg.Engine {
-		if err := opt(&st); err != nil {
-			return nil, err
-		}
-	}
-	if st.durDir != "" {
-		return nil, fmt.Errorf("dfpr: ClusterConfig.Engine must not set WithDurability; the cluster owns Dir")
-	}
-	c := &Cluster{
-		cfg:   cfg,
-		lg:    lg,
-		lease: &repl.Lease{Dir: cfg.Dir, ID: cfg.NodeID, URL: cfg.SelfURL, TTL: cfg.LeaseTTL},
-		done:  make(chan struct{}),
-	}
 	// ctx bounds only the join; the membership loop and replication run
 	// until Close/Halt and must survive the caller's startup context ending.
 	//lint:allow ctxflow ctx bounds the join only; membership runs until Close and owns its own lifetime
-	c.ctx, c.cancel = context.WithCancel(context.Background())
+	c, err := newCluster(context.Background(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.lease = &repl.Lease{Dir: cfg.Dir, ID: cfg.NodeID, URL: cfg.SelfURL, TTL: cfg.LeaseTTL}
 
 	won, info, err := c.lease.TryAcquire()
 	if err != nil {
@@ -576,17 +368,17 @@ func JoinCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 			c.cancel()
 			return nil, err
 		}
-		eng.initReplicationTelemetry()
-		c.installWriter(eng, info.Term)
-		lg.Info("cluster joined as writer", "node", cfg.NodeID, "term", info.Term)
+		c.attach(eng)
+		c.installWriter(info.Term)
+		c.lg.Info("cluster joined as writer", "node", cfg.NodeID, "term", info.Term)
 	} else {
 		// The dial runs on c.ctx (a replica that joins keeps streaming on
 		// it), so a leader that accepts and never answers is interrupted
 		// only by ending c.ctx: tie it to the join's ctx while the join lasts.
 		stop := context.AfterFunc(ctx, c.cancel)
-		rep, rinfo, err := c.dialReplica(ctx, info, st)
+		info, err = c.dialReplica(ctx, info)
 		if !stop() && err == nil {
-			rep.Close() // ctx ended as the dial succeeded and took c.ctx along
+			c.Close() // ctx ended as the dial succeeded and took c.ctx along
 			err = fmt.Errorf("dfpr: join as replica: %w", ctx.Err())
 		}
 		if err != nil {
@@ -594,42 +386,192 @@ func JoinCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 			return nil, err
 		}
 		c.mu.Lock()
-		c.eng, c.rep, c.role = rep.Engine(), rep, RoleReplica
-		c.term, c.leaderURL = rinfo.Term, rinfo.URL
+		c.term = info.Term
 		c.mu.Unlock()
-		rep.Engine().cluster.Store(c)
-		lg.Info("cluster joined as replica", "node", cfg.NodeID, "leader", rinfo.URL, "term", rinfo.Term)
+		c.lg.Info("cluster joined as replica", "node", cfg.NodeID, "leader", info.URL, "term", info.Term)
 	}
+	c.done = make(chan struct{})
 	go c.run()
 	return c, nil
 }
 
-// installWriter records this node as the writer and brings its feed up.
-// Caller must not hold c.mu.
-func (c *Cluster) installWriter(eng *Engine, term uint64) {
+// attach makes eng this node's engine: the one place the replication
+// series are registered and the engine learns its cluster.
+func (c *Cluster) attach(eng *Engine) {
+	eng.initReplicationTelemetry()
+	c.eng = eng
+	eng.cluster.Store(c)
+}
+
+// installWriter makes this node the writer of term: the feed comes up
+// before replicas dial, and the role flips last — on a promotion, only once
+// the engine holds the log and has ranked its tip.
+func (c *Cluster) installWriter(term uint64) {
 	c.mu.Lock()
-	c.eng, c.rep, c.role = eng, nil, RoleWriter
 	c.term, c.leaderURL = term, c.cfg.SelfURL
 	c.mu.Unlock()
-	eng.cluster.Store(c)
-	_ = eng.Feed() // build the feed (and its gauges) before replicas dial
+	_ = c.eng.Feed()
+	c.eng.follower.Store(false)
+}
+
+// follow is the one dial path: it dials leaderURL's feed from the engine's
+// applied version and starts the apply loop over the stream. A cluster with
+// no engine yet bootstraps one, as a follower, from the feed's checkpoint;
+// an engine already running only tails, and a leader that pruned past its
+// version is terminal — a follower cannot graft a snapshot mid-life.
+func (c *Cluster) follow(leaderURL string) error {
+	opts := repl.ClientOptions{URL: leaderURL + feedPath, Bootstrap: c.eng == nil, Logger: c.lg}
+	if c.eng != nil {
+		opts.From = c.eng.Version()
+	}
+	cl, err := repl.Dial(c.ctx, opts)
+	if err != nil {
+		return fmt.Errorf("dfpr: dial feed: %w", err)
+	}
+	switch boot := cl.Bootstrap(); {
+	case c.eng == nil:
+		err = c.bootstrap(boot, cl.Keyed())
+	case boot != nil:
+		err = fmt.Errorf("dfpr: leader pruned past this replica's version %d: %w",
+			c.eng.Version(), repl.ErrBehindFloor)
+	}
+	if err != nil {
+		cl.Close()
+		return err
+	}
+	done := make(chan struct{})
+	c.mu.Lock()
+	c.cl, c.applied, c.leaderURL, c.err = cl, done, leaderURL, nil
+	c.mu.Unlock()
+	go c.apply(cl, done)
+	return nil
+}
+
+// bootstrap builds this node's engine from a feed's checkpoint: an engine
+// restored there that takes its writes from the stream, so public writes
+// bounce with ErrNotWriter.
+func (c *Cluster) bootstrap(boot *wal.State, keyed bool) error {
+	if boot == nil {
+		return fmt.Errorf("dfpr: feed sent no bootstrap checkpoint")
+	}
+	st := c.st
+	st.keyed, st.tel = keyed, telemetry.NewRegistry()
+	eng, err := restore(st, boot)
+	if err != nil {
+		return fmt.Errorf("dfpr: feed bootstrap: %w", err)
+	}
+	eng.follower.Store(true)
+	c.attach(eng)
+	return nil
+}
+
+// apply is the one apply loop: drain every delivered event, replay them as
+// one span, refresh ranks, repeat. It exits when the client's channel
+// closes (terminal error, stopStream, or shutdown) or a replay or refresh
+// fails, and closes the client on every exit, so a stopped stream holds no
+// feed connection and the next follow dials a fresh one.
+func (c *Cluster) apply(cl *repl.Client, done chan struct{}) {
+	defer close(done)
+	defer func() {
+		cl.Close()
+		c.mu.Lock()
+		if c.cl == cl {
+			c.cl = nil
+		}
+		c.mu.Unlock()
+	}()
+	// Converge once up front: a bootstrap whose checkpoint carried no ranks
+	// (a young writer) would otherwise serve nothing until the first write.
+	if _, err := c.eng.Rank(c.ctx); err != nil && c.ctx.Err() == nil {
+		c.fail(fmt.Errorf("dfpr: replica initial rank: %w", err))
+		return
+	}
+	var evs []repl.Event
+	for {
+		evs = evs[:0]
+		select {
+		case <-c.ctx.Done():
+			return
+		case ev, ok := <-cl.Records():
+			if !ok {
+				if err := cl.Stats().Err; err != nil {
+					c.fail(err)
+				}
+				return
+			}
+			evs = append(evs, ev)
+		}
+	drain:
+		for {
+			select {
+			case ev, ok := <-cl.Records():
+				if !ok {
+					break drain // apply what we have; exit on the next recv
+				}
+				evs = append(evs, ev)
+			default:
+				break drain
+			}
+		}
+		recs := make([]wal.Record, len(evs))
+		for i, ev := range evs {
+			recs[i] = ev.Rec
+		}
+		if _, err := c.eng.replay(recs); err != nil {
+			c.fail(err)
+			return
+		}
+		c.mu.Lock()
+		c.lastSent = evs[len(evs)-1].SentAt
+		c.mu.Unlock()
+		if _, err := c.eng.Rank(c.ctx); err != nil {
+			if c.ctx.Err() != nil || errors.Is(err, ErrClosed) {
+				return
+			}
+			c.fail(fmt.Errorf("dfpr: replica rank: %w", err))
+			return
+		}
+	}
+}
+
+// stopStream ends the follow stream, keeping the engine, and waits for its
+// apply loop. It is idempotent; follow starts the next stream.
+func (c *Cluster) stopStream() {
+	c.mu.Lock()
+	cl, done := c.cl, c.applied
+	c.mu.Unlock()
+	if cl != nil {
+		cl.Close()
+	}
+	if done != nil {
+		<-done
+	}
+}
+
+func (c *Cluster) fail(err error) {
+	c.mu.Lock()
+	if c.err == nil {
+		c.err = err
+	}
+	c.mu.Unlock()
+	c.lg.Error("replication stopped", "err", err)
 }
 
 // dialReplica follows the current leader, retrying until its feed answers
 // (the leader may still be starting its listener) or joinCtx ends. It
 // re-reads the lease between attempts — the leader can change mid-join.
-func (c *Cluster) dialReplica(joinCtx context.Context, info repl.LeaseInfo, st settings) (*Replica, repl.LeaseInfo, error) {
+func (c *Cluster) dialReplica(joinCtx context.Context, info repl.LeaseInfo) (repl.LeaseInfo, error) {
 	for {
 		if info.URL != "" {
-			rep, err := startReplica(c.ctx, info.URL, st, c.lg)
+			err := c.follow(info.URL)
 			if err == nil {
-				return rep, info, nil
+				return info, nil
 			}
 			c.lg.Warn("replica bootstrap failed; retrying", "leader", info.URL, "err", err)
 		}
 		select {
 		case <-joinCtx.Done():
-			return nil, info, fmt.Errorf("dfpr: join as replica: %w", joinCtx.Err())
+			return info, fmt.Errorf("dfpr: join as replica: %w", joinCtx.Err())
 		case <-time.After(200 * time.Millisecond):
 		}
 		if cur, ok, err := c.lease.Read(); err == nil && ok {
@@ -638,7 +580,7 @@ func (c *Cluster) dialReplica(joinCtx context.Context, info repl.LeaseInfo, st s
 	}
 }
 
-// run is the membership loop: the writer renews its lease, replicas watch
+// run is the election loop: the writer renews its lease, replicas watch
 // for leader changes and expiry, and an expired lease triggers staggered
 // candidacy and promotion.
 func (c *Cluster) run() {
@@ -651,10 +593,7 @@ func (c *Cluster) run() {
 			return
 		case <-tick.C:
 		}
-		c.mu.Lock()
-		role, rep := c.role, c.rep
-		c.mu.Unlock()
-		if role == RoleWriter {
+		if c.Role() == RoleWriter {
 			if err := c.lease.Renew(); err != nil {
 				if errors.Is(err, repl.ErrDeposed) {
 					c.demote()
@@ -670,28 +609,26 @@ func (c *Cluster) run() {
 			continue
 		}
 		if ok && !info.Expired(time.Now()) {
-			c.followLeader(rep, info)
+			c.followLeader(info)
 			continue
 		}
-		c.runForWriter(rep)
+		c.runForWriter()
 	}
 }
 
 // followLeader keeps a replica pointed at the live leader: it re-dials when
 // the leader moved (this node lost an election it never entered) or the
-// stream died terminally.
-func (c *Cluster) followLeader(rep *Replica, info repl.LeaseInfo) {
+// stream stopped.
+func (c *Cluster) followLeader(info repl.LeaseInfo) {
 	c.mu.Lock()
+	streaming := c.cl != nil && c.leaderURL == info.URL
 	c.term, c.leaderURL = info.Term, info.URL
 	c.mu.Unlock()
-	if rep == nil || info.URL == "" || info.URL == c.cfg.SelfURL {
+	if streaming || info.URL == "" || info.URL == c.cfg.SelfURL {
 		return
 	}
-	if rep.streamingTo() == info.URL {
-		return
-	}
-	rep.stopStream()
-	if err := rep.resume(info.URL); err != nil {
+	c.stopStream()
+	if err := c.follow(info.URL); err != nil {
 		c.lg.Warn("re-pointing replica at new leader failed", "leader", info.URL, "err", err)
 	}
 }
@@ -715,8 +652,8 @@ func electionRank(self string, peers []string) int {
 
 // runForWriter is a replica's candidacy on an expired lease: wait out this
 // node's stagger, re-check, steal, promote.
-func (c *Cluster) runForWriter(rep *Replica) {
-	if rep == nil || rep.Engine().durable() != nil {
+func (c *Cluster) runForWriter() {
+	if c.eng.durable() != nil {
 		// A deposed ex-writer still holds a (fenced) log; it cannot take a
 		// second one. It stays a replica until restarted.
 		return
@@ -735,7 +672,7 @@ func (c *Cluster) runForWriter(rep *Replica) {
 	if err != nil || !won {
 		return
 	}
-	if err := c.promoteSelf(rep, info); err != nil {
+	if err := c.promoteSelf(info); err != nil {
 		c.lg.Error("promotion failed", "err", err)
 		c.lease.Release()
 	}
@@ -744,65 +681,44 @@ func (c *Cluster) runForWriter(rep *Replica) {
 // promoteSelf completes a won election: stop streaming (the dead leader's
 // feed), promote the follower over the shared directory, and take over as
 // writer.
-func (c *Cluster) promoteSelf(rep *Replica, info repl.LeaseInfo) error {
-	rep.stopStream()
-	eng := rep.Engine()
-	if err := eng.promote(c.cfg.Dir); err != nil {
+func (c *Cluster) promoteSelf(info repl.LeaseInfo) error {
+	c.stopStream()
+	if err := c.eng.promote(c.cfg.Dir); err != nil {
 		return err
 	}
 	// Catch ranks up to the replayed tip so the node leaves recovery and
 	// accepts writes immediately.
-	if _, err := eng.Rank(c.ctx); err != nil && c.ctx.Err() == nil {
+	if _, err := c.eng.Rank(c.ctx); err != nil && c.ctx.Err() == nil {
 		c.lg.Warn("post-promotion rank failed", "err", err)
 	}
-	eng.met.failovers.Inc()
-	c.installWriter(eng, info.Term)
-	c.lg.Info("promoted to writer", "node", c.cfg.NodeID, "term", info.Term, "seq", eng.Version())
+	c.eng.met.failovers.Inc()
+	c.installWriter(info.Term)
+	c.lg.Info("promoted to writer", "node", c.cfg.NodeID, "term", info.Term, "seq", c.eng.Version())
 	return nil
 }
 
 // demote handles a deposed writer (its lease was stolen while it was merely
 // slow, not dead): fence the log so it can never write segments the new
-// term owns, flip to follower, and try to stream from the new leader. A
-// deposed node cannot be promoted again without a restart.
+// term owns, flip to follower, and follow the new leader. A deposed node
+// cannot be promoted again without a restart.
 func (c *Cluster) demote() {
-	c.mu.Lock()
-	eng := c.eng
-	c.mu.Unlock()
-	if d := eng.durable(); d != nil {
+	if d := c.eng.durable(); d != nil {
 		d.log.Fence(repl.ErrDeposed)
 	}
-	eng.follower.Store(true)
-	rep := &Replica{eng: eng, lg: c.lg, ctx: c.ctx, cancel: func() {}}
+	c.eng.follower.Store(true)
 	info, ok, _ := c.lease.Read()
-	c.mu.Lock()
-	c.rep, c.role = rep, RoleReplica
-	if ok {
-		c.term, c.leaderURL = info.Term, info.URL
-	}
-	c.mu.Unlock()
 	c.lg.Warn("deposed as writer; rejoining as replica", "node", c.cfg.NodeID, "leader", info.URL)
-	if ok && info.URL != "" && info.URL != c.cfg.SelfURL {
-		if err := rep.resume(info.URL); err != nil {
-			c.lg.Warn("deposed writer could not follow new leader", "err", err)
-		}
+	if ok {
+		c.followLeader(info)
 	}
 }
 
 // Engine returns the engine serving this node (the same engine across a
-// promotion).
-func (c *Cluster) Engine() *Engine {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.eng
-}
+// promotion or demotion).
+func (c *Cluster) Engine() *Engine { return c.eng }
 
 // Role returns this node's current role.
-func (c *Cluster) Role() Role {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.role
-}
+func (c *Cluster) Role() Role { return c.eng.role() }
 
 // LeaderURL returns the current leader's base URL (this node's own
 // SelfURL while it is the writer).
@@ -812,11 +728,23 @@ func (c *Cluster) LeaderURL() string {
 	return c.leaderURL
 }
 
-// Term returns the election term this node last observed.
+// Term returns the election term this node last observed (0 for a
+// StartReplica follower).
 func (c *Cluster) Term() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.term
+}
+
+// stop ends the election loop and the follow stream and reports whether
+// this node was the writer: the shared first half of Halt and Close.
+func (c *Cluster) stop() (writer bool) {
+	c.cancel()
+	if c.done != nil {
+		<-c.done
+	}
+	c.stopStream()
+	return c.Role() == RoleWriter
 }
 
 // Halt freezes this node as if it crashed: the election loop and
@@ -825,36 +753,20 @@ func (c *Cluster) Term() uint64 {
 // It exists for failover drills — the in-process stand-in for kill -9 —
 // and leaves the engine to be abandoned (or Closed) by the caller.
 func (c *Cluster) Halt() {
-	c.cancel()
-	<-c.done
-	c.mu.Lock()
-	role, rep, eng := c.role, c.rep, c.eng
-	c.mu.Unlock()
-	if rep != nil {
-		rep.stopStream()
-	}
-	if role == RoleWriter {
-		if d := eng.durable(); d != nil {
+	if c.stop() {
+		if d := c.eng.durable(); d != nil {
 			d.log.Fence(fmt.Errorf("dfpr: node halted"))
 		}
 	}
 }
 
-// Close leaves the cluster gracefully: the membership loop stops, a held
+// Close leaves gracefully: the election loop and the stream stop, a held
 // lease is released so a successor need not wait out the TTL, and the
 // engine is closed. Idempotent with Halt (Close after Halt just closes the
 // engine).
 func (c *Cluster) Close() error {
-	c.cancel()
-	<-c.done
-	c.mu.Lock()
-	role, rep, eng := c.role, c.rep, c.eng
-	c.mu.Unlock()
-	if rep != nil {
-		rep.stopStream()
-	}
-	if role == RoleWriter {
+	if c.stop() {
 		c.lease.Release()
 	}
-	return eng.Close()
+	return c.eng.Close()
 }

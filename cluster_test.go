@@ -245,6 +245,54 @@ func TestReplicaLagReadsWriterClock(t *testing.T) {
 	}
 }
 
+// TestStoppedFollowerClosesFeedClient stops a follower's apply loop with a
+// failed refresh and requires its feed connection to go with it: a stopped
+// stream that kept its client open would hold one writer connection per
+// failure until the follower closed, and a cluster node re-dials on every
+// lease tick.
+func TestStoppedFollowerClosesFeedClient(t *testing.T) {
+	ctx := context.Background()
+	writer, err := New(8, ringEdges(8), WithDurability(t.TempDir()))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer writer.Close()
+	if _, err := writer.Rank(ctx); err != nil {
+		t.Fatalf("writer rank: %v", err)
+	}
+	srv := httptest.NewServer(feedMux(func() *Engine { return writer }))
+	defer srv.Close()
+
+	rep, err := StartReplica(ctx, srv.URL, WithThreads(2))
+	if err != nil {
+		t.Fatalf("StartReplica: %v", err)
+	}
+	defer rep.Close()
+	eng := rep.Engine()
+	waitFor(t, "bootstrap ranks", 10*time.Second, func() bool {
+		_, err := eng.View()
+		return err == nil
+	})
+	conns := func() int64 { return writer.feed.Load().Conns() }
+	waitFor(t, "the follower's feed connection", 10*time.Second, func() bool { return conns() == 1 })
+
+	// Every worker of the follower's next refresh crash-stops: the streamed
+	// round applies, its rank fails, and the apply loop stops for good.
+	if err := eng.SetFaultPlan(FaultPlan{CrashWorkers: CrashSet(2, 2), Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writer.Apply(ctx, nil, []Edge{{U: 0, V: 4}}); err != nil {
+		t.Fatalf("writer apply: %v", err)
+	}
+	if _, err := writer.Rank(ctx); err != nil {
+		t.Fatalf("writer rank: %v", err)
+	}
+	waitFor(t, "the follower's replication error", 10*time.Second, func() bool {
+		return eng.Stats().ReplicationStats.Err != nil
+	})
+	waitFor(t, "the stopped follower's feed connection to close", 5*time.Second, func() bool { return conns() == 0 })
+}
+
 // clusterNode is one in-process cluster member: its serve stub and its
 // membership handle.
 type clusterNode struct {

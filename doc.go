@@ -75,12 +75,13 @@
 // The WAL doubles as a replication stream. Engine.Feed returns the HTTP
 // handler replicas tail (a checkpoint bootstrap followed by CRC-framed
 // records), and StartReplica dials it to build a read-only follower — a
-// full Engine whose views, watermarks and WaitRanked semantics work
-// unchanged, with writes bouncing as ErrNotWriter and
-// Stats().ReplicationStats reporting role, applied sequence and lag. A
-// replica replays the writer's round boundaries, so a follower that keeps pace
-// carries bitwise-identical ranks. JoinCluster adds membership and
-// failover on top: nodes share the durability directory and a static peer
+// Cluster with a fixed leader whose Engine is a full engine: views,
+// watermarks and WaitRanked semantics work unchanged, writes bounce as
+// ErrNotWriter, and Stats().ReplicationStats reports role, applied
+// sequence, lag and a stream's terminal error. A replica replays the
+// writer's round boundaries, so a follower that keeps pace carries
+// bitwise-identical ranks. JoinCluster returns the same Cluster type with
+// membership and failover on top: nodes share the durability directory and a static peer
 // list (which only orders their election stagger — nobody polls anybody),
 // the writer holds a TTL lease, and when it dies a replica promotes itself
 // — replaying the shared log tail, taking over the feed, and resuming the

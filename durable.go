@@ -18,7 +18,7 @@ import (
 // published version (log-before-publish on durable engines), replay turns
 // logged records back into a version through it, and restore rebuilds an
 // engine at a checkpoint. Warm restart (recoverDurable), followers
-// (startReplica) and promotion (promote) are compositions of those three;
+// (Cluster.follow) and promotion (promote) are compositions of those three;
 // the rest is background checkpointing off the publish path and the
 // observability surface (Recovering, Stats.Durability, Checkpoint).
 

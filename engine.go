@@ -112,13 +112,12 @@ type Engine struct {
 
 	// Replication state (cluster.go). follower is true while the engine
 	// applies streamed rounds instead of accepting writes — public writes
-	// bounce with ErrNotWriter until promotion clears it. cluster is the
-	// membership running the engine, replica the StartReplica follower
-	// driving it outside a cluster; replication reads whichever is set. feed
+	// bounce with ErrNotWriter until promotion clears it — and is the one
+	// home of a node's role. cluster is the Cluster running the engine
+	// (JoinCluster or StartReplica), the one source replication reads. feed
 	// is the lazily built WAL streaming handler of a durable engine.
 	follower atomic.Bool
 	cluster  atomic.Pointer[Cluster]
-	replica  atomic.Pointer[Replica]
 	feed     atomic.Pointer[repl.Feed]
 
 	// met is the engine's telemetry (never nil): hot-path instruments the

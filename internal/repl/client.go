@@ -31,6 +31,10 @@ type Event struct {
 	SentAt time.Time
 }
 
+// recordBuffer is the capacity of a client's record channel: how far the
+// stream may run ahead of the apply loop draining it.
+const recordBuffer = 1024
+
 // ClientOptions configure Dial.
 type ClientOptions struct {
 	// URL is the writer's feed endpoint, e.g. http://host:port/v1/feed.
@@ -44,14 +48,9 @@ type ClientOptions struct {
 	// replica that holds no state at all and needs the writer's seeded
 	// version. Reconnects never re-request it.
 	Bootstrap bool
-	// HTTPClient overrides the transport (default: a client with no overall
-	// timeout, as feeds are long-lived).
-	HTTPClient *http.Client
 	// Backoff is the initial reconnect delay, doubling to 16x (default
 	// 100ms).
 	Backoff time.Duration
-	// Buffer is the record channel capacity (default 1024).
-	Buffer int
 	// Logger receives reconnect noise (nil: silent).
 	Logger *slog.Logger
 }
@@ -80,7 +79,6 @@ type ClientStats struct {
 // damage) ends it.
 type Client struct {
 	opts   ClientOptions
-	hc     *http.Client
 	boot   *wal.State
 	keyed  bool
 	recs   chan Event
@@ -106,17 +104,10 @@ func Dial(ctx context.Context, opts ClientOptions) (*Client, error) {
 	if opts.Backoff <= 0 {
 		opts.Backoff = 100 * time.Millisecond
 	}
-	if opts.Buffer <= 0 {
-		opts.Buffer = 1024
-	}
 	c := &Client{
 		opts: opts,
-		hc:   opts.HTTPClient,
-		recs: make(chan Event, opts.Buffer),
+		recs: make(chan Event, recordBuffer),
 		done: make(chan struct{}),
-	}
-	if c.hc == nil {
-		c.hc = &http.Client{}
 	}
 	c.ctx, c.cancel = context.WithCancel(ctx)
 	c.delivered.Store(opts.From)
@@ -188,7 +179,8 @@ func (c *Client) connect(from uint64, boot bool) (*feedConn, *feedHeader, error)
 	if err != nil {
 		return nil, nil, fmt.Errorf("repl: %w", err)
 	}
-	resp, err := c.hc.Do(req)
+	// No overall timeout: a feed response lives as long as the stream.
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, nil, fmt.Errorf("repl: connect feed: %w", err)
 	}

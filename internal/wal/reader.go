@@ -10,7 +10,6 @@ package wal
 // a record the writer did not commit.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -185,42 +184,6 @@ func (l *Log) listSegments() ([]uint64, error) {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 	return segs, nil
-}
-
-// Follower is the blocking variant of SegmentReader: Next waits for the
-// writer's next append instead of returning io.EOF.
-type Follower struct {
-	l *Log
-	r *SegmentReader
-}
-
-// Follow returns a follower delivering records with Seq > after as they are
-// committed.
-func (l *Log) Follow(after uint64) *Follower {
-	return &Follower{l: l, r: l.SegmentReader(after)}
-}
-
-// Reader exposes the follower's underlying SegmentReader for non-blocking
-// drains between waits.
-func (f *Follower) Reader() *SegmentReader { return f.r }
-
-// Next blocks until a record is available, the context is done, or the log
-// reports a terminal condition (ErrPruned, ErrCorrupt).
-func (f *Follower) Next(ctx context.Context) (Record, error) {
-	for {
-		// Arm the append notification BEFORE draining: an append that lands
-		// between the drain and the wait still wakes us.
-		ch := f.l.AppendWait()
-		rec, err := f.r.Next()
-		if err == nil || !errors.Is(err, io.EOF) {
-			return rec, err
-		}
-		select {
-		case <-ctx.Done():
-			return Record{}, ctx.Err()
-		case <-ch:
-		}
-	}
 }
 
 // AppendWait returns a channel closed at the next successful Append (or at

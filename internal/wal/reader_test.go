@@ -162,12 +162,32 @@ func TestSegmentReaderPruned(t *testing.T) {
 	wantSeqs(t, readAll(t, l.SegmentReader(l.Floor())))
 }
 
+// TestFollowerLive tails a log that is still being appended to the way the
+// replication feed does: arm AppendWait, drain the SegmentReader to io.EOF,
+// then block on the wakeup. Arming before the drain is what makes it safe —
+// an append landing between the drain and the wait has already closed the
+// armed channel, so the follower never sleeps past a committed record.
 func TestFollowerLive(t *testing.T) {
 	l, _ := openSeeded(t, t.TempDir(), Options{Mode: SyncNone})
 	defer l.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	f := l.Follow(0)
+	r := l.SegmentReader(0)
+	// next is the feed's arm-drain-wait step, one record at a time.
+	next := func(ctx context.Context) (Record, error) {
+		for {
+			wake := l.AppendWait()
+			rec, err := r.Next()
+			if !errors.Is(err, io.EOF) {
+				return rec, err
+			}
+			select {
+			case <-ctx.Done():
+				return Record{}, ctx.Err()
+			case <-wake:
+			}
+		}
+	}
 	go func() {
 		for seq := uint64(1); seq <= 20; seq++ {
 			if err := l.Append(testRecord(seq)); err != nil {
@@ -179,7 +199,7 @@ func TestFollowerLive(t *testing.T) {
 		}
 	}()
 	for want := uint64(1); want <= 20; want++ {
-		rec, err := f.Next(ctx)
+		rec, err := next(ctx)
 		if err != nil {
 			t.Fatalf("Next: %v", err)
 		}
@@ -187,11 +207,25 @@ func TestFollowerLive(t *testing.T) {
 			t.Fatalf("got seq %d, want %d", rec.Seq, want)
 		}
 	}
-	// Caught up: Next blocks until the context ends.
+	// Caught up: the wait blocks until the context ends.
 	short, scancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer scancel()
-	if _, err := f.Next(short); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := next(short); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Next at tail = %v, want deadline exceeded", err)
+	}
+	// An append between arming and draining is seen by the drain, and one
+	// after the drain closes the armed channel: neither is missed.
+	wake := l.AppendWait()
+	if err := l.Append(testRecord(21)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-wake:
+	default:
+		t.Fatal("an append did not close the channel armed before it")
+	}
+	if rec, err := r.Next(); err != nil || rec.Seq != 21 {
+		t.Fatalf("drain after wakeup = seq %d, %v; want 21", rec.Seq, err)
 	}
 }
 

@@ -106,7 +106,7 @@ func TestServeClusterEquivalence(t *testing.T) {
 	}
 	wbase := listenServe(t, ws)
 
-	reps := make([]*dfpr.Replica, 2)
+	reps := make([]*dfpr.Cluster, 2)
 	rbases := make([]string, 2)
 	for i := range reps {
 		rep, err := dfpr.StartReplica(ctx, wbase, tight)

@@ -27,10 +27,10 @@
 //
 // # Clusters
 //
-// A server can front any node of a replication cluster (dfpr.JoinCluster,
-// dfpr.StartReplica). The /v1/feed endpoint streams the writer's WAL to
-// replicas; it answers per request, so a replica promoted to writer starts
-// feeding without a restart. healthz and stats report the node's role and
+// A server can front any node of a replication cluster: the *dfpr.Cluster
+// that dfpr.JoinCluster or dfpr.StartReplica returns. The /v1/feed endpoint
+// streams the writer's WAL to replicas; it answers per request, so a
+// replica promoted to writer starts feeding without a restart. healthz and stats report the node's role and
 // replication lag. With WithCluster the write surface follows the leader: a
 // POST /v1/apply landing on a replica is proxied to the current leader and
 // the response (including its X-DFPR-Version) relayed, so clients write
@@ -117,7 +117,7 @@ type options struct {
 	maxWait time.Duration // defaultMaxWait; in-package tests shorten it
 	pprof   bool
 	log     *slog.Logger
-	cluster ClusterInfo
+	cluster *dfpr.Cluster
 }
 
 // The request caps. Each rejects outside input and has had one value in
@@ -138,15 +138,6 @@ const (
 	defaultMaxWait = 30 * time.Second
 )
 
-// ClusterInfo is the server's window into the replication membership: the
-// node's current role and where the leader's write surface lives. Both
-// *dfpr.Cluster and *dfpr.Replica satisfy it. The server re-reads it per
-// request, so role changes (failover, promotion) take effect immediately.
-type ClusterInfo interface {
-	Role() dfpr.Role
-	LeaderURL() string
-}
-
 // Option configures a Server at construction.
 type Option func(*options) error
 
@@ -160,17 +151,17 @@ func WithPprof(on bool) Option {
 	}
 }
 
-// WithCluster connects the server to its replication membership. On a
-// replica, POST /v1/apply is proxied to the current leader instead of
-// bouncing with 421 — clients keep one URL through failovers. The info is
-// consulted per request, so a node promoted mid-flight starts accepting
-// writes locally on the next request.
-func WithCluster(info ClusterInfo) Option {
+// WithCluster connects the server to its node's cluster (dfpr.JoinCluster
+// or dfpr.StartReplica). On a replica, POST /v1/apply is proxied to the
+// current leader instead of bouncing with 421 — clients keep one URL
+// through failovers. The role and leader are read per request, so a node
+// promoted mid-flight starts accepting writes locally on the next request.
+func WithCluster(c *dfpr.Cluster) Option {
 	return func(o *options) error {
-		if info == nil {
-			return fmt.Errorf("serve: nil ClusterInfo (omit the option on a standalone node)")
+		if c == nil {
+			return fmt.Errorf("serve: nil cluster (omit the option on a standalone node)")
 		}
-		o.cluster = info
+		o.cluster = c
 		return nil
 	}
 }

@@ -23,8 +23,9 @@ var updateShape = flag.Bool("update-shape", false, "rewrite testdata/shape.golde
 // TestStatsMetricsShapeGolden pins the names operators and scripts read: the
 // /v1/stats key set with each key's JSON type, and the /metrics family set
 // with each family's kind and label names, on every node kind — a volatile
-// dense engine, a keyed one, a durable one, a cluster writer, its replica,
-// and that replica once promoted by a failover. Values are not pinned, only
+// dense engine, a keyed one, a durable one, a StartReplica follower of it, a
+// cluster writer, its replica, and that replica once promoted by a failover.
+// Values are not pinned, only
 // what appears. A deliberate change reruns with -update-shape and commits
 // the new testdata/shape.golden.
 func TestStatsMetricsShapeGolden(t *testing.T) {
@@ -71,6 +72,26 @@ func TestStatsMetricsShapeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	shape("durable", dur)
+
+	// A StartReplica follower of the durable engine: a replica with a fixed
+	// leader and no election, so its stats carry no node_id or term.
+	follower, err := dfpr.StartReplica(ctx, dur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { follower.Close() })
+	fs, err := New(follower.Engine(), WithCluster(follower))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fol := serveHTTP(fs)
+	durVersion := float64(eng.Version())
+	waitUntil(t, "follower catch-up", 15*time.Second, func() bool {
+		var body map[string]any
+		getJSON(t, fol+"/v1/stats", &body)
+		return body["rank_version"] == durVersion && body["writer_seq"] == durVersion
+	})
+	shape("follower", fol)
 
 	// A two-node cluster over one directory: node 0 takes the lease, node 1
 	// streams its feed; halting node 0 promotes node 1.
