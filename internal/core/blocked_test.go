@@ -31,19 +31,24 @@ func TestBlockedSweepResultCounters(t *testing.T) {
 
 // TestBlockedRaceSmoke drives the frontier scan paths with many workers so
 // `go test -race -cpu 1,2,4` exercises the NextSet loops under contention
-// with mid-pass marking.
+// with mid-pass marking. The lock-free sweeps scan VA alone, so a vertex
+// left flagged in RC but outside VA would never be visited again and the
+// run would end unconverged at MaxIter; four-vertex chunks put the most
+// workers on the most chunk boundaries.
 func TestBlockedRaceSmoke(t *testing.T) {
 	gOld, gNew, up, prev := cacheFixture(t)
 	in := Input{GOld: gOld, GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev}
 	for _, a := range []Algo{AlgoDFBB, AlgoDFLF, AlgoDTLF} {
-		cfg := testCfg()
-		cfg.Threads = 8
-		res := Run(a, in, cfg)
-		if res.Err != nil {
-			t.Fatalf("%v: %v", a, res.Err)
-		}
-		if !res.Converged {
-			t.Errorf("%v: did not converge", a)
+		for _, chunk := range []int{4, 64} {
+			cfg := testCfg()
+			cfg.Threads, cfg.Chunk = 8, chunk
+			res := Run(a, in, cfg)
+			if res.Err != nil {
+				t.Fatalf("%v chunk=%d: %v", a, chunk, res.Err)
+			}
+			if !res.Converged {
+				t.Errorf("%v chunk=%d: did not converge", a, chunk)
+			}
 		}
 	}
 }

@@ -45,11 +45,11 @@ type Config struct {
 	Tol float64
 	// FrontierTol is the frontier tolerance τ_f used by the DF variants to
 	// decide when a rank change is large enough to mark out-neighbours as
-	// affected. Default τ/1000 (§4.5). DF-LF without PruneFrontier expands
-	// a vertex once per run, on the first visit whose Δr exceeds τ_f: its
-	// out-neighbours then stay affected and are recomputed every pass until
-	// each has Δr ≤ τ, so a run ends on the same criterion as ND-LF and
-	// StaticLF (≤ ατ/(1−α) from the fixed point), not at τ_f precision.
+	// affected. Default τ/1000 (§4.5). DF-LF expands a vertex once per run,
+	// on the first visit whose Δr exceeds τ_f: its out-neighbours then stay
+	// affected and are recomputed every pass until each has Δr ≤ τ, so a
+	// run ends on the same criterion as ND-LF and StaticLF (≤ ατ/(1−α) from
+	// the fixed point), not at τ_f precision.
 	FrontierTol float64
 	// MaxIter bounds the number of iterations (default 500).
 	MaxIter int
@@ -59,20 +59,6 @@ type Config struct {
 	// are placed by prefix in-degree so every chunk carries roughly
 	// Chunk×avg-degree edges (see vertexBounds).
 	Chunk int
-	// PruneFrontier removes a vertex from the DF affected set once its rank
-	// change falls within the iteration tolerance (the "DF with pruning"
-	// refinement from the paper's companion work). A pruned vertex is
-	// re-marked if a neighbour's rank later moves beyond the frontier
-	// tolerance, so convergence is unaffected; what changes is that
-	// long-converged frontier vertices stop being recomputed every pass.
-	// Because the affected set can shrink, this arm of DF-LF re-marks
-	// out(v) on every visit whose Δr exceeds FrontierTol instead of once
-	// per run — that walk is what re-admits a pruned vertex.
-	// Honoured by the lock-free variants (whose per-vertex convergence
-	// flags close the prune/re-mark race; see lf.go); barrier-based
-	// variants ignore it. Default off — the paper's DF keeps
-	// vertices affected once marked.
-	PruneFrontier bool
 	// Fault describes delays/crashes to inject (§5.1.6). The zero Plan
 	// injects nothing.
 	Fault fault.Plan
@@ -128,9 +114,8 @@ type Result struct {
 	// dfpr_rank_sweep_block_frontier_total counter.
 	FrontierScanned int64
 	// FrontierExpanded is the number of out-edge walks DF-LF's frontier
-	// expansion performed: at most one per affected vertex without
-	// PruneFrontier, one per visit above FrontierTol with it (zero for
-	// every other variant).
+	// expansion performed: at most one per affected vertex per worker (zero
+	// for every other variant).
 	FrontierExpanded int64
 	// Err is non-nil when the run could not complete — notably
 	// sched.ErrBroken when a barrier-based variant deadlocks because a

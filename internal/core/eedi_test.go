@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"dfpr/internal/batch"
 	"dfpr/internal/fault"
 	"dfpr/internal/topk"
 )
@@ -61,51 +60,5 @@ func TestStaticLFNSStarvesOnCrash(t *testing.T) {
 	lf := StaticLF(g, lfCfg)
 	if !lf.Converged || lf.Err != nil {
 		t.Errorf("StaticLF under the same crash: converged=%v err=%v", lf.Converged, lf.Err)
-	}
-}
-
-func TestPruneFrontierMatchesReference(t *testing.T) {
-	d := randomGraph(9, 74)
-	gOld := d.Snapshot()
-	prev := StaticBB(gOld, testCfg()).Ranks
-	up := batch.Random(d, 48, 21)
-	_, gNew := batch.Transition(d, up)
-	ref := Reference(gNew, Config{})
-	cfg := testCfg()
-	cfg.PruneFrontier = true
-	res := DFLF(gOld, gNew, up.Del, up.Ins, prev, cfg)
-	if !res.Converged || res.Err != nil {
-		t.Fatalf("pruned DFLF: converged=%v err=%v", res.Converged, res.Err)
-	}
-	if e := topk.LInf(res.Ranks, ref); e > 1e-8 {
-		t.Errorf("pruned DFLF: error %g", e)
-	}
-	// Pruning is LF-only; a barrier-based run with the flag set must behave
-	// exactly like plain DFBB.
-	bb := DFBB(gOld, gNew, up.Del, up.Ins, prev, cfg)
-	if !bb.Converged || bb.Err != nil {
-		t.Fatalf("DFBB with prune flag: converged=%v err=%v", bb.Converged, bb.Err)
-	}
-	if e := topk.LInf(bb.Ranks, ref); e > 1e-8 {
-		t.Errorf("DFBB with prune flag: error %g", e)
-	}
-}
-
-func TestPruneFrontierSurvivesFaults(t *testing.T) {
-	d := randomGraph(9, 75)
-	gOld := d.Snapshot()
-	prev := StaticBB(gOld, testCfg()).Ranks
-	up := batch.Random(d, 48, 22)
-	_, gNew := batch.Transition(d, up)
-	ref := Reference(gNew, Config{})
-	cfg := testCfg()
-	cfg.PruneFrontier = true
-	cfg.Fault = fault.Plan{CrashWorkers: fault.CrashSet(2, cfg.Threads), Seed: 8}
-	res := DFLF(gOld, gNew, up.Del, up.Ins, prev, cfg)
-	if !res.Converged || res.Err != nil {
-		t.Fatalf("pruned DFLF with crashes: converged=%v err=%v", res.Converged, res.Err)
-	}
-	if e := topk.LInf(res.Ranks, ref); e > 1e-8 {
-		t.Errorf("error %g", e)
 	}
 }

@@ -13,10 +13,8 @@ import (
 
 // lfModel is a sequential model of the lock-free rank loop on one worker,
 // the yardstick the single-threaded kernel is pinned against bit for bit.
-// For DF-LF it models both expansion rules: with prune it walks out(v) on
-// every visit whose Δr exceeds τ_f (the rule both arms ran before the
-// expanded flag existed), without it only on the first such visit. ND-LF
-// is the same loop with every vertex affected and no walk. One worker takes
+// DF-LF walks out(v) on the first visit whose Δr exceeds τ_f. ND-LF is the
+// same loop with every vertex affected and no walk. One worker takes
 // the chunks of every pass in order, so the kernel's visit order is the
 // model's. With plain set the model runs the update the kernel ran before
 // it solved each vertex's self-loop, r_v = b + Σ_{u∈in(v)} contrib[u].
@@ -58,7 +56,7 @@ func modelLF(vr variant, in Input, cfg Config, plain bool) lfModel {
 	for ; m.passes < int64(cfg.MaxIter); m.passes++ {
 		for c := 0; c+1 < len(bounds); c++ {
 			for v := bounds[c]; v < bounds[c+1]; v++ {
-				if !va[v] && !rc[v] {
+				if !va[v] {
 					continue
 				}
 				m.visits++
@@ -73,7 +71,7 @@ func modelLF(vr variant, in Input, cfg Config, plain bool) lfModel {
 				}
 				dr := math.Abs(nr - m.ranks[v])
 				contrib[v], m.ranks[v] = nr*ainv[v], nr
-				if vr == vDF && dr > cfg.FrontierTol && (cfg.PruneFrontier || !ex[v]) {
+				if vr == vDF && dr > cfg.FrontierTol && !ex[v] {
 					m.walks++
 					for _, w := range g.Out(uint32(v)) {
 						va[w], rc[w] = true, true
@@ -81,9 +79,6 @@ func modelLF(vr variant, in Input, cfg Config, plain bool) lfModel {
 					ex[v] = true
 				}
 				rc[v] = dr > cfg.Tol
-				if !rc[v] && cfg.PruneFrontier && vr == vDF {
-					va[v] = false
-				}
 			}
 			if !pending() {
 				m.passes++
@@ -125,34 +120,30 @@ func rmatInput(scale int) Input {
 	return Input{GOld: gOld, GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev}
 }
 
-// TestExpandOnceMatchesModel pins both expansion rules on one worker, where
+// TestExpandOnceMatchesModel pins the expansion rule on one worker, where
 // the kernel is deterministic: ranks bit for bit, visits, walks and passes
-// equal to the sequential model's. Without pruning that makes
-// FrontierExpanded at most the number of vertices ever affected; with it,
-// the walk stays per visit — the behaviour the arm had before the expanded
-// flag existed.
+// equal to the sequential model's, which makes FrontierExpanded at most the
+// number of vertices ever affected.
 func TestExpandOnceMatchesModel(t *testing.T) {
 	for name, in := range map[string]Input{"rmat10": rmatInput(10), "ring64": ringInput(64)} {
-		for _, prune := range []bool{false, true} {
-			cfg := testCfg()
-			cfg.Threads, cfg.PruneFrontier = 1, prune
-			want := modelLF(vDF, in, cfg, false)
-			got := Run(AlgoDFLF, in, cfg)
-			if got.Err != nil || !got.Converged {
-				t.Fatalf("%s prune=%v: converged=%v err=%v", name, prune, got.Converged, got.Err)
+		cfg := testCfg()
+		cfg.Threads = 1
+		want := modelLF(vDF, in, cfg, false)
+		got := Run(AlgoDFLF, in, cfg)
+		if got.Err != nil || !got.Converged {
+			t.Fatalf("%s: converged=%v err=%v", name, got.Converged, got.Err)
+		}
+		for v := range want.ranks {
+			if got.Ranks[v] != want.ranks[v] {
+				t.Fatalf("%s: rank[%d] = %v, model %v", name, v, got.Ranks[v], want.ranks[v])
 			}
-			for v := range want.ranks {
-				if got.Ranks[v] != want.ranks[v] {
-					t.Fatalf("%s prune=%v: rank[%d] = %v, model %v", name, prune, v, got.Ranks[v], want.ranks[v])
-				}
-			}
-			if got.FrontierScanned != want.visits || got.FrontierExpanded != want.walks || int64(got.Iterations) != want.passes {
-				t.Errorf("%s prune=%v: visits/walks/passes = %d/%d/%d, model %d/%d/%d", name, prune,
-					got.FrontierScanned, got.FrontierExpanded, got.Iterations, want.visits, want.walks, want.passes)
-			}
-			if !prune && got.FrontierExpanded > int64(want.affected) {
-				t.Errorf("%s: %d out-edge walks for %d affected vertices", name, got.FrontierExpanded, want.affected)
-			}
+		}
+		if got.FrontierScanned != want.visits || got.FrontierExpanded != want.walks || int64(got.Iterations) != want.passes {
+			t.Errorf("%s: visits/walks/passes = %d/%d/%d, model %d/%d/%d", name,
+				got.FrontierScanned, got.FrontierExpanded, got.Iterations, want.visits, want.walks, want.passes)
+		}
+		if got.FrontierExpanded > int64(want.affected) {
+			t.Errorf("%s: %d out-edge walks for %d affected vertices", name, got.FrontierExpanded, want.affected)
 		}
 	}
 }
@@ -213,10 +204,10 @@ func TestExpandOnceStoppingRule(t *testing.T) {
 	}
 }
 
-// TestExpandOnceSurvivesFaults runs the non-pruning arm under the fault
-// plans of TestPruneFrontierSurvivesFaults plus a mid-run crash horizon and
-// random delays: a worker that dies after setting some expanded flags, or
-// between a walk and its flag, must not strand a vertex the survivors need.
+// TestExpandOnceSurvivesFaults runs DF-LF under an immediate crash plan, a
+// mid-run crash horizon and random delays: a worker that dies after setting
+// some expanded flags, or between a walk and its flag, must not strand a
+// vertex the survivors need.
 func TestExpandOnceSurvivesFaults(t *testing.T) {
 	in := faultInput(t)
 	ref := Reference(in.GNew, Config{})

@@ -85,9 +85,9 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 	if vr == vDT || vr == vDF {
 		va = avec.NewFlags(n)
 		checked = avec.NewFlags(n)
-		// ex[v]=1 ⇔ this run has already walked out(v) into VA; only the
-		// non-pruning DF arm keeps it (see the expansion in phase 2).
-		if vr == vDF && !cfg.PruneFrontier {
+		// ex[v]=1 ⇔ this run has already walked out(v) into VA (see the
+		// expansion in phase 2).
+		if vr == vDF {
 			ex = avec.NewFlags(n)
 		}
 		edges = append(append(make([]graph.Edge, 0, len(in.Del)+len(in.Ins)), in.Del...), in.Ins...)
@@ -173,9 +173,8 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 		// from the continuous round scheduler stand in for the `nowait`
 		// dynamic loops: a worker finishing pass r flows straight into pass
 		// r+1 while slower workers are still inside pass r. A DF vertex
-		// whose Δr exceeds τ_f marks out(v) affected: once per run, on the
-		// first such visit, when the affected set only grows; on every such
-		// visit under PruneFrontier (see the expansion below).
+		// whose Δr exceeds τ_f marks out(v) affected, once per run, on the
+		// first such visit (see the expansion below).
 		completed := uint64(0)
 		st := &stats[w]
 		// A run with fewer workers than the process has CPUs checks, once
@@ -200,26 +199,19 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 			completed = round
 			moved := false
 			for v := lo; v < hi; v++ {
-				// A vertex is processed when it is affected OR still flagged
-				// not-converged. The RC check matters only with frontier
-				// pruning on: a concurrent neighbour may re-mark v (VA then
-				// RC) while this pass prunes it (VA clear after the Set, RC
-				// clear before the Set), leaving VA=0 ∧ RC=1 — without this
-				// guard such a vertex would be unreachable yet unconverged
-				// and the run could never terminate.
+				// A DT/DF vertex is processed when it is affected, and VA
+				// holds every vertex flagged not-converged. VA never shrinks.
+				// The DT marker and the expansion set RC after VA. The DF
+				// marker sets RC first, but only on a vertex outside VA,
+				// and each vertex it reaches is in VA before any worker
+				// passes the helping loop. A visit re-sets RC only on the
+				// vertex it visited. Sorted-frontier scan: NextSet reloads
+				// the words per call, so a single-threaded pass sees exactly
+				// what probing VA per vertex would see.
 				if va != nil {
-					// Sorted-frontier scan over VA ∪ RC: jump to the nearest
-					// vertex either vector flags. NextSet reloads the words
-					// per call, so a single-threaded pass sees exactly what
-					// probing both flags per vertex would see.
-					nv := va.NextSet(v, hi)
-					if nr := rc.NextSet(v, nv); nr < nv {
-						nv = nr
-					}
-					if nv >= hi {
+					if v = va.NextSet(v, hi); v >= hi {
 						break
 					}
-					v = nv
 					st.frontier++
 				}
 				vv := uint32(v)
@@ -235,21 +227,18 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 				// single-vector reads already admit — bounded, not corrupt.
 				contribs.Store(v, nr*ainv[v])
 				ranks.Store(v, nr)
-				// Frontier expansion (lines 26-28). Without pruning VA is
-				// monotone, so out(v) is walked once per run, the first time
-				// Δr crosses τ_f: every neighbour it marked stays in VA and
-				// is visited each pass regardless, and re-walking would only
-				// re-set RC on neighbours that already settled within τ —
-				// the run stops, like ND-LF and StaticLF, once every visited
-				// vertex has Δr ≤ τ. ex[v] is set after the walk completes,
-				// so a worker that crashes mid-walk leaves it clear and the
+				// Frontier expansion (lines 26-28). VA is monotone, so
+				// out(v) is walked once per run, the first time Δr crosses
+				// τ_f: every neighbour it marked stays in VA and is visited
+				// each pass regardless, and re-walking would only re-set RC
+				// on neighbours that already settled within τ — the run
+				// stops, like ND-LF and StaticLF, once every visited vertex
+				// has Δr ≤ τ. ex[v] is set after the walk completes, so a
+				// worker that crashes mid-walk leaves it clear and the
 				// survivors treat v as a per-visit walk would (it stays in
 				// VA and is walked the next time its Δr exceeds τ_f): the
 				// hazard window of §4.4 is unchanged.
-				// With pruning VA is not monotone and this walk is what
-				// re-admits a pruned vertex, so that arm (ex == nil) walks on
-				// every visit above τ_f.
-				if vr == vDF && dr > cfg.FrontierTol && (ex == nil || !ex.Get(v)) {
+				if vr == vDF && dr > cfg.FrontierTol && !ex.Get(v) {
 					st.expanded++
 					// Probe before Set: already-marked neighbours are the
 					// common case once a frontier is hot, and the probe keeps
@@ -262,15 +251,10 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 							rc.Set(int(v2))
 						}
 					}
-					if ex != nil {
-						ex.Set(v)
-					}
+					ex.Set(v)
 				}
 				if dr <= cfg.Tol {
 					rc.Clear(v)
-					if cfg.PruneFrontier && vr == vDF {
-						va.Clear(v)
-					}
 				} else {
 					rc.Set(v)
 					moved = true

@@ -1,7 +1,7 @@
 // Package harness contains one driver per table and figure of the paper's
-// evaluation (§5), plus the chunk-size × frontier-pruning ablation. Each
-// experiment returns printable sections; cmd/prbench renders them and the
-// root-level benchmarks run trimmed (Quick) versions.
+// evaluation (§5), plus a chunk-size ablation. Each experiment returns
+// printable sections; cmd/prbench renders them and the root-level
+// benchmarks run trimmed (Quick) versions.
 //
 // Scale note: the paper's datasets have 10⁶–10⁸ vertices and its fault
 // parameters (delay probability per vertex, 50–200 ms delays) are calibrated
@@ -131,7 +131,7 @@ var Registry = []Experiment{
 	{ID: "fig9", Desc: "Figure 9: DFLF under crash-stop thread failures", Run: Fig9},
 	{ID: "dt", Desc: "§3.5.2: Dynamic Traversal vs Naive-dynamic comparison", Run: DTvsND},
 	{ID: "tauf", Desc: "§4.5: frontier tolerance sweep", Run: TauF},
-	{ID: "ablate", Desc: "Ablations: chunk size, frontier pruning", Run: Ablate},
+	{ID: "ablate", Desc: "Ablation: chunk size", Run: Ablate},
 	{ID: "eedi", Desc: "§3.3.2: StaticLF vs Eedi et al. No-Sync baseline (fault-free + crash)", Run: Eedi},
 }
 

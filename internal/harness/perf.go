@@ -359,44 +359,32 @@ func TauF(o Options) []Section {
 	}}
 }
 
-// Ablate measures the two rank-loop choices still open: chunk size and
-// frontier pruning, on DFLF at batch 1e-4·|E|.
+// Ablate measures the one rank-loop choice still open, chunk size, on DFLF
+// at batch 1e-4·|E|.
 func Ablate(o Options) []Section {
 	o = o.norm()
 	chunkSizes := []int{256, 2048, 16384}
-	prunes := []bool{false, true}
 	if o.Quick {
 		chunkSizes = []int{2048}
-		prunes = []bool{false}
 	}
-	t := topk.NewTable("Chunk", "Prune", "GeoMean runtime")
-	type key struct {
-		chunk int
-		prune bool
-	}
-	times := map[key][]float64{}
+	t := topk.NewTable("Chunk", "GeoMean runtime")
+	times := make([][]float64, len(chunkSizes))
 	for _, spec := range specsFor(o) {
 		p := prepare(spec, o)
 		_, in, _ := makeBatch(p, 1e-4, o.Seed+spec.Seed, false)
-		for _, chunk := range chunkSizes {
-			for _, prune := range prunes {
-				c := p.cfg
-				c.Chunk = chunk
-				c.PruneFrontier = prune
-				dur, _ := timeRun(core.AlgoDFLF, in, c, o.Reps)
-				k := key{chunk, prune}
-				times[k] = append(times[k], float64(dur))
-			}
+		for i, chunk := range chunkSizes {
+			c := p.cfg
+			c.Chunk = chunk
+			dur, _ := timeRun(core.AlgoDFLF, in, c, o.Reps)
+			times[i] = append(times[i], float64(dur))
 		}
 	}
-	for _, chunk := range chunkSizes {
-		for _, prune := range prunes {
-			t.AddRow(chunk, prune, time.Duration(topk.GeoMean(times[key{chunk, prune}])))
-		}
+	for i, chunk := range chunkSizes {
+		t.AddRow(chunk, time.Duration(topk.GeoMean(times[i])))
 	}
 	return []Section{{
-		Title: "Ablation: chunk size × frontier pruning (DFLF)",
-		Note:  "Chunk size trades scheduling overhead against load balance (cf. Figure 1). Prune drops converged vertices from the frontier (the DF-P refinement) at the cost of possible re-marking.",
+		Title: "Ablation: chunk size (DFLF)",
+		Note:  "Chunk size trades scheduling overhead against load balance (cf. Figure 1).",
 		Table: t,
 	}}
 }
