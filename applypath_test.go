@@ -166,7 +166,9 @@ func (f pathFlavour) applyRounds(t *testing.T, e *Engine, rounds [][]pathSub) {
 // durability mutex and, under RankImmediate, in the Rank that follows a
 // publishing round (mu) — so the driver holds mu to park the loop between
 // rounds while a round queues up whole, and the durability mutex to park it
-// with that round drained while mu is taken back.
+// with that round drained while mu is taken back. The round queuing behind
+// a parked refresh may supersede it (ingestLoop), so the driver waits for
+// the drain itself, not for the parked version to rank.
 func (f pathFlavour) submitRounds(t *testing.T, e *Engine, rounds [][]pathSub) {
 	t.Helper()
 	ctx := context.Background()
@@ -186,12 +188,15 @@ func (f pathFlavour) submitRounds(t *testing.T, e *Engine, rounds [][]pathSub) {
 			tks = append(tks, tk)
 		}
 		if i > 0 {
-			// Let the loop finish ranking version i, drain this round and park
-			// in storeApply; mu is taken back before the round publishes.
+			// Let the loop leave its Rank of version i (landed or superseded),
+			// drain this round and park in storeApply; mu is taken back before
+			// the round publishes.
 			e.mu.Unlock()
-			if err := e.WaitRanked(ctx, uint64(i)); err != nil {
-				t.Fatal(err)
-			}
+			waitFor(t, fmt.Sprintf("round %d drained", i), 10*time.Second, func() bool {
+				e.ingestMu.Lock()
+				defer e.ingestMu.Unlock()
+				return len(e.ingestQ) == 0
+			})
 			e.mu.Lock()
 		}
 		d.mu.Unlock()

@@ -45,7 +45,9 @@
 // (WithRankPolicy: RankImmediate, RankDebounce, RankEveryN) refreshes ranks
 // off the write path — so the refresh cost is amortised over however many
 // submissions arrived meanwhile, and the delta-merge snapshot cost scales
-// with the merged batch rather than the call count:
+// with the merged batch rather than the call count. Under RankImmediate a
+// submission that arrives mid-refresh supersedes the stale refresh instead
+// of queueing behind it:
 //
 //	t, err := eng.Submit(ctx, del, ins)  // enqueue; returns immediately
 //	seq, err := t.Wait(ctx)              // version the edits landed in

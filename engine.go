@@ -102,6 +102,10 @@ type Engine struct {
 	ingestDone   chan struct{}
 	ingestCtx    context.Context
 	ingestHalt   context.CancelFunc
+	// ingestSupersede cancels the loop's in-flight RankImmediate refresh;
+	// the next Submit takes it under ingestMu and calls it after releasing
+	// the lock (nil when no refresh may be superseded). See ingestLoop.
+	ingestSupersede context.CancelFunc
 
 	// dur is the durability sidecar (nil without WithDurability): the WAL
 	// every published round is logged to ahead of publication, plus the
@@ -457,6 +461,7 @@ func (e *Engine) Stats() Stats {
 		Keys:             e.Keys(),
 		Refreshes:        int(m.refreshes.Value()),
 		Rebuilds:         int(m.rebuilds.Value()),
+		Superseded:       int(m.superseded.Value()),
 		QueuedEdits:      queued,
 		QueueBound:       e.opts.queue,
 		IngestRounds:     int64(m.ingestRounds.Value()),

@@ -78,7 +78,11 @@ type RankPolicy struct {
 }
 
 // RankImmediate refreshes ranks after every coalesced round — the freshest
-// discipline, still off the submitter's path (the default).
+// discipline, still off the submitter's path (the default). A Submit that
+// arrives while such a refresh runs supersedes it: the refresh is canceled
+// and the next one covers both rounds, so a WaitRanked caller sits through
+// one refresh, not the stale one plus its own. The refresh after a
+// supersession always lands, so a steady writer cannot starve ranks.
 func RankImmediate() RankPolicy { return RankPolicy{kind: rankImmediate} }
 
 // RankDebounce refreshes once the round stream has been quiet for the given
@@ -200,7 +204,14 @@ func (e *Engine) submitInternal(ctx context.Context, gdel, gins []graph.Edge) (*
 	e.ingestEdits += size
 	e.met.submissions.Inc()
 	e.startIngestLocked()
+	supersede := e.ingestSupersede
+	e.ingestSupersede = nil
 	e.ingestMu.Unlock()
+	if supersede != nil {
+		// The refresh in flight is stale: cancel it so the loop takes this
+		// round at once and ranks both in one merged run (ingestLoop).
+		supersede()
+	}
 	e.wakeIngest()
 	return t, nil
 }
@@ -304,6 +315,7 @@ func (e *Engine) ingestLoop() {
 		pending    int       // applied-but-unranked edits
 		dirtySince time.Time // when pending went 0 → positive
 		lastRound  time.Time // when the newest round was applied
+		superseded bool      // the pending span has had its one supersession
 		timer      *time.Timer
 	)
 	for {
@@ -418,7 +430,20 @@ func (e *Engine) ingestLoop() {
 
 		var rankErr error
 		if rankNow {
-			if _, err := e.Rank(e.ingestCtx); err != nil {
+			// Supersession (DESIGN §6): under RankImmediate a Submit that
+			// arrives mid-refresh cancels it, and the next refresh replays
+			// both rounds as one merged DF-LF run. Never a Flush's refresh,
+			// the initial convergence, a rebuild (links gone from the ring),
+			// or the refresh after a supersession — so a version waits for at
+			// most one canceled partial refresh plus one full one.
+			supersedable := p.kind == rankImmediate && len(flushes) == 0 && !superseded &&
+				e.latest.Load() != nil && e.Behind() <= uint64(e.opts.history)
+			if s, err := e.rankScheduled(supersedable); s {
+				// Not a failure: the new round is already queued and woke
+				// the loop, so no retry timer is armed.
+				superseded = true
+				e.met.superseded.Inc()
+			} else if err != nil {
 				rankErr = err
 				// A failed refresh must not strand applied-but-unranked
 				// edits: when the stream goes quiet nothing else re-wakes
@@ -428,7 +453,7 @@ func (e *Engine) ingestLoop() {
 					timer = time.NewTimer(rankRetryDelay)
 				}
 			} else {
-				pending = 0
+				pending, superseded = 0, false
 			}
 		}
 		// A refresh canceled by the pipeline's own shutdown is the documented
@@ -438,6 +463,34 @@ func (e *Engine) ingestLoop() {
 		}
 		resolveFlushes(flushes, rankErr)
 	}
+}
+
+// rankScheduled runs the loop's refresh on the loop's context. A
+// supersedable one runs on a child context whose cancel func is parked in
+// ingestSupersede for the next Submit to take; superseded reports that the
+// run was canceled that way (the pipeline still running) instead of landing.
+// A submission queued before the cancel func is parked supersedes the
+// refresh before it starts, so whether a round arrives just before or just
+// after the refresh begins, the loop runs one refresh over both.
+func (e *Engine) rankScheduled(supersedable bool) (superseded bool, err error) {
+	if !supersedable {
+		_, err = e.Rank(e.ingestCtx)
+		return false, err
+	}
+	ctx, cancel := context.WithCancel(e.ingestCtx)
+	defer cancel()
+	e.ingestMu.Lock()
+	if len(e.ingestQ) > 0 {
+		e.ingestMu.Unlock()
+		return true, nil
+	}
+	e.ingestSupersede = cancel
+	e.ingestMu.Unlock()
+	_, err = e.Rank(ctx)
+	e.ingestMu.Lock()
+	e.ingestSupersede = nil
+	e.ingestMu.Unlock()
+	return err != nil && ctx.Err() != nil && e.ingestCtx.Err() == nil, err
 }
 
 // rankRetryDelay is how long the ingest loop waits before retrying a rank

@@ -3,13 +3,15 @@ package dfpr
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"dfpr/internal/batch"
-	"dfpr/internal/topk"
+	"dfpr/internal/core"
 	"dfpr/internal/testutil"
+	"dfpr/internal/topk"
 )
 
 // ingestEngine converges a small engine configured for pipeline tests.
@@ -567,4 +569,271 @@ func TestConcurrentSubmitFlushCloseRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// parker holds the mutexes a test parks the ingest loop on. A test that
+// ends early releases what it still holds (defer release after the engine's
+// deferred Close), so Close can stop the loop instead of hanging.
+type parker struct{ held []*sync.Mutex }
+
+func (p *parker) lock(m *sync.Mutex) { m.Lock(); p.held = append(p.held, m) }
+
+func (p *parker) unlock(m *sync.Mutex) {
+	p.held = slices.DeleteFunc(p.held, func(h *sync.Mutex) bool { return h == m })
+	m.Unlock()
+}
+
+func (p *parker) release() {
+	for _, m := range p.held {
+		m.Unlock()
+	}
+}
+
+// ingestArmed reports whether the ingest loop has a supersedable refresh in
+// flight (its cancel func parked for the next Submit).
+func ingestArmed(e *Engine) bool {
+	e.ingestMu.Lock()
+	defer e.ingestMu.Unlock()
+	return e.ingestSupersede != nil
+}
+
+// TestSupersededRefreshRanksNewestRound pins supersession under
+// RankImmediate: a Submit that arrives while the loop refreshes the previous
+// round cancels that refresh, and ONE refresh over the merged span ranks
+// both rounds — exactly, not approximately. A Submit queued after round A
+// drained but before A's refresh started supersedes that refresh the same
+// way, before it runs, so the outcome does not hang on which side of the
+// refresh's start the second round lands.
+func TestSupersededRefreshRanksNewestRound(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// queued parks the loop on the durability mutex, between round A's
+		// drain and its publication, instead of inside A's Rank on e.mu.
+		queued bool
+	}{{"MidRefresh", false}, {"QueuedBeforeRefresh", true}} {
+		t.Run(tc.name, func(t *testing.T) { testSupersededRefresh(t, tc.queued) })
+	}
+}
+
+func testSupersededRefresh(t *testing.T, queued bool) {
+	ctx := context.Background()
+	n, edges, _ := testGraph(t, 9, 55)
+	eng, err := New(n, edges, WithThreads(2), WithTolerance(growthTol), WithDurability(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.Rank(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Stats()
+
+	// e.mu parks the loop inside its Rank of round A: A has published and
+	// the refresh's cancel func is armed before the Rank blocks on mu. d.mu
+	// parks it before A publishes, so B is already queued when A's refresh
+	// would start.
+	var park parker
+	defer park.release()
+	hold := &eng.mu
+	if queued {
+		hold = &eng.durable().mu
+	}
+	park.lock(hold)
+	ta, err := eng.Submit(ctx, nil, []Edge{{U: 1, V: 300}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if queued {
+		waitFor(t, "the loop to drain round A", 10*time.Second, func() bool {
+			eng.ingestMu.Lock()
+			defer eng.ingestMu.Unlock()
+			return len(eng.ingestQ) == 0
+		})
+	} else {
+		waitFor(t, "the loop to arm round A's refresh", 10*time.Second, func() bool { return ingestArmed(eng) })
+	}
+	tb, err := eng.Submit(ctx, []Edge{edges[0]}, []Edge{{U: 2, V: 301}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ingestArmed(eng) {
+		t.Error("Submit left the in-flight refresh armed instead of superseding it")
+	}
+	park.unlock(hold)
+
+	seqA, err := ta.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqB, err := tb.Wait(ctx)
+	if err != nil || seqB != seqA+1 {
+		t.Fatalf("round B landed in version %d (%v), want its own version %d", seqB, err, seqA+1)
+	}
+	waitCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := eng.WaitRanked(waitCtx, seqB); err != nil {
+		t.Fatal(err)
+	}
+
+	st := eng.Stats()
+	if got := st.Refreshes - before.Refreshes; got != 1 {
+		t.Errorf("%d refreshes landed for A and B, want exactly one", got)
+	}
+	if got := st.Superseded - before.Superseded; got != 1 {
+		t.Errorf("superseded = %d, want 1", got)
+	}
+	if _, err := eng.ViewAt(seqA); !errors.Is(err, ErrVersionEvicted) {
+		t.Errorf("superseded version %d has a rank view of its own (%v)", seqA, err)
+	}
+	eng.mu.Lock()
+	var replayed []uint64
+	for _, l := range eng.ranker.Replayed() {
+		replayed = append(replayed, l.Seq)
+	}
+	eng.mu.Unlock()
+	if len(replayed) != 2 || replayed[0] != seqA || replayed[1] != seqB {
+		t.Errorf("the landed refresh replayed links %v, want [%d %d]", replayed, seqA, seqB)
+	}
+
+	v, err := eng.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Seq() != seqB {
+		t.Fatalf("view at %d, want %d", v.Seq(), seqB)
+	}
+	ref := core.Reference(eng.store.Current().G, core.Config{})
+	if d := topk.LInf(ranksOf(v), ref); d > 1e-12 {
+		t.Errorf("ranks after the merged refresh deviate from core.Reference by %g (bound 1e-12)", d)
+	}
+}
+
+// TestSupersessionCannotStarveRanks runs a back-to-back submitter against a
+// slowed kernel. Under RankImmediate refreshes are superseded, but never two
+// without a landed refresh in between, and the newest round is ranked
+// within a fixed bound. The policies that batch on purpose never supersede,
+// and neither do a Flush's refresh nor the initial static convergence.
+func TestSupersessionCannotStarveRanks(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		policy RankPolicy
+	}{
+		{"RankImmediate", RankImmediate()},
+		{"RankEveryN", RankEveryN(1)},
+		{"RankDebounce", RankDebounce(time.Millisecond, 5*time.Millisecond)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			eng, _, _ := ingestEngine(t, WithRankPolicy(tc.policy))
+			if err := eng.SetFaultPlan(FaultPlan{DelayProb: 0.02, DelayDur: 500 * time.Microsecond, Seed: 3}); err != nil {
+				t.Fatal(err)
+			}
+			base := eng.met.refreshes.Value()
+			var last *Ticket
+			for i := 0; i < 100; i++ {
+				tk, err := eng.Submit(ctx, nil, []Edge{{U: uint32(i % 60), V: uint32((i*7 + 1) % 60)}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				last = tk
+				// Superseded first: a supersession counted after this read
+				// needs a landing counted after it too.
+				s := eng.met.superseded.Value()
+				if r := eng.met.refreshes.Value() - base; s > r+1 {
+					t.Fatalf("%d supersessions against %d landed refreshes: a refresh after a supersession was canceled", s, r)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			seq, err := last.Wait(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+			defer cancel()
+			if err := eng.WaitRanked(waitCtx, seq); err != nil {
+				t.Fatalf("newest round unranked: %v", err)
+			}
+			st := eng.Stats()
+			t.Logf("%d rounds, %d refreshes, %d superseded", st.IngestRounds, st.Refreshes, st.Superseded)
+			if st.Superseded > st.Refreshes {
+				t.Errorf("superseded %d > refreshes %d", st.Superseded, st.Refreshes)
+			}
+			switch want0 := tc.policy.kind != rankImmediate; {
+			case want0 && st.Superseded != 0:
+				t.Errorf("%v superseded %d refreshes, want 0", tc.policy, st.Superseded)
+			case !want0 && st.Superseded == 0:
+				t.Errorf("no refresh superseded under a back-to-back submitter (%d refreshes)", st.Refreshes)
+			}
+		})
+	}
+
+	// The initial static convergence and a Flush's refresh, each with a
+	// Submit arriving while the loop is parked inside it: e.mu parks the
+	// loop in Rank, the durability mutex parks it between a drained round
+	// and its publication.
+	t.Run("StaticAndFlush", func(t *testing.T) {
+		ctx := context.Background()
+		n, edges, _ := testGraph(t, 9, 55)
+		eng, err := New(n, edges, WithThreads(2), WithDurability(t.TempDir()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		d := eng.durable()
+		var park parker
+		defer park.release()
+		// inRank waits for version seq and gives the loop time to reach its
+		// Rank (blocked on e.mu): a supersedable refresh would be armed by then.
+		inRank := func(what string, seq uint64) {
+			t.Helper()
+			if err := eng.WaitVersion(ctx, seq); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(20 * time.Millisecond)
+			if ingestArmed(eng) {
+				t.Errorf("%s was armed for supersession", what)
+			}
+		}
+		submit := func(u, v uint32) {
+			t.Helper()
+			if _, err := eng.Submit(ctx, nil, []Edge{{U: u, V: v}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		park.lock(&eng.mu)
+		submit(1, 300)
+		inRank("the initial static convergence", 1)
+		park.lock(&d.mu)
+		submit(2, 301) // queued behind the static Rank, with a Flush
+		flushed := make(chan error, 1)
+		go func() { flushed <- eng.Flush(ctx) }()
+		waitFor(t, "the Flush to queue", 10*time.Second, func() bool {
+			eng.ingestMu.Lock()
+			defer eng.ingestMu.Unlock()
+			return len(eng.flushQ) == 1
+		})
+		park.unlock(&eng.mu)
+		waitFor(t, "the Submit and the Flush to drain into one round", 10*time.Second, func() bool {
+			eng.ingestMu.Lock()
+			defer eng.ingestMu.Unlock()
+			return len(eng.ingestQ) == 0 && len(eng.flushQ) == 0
+		})
+		park.lock(&eng.mu)
+		park.unlock(&d.mu)
+		inRank("the Flush's refresh", 2)
+		submit(3, 302)
+		park.unlock(&eng.mu)
+		if err := <-flushed; err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+		waitCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		defer cancel()
+		if err := eng.WaitRanked(waitCtx, 3); err != nil {
+			t.Fatal(err)
+		}
+		if st := eng.Stats(); st.Superseded != 0 {
+			t.Errorf("superseded = %d, want 0", st.Superseded)
+		}
+	})
 }

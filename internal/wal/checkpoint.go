@@ -29,14 +29,23 @@ var ckptMagic = [8]byte{'D', 'F', 'P', 'R', 'C', 'K', 'P', '1'}
 
 func encodeCheckpoint(st *State) []byte {
 	le := binary.LittleEndian
-	dst := make([]byte, 0, 8+4+8+1+4+st.Graph.ContainerSize()+8*len(st.Ranks)+4)
+	// Sized exactly, so the appends below never grow the buffer.
+	size := 8 + 4 + 8 + 4 + st.Graph.ContainerSize() + 1 + 4
+	if st.Ranks != nil {
+		size += 8 + 8*len(st.Ranks)
+	}
+	for _, k := range st.Keys {
+		size += 4 + len(k)
+	}
+	dst := make([]byte, 0, size)
 	dst = append(dst, ckptMagic[:]...)
 	dst = append(dst, 0, 0, 0, 0) // checksum placeholder
 	body := len(dst)
 	dst = le.AppendUint64(dst, st.Seq)
-	g := st.Graph.AppendContainer(nil)
-	dst = le.AppendUint32(dst, uint32(len(g)))
-	dst = append(dst, g...)
+	// The container goes straight into dst (ContainerSize is exact): a
+	// checkpoint holds one copy of the graph's bytes, not two.
+	dst = le.AppendUint32(dst, uint32(st.Graph.ContainerSize()))
+	dst = st.Graph.AppendContainer(dst)
 	if st.Ranks != nil {
 		dst = append(dst, 1)
 		dst = le.AppendUint64(dst, uint64(len(st.Ranks)))

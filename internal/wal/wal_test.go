@@ -122,6 +122,17 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointEncodesInOneBuffer pins the encoder's memory: the buffer is
+// sized exactly and the graph's container is written straight into it, so
+// encoding allocates once — a background checkpoint holds one graph-sized
+// byte slice, not a container copy plus a regrown buffer.
+func TestCheckpointEncodesInOneBuffer(t *testing.T) {
+	st := &State{Seq: 9, Graph: testCSR(t, 200), Ranks: make([]float64, 200), Keys: []string{"a", "bb"}}
+	if allocs := testing.AllocsPerRun(10, func() { encodeCheckpoint(st) }); allocs != 1 {
+		t.Errorf("encodeCheckpoint allocated %v times, want 1", allocs)
+	}
+}
+
 func TestCheckpointCorruptionDetected(t *testing.T) {
 	b := encodeCheckpoint(&State{Seq: 5, Graph: testCSR(t, 20)})
 	for _, i := range []int{0, 8, 12, 20, len(b) / 2, len(b) - 1} {

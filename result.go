@@ -114,9 +114,12 @@ type Stats struct {
 	Keyed bool `json:"keyed"`
 	Keys  int  `json:"keys,omitempty"`
 	// Refreshes are incremental DF-LF refreshes, Rebuilds static rebuilds
-	// after the history was evicted.
-	Refreshes int `json:"refreshes"`
-	Rebuilds  int `json:"rebuilds"`
+	// after the history was evicted. Superseded counts ingest-loop refreshes
+	// canceled under RankImmediate because a newer submission arrived; the
+	// refresh that followed replayed their span.
+	Refreshes  int `json:"refreshes"`
+	Rebuilds   int `json:"rebuilds"`
+	Superseded int `json:"superseded"`
 	// QueuedEdits is the number of edits sitting in the ingest queue right
 	// now — accepted by Submit, not yet drained into a round. The
 	// backpressure gauge a load balancer watches. QueueBound is the

@@ -52,7 +52,10 @@
 // Writes are asynchronous: the batch is coalesced with whatever
 // else is in flight, 202 Accepted names the version it landed in, and the
 // rank refresh runs behind the engine's RankPolicy. `?wait=ranked` turns a
-// request into read-your-ranks. A full ingest queue surfaces as 429.
+// request into read-your-ranks; under the default dfpr.RankImmediate a write
+// arriving mid-refresh supersedes that refresh, so it waits for one refresh
+// over both rounds rather than two in a row. A full ingest queue surfaces
+// as 429.
 //
 // Errors are JSON too: {"error":"…"} with 400 (malformed request), 404
 // (unknown vertex/route), 410 (version evicted from retention), 429 (ingest
