@@ -101,7 +101,7 @@
 //	score, ok := v.ScoreOf(u)  // point lookup, zero allocations
 //	board := v.TopK(10)        // O(k) result from a cached shared selection
 //	old, err := eng.ViewAt(s)  // retained history (WithHistory versions)
-//	moved := v.Delta(old)      // movement set, cost scales with the batch
+//	moved := v.Delta(old)      // movement set, one O(|V|) scan of two vectors
 //
 // Keyed engines add ScoreOfKey/TopKKeys/DeltaKeys and Resolve/KeyOf id
 // translation. A view resolves exactly the keys that existed at its

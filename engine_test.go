@@ -11,8 +11,8 @@ import (
 	"dfpr/internal/core"
 	"dfpr/internal/gen"
 	"dfpr/internal/graph"
-	"dfpr/internal/topk"
 	"dfpr/internal/testutil"
+	"dfpr/internal/topk"
 )
 
 // testGraph builds a small RMAT graph and returns it in both the public
@@ -20,13 +20,18 @@ import (
 func testGraph(t testing.TB, scale, seed int64) (int, []Edge, *graph.Dynamic) {
 	t.Helper()
 	d := gen.RMAT(int(scale), 8, seed)
+	return d.N(), edgesOf(d), d
+}
+
+// edgesOf lists d's edges in the public form New takes.
+func edgesOf(d *graph.Dynamic) []Edge {
 	edges := make([]Edge, 0, d.M())
 	for u := uint32(0); int(u) < d.N(); u++ {
 		for _, v := range d.Out(u) {
 			edges = append(edges, Edge{U: u, V: v})
 		}
 	}
-	return d.N(), edges, d
+	return edges
 }
 
 func toPublic(edges []graph.Edge) []Edge {
@@ -44,10 +49,9 @@ func ranksOf(v *View) []float64 {
 		return nil
 	}
 	out := make([]float64, 0, v.N())
-	v.Range(func(_ uint32, s float64) bool {
+	for _, s := range v.Scores() {
 		out = append(out, s)
-		return true
-	})
+	}
 	return out
 }
 
@@ -227,10 +231,9 @@ func TestSubscribeSlowConsumerMonotoneViews(t *testing.T) {
 	// it from the same immutable vector, so equality must be exact.
 	checksum := func(v *View) float64 {
 		var c float64
-		v.Range(func(u uint32, s float64) bool {
+		for u, s := range v.Scores() {
 			c += s * float64(u+1)
-			return true
-		})
+		}
 		return c
 	}
 

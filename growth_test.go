@@ -235,7 +235,9 @@ func TestGrowthFromEmptyOpen(t *testing.T) {
 		t.Fatalf("N = %d, want 3", v.N())
 	}
 	var sum float64
-	v.Range(func(_ uint32, s float64) bool { sum += s; return true })
+	for _, s := range v.Scores() {
+		sum += s
+	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("ranks sum to %g, want 1", sum)
 	}

@@ -376,13 +376,17 @@ func (e *Engine) ingestLoop() {
 				// round's WAL record is appended (fsynced per policy) before the
 				// version becomes visible.
 				seq, err := e.storeApply(merged, 0, false)
-				resolveTickets(q, seq, err)
 				if err != nil {
+					resolveTickets(q, seq, err)
 					resolveFlushes(flushes, err)
 					continue
 				}
+				// Counted before the tickets resolve: a writer that holds its
+				// version must find the round in Stats (serve's Shutdown
+				// flushes only when IngestRounds says the pipeline ran).
 				e.met.ingestRounds.Inc()
 				e.met.ingestCoalesced.Add(uint64(merged.Size()))
+				resolveTickets(q, seq, nil)
 				if pending == 0 {
 					dirtySince = time.Now()
 				}

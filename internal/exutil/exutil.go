@@ -46,15 +46,14 @@ func LInf(a, b *dfpr.View) float64 {
 		panic("exutil: LInf between views of different vertex counts")
 	}
 	var m float64
-	a.Range(func(u uint32, s float64) bool {
+	for u, s := range a.Scores() {
 		t, _ := b.ScoreOf(u)
 		if d := s - t; d > m {
 			m = d
 		} else if -d > m {
 			m = -d
 		}
-		return true
-	})
+	}
 	return m
 }
 

@@ -27,9 +27,8 @@ import (
 )
 
 // Link is the chain link of one version: its sequence number and the batch
-// that produced it (empty for the initial version). It is everything a walk
-// across the version needs — a Delta seeding its frontier, a replay merging
-// a span — so the store's ring and a view's chain hold links, a batch per
+// that produced it (empty for the initial version). It is everything a
+// replay merging a span needs, so the store's ring holds links, a batch per
 // round, never a graph.
 type Link struct {
 	Seq    uint64
@@ -174,9 +173,6 @@ type Ranker struct {
 	algo  core.Algo
 	ranks []float64
 	cur   *Version // the store version ranks correspond to
-	// replayed is the chain the last landing replayed to reach cur: nil when
-	// the ranker got there without one (construction, a recomputation).
-	replayed []Link
 
 	// Refreshes counts incremental refreshes; Rebuilds counts static
 	// rebuilds after the pending history was evicted.
@@ -246,12 +242,6 @@ func (r *Ranker) Version() *Version { return r.cur }
 // Seq returns the store version the ranks correspond to.
 func (r *Ranker) Seq() uint64 { return r.cur.Seq }
 
-// Replayed returns the chain links the last landing replayed to reach
-// Version() — every batch between the previous Version() and this one — or
-// nil when it got there without a chain (NewRanker, ResumeRanker, a static
-// recomputation). The slice is shared: treat it as frozen.
-func (r *Ranker) Replayed() []Link { return r.replayed }
-
 // Behind reports how many versions the ranker lags the store.
 func (r *Ranker) Behind() uint64 {
 	return r.store.Current().Seq - r.cur.Seq
@@ -314,7 +304,7 @@ func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
 	res := core.RunCtx(ctx, r.algo, in, r.cfg)
 	switch {
 	case res.Err == nil:
-		r.land(tip, links, res, &r.Refreshes)
+		r.land(tip, res, &r.Refreshes)
 		return res, nil
 	case errors.Is(res.Err, core.ErrCanceled):
 		return res, fmt.Errorf("snapshot: refresh aborted at version %d: %w", tip.Seq, res.Err)
@@ -332,15 +322,15 @@ func (r *Ranker) recompute(ctx context.Context, algo core.Algo, counter *int) (c
 	if res.Err != nil {
 		return res, fmt.Errorf("snapshot: static recomputation failed at version %d: %w", v.Seq, res.Err)
 	}
-	r.land(v, nil, res, counter)
+	r.land(v, res, counter)
 	return res, nil
 }
 
 // land makes a finished run the ranker's state. It is the only writer of
-// ranks/cur/replayed and of the Refreshes/Rebuilds counters after
-// construction, so len(ranks) == Version().G.N() holds after every outcome.
-func (r *Ranker) land(v *Version, replayed []Link, res core.Result, counter *int) {
-	r.ranks, r.cur, r.replayed = res.Ranks, v, replayed
+// ranks/cur and of the Refreshes/Rebuilds counters after construction, so
+// len(ranks) == Version().G.N() holds after every outcome.
+func (r *Ranker) land(v *Version, res core.Result, counter *int) {
+	r.ranks, r.cur = res.Ranks, v
 	*counter++
 }
 

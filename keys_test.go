@@ -298,7 +298,9 @@ func TestKeyedDenseInterop(t *testing.T) {
 		t.Fatal("fresh key resolved on a view published before it existed")
 	}
 	var sum float64
-	v.Range(func(_ uint32, s float64) bool { sum += s; return true })
+	for _, s := range v.Scores() {
+		sum += s
+	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("ranks sum to %g", sum)
 	}

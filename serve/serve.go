@@ -1,11 +1,12 @@
 // Package serve exposes a dfpr.Engine as an HTTP/JSON service shaped for
 // heavy mixed traffic: point rank lookups, top-k leaderboards and version
-// deltas are answered from zero-copy Views (no O(|V|) work per request),
-// while edge batches POSTed to the write endpoint flow through the engine's
-// ingest pipeline — the request never blocks on a rank refresh. Every
-// response names the rank version it was served from in the X-DFPR-Version
-// header, and a request may pin itself to a retained version by sending the
-// same header.
+// deltas are answered from zero-copy Views (no copy of the rank vector per
+// request; a lookup or a warm top-k does no O(|V|) work, a delta is one
+// O(|V|) pass over two vectors), while edge batches POSTed to the write
+// endpoint flow through the engine's ingest pipeline — the request never
+// blocks on a rank refresh. Every response names the rank version it was
+// served from in the X-DFPR-Version header, and a request may pin itself
+// to a retained version by sending the same header.
 //
 // Endpoints (all JSON):
 //
@@ -35,10 +36,11 @@
 // POST /v1/apply landing on a replica is proxied to the current leader and
 // the response (including its X-DFPR-Version) relayed, so clients write
 // anywhere and read their writes everywhere. Versioned reads are
-// watermark-aware: pinning a version the node has not ranked yet parks the
-// request until replication catches up (bounded by the 30 s server-side
-// wait cap) instead of serving stale ranks — read-your-ranks survives
-// fan-out through any replica.
+// watermark-aware: pinning a version the node has not ranked yet — by the
+// X-DFPR-Version header, or as /v1/delta's from or to — parks the request
+// until replication catches up (bounded by the 30 s server-side wait cap,
+// then 504) instead of serving stale ranks or calling the version Gone —
+// read-your-ranks survives fan-out through any replica.
 //
 // On a keyed engine (dfpr.Open) the read surface speaks external string
 // keys: /v1/rank/{key} resolves the path as a key, topk and delta entries
@@ -58,11 +60,11 @@
 // as 429.
 //
 // Errors are JSON too: {"error":"…"} with 400 (malformed request), 404
-// (unknown vertex/route), 410 (version evicted from retention), 429 (ingest
-// backpressure), 503 (no ranks yet / engine closed), 504 (wait deadline).
-// Shutdown drains in-flight requests gracefully and then flushes the ingest
-// queue so every accepted write is applied and ranked before the process
-// exits.
+// (unknown vertex/route), 410 (version at or below the latest ranked one and
+// no longer retained), 429 (ingest backpressure), 503 (no ranks yet / engine
+// closed), 504 (wait deadline). Shutdown drains in-flight requests
+// gracefully and then flushes the ingest queue so every accepted write is
+// applied and ranked before the process exits.
 package serve
 
 import (
@@ -281,16 +283,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // viewFor resolves the view a read request is served from: the version
-// pinned by the request's X-DFPR-Version header, or the latest. It writes
-// the error response itself and returns nil when there is nothing to serve.
-//
-// The version pin is a watermark, which is what lets read-your-ranks
-// survive fan-out across replicas: a version this node retains is served
-// exactly; a version newer than anything ranked here parks the request
-// until replication (or the local pipeline) catches up, bounded by the
-// server's max wait — the node never silently answers with ranks older
-// than the client proved it saw elsewhere. Only a version that existed and
-// has been evicted from retention is Gone.
+// pinned by the request's X-DFPR-Version header (see pinnedView), or the
+// latest. It writes the error response itself and returns nil when there is
+// nothing to serve.
 func (s *Server) viewFor(w http.ResponseWriter, r *http.Request) *dfpr.View {
 	if h := r.Header.Get(VersionHeader); h != "" {
 		seq, err := strconv.ParseUint(h, 10, 64)
@@ -298,32 +293,12 @@ func (s *Server) viewFor(w http.ResponseWriter, r *http.Request) *dfpr.View {
 			writeErr(w, http.StatusBadRequest, "malformed %s header %q", VersionHeader, h)
 			return nil
 		}
-		if v, err := s.eng.ViewAt(seq); err == nil {
+		v, ok := s.pinnedView(w, r, seq)
+		if v != nil || !ok {
 			return v
 		}
-		if lv, err := s.eng.View(); err == nil && seq <= lv.Seq() {
-			// Retained window passed the version by: either it was ranked and
-			// evicted, or a coalesced refresh skipped it. Serving the latest
-			// would be correct for a watermark but wrong for a historical pin,
-			// and the request cannot say which it meant — Gone keeps the pin
-			// contract honest (watermark readers retry unpinned).
-			writeErr(w, http.StatusGone, "rank version %d no longer retained here", seq)
-			return nil
-		}
-		// Ahead of this node's ranks: wait for the watermark instead of
-		// serving stale state.
-		ctx, cancel := context.WithTimeout(r.Context(), s.opts.maxWait)
-		defer cancel()
-		if err := s.eng.WaitRanked(ctx, seq); err != nil {
-			writeErr(w, waitStatusOf(r.Context(), err), "rank version %d not reached here yet: %v", seq, err)
-			return nil
-		}
-		// The watermark passed seq; the exact version may have been coalesced
-		// over, in which case the latest view (≥ seq by the wait) serves the
-		// read-your-ranks contract.
-		if v, err := s.eng.ViewAt(seq); err == nil {
-			return v
-		}
+		// The watermark passed seq but a coalesced refresh skipped it: the
+		// latest view (≥ seq by the wait) serves the read-your-ranks contract.
 	}
 	v, err := s.eng.View()
 	if err != nil {
@@ -331,6 +306,42 @@ func (s *Server) viewFor(w http.ResponseWriter, r *http.Request) *dfpr.View {
 		return nil
 	}
 	return v
+}
+
+// pinnedView resolves a rank version a request names — the X-DFPR-Version
+// pin, or /v1/delta's from and to — to its exact view. It writes the error
+// response itself and returns ok false when there is nothing to serve.
+//
+// The version is a watermark, which is what lets read-your-ranks survive
+// fan-out across replicas: a version this node retains is served exactly; a
+// version newer than anything ranked here parks the request until
+// replication (or the local pipeline) catches up, bounded by the server's
+// max wait — the node never calls a version Gone that the client saw
+// elsewhere. Only a version at or below the latest ranked one that is not
+// retained is Gone. After a wait the exact view may still be missing,
+// because a coalesced refresh skipped seq: pinnedView then returns nil with
+// ok true and the caller decides.
+func (s *Server) pinnedView(w http.ResponseWriter, r *http.Request, seq uint64) (v *dfpr.View, ok bool) {
+	if v, err := s.eng.ViewAt(seq); err == nil {
+		return v, true
+	}
+	if lv, err := s.eng.View(); err == nil && seq <= lv.Seq() {
+		// Retained window passed the version by: either it was ranked and
+		// evicted, or a coalesced refresh skipped it. Serving the latest
+		// would be correct for a watermark but wrong for a historical pin,
+		// and the request cannot say which it meant — Gone keeps the pin
+		// contract honest (watermark readers retry unpinned).
+		writeErr(w, http.StatusGone, "rank version %d no longer retained here", seq)
+		return nil, false
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.opts.maxWait)
+	defer cancel()
+	if err := s.eng.WaitRanked(ctx, seq); err != nil {
+		writeErr(w, waitStatusOf(r.Context(), err), "rank version %d not reached here yet: %v", seq, err)
+		return nil, false
+	}
+	v, _ = s.eng.ViewAt(seq)
+	return v, true
 }
 
 type rankResponse struct {
@@ -456,30 +467,44 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "malformed or missing from=%q", q.Get("from"))
 		return
 	}
-	from, err := s.eng.ViewAt(fromSeq)
-	if err != nil {
-		writeErr(w, statusOf(err), "%v", err)
-		return
-	}
-	var to *dfpr.View
-	if t := q.Get("to"); t != "" {
-		toSeq, err := strconv.ParseUint(t, 10, 64)
-		if err != nil {
+	var toSeq uint64
+	t := q.Get("to")
+	if t != "" {
+		if toSeq, err = strconv.ParseUint(t, 10, 64); err != nil {
 			writeErr(w, http.StatusBadRequest, "malformed to=%q", t)
 			return
 		}
-		if to, err = s.eng.ViewAt(toSeq); err != nil {
-			writeErr(w, statusOf(err), "%v", err)
-			return
-		}
-	} else if to, err = s.eng.View(); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "%v", err)
-		return
 	}
 	limit := 0
 	if l := q.Get("limit"); l != "" {
 		if limit, err = strconv.Atoi(l); err != nil || limit < 0 {
 			writeErr(w, http.StatusBadRequest, "malformed limit=%q", l)
+			return
+		}
+	}
+	// Both ends are pinned versions under pinnedView's rule; a delta needs
+	// the exact views, so one a coalesced refresh skipped is Gone. to
+	// resolves first: once it is ranked, an earlier from is too.
+	exact := func(seq uint64) *dfpr.View {
+		v, ok := s.pinnedView(w, r, seq)
+		if v == nil && ok {
+			writeErr(w, http.StatusGone, "rank version %d was coalesced into a later one", seq)
+		}
+		return v
+	}
+	var to *dfpr.View
+	if t != "" {
+		if to = exact(toSeq); to == nil {
+			return
+		}
+	}
+	from := exact(fromSeq)
+	if from == nil {
+		return
+	}
+	if to == nil {
+		if to, err = s.eng.View(); err != nil {
+			writeErr(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
 	}

@@ -15,9 +15,9 @@ import (
 	"dfpr"
 )
 
-// testServer converges a small engine and wraps it; the graph is a ring
-// plus a hub so top-k has structure.
-func testServer(t *testing.T, opts ...Option) (*Server, *dfpr.Engine) {
+// testServer converges a small engine built with engOpts and wraps it; the
+// graph is a ring plus a hub so top-k has structure.
+func testServer(t *testing.T, engOpts ...dfpr.Option) (*Server, *dfpr.Engine) {
 	t.Helper()
 	const n = 64
 	var edges []dfpr.Edge
@@ -27,7 +27,7 @@ func testServer(t *testing.T, opts ...Option) (*Server, *dfpr.Engine) {
 			edges = append(edges, dfpr.Edge{U: uint32(u), V: 0}) // hub
 		}
 	}
-	eng, err := dfpr.New(n, edges, dfpr.WithThreads(2), dfpr.WithTolerance(1e-8))
+	eng, err := dfpr.New(n, edges, append([]dfpr.Option{dfpr.WithThreads(2), dfpr.WithTolerance(1e-8)}, engOpts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func testServer(t *testing.T, opts ...Option) (*Server, *dfpr.Engine) {
 	if _, err := eng.Rank(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(eng, opts...)
+	s, err := New(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +111,15 @@ func TestServeRankTopKStats(t *testing.T) {
 }
 
 func TestServeErrors(t *testing.T) {
-	s, _ := testServer(t)
+	// One rank view retained: a ranked write evicts version 0, so it is a
+	// version that existed and is Gone, while 77 lies ahead and is waited
+	// for — briefly, on this server.
+	s, _ := testServer(t, dfpr.WithHistory(1))
+	s.opts.maxWait = 50 * time.Millisecond
 	h := s.Handler()
+	if code, body, _ := do(t, h, "POST", "/v1/apply?wait=ranked", `{"ins":[{"u":1,"v":5}]}`, nil); code != http.StatusOK {
+		t.Fatalf("apply: %d %v", code, body)
+	}
 	cases := []struct {
 		method, target, body string
 		want                 int
@@ -122,7 +129,11 @@ func TestServeErrors(t *testing.T) {
 		{"GET", "/v1/topk?k=0", "", http.StatusBadRequest},
 		{"GET", "/v1/topk?k=99999999", "", http.StatusBadRequest},
 		{"GET", "/v1/delta?from=notanumber", "", http.StatusBadRequest},
-		{"GET", "/v1/delta?from=77", "", http.StatusGone},
+		{"GET", "/v1/delta?from=0", "", http.StatusGone},
+		{"GET", "/v1/delta?from=1&to=0", "", http.StatusGone},
+		{"GET", "/v1/delta?from=77", "", http.StatusGatewayTimeout},
+		{"GET", "/v1/delta?from=1&to=77", "", http.StatusGatewayTimeout},
+		{"GET", "/v1/delta?from=1&limit=-1", "", http.StatusBadRequest},
 		{"POST", "/v1/apply", "{", http.StatusBadRequest},
 		{"POST", "/v1/apply", `{"del":[],"ins":[]}`, http.StatusBadRequest},
 		{"POST", "/v1/apply", `{"nonsense":1}`, http.StatusBadRequest},
@@ -226,6 +237,46 @@ func TestServeApplyDeltaAndVersionPinning(t *testing.T) {
 	_, limited, _ := do(t, h, "GET", "/v1/delta?from=0&to=1&limit=2", "", nil)
 	if lm := limited["movements"].([]any); len(lm) != 2 {
 		t.Errorf("limited delta returned %d movements", len(lm))
+	}
+}
+
+// TestServeDeltaWaitsForAheadVersion pins /v1/delta's watermark rule: a to
+// this node has not ranked yet parks the request instead of answering Gone,
+// and the write that lands and is ranked releases it with the exact delta.
+func TestServeDeltaWaitsForAheadVersion(t *testing.T) {
+	s, _ := testServer(t)
+	h := s.Handler()
+	type reply struct {
+		code int
+		body map[string]any
+	}
+	done := make(chan reply, 1)
+	go func() {
+		req := httptest.NewRequest("GET", "/v1/delta?from=0&to=1", nil)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		var out map[string]any
+		_ = json.Unmarshal(w.Body.Bytes(), &out)
+		done <- reply{w.Code, out}
+	}()
+	select {
+	case r := <-done:
+		t.Fatalf("delta to an unranked version answered %d %v before any write landed", r.code, r.body)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if code, body, _ := do(t, h, "POST", "/v1/apply?wait=ranked", `{"del":[{"u":4,"v":0}],"ins":[{"u":4,"v":32}]}`, nil); code != http.StatusOK {
+		t.Fatalf("apply: %d %v", code, body)
+	}
+	select {
+	case r := <-done:
+		if r.code != http.StatusOK || r.body["from"].(float64) != 0 || r.body["to"].(float64) != 1 {
+			t.Fatalf("parked delta: %d %v, want 200 from 0 to 1", r.code, r.body)
+		}
+		if len(r.body["movements"].([]any)) == 0 {
+			t.Error("parked delta reported no movements after a reroute")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("parked delta not released by the ranked write")
 	}
 }
 

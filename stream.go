@@ -63,26 +63,16 @@ func (s *Subscription) Close() {
 }
 
 // publishLocked turns a successful Rank outcome into the published view of
-// its version: attaches the view to the result with the chain its refresh
-// replayed, retains it in the ViewAt ring, makes it the lock-free latest,
-// and pushes an update to every subscriber. All of it is zero-copy — the
-// rank vector is shared between the result, the ring, Snapshot readers and
-// every subscriber. Caller holds e.mu, which also makes it the only
-// publisher — the conflating send below relies on that.
+// its version: attaches the view to the result, retains it in the ViewAt
+// ring, makes it the lock-free latest, and pushes an update to every
+// subscriber. All of it is zero-copy — the rank vector is shared between
+// the result, the ring, Snapshot readers and every subscriber. Caller holds
+// e.mu, which also makes it the only publisher — the conflating send below
+// relies on that.
 func (e *Engine) publishLocked(res *Result) {
-	v := newView(e, e.ranker.Version(), res.Seq, e.ranker.RanksShared(), e.keys)
+	// The ranker never mutates a vector it has handed out (RanksShared).
+	v := &View{seq: res.Seq, ranks: e.ranker.RanksShared(), ver: e.ranker.Version(), keys: e.keys}
 	res.View = v
-	// The view takes the batch chain (previous published version, this
-	// version] the refresh replayed, so Delta between views can walk it
-	// however far the store's link ring has moved on. A chain is links —
-	// sequence numbers and batches — never graphs: the only CSR a view keeps
-	// alive is its own (v.ver), so the ring bounds views, not rounds-per-view
-	// × CSR. Every Rank that advances publishes, so the previous view sits
-	// exactly where the ranker started from.
-	if p := e.latest.Load(); p != nil {
-		v.chainFrom, v.chain = p.seq, e.ranker.Replayed()
-	}
-
 	e.viewMu.Lock()
 	e.views = append(e.views, v)
 	if len(e.views) > e.opts.history {

@@ -16,8 +16,8 @@ import (
 // readers of the same version share one vector and one top-k cache instead
 // of copying O(|V|) state per request.
 //
-// A View never changes after it is published: ScoreOf, TopK, Neighbors,
-// Range and Scores always answer for the same version, no matter how many
+// A View never changes after it is published: ScoreOf, TopK, Neighbors
+// and Scores always answer for the same version, no matter how many
 // batches the engine applies meanwhile. Take a fresh Engine.View() to
 // observe newer ranks. Views are safe for concurrent use and need no
 // explicit release — holding one keeps its version's data alive (the graph
@@ -25,7 +25,6 @@ import (
 // retention window has trimmed past it; dropping the last reference frees
 // it with ordinary garbage collection.
 type View struct {
-	eng   *Engine // publisher; its view ring resolves the views between two
 	seq   uint64
 	ranks []float64         // shared immutable rank vector
 	ver   *snapshot.Version // graph snapshot at seq
@@ -35,13 +34,6 @@ type View struct {
 	// reads in keys.go resolve exactly the keys that existed at seq with
 	// the same bounds check the dense reads perform.
 	keys *keymap.Map
-	// chain holds the links (chainFrom, seq] the refresh behind this view
-	// replayed, chainFrom being the previously published rank version: the
-	// view owns the batches a Delta from its predecessor seeds with, for as
-	// long as the view itself lives. nil when no chain led here (the first
-	// view, a checkpoint, a rebuild). Set at publication, never after.
-	chainFrom uint64
-	chain     []snapshot.Link
 
 	// topk is the lazily built descending order shared by every reader of
 	// this version: the first TopK(k) runs one partial selection, later
@@ -60,12 +52,6 @@ type Ranked struct {
 type Movement struct {
 	V        uint32
 	From, To float64
-}
-
-// newView wraps one published rank state. The ranks slice is shared, not
-// copied — the caller guarantees it is frozen (see Ranker.RanksShared).
-func newView(eng *Engine, ver *snapshot.Version, seq uint64, ranks []float64, keys *keymap.Map) *View {
-	return &View{eng: eng, seq: seq, ranks: ranks, ver: ver, keys: keys}
 }
 
 // Seq returns the version this view is pinned to: both the graph version
@@ -162,23 +148,12 @@ func (v *View) InNeighbors(u uint32) []uint32 {
 	return v.ver.G.In(u)
 }
 
-// Range calls fn for every vertex and its score in vertex order, stopping
-// early when fn returns false. It iterates the shared vector in place — no
-// per-caller materialisation.
-func (v *View) Range(fn func(u uint32, score float64) bool) {
-	for u, s := range v.ranks {
-		if !fn(uint32(u), s) {
-			return
-		}
-	}
-}
-
 // Scores returns an iterator over (vertex, score) pairs in vertex order,
 // for range-over-func loops:
 //
 //	for u, score := range view.Scores() { ... }
 //
-// Like Range it reads the shared vector directly and allocates nothing.
+// It reads the shared vector directly and allocates nothing.
 func (v *View) Scores() iter.Seq2[uint32, float64] {
 	return func(yield func(uint32, float64) bool) {
 		for u, s := range v.ranks {
@@ -190,64 +165,30 @@ func (v *View) Scores() iter.Seq2[uint32, float64] {
 }
 
 // Delta returns every vertex whose rank differs between old and v, as
-// movements From (the older view's score) To (the newer's), sorted by
-// vertex id. The two views may be passed in either order; views of the same
-// version yield nil.
+// movements From (old's score) To (v's), in vertex order. The two views may
+// be passed in either order and may come from different engines; old == nil
+// or old == v yields nil.
 //
-// When the chain of batch updates between the two versions is still
-// reachable — v was published right after old, or every view published in
-// between is still in the engine's retained history — Delta seeds a
-// frontier with the batch edges' endpoints and expands it along out-edges
-// exactly where scores actually moved — the same dirty-frontier discipline
-// the Dynamic Frontier algorithm uses — so its cost scales with the true
-// movement set, not |V|. A vertex's rank can only change if an incident in-edge was
-// toggled by a batch (a seeded endpoint), or an in-neighbour's rank or
-// out-degree changed (the neighbour is itself seeded or in the movement
-// set, and out-row changes always come from batch endpoints), so the
-// expansion is exhaustive. When a view in between has been evicted or was
-// published by a rebuild — or the views come from different engines — Delta
-// falls back to one full O(|V|) scan.
-//
-// Views of different vertex counts (the universe grew in between) always
-// take the full scan: growth rescales the teleport share of every vertex,
-// so every rank moves and a frontier walk would be no cheaper. Vertices
-// absent from the older view report From 0.
+// Delta is one O(|V|) pass over the two rank vectors. Under DF-LF at the
+// shipped frontier tolerance a refresh moves most vertices, so no walk
+// confined to the batch's neighbourhood would visit fewer (DESIGN §5).
+// Views of different vertex counts (the universe grew in between) compare
+// as if the shorter vector were padded with zeros: a vertex absent from
+// old reports From 0, one absent from v reports To 0.
 func (v *View) Delta(old *View) []Movement {
-	return v.DeltaAbove(old, 0)
-}
-
-// DeltaAbove is Delta reporting only movements with |To-From| > eps. The
-// frontier expansion still follows every non-zero difference (pruning it at
-// eps could hide downstream movement), so eps filters the report, not the
-// walk.
-func (v *View) DeltaAbove(old *View, eps float64) []Movement {
-	if old == nil || old == v || old.seq == v.seq && old.eng == v.eng {
+	if old == nil || old == v {
 		return nil
 	}
-	lo, hi := old, v
-	if lo.seq > hi.seq {
-		lo, hi = hi, lo
+	at := func(r []float64, u int) float64 {
+		if u < len(r) {
+			return r[u]
+		}
+		return 0
 	}
 	var moved []Movement
-	switch {
-	case len(lo.ranks) != len(hi.ranks):
-		// Growth between the versions: the teleport term (1-α)/n changed
-		// for every vertex, so the movement set is the whole universe — a
-		// frontier walk has nothing to prune. One padded scan.
-		moved = deltaScanGrown(lo, hi, eps)
-	case lo.eng == hi.eng && lo.eng != nil:
-		if m, ok := deltaFrontier(lo, hi, eps); ok {
-			moved = m
-		} else {
-			moved = deltaScan(lo, hi, eps)
-		}
-	default:
-		moved = deltaScan(lo, hi, eps)
-	}
-	// Report in the caller's direction: From is always old's score.
-	if lo != old {
-		for i := range moved {
-			moved[i].From, moved[i].To = moved[i].To, moved[i].From
+	for u := range max(len(old.ranks), len(v.ranks)) {
+		if from, to := at(old.ranks, u), at(v.ranks, u); from != to {
+			moved = append(moved, Movement{V: uint32(u), From: from, To: to})
 		}
 	}
 	return moved

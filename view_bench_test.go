@@ -3,6 +3,9 @@ package dfpr
 import (
 	"context"
 	"testing"
+
+	"dfpr/internal/batch"
+	"dfpr/internal/gen"
 )
 
 // benchView converges a mid-size engine and returns its latest view.
@@ -51,9 +54,10 @@ func TestViewQueryAllocations(t *testing.T) {
 		t.Errorf("AppendTopK into a sized buffer allocates %v per call, want 0", a)
 	}
 	if a := testing.AllocsPerRun(20, func() {
-		v.Range(func(u uint32, s float64) bool { return true })
+		for range v.Scores() {
+		}
 	}); a != 0 {
-		t.Errorf("Range allocates %v per call, want 0", a)
+		t.Errorf("Scores allocates %v per call, want 0", a)
 	}
 }
 
@@ -90,12 +94,48 @@ func BenchmarkFullCopyBaseline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ranks := make([]float64, 0, n)
-		v.Range(func(_ uint32, s float64) bool {
+		for _, s := range v.Scores() {
 			ranks = append(ranks, s)
-			return true
-		})
+		}
 		if len(ranks) != n {
 			b.Fatal("copy failed")
+		}
+	}
+}
+
+// BenchmarkViewDelta times Delta between two consecutive views of the
+// stream-rank graph (RMAT 2^16×16): one 1e-5·|E| batch applied and ranked
+// in between, so the pair is what a "what changed since my last read"
+// client asks for. Delta is one pass over both rank vectors, whatever the
+// batch.
+func BenchmarkViewDelta(b *testing.B) {
+	ctx := context.Background()
+	d := gen.RMAT(16, 16, 99)
+	eng, err := New(d.N(), edgesOf(d), WithThreads(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.Rank(ctx); err != nil {
+		b.Fatal(err)
+	}
+	before, err := eng.View()
+	if err != nil {
+		b.Fatal(err)
+	}
+	up := batch.Random(d, max(1, int(1e-5*float64(d.M()))), 23)
+	if _, err := eng.Apply(ctx, toPublic(up.Del), toPublic(up.Ins)); err != nil {
+		b.Fatal(err)
+	}
+	res, err := eng.Rank(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(res.View.Delta(before)) == 0 {
+			b.Fatal("no movement across a ranked batch")
 		}
 	}
 }

@@ -82,17 +82,16 @@ func TestViewScoreOfAndIteration(t *testing.T) {
 	if _, ok := v.ScoreOf(uint32(v.N())); ok {
 		t.Error("ScoreOf accepted an out-of-range vertex")
 	}
-	// Range and Scores visit every vertex in order, with early stop.
+	// Scores visits every vertex in order, with early stop.
 	seen := 0
-	v.Range(func(u uint32, s float64) bool {
+	for u, s := range v.Scores() {
 		if int(u) != seen || s != ref[u] {
-			t.Fatalf("Range visited (%d,%v) at position %d", u, s, seen)
+			t.Fatalf("Scores visited (%d,%v) at position %d", u, s, seen)
 		}
 		seen++
-		return true
-	})
+	}
 	if seen != v.N() {
-		t.Fatalf("Range visited %d of %d", seen, v.N())
+		t.Fatalf("Scores visited %d of %d", seen, v.N())
 	}
 	stopped := 0
 	for range v.Scores() {
@@ -225,10 +224,111 @@ func TestViewAtRetentionAndImmutability(t *testing.T) {
 	}
 }
 
-// TestViewDeltaFrontierMatchesScan pins the frontier-walk Delta against the
-// brute-force scan: with the chain retained the two must report the exact
-// same movement set, and the frontier result must cover every vertex whose
-// rank changed.
+// deltaOracle is the movement set between two views built from their
+// public iterators alone: both vectors padded with zeros to the longer one,
+// every slot whose scores differ reported From old's To cur's.
+func deltaOracle(old, cur *View) []Movement {
+	if old == nil {
+		return nil
+	}
+	a, b := ranksOf(old), ranksOf(cur)
+	n := max(len(a), len(b))
+	a = append(a, make([]float64, n-len(a))...)
+	b = append(b, make([]float64, n-len(b))...)
+	var want []Movement
+	for u := range n {
+		if a[u] != b[u] {
+			want = append(want, Movement{V: uint32(u), From: a[u], To: b[u]})
+		}
+	}
+	return want
+}
+
+// assertDelta pins cur.Delta(old) to deltaOracle: the exact movement set in
+// vertex order, nil for a view diffed with itself or with nil, and a
+// non-empty set otherwise so a case cannot pass by moving nothing.
+func assertDelta(t *testing.T, old, cur *View) {
+	t.Helper()
+	got, want := cur.Delta(old), deltaOracle(old, cur)
+	if !slices.Equal(got, want) {
+		t.Fatalf("Delta(%d → %d) reported %d movements, the oracle %d", old.Seq(), cur.Seq(), len(got), len(want))
+	}
+	if old == cur {
+		if got != nil || cur.Delta(nil) != nil {
+			t.Errorf("a view diffed with itself or nil reported movements")
+		}
+	} else if len(want) == 0 {
+		t.Fatal("nothing moved between the views; the case checks nothing")
+	}
+}
+
+// TestViewDelta pins View.Delta against deltaOracle on view pairs of
+// different lengths: whatever the two vertex counts, the shorter vector
+// reads as zeros. The tests after it cover the spans the engine's history
+// can put between two views.
+func TestViewDelta(t *testing.T) {
+	ctx := context.Background()
+	view := func(t *testing.T, eng *Engine) *View {
+		t.Helper()
+		v, err := eng.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for _, tc := range []struct {
+		name string
+		// views returns the pair in Delta's argument order: cur.Delta(old).
+		views func(t *testing.T) (old, cur *View)
+	}{
+		{"Adjacent", func(t *testing.T) (*View, *View) {
+			eng, step := viewEngine(t)
+			before := view(t, eng)
+			step(7, 14)
+			return before, view(t, eng)
+		}},
+		{"Growth", func(t *testing.T) (*View, *View) {
+			eng, _ := viewEngine(t)
+			before := view(t, eng)
+			n := uint32(before.N())
+			if _, err := eng.Apply(ctx, nil, []Edge{{U: 0, V: n + 2}, {U: n + 2, V: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Rank(ctx); err != nil {
+				t.Fatal(err)
+			}
+			after := view(t, eng)
+			if after.N() != before.N()+3 {
+				t.Fatalf("grown view has %d vertices, want %d", after.N(), before.N()+3)
+			}
+			return before, after
+		}},
+		{"TwoEngines", func(t *testing.T) (*View, *View) {
+			// Different graphs and vertex counts: both paddings at once.
+			eng, _ := viewEngine(t)
+			n, edges, _ := testGraph(t, 8, 34)
+			other, err := New(n, edges, WithThreads(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { other.Close() })
+			if _, err := other.Rank(ctx); err != nil {
+				t.Fatal(err)
+			}
+			return view(t, other), view(t, eng)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			old, cur := tc.views(t)
+			assertDelta(t, old, cur)
+		})
+	}
+}
+
+// TestViewDeltaFrontierMatchesScan pins Delta across two refreshes: the
+// frontier of moved vertices is exactly what a scan of both score vectors
+// finds, the direction flips when the arguments swap, and a view diffed
+// with itself reports nothing.
 func TestViewDeltaFrontierMatchesScan(t *testing.T) {
 	eng, step := viewEngine(t)
 	before, err := eng.View()
@@ -241,75 +341,159 @@ func TestViewDeltaFrontierMatchesScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := after.Delta(before)
-	want := deltaScan(before, after, 0)
-	if len(got) != len(want) {
-		t.Fatalf("frontier delta found %d movements, scan %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("movement %d: frontier %+v scan %+v", i, got[i], want[i])
-		}
-	}
-	// Direction flips when the arguments swap.
-	rev := before.Delta(after)
-	if len(rev) != len(got) {
-		t.Fatalf("reversed delta size %d, want %d", len(rev), len(got))
-	}
-	for i := range rev {
-		if rev[i].From != got[i].To || rev[i].To != got[i].From || rev[i].V != got[i].V {
-			t.Fatalf("reversed movement %d: %+v vs %+v", i, rev[i], got[i])
-		}
-	}
-	if d := after.Delta(after); d != nil {
-		t.Errorf("self delta non-empty: %v", d)
-	}
-	// DeltaAbove filters the report by magnitude.
-	eps := 0.0
-	for _, m := range got {
-		if d := m.To - m.From; d > eps {
-			eps = d
-		} else if -d > eps {
-			eps = -d
-		}
-	}
-	if len(after.DeltaAbove(before, eps)) != 0 {
-		t.Error("DeltaAbove at the max magnitude still reported movements")
-	}
-	if len(after.DeltaAbove(before, eps/2)) == 0 {
-		t.Error("DeltaAbove at half the max magnitude reported nothing")
-	}
+	assertDelta(t, before, after)
+	assertDelta(t, after, before)
+	assertDelta(t, after, after)
 }
 
-// TestViewDeltaEvictedChainFallsBack drives the store past its retention so
-// the batch chain between two held views is gone: Delta must still answer,
-// via the full scan.
+// TestViewDeltaEvictedChainFallsBack drives the engine far past its
+// retention so the batches between two held views are gone from every
+// ring: Delta still answers exactly, since it reads only the two views.
 func TestViewDeltaEvictedChainFallsBack(t *testing.T) {
 	eng, step := viewEngine(t, WithHistory(2))
 	before, err := eng.View()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ { // far beyond retention of 2
+	for i := range 6 { // far beyond retention of 2
 		step(int64(300+i), 8)
+	}
+	if _, err := eng.ViewAt(before.Seq()); !errors.Is(err, ErrVersionEvicted) {
+		t.Fatalf("view %d still retained (err=%v); the test needs it evicted", before.Seq(), err)
 	}
 	after, err := eng.View()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := deltaFrontier(before, after, 0); ok {
-		t.Error("deltaFrontier claims a chain across evicted views")
+	assertDelta(t, before, after)
+}
+
+// TestViewDeltaChainOutlivesStoreRing covers graph versions advancing faster
+// than published rank versions (several Applies per Rank), so the store's
+// link ring trims past the batches of still-retained views. Delta across
+// the whole span is still exact.
+func TestViewDeltaChainOutlivesStoreRing(t *testing.T) {
+	ctx := context.Background()
+	n, edges, mirror := testGraph(t, 9, 44)
+	tol := 1e-3 / float64(n)
+	eng, err := New(n, edges, WithThreads(2), WithTolerance(tol), WithFrontierTolerance(tol), WithHistory(8))
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := after.Delta(before)
-	want := deltaScan(before, after, 0)
-	if len(got) != len(want) {
-		t.Fatalf("fallback delta found %d movements, scan %d", len(got), len(want))
+	defer eng.Close()
+	if _, err := eng.Rank(ctx); err != nil {
+		t.Fatal(err)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("movement %d: %+v vs %+v", i, got[i], want[i])
+	v0, err := eng.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 5 rounds of (3 applies, 1 rank): 15 graph versions, 6 published views
+	// (0,3,…,15) — all inside the view ring of 8, while the store ring of 8
+	// trims its own history to [8..15].
+	for round := range 5 {
+		for j := range 3 {
+			up := batch.Random(mirror, 6, int64(800+round*3+j))
+			mirror.Apply(up.Del, up.Ins)
+			if _, err := eng.Apply(ctx, toPublic(up.Del), toPublic(up.Ins)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := eng.Rank(ctx); err != nil {
+			t.Fatal(err)
 		}
 	}
+	latest, err := eng.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if latest.Seq() != 15 {
+		t.Fatalf("latest at %d, want 15", latest.Seq())
+	}
+	assertDelta(t, v0, latest)
+}
+
+// TestViewDeltaBetweenHeldViewsAfterEviction: two consecutive views the
+// caller still holds, long after both left the WithHistory ring (and the
+// store's ring moved past their batches). Delta between them, and from the
+// older to the latest, needs neither ring.
+func TestViewDeltaBetweenHeldViewsAfterEviction(t *testing.T) {
+	eng, step := viewEngine(t, WithHistory(2))
+	step(400, 8)
+	older, err := eng.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	step(401, 8)
+	newer, err := eng.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 6 { // far beyond retention of 2
+		step(int64(402+i), 8)
+	}
+	for _, v := range []*View{older, newer} {
+		if _, err := eng.ViewAt(v.Seq()); !errors.Is(err, ErrVersionEvicted) {
+			t.Fatalf("view %d still in the ring (err=%v); the test needs it evicted", v.Seq(), err)
+		}
+	}
+	latest, err := eng.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertDelta(t, older, newer)
+	assertDelta(t, older, latest)
+}
+
+// TestViewDeltaAcrossRestartJump: a warm restart publishes the checkpoint's
+// view, folds the WAL tail into ONE store version landing at the tail's tip
+// (Store.ApplyAt — a sequence jump), and the first Rank refreshes over it.
+// Delta across that jump is exact.
+func TestViewDeltaAcrossRestartJump(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	n, edges, mirror := testGraph(t, 9, 46)
+	tol := 1e-3 / float64(n)
+	opts := []Option{WithDurability(dir), WithThreads(2), WithTolerance(tol), WithFrontierTolerance(tol)}
+	eng, err := New(n, edges, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Rank(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	const tail = 4
+	for i := range tail {
+		up := batch.Random(mirror, 6, int64(950+i))
+		mirror.Apply(up.Del, up.Ins)
+		if _, err := eng.Apply(ctx, toPublic(up.Del), toPublic(up.Ins)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	eng2, err := New(0, nil, opts...)
+	if err != nil {
+		t.Fatalf("warm restart: %v", err)
+	}
+	defer eng2.Close()
+	ckpt, err := eng2.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng2.Rank(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ckpt.Seq() != 0 || res.View.Seq() != tail || res.Rebuilt {
+		t.Fatalf("restart ranked %d → %d (rebuilt=%v), want an incremental 0 → %d", ckpt.Seq(), res.View.Seq(), res.Rebuilt, tail)
+	}
+	assertDelta(t, ckpt, res.View)
 }
 
 // TestNoOpRankCarriesLatestView pins the Result.View contract: a Rank that
@@ -337,155 +521,10 @@ func TestNoOpRankCarriesLatestView(t *testing.T) {
 	}
 }
 
-// assertDeltaFrontier pins that the frontier walk from lo to hi finds its
-// chain (ok — no silent degradation to the scan) and reports exactly what
-// the scan reports.
-func assertDeltaFrontier(t *testing.T, lo, hi *View) {
-	t.Helper()
-	got, ok := deltaFrontier(lo, hi, 0)
-	if !ok {
-		t.Fatalf("deltaFrontier(%d → %d) found no chain and would fall back to the O(n) scan", lo.Seq(), hi.Seq())
-	}
-	if want := deltaScan(lo, hi, 0); !slices.Equal(got, want) {
-		t.Fatalf("deltaFrontier(%d → %d) found %d movements, scan %d", lo.Seq(), hi.Seq(), len(got), len(want))
-	}
-}
-
-// TestViewDeltaChainOutlivesStoreRing covers graph versions advancing faster
-// than published rank versions (several Applies per Rank), so the store's
-// link ring trims past the batch chains of still-retained views. The views
-// own their chains, so Delta across the whole span still walks the frontier.
-func TestViewDeltaChainOutlivesStoreRing(t *testing.T) {
-	ctx := context.Background()
-	n, edges, mirror := testGraph(t, 9, 44)
-	tol := 1e-3 / float64(n)
-	eng, err := New(n, edges, WithThreads(2), WithTolerance(tol), WithFrontierTolerance(tol), WithHistory(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if _, err := eng.Rank(ctx); err != nil {
-		t.Fatal(err)
-	}
-	v0, err := eng.View()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 5 rounds of (3 applies, 1 rank): 15 graph versions, 6 published views
-	// (0,3,…,15) — all inside the view ring of 8, while the store ring of 8
-	// trims its own history to [8..15].
-	for round := 0; round < 5; round++ {
-		for j := 0; j < 3; j++ {
-			up := batch.Random(mirror, 6, int64(800+round*3+j))
-			mirror.Apply(up.Del, up.Ins)
-			if _, err := eng.Apply(ctx, toPublic(up.Del), toPublic(up.Ins)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := eng.Rank(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	latest, err := eng.View()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if latest.Seq() != 15 {
-		t.Fatalf("latest at %d, want 15", latest.Seq())
-	}
-	assertDeltaFrontier(t, v0, latest)
-}
-
-// TestViewDeltaBetweenHeldViewsAfterEviction: two consecutive views the
-// caller still holds, long after both left the WithHistory ring (and the
-// store's ring moved past their batches). The newer view carries the chain
-// from the older, so Delta between them needs neither ring.
-func TestViewDeltaBetweenHeldViewsAfterEviction(t *testing.T) {
-	eng, step := viewEngine(t, WithHistory(2))
-	step(400, 8)
-	older, err := eng.View()
-	if err != nil {
-		t.Fatal(err)
-	}
-	step(401, 8)
-	newer, err := eng.View()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ { // far beyond retention of 2
-		step(int64(402+i), 8)
-	}
-	for _, v := range []*View{older, newer} {
-		if _, err := eng.ViewAt(v.Seq()); !errors.Is(err, ErrVersionEvicted) {
-			t.Fatalf("view %d still in the ring (err=%v); the test needs it evicted", v.Seq(), err)
-		}
-	}
-	assertDeltaFrontier(t, older, newer)
-	// Across a view that has left the ring there is no chain to read.
-	latest, err := eng.View()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := deltaFrontier(older, latest, 0); ok {
-		t.Error("deltaFrontier claims a chain across evicted views")
-	}
-}
-
-// TestViewDeltaAcrossRestartJump: a warm restart publishes the checkpoint's
-// view, folds the WAL tail into ONE store version landing at the tail's tip
-// (Store.ApplyAt — a sequence jump), and the first Rank refreshes over it.
-// The chain between the two views is that one link; Delta must walk it.
-func TestViewDeltaAcrossRestartJump(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	n, edges, mirror := testGraph(t, 9, 46)
-	tol := 1e-3 / float64(n)
-	opts := []Option{WithDurability(dir), WithThreads(2), WithTolerance(tol), WithFrontierTolerance(tol)}
-	eng, err := New(n, edges, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Rank(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	const tail = 4
-	for i := 0; i < tail; i++ {
-		up := batch.Random(mirror, 6, int64(950+i))
-		mirror.Apply(up.Del, up.Ins)
-		if _, err := eng.Apply(ctx, toPublic(up.Del), toPublic(up.Ins)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	eng2, err := New(0, nil, opts...)
-	if err != nil {
-		t.Fatalf("warm restart: %v", err)
-	}
-	defer eng2.Close()
-	ckpt, err := eng2.View()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng2.Rank(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ckpt.Seq() != 0 || res.View.Seq() != tail || res.Rebuilt {
-		t.Fatalf("restart ranked %d → %d (rebuilt=%v), want an incremental 0 → %d", ckpt.Seq(), res.View.Seq(), res.Rebuilt, tail)
-	}
-	assertDeltaFrontier(t, ckpt, res.View)
-}
-
 // TestLiveGraphsIndependentOfRoundsPerView pins the retention rule end to
-// end: a view published every k applied rounds carries k chain links, not k
-// CSRs, and the store retains none, so the graph snapshots alive are those
-// of the retained views plus Current() and the ranker's own — whatever k is.
+// end: a view published every k applied rounds pins its own CSR only, and
+// the store retains none, so the graph snapshots alive are those of the
+// retained views plus Current() and the ranker's own — whatever k is.
 // Weak pointers observe reachability directly.
 func TestLiveGraphsIndependentOfRoundsPerView(t *testing.T) {
 	ctx := context.Background()
