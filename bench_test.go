@@ -7,6 +7,7 @@ package dfpr
 // full-scale versions.
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"dfpr/internal/gen"
 	"dfpr/internal/graph"
 	"dfpr/internal/harness"
+	"dfpr/internal/snapshot"
 )
 
 // benchOpts mirror the harness test options: tiny but real.
@@ -199,6 +201,50 @@ func benchSnapshot(b *testing.B, fraction float64, full bool) {
 		} else {
 			d.Snapshot()
 		}
+	}
+}
+
+// BenchmarkStoreApplyGrowth measures one write round's store cost on RMAT
+// 2^16×16: Store.Apply of a 10-edit batch (5 deletions, 5 insertions, one
+// of which names a new vertex), i.e. growth, edits, the self-loop ensure
+// and the delta snapshot together — the round an open-universe engine pays
+// per batch.
+func BenchmarkStoreApplyGrowth(b *testing.B) {
+	d := gen.RMAT(16, 16, 5)
+	s := snapshot.NewStore(d, 0)
+	g := s.Current().G
+	n := uint32(g.N())
+	edges := g.Edges(nil)
+	rng := rand.New(rand.NewSource(7))
+	ups := make([]batch.Update, b.N)
+	for i := range ups {
+		up := &ups[i]
+		for len(up.Del) < 5 {
+			if e := edges[rng.Intn(len(edges))]; e.U != e.V {
+				up.Del = append(up.Del, e)
+			}
+		}
+		for j := 0; j < 4; j++ {
+			up.Ins = append(up.Ins, graph.Edge{U: uint32(rng.Intn(int(n))), V: uint32(rng.Intn(int(n)))})
+		}
+		up.Ins = append(up.Ins, graph.Edge{U: uint32(rng.Intn(int(n))), V: n + uint32(i)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range ups {
+		s.Apply(ups[i])
+	}
+}
+
+// BenchmarkEnsureSelfLoops measures a no-op EnsureSelfLoops on an already
+// looped RMAT 2^16×16 graph — the dead-end elimination every store round
+// re-runs.
+func BenchmarkEnsureSelfLoops(b *testing.B) {
+	d := gen.RMAT(16, 16, 5)
+	d.EnsureSelfLoops()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.EnsureSelfLoops()
 	}
 }
 

@@ -64,26 +64,33 @@ func (d *Dynamic) deltaSnapshot() *CSR {
 
 // mergeRows assembles one CSR side of m total edges: rows listed in dirty
 // (sorted ascending) are replaced by dirtyRow(u), all other rows are copied
-// from the base side in maximal contiguous blocks. dirtyRow may return a
-// slice that is invalidated by the next call; contents are copied before the
-// next row is requested.
+// from the base side in maximal contiguous blocks. A base with fewer than n
+// rows (the universe grew since it was built) reads as if padded with empty
+// rows. dirtyRow may return a slice that is invalidated by the next call;
+// contents are copied before the next row is requested.
 func mergeRows(n, m int, basePtr []uint64, baseAdj []uint32, dirty []uint32, dirtyRow func(u uint32) []uint32) ([]uint64, []uint32) {
 	ptr := make([]uint64, n+1)
 	adj := make([]uint32, m)
 	cur := uint64(0)
 	prev := 0
 	emitClean := func(hi int) {
-		lo64, hi64 := basePtr[prev], basePtr[hi]
-		copy(adj[cur:], baseAdj[lo64:hi64])
-		if cur == lo64 {
-			copy(ptr[prev:hi], basePtr[prev:hi])
-		} else {
-			shift := int64(cur) - int64(lo64)
-			for v := prev; v < hi; v++ {
-				ptr[v] = uint64(int64(basePtr[v]) + shift)
+		top := max(prev, min(hi, len(basePtr)-1)) // rows past the base are empty
+		if prev < top {
+			lo64, hi64 := basePtr[prev], basePtr[top]
+			copy(adj[cur:], baseAdj[lo64:hi64])
+			if cur == lo64 {
+				copy(ptr[prev:top], basePtr[prev:top])
+			} else {
+				shift := int64(cur) - int64(lo64)
+				for v := prev; v < top; v++ {
+					ptr[v] = uint64(int64(basePtr[v]) + shift)
+				}
 			}
+			cur += hi64 - lo64
 		}
-		cur += hi64 - lo64
+		for v := top; v < hi; v++ {
+			ptr[v] = cur
+		}
 	}
 	for _, u := range dirty {
 		emitClean(int(u))
@@ -108,7 +115,10 @@ func mergeRows(n, m int, basePtr []uint64, baseAdj []uint32, dirty []uint32, dir
 // deduplicated in place (it is discarded afterwards).
 func (d *Dynamic) newInRow(v uint32, row []uint32) []uint32 {
 	touched := sortUnique(d.inTouched[v])
-	old := d.base.In(v)
+	var old []uint32
+	if int(v) < d.base.n {
+		old = d.base.In(v)
+	}
 	i, j := 0, 0
 	for i < len(old) && j < len(touched) {
 		switch u, t := old[i], touched[j]; {

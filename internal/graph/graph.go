@@ -210,6 +210,12 @@ type Dynamic struct {
 	// recovered by merging base.In(v) with a membership probe per touched
 	// source, which is insensitive to insert/delete/reinsert churn.
 	inTouched map[uint32][]uint32
+
+	// looped is the prefix [0, looped) of vertices EnsureSelfLoops has
+	// looped; lostLoops holds those of them whose self-loop DelEdge has
+	// removed since. Together they make the next call O(change), not O(n).
+	looped    int
+	lostLoops []uint32
 }
 
 // NewDynamic returns an empty dynamic graph with n vertices.
@@ -308,6 +314,9 @@ func (d *Dynamic) DelEdge(u, v uint32) bool {
 	d.adj[u] = append(row[:i], row[i+1:]...)
 	d.m--
 	d.touch(u, v)
+	if u == v && int(u) < d.looped {
+		d.lostLoops = append(d.lostLoops, u)
+	}
 	return true
 }
 
@@ -331,25 +340,16 @@ func (d *Dynamic) touch(u, v uint32) {
 // Growing to a smaller or equal n is a no-op — the universe is append-only,
 // matching the key space (vertices are never removed, only disconnected).
 //
-// Growth preserves the incremental-snapshot tracking: the base CSR is padded
-// to the new universe (offset arrays copied, adjacency shared), so a
-// Snapshot after a small batch on a grown graph still takes the delta-merge
-// path instead of a cold rebuild.
+// Growth costs amortized O(added vertices): the row headers grow by
+// append's geometric rule, and the base CSR is left as it is — the next
+// delta merge reads its missing rows as empty, so a Snapshot after a small
+// batch on a grown graph still takes the delta-merge path.
 func (d *Dynamic) Grow(n int) {
 	if n <= d.n {
 		return
 	}
-	if cap(d.adj) >= n {
-		d.adj = d.adj[:n]
-	} else {
-		adj := make([][]uint32, n)
-		copy(adj, d.adj)
-		d.adj = adj
-	}
+	d.adj = append(d.adj, make([][]uint32, n-d.n)...)
 	d.n = n
-	if d.base != nil {
-		d.base = d.base.WithN(n)
-	}
 }
 
 // Apply removes every edge in del and inserts every edge in ins, in that
@@ -368,10 +368,19 @@ func (d *Dynamic) Apply(del, ins []Edge) {
 // paper's dead-end elimination (§5.1.3): every vertex gains out-degree ≥ 1 so
 // the global teleport contribution of dangling vertices never needs
 // recomputation.
+//
+// A call loops only the vertices added since the previous call and those
+// whose self-loop DelEdge removed, so it costs O(new vertices + deleted
+// loops); the first call on a constructed or cloned graph costs O(n).
 func (d *Dynamic) EnsureSelfLoops() {
-	for v := uint32(0); int(v) < d.n; v++ {
+	for _, v := range d.lostLoops {
 		d.AddEdge(v, v)
 	}
+	d.lostLoops = d.lostLoops[:0]
+	for v := uint32(d.looped); int(v) < d.n; v++ {
+		d.AddEdge(v, v)
+	}
+	d.looped = d.n
 }
 
 // Snapshot builds an immutable CSR of the current graph, choosing the
@@ -383,7 +392,7 @@ func (d *Dynamic) EnsureSelfLoops() {
 func (d *Dynamic) Snapshot() *CSR {
 	var g *CSR
 	switch {
-	case d.base != nil && len(d.outDirty) == 0 && len(d.inTouched) == 0:
+	case d.base != nil && d.base.n == d.n && len(d.outDirty) == 0 && len(d.inTouched) == 0:
 		return d.base
 	case d.base != nil && d.deltaWorthwhile():
 		g = d.deltaSnapshot()

@@ -204,6 +204,57 @@ func TestEnsureSelfLoopsRemovesDeadEnds(t *testing.T) {
 	}
 }
 
+// TestEnsureSelfLoopsIncremental checks the looped-prefix and lost-loop
+// bookkeeping against an oracle: seeded random interleavings of Grow,
+// AddEdge, DelEdge (self-loops included), Snapshot, Clone and a
+// DynamicFromCSR round trip, with every EnsureSelfLoops compared row for
+// row against a Clone — which starts with an empty prefix, so its ensure
+// is the full O(n) pass — taken just before it. Snapshots after growth
+// also exercise the delta merge over a base with fewer rows.
+func TestEnsureSelfLoopsIncremental(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := NewDynamic(4)
+		for step := 0; step < 600; step++ {
+			n := d.N()
+			switch op := rng.Intn(12); {
+			case op == 0:
+				d.Grow(n + rng.Intn(4))
+			case op <= 3:
+				d.AddEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
+			case op <= 5:
+				v := uint32(rng.Intn(n))
+				d.DelEdge(v, v)
+			case op == 6:
+				d.DelEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
+			case op <= 8:
+				want := d.Clone()
+				want.EnsureSelfLoops()
+				d.EnsureSelfLoops()
+				if d.M() != want.M() {
+					t.Fatalf("seed %d step %d: M = %d, full ensure %d", seed, step, d.M(), want.M())
+				}
+				for v := uint32(0); int(v) < n; v++ {
+					if !d.HasEdge(v, v) {
+						t.Fatalf("seed %d step %d: vertex %d has no self-loop", seed, step, v)
+					}
+					if !reflect.DeepEqual(d.Out(v), want.Out(v)) {
+						t.Fatalf("seed %d step %d: row %d = %v, full ensure %v", seed, step, v, d.Out(v), want.Out(v))
+					}
+				}
+			case op == 9:
+				g := d.Snapshot()
+				mustValid(t, g)
+				csrEqual(t, g, rebuildReference(d), "snapshot")
+			case op == 10:
+				d = d.Clone()
+			default:
+				d = DynamicFromCSR(d.Snapshot())
+			}
+		}
+	}
+}
+
 func TestSnapshotIsImmutableCopy(t *testing.T) {
 	d := NewDynamic(3)
 	d.AddEdge(0, 1)

@@ -149,8 +149,8 @@ func TestSyncPromotesIdleTail(t *testing.T) {
 	}
 }
 
-// TestSettleSmallMap: Settle always promotes small maps, so any engine of
-// ordinary key count is fully lock-free at a write-idle edge.
+// TestSettleSmallMap: a tail of at least 1/16 of the promoted keys promotes
+// at Settle; on a fresh map any tail qualifies.
 func TestSettleSmallMap(t *testing.T) {
 	m := New()
 	for _, k := range []string{"alice", "bob", "carol", "dave"} {
@@ -163,6 +163,54 @@ func TestSettleSmallMap(t *testing.T) {
 	m.Settle() // no-op on an empty tail
 	if m.Len() != 4 {
 		t.Fatalf("Len = %d", m.Len())
+	}
+}
+
+// TestSettleAmortized: a writer that interns one fresh key per round and
+// settles after each pays O(total keys) in promotion copies, not O(keys)
+// per round — the sum of entries copied over all promotions (a new read
+// state means one) stays within 21·K. Every key resolves both ways
+// throughout, tail keys included, and Sync empties the tail.
+func TestSettleAmortized(t *testing.T) {
+	const keys = 20000
+	m := New()
+	copied := 0
+	rs := m.read.Load()
+	observe := func() {
+		if next := m.read.Load(); next != rs {
+			rs = next
+			copied += len(rs.keys)
+		}
+	}
+	check := func(i int) {
+		k := fmt.Sprintf("k%05d", i)
+		if id, ok := m.Resolve(k); !ok || id != uint32(i) {
+			t.Fatalf("Resolve(%s) = %d, %v; want %d", k, id, ok, i)
+		}
+		if got, ok := m.KeyOf(uint32(i)); !ok || got != k {
+			t.Fatalf("KeyOf(%d) = %q, %v; want %s", i, got, ok, k)
+		}
+	}
+	for i := 0; i < keys; i++ {
+		m.Intern(fmt.Sprintf("k%05d", i))
+		observe()
+		m.Settle()
+		observe()
+		check(i) // the newest key, usually in the tail
+		if first := len(rs.keys); first <= i {
+			check(first) // the tail's oldest key
+		}
+		check(i / 2)
+	}
+	if limit := 21 * keys; copied > limit {
+		t.Fatalf("promotions copied %d entries over %d rounds, want ≤ %d", copied, keys, limit)
+	}
+	for i := 0; i < keys; i++ {
+		check(i)
+	}
+	m.Sync()
+	if rs := m.read.Load(); len(rs.keys) != keys || len(m.dirtyK) != 0 {
+		t.Fatalf("after Sync: promoted %d, tail %d (want %d, 0)", len(rs.keys), len(m.dirtyK), keys)
 	}
 }
 

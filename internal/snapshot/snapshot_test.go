@@ -53,6 +53,28 @@ func TestStoreVersioning(t *testing.T) {
 	}
 }
 
+// TestEnsureSelfLoopsThroughStoreApply: a batch that deletes a vertex's
+// self-loop publishes a version that still has it — the store's incremental
+// ensure restores lost loops as well as looping grown vertices.
+func TestEnsureSelfLoopsThroughStoreApply(t *testing.T) {
+	s := testStore(t, 0)
+	n := s.Current().G.N()
+	_, next := s.Apply(batch.Update{
+		Del: []graph.Edge{{U: 3, V: 3}, {U: 7, V: 7}},
+		Ins: []graph.Edge{{U: 3, V: uint32(n)}},
+	})
+	_, next = s.Apply(batch.Update{Del: []graph.Edge{{U: uint32(n), V: uint32(n)}, {U: 3, V: 3}}})
+	g := next.G
+	if g.N() != n+1 || g.DeadEnds() != 0 {
+		t.Fatalf("n = %d (want %d), dead ends %d", g.N(), n+1, g.DeadEnds())
+	}
+	for _, v := range []uint32{3, 7, uint32(n)} {
+		if !g.HasEdge(v, v) {
+			t.Errorf("vertex %d lost its self-loop", v)
+		}
+	}
+}
+
 func TestSinceChains(t *testing.T) {
 	s := testStore(t, 8)
 	for i := 0; i < 5; i++ {
