@@ -305,7 +305,7 @@ func (e *Engine) maybeCheckpointLocked(v *View) {
 	if !d.ckptBusy.CompareAndSwap(false, true) {
 		return // previous checkpoint still writing; next publication retries
 	}
-	st := e.checkpointState(v)
+	st := e.checkpointState(v.seq, v.ver.G, v.ranks)
 	d.ckptWG.Add(1)
 	go func() {
 		defer d.ckptWG.Done()
@@ -318,14 +318,14 @@ func (e *Engine) maybeCheckpointLocked(v *View) {
 	}()
 }
 
-// checkpointState captures the published view v as a checkpoint: graph and
-// ranks at v's version, plus the key prefix covering its universe (ids are
-// dense in first-mention order, so the first N keys are exactly the keys
-// that existed at a version with N vertices).
-func (e *Engine) checkpointState(v *View) *wal.State {
-	st := &wal.State{Seq: v.seq, Graph: v.ver.G, Ranks: v.ranks}
+// checkpointState captures graph g at version seq as a checkpoint, with
+// ranks converged on it (nil before the first Rank) and the key prefix
+// covering its universe (ids are dense in first-mention order, so the first
+// N keys are exactly the keys that existed at a version with N vertices).
+func (e *Engine) checkpointState(seq uint64, g *graph.CSR, ranks []float64) *wal.State {
+	st := &wal.State{Seq: seq, Graph: g, Ranks: ranks}
 	if e.keys != nil {
-		st.Keys = e.keys.KeysRange(0, len(v.ranks))
+		st.Keys = e.keys.KeysRange(0, g.N())
 	}
 	return st
 }
@@ -354,13 +354,10 @@ func (e *Engine) Checkpoint() error {
 	}
 	var st *wal.State
 	if v := e.latest.Load(); v != nil {
-		st = e.checkpointState(v)
+		st = e.checkpointState(v.seq, v.ver.G, v.ranks)
 	} else {
 		cur := e.store.Current()
-		st = &wal.State{Seq: cur.Seq, Graph: cur.G}
-		if e.keys != nil {
-			st.Keys = e.keys.KeysRange(0, cur.G.N())
-		}
+		st = e.checkpointState(cur.Seq, cur.G, nil)
 	}
 	t0 := time.Now()
 	if err := d.log.WriteCheckpoint(st); err != nil {

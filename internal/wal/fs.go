@@ -18,7 +18,7 @@ type FS interface {
 	ReadDir(dir string) ([]string, error)
 	ReadFile(name string) ([]byte, error)
 	// ReadFileFrom reads name from byte offset off to its current end — the
-	// incremental read a live segment follower performs on each wakeup.
+	// incremental read a segment reader performs on each refill.
 	ReadFileFrom(name string, off int64) ([]byte, error)
 	// OpenAppend opens name for appending, creating it if absent.
 	OpenAppend(name string) (File, error)
@@ -68,10 +68,18 @@ func (osFS) ReadFileFrom(name string, off int64) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
+	// Sized from Stat as os.ReadFile does: one allocation, however large the
+	// tail. Bytes appended after the Stat are left to the next read.
+	fi, err := f.Stat()
+	if err != nil {
 		return nil, err
 	}
-	return io.ReadAll(f)
+	b := make([]byte, max(fi.Size()-off, 0))
+	n, err := f.ReadAt(b, off)
+	if err == io.EOF {
+		err = nil // the file shrank since the Stat
+	}
+	return b[:n], err
 }
 
 func (osFS) OpenAppend(name string) (File, error) {

@@ -1,13 +1,14 @@
 package wal
 
-// Streaming read side of the log. Recovery (wal.go) replays a directory
-// once, at open; the readers here follow a LIVE log — the replication feed
-// tails the segment files of a writer that keeps appending, rotating and
-// pruning underneath them. The contract that makes this safe is the same
-// log-before-publish rule the engine already relies on: every acknowledged
-// round is fully framed in a segment file before anyone can observe its
-// version, so a reader that stops at the first incomplete frame never sees
-// a record the writer did not commit.
+// Read side of the log: the one place records are read out of segment
+// files. Recovery (wal.go) runs a SegmentReader from the checkpoint once, at
+// open, and cuts the log where it stops; the replication feed runs one
+// against a LIVE log, tailing the segment files of a writer that keeps
+// appending, rotating and pruning underneath it. The contract that makes
+// the live case safe is the same log-before-publish rule the engine already
+// relies on: every acknowledged round is fully framed in a segment file
+// before anyone can observe its version, so a reader that stops at the
+// first incomplete frame never sees a record the writer did not commit.
 
 import (
 	"errors"
@@ -64,14 +65,16 @@ func (r *SegmentReader) Next() (Record, error) {
 			rec, n, err := parseRecord(r.buf)
 			switch {
 			case err == nil:
+				if rec.Seq > r.seq+1 {
+					// Checked before the frame is consumed, so off still ends
+					// at the last good record: recovery truncates there.
+					return Record{}, fmt.Errorf("%w: sequence gap %d -> %d in segment %d",
+						ErrCorrupt, r.seq, rec.Seq, r.base)
+				}
 				r.buf = r.buf[n:]
 				r.off += int64(n)
 				if rec.Seq <= r.seq {
 					continue // positioning overshoot: record already delivered
-				}
-				if rec.Seq != r.seq+1 {
-					return Record{}, fmt.Errorf("%w: sequence gap %d -> %d in segment %d",
-						ErrCorrupt, r.seq, rec.Seq, r.base)
 				}
 				r.seq = rec.Seq
 				return rec, nil
@@ -107,7 +110,7 @@ func (r *SegmentReader) Next() (Record, error) {
 // position finds the segment holding record seq+1: the one with the largest
 // base ≤ seq (a segment based at b holds records (b, next base]).
 func (r *SegmentReader) position() error {
-	segs, err := r.l.listSegments()
+	_, segs, err := r.l.scan(false)
 	if err != nil {
 		return err
 	}
@@ -139,7 +142,11 @@ func (r *SegmentReader) refill() (int, error) {
 		}
 		return 0, fmt.Errorf("wal: read %s: %w", name, err)
 	}
-	r.buf = append(r.buf, b...)
+	if len(r.buf) == 0 {
+		r.buf = b // no copy: a recovery read holds one segment-sized buffer
+	} else {
+		r.buf = append(r.buf, b...)
+	}
 	return len(b), nil
 }
 
@@ -148,7 +155,7 @@ func (r *SegmentReader) refill() (int, error) {
 // successor's base equals the last sequence we delivered; leftover bytes at
 // that point are damage, not a tail.
 func (r *SegmentReader) advanceSegment() (bool, error) {
-	segs, err := r.l.listSegments()
+	_, segs, err := r.l.scan(false)
 	if err != nil {
 		return false, err
 	}
@@ -168,22 +175,6 @@ func (r *SegmentReader) advanceSegment() (bool, error) {
 	}
 	r.base, r.off, r.buf = segs[i], 0, nil
 	return true, nil
-}
-
-// listSegments returns the directory's segment bases in ascending order.
-func (l *Log) listSegments() ([]uint64, error) {
-	names, err := l.fs.ReadDir(l.dir)
-	if err != nil {
-		return nil, fmt.Errorf("wal: scan %s: %w", l.dir, err)
-	}
-	var segs []uint64
-	for _, n := range names {
-		if base, ok := parseSeq(n, "wal-", ".log"); ok {
-			segs = append(segs, base)
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	return segs, nil
 }
 
 // AppendWait returns a channel closed at the next successful Append (or at
@@ -223,8 +214,7 @@ func (l *Log) Fence(cause error) {
 // SegmentReader may start at any after ≥ Floor(). Readers behind the floor
 // must bootstrap from a checkpoint.
 func (l *Log) Floor() uint64 {
-	segs, err := l.listSegments()
-	if err == nil && len(segs) > 0 {
+	if _, segs, err := l.scan(false); err == nil && len(segs) > 0 {
 		return segs[0]
 	}
 	return l.seq.Load()
@@ -234,25 +224,12 @@ func (l *Log) Floor() uint64 {
 // the bootstrap payload the replication feed hands a replica that is behind
 // the floor. Unlike recovery it removes nothing; invalid files are skipped.
 func (l *Log) LatestCheckpoint() (*State, error) {
-	names, err := l.fs.ReadDir(l.dir)
+	ckpts, _, err := l.scan(false)
 	if err != nil {
-		return nil, fmt.Errorf("wal: scan %s: %w", l.dir, err)
+		return nil, err
 	}
-	var ckpts []uint64
-	for _, n := range names {
-		if seq, ok := parseSeq(n, "checkpoint-", ".ckpt"); ok {
-			ckpts = append(ckpts, seq)
-		}
-	}
-	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] > ckpts[j] })
-	for _, seq := range ckpts {
-		b, err := l.fs.ReadFile(filepath.Join(l.dir, ckptName(seq)))
-		if err != nil {
-			continue
-		}
-		if st, derr := decodeCheckpoint(b); derr == nil && st.Seq == seq {
-			return st, nil
-		}
+	if st := l.newestCheckpoint(ckpts, false); st != nil {
+		return st, nil
 	}
 	return nil, fmt.Errorf("wal: %s holds no valid checkpoint", l.dir)
 }

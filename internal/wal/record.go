@@ -8,10 +8,12 @@
 //   - Log-before-publish: a round's record is appended (in publication
 //     order) before the version becomes visible to readers, so every state
 //     a reader ever observed is reconstructible from checkpoint + tail.
-//   - Torn-tail rule: recovery treats the first invalid record — short,
-//     checksum mismatch, or out-of-sequence — as the end of the log,
-//     truncates there, and continues. A crash mid-append is therefore never
-//     fatal; at most the final unacknowledged round is lost.
+//   - Torn-tail rule: recovery replays from the checkpoint through the
+//     SegmentReader the replication feed uses, treats the first invalid
+//     record — short, checksum mismatch, or out-of-sequence — as the end
+//     of the log, truncates there, and continues. A crash mid-append is
+//     therefore never fatal; at most the final unacknowledged round is
+//     lost. A checkpoint whose tail was pruned is refused, not truncated to.
 //   - Degradation over wedging: once the disk persistently fails, the log
 //     goes sticky-degraded — appends turn into cheap error returns, the
 //     engine keeps applying in memory and serving reads, and the condition

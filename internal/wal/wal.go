@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,7 +52,10 @@ const (
 	// DefaultSegmentBytes is the segment rotation threshold.
 	DefaultSegmentBytes = int64(64 << 20)
 	// keepCheckpoints is how many newest checkpoint files survive pruning:
-	// the latest plus one fallback in case the latest is found corrupt.
+	// the latest plus one fallback in case the latest is found corrupt. The
+	// fallback is usable only while its tail survives: once the latest's
+	// prune has removed the segments between the two, recovery refuses the
+	// fallback rather than truncate the log to it.
 	keepCheckpoints = 2
 )
 
@@ -125,22 +130,58 @@ func parseSeq(name, pre, suf string) (uint64, bool) {
 	return seq, true
 }
 
+// scan lists the directory once: checkpoint seqs newest first, segment
+// bases ascending. With dropTmp it also removes stale *.tmp files; only
+// recovery passes it, because on a live log the temp file may belong to a
+// checkpoint being written right now.
+func (l *Log) scan(dropTmp bool) (ckpts, segs []uint64, err error) {
+	names, err := l.fs.ReadDir(l.dir)
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: scan %s: %w", l.dir, err)
+	}
+	for _, n := range names {
+		if seq, ok := parseSeq(n, "checkpoint-", ".ckpt"); ok {
+			ckpts = append(ckpts, seq)
+		} else if base, ok := parseSeq(n, "wal-", ".log"); ok {
+			segs = append(segs, base)
+		} else if dropTmp && strings.HasSuffix(n, ".tmp") {
+			_ = l.fs.Remove(filepath.Join(l.dir, n))
+		}
+	}
+	slices.Sort(ckpts)
+	slices.Reverse(ckpts)
+	slices.Sort(segs)
+	return ckpts, segs, nil
+}
+
+// newestCheckpoint returns the first of ckpts (newest first) that reads
+// back valid, nil when none does. With drop, every invalid file passed on
+// the way is removed: a checkpoint that cannot be read back is garbage by
+// definition (its replacement rule is "previous file still exists"), and
+// left in place it would shadow the valid fallback at the next recovery.
+func (l *Log) newestCheckpoint(ckpts []uint64, drop bool) *State {
+	for _, seq := range ckpts {
+		name := filepath.Join(l.dir, ckptName(seq))
+		if b, err := l.fs.ReadFile(name); err == nil {
+			if st, derr := decodeCheckpoint(b); derr == nil && st.Seq == seq {
+				return st
+			}
+		}
+		if drop {
+			_ = l.fs.Remove(name)
+		}
+	}
+	return nil
+}
+
 // HasState reports whether dir holds durable engine state (any checkpoint
 // file), without opening the log.
 func HasState(dir string, fs FS) (bool, error) {
 	if fs == nil {
 		fs = OSFS()
 	}
-	names, err := fs.ReadDir(dir)
-	if err != nil {
-		return false, nil // absent directory: no state
-	}
-	for _, n := range names {
-		if _, ok := parseSeq(n, "checkpoint-", ".ckpt"); ok {
-			return true, nil
-		}
-	}
-	return false, nil
+	ckpts, _, err := (&Log{dir: dir, fs: fs}).scan(false)
+	return err == nil && len(ckpts) > 0, nil // absent directory: no state
 }
 
 // Open opens (creating if needed) the durability directory, recovers the
@@ -173,102 +214,65 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 	return l, rec, nil
 }
 
-// recover scans the directory: checkpoints newest-first until one validates
-// (invalid ones and stale temp files are removed), then the segments in
-// base order, collecting the contiguous record tail past the checkpoint.
-// The first short, corrupt or out-of-sequence record ends the log: the
-// segment is truncated there, later segments are removed, and recovery
-// continues with what it has — never an error.
+// recover loads the newest valid checkpoint (invalid ones and stale temp
+// files are removed) and replays the log past it through a SegmentReader,
+// the same reader the replication feed follows a live log with. The reader
+// stops at the end of the log or at the first short, corrupt or
+// out-of-sequence record, and where it stopped is where the log ends: the
+// bytes past it are truncated, later segments are removed, and its segment
+// becomes the active one. A torn tail is never an error. A checkpoint whose
+// tail was pruned is: replaying from it would drop acknowledged records, so
+// Open refuses and leaves every segment as it found it.
 func (l *Log) recover() (*Recovered, error) {
-	names, err := l.fs.ReadDir(l.dir)
+	ckpts, segs, err := l.scan(true)
 	if err != nil {
-		return nil, fmt.Errorf("wal: scan %s: %w", l.dir, err)
+		return nil, err
 	}
-	var ckpts, segs []uint64
-	for _, n := range names {
-		if seq, ok := parseSeq(n, "checkpoint-", ".ckpt"); ok {
-			ckpts = append(ckpts, seq)
-		} else if base, ok := parseSeq(n, "wal-", ".log"); ok {
-			segs = append(segs, base)
-		} else if strings.HasSuffix(n, ".tmp") {
-			_ = l.fs.Remove(filepath.Join(l.dir, n))
-		}
-	}
-	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] > ckpts[j] })
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-
 	rec := &Recovered{}
-	for _, seq := range ckpts {
-		name := filepath.Join(l.dir, ckptName(seq))
-		b, err := l.fs.ReadFile(name)
-		if err == nil {
-			if st, derr := decodeCheckpoint(b); derr == nil && st.Seq == seq {
-				rec.HasState = true
-				rec.Checkpoint = st
-				break
-			}
-		}
-		// A checkpoint that cannot be read back is garbage by definition
-		// (its replacement rule is "previous file still exists"): drop it so
-		// it cannot shadow the valid fallback on the next recovery.
-		_ = l.fs.Remove(name)
-	}
-	if !rec.HasState && len(segs) > 0 {
+	if st := l.newestCheckpoint(ckpts, true); st != nil {
+		rec.HasState, rec.Checkpoint = true, st
+		l.ckptSeq.Store(st.Seq)
+	} else if len(segs) > 0 {
 		// Log segments with no checkpoint to anchor them: replay has no base
 		// state, which only a damaged directory produces (the engine writes
 		// checkpoint 0 before the first append). Refuse rather than guess.
 		return nil, fmt.Errorf("wal: %s holds log segments but no valid checkpoint", l.dir)
 	}
 
-	want := uint64(1)
-	if rec.HasState {
-		want = rec.Checkpoint.Seq + 1
-		l.ckptSeq.Store(rec.Checkpoint.Seq)
+	after := l.ckptSeq.Load()
+	r := l.SegmentReader(after)
+	for {
+		x, err := r.Next()
+		if err == nil {
+			rec.Tail = append(rec.Tail, x)
+			continue
+		}
+		if errors.Is(err, ErrPruned) {
+			return nil, fmt.Errorf("wal: %s: refusing checkpoint %d: %w", l.dir, after, err)
+		}
+		if !errors.Is(err, io.EOF) && !errors.Is(err, ErrCorrupt) {
+			return nil, err
+		}
+		break
 	}
-	for i, base := range segs {
-		name := filepath.Join(l.dir, segmentName(base))
-		b, err := l.fs.ReadFile(name)
-		if err != nil {
-			return nil, fmt.Errorf("wal: read %s: %w", name, err)
+	l.seq.Store(r.seq)
+	l.base, l.size = r.base, r.off
+	if !r.pos {
+		l.base = after // no segment yet: the first one starts at the checkpoint
+	}
+	if len(r.buf) > 0 {
+		// Torn or corrupt tail: cut the segment at the last valid record.
+		rec.Truncated = true
+		name := filepath.Join(l.dir, segmentName(r.base))
+		if err := l.fs.Truncate(name, r.off); err != nil {
+			return nil, fmt.Errorf("wal: truncate torn tail of %s: %w", name, err)
 		}
-		off, end := 0, len(b)
-		for off < end {
-			r, n, perr := parseRecord(b[off:])
-			if perr != nil {
-				end = off
-				break
-			}
-			if r.Seq >= want {
-				if r.Seq != want {
-					// A gap means the records past it belong to a future the
-					// log lost; same rule as a torn record.
-					end = off
-					break
-				}
-				rec.Tail = append(rec.Tail, r)
-				want++
-			}
-			off += n
-		}
-		if end < len(b) {
-			// Torn or corrupt tail: cut the segment at the last valid record
-			// and drop everything after it, including later segments.
+	}
+	for _, later := range segs {
+		if later > r.base {
 			rec.Truncated = true
-			if err := l.fs.Truncate(name, int64(end)); err != nil {
-				return nil, fmt.Errorf("wal: truncate torn tail of %s: %w", name, err)
-			}
-			for _, later := range segs[i+1:] {
-				_ = l.fs.Remove(filepath.Join(l.dir, segmentName(later)))
-			}
-			l.base, l.size = base, int64(end)
-			l.seq.Store(want - 1)
-			return rec, l.openActive()
+			_ = l.fs.Remove(filepath.Join(l.dir, segmentName(later)))
 		}
-		l.base, l.size = base, int64(end)
-	}
-	l.seq.Store(want - 1)
-	if len(segs) == 0 {
-		l.base, l.size = want-1, 0
 	}
 	return rec, l.openActive()
 }
@@ -439,23 +443,13 @@ func (l *Log) WriteCheckpoint(st *State) error {
 // removable when the NEXT segment's base is ≤ seq (every record it holds is
 // ≤ that base). Removal is best-effort — a leftover file only costs disk.
 func (l *Log) prune(seq uint64) {
-	names, err := l.fs.ReadDir(l.dir)
+	ckpts, segs, err := l.scan(false)
 	if err != nil {
 		return
 	}
-	var ckpts, segs []uint64
-	for _, n := range names {
-		if s, ok := parseSeq(n, "checkpoint-", ".ckpt"); ok {
-			ckpts = append(ckpts, s)
-		} else if b, ok := parseSeq(n, "wal-", ".log"); ok {
-			segs = append(segs, b)
-		}
-	}
-	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] > ckpts[j] })
 	for _, s := range ckpts[min(len(ckpts), keepCheckpoints):] {
 		_ = l.fs.Remove(filepath.Join(l.dir, ckptName(s)))
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 	for i := 0; i+1 < len(segs); i++ {
 		if segs[i+1] <= seq {
 			_ = l.fs.Remove(filepath.Join(l.dir, segmentName(segs[i])))

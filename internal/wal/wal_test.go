@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -543,5 +544,146 @@ func TestRecoverLargeTail(t *testing.T) {
 	}
 	if rec.Tail[n-1].Keys[0] != fmt.Sprintf("key-%d", n) {
 		t.Fatalf("keys lost in replay: %q", rec.Tail[n-1].Keys)
+	}
+}
+
+// segmentBytes reads every segment file in dir, keyed by name.
+func segmentBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := make(map[string][]byte, len(names))
+	for _, n := range names {
+		if segs[filepath.Base(n)], err = os.ReadFile(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return segs
+}
+
+// TestFallbackCheckpointWithPrunedTailRefuses: once a checkpoint has pruned
+// the segments behind it, the fallback checkpoint no longer has a tail to
+// replay. Recovering from it would cut the surviving log down to nothing —
+// acknowledged records lost without an error — so Open refuses and leaves
+// every segment byte for byte as it was.
+func TestFallbackCheckpointWithPrunedTailRefuses(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openSeeded(t, dir, Options{Mode: SyncNone, SegmentBytes: 1}) // rotate every append
+	for seq := uint64(1); seq <= 6; seq++ {
+		if err := l.Append(testRecord(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.WriteCheckpoint(&State{Seq: 4, Graph: testCSR(t, 8)}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	name := filepath.Join(dir, ckptName(4))
+	b, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0xff
+	if err := os.WriteFile(name, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := segmentBytes(t, dir)
+	l2, rec, err := Open(dir, Options{Mode: SyncNone})
+	if err == nil {
+		l2.Close()
+		t.Fatalf("Open fell back to checkpoint %d over a pruned tail and recovered %d records",
+			rec.Checkpoint.Seq, len(rec.Tail))
+	}
+	if !errors.Is(err, ErrPruned) {
+		t.Fatalf("Open refused with %v, want ErrPruned", err)
+	}
+	after := segmentBytes(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("refused Open left %d segments, want the %d it found", len(after), len(before))
+	}
+	for n, want := range before {
+		if got, ok := after[n]; !ok || !bytes.Equal(got, want) {
+			t.Fatalf("refused Open changed %s: %d bytes, want %d", n, len(got), len(want))
+		}
+	}
+}
+
+// TestRecoveryAfterGapStaysFollowable: a missing middle segment ends the
+// log where the gap starts, and the log continues from there, so a reader
+// following from the recovered tip receives the next record and a second
+// recovery keeps it.
+func TestRecoveryAfterGapStaysFollowable(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openSeeded(t, dir, Options{Mode: SyncNone, SegmentBytes: 1}) // rotate every append
+	for seq := uint64(1); seq <= 4; seq++ {
+		if err := l.Append(testRecord(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	if err := os.Remove(filepath.Join(dir, segmentName(1))); err != nil { // record 2
+		t.Fatal(err)
+	}
+	l2, rec, err := Open(dir, Options{Mode: SyncNone})
+	if err != nil {
+		t.Fatalf("Open over a gap: %v", err)
+	}
+	if len(rec.Tail) != 1 || !rec.Truncated {
+		t.Fatalf("recovered %d records (truncated %v), want 1 truncated", len(rec.Tail), rec.Truncated)
+	}
+	tip := l2.Stats().Seq
+	if err := l2.Append(testRecord(tip + 1)); err != nil {
+		t.Fatal(err)
+	}
+	wantSeqs(t, readAll(t, l2.SegmentReader(tip)), tip+1)
+	l2.Close()
+	l3, rec3, err := Open(dir, Options{Mode: SyncNone})
+	if err != nil {
+		t.Fatalf("second reopen: %v", err)
+	}
+	defer l3.Close()
+	if len(rec3.Tail) != 2 || rec3.Tail[1].Seq != tip+1 || rec3.Truncated {
+		t.Fatalf("second recovery: %d records (truncated %v), want %d clean", len(rec3.Tail), rec3.Truncated, 2)
+	}
+}
+
+// TestRecoveryIgnoresDamageBehindCheckpoint: a crash between a checkpoint's
+// rename and its prune leaves segments the checkpoint already covers. Replay
+// starts at the checkpoint, so damage in such a segment cannot cut the tail
+// that follows it.
+func TestRecoveryIgnoresDamageBehindCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openSeeded(t, dir, Options{Mode: SyncNone, SegmentBytes: 1}) // rotate every append
+	for seq := uint64(1); seq <= 6; seq++ {
+		if err := l.Append(testRecord(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	covered := filepath.Join(dir, segmentName(3)) // record 4
+	saved, err := os.ReadFile(covered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WriteCheckpoint(&State{Seq: 4, Graph: testCSR(t, 8)}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if _, err := os.Stat(covered); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint 4 did not prune %s", covered)
+	}
+	saved[frameHeader+3] ^= 0xff
+	if err := os.WriteFile(covered, saved, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec, err := Open(dir, Options{Mode: SyncNone})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer l2.Close()
+	if rec.Checkpoint.Seq != 4 || len(rec.Tail) != 2 || rec.Tail[0].Seq != 5 || rec.Tail[1].Seq != 6 || rec.Truncated {
+		t.Fatalf("recovered checkpoint %d + %d records (truncated %v), want 4 + records 5, 6",
+			rec.Checkpoint.Seq, len(rec.Tail), rec.Truncated)
 	}
 }
