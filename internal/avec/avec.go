@@ -34,10 +34,13 @@ func NewF64(n int) *F64 {
 // Len returns the number of elements.
 func (v *F64) Len() int { return len(v.bits) }
 
-// Load atomically reads element i.
+// Load atomically reads element i. It takes the vector by value, and a copy
+// shares the elements: a loop that loads through a local copy keeps the
+// slice header in registers, where through a pointer every atomic load, an
+// ordering point, makes the compiler reload it.
 //
 //dfpr:hotpath
-func (v *F64) Load(i int) float64 {
+func (v F64) Load(i int) float64 {
 	return math.Float64frombits(atomic.LoadUint64(&v.bits[i]))
 }
 

@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"slices"
 	"time"
 
 	"dfpr/internal/fault"
@@ -268,9 +267,9 @@ func invOutDeg(g *graph.CSR) []float64 {
 // store into a contribution-cache store (contrib[v] = rank[v]·ainv[v]), and
 // — when solve is set, for the lock-free kernel —
 // dinv[v] = 1/(1 − ainv[v]) if v has a self-loop and 1 otherwise (see
-// rankOfCachedAtomic). The self-loop is found by binary search of v's
-// sorted in-row, so a graph that never ran EnsureSelfLoops gets dinv = 1
-// wherever v has none.
+// rankOfCachedAtomic). A self-loop leads v's in-row (graph.CSR), so finding
+// it is one test per vertex, and a graph that never ran EnsureSelfLoops
+// gets dinv = 1 wherever v has none.
 func kernelFactors(g *graph.CSR, alpha float64, solve bool) (ainv, dinv []float64) {
 	n := g.N()
 	ainv = make([]float64, n)
@@ -285,7 +284,7 @@ func kernelFactors(g *graph.CSR, alpha float64, solve bool) (ainv, dinv []float6
 			continue
 		}
 		dinv[v] = 1
-		if _, loop := slices.BinarySearch(g.In(v), v); loop {
+		if in := g.In(v); len(in) > 0 && in[0] == v {
 			dinv[v] = 1 / (1 - ainv[v])
 		}
 	}

@@ -42,18 +42,22 @@ func rankOfCached(g *graph.CSR, contrib []float64, base float64, v uint32) float
 // = 1 for a vertex without one (kernelFactors). The fixed point is the
 // plain update's; only the iteration differs: a dead end, whose one
 // out-edge is its self-loop, lands on its fixed point in the first pass
-// after its in-neighbours settle instead of contracting by α per pass. The
-// gather skips u == v rather than loading contrib[v] and subtracting it: a
-// concurrent store between the two loads would leave a term that cancels
-// nothing.
+// after its in-neighbours settle instead of contracting by α per pass. A
+// self-loop is the first entry of v's in-row (graph.CSR), so the gather
+// drops it with one test per row and reads the rest whole, rather than
+// loading contrib[v] and subtracting it: a concurrent store between the
+// two loads would leave a term that cancels nothing.
 //
 //dfpr:hotpath
 func rankOfCachedAtomic(g *graph.CSR, contrib *avec.F64, base, dinv float64, v uint32) float64 {
+	in := g.In(v)
+	if len(in) > 0 && in[0] == v {
+		in = in[1:]
+	}
+	c := *contrib // see avec.F64.Load
 	r := base
-	for _, u := range g.In(v) {
-		if u != v {
-			r += contrib.Load(int(u))
-		}
+	for _, u := range in {
+		r += c.Load(int(u))
 	}
 	return r * dinv
 }

@@ -1,0 +1,75 @@
+package core
+
+import (
+	"sync"
+	"testing"
+
+	"dfpr/internal/avec"
+	"dfpr/internal/gen"
+	"dfpr/internal/graph"
+)
+
+// One pass of each kernel's gather over every vertex of RMAT 2^16×16 with
+// self-loops (the stream-rank graph), single-threaded, reported per in-edge:
+//
+//	go test -run '^$' -bench 'LFPass|BBPass|KernelFactors' ./internal/core
+//
+// LF ÷ BB is the price of the lock-free gather over the barrier kernel's;
+// KernelFactors is the O(n) setup every lock-free run pays before its first
+// pass.
+
+var passGraph = sync.OnceValue(func() *graph.CSR {
+	d := gen.RMAT(16, 16, 1)
+	d.EnsureSelfLoops()
+	return d.Snapshot()
+})
+
+func reportPerEdge(b *testing.B, g *graph.CSR) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.M()), "ns/edge")
+}
+
+func BenchmarkLFPass(b *testing.B) {
+	g := passGraph()
+	n := g.N()
+	ainv, dinv := kernelFactors(g, DefaultDamping, true)
+	contribs := avec.NewF64(n)
+	for v := 0; v < n; v++ {
+		contribs.Store(v, ainv[v]/float64(n))
+	}
+	base := (1 - DefaultDamping) / float64(n)
+	out := make([]float64, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for v := range out {
+			out[v] = rankOfCachedAtomic(g, contribs, base, dinv[v], uint32(v))
+		}
+	}
+	reportPerEdge(b, g)
+}
+
+func BenchmarkBBPass(b *testing.B) {
+	g := passGraph()
+	n := g.N()
+	ainv, _ := kernelFactors(g, DefaultDamping, false)
+	contribs := make([]float64, n)
+	for v := range contribs {
+		contribs[v] = ainv[v] / float64(n)
+	}
+	base := (1 - DefaultDamping) / float64(n)
+	out := make([]float64, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for v := range out {
+			out[v] = rankOfCached(g, contribs, base, uint32(v))
+		}
+	}
+	reportPerEdge(b, g)
+}
+
+func BenchmarkKernelFactors(b *testing.B) {
+	g := passGraph()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kernelFactors(g, DefaultDamping, true)
+	}
+}

@@ -54,7 +54,9 @@ func parallelRanges(n, workers int, fn func(lo, hi int)) {
 // copied. This is the cold-build path shared by FromEdges and
 // Dynamic.SnapshotFull: a counting pass for the offsets, a block-copy pass
 // for the out-adjacency, and a scatter pass for the in-adjacency, each
-// parallelised over contiguous ranges once the graph is large enough.
+// parallelised over contiguous ranges once the graph is large enough. The
+// scatter writes each in-row in the CSR's order (see CSR): seedInRow puts
+// the self-loop in the row's first slot and the scatter skips it.
 func buildCSR(n int, row func(u int) []uint32) *CSR {
 	g := &CSR{n: n}
 	g.outPtr = make([]uint64, n+1)
@@ -84,11 +86,15 @@ func buildCSR(n int, row func(u int) []uint32) *CSR {
 
 	if workers <= 1 {
 		cursor := make([]uint64, n)
-		copy(cursor, g.inPtr[:n])
+		for v := range cursor {
+			cursor[v] = g.seedInRow(uint32(v))
+		}
 		for u := uint32(0); int(u) < n; u++ {
 			for _, v := range g.Out(u) {
-				g.inAdj[cursor[v]] = u
-				cursor[v]++
+				if v != u {
+					g.inAdj[cursor[v]] = u
+					cursor[v]++
+				}
 			}
 		}
 		return g
@@ -98,7 +104,8 @@ func buildCSR(n int, row func(u int) []uint32) *CSR {
 	// roughly 1/workers of the in-edges, scans the whole out-adjacency in
 	// source order, and writes only edges landing in its range. Writes are
 	// disjoint across workers and each row is filled in increasing source
-	// order, so rows come out sorted without a sort pass.
+	// order after its seeded self-loop, so rows come out in the CSR's order
+	// without a sort pass.
 	bounds := prefixCuts(g.inPtr, workers)
 	var wg sync.WaitGroup
 	wg.Add(len(bounds) - 1)
@@ -107,11 +114,11 @@ func buildCSR(n int, row func(u int) []uint32) *CSR {
 			defer wg.Done()
 			cur := make([]uint64, thi-tlo)
 			for v := tlo; v < thi; v++ {
-				cur[v-tlo] = g.inPtr[v]
+				cur[v-tlo] = g.seedInRow(uint32(v))
 			}
 			for u := uint32(0); int(u) < n; u++ {
 				for _, v := range g.Out(u) {
-					if int(v) >= tlo && int(v) < thi {
+					if int(v) >= tlo && int(v) < thi && v != u {
 						g.inAdj[cur[int(v)-tlo]] = u
 						cur[int(v)-tlo]++
 					}
@@ -121,6 +128,17 @@ func buildCSR(n int, row func(u int) []uint32) *CSR {
 	}
 	wg.Wait()
 	return g
+}
+
+// seedInRow writes v's self-loop, if it has one, into the first slot of its
+// in-row and returns the slot where the row's other sources start.
+func (g *CSR) seedInRow(v uint32) uint64 {
+	at := g.inPtr[v]
+	if g.HasEdge(v, v) {
+		g.inAdj[at] = v
+		at++
+	}
+	return at
 }
 
 // prefixCuts splits the vertex range of a prefix-sum offset array into parts

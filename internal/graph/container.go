@@ -30,12 +30,18 @@ package graph
 //	     …  inBytes    in-adjacency blob
 //
 // Adjacency is stored as raw little-endian uint32 arrays (outBytes = 4·mOut)
-// and the ptr arrays hold edge indices, exactly the in-memory CSR.
+// and the ptr arrays hold edge indices, exactly the in-memory CSR, rows in
+// its order: out-rows ascending, each in-row led by its vertex's self-loop
+// (if any) with the other sources ascending. Containers written before
+// in-rows led with their self-loop hold every row ascending; they are still
+// version 1, and DecodeContainer moves each loop to the front of a copy of
+// the in-adjacency (see inRowsSelfFirst).
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"unsafe"
 )
 
@@ -88,7 +94,10 @@ func (g *CSR) Bytes() int {
 // b directly — the caller must keep b alive and unmodified for the graph's
 // lifetime; this is the zero-copy path under gio.LoadCSRMapped. Either way
 // the structural invariants are validated before returning, so a corrupted
-// container cannot smuggle out-of-range offsets into the kernels.
+// container cannot smuggle out-of-range offsets into the kernels. A
+// container whose in-rows are all ascending (the layout before in-rows led
+// with their self-loop) decodes with a relaid copy of the in-adjacency;
+// the buffer itself is never written.
 func DecodeContainer(b []byte, alias bool) (*CSR, error) {
 	le := binary.LittleEndian
 	if !IsContainer(b) {
@@ -136,13 +145,33 @@ func DecodeContainer(b []byte, alias bool) (*CSR, error) {
 		inPtr:  u64view(ptrB[8*(n+1):16*(n+1)], alias),
 		inAdj:  u32view(blobB[outBytes:], alias),
 	}
-	if err := validateSide("out", n, g.outPtr, g.outAdj); err != nil {
+	if err := validateSide("out", n, g.outPtr, g.outAdj, false); err != nil {
 		return nil, fmt.Errorf("graph: decoded container invalid: %w", err)
 	}
-	if err := validateSide("in", n, g.inPtr, g.inAdj); err != nil {
-		return nil, fmt.Errorf("graph: decoded container invalid: %w", err)
+	if err := validateSide("in", n, g.inPtr, g.inAdj, true); err != nil {
+		if validateSide("in", n, g.inPtr, g.inAdj, false) != nil {
+			return nil, fmt.Errorf("graph: decoded container invalid: %w", err)
+		}
+		if alias {
+			g.inAdj = slices.Clone(g.inAdj)
+		}
+		inRowsSelfFirst(n, g.inPtr, g.inAdj)
 	}
 	return g, nil
+}
+
+// inRowsSelfFirst moves each self-loop of an ascending in-adjacency to the
+// front of its row, in place, leaving the other sources in order.
+func inRowsSelfFirst(n int, ptr []uint64, adj []uint32) {
+	parallelRanges(n, buildWorkers(len(adj)), func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			row := adj[ptr[v]:ptr[v+1]]
+			if i, ok := slices.BinarySearch(row, uint32(v)); ok {
+				copy(row[1:i+1], row[:i])
+				row[0] = uint32(v)
+			}
+		}
+	})
 }
 
 // leHost reports whether the host lays out integers little-endian — the

@@ -108,16 +108,26 @@ func mergeRows(n, m int, basePtr []uint64, baseAdj []uint32, dirty []uint32, dir
 	return ptr, adj
 }
 
-// newInRow reconstructs the in-row of v after the batch: sources in
-// base.In(v) that were not touched are still in-neighbours; each touched
-// source contributes iff the edge (u,v) exists now. Both inputs are sorted,
-// so a single merge produces the row in order. The touched list is
-// deduplicated in place (it is discarded afterwards).
+// newInRow reconstructs the in-row of v after the batch: v first iff the
+// self-loop exists now (the CSR's order), then the merge of two sorted lists
+// that never hold v — the sources in base.In(v) past its leading self-loop,
+// each still an in-neighbour unless touched, and the touched sources other
+// than v, each an in-neighbour iff the edge (u,v) exists now. The touched
+// list is deduplicated in place (it is discarded afterwards).
 func (d *Dynamic) newInRow(v uint32, row []uint32) []uint32 {
 	touched := sortUnique(d.inTouched[v])
+	if i, ok := slices.BinarySearch(touched, v); ok {
+		touched = slices.Delete(touched, i, i+1)
+	}
 	var old []uint32
 	if int(v) < d.base.n {
 		old = d.base.In(v)
+	}
+	if len(old) > 0 && old[0] == v {
+		old = old[1:]
+	}
+	if d.HasEdge(v, v) {
+		row = append(row, v)
 	}
 	i, j := 0, 0
 	for i < len(old) && j < len(touched) {

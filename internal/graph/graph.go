@@ -29,7 +29,10 @@ type Edge struct {
 // carrying both the out-adjacency (for frontier expansion) and the
 // in-adjacency (for pull-style rank computation).
 //
-// Adjacency lists are sorted by neighbour id and deduplicated.
+// Adjacency lists are deduplicated. Out-rows are sorted by neighbour id. An
+// in-row In(v) starts with v itself when v has a self-loop, and its other
+// sources follow in ascending order: the lock-free kernel then tells the
+// self term from the rest with one test per row (core.rankOfCachedAtomic).
 type CSR struct {
 	n      int
 	outPtr []uint64
@@ -60,7 +63,8 @@ func (g *CSR) Out(v uint32) []uint32 {
 	return g.outAdj[g.outPtr[v]:g.outPtr[v+1]]
 }
 
-// In returns the sorted in-neighbours of v. The returned slice aliases the
+// In returns the in-neighbours of v: v itself first if (v,v) is an edge,
+// then the other sources in ascending order. The returned slice aliases the
 // snapshot's storage and must not be modified.
 func (g *CSR) In(v uint32) []uint32 {
 	return g.inAdj[g.inPtr[v]:g.inPtr[v+1]]
@@ -109,8 +113,9 @@ func (g *CSR) DeadEnds() int {
 }
 
 // Validate checks structural invariants (monotone offsets, sorted unique
-// adjacency, ids in range, in/out edge-count agreement). It is used by tests
-// and returns a descriptive error on the first violation.
+// out-rows, in-rows in the order CSR documents, ids in range, in/out
+// edge-count agreement). It is used by tests and returns a descriptive
+// error on the first violation.
 func (g *CSR) Validate() error {
 	if len(g.outPtr) != g.n+1 || len(g.inPtr) != g.n+1 {
 		return fmt.Errorf("graph: offset array length mismatch (n=%d out=%d in=%d)", g.n, len(g.outPtr), len(g.inPtr))
@@ -118,18 +123,20 @@ func (g *CSR) Validate() error {
 	if len(g.outAdj) != len(g.inAdj) {
 		return fmt.Errorf("graph: out edges (%d) != in edges (%d)", len(g.outAdj), len(g.inAdj))
 	}
-	if err := validateSide("out", g.n, g.outPtr, g.outAdj); err != nil {
+	if err := validateSide("out", g.n, g.outPtr, g.outAdj, false); err != nil {
 		return err
 	}
-	return validateSide("in", g.n, g.inPtr, g.inAdj)
+	return validateSide("in", g.n, g.inPtr, g.inAdj, true)
 }
 
 // validateSide checks one CSR side's structural invariants: offsets spanning
 // the adjacency monotonically, every neighbour in range, every row sorted
-// and duplicate-free. Rows are independent once the span check has passed,
-// so large graphs are validated in parallel chunks — this is a per-element
-// branchy walk that sits on the warm-restart critical path via DecodeContainer.
-func validateSide(name string, n int, ptr []uint64, adj []uint32) error {
+// and duplicate-free. With selfFirst (the in side) row v may lead with v,
+// and holds v nowhere else. Rows are independent once the span check has
+// passed, so large graphs are validated in parallel chunks — this is a
+// per-element branchy walk that sits on the warm-restart critical path via
+// DecodeContainer.
+func validateSide(name string, n int, ptr []uint64, adj []uint32, selfFirst bool) error {
 	if ptr[0] != 0 || ptr[n] != uint64(len(adj)) {
 		return fmt.Errorf("graph: %s offsets do not span adjacency", name)
 	}
@@ -138,7 +145,7 @@ func validateSide(name string, n int, ptr []uint64, adj []uint32) error {
 		workers = min(runtime.GOMAXPROCS(0), 8)
 	}
 	if workers <= 1 {
-		return validateRows(name, n, 0, n, ptr, adj)
+		return validateRows(name, n, 0, n, ptr, adj, selfFirst)
 	}
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -151,7 +158,7 @@ func validateSide(name string, n int, ptr []uint64, adj []uint32) error {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			errs[w] = validateRows(name, n, lo, hi, ptr, adj)
+			errs[w] = validateRows(name, n, lo, hi, ptr, adj, selfFirst)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -161,15 +168,21 @@ func validateSide(name string, n int, ptr []uint64, adj []uint32) error {
 // validateRows checks rows [lo, hi) of one CSR side (see validateSide). The
 // monotonicity check at v compares ptr[v] to ptr[v+1], so chunk boundaries
 // need no overlap.
-func validateRows(name string, n, lo, hi int, ptr []uint64, adj []uint32) error {
+func validateRows(name string, n, lo, hi int, ptr []uint64, adj []uint32, selfFirst bool) error {
 	for v := lo; v < hi; v++ {
 		if ptr[v] > ptr[v+1] || ptr[v+1] > uint64(len(adj)) {
 			return fmt.Errorf("graph: %s offsets not monotone within the adjacency at %d", name, v)
 		}
 		row := adj[ptr[v]:ptr[v+1]]
+		if selfFirst && len(row) > 0 && row[0] == uint32(v) {
+			row = row[1:]
+		}
 		for i, w := range row {
 			if int(w) >= n {
 				return fmt.Errorf("graph: %s neighbour %d of %d out of range", name, w, v)
+			}
+			if selfFirst && w == uint32(v) {
+				return fmt.Errorf("graph: %s adjacency of %d holds its self-loop past the first slot", name, v)
 			}
 			if i > 0 && row[i-1] >= w {
 				return fmt.Errorf("graph: %s adjacency of %d not sorted/unique", name, v)

@@ -139,8 +139,8 @@ func (v *View) Neighbors(u uint32) []uint32 {
 	return v.ver.G.Out(u)
 }
 
-// InNeighbors returns the sorted in-neighbours of u, with the same aliasing
-// contract as Neighbors.
+// InNeighbors returns the in-neighbours of u, self-loop first, then
+// ascending, with the same aliasing contract as Neighbors.
 func (v *View) InNeighbors(u uint32) []uint32 {
 	if int(u) >= v.ver.G.N() {
 		return nil
