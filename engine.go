@@ -311,18 +311,20 @@ func toInternal(edges []Edge) []graph.Edge {
 }
 
 // Rank brings the PageRank vector up to the latest published graph version
-// and returns it. The first call converges ranks statically; subsequent
-// calls replay the pending batches with DF-LF, touching only frontier-sized
-// work, and rebuild with one static recomputation when the engine lagged
-// beyond the retained history. Successful calls that advance the version
-// push an Update to every subscriber.
+// and returns it. The first call converges ranks from scratch with the
+// lock-free StaticLF; subsequent calls replay the pending batches with
+// DF-LF, touching only frontier-sized work, and rebuild with one StaticLF
+// run when the engine lagged beyond the retained history. Every run is
+// lock-free, so a worker crash-stopped by a FaultPlan slows a run down but
+// cannot stop it while one worker lives. Successful calls that advance the
+// version push an Update to every subscriber.
 //
 // Rank honours ctx: cancellation or deadline aborts the run in progress,
 // all worker goroutines exit before Rank returns, the error satisfies
 // errors.Is(err, ErrCanceled), and the engine's ranks remain at the last
-// completed version. On failure (cancellation, or injected crashes / a
-// broken barrier, which surface as themselves and are never answered with
-// a rebuild) the returned Result carries the failed run's diagnostics — but
+// completed version. On failure (cancellation, or every worker crashed
+// under a FaultPlan, which surfaces as itself and is never answered with a
+// rebuild) the returned Result carries the failed run's diagnostics — but
 // no rank vector — alongside the error. A refresh is one run over the whole
 // pending span, so a failure moves nothing: the next successful Rank covers
 // the same span, and whatever was applied since.
@@ -336,7 +338,7 @@ func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 		rk, res, err := snapshot.NewRanker(ctx, e.store, core.AlgoDFLF, e.opts.cfg)
 		e.met.noteRun(res)
 		if err != nil {
-			return failedResultOf(res, 0), err
+			return resultOf(res, 0, false), err
 		}
 		e.ranker = rk
 		// The initial convergence covers every version up to the current
@@ -354,7 +356,7 @@ func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 		// The failed run's vector may be partial (a canceled pass stops
 		// mid-iteration), so it is not servable; the Result carries the
 		// run's diagnostics only.
-		out := failedResultOf(res, advanced)
+		out := resultOf(res, advanced, false)
 		out.Seq = e.ranker.Seq()
 		return out, err
 	}
@@ -383,15 +385,7 @@ func resultOf(res core.Result, advanced int, rebuilt bool) *Result {
 		Converged:      res.Converged,
 		CrashedWorkers: res.CrashedWorkers,
 		Elapsed:        res.Elapsed,
-		BarrierWait:    res.BarrierWait,
 	}
-}
-
-// failedResultOf converts the result of a failed or canceled run: the
-// diagnostics are kept, no view is attached — a run that did not complete
-// may hold a mid-iteration vector that must not be served.
-func failedResultOf(res core.Result, advanced int) *Result {
-	return resultOf(res, advanced, false)
 }
 
 // View returns a zero-copy read handle on the latest published ranks. It

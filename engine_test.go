@@ -56,17 +56,19 @@ func ranksOf(v *View) []float64 {
 }
 
 // TestEngineRankMatchesCoreRun pins the public API to the internal engine
-// room: an Engine's initial Rank must equal core.StaticBB within L∞ ≤ 1e-12,
+// room: an Engine's initial Rank must equal core.StaticLF within L∞ ≤ 1e-12,
 // and its incremental Rank after one Apply must land on the fixpoint of
-// core.Run(DFLF) over the identical transition. DF-LF is asynchronous
-// (nondeterministic interleavings), so that second pin is a tolerance-scale
-// bound. The other seven variants are pinned in internal/core
-// (TestStaticVariantsMatchReference, TestDynamicVariantsMatchReferenceAfterUpdate).
+// core.Run(DFLF) over the identical transition. Both runs are asynchronous
+// (nondeterministic interleavings), so the test runs at τ = 1e-14, where two
+// lock-free runs agree to 1e-12 (DESIGN §2), and the refresh pin is a
+// tolerance-scale bound. The other seven variants are pinned in
+// internal/core (TestStaticVariantsMatchReference,
+// TestDynamicVariantsMatchReferenceAfterUpdate).
 func TestEngineRankMatchesCoreRun(t *testing.T) {
 	t.Run("DFLF", func(t *testing.T) {
 		ctx := context.Background()
 		n, edges, mirror := testGraph(t, 10, 21)
-		tol := 1e-9
+		tol := 1e-14
 		up := batch.Random(mirror, 40, 3)
 
 		// Public path.
@@ -96,7 +98,7 @@ func TestEngineRankMatchesCoreRun(t *testing.T) {
 			d.AddEdge(e.U, e.V)
 		}
 		d.EnsureSelfLoops()
-		pre := core.StaticBB(d.Snapshot(), cfg)
+		pre := core.StaticLF(d.Snapshot(), cfg)
 		gOld, gNew := batch.Transition(d, up)
 		want := core.Run(core.AlgoDFLF, core.Input{
 			GOld: gOld, GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: pre.Ranks,
@@ -106,7 +108,7 @@ func TestEngineRankMatchesCoreRun(t *testing.T) {
 		}
 
 		if e := topk.LInf(ranksOf(initial.View), pre.Ranks); e > 1e-12 {
-			t.Errorf("initial ranks deviate from StaticBB by %g", e)
+			t.Errorf("initial ranks deviate from StaticLF by %g", e)
 		}
 		if e := topk.LInf(ranksOf(res.View), want.Ranks); e > 20*tol {
 			t.Errorf("refresh ranks deviate from core.Run by %g (bound %g)", e, 20*tol)
@@ -441,6 +443,78 @@ func TestEngineFaultDrillWithoutFallback(t *testing.T) {
 	if err != nil || rec.Seq != 1 || !rec.Converged {
 		t.Fatalf("recovery: %+v err=%v", rec, err)
 	}
+}
+
+// TestColdPathSurvivesCrash arms a plan that crash-stops two of four
+// workers before each of the engine's cold runs: the first Rank, and the
+// rebuild after the history a refresh would replay was evicted. The cold run
+// is lock-free, so the two survivors finish it (§4.4): the Rank succeeds,
+// reports both crashes, and lands within one run's error budget ατ/(1−α)
+// of core.Reference. It shares one rare failure with
+// TestExpandOnceSurvivesFaults: a crashing worker preempted between its
+// gather and its stores until the survivors have left writes a stale value
+// nobody revisits, and the run reads converged=false (the stale store,
+// DESIGN §2).
+func TestColdPathSurvivesCrash(t *testing.T) {
+	const tol = 1e-14
+	plan := FaultPlan{CrashWorkers: CrashSet(2, 4), CrashHorizon: 200, Seed: 9}
+	ctx := context.Background()
+	check := func(t *testing.T, res *Result, err error, g *graph.CSR) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("Rank under two crashed workers: %v", err)
+		}
+		if !res.Converged || res.CrashedWorkers != 2 {
+			t.Fatalf("converged=%v crashed=%d, want a converged run with 2 crashes", res.Converged, res.CrashedWorkers)
+		}
+		bound := core.DefaultDamping * tol / (1 - core.DefaultDamping)
+		if e := topk.LInf(ranksOf(res.View), core.Reference(g, core.Config{})); e > bound {
+			t.Errorf("ranks deviate from core.Reference by %g (%.2f τ, bound %g)", e, e/tol, bound)
+		}
+	}
+
+	t.Run("first Rank", func(t *testing.T) {
+		n, edges, mirror := testGraph(t, 10, 4)
+		eng, err := New(n, edges, WithThreads(4), WithTolerance(tol))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		if err := eng.SetFaultPlan(plan); err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Rank(ctx)
+		mirror.EnsureSelfLoops()
+		check(t, res, err, mirror.Snapshot())
+	})
+
+	t.Run("eviction rebuild", func(t *testing.T) {
+		n, edges, mirror := testGraph(t, 10, 4)
+		eng, err := New(n, edges, WithThreads(4), WithTolerance(tol), WithHistory(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		if _, err := eng.Rank(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var g *graph.CSR
+		for i := 0; i < 5; i++ {
+			up := batch.Random(mirror, 12, int64(20+i))
+			if _, err := eng.Apply(ctx, toPublic(up.Del), toPublic(up.Ins)); err != nil {
+				t.Fatal(err)
+			}
+			_, g = batch.Transition(mirror, up)
+		}
+		if err := eng.SetFaultPlan(plan); err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Rank(ctx)
+		if err == nil && !res.Rebuilt {
+			t.Fatal("five applies past a history of two did not rebuild")
+		}
+		check(t, res, err, g)
+	})
 }
 
 func TestOptionValidationAndParse(t *testing.T) {

@@ -185,9 +185,6 @@ func (a Algo) LockFree() bool {
 	return false
 }
 
-// Dynamic reports whether the variant consumes a previous rank vector.
-func (a Algo) Dynamic() bool { return a != AlgoStaticBB && a != AlgoStaticLF }
-
 // Input bundles the arguments of a dynamic-PageRank invocation. Static
 // variants use only GNew; ND additionally uses Prev; DT and DF use
 // everything.

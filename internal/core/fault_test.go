@@ -7,8 +7,8 @@ import (
 
 	"dfpr/internal/batch"
 	"dfpr/internal/fault"
-	"dfpr/internal/topk"
 	"dfpr/internal/sched"
+	"dfpr/internal/topk"
 )
 
 // faultInput builds a graph + batch + previous ranks for fault experiments.

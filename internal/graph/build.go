@@ -84,46 +84,37 @@ func buildCSR(n int, row func(u int) []uint32) *CSR {
 	}
 	g.inAdj = make([]uint32, m)
 
-	if workers <= 1 {
-		cursor := make([]uint64, n)
-		for v := range cursor {
-			cursor[v] = g.seedInRow(uint32(v))
+	// Scatter: each target range holds roughly 1/workers of the in-edges
+	// and is filled by scanning the whole out-adjacency in source order,
+	// writing only the edges that land in it. Writes are disjoint across
+	// ranges and each row is filled in increasing source order after its
+	// seeded self-loop, so rows come out in the CSR's order without a sort
+	// pass. One range runs inline; more run one goroutine each.
+	scatter := func(tlo, thi int) {
+		cur := make([]uint64, thi-tlo)
+		for v := tlo; v < thi; v++ {
+			cur[v-tlo] = g.seedInRow(uint32(v))
 		}
 		for u := uint32(0); int(u) < n; u++ {
 			for _, v := range g.Out(u) {
-				if v != u {
-					g.inAdj[cursor[v]] = u
-					cursor[v]++
+				if int(v) >= tlo && int(v) < thi && v != u {
+					g.inAdj[cur[int(v)-tlo]] = u
+					cur[int(v)-tlo]++
 				}
 			}
 		}
+	}
+	if workers <= 1 {
+		scatter(0, n)
 		return g
 	}
-
-	// Parallel scatter: worker w owns a contiguous target range holding
-	// roughly 1/workers of the in-edges, scans the whole out-adjacency in
-	// source order, and writes only edges landing in its range. Writes are
-	// disjoint across workers and each row is filled in increasing source
-	// order after its seeded self-loop, so rows come out in the CSR's order
-	// without a sort pass.
 	bounds := prefixCuts(g.inPtr, workers)
 	var wg sync.WaitGroup
 	wg.Add(len(bounds) - 1)
 	for w := 0; w+1 < len(bounds); w++ {
 		go func(tlo, thi int) {
 			defer wg.Done()
-			cur := make([]uint64, thi-tlo)
-			for v := tlo; v < thi; v++ {
-				cur[v-tlo] = g.seedInRow(uint32(v))
-			}
-			for u := uint32(0); int(u) < n; u++ {
-				for _, v := range g.Out(u) {
-					if int(v) >= tlo && int(v) < thi && v != u {
-						g.inAdj[cur[int(v)-tlo]] = u
-						cur[int(v)-tlo]++
-					}
-				}
-			}
+			scatter(tlo, thi)
 		}(bounds[w], bounds[w+1])
 	}
 	wg.Wait()

@@ -5,7 +5,10 @@
 // immutable versions lock-free to readers; a Ranker subscribes to a store
 // and keeps a PageRank vector current by replaying the update history with
 // the Dynamic Frontier algorithm, falling back to a static recomputation
-// when it has fallen too far behind.
+// when it has fallen too far behind. Every run the package starts is
+// lock-free: a cold run (the first convergence, a rebuild) is StaticLF
+// (Alg. 4), so a crash-stopped worker anywhere is outlived by the others
+// (§4.4), never waited for at a barrier.
 //
 // This is the composition layer a downstream user actually deploys: the
 // core package answers "how do I update ranks for one batch", this package
@@ -184,23 +187,25 @@ type Ranker struct {
 	CoalesceSpans bool
 }
 
-// NewRanker converges ranks on the store's current version and returns a
-// ranker positioned at that version together with the initial run's result.
-// Dynamic algos (DF/ND/DT; DFLF is the recommended default) are converged
-// with a barrier-based static run and then refresh incrementally; a static
-// algo is run as-is, and Refresh then recomputes with it on every new
-// version. Cancellation of ctx aborts the initial convergence.
+// NewRanker converges ranks on the store's current version with the cold
+// run (StaticLF, whichever algo is given) and returns a ranker positioned
+// at that version together with that run's result. Refresh then runs algo
+// (DFLF is the recommended default; a static algo recomputes from scratch
+// every time). Cancellation of ctx aborts the initial convergence.
 func NewRanker(ctx context.Context, s *Store, algo core.Algo, cfg core.Config) (*Ranker, core.Result, error) {
 	v := s.Current()
-	init := algo
-	if algo.Dynamic() {
-		init = core.AlgoStaticBB
-	}
-	res := core.RunCtx(ctx, init, core.Input{GNew: v.G}, cfg)
+	res := coldRun(ctx, v, cfg)
 	if res.Err != nil {
 		return nil, res, fmt.Errorf("snapshot: initial ranking failed: %w", res.Err)
 	}
 	return &Ranker{store: s, cfg: cfg, algo: algo, ranks: res.Ranks, cur: v}, res, nil
+}
+
+// coldRun converges ranks on v from scratch: the one cold run, shared by
+// NewRanker and the eviction rebuild. It is lock-free, like every refresh,
+// so a crash-stopped worker slows it down instead of breaking it.
+func coldRun(ctx context.Context, v *Version, cfg core.Config) core.Result {
+	return core.RunCtx(ctx, core.AlgoStaticLF, core.Input{GNew: v.G}, cfg)
 }
 
 // ResumeRanker positions a ranker at an already-converged rank vector for
@@ -252,26 +257,25 @@ func (r *Ranker) Behind() uint64 {
 // distance the ranks moved during the call, whatever path moved them (a
 // version published by ApplyAt at a sequence jump counts the whole jump).
 //
-// A dynamic algo replays the whole pending chain as ONE incremental run:
-// the chain's batches are merged (last op per edge wins, batch.Merge) and
-// the algorithm runs once from the ranker's graph to the store's current
-// one. This is the paper's cost model taken seriously — DF work scales with
-// the movement set, so k pending batches cost one frontier expansion over
-// their union instead of k expansions over overlapping frontiers. The merged
+// The whole pending chain is replayed as ONE run of the ranker's algo: the
+// chain's batches are merged (last op per edge wins, batch.Merge) and the
+// algorithm runs once from the ranker's graph to the store's current one.
+// This is the paper's cost model taken seriously — DF work scales with the
+// movement set, so k pending batches cost one frontier expansion over their
+// union instead of k expansions over overlapping frontiers. The merged
 // del/ins lists may be a superset of the true edge diff (churn cancelled
 // within the span); that only widens the initially affected set, never
 // narrows it, because marking walks out(u) of every batch-edge source in
-// both snapshots. When the pending links have left the store's ring (the
-// ranker lagged more than its retention) it rebuilds with one static
-// recomputation on the newest version — there is no other sound way
-// forward. A static algo recomputes with itself once per Refresh that finds
-// a new version.
+// both snapshots. A static algo ignores the batch and the previous vector
+// (core.RunCtx drops them) and so recomputes from scratch. When the pending
+// links have left the store's ring (the ranker lagged more than its
+// retention) it rebuilds with the cold run on the newest version — there is
+// no other sound way forward.
 //
-// A run that fails (crashed workers, broken barrier) or is cancelled through
-// ctx surfaces as itself: the rank vector stays where it was and the
-// returned error wraps the run's own (core.ErrAllCrashed, sched.ErrBroken,
-// core.ErrCanceled). No rebuild is attempted — it would run under the same
-// fault plan, behind a barrier.
+// A run that fails (crashed workers) or is cancelled through ctx surfaces
+// as itself: the rank vector stays where it was and the returned error
+// wraps the run's own (core.ErrAllCrashed, core.ErrCanceled). No rebuild is
+// attempted — it would run under the same fault plan.
 func (r *Ranker) Refresh(ctx context.Context) (core.Result, int, error) {
 	from := r.cur.Seq
 	res, err := r.catchUp(ctx)
@@ -284,15 +288,12 @@ func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
 	if r.store.Current().Seq == r.cur.Seq {
 		return core.Result{Ranks: r.ranks, Converged: true}, nil
 	}
-	if !r.algo.Dynamic() {
-		return r.recompute(ctx, r.algo, &r.Refreshes)
-	}
 	// Replaying needs the pending links still in the ring; the two graphs it
 	// runs between are tip and r.cur — the ranker's own reference, the
 	// G^{t-1} where marking finds deleted edges' targets.
 	links, tip, ok := r.store.Since(r.cur.Seq)
 	if !ok {
-		return r.recompute(ctx, core.AlgoStaticBB, &r.Rebuilds)
+		return r.rebuild(ctx, tip)
 	}
 	ups := make([]batch.Update, len(links))
 	for i, l := range links {
@@ -313,16 +314,14 @@ func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
 	}
 }
 
-// recompute runs static algo on the store's newest version and lands the
-// ranker there, counting it in counter: a static ranker's Refreshes, or a
-// dynamic ranker's Rebuilds when the history it would replay is gone.
-func (r *Ranker) recompute(ctx context.Context, algo core.Algo, counter *int) (core.Result, error) {
-	v := r.store.Current()
-	res := core.RunCtx(ctx, algo, core.Input{GNew: v.G}, r.cfg)
+// rebuild lands the ranker on v through the cold run, counting it in
+// Rebuilds: the way forward when the history it would replay is gone.
+func (r *Ranker) rebuild(ctx context.Context, v *Version) (core.Result, error) {
+	res := coldRun(ctx, v, r.cfg)
 	if res.Err != nil {
-		return res, fmt.Errorf("snapshot: static recomputation failed at version %d: %w", v.Seq, res.Err)
+		return res, fmt.Errorf("snapshot: static rebuild failed at version %d: %w", v.Seq, res.Err)
 	}
-	r.land(v, res, counter)
+	r.land(v, res, &r.Rebuilds)
 	return res, nil
 }
 

@@ -274,8 +274,8 @@ func TestRankerLandingInvariants(t *testing.T) {
 		{name: "coalesced span", algo: core.AlgoDFLF, pending: 4, refreshes: 1},
 		{name: "static algo", algo: core.AlgoStaticLF, pending: 3, refreshes: 1},
 		{name: "eviction rebuild", algo: core.AlgoDFLF, keep: 2, pending: 5, rebuilds: 1},
-		// A failed run surfaces as itself: no rebuild is tried (it would sit
-		// behind a barrier under the same plan and end in sched.ErrBroken).
+		// A failed run surfaces as itself: no rebuild is tried (it would run
+		// under the same plan, whose crashes stop every worker).
 		{name: "failure without fallback", algo: core.AlgoDFLF, pending: 2, crash: true, wantErr: core.ErrAllCrashed},
 		{name: "cancellation", algo: core.AlgoDFLF, pending: 2, ctx: canceled, wantErr: core.ErrCanceled},
 	} {

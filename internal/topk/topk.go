@@ -30,18 +30,6 @@ func LInf(a, b []float64) float64 {
 	return m
 }
 
-// L1 returns the L1 norm (sum of absolute differences).
-func L1(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("topk: L1 length mismatch %d vs %d", len(a), len(b)))
-	}
-	var s float64
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s
-}
-
 // Sum returns the element sum (the rank-mass invariant: ≈ 1 on dead-end-free
 // graphs).
 func Sum(a []float64) float64 {
@@ -77,18 +65,6 @@ func Speedup(base, x time.Duration) float64 {
 		return 0
 	}
 	return float64(base) / float64(x)
-}
-
-// TopK returns the indices of the k largest values, descending. Used by the
-// examples to surface the highest-ranked vertices. Ties break toward the
-// lower index, so the order is deterministic.
-func TopK(vals []float64, k int) []int {
-	sel := Select(vals, k)
-	out := make([]int, len(sel))
-	for i, v := range sel {
-		out[i] = int(v)
-	}
-	return out
 }
 
 // Select returns the indices of the k largest values in descending order,

@@ -28,12 +28,8 @@ func TestLInfMismatchPanics(t *testing.T) {
 	LInf([]float64{1}, []float64{1, 2})
 }
 
-func TestL1AndSum(t *testing.T) {
+func TestSum(t *testing.T) {
 	a := []float64{1, -2, 3}
-	b := []float64{0, 0, 0}
-	if got := L1(a, b); got != 6 {
-		t.Errorf("L1 = %v", got)
-	}
 	if got := Sum(a); got != 2 {
 		t.Errorf("Sum = %v", got)
 	}
@@ -89,17 +85,6 @@ func TestSpeedup(t *testing.T) {
 	}
 	if Speedup(time.Second, 0) != 0 {
 		t.Error("Speedup by zero not guarded")
-	}
-}
-
-func TestTopK(t *testing.T) {
-	vals := []float64{0.1, 0.9, 0.5, 0.7}
-	top := TopK(vals, 2)
-	if len(top) != 2 || top[0] != 1 || top[1] != 3 {
-		t.Errorf("TopK = %v", top)
-	}
-	if got := TopK(vals, 10); len(got) != 4 {
-		t.Errorf("TopK overflow = %v", got)
 	}
 }
 

@@ -67,9 +67,9 @@ type Result struct {
 	// Advanced is the number of graph versions this call moved the ranks
 	// forward by (0 when the engine was already current).
 	Advanced int
-	// Rebuilt reports that this call ran a full static recomputation
-	// because the pending history was evicted, instead of replaying batches
-	// incrementally.
+	// Rebuilt reports that this call ran a full static recomputation (one
+	// lock-free StaticLF run) because the pending history was evicted,
+	// instead of replaying batches incrementally.
 	Rebuilt bool
 	// View is the zero-copy read handle on the computed ranks — the same
 	// immutable view Engine.View returns for this version. A Rank that
@@ -77,8 +77,9 @@ type Result struct {
 	// when the call failed: an aborted run's vector may be mid-iteration
 	// and is never exposed.
 	View *View
-	// Iterations is the number of iterations of the final run (for a
-	// lock-free run: the highest pass index any worker completed, plus one).
+	// Iterations is the number of passes of the final run: every run is
+	// lock-free, so this is the highest pass index any worker completed,
+	// plus one.
 	Iterations int
 	// Converged reports whether the tolerance was met before MaxIter.
 	Converged bool
@@ -88,10 +89,6 @@ type Result struct {
 	// Elapsed is the wall-clock time of the final run, excluding input
 	// construction.
 	Elapsed time.Duration
-	// BarrierWait is the cumulative time workers spent blocked at iteration
-	// barriers: nonzero only on the barrier-based static convergence of the
-	// first Rank and of rebuilds, zero on every DF-LF refresh.
-	BarrierWait time.Duration
 }
 
 // Stats is the engine's state and counters at one instant: what the
