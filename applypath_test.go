@@ -168,17 +168,34 @@ func (f pathFlavour) applyRounds(t *testing.T, e *Engine, rounds [][]pathSub) {
 // rounds while a round queues up whole, and the durability mutex to park it
 // with that round drained while mu is taken back. The round queuing behind
 // a parked refresh may supersede it (ingestLoop), so the driver waits for
-// the drain itself, not for the parked version to rank.
+// the drain itself, not for the parked version to rank. The mutexes are
+// held through a parker, so a round that fails releases them and Close can
+// stop the loop.
 func (f pathFlavour) submitRounds(t *testing.T, e *Engine, rounds [][]pathSub) {
 	t.Helper()
 	ctx := context.Background()
 	d := e.durable()
-	e.mu.Lock()
+	var park parker
+	defer park.release()
+	park.lock(&e.mu)
+	var mark uint64 // supersessions counted before the previous round was submitted
 	for i, round := range rounds {
 		if i == 0 && len(round) != 1 {
 			t.Fatal("round 0 finds the loop idle and must be a single submission")
 		}
-		d.mu.Lock()
+		// The loop's refresh of version i is supersedable unless it is the
+		// first Rank or the refresh before it was superseded (ingestLoop).
+		// A supersedable one looks at the queue before it parks its cancel
+		// func, so a submission ahead of that look would supersede it and
+		// leave the loop to drain part of the round: wait until it has
+		// parked. Any other refresh blocks in Rank on mu without looking.
+		if i > 1 && e.met.superseded.Value() == mark {
+			waitFor(t, fmt.Sprintf("refresh of version %d parked", i), 10*time.Second, func() bool {
+				return ingestArmed(e)
+			})
+		}
+		mark = e.met.superseded.Value()
+		park.lock(&d.mu)
 		var tks []*Ticket
 		for _, sub := range round {
 			tk, err := f.submit(e, sub[0], sub[1])
@@ -191,22 +208,25 @@ func (f pathFlavour) submitRounds(t *testing.T, e *Engine, rounds [][]pathSub) {
 			// Let the loop leave its Rank of version i (landed or superseded),
 			// drain this round and park in storeApply; mu is taken back before
 			// the round publishes.
-			e.mu.Unlock()
+			park.unlock(&e.mu)
 			waitFor(t, fmt.Sprintf("round %d drained", i), 10*time.Second, func() bool {
 				e.ingestMu.Lock()
 				defer e.ingestMu.Unlock()
 				return len(e.ingestQ) == 0
 			})
-			e.mu.Lock()
+			park.lock(&e.mu)
 		}
-		d.mu.Unlock()
+		park.unlock(&d.mu)
+		wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 		for _, tk := range tks {
-			if seq, err := tk.Wait(ctx); err != nil || seq != uint64(i+1) {
+			if seq, err := tk.Wait(wctx); err != nil || seq != uint64(i+1) {
+				cancel()
 				t.Fatalf("round %d landed in version %d (%v), want one coalesced version %d", i, seq, err, i+1)
 			}
 		}
+		cancel()
 	}
-	e.mu.Unlock()
+	park.unlock(&e.mu)
 	if err := e.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -170,7 +170,6 @@
 //	internal/wal       write-ahead log segments + checkpoint files
 //	internal/repl      WAL feed streaming, replica client, writer lease,
 //	                   peer health polling
-//	internal/traverse  reachability marking for the DT baseline
 //	internal/topk      top-k selection kernel, norms, geometric means, tables
 //	internal/telemetry metrics registry + Prometheus exposition encoder/parser
 //	internal/harness   one driver per table/figure of the evaluation

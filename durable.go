@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dfpr/internal/batch"
-	"dfpr/internal/core"
 	"dfpr/internal/graph"
 	"dfpr/internal/snapshot"
 	"dfpr/internal/wal"
@@ -144,10 +143,11 @@ func recoverDurable(st settings, log *wal.Log, rec *wal.Recovered) (*Engine, err
 
 // restore rebuilds an engine at a checkpoint — from the durability
 // directory at warm restart, from a feed bootstrap on a follower: store
-// sealed at the checkpoint's version, key prefix re-interned in id order,
-// ranker resumed at the checkpointed vector and published as the first view,
-// so reads come back at the checkpoint's watermark without waiting for a
-// refresh. The caller replays whatever was logged past the checkpoint.
+// sealed at the checkpoint's version with the ranker resumed at the
+// checkpointed vector (engineOver), key prefix re-interned in id order, and
+// that vector published as the first view, so reads come back at the
+// checkpoint's watermark without waiting for a refresh. The caller replays
+// whatever was logged past the checkpoint.
 func restore(st settings, ck *wal.State) (*Engine, error) {
 	if keyedState := len(ck.Keys) > 0; keyedState != st.keyed && (keyedState || ck.Graph.N() > 0) {
 		if keyedState {
@@ -162,7 +162,14 @@ func restore(st settings, ck *wal.State) (*Engine, error) {
 	if len(ck.Keys) > 0 && len(ck.Keys) < ck.Graph.N() {
 		return nil, fmt.Errorf("dfpr: checkpoint covers %d vertices with only %d keys", ck.Graph.N(), len(ck.Keys))
 	}
-	e := engineOver(st, snapshot.NewStoreAt(graph.DynamicFromCSR(ck.Graph), st.history, ck.Seq))
+	// The ranker resumes BEFORE any replay: its parent version is then the
+	// store's base, so the first Rank refreshes over the replayed span
+	// incrementally — the path a live engine several versions behind takes.
+	// A rank-less checkpoint leaves it unranked.
+	e, err := engineOver(st, snapshot.NewStoreAt(graph.DynamicFromCSR(ck.Graph), st.history, ck.Seq), ck.Ranks)
+	if err != nil {
+		return nil, err
+	}
 	if e.keys != nil {
 		for i, k := range ck.Keys {
 			if id := e.keys.Intern(k); int(id) != i {
@@ -171,15 +178,7 @@ func restore(st settings, ck *wal.State) (*Engine, error) {
 		}
 		e.keys.Sync()
 	}
-	// The ranker resumes BEFORE any replay: its parent version is then the
-	// store's base, so the first Rank refreshes over the replayed span
-	// incrementally — the path a live engine several versions behind takes.
 	if ck.Ranks != nil {
-		rk, err := snapshot.ResumeRanker(e.store, core.AlgoDFLF, st.cfg, ck.Ranks, ck.Seq)
-		if err != nil {
-			return nil, fmt.Errorf("dfpr: resume ranks: %w", err)
-		}
-		e.ranker = rk
 		e.publishLocked(&Result{Seq: ck.Seq, Converged: true})
 	}
 	return e, nil
@@ -235,7 +234,8 @@ func (e *Engine) replay(recs []wal.Record) (int, error) {
 // Apply, an ingest round, a replayed span — becomes a version here and
 // nowhere else. It excludes a concurrent Close without making writers wait
 // behind Rank (the read side of closeMu keeps concurrent applies concurrent;
-// no version is published after Close returns), appends the WAL record
+// closed is read under it, so no version is published once Close has
+// taken closeMu), appends the WAL record
 // first when the engine owns a log (log-before-publish: the record hits the
 // log — and, under FsyncAlways, stable storage — before any reader can
 // observe the version), counts the publication and advances the version
@@ -249,7 +249,7 @@ func (e *Engine) replay(recs []wal.Record) (int, error) {
 func (e *Engine) storeApply(up batch.Update, at uint64, logged bool) (uint64, error) {
 	e.closeMu.RLock()
 	defer e.closeMu.RUnlock()
-	if !e.applyble {
+	if e.closed.Load() {
 		return 0, ErrClosed
 	}
 	d := e.durable()

@@ -58,50 +58,53 @@ type Engine struct {
 	// the view's vertex count).
 	keys *keymap.Map
 
-	// mu serialises Rank (and the lazily created ranker it drives).
+	// closed is the engine's one lifecycle flag. Close sets it before
+	// anything else; each guarded operation reads it inside a critical
+	// section Close waits out afterwards (Rank under mu, storeApply under
+	// closeMu, Submit and Flush under ingestMu, Subscribe under subMu), so
+	// none of them slips past a Close that has returned.
+	closed atomic.Bool
+
+	// mu serialises Rank and the ranker it drives, which exists from
+	// construction.
 	mu     sync.Mutex
 	ranker *snapshot.Ranker
-	closed bool
 
 	// closeMu excludes Apply from a concurrent Close without making Apply
 	// wait behind Rank: writers share the read side, Close takes the write
 	// side. Lock order: mu before closeMu before subMu.
-	closeMu  sync.RWMutex
-	applyble bool // false once closed; guarded by closeMu
+	closeMu sync.RWMutex
 
 	// latest is the most recently published view, read lock-free by View,
 	// Behind and Stats.
 	latest atomic.Pointer[View]
 
 	// viewMu guards the ring of retained published views ViewAt serves
-	// from and Delta walks for the chains of the views between two. Lock
-	// order: mu before viewMu; nothing is called under it.
+	// from. Lock order: mu before viewMu; nothing is called under it.
 	viewMu sync.Mutex
 	views  []*View // oldest first, at most opts.history entries
 
 	// subMu guards the subscriber table. Lock order: mu before subMu.
-	subMu     sync.Mutex
-	subs      map[uint64]*Subscription
-	nextSub   uint64
-	subClosed bool
+	subMu   sync.Mutex
+	subs    map[uint64]*Subscription
+	nextSub uint64
 
 	// The ingest pipeline (ingest.go): a bounded queue drained by one
 	// background loop that coalesces submissions into one merged batch per
 	// round and schedules Rank per the configured policy. ingestMu guards
-	// the queue and lifecycle flags and is never held across an apply or a
-	// rank. Lock order: ingestMu is independent of mu (the loop takes mu via
-	// Rank only after releasing ingestMu).
-	ingestMu     sync.Mutex
-	ingestQ      []pendingSubmit
-	flushQ       []*flushReq
-	ingestEdits  int  // queued, not yet drained (backpressure unit)
-	ingestOn     bool // loop started (lazily, on first Submit/Flush)
-	ingestClosed bool
-	ingestWake   chan struct{}
-	ingestStop   chan struct{}
-	ingestDone   chan struct{}
-	ingestCtx    context.Context
-	ingestHalt   context.CancelFunc
+	// the queue and the loop's start and is never held across an apply or
+	// a rank. Lock order: ingestMu is independent of mu (the loop takes mu
+	// via Rank only after releasing ingestMu).
+	ingestMu    sync.Mutex
+	ingestQ     []pendingSubmit
+	flushQ      []*flushReq
+	ingestEdits int  // queued, not yet drained (backpressure unit)
+	ingestOn    bool // loop started (lazily, on first Submit/Flush)
+	ingestWake  chan struct{}
+	ingestStop  chan struct{}
+	ingestDone  chan struct{}
+	ingestCtx   context.Context
+	ingestHalt  context.CancelFunc
 	// ingestSupersede cancels the loop's in-flight RankImmediate refresh;
 	// the next Submit takes it under ingestMu and calls it after releasing
 	// the lock (nil when no refresh may be superseded). See ingestLoop.
@@ -179,24 +182,31 @@ func newEngine(n int, edges []Edge, st settings) (*Engine, error) {
 	for _, e := range ges {
 		d.AddEdge(e.U, e.V)
 	}
-	return engineOver(st, snapshot.NewStore(d, st.history)), nil
+	return engineOver(st, snapshot.NewStore(d, st.history), nil)
 }
 
 // engineOver wraps a sealed store in an engine: the construction shared by
-// fresh builds (newEngine) and checkpoint restores (restore).
-func engineOver(st settings, store *snapshot.Store) *Engine {
+// fresh builds (newEngine) and checkpoint restores (restore). The ranker is
+// built here and nowhere else: at ranks converged on the store's version
+// (a checkpoint's), or unranked when ranks is nil, so that the first Rank
+// converges cold.
+func engineOver(st settings, store *snapshot.Store, ranks []float64) (*Engine, error) {
+	rk, err := snapshot.ResumeRanker(store, core.AlgoDFLF, st.cfg, ranks, store.Current().Seq)
+	if err != nil {
+		return nil, fmt.Errorf("dfpr: resume ranks: %w", err)
+	}
 	e := &Engine{
-		opts:     st,
-		store:    store,
-		subs:     make(map[uint64]*Subscription),
-		applyble: true,
+		opts:   st,
+		store:  store,
+		ranker: rk,
+		subs:   make(map[uint64]*Subscription),
 	}
 	if st.keyed {
 		e.keys = keymap.New()
 	}
 	e.initTelemetry(st.tel)
 	e.verWM.init(store.Current().Seq) // the sealed version exists from construction
-	return e
+	return e, nil
 }
 
 // Open builds an empty open-universe engine with an engine-owned key space:
@@ -311,13 +321,15 @@ func toInternal(edges []Edge) []graph.Edge {
 }
 
 // Rank brings the PageRank vector up to the latest published graph version
-// and returns it. The first call converges ranks from scratch with the
-// lock-free StaticLF; subsequent calls replay the pending batches with
-// DF-LF, touching only frontier-sized work, and rebuild with one StaticLF
-// run when the engine lagged beyond the retained history. Every run is
-// lock-free, so a worker crash-stopped by a FaultPlan slows a run down but
-// cannot stop it while one worker lives. Successful calls that advance the
-// version push an Update to every subscriber.
+// and returns it, through the engine's one ranker (snapshot.Ranker.Refresh).
+// The first call converges ranks from scratch with the lock-free StaticLF
+// and counts as neither a refresh nor a rebuild in Stats; subsequent calls
+// replay the pending batches with DF-LF, touching only frontier-sized work,
+// and rebuild with one StaticLF run when the engine lagged beyond the
+// retained history. Every run is lock-free, so a worker crash-stopped by a
+// FaultPlan slows a run down but cannot stop it while one worker lives.
+// Successful calls that advance the version publish one view and push an
+// Update to every subscriber.
 //
 // Rank honours ctx: cancellation or deadline aborts the run in progress,
 // all worker goroutines exit before Rank returns, the error satisfies
@@ -327,50 +339,36 @@ func toInternal(edges []Edge) []graph.Edge {
 // rebuild) the returned Result carries the failed run's diagnostics — but
 // no rank vector — alongside the error. A refresh is one run over the whole
 // pending span, so a failure moves nothing: the next successful Rank covers
-// the same span, and whatever was applied since.
+// the same span, and whatever was applied since. A failed first Rank
+// leaves the engine unranked; the next one converges cold.
 func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
+	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	if e.ranker == nil {
-		rk, res, err := snapshot.NewRanker(ctx, e.store, core.AlgoDFLF, e.opts.cfg)
-		e.met.noteRun(res)
-		if err != nil {
-			return resultOf(res, 0, false), err
-		}
-		e.ranker = rk
-		// The initial convergence covers every version up to the current
-		// one, matching what Behind() reported before the call.
-		out := resultOf(res, int(rk.Seq())+1, false)
-		out.Seq = rk.Seq()
-		e.publishLocked(out)
-		e.met.rankSeconds.Observe(out.Elapsed.Seconds())
-		return out, nil
-	}
-	rebuilds := e.ranker.Rebuilds
-	res, advanced, err := e.ranker.Refresh(ctx)
+	rk := e.ranker
+	refreshes, rebuilds := rk.Refreshes, rk.Rebuilds
+	res, advanced, err := rk.Refresh(ctx)
 	e.met.noteRun(res)
+	// A failed run's vector may be partial (a canceled pass stops
+	// mid-iteration), so it is not servable; its Result carries the run's
+	// diagnostics only, and the ranker has not moved (advanced is 0).
+	out := resultOf(res, advanced, rk.Rebuilds > rebuilds)
+	out.Seq = rk.Seq()
 	if err != nil {
-		// The failed run's vector may be partial (a canceled pass stops
-		// mid-iteration), so it is not servable; the Result carries the
-		// run's diagnostics only.
-		out := resultOf(res, advanced, false)
-		out.Seq = e.ranker.Seq()
 		return out, err
 	}
-	out := resultOf(res, advanced, e.ranker.Rebuilds > rebuilds)
-	out.Seq = e.ranker.Seq()
-	if advanced > 0 {
-		e.met.noteLanded(out.Rebuilt)
-		e.publishLocked(out)
-		e.met.rankSeconds.Observe(out.Elapsed.Seconds())
-	} else {
+	if advanced == 0 {
 		// Nothing new to publish: the engine was already current, so the
 		// latest published view is exactly this result's view.
 		out.View = e.latest.Load()
+		return out, nil
 	}
+	e.met.refreshes.Add(uint64(rk.Refreshes - refreshes))
+	e.met.rebuilds.Add(uint64(rk.Rebuilds - rebuilds))
+	e.publishLocked(out)
+	e.met.rankSeconds.Observe(out.Elapsed.Seconds())
 	return out, nil
 }
 
@@ -492,17 +490,15 @@ func (e *Engine) Stats() Stats {
 // runs; a delay probability outside [0, 1] is an error. It is the one
 // chaos-testing control: converge cleanly (or arm before the first Rank),
 // apply a batch, and observe how DF-LF behaves under delays or crash-stop
-// failures. The zero plan disarms.
+// failures. The plan lives in the engine's ranker, which runs every Rank.
+// The zero plan disarms.
 func (e *Engine) SetFaultPlan(p FaultPlan) error {
 	if p.DelayProb < 0 || p.DelayProb > 1 {
 		return fmt.Errorf("dfpr: delay probability %v out of range [0, 1]", p.DelayProb)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.opts.cfg.Fault = p.internal()
-	if e.ranker != nil {
-		e.ranker.SetFault(p.internal())
-	}
+	e.ranker.SetFault(p.internal())
 	return nil
 }
 
@@ -510,26 +506,26 @@ func (e *Engine) SetFaultPlan(p FaultPlan) error {
 // scheduled Rank is canceled; submissions still queued fail their tickets
 // with ErrClosed — Flush first to make them durable), WaitVersion/WaitRanked
 // callers are released with ErrClosed, and every subscription's channel
-// closes. In-flight Rank calls finish first (cancel their contexts to hurry
-// them). Close is idempotent; subsequent Rank, Apply and Submit calls return
-// ErrClosed.
+// closes. In-flight Rank and Apply calls finish first (cancel a Rank's
+// context to hurry it). Rank, Apply, Submit and Flush calls from the moment
+// Close starts return ErrClosed. Close is idempotent: every call returns
+// once the engine is closed, with the log's sticky degradation cause (if
+// any).
 func (e *Engine) Close() error {
+	first := !e.closed.Swap(true)
 	// The ingest loop is stopped before mu is taken: the loop's scheduled
 	// Rank holds mu, so stopping it afterwards would deadlock.
-	e.stopIngest()
+	e.stopIngest(first)
+	// mu waits out an in-flight Rank and closeMu an in-flight apply; every
+	// later one sees closed. Holding closeMu to the end also keeps the log
+	// free of appends while it closes.
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return nil
-	}
-	e.closed = true
 	e.closeMu.Lock()
-	e.applyble = false
-	e.closeMu.Unlock()
+	defer e.closeMu.Unlock()
 	e.verWM.close()
 	e.rankWM.close()
 	e.subMu.Lock()
-	e.subClosed = true
 	for id, sub := range e.subs {
 		delete(e.subs, id)
 		close(sub.ch)
@@ -539,7 +535,8 @@ func (e *Engine) Close() error {
 		// Durable teardown: wait out an in-flight background checkpoint,
 		// then flush and close the log — Close is the last fsync barrier, so
 		// everything applied before it survives a subsequent crash. The
-		// log's sticky degradation cause (if any) is the return value.
+		// log's sticky degradation cause (if any) is the return value;
+		// closing the log again only reports that cause again.
 		d.ckptWG.Wait()
 		if err := d.log.Close(); err != nil {
 			return fmt.Errorf("%w: %w", ErrDurabilityDegraded, err)

@@ -190,7 +190,7 @@ func (e *Engine) submitInternal(ctx context.Context, gdel, gins []graph.Edge) (*
 	t := &Ticket{done: make(chan struct{})}
 	size := len(gdel) + len(gins)
 	e.ingestMu.Lock()
-	if e.ingestClosed {
+	if e.closed.Load() {
 		e.ingestMu.Unlock()
 		return nil, ErrClosed
 	}
@@ -224,7 +224,7 @@ func (e *Engine) submitInternal(ctx context.Context, gdel, gins []graph.Edge) (*
 func (e *Engine) Flush(ctx context.Context) error {
 	f := &flushReq{done: make(chan struct{})}
 	e.ingestMu.Lock()
-	if e.ingestClosed {
+	if e.closed.Load() {
 		e.ingestMu.Unlock()
 		return ErrClosed
 	}
@@ -287,14 +287,13 @@ func (e *Engine) wakeIngest() {
 	}
 }
 
-// stopIngest shuts the pipeline down: no new submissions, the in-flight
-// scheduled Rank (if any) is canceled, queued-but-unapplied tickets fail
-// with ErrClosed. Called by Close before the engine-side teardown; safe to
-// call more than once.
-func (e *Engine) stopIngest() {
+// stopIngest shuts the pipeline down once Close has set closed: no new
+// submissions (they read closed under ingestMu, and a loop started before
+// this critical section is seen by it), the in-flight scheduled Rank (if
+// any) is canceled, queued-but-unapplied tickets fail with ErrClosed. The
+// first Close stops the loop; every call waits for it to exit.
+func (e *Engine) stopIngest(first bool) {
 	e.ingestMu.Lock()
-	first := !e.ingestClosed
-	e.ingestClosed = true
 	on := e.ingestOn
 	e.ingestMu.Unlock()
 	if first && on {
@@ -371,10 +370,11 @@ func (e *Engine) ingestLoop() {
 				resolveTickets(q, e.store.Current().Seq, nil)
 			} else {
 				// storeApply is the publish point: it refuses once Close has
-				// flipped applyble (stopIngest runs before that flip, so in
-				// practice the loop is gone first), and on durable engines the
-				// round's WAL record is appended (fsynced per policy) before the
-				// version becomes visible.
+				// set closed (Close does that before it stops the loop, so a
+				// round drained as Close begins fails its tickets with
+				// ErrClosed), and on durable engines the round's WAL record is
+				// appended (fsynced per policy) before the version becomes
+				// visible.
 				seq, err := e.storeApply(merged, 0, false)
 				if err != nil {
 					resolveTickets(q, seq, err)

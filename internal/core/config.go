@@ -176,15 +176,6 @@ func (a Algo) String() string {
 	}
 }
 
-// LockFree reports whether the variant is barrier-free.
-func (a Algo) LockFree() bool {
-	switch a {
-	case AlgoStaticLF, AlgoNDLF, AlgoDTLF, AlgoDFLF:
-		return true
-	}
-	return false
-}
-
 // Input bundles the arguments of a dynamic-PageRank invocation. Static
 // variants use only GNew; ND additionally uses Prev; DT and DF use
 // everything.

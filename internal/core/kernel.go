@@ -3,7 +3,6 @@ package core
 import (
 	"dfpr/internal/avec"
 	"dfpr/internal/graph"
-	"dfpr/internal/traverse"
 )
 
 // The engines keep a contribution cache alongside the rank vector:
@@ -126,8 +125,34 @@ func (m *dtMarker) markFrom(u uint32) {
 		return newly
 	}
 	graph.UnionOut(m.gOld, m.gNew, u, func(v uint32) {
-		m.stack = traverse.MarkReachable(m.gNew, v, visit, m.stack)
+		m.stack = markReachable(m.gNew, v, visit, m.stack)
 	})
+}
+
+// markReachable marks start and everything reachable from it along
+// out-edges of g, depth first (the paper permits either order, §3.5.2).
+// visit must atomically mark a vertex and report whether it was newly
+// marked (avec.Flags.Set); the walk descends only through newly marked
+// vertices, so concurrent walks from different sources cooperate instead of
+// duplicating work: whichever marks a vertex first descends through it, the
+// others prune. stack is a scratch buffer reused across calls; the
+// (possibly grown) buffer is returned.
+func markReachable(g *graph.CSR, start uint32, visit func(v uint32) bool, stack []uint32) []uint32 {
+	stack = stack[:0]
+	if !visit(start) {
+		return stack
+	}
+	stack = append(stack, start)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, w := range g.Out(v) {
+			if visit(w) {
+				stack = append(stack, w)
+			}
+		}
+	}
+	return stack
 }
 
 // atomicMaxU64 raises *p to at least x.

@@ -1,9 +1,8 @@
-package traverse
+package core
 
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"dfpr/internal/avec"
 	"dfpr/internal/graph"
@@ -25,7 +24,7 @@ func visitor(n int) (func(uint32) bool, *avec.Flags) {
 func TestMarkReachableLine(t *testing.T) {
 	g := lineGraph(10)
 	visit, flags := visitor(10)
-	MarkReachable(g, 3, visit, nil)
+	markReachable(g, 3, visit, nil)
 	for v := 0; v < 10; v++ {
 		want := v >= 3
 		if flags.Get(v) != want {
@@ -38,7 +37,7 @@ func TestMarkReachableRespectsExistingMarks(t *testing.T) {
 	g := lineGraph(10)
 	visit, flags := visitor(10)
 	flags.Set(5) // pretend another worker marked 5 already: traversal prunes there
-	MarkReachable(g, 0, visit, nil)
+	markReachable(g, 0, visit, nil)
 	if flags.Get(6) {
 		t.Error("traversal descended through an already-marked vertex")
 	}
@@ -46,32 +45,6 @@ func TestMarkReachableRespectsExistingMarks(t *testing.T) {
 		if !flags.Get(v) {
 			t.Errorf("vertex %d unmarked", v)
 		}
-	}
-}
-
-func TestDFSAndBFSMarkSameSetProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 40
-		edges := make([]graph.Edge, 150)
-		for i := range edges {
-			edges[i] = graph.Edge{U: uint32(rng.Intn(n)), V: uint32(rng.Intn(n))}
-		}
-		g := graph.FromEdges(n, edges)
-		start := uint32(rng.Intn(n))
-		dv, df := visitor(n)
-		bv, bf := visitor(n)
-		MarkReachable(g, start, dv, nil)
-		MarkReachableBFS(g, start, bv, nil)
-		for v := 0; v < n; v++ {
-			if df.Get(v) != bf.Get(v) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -101,7 +74,7 @@ func TestMarkReachableMatchesNaiveReachability(t *testing.T) {
 		}
 	}
 	visit, flags := visitor(n)
-	MarkReachable(g, 0, visit, nil)
+	markReachable(g, 0, visit, nil)
 	for v := 0; v < n; v++ {
 		if flags.Get(v) != want[v] {
 			t.Errorf("vertex %d: marked=%v closure=%v", v, flags.Get(v), want[v])
@@ -113,7 +86,7 @@ func TestStackReuse(t *testing.T) {
 	g := lineGraph(100)
 	visit, _ := visitor(100)
 	stack := make([]uint32, 0, 128)
-	out := MarkReachable(g, 0, visit, stack)
+	out := markReachable(g, 0, visit, stack)
 	if cap(out) < 128 {
 		t.Error("returned stack smaller than provided buffer")
 	}
@@ -122,7 +95,7 @@ func TestStackReuse(t *testing.T) {
 func TestSelfLoopTerminates(t *testing.T) {
 	g := graph.FromEdges(2, []graph.Edge{{U: 0, V: 0}, {U: 0, V: 1}, {U: 1, V: 0}})
 	visit, flags := visitor(2)
-	MarkReachable(g, 0, visit, nil) // must not loop forever on the cycle
+	markReachable(g, 0, visit, nil) // must not loop forever on the cycle
 	if !flags.Get(0) || !flags.Get(1) {
 		t.Error("cycle vertices not marked")
 	}

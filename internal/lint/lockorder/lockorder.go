@@ -9,7 +9,7 @@
 //     mu → closeMu → viewMu → subMu. Acquiring a lower-ranked mutex while
 //     holding a higher-ranked one is a lock-inversion deadlock waiting for
 //     the right interleaving.
-//  2. ingestMu is a leaf. It guards the submit queue and lifecycle flags
+//  2. ingestMu is a leaf. It guards the submit queue and the loop's start
 //     and is NEVER held across an apply or a rank — the ingest loop drops
 //     it before publishing so submitters are not blocked behind a sweep.
 //  3. One publish point, log-before-publish. Outside Engine.storeApply no

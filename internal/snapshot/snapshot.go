@@ -5,10 +5,11 @@
 // immutable versions lock-free to readers; a Ranker subscribes to a store
 // and keeps a PageRank vector current by replaying the update history with
 // the Dynamic Frontier algorithm, falling back to a static recomputation
-// when it has fallen too far behind. Every run the package starts is
-// lock-free: a cold run (the first convergence, a rebuild) is StaticLF
-// (Alg. 4), so a crash-stopped worker anywhere is outlived by the others
-// (§4.4), never waited for at a barrier.
+// when it has fallen too far behind. ResumeRanker builds a ranker, unranked
+// or at a checkpointed vector, and Refresh is the one way its ranks move.
+// Every run the package starts is lock-free: a cold run (the first
+// convergence, a rebuild) is StaticLF (Alg. 4), so a crash-stopped worker
+// anywhere is outlived by the others (§4.4), never waited for at a barrier.
 //
 // This is the composition layer a downstream user actually deploys: the
 // core package answers "how do I update ranks for one batch", this package
@@ -168,17 +169,18 @@ func (s *Store) Since(afterSeq uint64) (links []Link, tip *Version, ok bool) {
 }
 
 // Ranker keeps a PageRank vector synchronised with a Store. It is safe for
-// use by one goroutine at a time (clone one Ranker per consumer; ranks are
-// value-copied out).
+// use by one goroutine at a time; the vectors it hands out are immutable
+// (see RanksShared), so readers share them without copying.
 type Ranker struct {
 	store *Store
 	cfg   core.Config
 	algo  core.Algo
 	ranks []float64
-	cur   *Version // the store version ranks correspond to
+	cur   *Version // the store version ranks correspond to; nil while unranked
 
 	// Refreshes counts incremental refreshes; Rebuilds counts static
-	// rebuilds after the pending history was evicted.
+	// rebuilds after the pending history was evicted. The first convergence
+	// of an unranked ranker is neither.
 	Refreshes, Rebuilds int
 
 	// CoalesceSpans is a no-op kept for benchmark/probe.go, which assigns
@@ -187,34 +189,35 @@ type Ranker struct {
 	CoalesceSpans bool
 }
 
-// NewRanker converges ranks on the store's current version with the cold
-// run (StaticLF, whichever algo is given) and returns a ranker positioned
-// at that version together with that run's result. Refresh then runs algo
+// NewRanker is ResumeRanker without ranks plus its first Refresh: it
+// converges ranks on the store's current version with the cold run
+// (StaticLF, whichever algo is given) and returns a ranker positioned at
+// that version together with that run's result. Later Refreshes run algo
 // (DFLF is the recommended default; a static algo recomputes from scratch
 // every time). Cancellation of ctx aborts the initial convergence.
 func NewRanker(ctx context.Context, s *Store, algo core.Algo, cfg core.Config) (*Ranker, core.Result, error) {
-	v := s.Current()
-	res := coldRun(ctx, v, cfg)
-	if res.Err != nil {
-		return nil, res, fmt.Errorf("snapshot: initial ranking failed: %w", res.Err)
+	r, _ := ResumeRanker(s, algo, cfg, nil, 0) // without ranks it checks nothing and cannot fail
+	res, _, err := r.Refresh(ctx)
+	if err != nil {
+		return nil, res, err
 	}
-	return &Ranker{store: s, cfg: cfg, algo: algo, ranks: res.Ranks, cur: v}, res, nil
+	return r, res, nil
 }
 
-// coldRun converges ranks on v from scratch: the one cold run, shared by
-// NewRanker and the eviction rebuild. It is lock-free, like every refresh,
-// so a crash-stopped worker slows it down instead of breaking it.
-func coldRun(ctx context.Context, v *Version, cfg core.Config) core.Result {
-	return core.RunCtx(ctx, core.AlgoStaticLF, core.Input{GNew: v.G}, cfg)
-}
-
-// ResumeRanker positions a ranker at an already-converged rank vector for
-// store version seq without running anything — the warm-restart path: the
-// vector comes from a checkpoint, the store from NewStoreAt at the same
-// sequence, and the first Refresh replays whatever the store has moved past
-// seq incrementally, exactly as if the ranker had been alive all along. The
-// ranker takes ownership of ranks (treat it as frozen).
+// ResumeRanker is the Ranker constructor. Given ranks it positions the
+// ranker at that already-converged vector for store version seq without
+// running anything — the warm-restart path: the vector comes from a
+// checkpoint, the store from NewStoreAt at the same sequence, and the first
+// Refresh replays whatever the store has moved past seq incrementally,
+// exactly as if the ranker had been alive all along. The ranker takes
+// ownership of ranks (treat it as frozen). With nil ranks (seq is then not
+// checked) the ranker starts unranked, and its first Refresh converges the
+// store's newest version with the cold run.
 func ResumeRanker(s *Store, algo core.Algo, cfg core.Config, ranks []float64, seq uint64) (*Ranker, error) {
+	r := &Ranker{store: s, cfg: cfg, algo: algo}
+	if ranks == nil {
+		return r, nil
+	}
 	v := s.Current()
 	if v.Seq != seq {
 		return nil, fmt.Errorf("snapshot: resume at version %d: store is at %d", seq, v.Seq)
@@ -222,13 +225,14 @@ func ResumeRanker(s *Store, algo core.Algo, cfg core.Config, ranks []float64, se
 	if v.G.N() != len(ranks) {
 		return nil, fmt.Errorf("snapshot: resume at version %d: %d ranks for %d vertices", seq, len(ranks), v.G.N())
 	}
-	return &Ranker{store: s, cfg: cfg, algo: algo, ranks: ranks, cur: v}, nil
+	r.ranks, r.cur = ranks, v
+	return r, nil
 }
 
 // SetFault replaces the fault plan injected into subsequent runs.
 func (r *Ranker) SetFault(p fault.Plan) { r.cfg.Fault = p }
 
-// Ranks returns a copy of the current rank vector.
+// Ranks returns a copy of the current rank vector (nil while unranked).
 func (r *Ranker) Ranks() []float64 {
 	return append([]float64(nil), r.ranks...)
 }
@@ -241,50 +245,72 @@ func (r *Ranker) Ranks() []float64 {
 func (r *Ranker) RanksShared() []float64 { return r.ranks }
 
 // Version returns the store version the current ranks correspond to; it
-// carries the graph snapshot the ranks were converged on.
+// carries the graph snapshot the ranks were converged on. It is nil while
+// the ranker is unranked.
 func (r *Ranker) Version() *Version { return r.cur }
 
-// Seq returns the store version the ranks correspond to.
-func (r *Ranker) Seq() uint64 { return r.cur.Seq }
+// Seq returns the store version the ranks correspond to (0 while unranked).
+func (r *Ranker) Seq() uint64 {
+	if r.cur == nil {
+		return 0
+	}
+	return r.cur.Seq
+}
 
-// Behind reports how many versions the ranker lags the store.
+// next is the first store version the ranks do not cover: 0 while unranked.
+func (r *Ranker) next() uint64 {
+	if r.cur == nil {
+		return 0
+	}
+	return r.cur.Seq + 1
+}
+
+// Behind reports how many versions the ranker lags the store; an unranked
+// ranker lags every version, the initial one included.
 func (r *Ranker) Behind() uint64 {
-	return r.store.Current().Seq - r.cur.Seq
+	return r.store.Current().Seq + 1 - r.next()
 }
 
 // Refresh brings the ranks up to the store's latest version and returns the
-// last run's result with the number of versions advanced — always the Seq
-// distance the ranks moved during the call, whatever path moved them (a
-// version published by ApplyAt at a sequence jump counts the whole jump).
+// last run's result with the number of versions advanced — always the
+// distance Behind fell during the call, whatever path moved the ranks (a
+// version published by ApplyAt at a sequence jump counts the whole jump,
+// and the first convergence counts every version up to the one it lands
+// on, the initial one included).
 //
-// The whole pending chain is replayed as ONE run of the ranker's algo: the
-// chain's batches are merged (last op per edge wins, batch.Merge) and the
-// algorithm runs once from the ranker's graph to the store's current one.
-// This is the paper's cost model taken seriously — DF work scales with the
-// movement set, so k pending batches cost one frontier expansion over their
-// union instead of k expansions over overlapping frontiers. The merged
-// del/ins lists may be a superset of the true edge diff (churn cancelled
-// within the span); that only widens the initially affected set, never
-// narrows it, because marking walks out(u) of every batch-edge source in
-// both snapshots. A static algo ignores the batch and the previous vector
-// (core.RunCtx drops them) and so recomputes from scratch. When the pending
-// links have left the store's ring (the ranker lagged more than its
-// retention) it rebuilds with the cold run on the newest version — there is
-// no other sound way forward.
+// An unranked ranker converges with the cold run on the newest version. A
+// ranked one replays the whole pending chain as ONE run of the ranker's
+// algo: the chain's batches are merged (last op per edge wins, batch.Merge)
+// and the algorithm runs once from the ranker's graph to the store's
+// current one. This is the paper's cost model taken seriously — DF work
+// scales with the movement set, so k pending batches cost one frontier
+// expansion over their union instead of k expansions over overlapping
+// frontiers. The merged del/ins lists may be a superset of the true edge
+// diff (churn cancelled within the span); that only widens the initially
+// affected set, never narrows it, because marking walks out(u) of every
+// batch-edge source in both snapshots. A static algo ignores the batch and
+// the previous vector (core.RunCtx drops them) and so recomputes from
+// scratch. When the pending links have left the store's ring (the ranker
+// lagged more than its retention) it rebuilds with the cold run on the
+// newest version — there is no other sound way forward.
 //
 // A run that fails (crashed workers) or is cancelled through ctx surfaces
-// as itself: the rank vector stays where it was and the returned error
-// wraps the run's own (core.ErrAllCrashed, core.ErrCanceled). No rebuild is
-// attempted — it would run under the same fault plan.
+// as itself: the rank vector stays where it was (an unranked ranker stays
+// unranked) and the returned error wraps the run's own (core.ErrAllCrashed,
+// core.ErrCanceled). No rebuild is attempted — it would run under the same
+// fault plan.
 func (r *Ranker) Refresh(ctx context.Context) (core.Result, int, error) {
-	from := r.cur.Seq
+	from := r.next()
 	res, err := r.catchUp(ctx)
-	return res, int(r.cur.Seq - from), err
+	return res, int(r.next() - from), err
 }
 
 // catchUp is Refresh without the distance bookkeeping: it moves the ranker
 // only through land, so Refresh reads the advance off r.cur.
 func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
+	if r.cur == nil {
+		return r.cold(ctx, r.store.Current(), nil)
+	}
 	if r.store.Current().Seq == r.cur.Seq {
 		return core.Result{Ranks: r.ranks, Converged: true}, nil
 	}
@@ -293,7 +319,7 @@ func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
 	// G^{t-1} where marking finds deleted edges' targets.
 	links, tip, ok := r.store.Since(r.cur.Seq)
 	if !ok {
-		return r.rebuild(ctx, tip)
+		return r.cold(ctx, tip, &r.Rebuilds)
 	}
 	ups := make([]batch.Update, len(links))
 	for i, l := range links {
@@ -314,23 +340,28 @@ func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
 	}
 }
 
-// rebuild lands the ranker on v through the cold run, counting it in
-// Rebuilds: the way forward when the history it would replay is gone.
-func (r *Ranker) rebuild(ctx context.Context, v *Version) (core.Result, error) {
-	res := coldRun(ctx, v, r.cfg)
+// cold lands the ranker on v through the cold run: the first convergence
+// (counter nil) and the rebuild after the history a refresh would replay
+// was evicted (counter &r.Rebuilds). StaticLF is lock-free, like every
+// refresh, so a crash-stopped worker slows it down instead of breaking it.
+func (r *Ranker) cold(ctx context.Context, v *Version, counter *int) (core.Result, error) {
+	res := core.RunCtx(ctx, core.AlgoStaticLF, core.Input{GNew: v.G}, r.cfg)
 	if res.Err != nil {
-		return res, fmt.Errorf("snapshot: static rebuild failed at version %d: %w", v.Seq, res.Err)
+		return res, fmt.Errorf("snapshot: cold run failed at version %d: %w", v.Seq, res.Err)
 	}
-	r.land(v, res, &r.Rebuilds)
+	r.land(v, res, counter)
 	return res, nil
 }
 
-// land makes a finished run the ranker's state. It is the only writer of
-// ranks/cur and of the Refreshes/Rebuilds counters after construction, so
-// len(ranks) == Version().G.N() holds after every outcome.
+// land makes a finished run the ranker's state, counting it in counter
+// unless that is nil. It is the only writer of ranks/cur and of the
+// Refreshes/Rebuilds counters after construction, so len(ranks) ==
+// Version().G.N() holds after every outcome.
 func (r *Ranker) land(v *Version, res core.Result, counter *int) {
 	r.ranks, r.cur = res.Ranks, v
-	*counter++
+	if counter != nil {
+		*counter++
+	}
 }
 
 // grownInputs adapts the (previous graph, previous ranks) pair of an

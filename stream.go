@@ -38,7 +38,7 @@ func (e *Engine) Subscribe() *Subscription {
 	defer e.subMu.Unlock()
 	e.nextSub++
 	sub := &Subscription{e: e, id: e.nextSub, ch: make(chan Update, 1)}
-	if e.subClosed {
+	if e.closed.Load() {
 		close(sub.ch)
 		return sub
 	}

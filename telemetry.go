@@ -194,16 +194,6 @@ func (m *engineMetrics) noteRun(res core.Result) {
 	m.frontierScanned.Add(uint64(res.FrontierScanned))
 }
 
-// noteLanded counts a Rank that advanced the ranks: an incremental refresh,
-// or a static rebuild when the history it would replay was gone.
-func (m *engineMetrics) noteLanded(rebuilt bool) {
-	if rebuilt {
-		m.rebuilds.Inc()
-	} else {
-		m.refreshes.Inc()
-	}
-}
-
 // noteRanked drains the publish-to-ranked clock into the freshness
 // histogram. Called from publishLocked, so at most one publisher runs at a
 // time; the Swap keeps it correct against concurrent arming anyway.
