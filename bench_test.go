@@ -7,7 +7,10 @@ package dfpr
 // full-scale versions.
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -234,6 +237,68 @@ func BenchmarkStoreApplyGrowth(b *testing.B) {
 	for i := range ups {
 		s.Apply(ups[i])
 	}
+}
+
+// BenchmarkEngineHeap reports what an engine holds, in CSRs (ROADMAP table
+// (g)): an engine on RMAT 2^16×16 with loops runs its first Rank, then 20
+// rounds of Apply (1e-5·|E| edits) and Rank at 2 threads. Its size is
+// HeapInuse after two GCs before Close, minus the same after Close with the
+// engine dropped; one CSR is CSR.Bytes of the initial graph.
+func BenchmarkEngineHeap(b *testing.B) {
+	for _, history := range []int{2, 8} {
+		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
+			d := gen.RMAT(16, 16, 5)
+			d.EnsureSelfLoops()
+			g := d.Snapshot()
+			edges := toPublic(g.Edges(nil))
+			ups := make([]batch.Update, 20)
+			for i := range ups {
+				ups[i] = batch.Random(d, max(1, g.M()/100_000), int64(i))
+				d.Apply(ups[i].Del, ups[i].Ins)
+			}
+			var held float64
+			for i := 0; i < b.N; i++ {
+				before := engineHeapRun(b, g.N(), edges, ups, history)
+				held += float64(before) - float64(liveHeap())
+			}
+			held /= float64(b.N)
+			b.ReportMetric(held/float64(g.Bytes()), "CSRs")
+			b.ReportMetric(held/(1<<20), "MiB")
+		})
+	}
+}
+
+// engineHeapRun builds and runs BenchmarkEngineHeap's engine and returns the
+// live heap measured just before its Close. The engine is unreachable once
+// it returns.
+func engineHeapRun(b *testing.B, n int, edges []Edge, ups []batch.Update, history int) uint64 {
+	ctx := context.Background()
+	eng, err := New(n, edges, WithThreads(2), WithHistory(history))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.Rank(ctx); err != nil {
+		b.Fatal(err)
+	}
+	for _, up := range ups {
+		if _, err := eng.Apply(ctx, toPublic(up.Del), toPublic(up.Ins)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Rank(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return liveHeap()
+}
+
+// liveHeap is HeapInuse after two collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapInuse
 }
 
 // BenchmarkEnsureSelfLoops measures a no-op EnsureSelfLoops on an already

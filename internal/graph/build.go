@@ -31,20 +31,31 @@ func buildWorkers(m int) int {
 	return w
 }
 
-// parallelRanges runs fn over a partition of [0, n) into workers contiguous
-// vertex ranges, in parallel when workers > 1.
-func parallelRanges(n, workers int, fn func(lo, hi int)) {
-	if workers <= 1 || n < 2 {
-		fn(0, n)
+// uniformCuts splits [0, n) into parts contiguous ranges of equal vertex
+// count, as cut points for parallelRanges.
+func uniformCuts(n, parts int) []int {
+	cuts := make([]int, parts+1)
+	for w := range cuts {
+		cuts[w] = w * n / parts
+	}
+	return cuts
+}
+
+// parallelRanges runs fn(w, cuts[w], cuts[w+1]) for every range the cut
+// points delimit, one goroutine per range when there are several. It is the
+// package's one fan-out over vertex ranges.
+func parallelRanges(cuts []int, fn func(w, lo, hi int)) {
+	if len(cuts) <= 2 {
+		fn(0, cuts[0], cuts[len(cuts)-1])
 		return
 	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(lo, hi int) {
+	wg.Add(len(cuts) - 1)
+	for w := 0; w+1 < len(cuts); w++ {
+		go func() {
 			defer wg.Done()
-			fn(lo, hi)
-		}(w*n/workers, (w+1)*n/workers)
+			fn(w, cuts[w], cuts[w+1])
+		}()
 	}
 	wg.Wait()
 }
@@ -67,7 +78,7 @@ func buildCSR(n int, row func(u int) []uint32) *CSR {
 	g.outAdj = make([]uint32, m)
 	workers := buildWorkers(m)
 
-	parallelRanges(n, workers, func(lo, hi int) {
+	parallelRanges(uniformCuts(n, workers), func(_, lo, hi int) {
 		cur := g.outPtr[lo]
 		for u := lo; u < hi; u++ {
 			cur += uint64(copy(g.outAdj[cur:], row(u)))
@@ -89,8 +100,8 @@ func buildCSR(n int, row func(u int) []uint32) *CSR {
 	// writing only the edges that land in it. Writes are disjoint across
 	// ranges and each row is filled in increasing source order after its
 	// seeded self-loop, so rows come out in the CSR's order without a sort
-	// pass. One range runs inline; more run one goroutine each.
-	scatter := func(tlo, thi int) {
+	// pass.
+	parallelRanges(prefixCuts(g.inPtr, workers), func(_, tlo, thi int) {
 		cur := make([]uint64, thi-tlo)
 		for v := tlo; v < thi; v++ {
 			cur[v-tlo] = g.seedInRow(uint32(v))
@@ -103,21 +114,7 @@ func buildCSR(n int, row func(u int) []uint32) *CSR {
 				}
 			}
 		}
-	}
-	if workers <= 1 {
-		scatter(0, n)
-		return g
-	}
-	bounds := prefixCuts(g.inPtr, workers)
-	var wg sync.WaitGroup
-	wg.Add(len(bounds) - 1)
-	for w := 0; w+1 < len(bounds); w++ {
-		go func(tlo, thi int) {
-			defer wg.Done()
-			scatter(tlo, thi)
-		}(bounds[w], bounds[w+1])
-	}
-	wg.Wait()
+	})
 	return g
 }
 
@@ -177,7 +174,7 @@ func FromEdges(n int, edges []Edge) *CSR {
 		cursor[e.U]++
 	}
 	rowLen := make([]uint32, n)
-	parallelRanges(n, buildWorkers(len(edges)), func(lo, hi int) {
+	parallelRanges(uniformCuts(n, buildWorkers(len(edges))), func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			rowLen[u] = uint32(len(sortUnique(buf[off[u]:off[u+1]])))
 		}

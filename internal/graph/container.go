@@ -163,7 +163,7 @@ func DecodeContainer(b []byte, alias bool) (*CSR, error) {
 // inRowsSelfFirst moves each self-loop of an ascending in-adjacency to the
 // front of its row, in place, leaving the other sources in order.
 func inRowsSelfFirst(n int, ptr []uint64, adj []uint32) {
-	parallelRanges(n, buildWorkers(len(adj)), func(lo, hi int) {
+	parallelRanges(uniformCuts(n, buildWorkers(len(adj))), func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			row := adj[ptr[v]:ptr[v+1]]
 			if i, ok := slices.BinarySearch(row, uint32(v)); ok {

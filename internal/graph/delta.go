@@ -44,7 +44,7 @@ func (d *Dynamic) deltaSnapshot() *CSR {
 		}
 		slices.Sort(dirtyOut)
 		g.outPtr, g.outAdj = mergeRows(d.n, d.m, base.outPtr, base.outAdj, dirtyOut,
-			func(u uint32) []uint32 { return d.adj[u] })
+			d.Out)
 	}()
 
 	dirtyIn := make([]uint32, 0, len(d.inTouched))

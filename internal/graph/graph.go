@@ -3,7 +3,8 @@
 // Dynamic edge store that produces those snapshots, and batch-update
 // application following the paper's model (§3.4): a dynamic graph is a
 // sequence of snapshots G^{t-1}, G^t separated by a batch Δt = Δt⁻ ∪ Δt⁺ of
-// edge deletions and insertions, with no vertex additions or removals.
+// edge deletions and insertions. The vertex universe may grow between
+// snapshots (Dynamic.Grow); vertices are never removed.
 //
 // Dead-end elimination: the paper removes dead ends (vertices with no
 // out-links) by adding a self-loop to every vertex (§5.1.3). EnsureSelfLoops
@@ -14,9 +15,7 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
+	"slices"
 )
 
 // Edge is a directed edge from U to V. Vertex ids are 32-bit, matching the
@@ -72,9 +71,8 @@ func (g *CSR) In(v uint32) []uint32 {
 
 // HasEdge reports whether the directed edge (u,v) exists.
 func (g *CSR) HasEdge(u, v uint32) bool {
-	adj := g.Out(u)
-	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-	return i < len(adj) && adj[i] == v
+	_, ok := slices.BinarySearch(g.Out(u), v)
+	return ok
 }
 
 // Edges appends every directed edge to dst and returns it, in (U,V) sorted
@@ -140,28 +138,11 @@ func validateSide(name string, n int, ptr []uint64, adj []uint32, selfFirst bool
 	if ptr[0] != 0 || ptr[n] != uint64(len(adj)) {
 		return fmt.Errorf("graph: %s offsets do not span adjacency", name)
 	}
-	workers := 1
-	if n >= 1<<15 {
-		workers = min(runtime.GOMAXPROCS(0), 8)
-	}
-	if workers <= 1 {
-		return validateRows(name, n, 0, n, ptr, adj, selfFirst)
-	}
+	workers := buildWorkers(len(adj))
 	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	per := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*per, min((w+1)*per, n)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			errs[w] = validateRows(name, n, lo, hi, ptr, adj, selfFirst)
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	parallelRanges(uniformCuts(n, workers), func(w, lo, hi int) {
+		errs[w] = validateRows(name, n, lo, hi, ptr, adj, selfFirst)
+	})
 	return errors.Join(errs...)
 }
 
@@ -197,26 +178,36 @@ func fmtEdgeRange(e Edge, n int) string {
 }
 
 // Dynamic is a mutable directed graph used to generate snapshot sequences.
-// It keeps one sorted adjacency slice per vertex; mutation is not safe for
-// concurrent use (the paper interleaves updates and computation via
-// read-only snapshots, §3.4 — Snapshot provides exactly that).
+// Mutation is not safe for concurrent use (the paper interleaves updates and
+// computation via read-only snapshots, §3.4 — Snapshot provides exactly
+// that).
 //
-// Dynamic remembers the last CSR it built and which rows have been mutated
-// since, so Snapshot can rebuild only the touched rows of the next CSR and
-// block-copy everything else (see delta.go). With the paper's batch
-// fractions (10⁻⁷–10⁻³ of |E|) almost every row is untouched between
-// snapshots, which turns snapshot construction from the dominant cost of the
-// dynamic pipeline into a near-memcpy.
+// Dynamic is an overlay on the last CSR it built, its base: adj[u] holds a
+// sorted out-row only while u owns it, and a nil entry reads base.Out(u).
+// A row is owned once it has changed since base was built (AddEdge and
+// DelEdge copy the base row on their first real change to it, and never
+// write into base), and every row is owned while there is no base (a graph
+// built by NewDynamic and AddEdge). Snapshot releases the owned rows once
+// the new CSR holds them, so between snapshots the graph costs its row
+// headers plus the rows of the round in progress: the newest CSR is the one
+// copy of the graph.
+//
+// Snapshot rebuilds only the touched rows of the next CSR and block-copies
+// everything else (see delta.go). With the paper's batch fractions
+// (10⁻⁷–10⁻³ of |E|) almost every row is untouched between snapshots, which
+// turns snapshot construction from the dominant cost of the dynamic
+// pipeline into a near-memcpy.
 type Dynamic struct {
 	n   int
 	adj [][]uint32
 	m   int
 
-	// base is the snapshot the dirty sets are relative to; nil means no
-	// snapshot has been built yet (or tracking was reset) and the next
-	// Snapshot takes the cold path.
+	// base is the snapshot the overlay and the dirty sets are relative to;
+	// nil means no snapshot has been built yet and the next Snapshot takes
+	// the cold path.
 	base *CSR
-	// outDirty holds sources whose out-row changed since base.
+	// outDirty holds sources whose out-row changed since base: the owned
+	// rows, while base is set.
 	outDirty map[uint32]struct{}
 	// inTouched maps each target whose in-row may have changed to the
 	// sources whose edge (u,v) membership was toggled. The new in-row is
@@ -236,44 +227,11 @@ func NewDynamic(n int) *Dynamic {
 	return &Dynamic{n: n, adj: make([][]uint32, n)}
 }
 
-// DynamicFromCSR returns a dynamic graph holding the same edges as g. The
-// returned graph treats g as its base snapshot, so a Snapshot after a small
-// number of mutations takes the delta-merge path immediately.
+// DynamicFromCSR returns a dynamic graph holding the same edges as g, with
+// g as its base: it copies no adjacency and owns no row, and a Snapshot
+// after a small number of mutations takes the delta-merge path at once.
 func DynamicFromCSR(g *CSR) *Dynamic {
-	d := NewDynamic(g.N())
-	// One backing array for all rows instead of one allocation per vertex:
-	// rows start as slices into it at full capacity, so the first append to
-	// a row copies it out (cap == len) rather than clobbering a neighbour.
-	// In-place deletions shrink a row within its own region, which is why
-	// the adjacency must be copied out of g rather than aliased. Row setup
-	// is chunked across workers on large graphs — this conversion is the
-	// second-largest cost of a warm restart after checkpoint decode.
-	backing := make([]uint32, g.M())
-	n := g.N()
-	workers := 1
-	if n >= 1<<15 {
-		workers = min(runtime.GOMAXPROCS(0), 8)
-	}
-	var wg sync.WaitGroup
-	per := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*per, min((w+1)*per, n)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			copy(backing[g.outPtr[lo]:g.outPtr[hi]], g.outAdj[g.outPtr[lo]:g.outPtr[hi]])
-			for u := lo; u < hi; u++ {
-				d.adj[u] = backing[g.outPtr[u]:g.outPtr[u+1]:g.outPtr[u+1]]
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	d.m = g.M()
-	d.base = g
-	return d
+	return &Dynamic{n: g.N(), adj: make([][]uint32, g.N()), m: g.M(), base: g}
 }
 
 // N returns the number of vertices.
@@ -284,29 +242,38 @@ func (d *Dynamic) M() int { return d.m }
 
 // HasEdge reports whether edge (u,v) exists.
 func (d *Dynamic) HasEdge(u, v uint32) bool {
-	row := d.adj[u]
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= v })
-	return i < len(row) && row[i] == v
+	_, ok := slices.BinarySearch(d.Out(u), v)
+	return ok
 }
 
 // OutDeg returns the out-degree of u.
-func (d *Dynamic) OutDeg(u uint32) int { return len(d.adj[u]) }
+func (d *Dynamic) OutDeg(u uint32) int { return len(d.Out(u)) }
 
-// Out returns the sorted out-neighbours of u. The slice aliases internal
-// storage; callers must not retain it across mutations.
-func (d *Dynamic) Out(u uint32) []uint32 { return d.adj[u] }
+// owned reports whether u's row lives in adj (see Dynamic). A row past the
+// base reads as empty, so it counts as owned.
+func (d *Dynamic) owned(u uint32) bool {
+	return d.adj[u] != nil || d.base == nil || int(u) >= d.base.n
+}
+
+// Out returns the sorted out-neighbours of u: the owned row, or else the
+// base's. The slice aliases internal or snapshot storage; callers must not
+// modify it or retain it across mutations.
+func (d *Dynamic) Out(u uint32) []uint32 {
+	if d.owned(u) {
+		return d.adj[u]
+	}
+	return slices.Clip(d.base.Out(u))
+}
 
 // AddEdge inserts edge (u,v), reporting whether it was absent.
 func (d *Dynamic) AddEdge(u, v uint32) bool {
-	row := d.adj[u]
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= v })
-	if i < len(row) && row[i] == v {
+	row := d.Out(u)
+	i, ok := slices.BinarySearch(row, v)
+	if ok {
 		return false
 	}
-	row = append(row, 0)
-	copy(row[i+1:], row[i:])
-	row[i] = v
-	d.adj[u] = row
+	// Out clips a base row, so the insert copies it out of the base.
+	d.adj[u] = slices.Insert(row, i, v)
 	d.m++
 	d.touch(u, v)
 	return true
@@ -319,12 +286,15 @@ func (d *Dynamic) DelEdge(u, v uint32) bool {
 	if int(u) >= d.n || int(v) >= d.n {
 		return false
 	}
-	row := d.adj[u]
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= v })
-	if i >= len(row) || row[i] != v {
+	row := d.Out(u)
+	i, ok := slices.BinarySearch(row, v)
+	if !ok {
 		return false
 	}
-	d.adj[u] = append(row[:i], row[i+1:]...)
+	if !d.owned(u) {
+		row = slices.Clone(row)
+	}
+	d.adj[u] = slices.Delete(row, i, i+1) // non-nil even when empty: still owned
 	d.m--
 	d.touch(u, v)
 	if u == v && int(u) < d.looped {
@@ -401,16 +371,18 @@ func (d *Dynamic) EnsureSelfLoops() {
 // snapshot, that snapshot is returned as-is (CSRs are immutable, sharing is
 // safe); if few rows changed, the new CSR is delta-merged from the last one
 // (touched rows rebuilt, everything else block-copied); otherwise a full
-// parallel cold build runs.
+// parallel cold build runs. The new CSR becomes the base, and the rows it
+// holds are released.
 func (d *Dynamic) Snapshot() *CSR {
-	var g *CSR
-	switch {
-	case d.base != nil && d.base.n == d.n && len(d.outDirty) == 0 && len(d.inTouched) == 0:
+	if d.base == nil || !d.deltaWorthwhile() {
+		return d.SnapshotFull()
+	}
+	if d.base.n == d.n && len(d.outDirty) == 0 && len(d.inTouched) == 0 {
 		return d.base
-	case d.base != nil && d.deltaWorthwhile():
-		g = d.deltaSnapshot()
-	default:
-		g = buildCSR(d.n, func(u int) []uint32 { return d.adj[u] })
+	}
+	g := d.deltaSnapshot()
+	for u := range d.outDirty {
+		d.adj[u] = nil
 	}
 	d.base = g
 	d.outDirty, d.inTouched = nil, nil
@@ -418,21 +390,24 @@ func (d *Dynamic) Snapshot() *CSR {
 }
 
 // SnapshotFull builds an immutable CSR with the cold (full-rebuild) path
-// regardless of dirty-row state. It exists for benchmarking the delta-merge
-// against the rebuild it replaces; Snapshot is what callers should use.
+// regardless of dirty-row state, makes it the base and releases every owned
+// row. It exists for benchmarking the delta-merge against the rebuild it
+// replaces; Snapshot is what callers should use.
 func (d *Dynamic) SnapshotFull() *CSR {
-	g := buildCSR(d.n, func(u int) []uint32 { return d.adj[u] })
+	g := buildCSR(d.n, func(u int) []uint32 { return d.Out(uint32(u)) })
+	clear(d.adj)
 	d.base = g
 	d.outDirty, d.inTouched = nil, nil
 	return g
 }
 
-// Clone returns an independent deep copy. The clone starts cold: it shares
-// no snapshot-tracking state with d, so its first Snapshot is a full build.
+// Clone returns an independent deep copy that owns every row, read through
+// Out; d is only read. The clone starts cold: it shares no base or
+// snapshot-tracking state with d, so its first Snapshot is a full build.
 func (d *Dynamic) Clone() *Dynamic {
 	c := NewDynamic(d.n)
-	for u := range d.adj {
-		c.adj[u] = append([]uint32(nil), d.adj[u]...)
+	for u := range c.adj {
+		c.adj[u] = slices.Clone(d.Out(uint32(u)))
 	}
 	c.m = d.m
 	return c

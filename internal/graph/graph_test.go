@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -276,6 +278,99 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 	if c.M() != 2 || d.M() != 1 {
 		t.Errorf("m mismatch: clone=%d orig=%d", c.M(), d.M())
+	}
+
+	// A clone taken while the original owns dirty rows over a base: each
+	// then changes an owned row and a base row, and neither sees the other.
+	d = DynamicFromCSR(FromEdges(6, []Edge{{0, 1}, {1, 2}, {2, 0}, {3, 3}}))
+	d.AddEdge(0, 2)
+	d.DelEdge(1, 2)
+	c = d.Clone()
+	d.AddEdge(0, 3)
+	d.DelEdge(2, 0)
+	c.DelEdge(0, 1)
+	c.AddEdge(1, 4)
+	for _, tc := range []struct {
+		name string
+		d    *Dynamic
+		want []Edge
+	}{
+		{"original", d, []Edge{{0, 1}, {0, 2}, {0, 3}, {3, 3}}},
+		{"clone", c, []Edge{{0, 2}, {1, 4}, {2, 0}, {3, 3}}},
+	} {
+		g := tc.d.Snapshot()
+		mustValid(t, g)
+		csrEqual(t, g, FromEdges(6, tc.want), tc.name+" over a base")
+	}
+}
+
+// TestDynamicNeverWritesBase: a Dynamic reads its unchanged rows from its
+// base CSR and copies a row out on its first change, so no CSR it adopts or
+// builds is ever written. Seeded AddEdge/DelEdge (self-loops included),
+// Grow, EnsureSelfLoops, Snapshot and Clone run over an adopted CSR; at the
+// end every base it had still holds the edges it was built with and passes
+// Validate. Every snapshot equals a cold rebuild of the graph before it,
+// and leaves the Dynamic owning no row.
+func TestDynamicNeverWritesBase(t *testing.T) {
+	deepCopy := func(g *CSR) *CSR {
+		return &CSR{n: g.n, outPtr: slices.Clone(g.outPtr), outAdj: slices.Clone(g.outAdj),
+			inPtr: slices.Clone(g.inPtr), inAdj: slices.Clone(g.inAdj)}
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := FromEdges(120, loopyEdges(rng, 120, 900))
+		bases := [][2]*CSR{{g, deepCopy(g)}}
+		d := DynamicFromCSR(g)
+		pick := func(d *Dynamic) (uint32, uint32) {
+			u := uint32(rng.Intn(d.N()))
+			if row := d.Out(u); len(row) > 0 && rng.Intn(2) == 0 {
+				return u, row[rng.Intn(len(row))] // an edge that exists
+			}
+			return u, uint32(rng.Intn(d.N()))
+		}
+		for step := 0; step < 600; step++ {
+			u, v := pick(d)
+			switch op := rng.Intn(12); {
+			case op <= 2:
+				d.AddEdge(u, v)
+			case op <= 5:
+				d.DelEdge(u, v)
+			case op == 6:
+				d.DelEdge(u, u)
+			case op == 7:
+				d.Grow(d.N() + rng.Intn(3))
+			case op == 8:
+				d.EnsureSelfLoops()
+			case op == 9:
+				want := rebuildReference(d)
+				c := d.Clone()
+				for i := 0; i < 8; i++ {
+					cu, cv := pick(c)
+					c.DelEdge(cu, cv)
+					c.AddEdge(cv, cu)
+				}
+				csrEqual(t, c.Snapshot(), rebuildReference(c), "clone")
+				csrEqual(t, rebuildReference(d), want, "original after its clone changed")
+			default:
+				want := rebuildReference(d)
+				snap := d.Snapshot
+				if op == 10 {
+					snap = d.SnapshotFull
+				}
+				s := snap()
+				csrEqual(t, s, want, fmt.Sprintf("seed %d step %d: snapshot", seed, step))
+				for u, row := range d.adj {
+					if row != nil {
+						t.Fatalf("seed %d step %d: row %d still owned after a snapshot", seed, step, u)
+					}
+				}
+				bases = append(bases, [2]*CSR{s, deepCopy(s)})
+			}
+		}
+		for i, b := range bases {
+			csrEqual(t, b[0], b[1], fmt.Sprintf("seed %d: base %d after later writes", seed, i))
+			mustValid(t, b[0])
+		}
 	}
 }
 

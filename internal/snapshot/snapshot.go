@@ -371,7 +371,7 @@ func (r *Ranker) land(v *Version, res core.Result, counter *int) {
 // vector is rescaled-and-seeded by core.GrowRanks — the exact fixed-point
 // transform growth induces under self-loop dead-end elimination, which is
 // what keeps a frontier-sized refresh over a grown version equivalent to a
-// cold build (see internal/core/growth.go). A same-size version passes
+// cold build (see internal/core/vertex.go). A same-size version passes
 // through untouched.
 func grownInputs(gOld *graph.CSR, ranks []float64, n int) (*graph.CSR, []float64) {
 	if n <= gOld.N() && n <= len(ranks) {
