@@ -247,46 +247,80 @@ func BenchmarkStoreApplyGrowth(b *testing.B) {
 func BenchmarkEngineHeap(b *testing.B) {
 	for _, history := range []int{2, 8} {
 		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
-			d := gen.RMAT(16, 16, 5)
-			d.EnsureSelfLoops()
-			g := d.Snapshot()
-			edges := toPublic(g.Edges(nil))
-			ups := make([]batch.Update, 20)
-			for i := range ups {
-				ups[i] = batch.Random(d, max(1, g.M()/100_000), int64(i))
-				d.Apply(ups[i].Del, ups[i].Ins)
-			}
+			g, edges, ups := engineHeapInputs(16)
 			var held float64
 			for i := 0; i < b.N; i++ {
-				before := engineHeapRun(b, g.N(), edges, ups, history)
-				held += float64(before) - float64(liveHeap())
+				held += engineHeld(b, g, edges, ups, history)
 			}
 			held /= float64(b.N)
-			b.ReportMetric(held/float64(g.Bytes()), "CSRs")
-			b.ReportMetric(held/(1<<20), "MiB")
+			b.ReportMetric(held, "CSRs")
+			b.ReportMetric(held*float64(g.Bytes())/(1<<20), "MiB")
 		})
 	}
+}
+
+// TestEngineHeapBound asserts ROADMAP item 13's bound on what an engine
+// holds, measured as BenchmarkEngineHeap measures it but on RMAT 2^14×16:
+// at WithHistory(8) the engine's live heap is at most 2.5 CSRs, and the six
+// versions it retains beyond WithHistory(2) add at most 0.75 CSR between
+// them. With a flat CSR per version the gap was about 6.4 CSRs.
+func TestEngineHeapBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory swamps the heap figures")
+	}
+	g, edges, ups := engineHeapInputs(14)
+	h2 := engineHeld(t, g, edges, ups, 2)
+	h8 := engineHeld(t, g, edges, ups, 8)
+	t.Logf("history 2: %.2f CSRs, history 8: %.2f CSRs", h2, h8)
+	if h8 > 2.5 {
+		t.Errorf("history 8 holds %.2f CSRs, want ≤ 2.5", h8)
+	}
+	if h8-h2 > 0.75 {
+		t.Errorf("history 8 holds %.2f CSRs more than history 2, want ≤ 0.75", h8-h2)
+	}
+}
+
+// engineHeapInputs returns the initial graph of RMAT 2^scale×16 with loops,
+// its edge list and 20 rounds of 1e-5·|E| random edits for engineHeld.
+func engineHeapInputs(scale int) (*graph.CSR, []Edge, []batch.Update) {
+	d := gen.RMAT(scale, 16, 5)
+	d.EnsureSelfLoops()
+	g := d.Snapshot()
+	edges := toPublic(g.Edges(nil))
+	ups := make([]batch.Update, 20)
+	for i := range ups {
+		ups[i] = batch.Random(d, max(1, g.M()/100_000), int64(i))
+		d.Apply(ups[i].Del, ups[i].Ins)
+	}
+	return g, edges, ups
+}
+
+// engineHeld runs engineHeapRun and returns the heap the engine held, in
+// CSRs of g.
+func engineHeld(tb testing.TB, g *graph.CSR, edges []Edge, ups []batch.Update, history int) float64 {
+	before := engineHeapRun(tb, g.N(), edges, ups, history)
+	return (float64(before) - float64(liveHeap())) / float64(g.Bytes())
 }
 
 // engineHeapRun builds and runs BenchmarkEngineHeap's engine and returns the
 // live heap measured just before its Close. The engine is unreachable once
 // it returns.
-func engineHeapRun(b *testing.B, n int, edges []Edge, ups []batch.Update, history int) uint64 {
+func engineHeapRun(tb testing.TB, n int, edges []Edge, ups []batch.Update, history int) uint64 {
 	ctx := context.Background()
 	eng, err := New(n, edges, WithThreads(2), WithHistory(history))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	defer eng.Close()
 	if _, err := eng.Rank(ctx); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, up := range ups {
 		if _, err := eng.Apply(ctx, toPublic(up.Del), toPublic(up.Ins)); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := eng.Rank(ctx); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return liveHeap()

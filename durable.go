@@ -186,8 +186,9 @@ func restore(st settings, ck *wal.State) (*Engine, error) {
 
 // replay publishes a contiguous run of logged records — a WAL tail at warm
 // restart or promotion, a drained stretch of the feed on a follower — as ONE
-// merged version landing at the run's tip. A store version costs a full CSR
-// materialisation, so folding makes the cost independent of the run's
+// merged version landing at the run's tip. A store version costs a snapshot
+// (two block-table copies and a rebuild of every block the batch touched),
+// so folding makes the cost independent of the run's
 // length, and the resumed ranker refreshes over the merged batch as a single
 // coalesced span. Records at or below the applied version are skipped (a
 // promoted follower already streamed part of the tail); a gap is an error.

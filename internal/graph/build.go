@@ -63,54 +63,83 @@ func parallelRanges(cuts []int, fn func(w, lo, hi int)) {
 // buildCSR materialises a CSR from per-vertex out-rows that are already
 // sorted and deduplicated. row(u) may alias caller storage — its contents are
 // copied. This is the cold-build path shared by FromEdges and
-// Dynamic.SnapshotFull: a counting pass for the offsets, a block-copy pass
-// for the out-adjacency, and a scatter pass for the in-adjacency, each
-// parallelised over contiguous ranges once the graph is large enough. The
-// scatter writes each in-row in the CSR's order (see CSR): seedInRow puts
-// the self-loop in the row's first slot and the scatter skips it.
+// Dynamic.SnapshotFull: the out blocks are packed from the rows, then an
+// in-degree count sizes the in blocks and a scatter pass fills them, each
+// pass parallelised over contiguous block ranges once the graph is large
+// enough. Every block owns its arrays, so a later snapshot that shares a
+// few of them keeps nothing else alive. The scatter writes each in-row in
+// the CSR's order (see CSR): the self-loop goes in the row's first slot and
+// the scatter skips it.
 func buildCSR(n int, row func(u int) []uint32) *CSR {
-	g := &CSR{n: n}
-	g.outPtr = make([]uint64, n+1)
+	nb := numBlocks(n)
+	g := &CSR{n: n, out: make(side, nb), in: make(side, nb)}
 	for u := 0; u < n; u++ {
-		g.outPtr[u+1] = g.outPtr[u] + uint64(len(row(u)))
+		g.m += len(row(u))
 	}
-	m := int(g.outPtr[n])
-	g.outAdj = make([]uint32, m)
-	workers := buildWorkers(m)
-
-	parallelRanges(uniformCuts(n, workers), func(_, lo, hi int) {
-		cur := g.outPtr[lo]
-		for u := lo; u < hi; u++ {
-			cur += uint64(copy(g.outAdj[cur:], row(u)))
+	workers := buildWorkers(g.m)
+	parallelRanges(uniformCuts(nb, workers), func(_, blo, bhi int) {
+		for b := blo; b < bhi; b++ {
+			lo, hi := blockSpan(b, n)
+			ptr := new(blockPtr)
+			for i := range blockRows {
+				ptr[i+1] = ptr[i]
+				if lo+i < hi {
+					ptr[i+1] += uint64(len(row(lo + i)))
+				}
+			}
+			adj := make([]uint32, ptr[blockRows])
+			for v := lo; v < hi; v++ {
+				copy(adj[ptr[v-lo]:], row(v))
+			}
+			g.out[b] = rowBlock{ptr, adj}
 		}
 	})
 
-	inDeg := make([]uint32, n)
-	for _, v := range g.outAdj {
-		inDeg[v]++
-	}
-	g.inPtr = make([]uint64, n+1)
-	for v := 0; v < n; v++ {
-		g.inPtr[v+1] = g.inPtr[v] + uint64(inDeg[v])
-	}
-	g.inAdj = make([]uint32, m)
-
-	// Scatter: each target range holds roughly 1/workers of the in-edges
-	// and is filled by scanning the whole out-adjacency in source order,
-	// writing only the edges that land in it. Writes are disjoint across
-	// ranges and each row is filled in increasing source order after its
-	// seeded self-loop, so rows come out in the CSR's order without a sort
-	// pass.
-	parallelRanges(prefixCuts(g.inPtr, workers), func(_, tlo, thi int) {
-		cur := make([]uint64, thi-tlo)
-		for v := tlo; v < thi; v++ {
-			cur[v-tlo] = g.seedInRow(uint32(v))
+	// cur[v] counts v's in-degree, then becomes the slot of its next source
+	// in its block.
+	cur := make([]uint32, n)
+	mass := make([]uint64, nb+1) // in-edges before each block
+	for b := range g.out {
+		for _, v := range g.out[b].adj {
+			cur[v]++
 		}
-		for u := uint32(0); int(u) < n; u++ {
-			for _, v := range g.Out(u) {
-				if int(v) >= tlo && int(v) < thi && v != u {
-					g.inAdj[cur[int(v)-tlo]] = u
-					cur[int(v)-tlo]++
+	}
+	in := g.in
+	for b := range in {
+		lo, hi := blockSpan(b, n)
+		ptr := new(blockPtr)
+		for i := range blockRows {
+			ptr[i+1] = ptr[i]
+			if v := lo + i; v < hi {
+				ptr[i+1] += uint64(cur[v])
+				cur[v] = uint32(ptr[i])
+			}
+		}
+		in[b] = rowBlock{ptr, make([]uint32, ptr[blockRows])}
+		mass[b+1] = mass[b] + ptr[blockRows]
+	}
+
+	// Scatter: each block range holds roughly 1/workers of the in-edges and
+	// is filled by scanning the whole out-adjacency in source order, writing
+	// only the edges that land in it. Writes are disjoint across ranges and
+	// each row is filled in increasing source order after its self-loop, so
+	// rows come out in the CSR's order without a sort pass.
+	parallelRanges(prefixCuts(mass, workers), func(_, blo, bhi int) {
+		tlo, thi := uint32(blo<<blockShift), uint32(min(bhi<<blockShift, n))
+		for v := tlo; v < thi; v++ {
+			if g.HasEdge(v, v) {
+				in[v>>blockShift].adj[cur[v]] = v
+				cur[v]++
+			}
+		}
+		for b, blk := range g.out {
+			for i := range blockRows {
+				u := uint32(b<<blockShift + i)
+				for _, v := range blk.adj[blk.ptr[i]:blk.ptr[i+1]] {
+					if v >= tlo && v < thi && v != u {
+						in[v>>blockShift].adj[cur[v]] = u
+						cur[v]++
+					}
 				}
 			}
 		}
@@ -118,20 +147,9 @@ func buildCSR(n int, row func(u int) []uint32) *CSR {
 	return g
 }
 
-// seedInRow writes v's self-loop, if it has one, into the first slot of its
-// in-row and returns the slot where the row's other sources start.
-func (g *CSR) seedInRow(v uint32) uint64 {
-	at := g.inPtr[v]
-	if g.HasEdge(v, v) {
-		g.inAdj[at] = v
-		at++
-	}
-	return at
-}
-
-// prefixCuts splits the vertex range of a prefix-sum offset array into parts
-// contiguous ranges of roughly equal edge mass. Returned bounds have length
-// parts+1 with bounds[0]=0 and bounds[parts]=n.
+// prefixCuts splits the index range of a prefix-sum array (edges before each
+// block) into parts contiguous ranges of roughly equal edge mass. Returned
+// bounds have length parts+1 with bounds[0]=0 and bounds[parts]=n.
 func prefixCuts(ptr []uint64, parts int) []int {
 	n := len(ptr) - 1
 	total := ptr[n]

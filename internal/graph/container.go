@@ -30,12 +30,12 @@ package graph
 //	     …  inBytes    in-adjacency blob
 //
 // Adjacency is stored as raw little-endian uint32 arrays (outBytes = 4·mOut)
-// and the ptr arrays hold edge indices, exactly the in-memory CSR, rows in
-// its order: out-rows ascending, each in-row led by its vertex's self-loop
-// (if any) with the other sources ascending. Containers written before
-// in-rows led with their self-loop hold every row ascending; they are still
-// version 1, and DecodeContainer moves each loop to the front of a copy of
-// the in-adjacency (see inRowsSelfFirst).
+// and the ptr arrays hold global edge indices: the CSR's blocks laid end to
+// end, rows in its order: out-rows ascending, each in-row led by its
+// vertex's self-loop (if any) with the other sources ascending. Containers
+// written before in-rows led with their self-loop hold every row
+// ascending; they are still version 1, and DecodeContainer moves each loop
+// to the front of a copy of the in blocks (see inRowsSelfFirst).
 
 import (
 	"bytes"
@@ -60,44 +60,61 @@ func IsContainer(b []byte) bool {
 
 // ContainerSize returns the exact byte length AppendContainer produces.
 func (g *CSR) ContainerSize() int {
-	return containerHeader + 16*(g.n+1) + 4*(len(g.outAdj)+len(g.inAdj))
+	return containerHeader + 16*(g.n+1) + 8*g.m
 }
 
 // AppendContainer serialises g as a DFPRCSR1 container onto dst and returns
-// the extended slice.
+// the extended slice, walking the blocks of each side: the offsets come out
+// global, the adjacency blobs as the concatenated rows.
 func (g *CSR) AppendContainer(dst []byte) []byte {
 	le := binary.LittleEndian
+	dst = slices.Grow(dst, g.ContainerSize())
 	dst = append(dst, containerMagic[:]...)
 	dst = le.AppendUint32(dst, containerVersion)
 	dst = le.AppendUint32(dst, 0) // flags
 	dst = le.AppendUint64(dst, uint64(g.n))
-	dst = le.AppendUint64(dst, uint64(len(g.outAdj)))
-	dst = le.AppendUint64(dst, uint64(len(g.inAdj)))
-	dst = le.AppendUint64(dst, uint64(4*len(g.outAdj)))
-	dst = le.AppendUint64(dst, uint64(4*len(g.inAdj)))
+	dst = le.AppendUint64(dst, uint64(g.m))
+	dst = le.AppendUint64(dst, uint64(g.m))
+	dst = le.AppendUint64(dst, uint64(4*g.m))
+	dst = le.AppendUint64(dst, uint64(4*g.m))
 	dst = le.AppendUint64(dst, 0) // reserved
-	dst = appendU64s(dst, g.outPtr)
-	dst = appendU64s(dst, g.inPtr)
-	dst = appendU32s(dst, g.outAdj)
-	dst = appendU32s(dst, g.inAdj)
+	for _, s := range []side{g.out, g.in} {
+		at := uint64(0)
+		for i, b := range s {
+			lo, hi := blockSpan(i, g.n)
+			for _, p := range b.ptr[:hi-lo] {
+				dst = le.AppendUint64(dst, at+p-b.ptr[0])
+			}
+			at += uint64(b.edges())
+		}
+		dst = le.AppendUint64(dst, at)
+	}
+	for _, s := range []side{g.out, g.in} {
+		for _, b := range s {
+			dst = appendU32s(dst, b.adj[b.ptr[0]:b.ptr[blockRows]])
+		}
+	}
 	return dst
 }
 
-// Bytes returns the resident size of the snapshot's arrays in bytes — the
-// RAM the graph itself occupies, exported as the graph_bytes gauge.
+// Bytes returns the resident size of the snapshot's arrays in bytes, counted
+// as if it shared no block with another snapshot — the RAM the graph itself
+// occupies, exported as the graph_bytes gauge.
 func (g *CSR) Bytes() int {
-	return 8*(len(g.outPtr)+len(g.inPtr)) + 4*(len(g.outAdj)+len(g.inAdj))
+	return 16*(blockRows+1)*numBlocks(g.n) + 8*g.m
 }
 
 // DecodeContainer parses a DFPRCSR1 container. With alias=true (and a
-// little-endian host and suitably aligned buffer) the returned arrays alias
-// b directly — the caller must keep b alive and unmodified for the graph's
-// lifetime; this is the zero-copy path under gio.LoadCSRMapped. Either way
-// the structural invariants are validated before returning, so a corrupted
-// container cannot smuggle out-of-range offsets into the kernels. A
-// container whose in-rows are all ascending (the layout before in-rows led
-// with their self-loop) decodes with a relaid copy of the in-adjacency;
-// the buffer itself is never written.
+// little-endian host and suitably aligned buffer) the returned blocks alias
+// b directly, each block's offsets a window of the mapped ones and its
+// adjacency the whole mapped blob — the caller must keep b alive and
+// unmodified for the graph's lifetime; this is the zero-copy path under
+// gio.LoadCSRMapped. Without alias every block is copied into arrays of its
+// own. Either way the structural invariants are validated before
+// returning, so a corrupted container cannot smuggle out-of-range offsets
+// into the kernels. A container whose in-rows are all ascending (the layout
+// before in-rows led with their self-loop) decodes with relaid copies of
+// the in blocks; the buffer itself is never written.
 func DecodeContainer(b []byte, alias bool) (*CSR, error) {
 	le := binary.LittleEndian
 	if !IsContainer(b) {
@@ -138,37 +155,75 @@ func DecodeContainer(b []byte, alias bool) (*CSR, error) {
 	}
 	ptrB := b[containerHeader:]
 	blobB := ptrB[16*(n+1):]
-	g := &CSR{
-		n:      n,
-		outPtr: u64view(ptrB[:8*(n+1)], alias),
-		outAdj: u32view(blobB[:outBytes], alias),
-		inPtr:  u64view(ptrB[8*(n+1):16*(n+1)], alias),
-		inAdj:  u32view(blobB[outBytes:], alias),
+	outPtr := u64view(ptrB[:8*(n+1)], alias)
+	inPtr := u64view(ptrB[8*(n+1):16*(n+1)], alias)
+	if outPtr[0] != 0 || outPtr[n] != uint64(mOut) || inPtr[0] != 0 || inPtr[n] != uint64(mIn) {
+		return nil, fmt.Errorf("graph: decoded container invalid: offsets do not span adjacency")
 	}
-	if err := validateSide("out", n, g.outPtr, g.outAdj, false); err != nil {
+	g := &CSR{n: n, m: mOut, out: decodeSide(n, outPtr, blobB[:outBytes], alias),
+		in: decodeSide(n, inPtr, blobB[outBytes:], alias)}
+	if err := validateSide("out", n, g.m, g.out, false); err != nil {
 		return nil, fmt.Errorf("graph: decoded container invalid: %w", err)
 	}
-	if err := validateSide("in", n, g.inPtr, g.inAdj, true); err != nil {
-		if validateSide("in", n, g.inPtr, g.inAdj, false) != nil {
+	if err := validateSide("in", n, g.m, g.in, true); err != nil {
+		if validateSide("in", n, g.m, g.in, false) != nil {
 			return nil, fmt.Errorf("graph: decoded container invalid: %w", err)
 		}
 		if alias {
-			g.inAdj = slices.Clone(g.inAdj)
+			g.in = decodeSide(n, inPtr, blobB[outBytes:], false)
 		}
-		inRowsSelfFirst(n, g.inPtr, g.inAdj)
+		inRowsSelfFirst(g.in, g.m)
 	}
 	return g, nil
 }
 
-// inRowsSelfFirst moves each self-loop of an ascending in-adjacency to the
-// front of its row, in place, leaving the other sources in order.
-func inRowsSelfFirst(n int, ptr []uint64, adj []uint32) {
-	parallelRanges(uniformCuts(n, buildWorkers(len(adj))), func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			row := adj[ptr[v]:ptr[v+1]]
-			if i, ok := slices.BinarySearch(row, uint32(v)); ok {
-				copy(row[1:i+1], row[:i])
-				row[0] = uint32(v)
+// decodeSide builds the block table of one container side from its global
+// offsets ptr (n+1 of them, spanning blob) and its adjacency blob. With
+// alias each full block windows ptr, and every block shares the blob as a
+// whole; otherwise each block copies its rows into arrays of its own,
+// offsets rebased to 0. The last block's offsets are always a padded copy.
+// A block whose offsets leave the blob gets no adjacency, for validateSide
+// to refuse.
+func decodeSide(n int, ptr []uint64, blob []byte, alias bool) side {
+	s := make(side, numBlocks(n))
+	var whole []uint32
+	if alias {
+		whole = u32view(blob, true)
+	}
+	for b := range s {
+		lo, hi := blockSpan(b, n)
+		if alias && hi-lo == blockRows {
+			s[b] = rowBlock{(*blockPtr)(ptr[lo:]), whole}
+			continue
+		}
+		p, adj, rebase := new(blockPtr), whole, uint64(0)
+		if first, last := ptr[lo], ptr[hi]; !alias {
+			adj = []uint32{}
+			if first <= last && last <= uint64(len(blob)/4) {
+				adj, rebase = u32view(blob[4*first:4*last], false), first
+			}
+		}
+		for i := range p {
+			p[i] = ptr[min(lo+i, hi)] - rebase
+		}
+		s[b] = rowBlock{p, adj}
+	}
+	return s
+}
+
+// inRowsSelfFirst moves each self-loop of an ascending in-side of m edges to
+// the front of its row, in place, leaving the other sources in order.
+func inRowsSelfFirst(s side, m int) {
+	parallelRanges(uniformCuts(len(s), buildWorkers(m)), func(_, blo, bhi int) {
+		for b := blo; b < bhi; b++ {
+			blk := &s[b]
+			for i := range blockRows {
+				v := uint32(b<<blockShift + i)
+				row := blk.adj[blk.ptr[i]:blk.ptr[i+1]]
+				if j, ok := slices.BinarySearch(row, v); ok {
+					copy(row[1:j+1], row[:j])
+					row[0] = v
+				}
 			}
 		}
 	})

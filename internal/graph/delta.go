@@ -2,16 +2,18 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 )
 
 // This file implements the incremental snapshot builder: given the previous
-// CSR and the rows dirtied since it was built, the next CSR is produced by
-// rewriting only the touched adjacency rows and block-copying every clean
-// run between them. The paper's batch-update model (§3.4) makes this the
-// common case — a batch of |Δt| ≪ |E| edges touches at most 2·|Δt| rows, so
-// the merge is a handful of row rebuilds plus a near-memcpy of the rest,
-// where the cold build pays a scatter over all m edges.
+// CSR and the rows dirtied since it was built, the next CSR copies the
+// previous one's two block tables and rebuilds only the blocks holding a
+// dirty row; every other block is shared, not copied. The paper's
+// batch-update model (§3.4) makes this the common case — a batch of
+// |Δt| ≪ |E| edges touches at most 2·|Δt| rows, so a snapshot costs a
+// handful of block rebuilds plus two O(n/64) table copies, and a retained
+// version holds only what its batch changed.
 
 // deltaDirtyRowFraction bounds the fraction of rows that may be dirty before
 // Snapshot falls back to a cold build: per-row merging has bookkeeping the
@@ -24,88 +26,69 @@ func (d *Dynamic) deltaWorthwhile() bool {
 }
 
 // deltaSnapshot builds the next CSR from d.base plus the recorded dirty
-// rows. Both adjacency sides are produced by mergeRows; the out side takes
-// its dirty rows straight from the mutable adjacency, the in side
-// reconstructs each touched in-row by probing the touched sources.
+// rows. Each side starts as the base's table grown to d.n and has its dirty
+// blocks rebuilt by rebuildBlocks; the out side takes its dirty rows
+// straight from the overlay, the in side reconstructs each touched in-row
+// by probing the touched sources.
 func (d *Dynamic) deltaSnapshot() *CSR {
 	base := d.base
-	g := &CSR{n: d.n}
+	g := &CSR{n: d.n, m: d.m}
 
-	// The two sides read disjoint base arrays and write disjoint result
-	// arrays, so they merge concurrently — the block copies are the bulk of
-	// the work and this halves the wall-clock of every delta snapshot,
-	// including the one a warm restart pays to land the replayed WAL tail.
+	// The two sides read disjoint base tables and write disjoint results, so
+	// they are rebuilt concurrently — this halves the wall-clock of a large
+	// delta, such as the one a warm restart pays to land the replayed WAL
+	// tail.
+	var outEdges, inEdges int
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		dirtyOut := make([]uint32, 0, len(d.outDirty))
-		for u := range d.outDirty {
-			dirtyOut = append(dirtyOut, u)
-		}
-		slices.Sort(dirtyOut)
-		g.outPtr, g.outAdj = mergeRows(d.n, d.m, base.outPtr, base.outAdj, dirtyOut,
-			d.Out)
+		g.out, outEdges = rebuildBlocks(base.out.grown(d.n), slices.Sorted(maps.Keys(d.outDirty)),
+			func(u uint32, dst []uint32) []uint32 { return append(dst, d.Out(u)...) })
 	}()
-
-	dirtyIn := make([]uint32, 0, len(d.inTouched))
-	for v := range d.inTouched {
-		dirtyIn = append(dirtyIn, v)
-	}
-	slices.Sort(dirtyIn)
-	var scratch []uint32
-	g.inPtr, g.inAdj = mergeRows(d.n, d.m, base.inPtr, base.inAdj, dirtyIn,
-		func(v uint32) []uint32 {
-			scratch = d.newInRow(v, scratch[:0])
-			return scratch
-		})
+	g.in, inEdges = rebuildBlocks(base.in.grown(d.n), slices.Sorted(maps.Keys(d.inTouched)), d.newInRow)
 	<-done
+	if base.m+outEdges != d.m || base.m+inEdges != d.m {
+		panic(fmt.Sprintf("graph: delta snapshot holds %d out and %d in edges, want %d (dirty tracking out of sync)",
+			base.m+outEdges, base.m+inEdges, d.m))
+	}
 	return g
 }
 
-// mergeRows assembles one CSR side of m total edges: rows listed in dirty
-// (sorted ascending) are replaced by dirtyRow(u), all other rows are copied
-// from the base side in maximal contiguous blocks. A base with fewer than n
-// rows (the universe grew since it was built) reads as if padded with empty
-// rows. dirtyRow may return a slice that is invalidated by the next call;
-// contents are copied before the next row is requested.
-func mergeRows(n, m int, basePtr []uint64, baseAdj []uint32, dirty []uint32, dirtyRow func(u uint32) []uint32) ([]uint64, []uint32) {
-	ptr := make([]uint64, n+1)
-	adj := make([]uint32, m)
-	cur := uint64(0)
-	prev := 0
-	emitClean := func(hi int) {
-		top := max(prev, min(hi, len(basePtr)-1)) // rows past the base are empty
-		if prev < top {
-			lo64, hi64 := basePtr[prev], basePtr[top]
-			copy(adj[cur:], baseAdj[lo64:hi64])
-			if cur == lo64 {
-				copy(ptr[prev:top], basePtr[prev:top])
-			} else {
-				shift := int64(cur) - int64(lo64)
-				for v := prev; v < top; v++ {
-					ptr[v] = uint64(int64(basePtr[v]) + shift)
-				}
+// rebuildBlocks replaces every block of table s that holds a row of dirty
+// (ascending) by a block of its own: dirtyRow(v, dst) appends each dirty
+// row, and every other row is copied from the block it replaces. It
+// returns s with the change in its edge count.
+func rebuildBlocks(s side, dirty []uint32, dirtyRow func(v uint32, dst []uint32) []uint32) (side, int) {
+	var buf []uint32
+	change := 0
+	for len(dirty) > 0 {
+		b := dirty[0] >> blockShift
+		old, ptr := s[b], new(blockPtr)
+		buf = buf[:0]
+		for i := uint32(0); i < blockRows; {
+			if len(dirty) > 0 && dirty[0] == b<<blockShift+i {
+				buf = dirtyRow(dirty[0], buf)
+				dirty = dirty[1:]
+				i++
+				ptr[i] = uint64(len(buf))
+				continue
 			}
-			cur += hi64 - lo64
+			// Copy the clean run up to the block's next dirty row at once.
+			j := uint32(blockRows)
+			if len(dirty) > 0 && dirty[0]>>blockShift == b {
+				j = dirty[0] & blockMask
+			}
+			shift := uint64(len(buf)) - old.ptr[i] // modular: old.ptr may start high
+			buf = append(buf, old.adj[old.ptr[i]:old.ptr[j]]...)
+			for ; i < j; i++ {
+				ptr[i+1] = old.ptr[i+1] + shift
+			}
 		}
-		for v := top; v < hi; v++ {
-			ptr[v] = cur
-		}
+		s[b] = rowBlock{ptr, make([]uint32, len(buf))}
+		copy(s[b].adj, buf)
+		change += s[b].edges() - old.edges()
 	}
-	for _, u := range dirty {
-		emitClean(int(u))
-		ptr[u] = cur
-		row := dirtyRow(u)
-		copy(adj[cur:], row)
-		cur += uint64(len(row))
-		prev = int(u) + 1
-	}
-	emitClean(n)
-	ptr[n] = cur
-	if cur != uint64(m) {
-		panic(fmt.Sprintf("graph: delta merge produced %d edges, want %d (dirty tracking out of sync)", cur, m))
-	}
-	return ptr, adj
+	return s, change
 }
 
 // newInRow reconstructs the in-row of v after the batch: v first iff the

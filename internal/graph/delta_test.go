@@ -2,27 +2,23 @@ package graph
 
 import (
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 )
 
-// csrEqual compares two CSRs field by field.
+// csrEqual compares two CSRs row by row, both sides.
 func csrEqual(t *testing.T, got, want *CSR, ctx string) {
 	t.Helper()
-	if got.n != want.n {
-		t.Fatalf("%s: n=%d want %d", ctx, got.n, want.n)
+	if got.n != want.n || got.m != want.m {
+		t.Fatalf("%s: n=%d m=%d want n=%d m=%d", ctx, got.n, got.m, want.n, want.m)
 	}
-	if !reflect.DeepEqual(got.outPtr, want.outPtr) {
-		t.Fatalf("%s: outPtr mismatch", ctx)
-	}
-	if !reflect.DeepEqual(got.outAdj, want.outAdj) {
-		t.Fatalf("%s: outAdj mismatch", ctx)
-	}
-	if !reflect.DeepEqual(got.inPtr, want.inPtr) {
-		t.Fatalf("%s: inPtr mismatch", ctx)
-	}
-	if !reflect.DeepEqual(got.inAdj, want.inAdj) {
-		t.Fatalf("%s: inAdj mismatch", ctx)
+	for v := uint32(0); int(v) < got.n; v++ {
+		if !slices.Equal(got.Out(v), want.Out(v)) {
+			t.Fatalf("%s: Out(%d) = %v, want %v", ctx, v, got.Out(v), want.Out(v))
+		}
+		if !slices.Equal(got.In(v), want.In(v)) {
+			t.Fatalf("%s: In(%d) = %v, want %v", ctx, v, got.In(v), want.In(v))
+		}
 	}
 }
 

@@ -28,45 +28,107 @@ type Edge struct {
 // carrying both the out-adjacency (for frontier expansion) and the
 // in-adjacency (for pull-style rank computation).
 //
+// Each side is a table of row blocks (see rowBlock), so a snapshot built
+// from the one before it shares every block its batch did not touch (see
+// delta.go): a retained version costs its dirty blocks, not a graph.
+//
 // Adjacency lists are deduplicated. Out-rows are sorted by neighbour id. An
 // in-row In(v) starts with v itself when v has a self-loop, and its other
 // sources follow in ascending order: the lock-free kernel then tells the
 // self term from the rest with one test per row (core.rankOfCachedAtomic).
 type CSR struct {
-	n      int
-	outPtr []uint64
-	outAdj []uint32
-	inPtr  []uint64
-	inAdj  []uint32
+	n, m    int
+	out, in side
+}
+
+// blockShift sets the rows per block, 64: a 10-edit batch on RMAT 2^16×16
+// then costs a version 0.029 of a CSR, the least of 16, 64, 256 and 1 024
+// rows (DESIGN §12), and a row read pays one more indirection than a flat
+// array.
+const (
+	blockShift = 6
+	blockRows  = 1 << blockShift
+	blockMask  = blockRows - 1
+)
+
+// blockPtr holds a block's row offsets: row i is adj[ptr[i]:ptr[i+1]]. A
+// fixed length lets a row read index it without bounds checks. Rows past
+// the universe (the tail of the last block) repeat the final offset, so
+// they read as empty and ptr[blockRows]-ptr[0] is always the edge count.
+type blockPtr = [blockRows + 1]uint64
+
+// rowBlock holds blockRows consecutive rows of one CSR side. A heap-built
+// block owns both arrays and its ptr starts at 0; a block decoded zero-copy
+// from a container has a window of the mapped offsets as ptr and the whole
+// mapped blob as adj. Blocks are never written once built, so snapshots
+// share them freely.
+type rowBlock struct {
+	ptr *blockPtr
+	adj []uint32
+}
+
+// edges returns the number of adjacency entries the block's rows span.
+func (b *rowBlock) edges() int { return int(b.ptr[blockRows] - b.ptr[0]) }
+
+// side is one adjacency direction of a CSR: block b holds rows
+// [b·blockRows, b·blockRows+blockRows) of the universe, clipped to n.
+type side []rowBlock
+
+// numBlocks returns the number of blocks n rows take.
+func numBlocks(n int) int { return (n + blockMask) >> blockShift }
+
+// blockSpan returns the rows [lo, hi) block b holds in a universe of n.
+func blockSpan(b, n int) (lo, hi int) {
+	return b << blockShift, min(b<<blockShift+blockRows, n)
+}
+
+// emptyBlock is every block with no edges that no build wrote (padding past
+// a grown universe); it is never written.
+var emptyBlock = rowBlock{ptr: new(blockPtr), adj: []uint32{}}
+
+// grown returns a new table for a universe grown to n rows: it shares every
+// block (the last one's missing rows already read as empty) and adds
+// emptyBlock as often as needed, so growth costs O(n/blockRows) whatever
+// the edge count.
+func (s side) grown(n int) side {
+	t := make(side, numBlocks(n))
+	for b := copy(t, s); b < len(t); b++ {
+		t[b] = emptyBlock
+	}
+	return t
 }
 
 // N returns the number of vertices.
 func (g *CSR) N() int { return g.n }
 
 // M returns the number of directed edges (self-loops included).
-func (g *CSR) M() int { return len(g.outAdj) }
+func (g *CSR) M() int { return g.m }
 
 // OutDeg returns the out-degree of v.
 func (g *CSR) OutDeg(v uint32) int {
-	return int(g.outPtr[v+1] - g.outPtr[v])
+	b, i := &g.out[v>>blockShift], v&blockMask
+	return int(b.ptr[i+1] - b.ptr[i])
 }
 
 // InDeg returns the in-degree of v.
 func (g *CSR) InDeg(v uint32) int {
-	return int(g.inPtr[v+1] - g.inPtr[v])
+	b, i := &g.in[v>>blockShift], v&blockMask
+	return int(b.ptr[i+1] - b.ptr[i])
 }
 
 // Out returns the sorted out-neighbours of v. The returned slice aliases the
 // snapshot's storage and must not be modified.
 func (g *CSR) Out(v uint32) []uint32 {
-	return g.outAdj[g.outPtr[v]:g.outPtr[v+1]]
+	b, i := &g.out[v>>blockShift], v&blockMask
+	return b.adj[b.ptr[i]:b.ptr[i+1]]
 }
 
 // In returns the in-neighbours of v: v itself first if (v,v) is an edge,
 // then the other sources in ascending order. The returned slice aliases the
 // snapshot's storage and must not be modified.
 func (g *CSR) In(v uint32) []uint32 {
-	return g.inAdj[g.inPtr[v]:g.inPtr[v+1]]
+	b, i := &g.in[v>>blockShift], v&blockMask
+	return b.adj[b.ptr[i]:b.ptr[i+1]]
 }
 
 // HasEdge reports whether the directed edge (u,v) exists.
@@ -110,51 +172,61 @@ func (g *CSR) DeadEnds() int {
 	return c
 }
 
-// Validate checks structural invariants (monotone offsets, sorted unique
-// out-rows, in-rows in the order CSR documents, ids in range, in/out
-// edge-count agreement). It is used by tests and returns a descriptive
-// error on the first violation.
+// Validate checks structural invariants (a block per 64 rows, offsets
+// monotone within its adjacency, empty rows past the universe; sorted unique
+// out-rows, in-rows in the order CSR documents, ids in range, M edges on
+// each side). It is used by tests and returns a descriptive error on the
+// first violation.
 func (g *CSR) Validate() error {
-	if len(g.outPtr) != g.n+1 || len(g.inPtr) != g.n+1 {
-		return fmt.Errorf("graph: offset array length mismatch (n=%d out=%d in=%d)", g.n, len(g.outPtr), len(g.inPtr))
+	if nb := numBlocks(g.n); len(g.out) != nb || len(g.in) != nb {
+		return fmt.Errorf("graph: block table length mismatch (n=%d out=%d in=%d)", g.n, len(g.out), len(g.in))
 	}
-	if len(g.outAdj) != len(g.inAdj) {
-		return fmt.Errorf("graph: out edges (%d) != in edges (%d)", len(g.outAdj), len(g.inAdj))
-	}
-	if err := validateSide("out", g.n, g.outPtr, g.outAdj, false); err != nil {
+	if err := validateSide("out", g.n, g.m, g.out, false); err != nil {
 		return err
 	}
-	return validateSide("in", g.n, g.inPtr, g.inAdj, true)
+	return validateSide("in", g.n, g.m, g.in, true)
 }
 
-// validateSide checks one CSR side's structural invariants: offsets spanning
-// the adjacency monotonically, every neighbour in range, every row sorted
-// and duplicate-free. With selfFirst (the in side) row v may lead with v,
-// and holds v nowhere else. Rows are independent once the span check has
-// passed, so large graphs are validated in parallel chunks — this is a
+// validateSide checks one CSR side's structural invariants: every block's
+// offsets monotone within its adjacency, every neighbour in range, every
+// row sorted and duplicate-free, m edges in all. With selfFirst (the in
+// side) row v may lead with v, and holds v nowhere else. Blocks are
+// independent, so large graphs are validated in parallel chunks — this is a
 // per-element branchy walk that sits on the warm-restart critical path via
 // DecodeContainer.
-func validateSide(name string, n int, ptr []uint64, adj []uint32, selfFirst bool) error {
-	if ptr[0] != 0 || ptr[n] != uint64(len(adj)) {
-		return fmt.Errorf("graph: %s offsets do not span adjacency", name)
-	}
-	workers := buildWorkers(len(adj))
+func validateSide(name string, n, m int, s side, selfFirst bool) error {
+	workers := buildWorkers(m)
 	errs := make([]error, workers)
-	parallelRanges(uniformCuts(n, workers), func(w, lo, hi int) {
-		errs[w] = validateRows(name, n, lo, hi, ptr, adj, selfFirst)
+	parallelRanges(uniformCuts(len(s), workers), func(w, lo, hi int) {
+		for b := lo; b < hi && errs[w] == nil; b++ {
+			errs[w] = validateBlock(name, n, b, &s[b], selfFirst)
+		}
 	})
-	return errors.Join(errs...)
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	total := 0
+	for b := range s {
+		total += s[b].edges()
+	}
+	if total != m {
+		return fmt.Errorf("graph: %s rows hold %d edges, want %d", name, total, m)
+	}
+	return nil
 }
 
-// validateRows checks rows [lo, hi) of one CSR side (see validateSide). The
-// monotonicity check at v compares ptr[v] to ptr[v+1], so chunk boundaries
-// need no overlap.
-func validateRows(name string, n, lo, hi int, ptr []uint64, adj []uint32, selfFirst bool) error {
-	for v := lo; v < hi; v++ {
-		if ptr[v] > ptr[v+1] || ptr[v+1] > uint64(len(adj)) {
+// validateBlock checks block b of one CSR side (see validateSide); its
+// rows past the universe must be empty.
+func validateBlock(name string, n, b int, blk *rowBlock, selfFirst bool) error {
+	lo, hi := blockSpan(b, n)
+	ptr, adj := blk.ptr, blk.adj
+	for i := range blockRows {
+		v := lo + i
+		p0, p1 := ptr[i], ptr[i+1]
+		if p0 > p1 || p1 > uint64(len(adj)) || (v >= hi && p0 != p1) {
 			return fmt.Errorf("graph: %s offsets not monotone within the adjacency at %d", name, v)
 		}
-		row := adj[ptr[v]:ptr[v+1]]
+		row := adj[p0:p1]
 		if selfFirst && len(row) > 0 && row[0] == uint32(v) {
 			row = row[1:]
 		}
@@ -189,14 +261,15 @@ func fmtEdgeRange(e Edge, n int) string {
 // write into base), and every row is owned while there is no base (a graph
 // built by NewDynamic and AddEdge). Snapshot releases the owned rows once
 // the new CSR holds them, so between snapshots the graph costs its row
-// headers plus the rows of the round in progress: the newest CSR is the one
-// copy of the graph.
+// headers plus the rows of the round in progress: the newest CSR holds the
+// one copy of each row, and every older CSR shares with it the blocks no
+// batch since has touched.
 //
-// Snapshot rebuilds only the touched rows of the next CSR and block-copies
-// everything else (see delta.go). With the paper's batch fractions
-// (10⁻⁷–10⁻³ of |E|) almost every row is untouched between snapshots, which
-// turns snapshot construction from the dominant cost of the dynamic
-// pipeline into a near-memcpy.
+// Snapshot rebuilds only the blocks holding a touched row and shares every
+// other block with the base (see delta.go). With the paper's batch
+// fractions (10⁻⁷–10⁻³ of |E|) almost every block is untouched between
+// snapshots, which turns snapshot construction from the dominant cost of
+// the dynamic pipeline into a copy of two block tables.
 type Dynamic struct {
 	n   int
 	adj [][]uint32
@@ -370,9 +443,9 @@ func (d *Dynamic) EnsureSelfLoops() {
 // cheapest construction automatically: if nothing changed since the last
 // snapshot, that snapshot is returned as-is (CSRs are immutable, sharing is
 // safe); if few rows changed, the new CSR is delta-merged from the last one
-// (touched rows rebuilt, everything else block-copied); otherwise a full
-// parallel cold build runs. The new CSR becomes the base, and the rows it
-// holds are released.
+// (blocks holding a touched row rebuilt, every other block shared);
+// otherwise a full parallel cold build runs. The new CSR becomes the base,
+// and the rows it holds are released.
 func (d *Dynamic) Snapshot() *CSR {
 	if d.base == nil || !d.deltaWorthwhile() {
 		return d.SnapshotFull()
@@ -416,21 +489,13 @@ func (d *Dynamic) Clone() *Dynamic {
 // WithN returns a view of g extended (or identical) to n vertices; the
 // added vertices are isolated. Used when comparing snapshots across vertex
 // additions: the old snapshot is padded so both sides index the same vertex
-// space. Adjacency storage is shared with g; offset arrays are copied.
+// space. Every block is shared with g (see side.grown), so the view costs
+// O(n/64) words.
 func (g *CSR) WithN(n int) *CSR {
 	if n <= g.n {
 		return g
 	}
-	out := &CSR{n: n, outAdj: g.outAdj, inAdj: g.inAdj}
-	out.outPtr = make([]uint64, n+1)
-	out.inPtr = make([]uint64, n+1)
-	copy(out.outPtr, g.outPtr)
-	copy(out.inPtr, g.inPtr)
-	for v := g.n + 1; v <= n; v++ {
-		out.outPtr[v] = g.outPtr[g.n]
-		out.inPtr[v] = g.inPtr[g.n]
-	}
-	return out
+	return &CSR{n: n, m: g.m, out: g.out.grown(n), in: g.in.grown(n)}
 }
 
 // UnionOut calls fn for every vertex in out_{g1}(u) ∪ out_{g2}(u), visiting

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -312,10 +311,7 @@ func TestCloneIsIndependent(t *testing.T) {
 // Validate. Every snapshot equals a cold rebuild of the graph before it,
 // and leaves the Dynamic owning no row.
 func TestDynamicNeverWritesBase(t *testing.T) {
-	deepCopy := func(g *CSR) *CSR {
-		return &CSR{n: g.n, outPtr: slices.Clone(g.outPtr), outAdj: slices.Clone(g.outAdj),
-			inPtr: slices.Clone(g.inPtr), inAdj: slices.Clone(g.inAdj)}
-	}
+	deepCopy := func(g *CSR) *CSR { return FromEdges(g.n, g.Edges(nil)) }
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := FromEdges(120, loopyEdges(rng, 120, 900))
@@ -435,7 +431,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	g := FromEdges(4, []Edge{{0, 1}, {1, 2}})
 	mustValid(t, g)
 	// Corrupt the adjacency: out-of-range neighbour.
-	g.outAdj[0] = 99
+	g.Out(0)[0] = 99
 	if g.Validate() == nil {
 		t.Error("Validate missed out-of-range neighbour")
 	}

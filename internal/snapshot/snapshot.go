@@ -41,8 +41,11 @@ type Link struct {
 
 // Version is one immutable published state of the graph: a chain link plus
 // the graph snapshot it produced. Seq increases by one per applied batch.
-// The CSR lives exactly as long as something holds the *Version: the store
-// as Current(), a view, or a ranker positioned on it.
+// Each row block of the CSR lives exactly as long as something holds a
+// *Version whose CSR includes it: the store as Current(), a view, or a
+// ranker positioned on it. Consecutive versions share every block their
+// batch did not touch, so a retained version costs the blocks its batch
+// rebuilt and two block tables, not a graph.
 type Version struct {
 	Link
 	G *graph.CSR
@@ -366,9 +369,10 @@ func (r *Ranker) land(v *Version, res core.Result, counter *int) {
 
 // grownInputs adapts the (previous graph, previous ranks) pair of an
 // incremental run to a target universe of n vertices: the old snapshot is
-// padded with isolated vertices (offset copies, adjacency shared) so the
-// union marking can walk both snapshots over one index space, and the rank
-// vector is rescaled-and-seeded by core.GrowRanks — the exact fixed-point
+// padded with isolated vertices (a new table of O(n/64) blocks that shares
+// every old block, nothing copied per edge) so the union marking can walk
+// both snapshots over one index space, and the rank vector is
+// rescaled-and-seeded by core.GrowRanks — the exact fixed-point
 // transform growth induces under self-loop dead-end elimination, which is
 // what keeps a frontier-sized refresh over a grown version equivalent to a
 // cold build (see internal/core/vertex.go). A same-size version passes
