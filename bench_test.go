@@ -99,9 +99,9 @@ func newFixture(class gen.Class, n, deg, size int) fixture {
 	cfg.FrontierTol = cfg.Tol
 	prev := core.StaticBB(g, cfg).Ranks
 	up := batch.Random(d, size, 17)
-	gOld, gNew := batch.Transition(d, up)
+	gNew := batch.Transition(d, up)
 	return fixture{
-		in:  core.Input{GOld: gOld, GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev},
+		in:  core.Input{GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev},
 		cfg: cfg,
 	}
 }

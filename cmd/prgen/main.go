@@ -108,8 +108,10 @@ func main() {
 }
 
 // writeCSR writes the snapshot as a binary CSR container — the zero-parse
-// format gio.LoadCSRMapped memory-maps. Unlike the text form this stores the
-// exact CSR, so a loader skips both parsing and rebuild.
+// format gio.LoadCSRMapped memory-maps. It stores the exact CSR, so a loader
+// skips text parsing; `prserve -in` and the benchmark's stream-rank workload
+// still rebuild the graph, since exutil.LoadGraphSource flattens the mapped
+// CSR into an edge list for dfpr.New.
 func writeCSR(g *graph.CSR, path string) {
 	if err := gio.WriteCSRFile(path, g); err != nil {
 		fatalf("write %s: %v", path, err)

@@ -99,9 +99,9 @@ func TestEngineRankMatchesCoreRun(t *testing.T) {
 		}
 		d.EnsureSelfLoops()
 		pre := core.StaticLF(d.Snapshot(), cfg)
-		gOld, gNew := batch.Transition(d, up)
+		gNew := batch.Transition(d, up)
 		want := core.Run(core.AlgoDFLF, core.Input{
-			GOld: gOld, GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: pre.Ranks,
+			GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: pre.Ranks,
 		}, cfg)
 		if want.Err != nil {
 			t.Fatal(want.Err)
@@ -504,7 +504,7 @@ func TestColdPathSurvivesCrash(t *testing.T) {
 			if _, err := eng.Apply(ctx, toPublic(up.Del), toPublic(up.Ins)); err != nil {
 				t.Fatal(err)
 			}
-			_, g = batch.Transition(mirror, up)
+			g = batch.Transition(mirror, up)
 		}
 		if err := eng.SetFaultPlan(plan); err != nil {
 			t.Fatal(err)

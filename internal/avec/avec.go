@@ -31,9 +31,6 @@ func NewF64(n int) *F64 {
 	return &F64{bits: make([]uint64, n)}
 }
 
-// Len returns the number of elements.
-func (v *F64) Len() int { return len(v.bits) }
-
 // Load atomically reads element i. It takes the vector by value, and a copy
 // shares the elements: a loop that loads through a local copy keeps the
 // slice header in registers, where through a pointer every atomic load, an

@@ -218,18 +218,17 @@ func sampleInsertions(d *graph.Dynamic, k int, rng *rand.Rand) []graph.Edge {
 	return out
 }
 
-// Transition applies the update to d and returns the before/after CSR
-// snapshots — the (G^{t-1}, G^t) pair every dynamic algorithm takes. d is
-// left holding G^t. Self-loops are re-ensured after the update, matching
-// §5.1.4 ("along with each batch update, we add self-loops to all
+// Transition applies the update to d and returns the G^t snapshot every
+// dynamic algorithm takes with the batch; d is left holding G^t. G^{t-1} is
+// not needed: every edge it has and G^t lacks is in up.Del, which is what
+// core.Input asks of a batch. Self-loops are re-ensured after the update,
+// matching §5.1.4 ("along with each batch update, we add self-loops to all
 // vertices").
-func Transition(d *graph.Dynamic, up Update) (gOld, gNew *graph.CSR) {
-	gOld = d.Snapshot()
+func Transition(d *graph.Dynamic, up Update) *graph.CSR {
 	d.Grow(up.Universe(d.N()))
 	d.Apply(up.Del, up.Ins)
 	d.EnsureSelfLoops()
-	gNew = d.Snapshot()
-	return gOld, gNew
+	return d.Snapshot()
 }
 
 // Replay drives the temporal-graph experiment setup of §5.1.4: the first
@@ -261,11 +260,11 @@ func NewReplay(stream []gen.TemporalEdge, n int, preload float64) *Replay {
 func (r *Replay) Graph() *graph.Dynamic { return r.d }
 
 // NextBatch consumes up to size events and returns them as an insertion
-// batch together with the before/after snapshots, advancing the underlying
+// batch together with the snapshot after it, advancing the underlying
 // graph. ok is false when the stream is exhausted.
-func (r *Replay) NextBatch(size int) (up Update, gOld, gNew *graph.CSR, ok bool) {
+func (r *Replay) NextBatch(size int) (up Update, g *graph.CSR, ok bool) {
 	if r.pos >= len(r.stream) || size <= 0 {
-		return Update{}, nil, nil, false
+		return Update{}, nil, false
 	}
 	end := r.pos + size
 	if end > len(r.stream) {
@@ -277,6 +276,5 @@ func (r *Replay) NextBatch(size int) (up Update, gOld, gNew *graph.CSR, ok bool)
 	}
 	r.pos = end
 	up = Update{Ins: ins}
-	gOld, gNew = Transition(r.d, up)
-	return up, gOld, gNew, true
+	return up, Transition(r.d, up), true
 }

@@ -149,7 +149,8 @@ func TestTransitionSnapshotsAndSelfLoops(t *testing.T) {
 	d := testGraph(4)
 	mBefore := d.M()
 	up := Random(d, 20, 5)
-	gOld, gNew := Transition(d, up)
+	gOld := d.Snapshot()
+	gNew := Transition(d, up)
 	if gOld.M() != mBefore {
 		t.Errorf("gOld edges %d, want %d", gOld.M(), mBefore)
 	}
@@ -219,15 +220,15 @@ func TestReplayPreloadAndBatches(t *testing.T) {
 	// Consume in batches of 30 and verify edge-count bookkeeping.
 	seen := 0
 	for {
-		up, gOld, gNew, ok := rep.NextBatch(30)
+		up, gNew, ok := rep.NextBatch(30)
 		if !ok {
 			break
 		}
 		if len(up.Del) != 0 {
 			t.Fatal("temporal replay emitted deletions")
 		}
-		if gOld == nil || gNew == nil {
-			t.Fatal("missing snapshots")
+		if gNew == nil {
+			t.Fatal("missing snapshot")
 		}
 		seen += len(up.Ins)
 		for _, e := range up.Ins {
@@ -239,7 +240,7 @@ func TestReplayPreloadAndBatches(t *testing.T) {
 	if seen != events/10 {
 		t.Errorf("replayed %d events, want %d", seen, events/10)
 	}
-	if _, _, _, ok := rep.NextBatch(30); ok {
+	if _, _, ok := rep.NextBatch(30); ok {
 		t.Error("exhausted replay still produced a batch")
 	}
 }
@@ -247,7 +248,7 @@ func TestReplayPreloadAndBatches(t *testing.T) {
 func TestReplayDefaultPreload(t *testing.T) {
 	stream := gen.TemporalStream(100, 1000, 2)
 	rep := NewReplay(stream, 100, 0) // invalid → default 0.9
-	if up, _, _, ok := rep.NextBatch(len(stream)); !ok || len(up.Ins) != 100 {
+	if up, _, ok := rep.NextBatch(len(stream)); !ok || len(up.Ins) != 100 {
 		t.Errorf("replayed %d events after the default preload, want 100", len(up.Ins))
 	}
 }

@@ -28,27 +28,6 @@ func StaticBB(g *graph.CSR, cfg Config) Result {
 	return runBB(context.Background(), vStatic, Input{GNew: g}, cfg)
 }
 
-// NDBB is barrier-based Naive-dynamic PageRank (Algorithm 5): StaticBB
-// warm-started from the previous snapshot's ranks.
-func NDBB(g *graph.CSR, prev []float64, cfg Config) Result {
-	return runBB(context.Background(), vND, Input{GNew: g, Prev: prev}, cfg)
-}
-
-// DTBB is barrier-based Dynamic Traversal PageRank (Algorithm 7): vertices
-// reachable from batch-edge endpoints are marked affected by parallel DFS,
-// then only affected vertices are iterated.
-func DTBB(gOld, gNew *graph.CSR, del, ins []graph.Edge, prev []float64, cfg Config) Result {
-	return runBB(context.Background(), vDT, Input{GOld: gOld, GNew: gNew, Del: del, Ins: ins, Prev: prev}, cfg)
-}
-
-// DFBB is the paper's barrier-based Dynamic Frontier PageRank (Algorithm 1):
-// out-neighbours of batch-edge sources are marked affected, and the frontier
-// grows incrementally through vertices whose rank moves by more than the
-// frontier tolerance.
-func DFBB(gOld, gNew *graph.CSR, del, ins []graph.Edge, prev []float64, cfg Config) Result {
-	return runBB(context.Background(), vDF, Input{GOld: gOld, GNew: gNew, Del: del, Ins: ins, Prev: prev}, cfg)
-}
-
 // bbShared is the cross-worker state of a barrier-based run. Fields are
 // written by worker 0 between the two iteration barriers and read by every
 // worker after the second barrier; the barrier's internal mutex provides the
@@ -101,10 +80,6 @@ func runBB(ctx context.Context, vr variant, in Input, cfg Config) Result {
 		return Result{Err: ErrCanceled}
 	}
 	base := (1 - cfg.Alpha) / float64(n)
-	gOld := in.GOld
-	if gOld == nil {
-		gOld = g
-	}
 
 	// The barrier-based kernel keeps the plain update: solving the self-loop
 	// pays only in Gauss–Seidel (DESIGN §2), so it needs no dinv.
@@ -131,10 +106,10 @@ func runBB(ctx context.Context, vr variant, in Input, cfg Config) Result {
 	}
 
 	var va *avec.Flags
-	var edges []graph.Edge
+	var edges, del []graph.Edge
 	if vr == vDT || vr == vDF {
 		va = avec.NewFlags(n)
-		edges = append(append(make([]graph.Edge, 0, len(in.Del)+len(in.Ins)), in.Del...), in.Ins...)
+		edges, del = batchEdges(in)
 	}
 
 	inj := fault.NewInjector(cfg.Threads, cfg.Fault)
@@ -160,13 +135,7 @@ func runBB(ctx context.Context, vr variant, in Input, cfg Config) Result {
 	}
 
 	worker := func(w int) {
-		var mk marker
-		switch vr {
-		case vDF:
-			mk = &dfMarker{gOld: gOld, gNew: g, va: va}
-		case vDT:
-			mk = &dtMarker{gOld: gOld, gNew: g, va: va}
-		}
+		mk := newMarker(vr, g, del, va, nil)
 		// Initial affected marking (lines 4-7 of Algorithms 1 and 7): batch
 		// edges are distributed dynamically, then an implicit barrier.
 		if mk != nil {

@@ -3,8 +3,7 @@ package core
 import "testing"
 
 func TestBlockedSweepResultCounters(t *testing.T) {
-	gOld, gNew, up, prev := cacheFixture(t)
-	in := Input{GOld: gOld, GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev}
+	in := cacheFixture(t)
 	cfg := testCfg()
 
 	res := Run(AlgoDFBB, in, cfg)
@@ -20,7 +19,7 @@ func TestBlockedSweepResultCounters(t *testing.T) {
 
 	// Static variants have no frontier: they sweep every vertex and the
 	// scan path must stay off.
-	res = Run(AlgoStaticBB, Input{GNew: gNew}, cfg)
+	res = Run(AlgoStaticBB, Input{GNew: in.GNew}, cfg)
 	if res.SweepBlocks <= 0 {
 		t.Errorf("static run reported %d sweep blocks", res.SweepBlocks)
 	}
@@ -36,8 +35,7 @@ func TestBlockedSweepResultCounters(t *testing.T) {
 // run would end unconverged at MaxIter; four-vertex chunks put the most
 // workers on the most chunk boundaries.
 func TestBlockedRaceSmoke(t *testing.T) {
-	gOld, gNew, up, prev := cacheFixture(t)
-	in := Input{GOld: gOld, GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev}
+	in := cacheFixture(t)
 	for _, a := range []Algo{AlgoDFBB, AlgoDFLF, AlgoDTLF} {
 		for _, chunk := range []int{4, 64} {
 			cfg := testCfg()

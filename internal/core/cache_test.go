@@ -5,12 +5,11 @@ import (
 	"testing"
 
 	"dfpr/internal/batch"
-	"dfpr/internal/graph"
 )
 
 // cacheFixture builds a mid-size update on an RMAT graph plus converged
 // previous ranks, shared by every variant comparison.
-func cacheFixture(t *testing.T) (gOld, gNew *graph.CSR, up batch.Update, prev []float64) {
+func cacheFixture(t *testing.T) Input {
 	t.Helper()
 	scale := 10
 	if testing.Short() {
@@ -18,10 +17,9 @@ func cacheFixture(t *testing.T) (gOld, gNew *graph.CSR, up batch.Update, prev []
 	}
 	d := randomGraph(scale, 77)
 	g := d.Snapshot()
-	prev = StaticBB(g, testCfg()).Ranks
-	up = batch.Random(d, 24, 5)
-	gOld, gNew = batch.Transition(d, up)
-	return gOld, gNew, up, prev
+	prev := StaticBB(g, testCfg()).Ranks
+	up := batch.Random(d, 24, 5)
+	return Input{GNew: batch.Transition(d, up), Del: up.Del, Ins: up.Ins, Prev: prev}
 }
 
 func linf(a, b []float64) float64 {
@@ -43,11 +41,10 @@ func linf(a, b []float64) float64 {
 // update synchronously, so it shares neither the contribution cache nor the
 // lock-free kernels' self-loop solve with the engines it checks.
 func TestCachedKernelConvergesToReference(t *testing.T) {
-	gOld, gNew, up, prev := cacheFixture(t)
-	ref := Reference(gNew, Config{})
+	in := cacheFixture(t)
+	ref := Reference(in.GNew, Config{})
 	cfg := testCfg()
 	for _, a := range Algos {
-		in := Input{GOld: gOld, GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev}
 		res := Run(a, in, cfg)
 		if res.Err != nil {
 			t.Fatalf("%v: %v", a, res.Err)

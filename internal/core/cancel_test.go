@@ -23,8 +23,8 @@ func cancelCase(t *testing.T) (Input, Config) {
 	gOld := d.Snapshot()
 	prev := StaticBB(gOld, Config{Threads: 4}).Ranks
 	up := batch.Random(d, 64, 9)
-	_, gNew := batch.Transition(d, up)
-	in := Input{GOld: gOld, GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev}
+	gNew := batch.Transition(d, up)
+	in := Input{GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev}
 	cfg := Config{
 		Threads: 4, Tol: 1e-300, MaxIter: 1 << 30,
 		Fault: fault.Plan{DelayProb: 5e-4, DelayDur: time.Millisecond, Seed: 1},

@@ -139,14 +139,14 @@ type Algo int
 
 // The eight algorithm variants, in the paper's naming.
 const (
-	AlgoStaticBB Algo = iota
-	AlgoStaticLF
-	AlgoNDBB
-	AlgoNDLF
-	AlgoDTBB
-	AlgoDTLF
-	AlgoDFBB
-	AlgoDFLF
+	AlgoStaticBB Algo = iota // barrier-based, every vertex from uniform ranks (Algorithm 3)
+	AlgoStaticLF             // lock-free static (Algorithm 4)
+	AlgoNDBB                 // Naive-dynamic: StaticBB warm-started from Prev (Algorithm 5)
+	AlgoNDLF                 // lock-free Naive-dynamic (Algorithm 6)
+	AlgoDTBB                 // Dynamic Traversal: iterate what the batch reaches in G^t (Algorithm 7)
+	AlgoDTLF                 // lock-free Dynamic Traversal (Algorithm 8)
+	AlgoDFBB                 // Dynamic Frontier: the affected set grows from the batch (Algorithm 1)
+	AlgoDFLF                 // lock-free Dynamic Frontier (Algorithm 2), the paper's contribution
 )
 
 // Algos lists all variants in presentation order (matches Figure 5/7 legends).
@@ -178,13 +178,16 @@ func (a Algo) String() string {
 
 // Input bundles the arguments of a dynamic-PageRank invocation. Static
 // variants use only GNew; ND additionally uses Prev; DT and DF use
-// everything.
+// everything. There is no G^{t-1}: the markers read it off G^t and Del (see
+// marker), so Del must hold every edge of G^{t-1} absent from G^t, and
+// every endpoint in Del and Ins must be a vertex of G^t. A deletion of an
+// edge G^{t-1} lacked (a merged span's edge inserted and deleted again)
+// only widens the initially affected set.
 type Input struct {
-	// GOld is the previous snapshot G^{t-1} (may be nil for static/ND runs).
-	GOld *graph.CSR
 	// GNew is the current snapshot G^t.
 	GNew *graph.CSR
-	// Del and Ins are the batch update Δt⁻ and Δt⁺.
+	// Del and Ins are the batch update Δt⁻ and Δt⁺. The runs copy them
+	// and leave the caller's slices as they are.
 	Del, Ins []graph.Edge
 	// Prev is the previous rank vector R^{t-1} (ignored by static variants).
 	Prev []float64

@@ -94,9 +94,9 @@ func TestDynamicVariantsMatchReferenceAfterUpdate(t *testing.T) {
 		t.Fatal("setup: static run did not converge")
 	}
 	up := batch.Random(d, 64, 42)
-	_, gNew := batch.Transition(d, up)
+	gNew := batch.Transition(d, up)
 	ref := Reference(gNew, Config{})
-	in := Input{GOld: gOld, GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prevRes.Ranks}
+	in := Input{GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prevRes.Ranks}
 	for _, a := range []Algo{AlgoNDBB, AlgoNDLF, AlgoDTBB, AlgoDTLF, AlgoDFBB, AlgoDFLF} {
 		res := Run(a, in, testCfg())
 		if res.Err != nil {
@@ -122,10 +122,10 @@ func TestDFHandlesPureDeletionsAndPureInsertions(t *testing.T) {
 		} else {
 			up = batch.Update{Ins: batch.Random(d, 64, 5).Ins}
 		}
-		_, gNew := batch.Transition(d, up)
+		gNew := batch.Transition(d, up)
 		ref := Reference(gNew, Config{})
 		for _, a := range []Algo{AlgoDFBB, AlgoDFLF} {
-			res := Run(a, Input{GOld: gOld, GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev}, testCfg())
+			res := Run(a, Input{GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev}, testCfg())
 			if !res.Converged || res.Err != nil {
 				t.Fatalf("%s/%v: converged=%v err=%v", name, a, res.Converged, res.Err)
 			}
@@ -141,7 +141,7 @@ func TestEmptyBatchIsNoOp(t *testing.T) {
 	g := d.Snapshot()
 	prev := Reference(g, Config{})
 	for _, a := range []Algo{AlgoDFBB, AlgoDFLF, AlgoDTBB, AlgoDTLF} {
-		res := Run(a, Input{GOld: g, GNew: g, Prev: prev}, testCfg())
+		res := Run(a, Input{GNew: g, Prev: prev}, testCfg())
 		if res.Err != nil {
 			t.Fatalf("%v: err %v", a, res.Err)
 		}
@@ -173,7 +173,7 @@ func TestTinyAndDegenerateGraphs(t *testing.T) {
 	// Empty graph.
 	empty := graph.NewDynamic(0).Snapshot()
 	for _, a := range Algos {
-		res := Run(a, Input{GNew: empty, GOld: empty}, testCfg())
+		res := Run(a, Input{GNew: empty}, testCfg())
 		if res.Err != nil || !res.Converged {
 			t.Errorf("%v on empty graph: converged=%v err=%v", a, res.Converged, res.Err)
 		}
@@ -183,7 +183,7 @@ func TestTinyAndDegenerateGraphs(t *testing.T) {
 	one.EnsureSelfLoops()
 	g1 := one.Snapshot()
 	for _, a := range Algos {
-		res := Run(a, Input{GNew: g1, GOld: g1, Prev: []float64{1}}, testCfg())
+		res := Run(a, Input{GNew: g1, Prev: []float64{1}}, testCfg())
 		if res.Err != nil {
 			t.Fatalf("%v: %v", a, res.Err)
 		}
@@ -198,10 +198,10 @@ func TestNDWarmStartConvergesFasterThanStatic(t *testing.T) {
 	gOld := d.Snapshot()
 	prev := Reference(gOld, Config{})
 	up := batch.Random(d, 20, 77)
-	_, gNew := batch.Transition(d, up)
+	gNew := batch.Transition(d, up)
 	cfg := testCfg()
 	st := StaticBB(gNew, cfg)
-	nd := NDBB(gNew, prev, cfg)
+	nd := Run(AlgoNDBB, Input{GNew: gNew, Prev: prev}, cfg)
 	if !st.Converged || !nd.Converged {
 		t.Fatal("setup: runs did not converge")
 	}
@@ -229,8 +229,8 @@ func TestDFSequenceOfBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for step := 0; step < 5; step++ {
 		up := batch.Random(d, 16+rng.Intn(32), rng.Int63())
-		gOld, gNew := batch.Transition(d, up)
-		res := DFLF(gOld, gNew, up.Del, up.Ins, prev, testCfg())
+		gNew := batch.Transition(d, up)
+		res := Run(AlgoDFLF, Input{GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev}, testCfg())
 		if !res.Converged || res.Err != nil {
 			t.Fatalf("step %d: converged=%v err=%v", step, res.Converged, res.Err)
 		}
@@ -277,8 +277,8 @@ func TestDFAgreesWithStaticProperty(t *testing.T) {
 		gOld := d.Snapshot()
 		prev := StaticBB(gOld, testCfg()).Ranks
 		up := batch.Random(d, int(sizeRaw)%60+1, seed+1)
-		_, gNew := batch.Transition(d, up)
-		res := DFLF(gOld, gNew, up.Del, up.Ins, prev, testCfg())
+		gNew := batch.Transition(d, up)
+		res := Run(AlgoDFLF, Input{GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev}, testCfg())
 		if !res.Converged || res.Err != nil {
 			return false
 		}

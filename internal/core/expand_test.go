@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,13 +19,16 @@ import (
 // the chunks of every pass in order, so the kernel's visit order is the
 // model's. With plain set the model runs the update the kernel ran before
 // it solved each vertex's self-loop, r_v = b + Σ_{u∈in(v)} contrib[u].
+// The model marks as the paper states it, from out(u) in gOld (G^{t-1}) and
+// in G^t for every batch-edge source u, so it does not share the kernel's
+// reading of G^{t-1} from the deletions.
 type lfModel struct {
 	ranks                 []float64
 	visits, walks, passes int64
 	affected              int // |VA| at exit
 }
 
-func modelLF(vr variant, in Input, cfg Config, plain bool) lfModel {
+func modelLF(vr variant, in Input, gOld *graph.CSR, cfg Config, plain bool) lfModel {
 	cfg = cfg.withDefaults()
 	g := in.GNew
 	n := g.N()
@@ -42,7 +46,9 @@ func modelLF(vr variant, in Input, cfg Config, plain bool) lfModel {
 		}
 	}
 	for _, e := range append(append([]graph.Edge(nil), in.Del...), in.Ins...) {
-		graph.UnionOut(in.GOld, g, e.U, func(v uint32) { va[v], rc[v] = true, true })
+		for _, v := range append(slices.Clone(gOld.Out(e.U)), g.Out(e.U)...) {
+			va[v], rc[v] = true, true
+		}
 	}
 	pending := func() bool {
 		for _, f := range rc {
@@ -98,7 +104,8 @@ func modelLF(vr variant, in Input, cfg Config, plain bool) lfModel {
 // one chord. Every moving vertex has its successor as out-neighbour and
 // vertex n-1's successor is vertex 0 — the lower-index neighbour through
 // which a per-visit walk re-arms a pass that would otherwise have ended.
-func ringInput(n int) Input {
+// The G^{t-1} the batch was applied to is returned beside the Input.
+func ringInput(n int) (Input, *graph.CSR) {
 	d := graph.NewDynamic(n)
 	for u := 0; u < n; u++ {
 		d.AddEdge(uint32(u), uint32((u+1)%n))
@@ -107,17 +114,17 @@ func ringInput(n int) Input {
 	gOld := d.Snapshot()
 	prev := StaticBB(gOld, Config{Tol: 1e-16, Threads: 1}).Ranks
 	up := batch.Update{Ins: []graph.Edge{{U: 0, V: uint32(n / 2)}}}
-	_, gNew := batch.Transition(d, up)
-	return Input{GOld: gOld, GNew: gNew, Ins: up.Ins, Prev: prev}
+	gNew := batch.Transition(d, up)
+	return Input{GNew: gNew, Ins: up.Ins, Prev: prev}, gOld
 }
 
-func rmatInput(scale int) Input {
+func rmatInput(scale int) (Input, *graph.CSR) {
 	d := randomGraph(scale, 31)
 	gOld := d.Snapshot()
 	prev := StaticBB(gOld, testCfg()).Ranks
 	up := batch.Random(d, 10, 32)
-	_, gNew := batch.Transition(d, up)
-	return Input{GOld: gOld, GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev}
+	gNew := batch.Transition(d, up)
+	return Input{GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev}, gOld
 }
 
 // TestExpandOnceMatchesModel pins the expansion rule on one worker, where
@@ -125,10 +132,17 @@ func rmatInput(scale int) Input {
 // equal to the sequential model's, which makes FrontierExpanded at most the
 // number of vertices ever affected.
 func TestExpandOnceMatchesModel(t *testing.T) {
-	for name, in := range map[string]Input{"rmat10": rmatInput(10), "ring64": ringInput(64)} {
+	rmat, rmatOld := rmatInput(10)
+	ring, ringOld := ringInput(64)
+	for _, tc := range []struct {
+		name string
+		in   Input
+		gOld *graph.CSR
+	}{{"rmat10", rmat, rmatOld}, {"ring64", ring, ringOld}} {
+		name, in, gOld := tc.name, tc.in, tc.gOld
 		cfg := testCfg()
 		cfg.Threads = 1
-		want := modelLF(vDF, in, cfg, false)
+		want := modelLF(vDF, in, gOld, cfg, false)
 		got := Run(AlgoDFLF, in, cfg)
 		if got.Err != nil || !got.Converged {
 			t.Fatalf("%s: converged=%v err=%v", name, got.Converged, got.Err)
@@ -154,7 +168,9 @@ func TestExpandOnceMatchesModel(t *testing.T) {
 // flag clear, which the bound allows for. A per-visit walk would be passes ×
 // frontier, an order of magnitude above it.
 func TestExpandOnceBoundedUnderThreads(t *testing.T) {
-	for name, in := range map[string]Input{"rmat10": rmatInput(10), "ring64": ringInput(64)} {
+	rmat, _ := rmatInput(10)
+	ring, _ := ringInput(64)
+	for name, in := range map[string]Input{"rmat10": rmat, "ring64": ring} {
 		cfg := testCfg()
 		res := Run(AlgoDFLF, in, cfg)
 		if res.Err != nil || !res.Converged {
@@ -181,7 +197,7 @@ func TestExpandOnceBoundedUnderThreads(t *testing.T) {
 // order is nearly a forward substitution, and one worker stops after 3
 // passes on either rule.
 func TestExpandOnceStoppingRule(t *testing.T) {
-	in := ringInput(64)
+	in, _ := ringInput(64)
 	fixed := StaticBB(in.GNew, Config{Tol: 1e-16, Threads: 1}).Ranks
 	for _, threads := range []int{1, 4} {
 		cfg := testCfg()

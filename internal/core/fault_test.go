@@ -18,8 +18,8 @@ func faultInput(t *testing.T) Input {
 	gOld := d.Snapshot()
 	prev := StaticBB(gOld, testCfg()).Ranks
 	up := batch.Random(d, 64, 99)
-	_, gNew := batch.Transition(d, up)
-	return Input{GOld: gOld, GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev}
+	gNew := batch.Transition(d, up)
+	return Input{GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prev}
 }
 
 func TestDFLFConvergesUnderRandomDelays(t *testing.T) {
@@ -27,7 +27,7 @@ func TestDFLFConvergesUnderRandomDelays(t *testing.T) {
 	ref := Reference(in.GNew, Config{})
 	cfg := testCfg()
 	cfg.Fault = fault.Plan{DelayProb: 1e-3, DelayDur: 200 * time.Microsecond, Seed: 1}
-	res := DFLF(in.GOld, in.GNew, in.Del, in.Ins, in.Prev, cfg)
+	res := Run(AlgoDFLF, in, cfg)
 	if !res.Converged || res.Err != nil {
 		t.Fatalf("converged=%v err=%v", res.Converged, res.Err)
 	}
@@ -45,7 +45,7 @@ func TestDFLFConvergesWithCrashedWorkers(t *testing.T) {
 		// which stays deterministic even when the Go scheduler serialises
 		// workers (single-core hosts).
 		cfg.Fault = fault.Plan{CrashWorkers: fault.CrashSet(crashed, cfg.Threads), Seed: int64(crashed)}
-		res := DFLF(in.GOld, in.GNew, in.Del, in.Ins, in.Prev, cfg)
+		res := Run(AlgoDFLF, in, cfg)
 		if !res.Converged || res.Err != nil {
 			t.Fatalf("crashed=%d: converged=%v err=%v", crashed, res.Converged, res.Err)
 		}
@@ -93,7 +93,7 @@ func TestAllWorkersCrashedReportsError(t *testing.T) {
 	in := faultInput(t)
 	cfg := testCfg()
 	cfg.Fault = fault.Plan{CrashWorkers: fault.CrashSet(cfg.Threads, cfg.Threads), Seed: 5}
-	res := DFLF(in.GOld, in.GNew, in.Del, in.Ins, in.Prev, cfg)
+	res := Run(AlgoDFLF, in, cfg)
 	if !errors.Is(res.Err, ErrAllCrashed) {
 		t.Fatalf("err=%v, want ErrAllCrashed", res.Err)
 	}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"dfpr/internal/avec"
 	"dfpr/internal/graph"
 )
@@ -77,6 +80,12 @@ func rankOfSeed(g *graph.CSR, inv, ranks []float64, alpha, base float64, v uint3
 // batch-edge source vertex u, mark whatever the variant considers initially
 // affected. The DF marker touches out-neighbours of u in G^{t-1} ∪ G^t; the
 // DT marker additionally walks everything reachable from them in G^t.
+//
+// Neither holds G^{t-1}. An edge of G^{t-1} that G^t lacks is a deletion
+// (Input.Del), so out_{G^{t-1}}(u) ∪ out_{G^t}(u) is out_{G^t}(u) plus the
+// targets of u's deletions, looked up in del (Del sorted by source, see
+// batchEdges). A vertex in both halves is visited twice; marking is
+// idempotent, so that changes nothing.
 type marker interface {
 	markFrom(u uint32)
 }
@@ -85,9 +94,10 @@ type marker interface {
 // "mark initial affected"): out(u) in both snapshots becomes affected; in
 // lock-free runs the same vertices are flagged not-converged.
 type dfMarker struct {
-	gOld, gNew *graph.CSR
-	va         *avec.Flags
-	rc         *avec.Flags // nil in barrier-based runs
+	g   *graph.CSR
+	del []graph.Edge // Input.Del sorted by source
+	va  *avec.Flags
+	rc  *avec.Flags // nil in barrier-based runs
 }
 
 // markFrom flags v not-converged before adding it to VA, and only while v is
@@ -98,22 +108,29 @@ type dfMarker struct {
 // leave an RC bit nobody clears, and the run would report a converged
 // vector as unconverged.
 func (m *dfMarker) markFrom(u uint32) {
-	graph.UnionOut(m.gOld, m.gNew, u, func(v uint32) {
+	mark := func(v uint32) {
 		if m.rc != nil && !m.va.Get(int(v)) {
 			m.rc.Set(int(v))
 		}
 		m.va.Set(int(v))
-	})
+	}
+	for _, v := range m.g.Out(u) {
+		mark(v)
+	}
+	for _, e := range deletionsOf(m.del, u) {
+		mark(e.V)
+	}
 }
 
 // dtMarker implements Dynamic Traversal initial marking (Algorithms 7–8):
 // everything reachable in G^t from out(u) of either snapshot is affected.
 // Each worker owns one dtMarker so the DFS scratch stack is unshared.
 type dtMarker struct {
-	gOld, gNew *graph.CSR
-	va         *avec.Flags
-	rc         *avec.Flags // nil in barrier-based runs
-	stack      []uint32
+	g     *graph.CSR
+	del   []graph.Edge // Input.Del sorted by source
+	va    *avec.Flags
+	rc    *avec.Flags // nil in barrier-based runs
+	stack []uint32
 }
 
 func (m *dtMarker) markFrom(u uint32) {
@@ -124,9 +141,43 @@ func (m *dtMarker) markFrom(u uint32) {
 		}
 		return newly
 	}
-	graph.UnionOut(m.gOld, m.gNew, u, func(v uint32) {
-		m.stack = markReachable(m.gNew, v, visit, m.stack)
-	})
+	for _, v := range m.g.Out(u) {
+		m.stack = markReachable(m.g, v, visit, m.stack)
+	}
+	for _, e := range deletionsOf(m.del, u) {
+		m.stack = markReachable(m.g, e.V, visit, m.stack)
+	}
+}
+
+// newMarker returns the variant's marker over the run's graph and sorted
+// deletions, or nil for a variant that marks nothing (static, ND).
+func newMarker(vr variant, g *graph.CSR, del []graph.Edge, va, rc *avec.Flags) marker {
+	switch vr {
+	case vDF:
+		return &dfMarker{g: g, del: del, va: va, rc: rc}
+	case vDT:
+		return &dtMarker{g: g, del: del, va: va, rc: rc}
+	}
+	return nil
+}
+
+// batchEdges returns the run's batch as one slice, Δ⁻ then Δ⁺, that the
+// marking phase hands out by source, and its Δ⁻ prefix sorted by source
+// for deletionsOf. The caller's slices are not modified.
+func batchEdges(in Input) (edges, del []graph.Edge) {
+	del = append(make([]graph.Edge, 0, len(in.Del)+len(in.Ins)), in.Del...)
+	slices.SortFunc(del, func(a, b graph.Edge) int { return cmp.Compare(a.U, b.U) })
+	return append(del, in.Ins...), del
+}
+
+// deletionsOf returns u's edges in del, which is sorted by source.
+func deletionsOf(del []graph.Edge, u uint32) []graph.Edge {
+	i, _ := slices.BinarySearchFunc(del, u, func(e graph.Edge, u uint32) int { return cmp.Compare(e.U, u) })
+	j := i
+	for j < len(del) && del[j].U == u {
+		j++
+	}
+	return del[i:j]
 }
 
 // markReachable marks start and everything reachable from it along

@@ -19,28 +19,6 @@ func StaticLF(g *graph.CSR, cfg Config) Result {
 	return runLF(context.Background(), vStatic, Input{GNew: g}, cfg)
 }
 
-// NDLF is the lock-free Naive-dynamic PageRank (Algorithm 6): StaticLF
-// warm-started from the previous snapshot's ranks.
-func NDLF(g *graph.CSR, prev []float64, cfg Config) Result {
-	return runLF(context.Background(), vND, Input{GNew: g, Prev: prev}, cfg)
-}
-
-// DTLF is the lock-free Dynamic Traversal PageRank (Algorithm 8). The
-// reachability marking phase and the rank-computation phase are composed
-// without a barrier through the per-source checked-flag vector C.
-func DTLF(gOld, gNew *graph.CSR, del, ins []graph.Edge, prev []float64, cfg Config) Result {
-	return runLF(context.Background(), vDT, Input{GOld: gOld, GNew: gNew, Del: del, Ins: ins, Prev: prev}, cfg)
-}
-
-// DFLF is the paper's lock-free Dynamic Frontier PageRank (Algorithm 2), the
-// main contribution: initial marking with a helping protocol over the
-// checked-flag vector C, then barrier-free incremental frontier expansion and
-// asynchronous rank computation, tolerating random thread delays and
-// crash-stop failures.
-func DFLF(gOld, gNew *graph.CSR, del, ins []graph.Edge, prev []float64, cfg Config) Result {
-	return runLF(context.Background(), vDF, Input{GOld: gOld, GNew: gNew, Del: del, Ins: ins, Prev: prev}, cfg)
-}
-
 func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 	cfg = cfg.withDefaults()
 	g := in.GNew
@@ -52,10 +30,6 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 		return Result{Err: ErrCanceled}
 	}
 	base := (1 - cfg.Alpha) / float64(n)
-	gOld := in.GOld
-	if gOld == nil {
-		gOld = g
-	}
 
 	ainv, dinv := kernelFactors(g, cfg.Alpha, true)
 
@@ -81,7 +55,7 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 	// disturbed after converging is never lost.)
 	rc := avec.NewFlags(n)
 	var va, checked, ex *avec.Flags
-	var edges []graph.Edge
+	var edges, del []graph.Edge
 	if vr == vDT || vr == vDF {
 		va = avec.NewFlags(n)
 		checked = avec.NewFlags(n)
@@ -90,7 +64,7 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 		if vr == vDF {
 			ex = avec.NewFlags(n)
 		}
-		edges = append(append(make([]graph.Edge, 0, len(in.Del)+len(in.Ins)), in.Del...), in.Ins...)
+		edges, del = batchEdges(in)
 	} else {
 		rc.SetAll()
 	}
@@ -128,13 +102,7 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 	}
 
 	worker := func(w int) {
-		var mk marker
-		switch vr {
-		case vDF:
-			mk = &dfMarker{gOld: gOld, gNew: g, va: va, rc: rc}
-		case vDT:
-			mk = &dtMarker{gOld: gOld, gNew: g, va: va, rc: rc}
-		}
+		mk := newMarker(vr, g, del, va, rc)
 		// Phase 1 — initial marking with helping (lines 5-16 of Algorithm
 		// 2). A first pass distributes batch edges dynamically; then each
 		// worker re-scans the batch and processes any source a stalled peer

@@ -26,7 +26,7 @@ func errBudget(cfg Config) float64 {
 // ends that contracted by α per pass now land in one — and still end
 // within the error budget of the reference.
 func TestSelfLoopSolveCutsPasses(t *testing.T) {
-	in := rmatInput(10)
+	in, gOld := rmatInput(10)
 	cfg := testCfg()
 	cfg.Threads = 1
 	ref := Reference(in.GNew, Config{})
@@ -34,7 +34,7 @@ func TestSelfLoopSolveCutsPasses(t *testing.T) {
 		a  Algo
 		vr variant
 	}{{AlgoNDLF, vND}, {AlgoDFLF, vDF}} {
-		plain := modelLF(tc.vr, in, cfg, true)
+		plain := modelLF(tc.vr, in, gOld, cfg, true)
 		got := Run(tc.a, in, cfg)
 		if got.Err != nil || !got.Converged {
 			t.Fatalf("%v: converged=%v err=%v", tc.a, got.Converged, got.Err)
@@ -108,7 +108,7 @@ func TestSelfLoopSolveWithoutSelfLoops(t *testing.T) {
 	d.Apply(nil, ins)
 	gNew := d.Snapshot()
 	ref = Reference(gNew, Config{})
-	in := Input{GOld: gOld, GNew: gNew, Ins: ins, Prev: prev}
+	in := Input{GNew: gNew, Ins: ins, Prev: prev}
 	for _, a := range []Algo{AlgoNDLF, AlgoDTLF, AlgoDFLF} {
 		res := Run(a, in, cfg)
 		if !res.Converged || res.Err != nil {
@@ -185,8 +185,8 @@ func descendingRingInput(n int) Input {
 	gOld := d.Snapshot()
 	prev := StaticBB(gOld, Config{Tol: 1e-16, Threads: 1}).Ranks
 	up := batch.Update{Ins: []graph.Edge{{U: uint32(n - 1), V: uint32(n / 2)}}}
-	_, gNew := batch.Transition(d, up)
-	return Input{GOld: gOld, GNew: gNew, Ins: up.Ins, Prev: prev}
+	gNew := batch.Transition(d, up)
+	return Input{GNew: gNew, Ins: up.Ins, Prev: prev}
 }
 
 // TestSelfLoopSolveTrailingWorkers: with the default chunk size a small
@@ -198,7 +198,8 @@ func descendingRingInput(n int) Input {
 // the last move has been swept; without it 30–60 % of these runs ended
 // beyond the error budget (up to 70 τ on rmat10, 1e-3 on the ring).
 func TestSelfLoopSolveTrailingWorkers(t *testing.T) {
-	for name, in := range map[string]Input{"rmat10": rmatInput(10), "ring64-descending": descendingRingInput(64)} {
+	rmat, _ := rmatInput(10)
+	for name, in := range map[string]Input{"rmat10": rmat, "ring64-descending": descendingRingInput(64)} {
 		ref := Reference(in.GNew, Config{})
 		for _, threads := range []int{2, 4} {
 			cfg := Config{Tol: 1e-10, Threads: threads}

@@ -34,28 +34,3 @@ func TestGrowRanksShrinkPanics(t *testing.T) {
 	}()
 	GrowRanks([]float64{1, 2, 3}, 2)
 }
-
-func TestWithNPadding(t *testing.T) {
-	g := smallGraph()
-	p := g.WithN(g.N() + 3)
-	if p.N() != g.N()+3 {
-		t.Fatalf("padded n = %d", p.N())
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for v := g.N(); v < p.N(); v++ {
-		if p.OutDeg(uint32(v)) != 0 || p.InDeg(uint32(v)) != 0 {
-			t.Errorf("padded vertex %d not isolated", v)
-		}
-	}
-	// Original rows unchanged.
-	for v := uint32(0); int(v) < g.N(); v++ {
-		if len(p.Out(v)) != len(g.Out(v)) {
-			t.Errorf("row %d changed", v)
-		}
-	}
-	if g.WithN(2) != g {
-		t.Error("WithN with smaller n should return the receiver")
-	}
-}

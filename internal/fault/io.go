@@ -92,11 +92,3 @@ func (in *IOInjector) OnSync() error {
 	}
 	return nil
 }
-
-// Writes returns how many writes the injector has seen (diagnostic).
-func (in *IOInjector) Writes() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.writes.Load()
-}

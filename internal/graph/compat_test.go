@@ -37,7 +37,7 @@ func TestContainerSortedInRowsLoadSelfFirst(t *testing.T) {
 		d.Apply(up.Del, up.Ins)
 		d.EnsureSelfLoops()
 		prev := core.StaticLF(g, cfg).Ranks
-		res := core.DFLF(g, d.Snapshot(), up.Del, up.Ins, prev, cfg)
+		res := core.Run(core.AlgoDFLF, core.Input{GNew: d.Snapshot(), Del: up.Del, Ins: up.Ins, Prev: prev}, cfg)
 		if !res.Converged {
 			t.Fatal("DF-LF did not converge")
 		}

@@ -238,21 +238,6 @@ var leHost = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 0x02
 }()
 
-// appendU64s appends xs little-endian onto dst; one block copy on LE hosts.
-func appendU64s(dst []byte, xs []uint64) []byte {
-	if len(xs) == 0 {
-		return dst
-	}
-	if leHost {
-		return append(dst, unsafe.Slice((*byte)(unsafe.Pointer(&xs[0])), 8*len(xs))...)
-	}
-	le := binary.LittleEndian
-	for _, x := range xs {
-		dst = le.AppendUint64(dst, x)
-	}
-	return dst
-}
-
 // appendU32s appends xs little-endian onto dst; one block copy on LE hosts.
 func appendU32s(dst []byte, xs []uint32) []byte {
 	if len(xs) == 0 {

@@ -4,7 +4,9 @@
 // application following the paper's model (§3.4): a dynamic graph is a
 // sequence of snapshots G^{t-1}, G^t separated by a batch Δt = Δt⁻ ∪ Δt⁺ of
 // edge deletions and insertions. The vertex universe may grow between
-// snapshots (Dynamic.Grow); vertices are never removed.
+// snapshots (Dynamic.Grow); vertices are never removed. Every edge of
+// G^{t-1} missing from G^t is in Δt⁻, so an algorithm needs only G^t and
+// the batch, never two snapshots side by side.
 //
 // Dead-end elimination: the paper removes dead ends (vertices with no
 // out-links) by adding a self-loop to every vertex (§5.1.3). EnsureSelfLoops
@@ -319,9 +321,6 @@ func (d *Dynamic) HasEdge(u, v uint32) bool {
 	return ok
 }
 
-// OutDeg returns the out-degree of u.
-func (d *Dynamic) OutDeg(u uint32) int { return len(d.Out(u)) }
-
 // owned reports whether u's row lives in adj (see Dynamic). A row past the
 // base reads as empty, so it counts as owned.
 func (d *Dynamic) owned(u uint32) bool {
@@ -484,44 +483,4 @@ func (d *Dynamic) Clone() *Dynamic {
 	}
 	c.m = d.m
 	return c
-}
-
-// WithN returns a view of g extended (or identical) to n vertices; the
-// added vertices are isolated. Used when comparing snapshots across vertex
-// additions: the old snapshot is padded so both sides index the same vertex
-// space. Every block is shared with g (see side.grown), so the view costs
-// O(n/64) words.
-func (g *CSR) WithN(n int) *CSR {
-	if n <= g.n {
-		return g
-	}
-	return &CSR{n: n, m: g.m, out: g.out.grown(n), in: g.in.grown(n)}
-}
-
-// UnionOut calls fn for every vertex in out_{g1}(u) ∪ out_{g2}(u), visiting
-// each neighbour exactly once. It is the (G^{t-1} ∪ G^t).out(u) iteration in
-// the DF initial-marking phase (Algorithms 1 and 2).
-func UnionOut(g1, g2 *CSR, u uint32, fn func(v uint32)) {
-	a, b := g1.Out(u), g2.Out(u)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			fn(a[i])
-			i++
-		case a[i] > b[j]:
-			fn(b[j])
-			j++
-		default:
-			fn(a[i])
-			i++
-			j++
-		}
-	}
-	for ; i < len(a); i++ {
-		fn(a[i])
-	}
-	for ; j < len(b); j++ {
-		fn(b[j])
-	}
 }

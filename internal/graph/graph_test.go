@@ -379,54 +379,6 @@ func TestDynamicFromCSRRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUnionOut(t *testing.T) {
-	g1 := FromEdges(6, []Edge{{0, 1}, {0, 3}, {0, 5}})
-	g2 := FromEdges(6, []Edge{{0, 2}, {0, 3}, {0, 4}})
-	var got []uint32
-	UnionOut(g1, g2, 0, func(v uint32) { got = append(got, v) })
-	want := []uint32{1, 2, 3, 4, 5}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("UnionOut = %v, want %v", got, want)
-	}
-	// One side empty.
-	got = got[:0]
-	UnionOut(g1, g2, 1, func(v uint32) { got = append(got, v) })
-	if len(got) != 0 {
-		t.Errorf("UnionOut over empty rows = %v", got)
-	}
-}
-
-func TestUnionOutVisitsEachOnceProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 20
-		g1 := FromEdges(n, randomEdges(n, 60, seed))
-		g2 := FromEdges(n, randomEdges(n, 60, seed+1))
-		u := uint32(rng.Intn(n))
-		seen := map[uint32]int{}
-		UnionOut(g1, g2, u, func(v uint32) { seen[v]++ })
-		want := map[uint32]bool{}
-		for _, v := range g1.Out(u) {
-			want[v] = true
-		}
-		for _, v := range g2.Out(u) {
-			want[v] = true
-		}
-		if len(seen) != len(want) {
-			return false
-		}
-		for v, c := range seen {
-			if c != 1 || !want[v] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	g := FromEdges(4, []Edge{{0, 1}, {1, 2}})
 	mustValid(t, g)

@@ -44,7 +44,7 @@ func loopyEdges(rng *rand.Rand, n, m int) []Edge {
 
 // TestInRowsSelfLoopFirst pins the in-row order on every CSR producer: both
 // cold-build scatters, the delta merge over seeded interleavings of
-// self-loop churn and growth, the CSR a Dynamic adopts, and WithN. Every
+// self-loop churn and growth, and the CSR a Dynamic adopts. Every
 // snapshot must also match a cold FromEdges rebuild row for row. Validate
 // must refuse a self-loop anywhere but first.
 func TestInRowsSelfLoopFirst(t *testing.T) {
@@ -71,9 +71,6 @@ func TestInRowsSelfLoopFirst(t *testing.T) {
 		full := d.Clone().SnapshotFull()
 		checkInRows(t, full, "SnapshotFull")
 		csrEqual(t, full, rebuildReference(d), "SnapshotFull")
-		padded := full.WithN(210)
-		checkInRows(t, padded, "WithN")
-		csrEqual(t, padded, FromEdges(210, full.Edges(nil)), "WithN")
 		d.AddEdge(1, 1)
 		d.DelEdge(3, 3)
 		g := d.Snapshot()

@@ -203,8 +203,8 @@ func batchSizeFor(frac float64, m int) int {
 func makeBatch(p prepared, frac float64, seed int64, wantRef bool) (up batch.Update, in core.Input, ref []float64) {
 	dd := p.d.Clone()
 	up = batch.Random(dd, batchSizeFor(frac, p.g.M()), seed)
-	gOld, gNew := batch.Transition(dd, up)
-	in = core.Input{GOld: gOld, GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: p.ranks}
+	gNew := batch.Transition(dd, up)
+	in = core.Input{GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: p.ranks}
 	if wantRef {
 		ref = core.Reference(gNew, core.Config{})
 	}

@@ -75,13 +75,13 @@ func Fig5(o Options) []Section {
 			times := map[core.Algo][]float64{}
 			batches := 0
 			for batches < maxBatches {
-				up, gOld, gNew, ok := rep.NextBatch(size)
+				up, g, ok := rep.NextBatch(size)
 				if !ok {
 					break
 				}
 				batches++
 				for _, a := range sixAlgos {
-					in := core.Input{GOld: gOld, GNew: gNew, Del: up.Del, Ins: up.Ins, Prev: prevOf[a]}
+					in := core.Input{GNew: g, Del: up.Del, Ins: up.Ins, Prev: prevOf[a]}
 					dur, res := timeRun(a, in, cfg, o.Reps)
 					times[a] = append(times[a], float64(dur))
 					prevOf[a] = res.Ranks
@@ -263,14 +263,12 @@ func Stability(o Options) []Section {
 		for fi, f := range fracs {
 			dd := p.d.Clone()
 			down := batch.Deletions(dd, batchSizeFor(f, p.g.M()), o.Seed+int64(fi)*37)
-			gOld, gMid := batch.Transition(dd, down)
+			gMid := batch.Transition(dd, down)
 			up := down.Inverse()
-			gMid2 := gMid
-			ddUp := dd // after Transition, dd holds the deleted graph
-			_, gBack := batch.Transition(ddUp, up)
+			gBack := batch.Transition(dd, up)
 			for _, a := range algos {
-				r1 := core.Run(a, core.Input{GOld: gOld, GNew: gMid, Del: down.Del, Ins: down.Ins, Prev: p.ranks}, cfg)
-				r2 := core.Run(a, core.Input{GOld: gMid2, GNew: gBack, Del: up.Del, Ins: up.Ins, Prev: r1.Ranks}, cfg)
+				r1 := core.Run(a, core.Input{GNew: gMid, Del: down.Del, Ins: down.Ins, Prev: p.ranks}, cfg)
+				r2 := core.Run(a, core.Input{GNew: gBack, Del: up.Del, Ins: up.Ins, Prev: r1.Ranks}, cfg)
 				if e := topk.LInf(r2.Ranks, p.ranks); e > worst[a] {
 					worst[a] = e
 				}

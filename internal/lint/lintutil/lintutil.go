@@ -1,6 +1,6 @@
 // Package lintutil holds the type-resolution helpers shared by prlint's
-// analyzers: resolving a call expression to the method it invokes, matching
-// methods by package/receiver/name, and walking function bodies.
+// analyzers: resolving a call expression to the function it invokes,
+// reading directive comments, and walking function bodies.
 package lintutil
 
 import (
@@ -26,54 +26,6 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := obj.(*types.Func)
 	return fn
-}
-
-// IsMethod reports whether call invokes a method named name on a (possibly
-// pointer) named type typeName declared in a package whose path is pkgPath
-// or ends in "/"+pkgPath — the suffix match lets analysistest fixtures stub
-// real import paths at any depth.
-func IsMethod(info *types.Info, call *ast.CallExpr, pkgPath, typeName, name string) bool {
-	fn := CalleeFunc(info, call)
-	if fn == nil || fn.Name() != name {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	rt := sig.Recv().Type()
-	if p, ok := rt.(*types.Pointer); ok {
-		rt = p.Elem()
-	}
-	named, ok := rt.(*types.Named)
-	if !ok || named.Obj().Name() != typeName {
-		return false
-	}
-	return PkgPathIs(named.Obj().Pkg(), pkgPath)
-}
-
-// PkgPathIs reports whether pkg's import path equals path or ends in
-// "/"+path.
-func PkgPathIs(pkg *types.Package, path string) bool {
-	if pkg == nil {
-		return false
-	}
-	return pkg.Path() == path || strings.HasSuffix(pkg.Path(), "/"+path)
-}
-
-// ReceiverExpr returns the receiver expression of a method call's selector
-// (the "x.y" in "x.y.M(...)"), or nil for non-selector calls.
-func ReceiverExpr(call *ast.CallExpr) ast.Expr {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		return sel.X
-	}
-	return nil
-}
-
-// ExprString renders an expression as compact source text, for keying
-// receiver identity ("e.store", "s") positionally within one function.
-func ExprString(e ast.Expr) string {
-	return types.ExprString(e)
 }
 
 // HasDirective reports whether a function declaration's doc comment carries

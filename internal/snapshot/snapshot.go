@@ -288,12 +288,14 @@ func (r *Ranker) Behind() uint64 {
 // current one. This is the paper's cost model taken seriously — DF work
 // scales with the movement set, so k pending batches cost one frontier
 // expansion over their union instead of k expansions over overlapping
-// frontiers. The merged del/ins lists may be a superset of the true edge
-// diff (churn cancelled within the span); that only widens the initially
-// affected set, never narrows it, because marking walks out(u) of every
-// batch-edge source in both snapshots. A static algo ignores the batch and
-// the previous vector (core.RunCtx drops them) and so recomputes from
-// scratch. When the pending links have left the store's ring (the ranker
+// frontiers. The run reads the store's tip and the merged batch, not the
+// ranker's own graph: the merged del list holds every edge the span
+// removed (last op per edge wins, and Store.Apply clamped each batch to
+// its universe), which is what core.Input asks of Del. The merged lists
+// may be a superset of the true edge diff (churn cancelled within the
+// span); that only widens the initially affected set, never narrows it. A
+// static algo ignores the batch and the previous vector (core.RunCtx drops
+// them) and so recomputes from scratch. When the pending links have left the store's ring (the ranker
 // lagged more than its retention) it rebuilds with the cold run on the
 // newest version — there is no other sound way forward.
 //
@@ -317,9 +319,7 @@ func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
 	if r.store.Current().Seq == r.cur.Seq {
 		return core.Result{Ranks: r.ranks, Converged: true}, nil
 	}
-	// Replaying needs the pending links still in the ring; the two graphs it
-	// runs between are tip and r.cur — the ranker's own reference, the
-	// G^{t-1} where marking finds deleted edges' targets.
+	// Replaying needs the pending links still in the ring.
 	links, tip, ok := r.store.Since(r.cur.Seq)
 	if !ok {
 		return r.cold(ctx, tip, &r.Rebuilds)
@@ -329,8 +329,15 @@ func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
 		ups[i] = l.Update
 	}
 	up := batch.Merge(ups...)
-	gOld, prev := grownInputs(r.cur.G, r.ranks, tip.G.N())
-	in := core.Input{GOld: gOld, GNew: tip.G, Del: up.Del, Ins: up.Ins, Prev: prev}
+	// Growth rescales the ranks to the grown universe (core.GrowRanks): the
+	// exact fixed-point transform under self-loop dead-end elimination, which
+	// keeps a frontier-sized refresh over a grown version equivalent to a
+	// cold build.
+	prev := r.ranks
+	if n := tip.G.N(); n > len(prev) {
+		prev = core.GrowRanks(prev, n)
+	}
+	in := core.Input{GNew: tip.G, Del: up.Del, Ins: up.Ins, Prev: prev}
 	res := core.RunCtx(ctx, r.algo, in, r.cfg)
 	switch {
 	case res.Err == nil:
@@ -365,21 +372,4 @@ func (r *Ranker) land(v *Version, res core.Result, counter *int) {
 	if counter != nil {
 		*counter++
 	}
-}
-
-// grownInputs adapts the (previous graph, previous ranks) pair of an
-// incremental run to a target universe of n vertices: the old snapshot is
-// padded with isolated vertices (a new table of O(n/64) blocks that shares
-// every old block, nothing copied per edge) so the union marking can walk
-// both snapshots over one index space, and the rank vector is
-// rescaled-and-seeded by core.GrowRanks — the exact fixed-point
-// transform growth induces under self-loop dead-end elimination, which is
-// what keeps a frontier-sized refresh over a grown version equivalent to a
-// cold build (see internal/core/vertex.go). A same-size version passes
-// through untouched.
-func grownInputs(gOld *graph.CSR, ranks []float64, n int) (*graph.CSR, []float64) {
-	if n <= gOld.N() && n <= len(ranks) {
-		return gOld, ranks
-	}
-	return gOld.WithN(n), core.GrowRanks(ranks, n)
 }
