@@ -93,10 +93,8 @@ func main() {
 				}
 				return
 			}
-			for u := uint32(0); int(u) < d.N(); u++ {
-				for _, v := range d.Out(u) {
-					fmt.Fprintf(w, "%d %d\n", u, v)
-				}
+			if err := gio.WriteEdgeList(w, d); err != nil {
+				fatalf("write edge list: %v", err)
 			}
 			return
 		}

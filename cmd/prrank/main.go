@@ -115,13 +115,14 @@ func main() {
 		label, view.N(), view.M(), res.Iterations, res.Converged, topk.FormatDur(res.Elapsed))
 
 	switch {
-	case *top > 0 && *keyed:
-		for rank, e := range view.TopKKeys(*top) {
-			fmt.Printf("#%-3d %-24s %.6e\n", rank+1, e.Key, e.Score)
-		}
 	case *top > 0:
 		for rank, e := range view.TopK(*top) {
-			fmt.Printf("#%-3d vertex %-10d %.6e\n", rank+1, e.V, e.Score)
+			if *keyed {
+				key, _ := view.KeyOf(e.V)
+				fmt.Printf("#%-3d %-24s %.6e\n", rank+1, key, e.Score)
+			} else {
+				fmt.Printf("#%-3d vertex %-10d %.6e\n", rank+1, e.V, e.Score)
+			}
 		}
 	case *keyed:
 		w := bufio.NewWriter(os.Stdout)

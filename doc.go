@@ -20,7 +20,10 @@
 //	err = eng.WaitRanked(ctx, seq)       // ranks at least that fresh
 //	v, err := eng.View()
 //	score, ok := v.ScoreOfKey("bob")     // keyed point lookup, 0 allocs
-//	board := v.TopKKeys(10)              // ranked keys for rendering
+//	for _, e := range v.TopK(10) {       // ranked ids, cached per version
+//		key, _ := v.KeyOf(e.V)           // each id's key, as of v's version
+//		fmt.Println(key, e.Score)
+//	}
 //
 // Dense-ID construction remains for callers that already hold compact ids:
 //
@@ -103,16 +106,17 @@
 //	old, err := eng.ViewAt(s)  // retained history (WithHistory versions)
 //	moved := v.Delta(old)      // movement set, one O(|V|) scan of two vectors
 //
-// Keyed engines add ScoreOfKey/TopKKeys/DeltaKeys and Resolve/KeyOf id
-// translation. A view resolves exactly the keys that existed at its
-// version — the key space is append-only, so "existed at that version" is
-// nothing more than the bounds check the dense read performs — and the
-// keyed hit path is one lock-free interner probe on top of it.
+// Keyed engines add three calls: Engine.Resolve (key to id), View.KeyOf
+// (id to key) and View.ScoreOfKey; every other keyed answer is a dense one
+// plus View.KeyOf per entry. A view resolves exactly the keys that existed
+// at its version — the key space is append-only, so "existed at that
+// version" is nothing more than the bounds check the dense read performs —
+// and the keyed hit path is one lock-free interner probe on top of it.
 //
 // Rank honours cancellation: a canceled context aborts a converging run
 // promptly (workers joined, no goroutine leaks) with ErrCanceled, leaving
-// the ranks at the last completed version. Subscribe streams versioned
-// rank updates — each carrying the version's View — over a conflating
+// the ranks at the last completed version. Subscribe streams the Result
+// of each refresh — carrying the version's View — over a conflating
 // channel sized for live serving; SetFaultPlan injects the paper's
 // thread-delay and crash-stop faults for chaos drills, and a refresh that
 // fails under a plan surfaces as itself with the ranks at the last good

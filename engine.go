@@ -328,8 +328,8 @@ func toInternal(edges []Edge) []graph.Edge {
 // and rebuild with one StaticLF run when the engine lagged beyond the
 // retained history. Every run is lock-free, so a worker crash-stopped by a
 // FaultPlan slows a run down but cannot stop it while one worker lives.
-// Successful calls that advance the version publish one view and push an
-// Update to every subscriber.
+// Successful calls that advance the version publish one view and push the
+// Result to every subscriber.
 //
 // Rank honours ctx: cancellation or deadline aborts the run in progress,
 // all worker goroutines exit before Rank returns, the error satisfies

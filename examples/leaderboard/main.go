@@ -5,10 +5,10 @@
 // open-universe engine through the keyed ingest pipeline: players enter the
 // board the first time a match mentions their handle, growing the engine's
 // universe live. The reader never touches a rank vector OR an id table:
-// every Update carries the immutable View of its version, and
-// View.AppendTopKKeys answers keys+scores from the per-version cached
-// selection — O(k) per frame, allocation-free once warm, and each frame's
-// keys resolve against exactly the universe of its own version. Movements
+// every Result on the subscription carries the immutable View of its
+// version; View.AppendTopK answers scores from the per-version cached
+// selection — O(k) per frame, allocation-free once warm — and View.KeyOf
+// resolves each entry's key against exactly the universe of its version. Movements
 // against the previous frame are shown as ▲/▼/＊ markers.
 //
 // The writer never calls Rank: a debounce rank policy refreshes at a bounded
@@ -104,19 +104,20 @@ func main() {
 	fmt.Printf("leaderboard: %d players max, %d matches in %d rounds, top %d per frame\n",
 		players, matches, rounds, k)
 	prevPos := map[string]int{} // handle → 1-based position in the previous frame
-	top := make([]dfpr.RankedKey, 0, k)
+	top := make([]dfpr.Ranked, 0, k)
 	frame := 0
 	for u := range sub.Updates() {
-		top = u.View.AppendTopKKeys(top[:0], k)
+		top = u.View.AppendTopK(top[:0], k)
 		frame++
 		fmt.Printf("\nframe %d — version %d, %d players (%d iterations, %s)\n",
 			frame, u.Seq, u.View.N(), u.Iterations, topk.FormatDur(u.Elapsed))
 		next := make(map[string]int, k)
 		for i, e := range top {
 			pos := i + 1
-			next[e.Key] = pos
+			key, _ := u.View.KeyOf(e.V)
+			next[key] = pos
 			marker := " "
-			switch was, ok := prevPos[e.Key]; {
+			switch was, ok := prevPos[key]; {
 			case !ok && frame > 1:
 				marker = "＊" // new entrant
 			case ok && was > pos:
@@ -124,7 +125,7 @@ func main() {
 			case ok && was < pos:
 				marker = "▼"
 			}
-			fmt.Printf("  %s #%-2d %-8s %.3e\n", marker, pos, e.Key, e.Score)
+			fmt.Printf("  %s #%-2d %-8s %.3e\n", marker, pos, key, e.Score)
 		}
 		prevPos = next
 	}

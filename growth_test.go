@@ -245,7 +245,8 @@ func TestGrowthFromEmptyOpen(t *testing.T) {
 
 // TestConcurrentResolveSubmitViewRace is the race pass of the keyed
 // surface: concurrent keyed submissions, key resolution, and view reads
-// (ScoreOfKey / TopKKeys) over a growing universe, checked under -race.
+// (ScoreOfKey, TopK, and KeyOf while the interner grows) over a growing
+// universe, checked under -race.
 func TestConcurrentResolveSubmitViewRace(t *testing.T) {
 	ctx := context.Background()
 	eng, err := Open(WithThreads(2))
@@ -282,13 +283,15 @@ func TestConcurrentResolveSubmitViewRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
 				eng.Resolve(key(i % 200))
-				eng.KeyOf(uint32(i % 200))
 				v, err := eng.View()
 				if err != nil {
 					continue // no ranks yet
 				}
 				v.ScoreOfKey(key(i % 200))
-				v.TopKKeys(5)
+				v.KeyOf(uint32(i % 200))
+				for _, e := range v.TopK(5) {
+					v.KeyOf(e.V)
+				}
 			}
 		}(r)
 	}

@@ -16,6 +16,7 @@ package batch
 
 import (
 	"math/rand"
+	"slices"
 
 	"dfpr/internal/gen"
 	"dfpr/internal/graph"
@@ -169,28 +170,41 @@ func Deletions(d *graph.Dynamic, size int, seed int64) Update {
 	return Update{Del: sampleDeletions(d, size, rng)}
 }
 
+// sampleDeletions draws k distinct non-self-loop edges of d, uniformly
+// without replacement, in O(n + k log n) time and O(n + k) space: edges
+// are numbered row by row (cum holds each row's first number), Floyd's
+// algorithm picks k numbers, and a binary search over cum finds each one's
+// row. The picks are kept in draw order, so a seed fixes the output.
 func sampleDeletions(d *graph.Dynamic, k int, rng *rand.Rand) []graph.Edge {
 	n := d.N()
-	// Candidate pool: every non-self-loop edge. Sampling by index keeps the
-	// pick uniform over edges rather than over vertices.
-	pool := make([]graph.Edge, 0, d.M())
-	for u := uint32(0); int(u) < n; u++ {
-		for _, v := range d.Out(u) {
-			if v != u {
-				pool = append(pool, graph.Edge{U: u, V: v})
-			}
+	cum := make([]int, n+1)
+	for u := range n {
+		row := d.Out(uint32(u))
+		cum[u+1] = cum[u] + len(row)
+		if _, loop := slices.BinarySearch(row, uint32(u)); loop {
+			cum[u+1]--
 		}
 	}
-	if k > len(pool) {
-		k = len(pool)
+	total := cum[n]
+	k = min(k, total)
+	chosen := make(map[int]struct{}, k)
+	out := make([]graph.Edge, 0, k)
+	for j := total - k; j < total; j++ {
+		e := rng.Intn(j + 1)
+		if _, dup := chosen[e]; dup {
+			e = j
+		}
+		chosen[e] = struct{}{}
+		u, _ := slices.BinarySearch(cum, e+1) // the row holding edge e
+		u--
+		row := d.Out(uint32(u))
+		i := e - cum[u]
+		if loop, ok := slices.BinarySearch(row, uint32(u)); ok && loop <= i {
+			i++
+		}
+		out = append(out, graph.Edge{U: uint32(u), V: row[i]})
 	}
-	// Partial Fisher–Yates: the first k slots become a uniform sample
-	// without replacement.
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(len(pool)-i)
-		pool[i], pool[j] = pool[j], pool[i]
-	}
-	return append([]graph.Edge(nil), pool[:k]...)
+	return out
 }
 
 func sampleInsertions(d *graph.Dynamic, k int, rng *rand.Rand) []graph.Edge {

@@ -271,3 +271,50 @@ func TestInsertionsOnNearlyCompleteGraph(t *testing.T) {
 		t.Errorf("invented %d insertions on a near-complete graph", len(up.Ins))
 	}
 }
+
+// TestSampleDeletionsUniform draws from a small graph with self-loops and
+// an empty row: every draw is distinct and loop-free, a request past the
+// pool returns every edge, and over many seeds each edge is drawn about
+// equally often.
+func TestSampleDeletionsUniform(t *testing.T) {
+	d := graph.NewDynamic(6)
+	for _, e := range [][2]uint32{{0, 1}, {0, 4}, {1, 0}, {1, 5}, {3, 0}, {3, 1}, {3, 4}, {5, 5}} {
+		d.AddEdge(e[0], e[1])
+	}
+	d.EnsureSelfLoops() // vertex 2 keeps only its loop: an empty pool row
+	const pool = 7
+	all := Deletions(d, 100, 1).Del
+	if len(all) != pool {
+		t.Fatalf("oversized request drew %d edges, want all %d: %v", len(all), pool, all)
+	}
+	const seeds, k = 7000, 3
+	count := map[graph.Edge]int{}
+	for s := range int64(seeds) {
+		seen := map[graph.Edge]bool{}
+		for _, e := range Deletions(d, k, s).Del {
+			if e.U == e.V || !d.HasEdge(e.U, e.V) || seen[e] {
+				t.Fatalf("seed %d drew %v: a loop, a non-edge or a repeat", s, e)
+			}
+			seen[e] = true
+			count[e]++
+		}
+	}
+	want := float64(seeds*k) / pool
+	for _, e := range all {
+		if c := float64(count[e]); c < 0.9*want || c > 1.1*want {
+			t.Errorf("edge %v drawn %v times, want about %v", e, c, want)
+		}
+	}
+}
+
+// BenchmarkSampleDeletions times one 64-edge draw on RMAT 2^16×16; its
+// B/op is the per-call allocation of the sampler.
+func BenchmarkSampleDeletions(b *testing.B) {
+	d := gen.RMAT(16, 16, 1)
+	d.EnsureSelfLoops()
+	d.Snapshot()
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		Deletions(d, 64, int64(i))
+	}
+}

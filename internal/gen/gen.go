@@ -60,13 +60,15 @@ func (c Class) String() string {
 // RMAT generates a directed RMAT graph with n = 2^scale vertices and
 // roughly edgeFactor·n edges (before deduplication), using the classic
 // (a,b,c,d) = (0.57, 0.19, 0.19, 0.05) quadrant probabilities that yield
-// web-graph-like skew.
+// web-graph-like skew. Like RoadGrid and KMerChain it draws its edge list
+// first and builds the graph with one counting sort (graph.FromEdges drops
+// the duplicates), never a sorted insert per edge.
 func RMAT(scale, edgeFactor int, seed int64) *graph.Dynamic {
 	n := 1 << uint(scale)
 	rng := rand.New(rand.NewSource(seed))
-	d := graph.NewDynamic(n)
 	const a, b, c = 0.57, 0.19, 0.19
 	m := edgeFactor * n
+	edges := make([]graph.Edge, 0, m)
 	for i := 0; i < m; i++ {
 		u, v := 0, 0
 		for bit := n >> 1; bit > 0; bit >>= 1 {
@@ -83,16 +85,22 @@ func RMAT(scale, edgeFactor int, seed int64) *graph.Dynamic {
 				v |= bit
 			}
 		}
-		d.AddEdge(uint32(u), uint32(v))
+		edges = append(edges, graph.Edge{U: uint32(u), V: uint32(v)})
 	}
-	return d
+	return graph.DynamicFromCSR(graph.FromEdges(n, edges))
+}
+
+// both appends the edge u–v in both directions.
+func both(edges []graph.Edge, u, v uint32) []graph.Edge {
+	return append(edges, graph.Edge{U: u, V: v}, graph.Edge{U: v, V: u})
 }
 
 // PreferentialAttachment generates a social-network-like graph: vertices
 // arrive one at a time and connect with deg undirected edges to existing
 // vertices chosen proportionally to current degree (Barabási–Albert). Both
 // edge directions are added, matching the paper's treatment of undirected
-// inputs (§5.1.3).
+// inputs (§5.1.3). It inserts edge by edge, because whether a draw added a
+// new edge decides the later draws.
 func PreferentialAttachment(n, deg int, seed int64) *graph.Dynamic {
 	if deg < 1 {
 		deg = 1
@@ -140,17 +148,15 @@ func PreferentialAttachment(n, deg int, seed int64) *graph.Dynamic {
 func RoadGrid(rows, cols int, shortcut float64, seed int64) *graph.Dynamic {
 	n := rows * cols
 	rng := rand.New(rand.NewSource(seed))
-	d := graph.NewDynamic(n)
+	edges := make([]graph.Edge, 0, 4*n)
 	id := func(r, c int) uint32 { return uint32(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if c+1 < cols {
-				d.AddEdge(id(r, c), id(r, c+1))
-				d.AddEdge(id(r, c+1), id(r, c))
+				edges = both(edges, id(r, c), id(r, c+1))
 			}
 			if r+1 < rows {
-				d.AddEdge(id(r, c), id(r+1, c))
-				d.AddEdge(id(r+1, c), id(r, c))
+				edges = both(edges, id(r, c), id(r+1, c))
 			}
 		}
 	}
@@ -158,11 +164,10 @@ func RoadGrid(rows, cols int, shortcut float64, seed int64) *graph.Dynamic {
 		u := uint32(rng.Intn(n))
 		v := uint32(rng.Intn(n))
 		if u != v {
-			d.AddEdge(u, v)
-			d.AddEdge(v, u)
+			edges = both(edges, u, v)
 		}
 	}
-	return d
+	return graph.DynamicFromCSR(graph.FromEdges(n, edges))
 }
 
 // KMerChain generates a protein-k-mer-like graph: many long symmetric
@@ -173,19 +178,17 @@ func KMerChain(n int, branchEvery int, seed int64) *graph.Dynamic {
 		branchEvery = 2
 	}
 	rng := rand.New(rand.NewSource(seed))
-	d := graph.NewDynamic(n)
+	edges := make([]graph.Edge, 0, 2*n+2*n/branchEvery)
 	for v := 0; v+1 < n; v++ {
-		d.AddEdge(uint32(v), uint32(v+1))
-		d.AddEdge(uint32(v+1), uint32(v))
+		edges = both(edges, uint32(v), uint32(v+1))
 		if v%branchEvery == 0 && v > 0 {
 			w := uint32(rng.Intn(n))
 			if w != uint32(v) {
-				d.AddEdge(uint32(v), w)
-				d.AddEdge(w, uint32(v))
+				edges = both(edges, uint32(v), w)
 			}
 		}
 	}
-	return d
+	return graph.DynamicFromCSR(graph.FromEdges(n, edges))
 }
 
 // TemporalEdge is one event of a temporal network: a directed edge with a

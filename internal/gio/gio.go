@@ -81,7 +81,7 @@ func ReadMatrixMarketCap(r io.Reader, maxVertices int) (*graph.Dynamic, error) {
 	if n > maxVertices {
 		return nil, fmt.Errorf("gio: MatrixMarket declares %d vertices, beyond the cap of %d (raise it with ReadMatrixMarketCap)", n, maxVertices)
 	}
-	d := graph.NewDynamic(n)
+	var edges []graph.Edge
 	read := 0
 	for read < nnz && sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -98,9 +98,9 @@ func ReadMatrixMarketCap(r io.Reader, maxVertices int) (*graph.Dynamic, error) {
 			return nil, fmt.Errorf("gio: bad entry %q (1-based indices in [1,%d])", line, n)
 		}
 		read++
-		d.AddEdge(uint32(u-1), uint32(v-1))
+		edges = append(edges, graph.Edge{U: uint32(u - 1), V: uint32(v - 1)})
 		if symmetric && u != v {
-			d.AddEdge(uint32(v-1), uint32(u-1))
+			edges = append(edges, graph.Edge{U: uint32(v - 1), V: uint32(u - 1)})
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -109,7 +109,7 @@ func ReadMatrixMarketCap(r io.Reader, maxVertices int) (*graph.Dynamic, error) {
 	if read < nnz {
 		return nil, fmt.Errorf("gio: expected %d entries, found %d", nnz, read)
 	}
-	return d, nil
+	return graph.DynamicFromCSR(graph.FromEdges(n, edges)), nil
 }
 
 // WriteMatrixMarket writes the graph as a general pattern coordinate matrix.
@@ -191,11 +191,7 @@ func ReadEdgeListCap(r io.Reader, maxVertices int) (*graph.Dynamic, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	d := graph.NewDynamic(maxID + 1)
-	for _, e := range edges {
-		d.AddEdge(e.U, e.V)
-	}
-	return d, nil
+	return graph.DynamicFromCSR(graph.FromEdges(maxID+1, edges)), nil
 }
 
 // ScanKeyedEdges parses an edge list whose endpoints are arbitrary

@@ -2,7 +2,10 @@ package gio
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -124,6 +127,55 @@ func TestBatchErrors(t *testing.T) {
 	for _, bad := range []string{"* 1 2\n", "+ 1\n", "+ a b\n"} {
 		if _, _, err := ReadBatch(strings.NewReader(bad)); err == nil {
 			t.Errorf("accepted %q", bad)
+		}
+	}
+}
+
+// TestReadersMatchAddEdgeReference feeds both text readers unsorted edges
+// with duplicates and self-loops and checks the graph against one built
+// with Dynamic.AddEdge from the same pairs.
+func TestReadersMatchAddEdgeReference(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 5 + rng.Intn(60)
+		var el, mm strings.Builder
+		pairs := 3 * n
+		fmt.Fprintf(&mm, "%%%%MatrixMarket matrix coordinate pattern symmetric\n%d %d %d\n", n, n, pairs)
+		ref, sym := graph.NewDynamic(n), graph.NewDynamic(n)
+		for range pairs {
+			u, v := uint32(rng.Intn(n)), uint32(rng.Intn(n))
+			if rng.Intn(8) == 0 {
+				v = u
+			}
+			fmt.Fprintf(&el, "%d %d\n", u, v)
+			fmt.Fprintf(&mm, "%d %d\n", u+1, v+1)
+			ref.AddEdge(u, v)
+			sym.AddEdge(u, v)
+			sym.AddEdge(v, u)
+		}
+		fmt.Fprintf(&el, "%d %d\n", n-1, n-1) // pins the vertex count at n
+		ref.AddEdge(uint32(n-1), uint32(n-1))
+
+		d, err := ReadEdgeList(strings.NewReader(el.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, "edge list", d, ref)
+		if d, err = ReadMatrixMarket(strings.NewReader(mm.String())); err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, "symmetric MatrixMarket", d, sym)
+	}
+}
+
+func sameRows(t *testing.T, name string, got, want *graph.Dynamic) {
+	t.Helper()
+	if got.N() != want.N() || got.M() != want.M() {
+		t.Fatalf("%s: n=%d m=%d, reference n=%d m=%d", name, got.N(), got.M(), want.N(), want.M())
+	}
+	for u := uint32(0); int(u) < want.N(); u++ {
+		if !slices.Equal(got.Out(u), want.Out(u)) {
+			t.Fatalf("%s: row %d = %v, reference %v", name, u, got.Out(u), want.Out(u))
 		}
 	}
 }

@@ -50,16 +50,6 @@ func (e *Engine) Resolve(key Key) (uint32, bool) {
 	return e.keys.Resolve(key)
 }
 
-// KeyOf returns the external key interned as vertex id u. Vertices that
-// were only ever named densely (Apply/Submit on a keyed engine) have no
-// key.
-func (e *Engine) KeyOf(u uint32) (Key, bool) {
-	if e.keys == nil {
-		return "", false
-	}
-	return e.keys.KeyOf(u)
-}
-
 // Keys returns how many keys the engine has interned so far (one past the
 // highest keyed vertex id), 0 for dense-ID engines.
 func (e *Engine) Keys() int {
@@ -163,23 +153,6 @@ func (e *Engine) internKeyed(del, ins []KeyEdge) (gdel, gins []graph.Edge, err e
 	return gdel, gins, nil
 }
 
-// RankedKey is one entry of a keyed top-k query: the vertex's external key
-// (empty for vertices only ever named densely), its dense id, and its
-// score.
-type RankedKey struct {
-	Key   Key
-	V     uint32
-	Score float64
-}
-
-// KeyMovement is one vertex's rank change between two views, addressed by
-// key — see View.DeltaKeys.
-type KeyMovement struct {
-	Key      Key
-	V        uint32
-	From, To float64
-}
-
 // ScoreOfKey returns the PageRank score of the vertex interned as key at
 // this view's version. It misses for keys never interned AND for keys
 // interned after this version was published — the view's vertex count is
@@ -201,60 +174,13 @@ func (v *View) ScoreOfKey(key Key) (float64, bool) {
 
 // KeyOf returns the external key of vertex u as of this view's version:
 // vertices beyond the view's universe — or only ever named densely — have
-// no key here.
+// no key here. The lookup allocates nothing, so a keyed top-k or delta is
+// the dense one plus one KeyOf per entry.
+//
+//dfpr:hotpath
 func (v *View) KeyOf(u uint32) (Key, bool) {
 	if v.keys == nil || int(u) >= len(v.ranks) {
 		return "", false
 	}
 	return v.keys.KeyOf(u)
-}
-
-// TopKKeys is TopK with each entry carrying its external key — the
-// leaderboard a client can actually render. Vertices without a key (dense
-// submissions on a keyed engine) keep an empty Key; on a dense-ID engine
-// every Key is empty. The selection cache is shared with TopK.
-func (v *View) TopKKeys(k int) []RankedKey {
-	if k <= 0 {
-		return nil
-	}
-	if k > len(v.ranks) {
-		k = len(v.ranks)
-	}
-	return v.AppendTopKKeys(make([]RankedKey, 0, k), k)
-}
-
-// AppendTopKKeys is TopKKeys appending into dst, for callers recycling
-// buffers on a hot serving path.
-//
-//dfpr:hotpath
-func (v *View) AppendTopKKeys(dst []RankedKey, k int) []RankedKey {
-	if k <= 0 {
-		return dst
-	}
-	if k > len(v.ranks) {
-		k = len(v.ranks)
-	}
-	ord := v.order(k)
-	for _, u := range ord[:k] {
-		key, _ := v.KeyOf(u)
-		dst = append(dst, RankedKey{Key: key, V: u, Score: v.ranks[u]})
-	}
-	return dst
-}
-
-// DeltaKeys is Delta with each movement carrying its external key: every
-// vertex whose rank differs between old and v, as movements From (the older
-// view's score) To (the newer's), sorted by vertex id. Vertices that did
-// not exist in the older view (the universe grew in between) report From 0.
-func (v *View) DeltaKeys(old *View) []KeyMovement {
-	moved := v.Delta(old)
-	if moved == nil {
-		return nil
-	}
-	out := make([]KeyMovement, len(moved))
-	for i, m := range moved {
-		key, _ := v.KeyOf(m.V)
-		out[i] = KeyMovement{Key: key, V: m.V, From: m.From, To: m.To}
-	}
-	return out
 }

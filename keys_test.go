@@ -44,14 +44,15 @@ func TestKeyedLifecycle(t *testing.T) {
 		if !ok || id != uint32(i) {
 			t.Fatalf("Resolve(%q) = %d, %v", k, id, ok)
 		}
-		back, ok := eng.KeyOf(uint32(i))
-		if !ok || back != k {
-			t.Fatalf("KeyOf(%d) = %q, %v", i, back, ok)
-		}
 	}
 	v, err := eng.View()
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, k := range []Key{"alice", "bob", "carol", "dave"} {
+		if back, ok := v.KeyOf(uint32(i)); !ok || back != k {
+			t.Fatalf("KeyOf(%d) = %q, %v", i, back, ok)
+		}
 	}
 	if v.N() != 4 {
 		t.Fatalf("N = %d, want 4", v.N())
@@ -69,16 +70,16 @@ func TestKeyedLifecycle(t *testing.T) {
 	if sa <= sd {
 		t.Errorf("alice %g should outrank dave %g", sa, sd)
 	}
-	top := v.TopKKeys(4)
-	if len(top) != 4 || top[0].Key == "" {
-		t.Fatalf("TopKKeys = %+v", top)
+	top := v.TopK(4)
+	if len(top) != 4 {
+		t.Fatalf("TopK = %+v", top)
 	}
-	if top[0].Key != "alice" {
-		t.Errorf("top key %q, want alice", top[0].Key)
+	if key, _ := v.KeyOf(top[0].V); key != "alice" {
+		t.Errorf("top key %q, want alice", key)
 	}
 	for i := 1; i < len(top); i++ {
 		if top[i].Score > top[i-1].Score {
-			t.Fatal("TopKKeys not descending")
+			t.Fatal("TopK not descending")
 		}
 	}
 
@@ -147,11 +148,11 @@ func TestViewKeyVersionPinning(t *testing.T) {
 	if s, ok := v2.ScoreOfKey("c"); !ok || s <= 0 {
 		t.Errorf("new view misses c: %g %v", s, ok)
 	}
-	// DeltaKeys across the growth names the newcomer with From 0.
-	dk := v2.DeltaKeys(v1)
+	// Delta across the growth reports the newcomer with From 0, and the
+	// newer view names it.
 	var sawC bool
-	for _, m := range dk {
-		if m.Key == "c" {
+	for _, m := range v2.Delta(v1) {
+		if key, _ := v2.KeyOf(m.V); key == "c" {
 			sawC = true
 			if m.From != 0 {
 				t.Errorf("new key c reports From %g, want 0", m.From)
@@ -159,7 +160,7 @@ func TestViewKeyVersionPinning(t *testing.T) {
 		}
 	}
 	if !sawC {
-		t.Error("DeltaKeys across growth did not report the new key")
+		t.Error("Delta across growth did not report the new key")
 	}
 }
 
@@ -194,8 +195,8 @@ func TestKeyedErrors(t *testing.T) {
 	if _, ok := v.ScoreOfKey("a"); ok {
 		t.Error("dense view scored a key")
 	}
-	if top := v.TopKKeys(2); len(top) != 2 || top[0].Key != "" {
-		t.Errorf("dense TopKKeys = %+v (want empty keys)", top)
+	if key, ok := v.KeyOf(0); ok || key != "" {
+		t.Errorf("dense KeyOf(0) = %q, %v (want a miss)", key, ok)
 	}
 
 	keyed, err := Open()
@@ -239,12 +240,17 @@ func TestScoreOfKeyZeroAllocs(t *testing.T) {
 		t.Errorf("ScoreOfKey allocates %.1f per call, want 0", avg)
 	}
 	// Warm keyed top-k into a recycled buffer allocates nothing either.
-	buf := make([]RankedKey, 0, 8)
-	v.TopKKeys(8)
+	buf := make([]Ranked, 0, 8)
+	v.TopK(8)
 	if avg := testing.AllocsPerRun(200, func() {
-		buf = v.AppendTopKKeys(buf[:0], 8)
+		buf = v.AppendTopK(buf[:0], 8)
+		for _, e := range buf {
+			if _, ok := v.KeyOf(e.V); !ok {
+				t.Fatal("top vertex has no key")
+			}
+		}
 	}); avg != 0 {
-		t.Errorf("warm AppendTopKKeys allocates %.1f per call, want 0", avg)
+		t.Errorf("warm AppendTopK plus KeyOf allocates %.1f per call, want 0", avg)
 	}
 }
 

@@ -429,18 +429,13 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if k > v.N() {
 		k = v.N()
 	}
-	var entries []topkEntry
-	if s.denseIDs(r) {
-		top := v.TopK(k)
-		entries = make([]topkEntry, len(top))
-		for i, e := range top {
-			entries[i] = topkEntry{Vertex: e.V, Score: e.Score}
-		}
-	} else {
-		top := v.TopKKeys(k)
-		entries = make([]topkEntry, len(top))
-		for i, e := range top {
-			entries[i] = topkEntry{Vertex: e.V, Key: e.Key, Score: e.Score}
+	top := v.TopK(k)
+	entries := make([]topkEntry, len(top))
+	keyed := !s.denseIDs(r)
+	for i, e := range top {
+		entries[i] = topkEntry{Vertex: e.V, Score: e.Score}
+		if keyed {
+			entries[i].Key, _ = v.KeyOf(e.V)
 		}
 	}
 	s.reads.Inc()

@@ -1,34 +1,19 @@
 package dfpr
 
-import "time"
-
-// Update is one versioned rank refresh delivered to subscribers.
-type Update struct {
-	// Seq is the graph version the ranks correspond to.
-	Seq uint64
-	// View is the zero-copy read handle on the refreshed ranks — the same
-	// immutable view Engine.View returns for this version, shared by every
-	// subscriber instead of copied per channel.
-	View *View
-	// Iterations and Converged describe the run that produced the update.
-	Iterations int
-	Converged  bool
-	// Elapsed is the wall-clock time of the refresh.
-	Elapsed time.Duration
-}
-
-// Subscription is a push stream of rank updates from an Engine, delivered
-// whenever a Rank call advances the rank version.
+// Subscription is a push stream of rank refreshes from an Engine: the
+// Result of every Rank call that advances the rank version, its View the
+// same immutable handle Engine.View returns for that version, shared by
+// every subscriber instead of copied per channel.
 //
 // Delivery is conflating, sized for live serving: a subscriber that falls
 // behind loses intermediate versions, never the latest — the channel always
-// holds the most recent undelivered update, so a slow consumer wakes up to
+// holds the most recent undelivered result, so a slow consumer wakes up to
 // fresh ranks instead of a backlog of stale ones. The channel is closed by
 // Subscription.Close and by Engine.Close.
 type Subscription struct {
 	e  *Engine
 	id uint64
-	ch chan Update
+	ch chan Result
 }
 
 // Subscribe registers a new rank-update stream. Subscribing to a closed
@@ -37,7 +22,7 @@ func (e *Engine) Subscribe() *Subscription {
 	e.subMu.Lock()
 	defer e.subMu.Unlock()
 	e.nextSub++
-	sub := &Subscription{e: e, id: e.nextSub, ch: make(chan Update, 1)}
+	sub := &Subscription{e: e, id: e.nextSub, ch: make(chan Result, 1)}
 	if e.closed.Load() {
 		close(sub.ch)
 		return sub
@@ -50,7 +35,7 @@ func (e *Engine) Subscribe() *Subscription {
 }
 
 // Updates returns the receive channel of the stream.
-func (s *Subscription) Updates() <-chan Update { return s.ch }
+func (s *Subscription) Updates() <-chan Result { return s.ch }
 
 // Close unregisters the subscription and closes its channel. Idempotent.
 func (s *Subscription) Close() {
@@ -64,8 +49,8 @@ func (s *Subscription) Close() {
 
 // publishLocked turns a successful Rank outcome into the published view of
 // its version: attaches the view to the result, retains it in the ViewAt
-// ring, makes it the lock-free latest, and pushes an update to every
-// subscriber. All of it is zero-copy — the rank vector is shared between
+// ring, makes it the lock-free latest, and pushes a copy of the result to
+// every subscriber. All of it is zero-copy — the rank vector is shared between
 // the result, the ring, Snapshot readers and every subscriber. Caller holds
 // e.mu, which also makes it the only publisher — the conflating send below
 // relies on that.
@@ -96,19 +81,12 @@ func (e *Engine) publishLocked(res *Result) {
 
 	e.subMu.Lock()
 	defer e.subMu.Unlock()
-	u := Update{
-		Seq:        res.Seq,
-		View:       v,
-		Iterations: res.Iterations,
-		Converged:  res.Converged,
-		Elapsed:    res.Elapsed,
-	}
 	for _, sub := range e.subs {
 		for {
 			select {
-			case sub.ch <- u:
+			case sub.ch <- *res:
 			default:
-				// Channel full: evict the stale undelivered update and
+				// Channel full: evict the stale undelivered result and
 				// retry. One spin suffices unless the receiver raced the
 				// eviction, in which case the send lands on the next try.
 				select {

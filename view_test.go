@@ -569,9 +569,9 @@ func TestLiveGraphsIndependentOfRoundsPerView(t *testing.T) {
 	}
 }
 
-// TestUpdateCarriesVersionedView pins the stream payload now that the
-// copy-based shims are gone: every Update's view is the same immutable
-// handle Engine.View serves for that version.
+// TestUpdateCarriesVersionedView pins the stream payload: a subscription
+// delivers the very Result its Rank returned, and that result's view is the
+// same immutable handle Engine.View serves for the version.
 func TestUpdateCarriesVersionedView(t *testing.T) {
 	eng, step := viewEngine(t)
 	sub := eng.Subscribe()
@@ -588,5 +588,16 @@ func TestUpdateCarriesVersionedView(t *testing.T) {
 	if u.View != latest || u.View.Seq() != u.Seq {
 		t.Fatalf("update view %p (seq %d) is not the published view %p (seq %d)",
 			u.View, u.View.Seq(), latest, latest.Seq())
+	}
+	ctx := context.Background()
+	if _, err := eng.Apply(ctx, nil, []Edge{{U: 0, V: 1}, {U: 1, V: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Rank(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := <-sub.Updates(); got != *res {
+		t.Fatalf("subscription delivered %+v, Rank returned %+v", got, *res)
 	}
 }
