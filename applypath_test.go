@@ -162,40 +162,38 @@ func (f pathFlavour) applyRounds(t *testing.T, e *Engine, rounds [][]pathSub) {
 
 // submitRounds is the coalesced-Submit source, on a durable engine: every
 // round's submissions reach the ingest loop as exactly one coalescing round.
-// The loop only ever blocks after a drain — inside storeApply on the
-// durability mutex and, under RankImmediate, in the Rank that follows a
-// publishing round (mu) — so the driver holds mu to park the loop between
-// rounds while a round queues up whole, and the durability mutex to park it
-// with that round drained while mu is taken back. The round queuing behind
-// a parked refresh may supersede it (ingestLoop), so the driver waits for
-// the drain itself, not for the parked version to rank. The mutexes are
-// held through a parker, so a round that fails releases them and Close can
-// stop the loop.
+// The loop blocks only in storeApply, so the driver parks it there, on the
+// durability mutex, with round i-1 drained while round i queues up whole.
+// To let round i-1 publish without the loop draining on into a half-queued
+// round, ingestMu holds the loop between that publication and its next
+// drain while the durability mutex is taken back. The refresher ranks each
+// version before the next publishes (WaitRanked), so every refresh is one
+// incremental step. The mutexes are held through a parker, so a round that
+// fails releases them and Close can stop the pipeline.
 func (f pathFlavour) submitRounds(t *testing.T, e *Engine, rounds [][]pathSub) {
 	t.Helper()
-	ctx := context.Background()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
 	d := e.durable()
 	var park parker
 	defer park.release()
-	park.lock(&e.mu)
-	var mark uint64 // supersessions counted before the previous round was submitted
+	landed := func(i int, tks []*Ticket) {
+		t.Helper()
+		for _, tk := range tks {
+			if seq, err := tk.Wait(ctx); err != nil || seq != uint64(i+1) {
+				t.Fatalf("round %d landed in version %d (%v), want one coalesced version %d", i, seq, err, i+1)
+			}
+		}
+		if err := e.WaitRanked(ctx, uint64(i+1)); err != nil {
+			t.Fatalf("version %d unranked: %v", i+1, err)
+		}
+	}
+	park.lock(&d.mu)
+	var prev []*Ticket
 	for i, round := range rounds {
 		if i == 0 && len(round) != 1 {
 			t.Fatal("round 0 finds the loop idle and must be a single submission")
 		}
-		// The loop's refresh of version i is supersedable unless it is the
-		// first Rank or the refresh before it was superseded (ingestLoop).
-		// A supersedable one looks at the queue before it parks its cancel
-		// func, so a submission ahead of that look would supersede it and
-		// leave the loop to drain part of the round: wait until it has
-		// parked. Any other refresh blocks in Rank on mu without looking.
-		if i > 1 && e.met.superseded.Value() == mark {
-			waitFor(t, fmt.Sprintf("refresh of version %d parked", i), 10*time.Second, func() bool {
-				return ingestArmed(e)
-			})
-		}
-		mark = e.met.superseded.Value()
-		park.lock(&d.mu)
 		var tks []*Ticket
 		for _, sub := range round {
 			tk, err := f.submit(e, sub[0], sub[1])
@@ -205,28 +203,23 @@ func (f pathFlavour) submitRounds(t *testing.T, e *Engine, rounds [][]pathSub) {
 			tks = append(tks, tk)
 		}
 		if i > 0 {
-			// Let the loop leave its Rank of version i (landed or superseded),
-			// drain this round and park in storeApply; mu is taken back before
-			// the round publishes.
-			park.unlock(&e.mu)
-			waitFor(t, fmt.Sprintf("round %d drained", i), 10*time.Second, func() bool {
-				e.ingestMu.Lock()
-				defer e.ingestMu.Unlock()
-				return len(e.ingestQ) == 0
-			})
-			park.lock(&e.mu)
-		}
-		park.unlock(&d.mu)
-		wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-		for _, tk := range tks {
-			if seq, err := tk.Wait(wctx); err != nil || seq != uint64(i+1) {
-				cancel()
-				t.Fatalf("round %d landed in version %d (%v), want one coalesced version %d", i, seq, err, i+1)
+			// Round i-1 publishes as version i; round i drains and parks.
+			park.lock(&e.ingestMu)
+			park.unlock(&d.mu)
+			if err := e.WaitVersion(ctx, uint64(i)); err != nil {
+				t.Fatalf("round %d never published: %v", i-1, err)
 			}
+			park.lock(&d.mu)
+			park.unlock(&e.ingestMu)
 		}
-		cancel()
+		waitDrained(t, e)
+		if i > 0 {
+			landed(i-1, prev)
+		}
+		prev = tks
 	}
-	park.unlock(&e.mu)
+	park.unlock(&d.mu)
+	landed(len(rounds)-1, prev)
 	if err := e.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,13 @@
 // dfpr.Engine behind the serve package's /v1 query surface. Point lookups,
 // top-k leaderboards and version deltas are answered from zero-copy views;
 // edge batches POSTed to /v1/apply flow through the engine's ingest
-// pipeline — coalesced off the request path, ranked per -rank-policy — and
-// come back 202 with the assigned version (append ?wait=ranked for
-// read-your-ranks). SIGINT/SIGTERM drains in-flight requests and flushes
-// the ingest queue before exiting. The server refreshes with lock-free
-// Dynamic Frontier PageRank (DFLF) at the paper's damping factor, as every
-// engine does; comparing algorithms is prbench -exp's job.
+// pipeline — coalesced off the request path, ranked behind it per
+// -rank-policy — and come back 202 with the assigned version (append
+// ?wait=ranked for read-your-ranks). SIGINT/SIGTERM drains in-flight
+// requests and flushes the ingest queue before exiting. The server
+// refreshes with lock-free Dynamic Frontier PageRank (DFLF) at the paper's
+// damping factor, as every engine does; comparing algorithms is prbench
+// -exp's job.
 //
 // With -data the engine is durable: every applied batch is written to a
 // write-ahead log under the directory, checkpoints bound replay, and a
@@ -21,7 +22,7 @@
 //	prserve -gen web -n 65536 -deg 12        # synthetic graph, no file needed
 //	prserve -gen web -data /var/lib/dfpr     # durable: applied edits survive restarts
 //	prserve -data /var/lib/dfpr              # warm restart from the directory alone
-//	prserve -gen web -rank-policy debounce -rank-max-latency 50ms
+//	prserve -gen web -rank-policy every -rank-every 4096
 //	prserve -keyed -in follows.kel           # string keys: 'alice bob' per line
 //	prserve -keyed -gen web -n 65536         # synthetic v<id> keys
 //
@@ -90,9 +91,7 @@ func main() {
 		threads  = flag.Int("threads", 0, "worker goroutines (0 = NumCPU)")
 		tol      = flag.Float64("tol", dfpr.DefaultTolerance, "iteration tolerance (L∞)")
 		history  = flag.Int("history", dfpr.DefaultHistory, "pending rounds replayable before a rebuild, and retained rank views (ViewAt / delta window)")
-		policy   = flag.String("rank-policy", "immediate", "ingest rank scheduling: immediate|debounce|every")
-		quiet    = flag.Duration("rank-quiet", 5*time.Millisecond, "debounce: quiet gap before ranking")
-		maxLat   = flag.Duration("rank-max-latency", 100*time.Millisecond, "debounce: hard freshness deadline")
+		policy   = flag.String("rank-policy", "immediate", "when the refresher ranks behind the ingest loop: immediate|every")
 		everyN   = flag.Int("rank-every", 4096, "every: edits between refreshes")
 		queue    = flag.Int("queue", dfpr.DefaultIngestQueue, "ingest queue bound in edits (backpressure above)")
 		keyed    = flag.Bool("keyed", false, "serve an open-universe keyed engine: -in is a keyed edge list ('fromKey toKey' per line); with -gen, vertices get synthetic v<id> keys")
@@ -115,7 +114,7 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	rp, err := parsePolicy(*policy, *quiet, *maxLat, *everyN)
+	rp, err := parsePolicy(*policy, *everyN)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -266,16 +265,14 @@ func newLogger(format, level string) (*slog.Logger, error) {
 }
 
 // parsePolicy resolves the -rank-policy flags into a dfpr.RankPolicy.
-func parsePolicy(name string, quiet, maxLat time.Duration, everyN int) (dfpr.RankPolicy, error) {
+func parsePolicy(name string, everyN int) (dfpr.RankPolicy, error) {
 	switch strings.ToLower(name) {
 	case "immediate":
 		return dfpr.RankImmediate(), nil
-	case "debounce":
-		return dfpr.RankDebounce(quiet, maxLat), nil
 	case "every":
 		return dfpr.RankEveryN(everyN), nil
 	default:
-		return dfpr.RankPolicy{}, fmt.Errorf("prserve: unknown -rank-policy %q (immediate|debounce|every)", name)
+		return dfpr.RankPolicy{}, fmt.Errorf("prserve: unknown -rank-policy %q (immediate|every)", name)
 	}
 }
 

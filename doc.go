@@ -44,13 +44,15 @@
 //
 // Writes scale through the ingest pipeline: Submit enqueues a batch and
 // returns a Ticket immediately, a background loop coalesces everything
-// queued into one merged batch per round, and a pluggable rank scheduler
-// (WithRankPolicy: RankImmediate, RankDebounce, RankEveryN) refreshes ranks
-// off the write path — so the refresh cost is amortised over however many
-// submissions arrived meanwhile, and the delta-merge snapshot cost scales
-// with the merged batch rather than the call count. Under RankImmediate a
-// submission that arrives mid-refresh supersedes the stale refresh instead
-// of queueing behind it:
+// queued into one merged batch per round and publishes it, and a refresher
+// ranks behind the loop, never blocking it — each refresh replays whatever
+// was published meanwhile as one merged span, so the refresh cost is
+// amortised over however many rounds arrived during the last one, and the
+// delta-merge snapshot cost scales with the merged batch rather than the
+// call count. WithRankPolicy sets how many unranked edits make a refresh
+// due (RankImmediate: any; RankEveryN). Under RankImmediate a round
+// published mid-refresh supersedes the stale refresh instead of queueing
+// behind it:
 //
 //	t, err := eng.Submit(ctx, del, ins)  // enqueue; returns immediately
 //	seq, err := t.Wait(ctx)              // version the edits landed in

@@ -31,8 +31,8 @@ type Edge struct {
 // The intended loop of a live-serving deployment runs through the ingest
 // pipeline — callers never pick batch boundaries or block on a refresh:
 //
-//	eng, _ := dfpr.New(n, edges, dfpr.WithRankPolicy(dfpr.RankDebounce(5*time.Millisecond, 50*time.Millisecond)))
-//	eng.Rank(ctx)                   // initial convergence
+//	eng, _ := dfpr.New(n, edges)
+//	eng.Rank(ctx)                     // initial convergence
 //	...
 //	t, _ := eng.Submit(ctx, del, ins) // enqueue; coalesced off the caller's path
 //	seq, _ := t.Wait(ctx)             // version the edits landed in
@@ -89,26 +89,30 @@ type Engine struct {
 	subs    map[uint64]*Subscription
 	nextSub uint64
 
-	// The ingest pipeline (ingest.go): a bounded queue drained by one
-	// background loop that coalesces submissions into one merged batch per
-	// round and schedules Rank per the configured policy. ingestMu guards
-	// the queue and the loop's start and is never held across an apply or
-	// a rank. Lock order: ingestMu is independent of mu (the loop takes mu
-	// via Rank only after releasing ingestMu).
+	// The write pipeline (ingest.go), two goroutines started on first use:
+	// the ingest loop drains a bounded queue, coalescing submissions into
+	// one merged batch per round, and publishes; the refresher ranks behind
+	// it. ingestMu guards the queue, the hand-off between the two and their
+	// start, and is never held across an apply or a rank. Lock order:
+	// ingestMu is independent of mu (the refresher takes mu via Rank only
+	// after releasing ingestMu).
 	ingestMu    sync.Mutex
 	ingestQ     []pendingSubmit
-	flushQ      []*flushReq
-	ingestEdits int  // queued, not yet drained (backpressure unit)
-	ingestOn    bool // loop started (lazily, on first Submit/Flush)
-	ingestWake  chan struct{}
-	ingestStop  chan struct{}
-	ingestDone  chan struct{}
-	ingestCtx   context.Context
-	ingestHalt  context.CancelFunc
-	// ingestSupersede cancels the loop's in-flight RankImmediate refresh;
-	// the next Submit takes it under ingestMu and calls it after releasing
-	// the lock (nil when no refresh may be superseded). See ingestLoop.
-	ingestSupersede context.CancelFunc
+	flushQ      []*flushReq // Flushes the loop has not drained yet
+	rankFlushes []*flushReq // Flushes drained with their round, for the refresher
+	ingestEdits int         // queued, not yet drained (backpressure unit)
+	// supersede cancels the refresher's in-flight refresh, which catches up
+	// to version refreshTip; nil when that refresh may not be superseded.
+	supersede  context.CancelFunc
+	refreshTip uint64
+	ingestOn   bool // pipeline started (lazily, on first Submit/Flush)
+	ingestWake chan struct{}
+	rankWake   chan struct{}
+	ingestWG   sync.WaitGroup // the loop and the refresher
+	// ingestCtx is the pipeline's own context: Close cancels it through
+	// ingestHalt, which stops both goroutines and the refresher's Rank.
+	ingestCtx  context.Context
+	ingestHalt context.CancelFunc
 
 	// dur is the durability sidecar (nil without WithDurability): the WAL
 	// every published round is logged to ahead of publication, plus the
@@ -275,9 +279,9 @@ func (e *Engine) errIfFollower() error {
 
 // applyInternal publishes one converted batch as one version: the shared
 // tail of Apply, Grow and ApplyKeyed. It calls storeApply directly rather
-// than going through the ingest queue — the loop would rank underneath the
-// caller, and the contract here is that ranks do not move until the next
-// Rank.
+// than going through the ingest queue — the refresher would rank underneath
+// the caller, and the contract here is that ranks do not move until the
+// next Rank.
 func (e *Engine) applyInternal(up batch.Update) (uint64, error) {
 	if err := e.checkUniverse(up); err != nil {
 		return 0, err
@@ -502,8 +506,8 @@ func (e *Engine) SetFaultPlan(p FaultPlan) error {
 	return nil
 }
 
-// Close shuts the engine down: the ingest pipeline stops (an in-flight
-// scheduled Rank is canceled; submissions still queued fail their tickets
+// Close shuts the engine down: the ingest pipeline stops (the refresher's
+// in-flight Rank is canceled; submissions still queued fail their tickets
 // with ErrClosed — Flush first to make them durable), WaitVersion/WaitRanked
 // callers are released with ErrClosed, and every subscription's channel
 // closes. In-flight Rank and Apply calls finish first (cancel a Rank's
@@ -513,8 +517,8 @@ func (e *Engine) SetFaultPlan(p FaultPlan) error {
 // any).
 func (e *Engine) Close() error {
 	first := !e.closed.Swap(true)
-	// The ingest loop is stopped before mu is taken: the loop's scheduled
-	// Rank holds mu, so stopping it afterwards would deadlock.
+	// The pipeline is stopped before mu is taken: the refresher's Rank
+	// holds mu, so stopping it afterwards would deadlock.
 	e.stopIngest(first)
 	// mu waits out an in-flight Rank and closeMu an in-flight apply; every
 	// later one sees closed. Holding closeMu to the end also keeps the log

@@ -11,9 +11,9 @@
 // resolves each entry's key against exactly the universe of its version. Movements
 // against the previous frame are shown as ▲/▼/＊ markers.
 //
-// The writer never calls Rank: a debounce rank policy refreshes at a bounded
-// freshness deadline however many rounds arrived meanwhile, and a full
-// ingest queue surfaces as ErrQueueFull backpressure, which the writer
+// The writer never calls Rank: the engine's refresher ranks behind the
+// ingest loop, one refresh over however many rounds arrived meanwhile, and a
+// full ingest queue surfaces as ErrQueueFull backpressure, which the writer
 // answers by yielding and retrying.
 //
 // Run with:
@@ -51,9 +51,6 @@ func main() {
 		dfpr.WithThreads(4),
 		dfpr.WithTolerance(1e-3/players),
 		dfpr.WithFrontierTolerance(1e-3/players),
-		// Ranks start within 40ms of the oldest unranked round — the
-		// freshness promise — or after 5ms of quiet, whichever comes first.
-		dfpr.WithRankPolicy(dfpr.RankDebounce(5*time.Millisecond, 40*time.Millisecond)),
 	)
 	if err != nil {
 		panic(err)

@@ -11,11 +11,11 @@ import (
 )
 
 // This file is the engine's write-side pipeline: Submit enqueues edits and
-// returns immediately with a Ticket, a single background ingest loop
-// coalesces everything queued into ONE merged batch per round (delta-merge
-// snapshot cost scales with the merged batch, not the call count), and a
-// rank scheduler drives Rank off the caller's path according to the
-// configured RankPolicy. Completion is observable through tickets and the
+// returns immediately with a Ticket, the ingest loop coalesces everything
+// queued into ONE merged batch per round (delta-merge snapshot cost scales
+// with the merged batch, not the call count) and publishes it, and the
+// refresher ranks behind the loop, never blocking it, once the configured
+// RankPolicy's threshold is reached. Completion is observable through tickets and the
 // WaitVersion/WaitRanked watermarks; WithIngestQueue bounds the queue so a
 // firehose of writers sees ErrQueueFull backpressure instead of unbounded
 // memory growth.
@@ -58,72 +58,49 @@ func (t *Ticket) Wait(ctx context.Context) (uint64, error) {
 	}
 }
 
-// rankPolicyKind enumerates the scheduling disciplines of RankPolicy.
+// rankPolicyKind enumerates the disciplines of RankPolicy.
 type rankPolicyKind int
 
 const (
 	rankImmediate rankPolicyKind = iota
-	rankDebounce
 	rankEveryN
 )
 
-// RankPolicy decides when the ingest loop refreshes ranks. Construct one
-// with RankImmediate, RankDebounce or RankEveryN and install it with
+// RankPolicy decides when the refresher ranks behind the ingest loop.
+// Construct one with RankImmediate or RankEveryN and install it with
 // WithRankPolicy; the zero value behaves like RankImmediate().
 type RankPolicy struct {
 	kind  rankPolicyKind
 	every int
-	quiet time.Duration
-	max   time.Duration
 }
 
-// RankImmediate refreshes ranks after every coalesced round — the freshest
-// discipline, still off the submitter's path (the default). A Submit that
-// arrives while such a refresh runs supersedes it: the refresh is canceled
-// and the next one covers both rounds, so a WaitRanked caller sits through
-// one refresh, not the stale one plus its own. The refresh after a
-// supersession always lands, so a steady writer cannot starve ranks.
+// RankImmediate ranks whenever the ranks lag the graph — the freshest
+// discipline, still off the submitter's path (the default). A round
+// published while such a refresh catches up to an older version supersedes
+// it: the refresh is canceled and the next one covers both, so a WaitRanked
+// caller sits through one refresh, not the stale one plus its own. The
+// refresh after a supersession always lands, so a steady writer cannot
+// starve ranks.
 func RankImmediate() RankPolicy { return RankPolicy{kind: rankImmediate} }
 
-// RankDebounce refreshes once the round stream has been quiet for the given
-// duration, but never lets published-yet-unranked edits age beyond
-// maxLatency: a steady firehose is ranked every maxLatency, a trickle at
-// quiet-edge boundaries. maxLatency is the freshness deadline a deployment
-// promises its readers.
-func RankDebounce(quiet, maxLatency time.Duration) RankPolicy {
-	return RankPolicy{kind: rankDebounce, quiet: quiet, max: maxLatency}
-}
-
-// RankEveryN refreshes once at least n edits (edges of the merged batches)
-// have been published since the last refresh. Leftovers below the threshold
-// stay unranked until more arrive or Flush forces a refresh.
+// RankEveryN ranks once at least n edits (edges of the merged batches) have
+// been published since the last landed refresh. Leftovers below the
+// threshold stay unranked until more arrive, Flush forces a refresh, or the
+// ranks lag by WithHistory versions; an engine without ranks converges at
+// once.
 func RankEveryN(n int) RankPolicy { return RankPolicy{kind: rankEveryN, every: n} }
 
 // String names the policy for logs and stats pages.
 func (p RankPolicy) String() string {
-	switch p.kind {
-	case rankDebounce:
-		return fmt.Sprintf("debounce(%v, max %v)", p.quiet, p.max)
-	case rankEveryN:
+	if p.kind == rankEveryN {
 		return fmt.Sprintf("every(%d edits)", p.every)
-	default:
-		return "immediate"
 	}
+	return "immediate"
 }
 
 func (p RankPolicy) validate() error {
-	switch p.kind {
-	case rankDebounce:
-		if p.quiet <= 0 {
-			return fmt.Errorf("dfpr: debounce quiet %v must be positive", p.quiet)
-		}
-		if p.max < p.quiet {
-			return fmt.Errorf("dfpr: debounce max latency %v below quiet %v", p.max, p.quiet)
-		}
-	case rankEveryN:
-		if p.every <= 0 {
-			return fmt.Errorf("dfpr: rank-every-N threshold %d must be positive", p.every)
-		}
+	if p.kind == rankEveryN && p.every <= 0 {
+		return fmt.Errorf("dfpr: rank-every-N threshold %d must be positive", p.every)
 	}
 	return nil
 }
@@ -151,10 +128,10 @@ type flushReq struct {
 // onto the ingest pipeline and returns a Ticket immediately. The background
 // loop coalesces every queued submission into one merged batch per round
 // (last operation per edge wins, exactly as if the submissions had been
-// applied in order as a single batch), publishes one version for the round,
-// and refreshes ranks per the engine's RankPolicy. Like Apply, Submit is
-// open-universe: edges naming vertices beyond the current count grow the
-// graph when their round applies. Use Ticket.Wait (or
+// applied in order as a single batch) and publishes one version for the
+// round; the refresher ranks behind it per the engine's RankPolicy. Like
+// Apply, Submit is open-universe: edges naming vertices beyond the current
+// count grow the graph when their round applies. Use Ticket.Wait (or
 // Done/Version) for the assigned version and WaitRanked to observe the
 // refresh; Apply remains the synchronous one-version-per-call path.
 //
@@ -204,15 +181,8 @@ func (e *Engine) submitInternal(ctx context.Context, gdel, gins []graph.Edge) (*
 	e.ingestEdits += size
 	e.met.submissions.Inc()
 	e.startIngestLocked()
-	supersede := e.ingestSupersede
-	e.ingestSupersede = nil
 	e.ingestMu.Unlock()
-	if supersede != nil {
-		// The refresh in flight is stale: cancel it so the loop takes this
-		// round at once and ranks both in one merged run (ingestLoop).
-		supersede()
-	}
-	e.wakeIngest()
+	wake(e.ingestWake)
 	return t, nil
 }
 
@@ -231,7 +201,7 @@ func (e *Engine) Flush(ctx context.Context) error {
 	e.flushQ = append(e.flushQ, f)
 	e.startIngestLocked()
 	e.ingestMu.Unlock()
-	e.wakeIngest()
+	wake(e.ingestWake)
 	select {
 	case <-f.done:
 		if d := e.durable(); f.err == nil && d != nil {
@@ -264,90 +234,88 @@ func (e *Engine) WaitRanked(ctx context.Context, seq uint64) error {
 	return e.rankWM.wait(ctx, seq)
 }
 
-// startIngestLocked launches the ingest loop on first use. Caller holds
-// e.ingestMu.
+// startIngestLocked launches the ingest loop and the refresher on first
+// use. Caller holds e.ingestMu.
 func (e *Engine) startIngestLocked() {
 	if e.ingestOn {
 		return
 	}
 	e.ingestOn = true
 	e.ingestWake = make(chan struct{}, 1)
-	e.ingestStop = make(chan struct{})
-	e.ingestDone = make(chan struct{})
+	e.rankWake = make(chan struct{}, 1)
 	e.ingestCtx, e.ingestHalt = context.WithCancel(context.Background())
+	e.ingestWG.Add(2)
 	go e.ingestLoop()
+	go e.refresher()
 }
 
-// wakeIngest nudges the loop; a pending nudge suffices for any number of
-// submissions.
-func (e *Engine) wakeIngest() {
+// wake nudges the goroutine reading ch; a pending nudge suffices for any
+// number of events.
+func wake(ch chan struct{}) {
 	select {
-	case e.ingestWake <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
 	}
 }
 
 // stopIngest shuts the pipeline down once Close has set closed: no new
-// submissions (they read closed under ingestMu, and a loop started before
-// this critical section is seen by it), the in-flight scheduled Rank (if
-// any) is canceled, queued-but-unapplied tickets fail with ErrClosed. The
-// first Close stops the loop; every call waits for it to exit.
+// submissions (they read closed under ingestMu, and goroutines started
+// before this critical section are seen by it), the in-flight refresh (if
+// any) is canceled, and queued-but-unapplied tickets and unresolved flushes
+// fail with ErrClosed. The first Close stops both goroutines; every call
+// waits for them to exit.
 func (e *Engine) stopIngest(first bool) {
 	e.ingestMu.Lock()
 	on := e.ingestOn
 	e.ingestMu.Unlock()
-	if first && on {
-		close(e.ingestStop)
+	if !on {
+		return
+	}
+	if first {
 		e.ingestHalt()
 	}
-	if on {
-		<-e.ingestDone
-	}
+	e.ingestWG.Wait()
+	// Submissions accepted but not yet applied are lost by contract — Flush
+	// before Close makes them durable.
+	e.ingestMu.Lock()
+	q, flushes := e.ingestQ, append(e.flushQ, e.rankFlushes...)
+	e.ingestQ, e.flushQ, e.rankFlushes, e.ingestEdits = nil, nil, nil, 0
+	e.ingestMu.Unlock()
+	resolveTickets(q, 0, ErrClosed)
+	resolveFlushes(flushes, ErrClosed)
 }
 
-// ingestLoop is the single background consumer: one coalescing round per
-// wake-up, then a policy decision whether to rank now, later (timer), or
-// not yet.
+// ingestLoop is the write side's one consumer: one coalescing round per
+// wake-up — drain, merge, log, publish, resolve the round's tickets, settle
+// the key space. It never ranks: each published round and each drained
+// Flush is handed to the refresher.
 func (e *Engine) ingestLoop() {
-	defer close(e.ingestDone)
-	var (
-		pending    int       // applied-but-unranked edits
-		dirtySince time.Time // when pending went 0 → positive
-		lastRound  time.Time // when the newest round was applied
-		superseded bool      // the pending span has had its one supersession
-		timer      *time.Timer
-	)
+	defer e.ingestWG.Done()
 	for {
-		var timerC <-chan time.Time
-		if timer != nil {
-			timerC = timer.C
-		}
 		select {
-		case <-e.ingestStop:
-			e.failPending(ErrClosed)
+		case <-e.ingestCtx.Done():
 			return
 		case <-e.ingestWake:
-		case <-timerC:
-			timer = nil
-		}
-		if timer != nil {
-			if !timer.Stop() {
-				<-timer.C
-			}
-			timer = nil
 		}
 
+		// The history guard: the loop publishes at most WithHistory versions
+		// past the ranks. One more would push the links the next refresh
+		// replays out of the store's ring and turn it into a rebuild, so the
+		// queue coalesces instead while the refresher (due at that lag
+		// whatever the policy) catches up; a landed refresh wakes the loop.
+		if e.Behind() >= uint64(e.opts.history) {
+			wake(e.rankWake)
+			continue
+		}
 		// Drain: everything queued right now becomes one round; flushes
 		// taken in the same critical section cover at least every submission
 		// accepted before them.
 		e.ingestMu.Lock()
-		q := e.ingestQ
-		flushes := e.flushQ
-		e.ingestQ = nil
-		e.flushQ = nil
-		e.ingestEdits = 0
+		q, flushes := e.ingestQ, e.flushQ
+		e.ingestQ, e.flushQ, e.ingestEdits = nil, nil, 0
 		e.ingestMu.Unlock()
 
+		var published uint64 // the round's version; 0 when it published none
 		if len(q) > 0 {
 			ups := make([]batch.Update, len(q))
 			for i, p := range q {
@@ -358,8 +326,9 @@ func (e *Engine) ingestLoop() {
 			// submissions' universe outgrows the store: a vertex whose only
 			// edge was inserted and deleted within the round still exists
 			// afterwards (exactly as sequential application would leave it),
-			// so pure-growth rounds must publish — and count as an edit below,
-			// or no policy would ever rank the rescaled teleport term.
+			// so pure-growth rounds must publish — and count as an edit toward
+			// the policy's threshold, or no policy would ever rank the
+			// rescaled teleport term (refreshDueLocked).
 			grows := merged.N > e.store.Current().G.N()
 			if merged.Size() == 0 && !grows {
 				// Nothing survived the merge (empty submissions, or churn
@@ -386,136 +355,138 @@ func (e *Engine) ingestLoop() {
 				// flushes only when IngestRounds says the pipeline ran).
 				e.met.ingestRounds.Inc()
 				e.met.ingestCoalesced.Add(uint64(merged.Size()))
-				resolveTickets(q, seq, nil)
-				if pending == 0 {
-					dirtySince = time.Now()
-				}
-				// A pure-growth round carries no edges but still moved every
-				// rank (the teleport term rescaled): count at least one edit
-				// so the rank policies see it.
-				pending += max(merged.Size(), 1)
-				lastRound = time.Now()
+				published = seq
 			}
 		}
 
-		// Rank scheduling: flushes force a full catch-up; otherwise the
-		// policy decides now / at a deadline / not yet.
-		rankNow := len(flushes) > 0 && e.Behind() > 0
-		p := e.opts.policy
-		if pending > 0 {
-			switch p.kind {
-			case rankImmediate:
-				rankNow = true
-			case rankEveryN:
-				rankNow = rankNow || pending >= p.every
-			case rankDebounce:
-				deadline := lastRound.Add(p.quiet)
-				if md := dirtySince.Add(p.max); md.Before(deadline) {
-					deadline = md
-				}
-				if !time.Now().Before(deadline) {
-					rankNow = true
-				} else if !rankNow {
-					timer = time.NewTimer(time.Until(deadline))
-				}
-			}
+		e.ingestMu.Lock()
+		// Supersession (DESIGN §6): the refresh in flight catches up to an
+		// older version than this round's, so it is stale — cancel it, and
+		// the next refresh ranks both as one merged run. Done before the
+		// tickets resolve, so a writer that holds this round's version knows
+		// the stale refresh is gone.
+		if e.supersede != nil && published > e.refreshTip {
+			e.supersede()
+			e.supersede = nil
+		}
+		e.rankFlushes = append(e.rankFlushes, flushes...)
+		idle := len(e.ingestQ) == 0
+		e.ingestMu.Unlock()
+		if published > 0 {
+			resolveTickets(q, published, nil)
+		}
+		if published > 0 || len(flushes) > 0 {
+			wake(e.rankWake)
 		}
 		// At a burst's trailing edge — nothing further queued — settle the
 		// key space so a now-idle engine serves its freshest keys lock-free
 		// (gated against trickle-write quadratic copying; see keymap.Settle).
-		if e.keys != nil {
-			e.ingestMu.Lock()
-			idle := len(e.ingestQ) == 0
+		if idle && e.keys != nil {
+			e.keys.Settle()
+		}
+	}
+}
+
+// refreshDueLocked reports whether the refresher has work: ranks lag the
+// graph, and a Flush waits, the lag reaches the history guard's WithHistory
+// versions, or the edits of the versions past the ranks reach the policy's
+// threshold. A version whose batch carries no edges (pure growth) still
+// moved every rank and counts as one edit. Caller holds e.ingestMu.
+func (e *Engine) refreshDueLocked() bool {
+	behind := e.Behind()
+	switch {
+	case behind == 0:
+		return false
+	case len(e.rankFlushes) > 0 || behind >= uint64(e.opts.history) || e.opts.policy.kind == rankImmediate:
+		return true
+	}
+	v := e.latest.Load()
+	if v == nil {
+		return true // the first convergence
+	}
+	links, _, _ := e.store.Since(v.seq) // behind < WithHistory: all still in the ring
+	edits := 0
+	for _, l := range links {
+		edits += max(l.Update.Size(), 1)
+	}
+	return edits >= e.opts.policy.every
+}
+
+// refresher ranks behind the ingest loop, on the pipeline's own context —
+// never a request's, so a disconnecting writer cannot abort a refresh other
+// readers are waiting on. It refreshes whenever refreshDueLocked says so;
+// whatever the loop publishes meanwhile, the next refresh replays as one
+// merged span, so under a firehose it batches by itself at one refresh per
+// refresh time.
+func (e *Engine) refresher() {
+	defer e.ingestWG.Done()
+	var (
+		superseded bool             // the pending span has had its one supersession
+		retry      <-chan time.Time // armed by a failed refresh
+	)
+	for {
+		select {
+		case <-e.ingestCtx.Done():
+			return
+		case <-e.rankWake:
+		case <-retry:
+		}
+		retry = nil
+		e.ingestMu.Lock()
+		due := e.refreshDueLocked()
+		flushes := e.rankFlushes
+		e.rankFlushes = nil
+		if !due {
+			// Nothing to rank, so the flushes find the engine caught up.
 			e.ingestMu.Unlock()
-			if idle {
-				e.keys.Settle()
-			}
+			resolveFlushes(flushes, nil)
+			continue
 		}
-
-		var rankErr error
-		if rankNow {
-			// Supersession (DESIGN §6): under RankImmediate a Submit that
-			// arrives mid-refresh cancels it, and the next refresh replays
-			// both rounds as one merged DF-LF run. Never a Flush's refresh,
-			// the initial convergence, a rebuild (links gone from the ring),
-			// or the refresh after a supersession — so a version waits for at
-			// most one canceled partial refresh plus one full one.
-			supersedable := p.kind == rankImmediate && len(flushes) == 0 && !superseded &&
-				e.latest.Load() != nil && e.Behind() <= uint64(e.opts.history)
-			if s, err := e.rankScheduled(supersedable); s {
-				// Not a failure: the new round is already queued and woke
-				// the loop, so no retry timer is armed.
-				superseded = true
-				e.met.superseded.Inc()
-			} else if err != nil {
-				rankErr = err
-				// A failed refresh must not strand applied-but-unranked
-				// edits: when the stream goes quiet nothing else re-wakes
-				// the loop, so arm a retry — unless the pipeline is being
-				// shut down (canceled context), where the stop signal wins.
-				if pending > 0 && timer == nil && e.ingestCtx.Err() == nil {
-					timer = time.NewTimer(rankRetryDelay)
-				}
-			} else {
-				pending, superseded = 0, false
-			}
+		ctx, cancel := context.WithCancel(e.ingestCtx)
+		// Supersedable: under RankImmediate only, and never a Flush's
+		// refresh, the first convergence, a rebuild (links gone from the
+		// ring), or the refresh after a supersession — so a version waits
+		// for at most one canceled partial refresh plus one full one. The
+		// cancel func is armed before the tip is read, in one critical
+		// section, so every round published past that tip finds it.
+		if e.opts.policy.kind == rankImmediate && len(flushes) == 0 && !superseded &&
+			e.latest.Load() != nil && e.Behind() <= uint64(e.opts.history) {
+			e.supersede = cancel
 		}
-		// A refresh canceled by the pipeline's own shutdown is the documented
-		// close state, not a caller-visible cancellation.
-		if rankErr != nil && e.ingestCtx.Err() != nil {
-			rankErr = ErrClosed
-		}
-		resolveFlushes(flushes, rankErr)
-	}
-}
-
-// rankScheduled runs the loop's refresh on the loop's context. A
-// supersedable one runs on a child context whose cancel func is parked in
-// ingestSupersede for the next Submit to take; superseded reports that the
-// run was canceled that way (the pipeline still running) instead of landing.
-// A submission queued before the cancel func is parked supersedes the
-// refresh before it starts, so whether a round arrives just before or just
-// after the refresh begins, the loop runs one refresh over both.
-func (e *Engine) rankScheduled(supersedable bool) (superseded bool, err error) {
-	if !supersedable {
-		_, err = e.Rank(e.ingestCtx)
-		return false, err
-	}
-	ctx, cancel := context.WithCancel(e.ingestCtx)
-	defer cancel()
-	e.ingestMu.Lock()
-	if len(e.ingestQ) > 0 {
+		e.refreshTip = e.store.Current().Seq
 		e.ingestMu.Unlock()
-		return true, nil
+
+		_, err := e.Rank(ctx)
+		canceled := ctx.Err() != nil
+		cancel()
+		e.ingestMu.Lock()
+		e.supersede = nil
+		e.ingestMu.Unlock()
+		switch {
+		case err == nil:
+			superseded = false
+			wake(e.ingestWake) // a round the history guard held back may go now
+		case e.ingestCtx.Err() != nil:
+			// Canceled by the pipeline's own shutdown: the documented close
+			// state, not a caller-visible cancellation.
+			err = ErrClosed
+		case canceled:
+			// Superseded, which is not a failure: the round that canceled
+			// the refresh has already woken the refresher.
+			superseded, err = true, nil
+			e.met.superseded.Inc()
+		default:
+			// A failed refresh must not strand published-but-unranked edits:
+			// once the stream goes quiet nothing else wakes the refresher.
+			retry = time.After(rankRetryDelay)
+		}
+		resolveFlushes(flushes, err)
 	}
-	e.ingestSupersede = cancel
-	e.ingestMu.Unlock()
-	_, err = e.Rank(ctx)
-	e.ingestMu.Lock()
-	e.ingestSupersede = nil
-	e.ingestMu.Unlock()
-	return err != nil && ctx.Err() != nil && e.ingestCtx.Err() == nil, err
 }
 
-// rankRetryDelay is how long the ingest loop waits before retrying a rank
-// refresh that failed (crashed workers under a fault plan, typically)
-// while applied-but-unranked edits are pending.
+// rankRetryDelay is how long the refresher waits before retrying a refresh
+// that failed (crashed workers under a fault plan, typically).
 const rankRetryDelay = 50 * time.Millisecond
-
-// failPending rejects everything still queued at shutdown. Submissions
-// accepted but not yet applied are lost by contract — Flush before Close
-// makes them durable.
-func (e *Engine) failPending(err error) {
-	e.ingestMu.Lock()
-	q := e.ingestQ
-	flushes := e.flushQ
-	e.ingestQ = nil
-	e.flushQ = nil
-	e.ingestEdits = 0
-	e.ingestMu.Unlock()
-	resolveTickets(q, 0, err)
-	resolveFlushes(flushes, err)
-}
 
 // resolveTickets completes every submission of one round with the version
 // that carries it, or the error that lost it.

@@ -36,9 +36,8 @@ func ingestEngine(t *testing.T, opts ...Option) (*Engine, int, []Edge) {
 // that final graph.
 func TestSubmitCoalescesToEquivalentGraph(t *testing.T) {
 	ctx := context.Background()
-	// Stall coalescing behind a long debounce so concurrent submissions
-	// actually share rounds.
-	eng, n, edges := ingestEngine(t, WithRankPolicy(RankDebounce(time.Hour, 2*time.Hour)))
+	// No refresh before the Flush: the rounds are the loop's alone.
+	eng, n, edges := ingestEngine(t, WithRankPolicy(RankEveryN(1<<30)))
 
 	_, _, mirror := testGraph(t, 9, 55)
 	var ups []batch.Update
@@ -169,55 +168,9 @@ func TestRankEveryNPolicy(t *testing.T) {
 	}
 }
 
-// TestRankDebounceMaxLatencyBound drives a steady trickle faster than the
-// quiet gap: only the max-latency deadline can fire, so ranks must be
-// published while the trickle runs — and far fewer rank versions than
-// submissions.
-func TestRankDebounceMaxLatencyBound(t *testing.T) {
-	ctx := context.Background()
-	eng, _, _ := ingestEngine(t, WithRankPolicy(RankDebounce(60*time.Millisecond, 150*time.Millisecond)))
-
-	deadline := time.Now().Add(700 * time.Millisecond)
-	submissions := 0
-	var lastSeq uint64
-	for time.Now().Before(deadline) {
-		tk, err := eng.Submit(ctx, nil, []Edge{{U: uint32(submissions % 50), V: uint32((submissions + 9) % 50)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := tk.Wait(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lastSeq = seq
-		submissions++
-		time.Sleep(10 * time.Millisecond) // always inside the quiet window
-	}
-	// The max-latency deadline must have forced at least one mid-stream
-	// refresh: the rank watermark may lag the newest submission but not the
-	// stream's start.
-	v, err := eng.View()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Seq() == 0 {
-		t.Fatalf("no refresh during %d submissions despite the max-latency deadline", submissions)
-	}
-	st := eng.Stats()
-	if st.Refreshes >= submissions {
-		t.Errorf("refreshes %d not amortised over %d submissions", st.Refreshes, submissions)
-	}
-	if err := eng.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.WaitRanked(ctx, lastSeq); err != nil {
-		t.Fatalf("flush did not settle the watermark: %v", err)
-	}
-}
-
 // TestSubmitBackpressure pins ErrQueueFull: a submission that cannot ever
-// fit is rejected outright, and a stalled loop (slow scheduled rank) lets
-// the queue fill to the bound.
+// fit is rejected outright, and a stalled loop lets the queue fill to the
+// bound.
 func TestSubmitBackpressure(t *testing.T) {
 	ctx := context.Background()
 	eng, _, _ := ingestEngine(t, WithIngestQueue(4), WithRankPolicy(RankImmediate()))
@@ -225,21 +178,22 @@ func TestSubmitBackpressure(t *testing.T) {
 	if _, err := eng.Submit(ctx, nil, []Edge{{U: 0, V: 9}, {U: 1, V: 9}, {U: 2, V: 9}, {U: 3, V: 9}, {U: 4, V: 9}}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("oversized submission: %v, want ErrQueueFull", err)
 	}
-	// Stall the scheduled rank with injected delays so queued edits pile up
+	// Stall the loop in storeApply (closeMu held) so queued edits pile up
 	// behind it.
-	if err := eng.SetFaultPlan(FaultPlan{DelayProb: 1, DelayDur: time.Millisecond, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
+	var park parker
+	defer park.release()
+	park.lock(&eng.closeMu)
 	if _, err := eng.Submit(ctx, nil, []Edge{{U: 0, V: 11}}); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the loop is inside the slow rank (the queue has been
-	// drained once), then fill the bound.
+	// Wait until the loop is stalled with the queue drained once, then fill
+	// the bound.
+	waitDrained(t, eng)
 	fillDeadline := time.Now().Add(5 * time.Second)
 	filled := 0
 	for filled < 4 {
 		if time.Now().After(fillDeadline) {
-			t.Fatal("queue never filled behind the stalled rank")
+			t.Fatal("queue never filled behind the stalled loop")
 		}
 		_, err := eng.Submit(ctx, nil, []Edge{{U: uint32(10 + filled), V: uint32(20 + filled)}})
 		switch {
@@ -252,8 +206,7 @@ func TestSubmitBackpressure(t *testing.T) {
 		}
 	}
 	// With 4 edits queued (or the bound otherwise reached), one more must
-	// bounce... unless the loop drained meanwhile; accept either but demand
-	// that AT SOME POINT backpressure fired.
+	// bounce.
 	sawFull := false
 	for i := 0; i < 50 && !sawFull; i++ {
 		_, err := eng.Submit(ctx, nil, []Edge{{U: 40, V: uint32(41 + i%8)}})
@@ -266,9 +219,7 @@ func TestSubmitBackpressure(t *testing.T) {
 	if !sawFull {
 		t.Error("backpressure never engaged despite a stalled loop and a bound of 4")
 	}
-	if err := eng.SetFaultPlan(FaultPlan{}); err != nil {
-		t.Fatal(err)
-	}
+	park.unlock(&eng.closeMu)
 	if err := eng.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -405,14 +356,15 @@ func TestWaitersReleasedOnClose(t *testing.T) {
 func TestSubmitAfterCloseAndQueuedTicketsFail(t *testing.T) {
 	ctx := context.Background()
 	eng, _, _ := ingestEngine(t, WithRankPolicy(RankImmediate()))
-	// Stall the loop inside a slow rank so a second submission stays queued.
-	if err := eng.SetFaultPlan(FaultPlan{DelayProb: 1, DelayDur: time.Millisecond, Seed: 2}); err != nil {
-		t.Fatal(err)
-	}
+	// Stall the loop in storeApply (closeMu held) so a second submission
+	// stays queued; Close needs closeMu, so it is let go just before.
+	var park parker
+	defer park.release()
+	park.lock(&eng.closeMu)
 	if _, err := eng.Submit(ctx, nil, []Edge{{U: 0, V: 7}}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(30 * time.Millisecond) // loop drains the first and enters Rank
+	waitDrained(t, eng)
 	queued, err := eng.Submit(ctx, nil, []Edge{{U: 1, V: 8}})
 	if err != nil {
 		t.Fatal(err)
@@ -420,6 +372,7 @@ func TestSubmitAfterCloseAndQueuedTicketsFail(t *testing.T) {
 	if _, err := queued.Version(); !errors.Is(err, ErrPending) {
 		t.Fatalf("undone ticket Version: %v, want ErrPending", err)
 	}
+	park.unlock(&eng.closeMu)
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +451,7 @@ func TestDeltaAcrossCoalescedVersions(t *testing.T) {
 // resolve (no hangs) with only nil/ErrClosed/ErrQueueFull outcomes.
 func TestConcurrentSubmitFlushCloseRace(t *testing.T) {
 	ctx := context.Background()
-	eng, _, _ := ingestEngine(t, WithRankPolicy(RankDebounce(time.Millisecond, 5*time.Millisecond)))
+	eng, _, _ := ingestEngine(t)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -536,7 +489,7 @@ func TestConcurrentSubmitFlushCloseRace(t *testing.T) {
 			default:
 			}
 			// Even a Flush racing Close must surface the documented close
-			// state, never the internal cancellation of the scheduled rank.
+			// state, never the internal cancellation of the refresh.
 			if err := eng.Flush(ctx); err != nil && !errors.Is(err, ErrClosed) {
 				t.Errorf("flush: %v", err)
 				return
@@ -552,15 +505,17 @@ func TestConcurrentSubmitFlushCloseRace(t *testing.T) {
 	wg.Wait()
 }
 
-// parker holds the mutexes a test parks the ingest loop on. A test that
-// ends early releases what it still holds (defer release after the engine's
-// deferred Close), so Close can stop the loop instead of hanging.
-type parker struct{ held []*sync.Mutex }
+// parker holds the mutexes a test parks the pipeline on: the ingest loop
+// blocks only in storeApply (closeMu, the durability mutex), the refresher
+// only on e.mu inside Rank. A test that ends early releases what it still
+// holds (defer release after the engine's deferred Close), so Close can stop
+// both instead of hanging.
+type parker struct{ held []sync.Locker }
 
-func (p *parker) lock(m *sync.Mutex) { m.Lock(); p.held = append(p.held, m) }
+func (p *parker) lock(m sync.Locker) { m.Lock(); p.held = append(p.held, m) }
 
-func (p *parker) unlock(m *sync.Mutex) {
-	p.held = slices.DeleteFunc(p.held, func(h *sync.Mutex) bool { return h == m })
+func (p *parker) unlock(m sync.Locker) {
+	p.held = slices.DeleteFunc(p.held, func(h sync.Locker) bool { return h == m })
 	m.Unlock()
 }
 
@@ -570,26 +525,130 @@ func (p *parker) release() {
 	}
 }
 
-// ingestArmed reports whether the ingest loop has a supersedable refresh in
-// flight (its cancel func parked for the next Submit).
-func ingestArmed(e *Engine) bool {
+// waitDrained waits until the ingest loop has drained the queue.
+func waitDrained(t *testing.T, e *Engine) {
+	t.Helper()
+	waitFor(t, "the loop to drain the queue", 10*time.Second, func() bool {
+		e.ingestMu.Lock()
+		defer e.ingestMu.Unlock()
+		return len(e.ingestQ) == 0
+	})
+}
+
+// refreshArmed reports whether the refresher has a supersedable refresh in
+// flight: its cancel func is parked for the loop's next round.
+func refreshArmed(e *Engine) bool {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
-	return e.ingestSupersede != nil
+	return e.supersede != nil
+}
+
+// TestRoundPublishesDuringRefresh pins that the ingest loop never waits for
+// a rank: with a scheduled refresh parked inside Rank (e.mu held), a Submit
+// still resolves its ticket to a new version, under both the default policy
+// and RankEveryN(1).
+func TestRoundPublishesDuringRefresh(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		policy RankPolicy
+	}{{"RankImmediate", RankImmediate()}, {"RankEveryN", RankEveryN(1)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			eng, _, _ := ingestEngine(t, WithRankPolicy(tc.policy))
+			var park parker
+			defer park.release()
+			park.lock(&eng.mu)
+			ta, err := eng.Submit(ctx, nil, []Edge{{U: 1, V: 40}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+			defer cancel()
+			seqA, err := ta.Wait(wctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Give round A's refresh time to start and park on e.mu.
+			time.Sleep(50 * time.Millisecond)
+			tb, err := eng.Submit(ctx, nil, []Edge{{U: 2, V: 41}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqB, err := tb.Wait(wctx)
+			if err != nil || seqB != seqA+1 {
+				t.Fatalf("round B resolved to version %d (%v) while a refresh was parked, want %d", seqB, err, seqA+1)
+			}
+			park.unlock(&eng.mu)
+			if err := eng.WaitRanked(wctx, seqB); err != nil {
+				t.Fatalf("round B unranked once the refresher ran: %v", err)
+			}
+		})
+	}
+}
+
+// TestRefresherStaysInsideHistory runs 40 back-to-back submissions against
+// a slowed kernel and a history of 4: the loop publishes while refreshes run,
+// but never so far past the ranks that a refresh becomes a rebuild, and the
+// refreshed ranks stay exact.
+func TestRefresherStaysInsideHistory(t *testing.T) {
+	ctx := context.Background()
+	n, edges, _ := testGraph(t, 9, 55)
+	eng, err := New(n, edges, WithThreads(2), WithTolerance(growthTol), WithHistory(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.Rank(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SetFaultPlan(FaultPlan{DelayProb: 0.01, DelayDur: 100 * time.Microsecond, Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Stats()
+	// Back to back: each submission goes in as soon as the previous one has
+	// published, so every one is a round of its own unless the loop holds.
+	for i := range 40 {
+		tk, err := eng.Submit(ctx, nil, []Edge{{U: uint32(i % 60), V: uint32((i*11 + 3) % 60)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stats()
+	t.Logf("%d rounds, %d refreshes, %d superseded", st.IngestRounds, st.Refreshes-before.Refreshes, st.Superseded)
+	if st.Rebuilds != before.Rebuilds {
+		t.Errorf("%d rebuilds during the stream, want none", st.Rebuilds-before.Rebuilds)
+	}
+	if st.Behind != 0 {
+		t.Fatalf("behind=%d after Flush", st.Behind)
+	}
+	v, err := eng.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := core.Reference(eng.store.Current().G, core.Config{})
+	if d := topk.LInf(ranksOf(v), ref); d > 1e-12 {
+		t.Errorf("ranks deviate from core.Reference by %g (bound 1e-12)", d)
+	}
 }
 
 // TestSupersededRefreshRanksNewestRound pins supersession under
-// RankImmediate: a Submit that arrives while the loop refreshes the previous
-// round cancels that refresh, and ONE refresh over the merged span ranks
-// both rounds — exactly, not approximately. A Submit queued after round A
-// drained but before A's refresh started supersedes that refresh the same
-// way, before it runs, so the outcome does not hang on which side of the
-// refresh's start the second round lands.
+// RankImmediate: a round published past the version the refresher is
+// catching up to cancels that refresh, and ONE refresh over the merged span
+// ranks both rounds — exactly, not approximately. The refresher is parked
+// on e.mu inside its refresh of round A. Round B is submitted then
+// (MidRefresh), or was queued before that refresh started and is held on
+// the durability mutex between its drain and its publication
+// (QueuedBeforeRefresh): the refresher arms its cancel func before it reads
+// the tip, so either way B's publication finds it.
 func TestSupersededRefreshRanksNewestRound(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		// queued parks the loop on the durability mutex, between round A's
-		// drain and its publication, instead of inside A's Rank on e.mu.
+		name   string
 		queued bool
 	}{{"MidRefresh", false}, {"QueuedBeforeRefresh", true}} {
 		t.Run(tc.name, func(t *testing.T) { testSupersededRefresh(t, tc.queued) })
@@ -608,47 +667,59 @@ func testSupersededRefresh(t *testing.T, queued bool) {
 		t.Fatal(err)
 	}
 	before := eng.Stats()
+	d := eng.durable()
 
-	// e.mu parks the loop inside its Rank of round A: A has published and
-	// the refresh's cancel func is armed before the Rank blocks on mu. d.mu
-	// parks it before A publishes, so B is already queued when A's refresh
-	// would start.
 	var park parker
 	defer park.release()
-	hold := &eng.mu
-	if queued {
-		hold = &eng.durable().mu
+	park.lock(&eng.mu)
+	submit := func(del, ins []Edge) *Ticket {
+		t.Helper()
+		tk, err := eng.Submit(ctx, del, ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tk
 	}
-	park.lock(hold)
-	ta, err := eng.Submit(ctx, nil, []Edge{{U: 1, V: 300}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if queued {
-		waitFor(t, "the loop to drain round A", 10*time.Second, func() bool {
-			eng.ingestMu.Lock()
-			defer eng.ingestMu.Unlock()
-			return len(eng.ingestQ) == 0
-		})
+	var ta, tb *Ticket
+	if !queued {
+		ta = submit(nil, []Edge{{U: 1, V: 300}})
+		waitFor(t, "the refresher to arm round A's refresh", 10*time.Second, func() bool { return refreshArmed(eng) })
+		tb = submit([]Edge{edges[0]}, []Edge{{U: 2, V: 301}})
 	} else {
-		waitFor(t, "the loop to arm round A's refresh", 10*time.Second, func() bool { return ingestArmed(eng) })
+		// A drains and parks on the durability mutex; B queues behind it.
+		// ingestMu then holds the loop between A's publication and its next
+		// drain while the durability mutex is taken back, so B drains and
+		// parks before it publishes, and A's refresh starts meanwhile.
+		park.lock(&d.mu)
+		ta = submit(nil, []Edge{{U: 1, V: 300}})
+		waitDrained(t, eng)
+		tb = submit([]Edge{edges[0]}, []Edge{{U: 2, V: 301}})
+		park.lock(&eng.ingestMu)
+		park.unlock(&d.mu)
+		if err := eng.WaitVersion(ctx, before.Version+1); err != nil {
+			t.Fatal(err)
+		}
+		park.lock(&d.mu)
+		park.unlock(&eng.ingestMu)
+		waitDrained(t, eng)
+		waitFor(t, "the refresher to arm round A's refresh", 10*time.Second, func() bool { return refreshArmed(eng) })
+		park.unlock(&d.mu)
 	}
-	tb, err := eng.Submit(ctx, []Edge{edges[0]}, []Edge{{U: 2, V: 301}})
+	seqB, err := tb.Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ingestArmed(eng) {
-		t.Error("Submit left the in-flight refresh armed instead of superseding it")
+	if refreshArmed(eng) {
+		t.Error("round B left the stale refresh armed instead of superseding it")
 	}
-	park.unlock(hold)
+	park.unlock(&eng.mu)
 
 	seqA, err := ta.Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqB, err := tb.Wait(ctx)
-	if err != nil || seqB != seqA+1 {
-		t.Fatalf("round B landed in version %d (%v), want its own version %d", seqB, err, seqA+1)
+	if seqB != seqA+1 {
+		t.Fatalf("round B landed in version %d, want its own version %d", seqB, seqA+1)
 	}
 	waitCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
@@ -683,7 +754,7 @@ func testSupersededRefresh(t *testing.T, queued bool) {
 // TestSupersessionCannotStarveRanks runs a back-to-back submitter against a
 // slowed kernel. Under RankImmediate refreshes are superseded, but never two
 // without a landed refresh in between, and the newest round is ranked
-// within a fixed bound. The policies that batch on purpose never supersede,
+// within a fixed bound. RankEveryN batches on purpose and never supersedes,
 // and neither do a Flush's refresh nor the initial static convergence.
 func TestSupersessionCannotStarveRanks(t *testing.T) {
 	for _, tc := range []struct {
@@ -692,7 +763,6 @@ func TestSupersessionCannotStarveRanks(t *testing.T) {
 	}{
 		{"RankImmediate", RankImmediate()},
 		{"RankEveryN", RankEveryN(1)},
-		{"RankDebounce", RankDebounce(time.Millisecond, 5*time.Millisecond)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
@@ -739,69 +809,70 @@ func TestSupersessionCannotStarveRanks(t *testing.T) {
 		})
 	}
 
-	// The initial static convergence and a Flush's refresh, each with a
-	// Submit arriving while the loop is parked inside it: e.mu parks the
-	// loop in Rank, the durability mutex parks it between a drained round
-	// and its publication.
+	// The initial static convergence and a Flush's refresh, each parked on
+	// e.mu with a round published past its tip: neither is armed, and
+	// nothing is superseded. Apply makes the engine lag without a round, so
+	// the refresh after it is the Flush's alone.
 	t.Run("StaticAndFlush", func(t *testing.T) {
 		ctx := context.Background()
 		n, edges, _ := testGraph(t, 9, 55)
-		eng, err := New(n, edges, WithThreads(2), WithDurability(t.TempDir()))
+		eng, err := New(n, edges, WithThreads(2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer eng.Close()
-		d := eng.durable()
 		var park parker
 		defer park.release()
-		// inRank waits for version seq and gives the loop time to reach its
-		// Rank (blocked on e.mu): a supersedable refresh would be armed by then.
-		inRank := func(what string, seq uint64) {
+		submit := func(u, v uint32) uint64 {
 			t.Helper()
-			if err := eng.WaitVersion(ctx, seq); err != nil {
+			tk, err := eng.Submit(ctx, nil, []Edge{{U: u, V: v}})
+			if err != nil {
 				t.Fatal(err)
 			}
-			time.Sleep(20 * time.Millisecond)
-			if ingestArmed(eng) {
-				t.Errorf("%s was armed for supersession", what)
+			seq, err := tk.Wait(ctx)
+			if err != nil {
+				t.Fatal(err)
 			}
+			return seq
 		}
-		submit := func(u, v uint32) {
+		// parked waits until the refresher has started a refresh to the tip
+		// (it arms a supersedable one in the same critical section).
+		parked := func(what string) {
 			t.Helper()
-			if _, err := eng.Submit(ctx, nil, []Edge{{U: u, V: v}}); err != nil {
-				t.Fatal(err)
+			waitFor(t, what+" to start", 10*time.Second, func() bool {
+				eng.ingestMu.Lock()
+				defer eng.ingestMu.Unlock()
+				return eng.refreshTip == eng.Version() && len(eng.rankFlushes) == 0
+			})
+			if refreshArmed(eng) {
+				t.Errorf("%s was armed for supersession", what)
 			}
 		}
 
 		park.lock(&eng.mu)
 		submit(1, 300)
-		inRank("the initial static convergence", 1)
-		park.lock(&d.mu)
-		submit(2, 301) // queued behind the static Rank, with a Flush
+		parked("the initial static convergence")
+		submit(2, 301)
+		park.unlock(&eng.mu)
+		waitCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		defer cancel()
+		if err := eng.WaitRanked(waitCtx, 2); err != nil {
+			t.Fatal(err)
+		}
+
+		park.lock(&eng.mu)
+		if _, err := eng.Apply(ctx, nil, []Edge{{U: 3, V: 302}}); err != nil {
+			t.Fatal(err)
+		}
 		flushed := make(chan error, 1)
 		go func() { flushed <- eng.Flush(ctx) }()
-		waitFor(t, "the Flush to queue", 10*time.Second, func() bool {
-			eng.ingestMu.Lock()
-			defer eng.ingestMu.Unlock()
-			return len(eng.flushQ) == 1
-		})
-		park.unlock(&eng.mu)
-		waitFor(t, "the Submit and the Flush to drain into one round", 10*time.Second, func() bool {
-			eng.ingestMu.Lock()
-			defer eng.ingestMu.Unlock()
-			return len(eng.ingestQ) == 0 && len(eng.flushQ) == 0
-		})
-		park.lock(&eng.mu)
-		park.unlock(&d.mu)
-		inRank("the Flush's refresh", 2)
-		submit(3, 302)
+		parked("the Flush's refresh")
+		seq := submit(4, 303)
 		park.unlock(&eng.mu)
 		if err := <-flushed; err != nil {
 			t.Fatalf("flush: %v", err)
 		}
-		waitCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
-		defer cancel()
-		if err := eng.WaitRanked(waitCtx, 3); err != nil {
+		if err := eng.WaitRanked(waitCtx, seq); err != nil {
 			t.Fatal(err)
 		}
 		if st := eng.Stats(); st.Superseded != 0 {

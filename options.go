@@ -145,7 +145,12 @@ func WithThreads(n int) Option {
 // whose ranks fall further behind than that rebuilds them statically instead
 // of replaying — and the engine keeps the last keep published rank views for
 // ViewAt and Delta. Neither ring holds a graph beyond the views' own: a
-// graph snapshot lives while it is current, ranked on, or viewed.
+// graph snapshot lives while it is current, ranked on, or viewed, and
+// consecutive snapshots share every row block their batch did not touch, so
+// each retained view costs its batch's blocks plus one 8n-byte rank vector.
+// keep also bounds how far the ingest loop runs ahead of the refresher: it
+// publishes at most keep versions past the ranks and coalesces the queue
+// until a refresh lands, so a scheduled refresh never becomes a rebuild.
 func WithHistory(keep int) Option {
 	return func(s *settings) error {
 		if keep <= 0 {
@@ -172,10 +177,10 @@ func WithMaxVertices(n int) Option {
 	}
 }
 
-// WithRankPolicy selects when the ingest pipeline refreshes ranks after
-// coalescing rounds (default RankImmediate — every round). The policy only
-// governs the background loop behind Submit; manual Rank calls are always
-// honoured immediately.
+// WithRankPolicy selects how many published edits make the refresher rank
+// behind the ingest loop (default RankImmediate — any unranked round). The
+// policy only governs the refresher behind Submit; manual Rank calls are
+// always honoured immediately.
 func WithRankPolicy(p RankPolicy) Option {
 	return func(s *settings) error {
 		if err := p.validate(); err != nil {

@@ -111,9 +111,9 @@ type Stats struct {
 	Keyed bool `json:"keyed"`
 	Keys  int  `json:"keys,omitempty"`
 	// Refreshes are incremental DF-LF refreshes, Rebuilds static rebuilds
-	// after the history was evicted. Superseded counts ingest-loop refreshes
-	// canceled under RankImmediate because a newer submission arrived; the
-	// refresh that followed replayed their span.
+	// after the history was evicted. Superseded counts the refresher's
+	// refreshes canceled under RankImmediate because a newer round was
+	// published; the refresh that followed replayed their span.
 	Refreshes  int `json:"refreshes"`
 	Rebuilds   int `json:"rebuilds"`
 	Superseded int `json:"superseded"`

@@ -53,11 +53,11 @@
 //
 // Writes are asynchronous: the batch is coalesced with whatever
 // else is in flight, 202 Accepted names the version it landed in, and the
-// rank refresh runs behind the engine's RankPolicy. `?wait=ranked` turns a
-// request into read-your-ranks; under the default dfpr.RankImmediate a write
-// arriving mid-refresh supersedes that refresh, so it waits for one refresh
-// over both rounds rather than two in a row. A full ingest queue surfaces
-// as 429.
+// engine's refresher ranks behind the ingest loop per its RankPolicy.
+// `?wait=ranked` turns a request into read-your-ranks; under the default
+// dfpr.RankImmediate a write published mid-refresh supersedes that refresh,
+// so it waits for one refresh over both rounds rather than two in a row. A
+// full ingest queue surfaces as 429.
 //
 // Errors are JSON too: {"error":"…"} with 400 (malformed request), 404
 // (unknown vertex/route), 410 (version at or below the latest ranked one and
@@ -615,7 +615,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 
 	// Enqueue onto the ingest pipeline. The only wait on the
 	// request path is for the coalescing round that assigns the version —
-	// the rank refresh runs behind the engine's policy, never here. Both
+	// the engine's refresher ranks behind it, never here. Both
 	// waits are bounded server-side by maxWait so a stalled pipeline (or a
 	// client with no timeout) cannot park handler goroutines indefinitely.
 	var tk *dfpr.Ticket

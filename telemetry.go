@@ -34,7 +34,7 @@ type engineMetrics struct {
 	ingestCoalesced *telemetry.Counter // edits those rounds carried, after merge
 	refreshes       *telemetry.Counter // incremental refreshes that advanced the ranks
 	rebuilds        *telemetry.Counter // refreshes that were static rebuilds instead
-	superseded      *telemetry.Counter // scheduled refreshes a newer submission canceled
+	superseded      *telemetry.Counter // refreshes a newer published round canceled
 	sweepBlocks     *telemetry.Counter // rank-sweep chunks dispatched, over every run
 	frontierScanned *telemetry.Counter // frontier vertices the sweeps located, over every run
 	// failovers counts writer promotions. It is registered with the
@@ -99,7 +99,7 @@ func (e *Engine) initTelemetry(reg *telemetry.Registry) {
 		rebuilds: reg.Counter("dfpr_rank_rebuilds_total",
 			"Rank refreshes that fell back to a full static recomputation."),
 		superseded: reg.Counter("dfpr_rank_superseded_total",
-			"Scheduled RankImmediate refreshes canceled by a newer submission; the next refresh replays their span."),
+			"RankImmediate refreshes canceled by a newer published round; the next refresh replays their span."),
 		sweepBlocks: reg.Counter("dfpr_rank_sweep_block_scheduled_total",
 			"Rank-sweep chunks dispatched by the chunk scheduler across all runs."),
 		frontierScanned: reg.Counter("dfpr_rank_sweep_block_frontier_total",
