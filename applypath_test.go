@@ -302,24 +302,27 @@ func testOneApplyPath(t *testing.T, f pathFlavour) {
 	// recoverDurable.
 	recovered := open(WithDurability(copyDir(t, dir)))
 
-	// Source 4: the StartReplica stream. mu holds the apply loop at its
-	// opening Rank until the whole tail is delivered, so the replica replays
-	// it as the one span the recovered engine did.
-	replica.eng.mu.Lock()
+	// Source 4: the StartReplica stream. mu parks the refresher inside Rank
+	// until the apply loop has replayed the whole tail, so one refresh
+	// covers it, as one did on the recovered engine.
+	refreshes := replica.eng.met.refreshes.Value()
+	var park parker
+	defer park.release()
+	park.lock(&replica.eng.mu)
 	if err := replica.follow(srv.URL); err != nil {
 		t.Fatalf("resume stream: %v", err)
 	}
-	waitFor(t, "tail delivered to the replica", 10*time.Second, func() bool {
-		replica.mu.Lock()
-		defer replica.mu.Unlock()
-		return replica.cl.Stats().DeliveredSeq == tip
-	})
-	replica.eng.mu.Unlock()
-	if err := replica.eng.WaitRanked(ctx, tip); err != nil {
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := replica.eng.WaitVersion(wctx, tip); err != nil {
+		t.Fatalf("tail never replayed on the replica: %v", err)
+	}
+	park.unlock(&replica.eng.mu)
+	if err := replica.eng.WaitRanked(wctx, tip); err != nil {
 		t.Fatal(err)
 	}
-	if got := replica.eng.met.applies.Value(); got != 1 {
-		t.Fatalf("replica published the tail as %d versions, want one merged span", got)
+	if got := replica.eng.met.refreshes.Value() - refreshes; got != 1 {
+		t.Fatalf("replica ranked the tail in %d refreshes, want one", got)
 	}
 
 	// Source 5: promote over the shared tail.

@@ -18,8 +18,8 @@ import (
 // a writer-plus-replicas serving group. The writer streams its durable WAL
 // through a feed endpoint (internal/repl); replicas run the engine in
 // follower mode — no local ingest, public writes bounce with ErrNotWriter —
-// applying streamed rounds through the same span-coalesced incremental rank
-// path recovery replay uses. Which node writes is decided by a lease in the
+// replaying streamed rounds as recovery does, with the engine's refresher
+// ranking behind them. Which node writes is decided by a lease in the
 // shared durability directory; a dead writer's lease expires and a replica
 // promotes itself, replaying the WAL tail it had not yet streamed and
 // resuming the sequence as if the writer had merely restarted.
@@ -31,8 +31,8 @@ import (
 //	JoinCluster    full membership: lease election, failover, promotion
 //
 // Either way a node has one role (Engine.follower), one dial path
-// (Cluster.follow) and one apply loop (Cluster.apply); promotion and
-// demotion flip the role on the same engine.
+// (Cluster.follow), one apply loop (Cluster.apply) and one refresher for
+// every role; promotion and demotion flip the role on the same engine.
 
 // feedPath is where the serve layer mounts Engine.Feed, and therefore where
 // replicas dial a leader's stream: its base URL plus this path.
@@ -396,11 +396,13 @@ func JoinCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 }
 
 // attach makes eng this node's engine: the one place the replication
-// series are registered and the engine learns its cluster.
+// series are registered, the engine learns its cluster and its refresher
+// starts, to rank whatever the node publishes in any role.
 func (c *Cluster) attach(eng *Engine) {
 	eng.initReplicationTelemetry()
 	c.eng = eng
 	eng.cluster.Store(c)
+	eng.startPipeline()
 }
 
 // installWriter makes this node the writer of term: the feed comes up
@@ -466,10 +468,11 @@ func (c *Cluster) bootstrap(boot *wal.State, keyed bool) error {
 }
 
 // apply is the one apply loop: drain every delivered event, replay them as
-// one span, refresh ranks, repeat. It exits when the client's channel
-// closes (terminal error, stopStream, or shutdown) or a replay or refresh
-// fails, and closes the client on every exit, so a stopped stream holds no
-// feed connection and the next follow dials a fresh one.
+// one span, repeat. It never ranks: replay hands each span to the refresher
+// (handOff). It exits when the client's channel closes (terminal error,
+// stopStream, or shutdown) or a replay fails, and closes the client on
+// every exit, so a stopped stream holds no feed connection and the next
+// follow dials a fresh one.
 func (c *Cluster) apply(cl *repl.Client, done chan struct{}) {
 	defer close(done)
 	defer func() {
@@ -480,15 +483,9 @@ func (c *Cluster) apply(cl *repl.Client, done chan struct{}) {
 		}
 		c.mu.Unlock()
 	}()
-	// Converge once up front: a bootstrap whose checkpoint carried no ranks
-	// (a young writer) would otherwise serve nothing until the first write.
-	if _, err := c.eng.Rank(c.ctx); err != nil && c.ctx.Err() == nil {
-		c.fail(fmt.Errorf("dfpr: replica initial rank: %w", err))
-		return
-	}
-	var evs []repl.Event
+	var recs []wal.Record
 	for {
-		evs = evs[:0]
+		var sent time.Time // writer-clock send time of the span's newest record
 		select {
 		case <-c.ctx.Done():
 			return
@@ -499,7 +496,12 @@ func (c *Cluster) apply(cl *repl.Client, done chan struct{}) {
 				}
 				return
 			}
-			evs = append(evs, ev)
+			recs, sent = append(recs[:0], ev.Rec), ev.SentAt
+		}
+		// The ingest loop's history guard: at WithHistory versions past the
+		// ranks, wait for the refresher, then replay all delivered meanwhile.
+		if h := uint64(c.eng.opts.history); c.eng.Behind() >= h && c.eng.WaitRanked(c.ctx, c.eng.Version()-h+1) != nil {
+			return
 		}
 	drain:
 		for {
@@ -508,29 +510,18 @@ func (c *Cluster) apply(cl *repl.Client, done chan struct{}) {
 				if !ok {
 					break drain // apply what we have; exit on the next recv
 				}
-				evs = append(evs, ev)
+				recs, sent = append(recs, ev.Rec), ev.SentAt
 			default:
 				break drain
 			}
-		}
-		recs := make([]wal.Record, len(evs))
-		for i, ev := range evs {
-			recs[i] = ev.Rec
 		}
 		if _, err := c.eng.replay(recs); err != nil {
 			c.fail(err)
 			return
 		}
 		c.mu.Lock()
-		c.lastSent = evs[len(evs)-1].SentAt
+		c.lastSent = sent
 		c.mu.Unlock()
-		if _, err := c.eng.Rank(c.ctx); err != nil {
-			if c.ctx.Err() != nil || errors.Is(err, ErrClosed) {
-				return
-			}
-			c.fail(fmt.Errorf("dfpr: replica rank: %w", err))
-			return
-		}
 	}
 }
 
@@ -688,8 +679,8 @@ func (c *Cluster) promoteSelf(info repl.LeaseInfo) error {
 	}
 	// Catch ranks up to the replayed tip so the node leaves recovery and
 	// accepts writes immediately.
-	if _, err := c.eng.Rank(c.ctx); err != nil && c.ctx.Err() == nil {
-		c.lg.Warn("post-promotion rank failed", "err", err)
+	if err := c.eng.Flush(c.ctx); err != nil && c.ctx.Err() == nil {
+		c.lg.Warn("post-promotion flush failed", "err", err)
 	}
 	c.eng.met.failovers.Inc()
 	c.installWriter(info.Term)

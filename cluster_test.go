@@ -12,9 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"dfpr/internal/core"
 	"dfpr/internal/graph"
 	"dfpr/internal/repl"
 	"dfpr/internal/testutil"
+	"dfpr/internal/topk"
 	"dfpr/internal/wal"
 )
 
@@ -245,52 +247,215 @@ func TestReplicaLagReadsWriterClock(t *testing.T) {
 	}
 }
 
-// TestStoppedFollowerClosesFeedClient stops a follower's apply loop with a
-// failed refresh and requires its feed connection to go with it: a stopped
-// stream that kept its client open would hold one writer connection per
-// failure until the follower closed, and a cluster node re-dials on every
-// lease tick.
-func TestStoppedFollowerClosesFeedClient(t *testing.T) {
+// corruptFeed serves an engine's feed and, once armed, writes a byte no
+// frame starts with ahead of the next frame: the follower's client reads
+// an unknown frame, which is terminal.
+type corruptFeed struct {
+	http.ResponseWriter
+	armed *atomic.Bool
+}
+
+func (w corruptFeed) Write(p []byte) (int, error) {
+	if w.armed.CompareAndSwap(true, false) {
+		if _, err := w.ResponseWriter.Write([]byte{0xff}); err != nil {
+			return 0, err
+		}
+	}
+	return w.ResponseWriter.Write(p)
+}
+
+func (w corruptFeed) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// followWriter starts a durable writer over a ring, converged, a feed
+// server for it and a follower of that feed with opts, and waits for the
+// follower's bootstrap ranks. armed, when set, corrupts the feed's next
+// frame (corruptFeed).
+func followWriter(t *testing.T, armed *atomic.Bool, opts ...Option) (writer *Engine, rep *Cluster) {
+	t.Helper()
 	ctx := context.Background()
 	writer, err := New(8, ringEdges(8), WithDurability(t.TempDir()))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer writer.Close()
+	t.Cleanup(func() { writer.Close() })
 	if _, err := writer.Rank(ctx); err != nil {
 		t.Fatalf("writer rank: %v", err)
 	}
-	srv := httptest.NewServer(feedMux(func() *Engine { return writer }))
-	defer srv.Close()
-
-	rep, err := StartReplica(ctx, srv.URL, WithThreads(2))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writer.Feed().ServeHTTP(corruptFeed{w, armed}, r)
+	}))
+	t.Cleanup(srv.Close)
+	rep, err = StartReplica(ctx, srv.URL, opts...)
 	if err != nil {
 		t.Fatalf("StartReplica: %v", err)
 	}
-	defer rep.Close()
-	eng := rep.Engine()
+	// Registered after srv.Close, so it runs first: the follower's stream
+	// must end before the server waits for its requests.
+	t.Cleanup(func() { rep.Close() })
 	waitFor(t, "bootstrap ranks", 10*time.Second, func() bool {
-		_, err := eng.View()
+		_, err := rep.Engine().View()
 		return err == nil
 	})
+	return writer, rep
+}
+
+// TestStoppedFollowerClosesFeedClient stops a follower's apply loop with a
+// terminal stream error and requires its feed connection to go with it: a
+// stopped stream that kept its client open would hold one writer connection
+// per failure until the follower closed, and a cluster node re-dials on
+// every lease tick.
+func TestStoppedFollowerClosesFeedClient(t *testing.T) {
+	var armed atomic.Bool
+	writer, rep := followWriter(t, &armed)
 	conns := func() int64 { return writer.feed.Load().Conns() }
 	waitFor(t, "the follower's feed connection", 10*time.Second, func() bool { return conns() == 1 })
 
-	// Every worker of the follower's next refresh crash-stops: the streamed
-	// round applies, its rank fails, and the apply loop stops for good.
-	if err := eng.SetFaultPlan(FaultPlan{CrashWorkers: CrashSet(2, 2), Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := writer.Apply(ctx, nil, []Edge{{U: 0, V: 4}}); err != nil {
+	// The next frame reaches the follower as an unknown frame: its client
+	// stops for good, and so does the apply loop.
+	armed.Store(true)
+	if _, err := writer.Apply(context.Background(), nil, []Edge{{U: 0, V: 4}}); err != nil {
 		t.Fatalf("writer apply: %v", err)
 	}
-	if _, err := writer.Rank(ctx); err != nil {
-		t.Fatalf("writer rank: %v", err)
-	}
+	eng := rep.Engine()
 	waitFor(t, "the follower's replication error", 10*time.Second, func() bool {
 		return eng.Stats().ReplicationStats.Err != nil
 	})
 	waitFor(t, "the stopped follower's feed connection to close", 5*time.Second, func() bool { return conns() == 0 })
+}
+
+// TestFollowerRetriesFailedRefresh crashes every worker of the follower's
+// refreshes: the streamed rounds still apply, the stream stays up, and the
+// refresher retries until the plan is disarmed and the ranks catch up.
+func TestFollowerRetriesFailedRefresh(t *testing.T) {
+	ctx := context.Background()
+	var armed atomic.Bool
+	writer, rep := followWriter(t, &armed, WithThreads(2))
+	eng := rep.Engine()
+	if err := eng.SetFaultPlan(FaultPlan{CrashWorkers: CrashSet(2, 2), Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	var seq uint64
+	for i := range 3 {
+		var err error
+		if seq, err = writer.Apply(ctx, nil, []Edge{{U: uint32(i), V: uint32(i + 4)}}); err != nil {
+			t.Fatalf("writer apply: %v", err)
+		}
+		wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		err = eng.WaitVersion(wctx, seq)
+		cancel()
+		if err != nil {
+			t.Fatalf("follower version stuck below %d while its refreshes fail: %v", seq, err)
+		}
+	}
+	time.Sleep(3 * rankRetryDelay) // let the refresher fail and retry
+	if v, err := eng.View(); err != nil {
+		t.Fatal(err)
+	} else if v.Seq() >= seq {
+		t.Fatalf("follower ranked version %d under a plan that crashes every worker", v.Seq())
+	}
+	if err := eng.Stats().ReplicationStats.Err; err != nil {
+		t.Fatalf("a failed refresh stopped replication: %v", err)
+	}
+	if err := eng.SetFaultPlan(FaultPlan{}); err != nil {
+		t.Fatal(err)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := eng.WaitRanked(wctx, seq); err != nil {
+		t.Fatalf("the follower's ranks never caught up once the plan was disarmed: %v", err)
+	}
+}
+
+// TestFollowerPublishesWhileRanking parks the follower's refresher on the
+// engine's mu inside Rank: the apply loop must keep replaying streamed
+// rounds, so the follower's version reaches both of the writer's rounds,
+// and the refresher ranks them once it runs.
+func TestFollowerPublishesWhileRanking(t *testing.T) {
+	ctx := context.Background()
+	var armed atomic.Bool
+	writer, rep := followWriter(t, &armed)
+	eng := rep.Engine()
+	var park parker
+	defer park.release()
+	park.lock(&eng.mu)
+	var seq uint64
+	for i := range 2 {
+		var err error
+		if seq, err = writer.Apply(ctx, nil, []Edge{{U: uint32(i), V: uint32(i + 3)}}); err != nil {
+			t.Fatalf("writer apply: %v", err)
+		}
+		wctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		err = eng.WaitVersion(wctx, seq)
+		cancel()
+		if err != nil {
+			t.Fatalf("follower stuck below version %d while a refresh was parked: %v", seq, err)
+		}
+	}
+	park.unlock(&eng.mu)
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := eng.WaitRanked(wctx, seq); err != nil {
+		t.Fatalf("version %d unranked once the refresher ran: %v", seq, err)
+	}
+}
+
+// TestFollowerStaysInsideHistory is TestRefresherStaysInsideHistory on a
+// follower: 40 streamed rounds against a slowed kernel and a history of 4.
+// The apply loop replays while refreshes run, but never so far past the
+// ranks that a refresh becomes a rebuild, and the caught-up ranks are exact.
+func TestFollowerStaysInsideHistory(t *testing.T) {
+	ctx := context.Background()
+	n, edges, _ := testGraph(t, 9, 55)
+	tol := WithTolerance(growthTol)
+	writer, err := New(n, edges, WithDurability(t.TempDir()), WithThreads(1), tol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	srv := httptest.NewServer(feedMux(func() *Engine { return writer }))
+	defer srv.Close()
+	rep, err := StartReplica(ctx, srv.URL, WithThreads(2), tol, WithHistory(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	eng := rep.Engine()
+	wctx, cancel := context.WithTimeout(ctx, time.Minute)
+	defer cancel()
+	if err := eng.WaitRanked(wctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SetFaultPlan(FaultPlan{DelayProb: 0.01, DelayDur: 100 * time.Microsecond, Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Stats()
+	var seq uint64
+	for i := range 40 {
+		if seq, err = writer.Apply(ctx, nil, []Edge{{U: uint32(i % 60), V: uint32((i*11 + 3) % 60)}}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond) // the records arrive one by one
+	}
+	if err := eng.WaitRanked(wctx, seq); err != nil {
+		t.Fatalf("follower never ranked version %d: %v", seq, err)
+	}
+	st := eng.Stats()
+	t.Logf("%d versions, %d publications, %d refreshes, %d superseded", seq,
+		eng.met.applies.Value(), st.Refreshes-before.Refreshes, st.Superseded-before.Superseded)
+	if st.Rebuilds != before.Rebuilds {
+		t.Errorf("%d rebuilds during the stream, want none", st.Rebuilds-before.Rebuilds)
+	}
+	if err := st.ReplicationStats.Err; err != nil {
+		t.Fatalf("replication stopped: %v", err)
+	}
+	v, err := eng.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := core.Reference(eng.store.Current().G, core.Config{})
+	if d := topk.LInf(ranksOf(v), ref); d > 1e-12 {
+		t.Errorf("ranks deviate from core.Reference by %g (bound 1e-12)", d)
+	}
 }
 
 // clusterNode is one in-process cluster member: its serve stub and its

@@ -85,8 +85,11 @@
 // Cluster with a fixed leader whose Engine is a full engine: views,
 // watermarks and WaitRanked semantics work unchanged, writes bounce as
 // ErrNotWriter, and Stats().ReplicationStats reports role, applied
-// sequence, lag and a stream's terminal error. A replica replays the
-// writer's round boundaries, so a follower that keeps pace carries
+// sequence, lag and a stream's terminal error. A replica's apply loop only
+// replays streamed rounds, at the writer's round boundaries; the engine's
+// refresher ranks behind it, as behind the writer's ingest loop, so a
+// replica applies while it ranks and a failed refresh is retried without
+// stopping replication. A follower that keeps pace carries
 // bitwise-identical ranks. JoinCluster returns the same Cluster type with
 // membership and failover on top: nodes share the durability directory and a static peer
 // list (which only orders their election stagger — nobody polls anybody),

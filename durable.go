@@ -186,14 +186,15 @@ func restore(st settings, ck *wal.State) (*Engine, error) {
 
 // replay publishes a contiguous run of logged records — a WAL tail at warm
 // restart or promotion, a drained stretch of the feed on a follower — as ONE
-// merged version landing at the run's tip. A store version costs a snapshot
-// (two block-table copies and a rebuild of every block the batch touched),
-// so folding makes the cost independent of the run's
-// length, and the resumed ranker refreshes over the merged batch as a single
-// coalesced span. Records at or below the applied version are skipped (a
-// promoted follower already streamed part of the tail); a gap is an error.
-// Each record's key tail is re-interned first, in logged order, so ids match
-// the writer's. It returns how many records it applied.
+// merged version landing at the run's tip, and hands it to the refresher as
+// an ingest round is (handOff). A store version costs a snapshot (two
+// block-table copies and a rebuild of every block the batch touched), so
+// folding makes the cost independent of the run's length, and the ranker
+// refreshes over the merged batch as one coalesced span. Records at or below
+// the applied version are skipped (a promoted follower already streamed part
+// of the tail); a gap is an error. Each record's key tail is re-interned
+// first, in logged order, so ids match the writer's. It returns how many
+// records it applied.
 func (e *Engine) replay(recs []wal.Record) (int, error) {
 	tip := e.store.Current().Seq
 	ups := make([]batch.Update, 0, len(recs))
@@ -228,6 +229,7 @@ func (e *Engine) replay(recs []wal.Record) (int, error) {
 	if _, err := e.storeApply(batch.Merge(ups...), tip, true); err != nil {
 		return 0, err
 	}
+	e.handOff(tip, nil)
 	return len(ups), nil
 }
 
@@ -235,14 +237,13 @@ func (e *Engine) replay(recs []wal.Record) (int, error) {
 // Apply, an ingest round, a replayed span — becomes a version here and
 // nowhere else. It excludes a concurrent Close without making writers wait
 // behind Rank (the read side of closeMu keeps concurrent applies concurrent;
-// closed is read under it, so no version is published once Close has
-// taken closeMu), appends the WAL record
-// first when the engine owns a log (log-before-publish: the record hits the
-// log — and, under FsyncAlways, stable storage — before any reader can
-// observe the version), counts the publication and advances the version
-// watermark. at is the sequence the version lands at, 0 for the next one;
-// logged marks a span that came out of the log, which is published without
-// being appended again.
+// closed is read under it, so no version is published once Close has taken
+// closeMu), appends the WAL record first when the engine owns a log
+// (log-before-publish: the record hits the log — and, under FsyncAlways,
+// stable storage — before any reader can observe the version), counts the
+// publication and advances the version watermark. at is the sequence the
+// version lands at, 0 for the next one; logged marks a span that came out
+// of the log, which is published without being appended again.
 //
 // On a degraded log the append is a cheap error return and the apply
 // proceeds in memory: reads keep working, Stats surfaces

@@ -175,17 +175,26 @@ func New(n int, edges []Edge, opts ...Option) (*Engine, error) {
 }
 
 // newEngine builds a non-recovered engine from resolved settings — the
-// shared tail of New, Open and the durable seed path.
+// shared tail of New, Open and the durable seed path. It builds the way the
+// readers do: one graph.FromEdges over the edges plus every self-loop, so
+// the store's EnsureSelfLoops finds each loop present and its first
+// snapshot is the built CSR.
 func newEngine(n int, edges []Edge, st settings) (*Engine, error) {
-	ges := toInternal(edges)
-	universe := batch.Update{Ins: ges}.Universe(n)
+	universe := n
+	for _, e := range edges {
+		universe = max(universe, int(e.U)+1, int(e.V)+1)
+	}
 	if universe > st.maxN {
 		return nil, fmt.Errorf("dfpr: %d vertices exceed the bound %d (WithMaxVertices): %w", universe, st.maxN, ErrTooManyVertices)
 	}
-	d := graph.NewDynamic(universe)
-	for _, e := range ges {
-		d.AddEdge(e.U, e.V)
+	ges := make([]graph.Edge, 0, len(edges)+universe)
+	for _, e := range edges {
+		ges = append(ges, graph.Edge{U: e.U, V: e.V})
 	}
+	for v := range uint32(universe) {
+		ges = append(ges, graph.Edge{U: v, V: v})
+	}
+	d := graph.DynamicFromCSR(graph.FromEdges(universe, ges))
 	return engineOver(st, snapshot.NewStore(d, st.history), nil)
 }
 

@@ -1,8 +1,11 @@
 package dfpr
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -568,5 +571,121 @@ func TestApplyContextAndValidation(t *testing.T) {
 	}
 	if s, ok := res.View.ScoreOf(uint32(n)); !ok || s <= 0 {
 		t.Errorf("grown vertex score = %v, %v", s, ok)
+	}
+}
+
+// TestPublishToRankedTimesEveryVersion publishes A, holds A's refresh in its
+// kernel with a delay plan, publishes B while it runs, lets A land and then
+// ranks B: each landing times the oldest version it covers, so the
+// freshness histogram holds one observation per landing — B's included,
+// though B was published while the clock was already running for A.
+func TestPublishToRankedTimesEveryVersion(t *testing.T) {
+	ctx := context.Background()
+	n, edges, _ := testGraph(t, 9, 55)
+	eng, err := New(n, edges, WithThreads(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.Rank(ctx); err != nil {
+		t.Fatal(err)
+	}
+	hist := eng.met.publishSeconds
+	before := hist.Count()
+	seqA, err := eng.Apply(ctx, nil, []Edge{{U: 1, V: 40}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SetFaultPlan(FaultPlan{DelayProb: 0.05, DelayDur: 5 * time.Millisecond, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	type ranked struct {
+		res *Result
+		err error
+	}
+	landed := make(chan ranked, 1)
+	go func() {
+		res, err := eng.Rank(ctx)
+		landed <- ranked{res, err}
+	}()
+	// A's refresh holds mu from before it reads the tip until it lands; B
+	// goes in once it has had time to read the tip.
+	waitFor(t, "A's refresh to start", 5*time.Second, func() bool {
+		if eng.mu.TryLock() {
+			eng.mu.Unlock()
+			return false
+		}
+		return true
+	})
+	time.Sleep(20 * time.Millisecond)
+	seqB, err := eng.Apply(ctx, nil, []Edge{{U: 2, V: 41}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := <-landed
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if a.res.Seq != seqA {
+		t.Fatalf("A's refresh landed at version %d, want %d: B was published before it read the tip", a.res.Seq, seqA)
+	}
+	t.Logf("A's refresh took %v", a.res.Elapsed)
+	if err := eng.SetFaultPlan(FaultPlan{}); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := eng.Rank(ctx); err != nil {
+		t.Fatal(err)
+	} else if res.Seq != seqB {
+		t.Fatalf("B's refresh landed at version %d, want %d", res.Seq, seqB)
+	}
+	if got := hist.Count() - before; got != 2 {
+		t.Fatalf("dfpr_publish_to_ranked_seconds holds %d observations for two landings, want 2", got)
+	}
+}
+
+// TestNewBuildsFromEdgeList builds New from one RMAT edge list, with
+// duplicates and edges that grow the universe past n, once shuffled and once
+// sorted: both engines hold the edge set an AddEdge build of the list holds
+// (self-loops included), and at one thread their ranks are bitwise equal.
+func TestNewBuildsFromEdgeList(t *testing.T) {
+	n, edges, _ := testGraph(t, 10, 7)
+	list := append(slices.Clone(edges), edges[:len(edges)/10]...)
+	list = append(list, Edge{U: uint32(n) + 4, V: 3}, Edge{U: 5, V: uint32(n) + 9}, Edge{U: 6, V: 6})
+	sorted := slices.Clone(list)
+	slices.SortFunc(sorted, func(a, b Edge) int {
+		return cmp.Compare(uint64(a.U)<<32|uint64(a.V), uint64(b.U)<<32|uint64(b.V))
+	})
+	shuffled := slices.Clone(list)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+	model := graph.NewDynamic(n + 10)
+	for _, e := range list {
+		model.AddEdge(e.U, e.V)
+	}
+	model.EnsureSelfLoops()
+	want := sortedEdges(model.Snapshot())
+
+	var ranks [][]float64
+	for _, l := range [][]Edge{shuffled, sorted} {
+		eng, err := New(n, l, WithThreads(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		g := eng.store.Current().G
+		if err := g.Validate(); err != nil {
+			t.Fatalf("built CSR: %v", err)
+		}
+		if got := sortedEdges(g); !slices.Equal(got, want) {
+			t.Fatalf("edge set differs from the AddEdge build (%d edges, want %d)", len(got), len(want))
+		}
+		res, err := eng.Rank(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranks = append(ranks, ranksOf(res.View))
+	}
+	if !slices.Equal(ranks[0], ranks[1]) {
+		t.Errorf("shuffled and sorted builds rank differently (L∞ %g)", topk.LInf(ranks[0], ranks[1]))
 	}
 }

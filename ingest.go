@@ -14,11 +14,11 @@ import (
 // returns immediately with a Ticket, the ingest loop coalesces everything
 // queued into ONE merged batch per round (delta-merge snapshot cost scales
 // with the merged batch, not the call count) and publishes it, and the
-// refresher ranks behind the loop, never blocking it, once the configured
-// RankPolicy's threshold is reached. Completion is observable through tickets and the
-// WaitVersion/WaitRanked watermarks; WithIngestQueue bounds the queue so a
-// firehose of writers sees ErrQueueFull backpressure instead of unbounded
-// memory growth.
+// refresher ranks behind the loop (and a follower's apply loop), never
+// blocking it, once the RankPolicy's threshold is reached. Completion is
+// observable through tickets and the WaitVersion/WaitRanked watermarks;
+// WithIngestQueue bounds the queue, so a firehose of writers sees
+// ErrQueueFull backpressure instead of unbounded memory growth.
 
 // Ticket tracks one Submit through the ingest pipeline. Done closes when the
 // submission's edits have been applied and published (coalesced with
@@ -148,8 +148,6 @@ func (e *Engine) Submit(ctx context.Context, del, ins []Edge) (*Ticket, error) {
 
 // submitInternal enqueues one already-converted batch — shared by Submit
 // and SubmitKeyed (whose keys are interned to dense ids before this point).
-// Like Apply, submission is open-universe: edges naming vertices beyond the
-// current count grow the graph when their coalescing round applies.
 func (e *Engine) submitInternal(ctx context.Context, gdel, gins []graph.Edge) (*Ticket, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("dfpr: submit aborted: %w", err)
@@ -235,9 +233,9 @@ func (e *Engine) WaitRanked(ctx context.Context, seq uint64) error {
 }
 
 // startIngestLocked launches the ingest loop and the refresher on first
-// use. Caller holds e.ingestMu.
+// use of an open engine. Caller holds e.ingestMu.
 func (e *Engine) startIngestLocked() {
-	if e.ingestOn {
+	if e.ingestOn || e.closed.Load() {
 		return
 	}
 	e.ingestOn = true
@@ -249,8 +247,18 @@ func (e *Engine) startIngestLocked() {
 	go e.refresher()
 }
 
-// wake nudges the goroutine reading ch; a pending nudge suffices for any
-// number of events.
+// startPipeline starts the pipeline of an open engine before any Submit
+// (a Cluster's engine, in every role) and wakes the refresher, so an engine
+// without ranks converges at once.
+func (e *Engine) startPipeline() {
+	e.ingestMu.Lock()
+	e.startIngestLocked()
+	e.ingestMu.Unlock()
+	wake(e.rankWake)
+}
+
+// wake nudges the goroutine reading ch (nil: nobody, a no-op); a pending
+// nudge suffices for any number of events.
 func wake(ch chan struct{}) {
 	select {
 	case ch <- struct{}{}:
@@ -322,28 +330,21 @@ func (e *Engine) ingestLoop() {
 				ups[i] = batch.Update{Del: p.del, Ins: p.ins, N: p.n}
 			}
 			merged := batch.Merge(ups...)
-			// A round changes the graph when edges survived the merge OR the
-			// submissions' universe outgrows the store: a vertex whose only
-			// edge was inserted and deleted within the round still exists
-			// afterwards (exactly as sequential application would leave it),
-			// so pure-growth rounds must publish — and count as an edit toward
-			// the policy's threshold, or no policy would ever rank the
-			// rescaled teleport term (refreshDueLocked).
+			// A round publishes when edges survived the merge OR it grows
+			// the universe: a vertex whose only edge churned within the
+			// round still exists afterwards, as sequential application
+			// leaves it, and counts as an edit toward the policy's
+			// threshold (refreshDueLocked).
 			grows := merged.N > e.store.Current().G.N()
 			if merged.Size() == 0 && !grows {
-				// Nothing survived the merge (empty submissions, or churn
-				// that cancelled out) and no growth: the graph would not
-				// change, so publishing a version — which no policy would
-				// ever rank, stranding WaitRanked on it — is wrong. Resolve
-				// the tickets to the current version instead.
+				// Nothing to publish: a version that changes nothing would
+				// never be ranked, stranding WaitRanked on it. Resolve the
+				// tickets to the current version instead.
 				resolveTickets(q, e.store.Current().Seq, nil)
 			} else {
-				// storeApply is the publish point: it refuses once Close has
-				// set closed (Close does that before it stops the loop, so a
-				// round drained as Close begins fails its tickets with
-				// ErrClosed), and on durable engines the round's WAL record is
-				// appended (fsynced per policy) before the version becomes
-				// visible.
+				// storeApply refuses once Close has set closed (before it
+				// stops the loop, so a round drained as Close begins fails
+				// with ErrClosed) and logs before it publishes.
 				seq, err := e.storeApply(merged, 0, false)
 				if err != nil {
 					resolveTickets(q, seq, err)
@@ -359,24 +360,11 @@ func (e *Engine) ingestLoop() {
 			}
 		}
 
-		e.ingestMu.Lock()
-		// Supersession (DESIGN §6): the refresh in flight catches up to an
-		// older version than this round's, so it is stale — cancel it, and
-		// the next refresh ranks both as one merged run. Done before the
-		// tickets resolve, so a writer that holds this round's version knows
-		// the stale refresh is gone.
-		if e.supersede != nil && published > e.refreshTip {
-			e.supersede()
-			e.supersede = nil
-		}
-		e.rankFlushes = append(e.rankFlushes, flushes...)
-		idle := len(e.ingestQ) == 0
-		e.ingestMu.Unlock()
+		// Handed off before the tickets resolve, so a writer that holds this
+		// round's version knows a stale refresh is gone.
+		idle := e.handOff(published, flushes)
 		if published > 0 {
 			resolveTickets(q, published, nil)
-		}
-		if published > 0 || len(flushes) > 0 {
-			wake(e.rankWake)
 		}
 		// At a burst's trailing edge — nothing further queued — settle the
 		// key space so a now-idle engine serves its freshest keys lock-free
@@ -385,6 +373,26 @@ func (e *Engine) ingestLoop() {
 			e.keys.Settle()
 		}
 	}
+}
+
+// handOff is the one step after a publication (version published, 0 for
+// none), run by the ingest loop and by replay: it supersedes a refresh in
+// flight that catches up to an older version (DESIGN §6), queues the drained
+// flushes for the refresher and wakes it — a no-op before the pipeline
+// exists (recovery). It reports whether the ingest queue is empty.
+func (e *Engine) handOff(published uint64, flushes []*flushReq) (idle bool) {
+	e.ingestMu.Lock()
+	if e.supersede != nil && published > e.refreshTip {
+		e.supersede()
+		e.supersede = nil
+	}
+	e.rankFlushes = append(e.rankFlushes, flushes...)
+	idle, rankWake := len(e.ingestQ) == 0, e.rankWake
+	e.ingestMu.Unlock()
+	if published > 0 || len(flushes) > 0 {
+		wake(rankWake)
+	}
+	return idle
 }
 
 // refreshDueLocked reports whether the refresher has work: ranks lag the
@@ -412,9 +420,9 @@ func (e *Engine) refreshDueLocked() bool {
 	return edits >= e.opts.policy.every
 }
 
-// refresher ranks behind the ingest loop, on the pipeline's own context —
-// never a request's, so a disconnecting writer cannot abort a refresh other
-// readers are waiting on. It refreshes whenever refreshDueLocked says so;
+// refresher ranks behind the ingest loop, and a follower's apply loop, on
+// the pipeline's own context — never a request's, so a disconnecting writer
+// cannot abort a refresh other readers are waiting on. It refreshes whenever refreshDueLocked says so;
 // whatever the loop publishes meanwhile, the next refresh replays as one
 // merged span, so under a firehose it batches by itself at one refresh per
 // refresh time.

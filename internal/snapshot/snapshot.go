@@ -23,6 +23,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dfpr/internal/batch"
 	"dfpr/internal/core"
@@ -30,13 +31,15 @@ import (
 	"dfpr/internal/graph"
 )
 
-// Link is the chain link of one version: its sequence number and the batch
-// that produced it (empty for the initial version). It is everything a
-// replay merging a span needs, so the store's ring holds links, a batch per
-// round, never a graph.
+// Link is the chain link of one version: its sequence number, the batch
+// that produced it (empty for the initial version) and when Apply published
+// it (zero for the initial version, which no Apply published). It is
+// everything a replay merging a span needs, so the store's ring holds
+// links, a batch per round, never a graph.
 type Link struct {
 	Seq    uint64
 	Update batch.Update
+	At     time.Time
 }
 
 // Version is one immutable published state of the graph: a chain link plus
@@ -138,7 +141,7 @@ func (s *Store) applyLocked(up batch.Update, seq uint64) (prev, next *Version) {
 	up.Del = up.ClampDel(s.d.N())
 	s.d.Apply(up.Del, up.Ins)
 	s.d.EnsureSelfLoops()
-	next = &Version{Link: Link{Seq: seq, Update: up}, G: s.d.Snapshot()}
+	next = &Version{Link: Link{Seq: seq, Update: up, At: time.Now()}, G: s.d.Snapshot()}
 	s.history = append(s.history, next.Link)
 	if drop := len(s.history) - s.keep; drop > 0 {
 		// Shift in place and clear the vacated tail instead of re-slicing: a
@@ -169,6 +172,20 @@ func (s *Store) Since(afterSeq uint64) (links []Link, tip *Version, ok bool) {
 	i := slices.IndexFunc(s.history, func(l Link) bool { return l.Seq > afterSeq })
 	// A copy: the ring shifts in place under later applies.
 	return slices.Clone(s.history[i:]), tip, true
+}
+
+// PublishedAfter returns the sequence and publication time of the oldest
+// retained version past afterSeq that an Apply published; seq is 0 when
+// there is none.
+func (s *Store) PublishedAfter(afterSeq uint64) (seq uint64, at time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, l := range s.history {
+		if l.Seq > afterSeq && !l.At.IsZero() {
+			return l.Seq, l.At
+		}
+	}
+	return 0, time.Time{}
 }
 
 // Ranker keeps a PageRank vector synchronised with a Store. It is safe for

@@ -1,10 +1,10 @@
 package dfpr
 
 import (
-	"sync/atomic"
 	"time"
 
 	"dfpr/internal/core"
+	"dfpr/internal/snapshot"
 	"dfpr/internal/telemetry"
 )
 
@@ -47,12 +47,6 @@ type engineMetrics struct {
 	walAppend      *telemetry.Histogram // WAL record append (durable only)
 	walFsync       *telemetry.Histogram // WAL fsync (durable only)
 	ckptSeconds    *telemetry.Histogram // checkpoint write (durable only)
-
-	// oldestUnranked arms the publish-to-ranked histogram: the unix-nano
-	// timestamp of the oldest publication no rank has covered yet, 0 when
-	// ranks are current. Armed by storeApply (first publication after a
-	// refresh wins the CAS), drained by publishLocked.
-	oldestUnranked atomic.Int64
 }
 
 // walBuckets resolve finer than the default latency buckets: an append is
@@ -176,15 +170,13 @@ func (e *Engine) initDurabilityTelemetry() {
 		})
 }
 
-// notePublished records one publication: the applies counter, a grow event
-// when the universe widened, and arming the publish-to-ranked clock when
-// ranks were current until now.
+// notePublished records one publication: the applies counter and a grow
+// event when the universe widened.
 func (m *engineMetrics) notePublished(nBefore, nAfter int) {
 	m.applies.Inc()
 	if nAfter > nBefore {
 		m.growEvents.Inc()
 	}
-	m.oldestUnranked.CompareAndSwap(0, time.Now().UnixNano())
 }
 
 // noteRun counts one rank run's sweep work. Failed runs count too: their
@@ -194,11 +186,17 @@ func (m *engineMetrics) noteRun(res core.Result) {
 	m.frontierScanned.Add(uint64(res.FrontierScanned))
 }
 
-// noteRanked drains the publish-to-ranked clock into the freshness
-// histogram. Called from publishLocked, so at most one publisher runs at a
-// time; the Swap keeps it correct against concurrent arming anyway.
-func (m *engineMetrics) noteRanked() {
-	if t0 := m.oldestUnranked.Swap(0); t0 != 0 {
-		m.publishSeconds.Observe(time.Since(time.Unix(0, t0)).Seconds())
+// noteRanked times a rank landing at version seq whose predecessor was prev
+// (nil for the first): from the publication of the oldest version it
+// covers, the first one past prev, to now. Each version carries its own
+// publication time (snapshot.Link.At), so the versions a landing leaves
+// uncovered are timed by the landing that covers them.
+func (m *engineMetrics) noteRanked(s *snapshot.Store, prev *View, seq uint64) {
+	var after uint64
+	if prev != nil {
+		after = prev.seq
+	}
+	if first, at := s.PublishedAfter(after); first != 0 && first <= seq {
+		m.publishSeconds.Observe(time.Since(at).Seconds())
 	}
 }
