@@ -498,11 +498,6 @@ func (c *Cluster) apply(cl *repl.Client, done chan struct{}) {
 			}
 			recs, sent = append(recs[:0], ev.Rec), ev.SentAt
 		}
-		// The ingest loop's history guard: at WithHistory versions past the
-		// ranks, wait for the refresher, then replay all delivered meanwhile.
-		if h := uint64(c.eng.opts.history); c.eng.Behind() >= h && c.eng.WaitRanked(c.ctx, c.eng.Version()-h+1) != nil {
-			return
-		}
 	drain:
 		for {
 			select {

@@ -366,6 +366,54 @@ func TestFollowerRetriesFailedRefresh(t *testing.T) {
 	}
 }
 
+// TestStopStreamWithCrashedRefresher streams four rounds, past a history of
+// two, to a follower whose refreshes all fail (every worker crashes), then
+// stops its stream as a re-point or a promotion does. The apply loop never
+// waits for the ranks, so stopStream returns at once instead of when the
+// plan is lifted.
+func TestStopStreamWithCrashedRefresher(t *testing.T) {
+	ctx := context.Background()
+	var armed atomic.Bool
+	writer, rep := followWriter(t, &armed, WithThreads(2), WithHistory(2))
+	eng := rep.Engine()
+	if err := eng.SetFaultPlan(FaultPlan{CrashWorkers: CrashSet(2, 2), Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.SetFaultPlan(FaultPlan{}) // lets a stuck apply loop go before Close
+	rep.mu.Lock()
+	cl := rep.cl
+	rep.mu.Unlock()
+	for i := range 4 {
+		seq, err := writer.Apply(ctx, nil, []Edge{{U: uint32(i), V: uint32(i + 4)}})
+		if err != nil {
+			t.Fatalf("writer apply: %v", err)
+		}
+		// One record at a time, each in the apply loop's hands before the
+		// next, so the loop meets every round with the ranks further behind.
+		waitFor(t, "the follower's stream to deliver the round", 10*time.Second, func() bool {
+			return cl.Stats().DeliveredSeq >= seq
+		})
+		if i < 2 {
+			wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+			err = eng.WaitVersion(wctx, seq)
+			cancel()
+			if err != nil {
+				t.Fatalf("follower never replayed version %d: %v", seq, err)
+			}
+		}
+	}
+	stopped := make(chan struct{})
+	go func() {
+		rep.stopStream()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(time.Second):
+		t.Fatalf("stopStream still waiting after 1s, the ranks %d versions behind", eng.Behind())
+	}
+}
+
 // TestFollowerPublishesWhileRanking parks the follower's refresher on the
 // engine's mu inside Rank: the apply loop must keep replaying streamed
 // rounds, so the follower's version reaches both of the writer's rounds,
@@ -401,9 +449,12 @@ func TestFollowerPublishesWhileRanking(t *testing.T) {
 
 // TestFollowerStaysInsideHistory is TestRefresherStaysInsideHistory on a
 // follower: 40 streamed rounds against a slowed kernel and a history of 4.
-// The apply loop replays while refreshes run, but never so far past the
-// ranks that a refresh becomes a rebuild, and the caught-up ranks are exact.
+// The refresher is parked on mu for the first 20: the apply loop replays
+// them anyway, the ranks lag past the history, and the one landing after
+// the park replays all 20 as one span. The last 20 stream while refreshes
+// run, and the caught-up ranks are exact.
 func TestFollowerStaysInsideHistory(t *testing.T) {
+	const history, parked = 4, 20
 	ctx := context.Background()
 	n, edges, _ := testGraph(t, 9, 55)
 	tol := WithTolerance(growthTol)
@@ -414,11 +465,13 @@ func TestFollowerStaysInsideHistory(t *testing.T) {
 	defer writer.Close()
 	srv := httptest.NewServer(feedMux(func() *Engine { return writer }))
 	defer srv.Close()
-	rep, err := StartReplica(ctx, srv.URL, WithThreads(2), tol, WithHistory(4))
+	rep, err := StartReplica(ctx, srv.URL, WithThreads(2), tol, WithHistory(history))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rep.Close()
+	var park parker
+	defer park.release()
 	eng := rep.Engine()
 	wctx, cancel := context.WithTimeout(ctx, time.Minute)
 	defer cancel()
@@ -428,23 +481,44 @@ func TestFollowerStaysInsideHistory(t *testing.T) {
 	if err := eng.SetFaultPlan(FaultPlan{DelayProb: 0.01, DelayDur: 100 * time.Microsecond, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
+	sub := eng.Subscribe()
+	defer sub.Close()
 	before := eng.Stats()
 	var seq uint64
-	for i := range 40 {
-		if seq, err = writer.Apply(ctx, nil, []Edge{{U: uint32(i % 60), V: uint32((i*11 + 3) % 60)}}); err != nil {
-			t.Fatal(err)
+	stream := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if seq, err = writer.Apply(ctx, nil, []Edge{{U: uint32(i % 60), V: uint32((i*11 + 3) % 60)}}); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(time.Millisecond) // the records arrive one by one
 		}
-		time.Sleep(time.Millisecond) // the records arrive one by one
 	}
+	park.lock(&eng.mu)
+	stream(0, parked)
+	pctx, pcancel := context.WithTimeout(ctx, 10*time.Second)
+	defer pcancel()
+	if err := eng.WaitVersion(pctx, seq); err != nil {
+		t.Fatalf("follower stopped replaying at version %d, %d past its ranks: %v", eng.Version(), eng.Behind(), err)
+	}
+	if behind := eng.Behind(); behind < parked {
+		t.Fatalf("behind=%d with the refresher parked through %d rounds", behind, parked)
+	}
+	park.unlock(&eng.mu)
+	if err := eng.WaitRanked(wctx, seq); err != nil {
+		t.Fatal(err)
+	}
+	if res := <-sub.Updates(); res.Advanced < parked || res.Seq != seq {
+		t.Errorf("the landing after the park advanced %d versions to %d, want all %d past a history of %d to %d",
+			res.Advanced, res.Seq, parked, history, seq)
+	}
+	stream(parked, 40)
 	if err := eng.WaitRanked(wctx, seq); err != nil {
 		t.Fatalf("follower never ranked version %d: %v", seq, err)
 	}
 	st := eng.Stats()
 	t.Logf("%d versions, %d publications, %d refreshes, %d superseded", seq,
 		eng.met.applies.Value(), st.Refreshes-before.Refreshes, st.Superseded-before.Superseded)
-	if st.Rebuilds != before.Rebuilds {
-		t.Errorf("%d rebuilds during the stream, want none", st.Rebuilds-before.Rebuilds)
-	}
 	if err := st.ReplicationStats.Err; err != nil {
 		t.Fatalf("replication stopped: %v", err)
 	}

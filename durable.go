@@ -226,7 +226,7 @@ func (e *Engine) replay(recs []wal.Record) (int, error) {
 	if e.keys != nil {
 		e.keys.Sync()
 	}
-	if _, err := e.storeApply(batch.Merge(ups...), tip, true); err != nil {
+	if _, err := e.storeApply(batch.Merge(ups...), tip); err != nil {
 		return 0, err
 	}
 	e.handOff(tip, nil)
@@ -242,13 +242,14 @@ func (e *Engine) replay(recs []wal.Record) (int, error) {
 // (log-before-publish: the record hits the log — and, under FsyncAlways,
 // stable storage — before any reader can observe the version), counts the
 // publication and advances the version watermark. at is the sequence the
-// version lands at, 0 for the next one; logged marks a span that came out
-// of the log, which is published without being appended again.
+// version lands at, 0 for the next one; only a span that came out of the
+// log lands at a given sequence, and it is published without being
+// appended again.
 //
 // On a degraded log the append is a cheap error return and the apply
 // proceeds in memory: reads keep working, Stats surfaces
 // ErrDurabilityDegraded.
-func (e *Engine) storeApply(up batch.Update, at uint64, logged bool) (uint64, error) {
+func (e *Engine) storeApply(up batch.Update, at uint64) (uint64, error) {
 	e.closeMu.RLock()
 	defer e.closeMu.RUnlock()
 	if e.closed.Load() {
@@ -261,11 +262,8 @@ func (e *Engine) storeApply(up batch.Update, at uint64, logged bool) (uint64, er
 	}
 	cur := e.store.Current()
 	nAfter := up.Universe(cur.G.N())
-	if d != nil && !logged {
-		rec := wal.Record{Seq: at, N: uint64(nAfter), Del: up.Del, Ins: up.Ins}
-		if at == 0 {
-			rec.Seq = cur.Seq + 1
-		}
+	if d != nil && at == 0 {
+		rec := wal.Record{Seq: cur.Seq + 1, N: uint64(nAfter), Del: up.Del, Ins: up.Ins}
 		if e.keys != nil && nAfter > d.keysLogged {
 			// First durable mention of ids [keysLogged, nAfter): log their keys
 			// with the record, so replay re-interns them in the same dense order.

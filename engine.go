@@ -242,8 +242,10 @@ func Open(opts ...Option) (*Engine, error) {
 // grows the graph to cover it (new vertices materialise with only their
 // dead-end self-loop) instead of erroring. Batches from concurrent callers
 // are serialised; readers are never blocked. Ranks do not move until the
-// next Rank call. The context is consulted before the (brief, incremental)
-// snapshot construction starts; an already-canceled context applies nothing.
+// next Rank call, and the store keeps every batch applied since the last
+// one, however many, so that Rank replays them as one span. The context is
+// consulted before the (brief, incremental) snapshot construction starts;
+// an already-canceled context applies nothing.
 func (e *Engine) Apply(ctx context.Context, del, ins []Edge) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, fmt.Errorf("dfpr: apply aborted: %w", err)
@@ -295,7 +297,7 @@ func (e *Engine) applyInternal(up batch.Update) (uint64, error) {
 	if err := e.checkUniverse(up); err != nil {
 		return 0, err
 	}
-	return e.storeApply(up, 0, false)
+	return e.storeApply(up, 0)
 }
 
 // checkUniverse rejects a batch that would grow the vertex universe past
@@ -336,10 +338,11 @@ func toInternal(edges []Edge) []graph.Edge {
 // Rank brings the PageRank vector up to the latest published graph version
 // and returns it, through the engine's one ranker (snapshot.Ranker.Refresh).
 // The first call converges ranks from scratch with the lock-free StaticLF
-// and counts as neither a refresh nor a rebuild in Stats; subsequent calls
-// replay the pending batches with DF-LF, touching only frontier-sized work,
-// and rebuild with one StaticLF run when the engine lagged beyond the
-// retained history. Every run is lock-free, so a worker crash-stopped by a
+// and does not count as a refresh in Stats; every later call replays all
+// the batches applied since the last one as one merged span with DF-LF,
+// touching only frontier-sized work, however far the ranks lagged (the
+// store keeps every batch its ranks have not replayed, beyond WithHistory
+// if need be). Every run is lock-free, so a worker crash-stopped by a
 // FaultPlan slows a run down but cannot stop it while one worker lives.
 // Successful calls that advance the version publish one view and push the
 // Result to every subscriber.
@@ -348,8 +351,8 @@ func toInternal(edges []Edge) []graph.Edge {
 // all worker goroutines exit before Rank returns, the error satisfies
 // errors.Is(err, ErrCanceled), and the engine's ranks remain at the last
 // completed version. On failure (cancellation, or every worker crashed
-// under a FaultPlan, which surfaces as itself and is never answered with a
-// rebuild) the returned Result carries the failed run's diagnostics — but
+// under a FaultPlan, which surfaces as itself) the returned Result carries
+// the failed run's diagnostics — but
 // no rank vector — alongside the error. A refresh is one run over the whole
 // pending span, so a failure moves nothing: the next successful Rank covers
 // the same span, and whatever was applied since. A failed first Rank
@@ -361,13 +364,13 @@ func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 		return nil, ErrClosed
 	}
 	rk := e.ranker
-	refreshes, rebuilds := rk.Refreshes, rk.Rebuilds
+	refreshes := rk.Refreshes
 	res, advanced, err := rk.Refresh(ctx)
 	e.met.noteRun(res)
 	// A failed run's vector may be partial (a canceled pass stops
 	// mid-iteration), so it is not servable; its Result carries the run's
 	// diagnostics only, and the ranker has not moved (advanced is 0).
-	out := resultOf(res, advanced, rk.Rebuilds > rebuilds)
+	out := resultOf(res, advanced)
 	out.Seq = rk.Seq()
 	if err != nil {
 		return out, err
@@ -379,7 +382,6 @@ func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 		return out, nil
 	}
 	e.met.refreshes.Add(uint64(rk.Refreshes - refreshes))
-	e.met.rebuilds.Add(uint64(rk.Rebuilds - rebuilds))
 	e.publishLocked(out)
 	e.met.rankSeconds.Observe(out.Elapsed.Seconds())
 	return out, nil
@@ -388,10 +390,9 @@ func (e *Engine) Rank(ctx context.Context) (*Result, error) {
 // resultOf converts an internal result's diagnostics. The rank vector is
 // not carried here: successful results get a zero-copy View attached at
 // publication (publishLocked), failed ones stay without rank state.
-func resultOf(res core.Result, advanced int, rebuilt bool) *Result {
+func resultOf(res core.Result, advanced int) *Result {
 	return &Result{
 		Advanced:       advanced,
-		Rebuilt:        rebuilt,
 		Iterations:     res.Iterations,
 		Converged:      res.Converged,
 		CrashedWorkers: res.CrashedWorkers,
@@ -465,7 +466,6 @@ func (e *Engine) Stats() Stats {
 		Keyed:            e.keys != nil,
 		Keys:             e.Keys(),
 		Refreshes:        int(m.refreshes.Value()),
-		Rebuilds:         int(m.rebuilds.Value()),
 		Superseded:       int(m.superseded.Value()),
 		QueuedEdits:      queued,
 		QueueBound:       e.opts.queue,

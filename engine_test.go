@@ -353,7 +353,7 @@ func TestEngineVersioning(t *testing.T) {
 		t.Errorf("behind=%d after refresh", eng.Behind())
 	}
 	st := eng.Stats()
-	if st.Refreshes != 1 || st.Rebuilds != 0 {
+	if st.Refreshes != 1 {
 		t.Errorf("stats=%+v", st)
 	}
 }
@@ -396,8 +396,8 @@ func TestEngineClose(t *testing.T) {
 
 // TestEngineFaultDrillWithoutFallback is the crash drill through the one
 // way in, SetFaultPlan: a refresh whose workers all crash surfaces as
-// itself — no static rebuild is tried under the same plan — the published
-// view stays where it was, and the next Rank after disarming advances.
+// itself, the published view stays where it was, and the next Rank after
+// disarming advances.
 func TestEngineFaultDrillWithoutFallback(t *testing.T) {
 	ctx := context.Background()
 	n, edges, mirror := testGraph(t, 9, 10)
@@ -435,9 +435,6 @@ func TestEngineFaultDrillWithoutFallback(t *testing.T) {
 	if v, err := eng.View(); err != nil || v != before {
 		t.Errorf("failed refresh replaced the published view (now version %d, err=%v)", v.Seq(), err)
 	}
-	if eng.Stats().Rebuilds != 0 {
-		t.Error("a failed incremental run was answered with a rebuild")
-	}
 	// Disarm and recover.
 	if err := eng.SetFaultPlan(FaultPlan{}); err != nil {
 		t.Fatal(err)
@@ -449,8 +446,7 @@ func TestEngineFaultDrillWithoutFallback(t *testing.T) {
 }
 
 // TestColdPathSurvivesCrash arms a plan that crash-stops two of four
-// workers before each of the engine's cold runs: the first Rank, and the
-// rebuild after the history a refresh would replay was evicted. The cold run
+// workers before the engine's one cold run, the first Rank. The cold run
 // is lock-free, so the two survivors finish it (§4.4): the Rank succeeds,
 // reports both crashes, and lands within one run's error budget ατ/(1−α)
 // of core.Reference. It shares one rare failure with
@@ -490,34 +486,56 @@ func TestColdPathSurvivesCrash(t *testing.T) {
 		mirror.EnsureSelfLoops()
 		check(t, res, err, mirror.Snapshot())
 	})
+}
 
-	t.Run("eviction rebuild", func(t *testing.T) {
-		n, edges, mirror := testGraph(t, 10, 4)
-		eng, err := New(n, edges, WithThreads(4), WithTolerance(tol), WithHistory(2))
+// TestRankReplaysPastHistory is the manual path past the history: 20
+// Applies under WithHistory(2), then one Rank. The engine keeps every batch
+// its ranks have not replayed, so that Rank advances all 20 versions in one
+// refresh and lands within 1e-12 of a twin that ranked after every Apply.
+func TestRankReplaysPastHistory(t *testing.T) {
+	const versions = 20
+	ctx := context.Background()
+	n, edges, mirror := testGraph(t, 9, 21)
+	open := func() *Engine {
+		eng, err := New(n, edges, WithThreads(2), WithTolerance(growthTol), WithHistory(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer eng.Close()
+		t.Cleanup(func() { eng.Close() })
 		if _, err := eng.Rank(ctx); err != nil {
 			t.Fatal(err)
 		}
-		var g *graph.CSR
-		for i := 0; i < 5; i++ {
-			up := batch.Random(mirror, 12, int64(20+i))
-			if _, err := eng.Apply(ctx, toPublic(up.Del), toPublic(up.Ins)); err != nil {
+		return eng
+	}
+	eng, twin := open(), open()
+	for i := range versions {
+		up := batch.Random(mirror, 8, int64(60+i))
+		mirror.Apply(up.Del, up.Ins)
+		for _, e := range []*Engine{eng, twin} {
+			if _, err := e.Apply(ctx, toPublic(up.Del), toPublic(up.Ins)); err != nil {
 				t.Fatal(err)
 			}
-			g = batch.Transition(mirror, up)
 		}
-		if err := eng.SetFaultPlan(plan); err != nil {
+		if _, err := twin.Rank(ctx); err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Rank(ctx)
-		if err == nil && !res.Rebuilt {
-			t.Fatal("five applies past a history of two did not rebuild")
-		}
-		check(t, res, err, g)
-	})
+	}
+	before := eng.Stats()
+	res, err := eng.Rank(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Stats(); res.Advanced != versions || st.Refreshes != before.Refreshes+1 || res.Seq != versions {
+		t.Errorf("Rank advanced %d versions to %d in %d refreshes, want %d to %d in one",
+			res.Advanced, res.Seq, st.Refreshes-before.Refreshes, versions, versions)
+	}
+	tv, err := twin.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := topk.LInf(ranksOf(res.View), ranksOf(tv)); d > 1e-12 {
+		t.Errorf("the replay of %d versions is %g from the per-version twin (bound 1e-12)", versions, d)
+	}
 }
 
 func TestOptionValidationAndParse(t *testing.T) {

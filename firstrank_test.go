@@ -8,8 +8,8 @@ import (
 
 // TestFirstRankBookkeeping pins what the first convergence reports, through
 // the public API: it advances exactly the versions Behind counted before the
-// call (every one, the initial version included), it is not a rebuild, and
-// it counts in neither Stats().Refreshes nor Stats().Rebuilds. That holds
+// call (every one, the initial version included), and it does not count in
+// Stats().Refreshes. That holds
 // for a fresh engine, for one reopened from its rank-less seed checkpoint
 // with a replayed tail, and for a first Rank retried after a canceled one,
 // which leaves the engine unranked.
@@ -83,18 +83,15 @@ func TestFirstRankBookkeeping(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := eng.Stats()
-			t.Logf("behind=%d advanced=%d refreshes=%d rebuilds=%d", behind, res.Advanced, st.Refreshes, st.Rebuilds)
+			t.Logf("behind=%d advanced=%d refreshes=%d", behind, res.Advanced, st.Refreshes)
 			if behind != uint64(len(batches))+1 {
 				t.Errorf("behind %d before the first Rank, want every version (%d)", behind, len(batches)+1)
 			}
 			if uint64(res.Advanced) != behind {
 				t.Errorf("first Rank advanced %d versions, Behind reported %d", res.Advanced, behind)
 			}
-			if res.Rebuilt {
-				t.Error("first Rank reported a rebuild")
-			}
-			if st.Refreshes != 0 || st.Rebuilds != 0 {
-				t.Errorf("first Rank counted: refreshes=%d rebuilds=%d, want 0 and 0", st.Refreshes, st.Rebuilds)
+			if st.Refreshes != 0 {
+				t.Errorf("first Rank counted %d refreshes, want 0", st.Refreshes)
 			}
 			if res.Seq != eng.Version() || eng.Behind() != 0 {
 				t.Errorf("first Rank landed at %d (behind %d), want the newest version %d", res.Seq, eng.Behind(), eng.Version())

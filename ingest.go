@@ -85,9 +85,9 @@ func RankImmediate() RankPolicy { return RankPolicy{kind: rankImmediate} }
 
 // RankEveryN ranks once at least n edits (edges of the merged batches) have
 // been published since the last landed refresh. Leftovers below the
-// threshold stay unranked until more arrive, Flush forces a refresh, or the
-// ranks lag by WithHistory versions; an engine without ranks converges at
-// once.
+// threshold stay unranked until more arrive or Flush forces a refresh,
+// however many versions they span (the store keeps their batches for the
+// replay); an engine without ranks converges at once.
 func RankEveryN(n int) RankPolicy { return RankPolicy{kind: rankEveryN, every: n} }
 
 // String names the policy for logs and stats pages.
@@ -306,15 +306,6 @@ func (e *Engine) ingestLoop() {
 		case <-e.ingestWake:
 		}
 
-		// The history guard: the loop publishes at most WithHistory versions
-		// past the ranks. One more would push the links the next refresh
-		// replays out of the store's ring and turn it into a rebuild, so the
-		// queue coalesces instead while the refresher (due at that lag
-		// whatever the policy) catches up; a landed refresh wakes the loop.
-		if e.Behind() >= uint64(e.opts.history) {
-			wake(e.rankWake)
-			continue
-		}
 		// Drain: everything queued right now becomes one round; flushes
 		// taken in the same critical section cover at least every submission
 		// accepted before them.
@@ -345,7 +336,7 @@ func (e *Engine) ingestLoop() {
 				// storeApply refuses once Close has set closed (before it
 				// stops the loop, so a round drained as Close begins fails
 				// with ErrClosed) and logs before it publishes.
-				seq, err := e.storeApply(merged, 0, false)
+				seq, err := e.storeApply(merged, 0)
 				if err != nil {
 					resolveTickets(q, seq, err)
 					resolveFlushes(flushes, err)
@@ -396,23 +387,23 @@ func (e *Engine) handOff(published uint64, flushes []*flushReq) (idle bool) {
 }
 
 // refreshDueLocked reports whether the refresher has work: ranks lag the
-// graph, and a Flush waits, the lag reaches the history guard's WithHistory
-// versions, or the edits of the versions past the ranks reach the policy's
-// threshold. A version whose batch carries no edges (pure growth) still
-// moved every rank and counts as one edit. Caller holds e.ingestMu.
+// graph, and a Flush waits or the edits of the versions past the ranks reach
+// the policy's threshold. A version whose batch carries no edges (pure
+// growth) still moved every rank and counts as one edit. Caller holds
+// e.ingestMu.
 func (e *Engine) refreshDueLocked() bool {
 	behind := e.Behind()
 	switch {
 	case behind == 0:
 		return false
-	case len(e.rankFlushes) > 0 || behind >= uint64(e.opts.history) || e.opts.policy.kind == rankImmediate:
+	case len(e.rankFlushes) > 0 || e.opts.policy.kind == rankImmediate:
 		return true
 	}
 	v := e.latest.Load()
 	if v == nil {
 		return true // the first convergence
 	}
-	links, _, _ := e.store.Since(v.seq) // behind < WithHistory: all still in the ring
+	links, _ := e.store.Since(v.seq)
 	edits := 0
 	for _, l := range links {
 		edits += max(l.Update.Size(), 1)
@@ -452,13 +443,12 @@ func (e *Engine) refresher() {
 		}
 		ctx, cancel := context.WithCancel(e.ingestCtx)
 		// Supersedable: under RankImmediate only, and never a Flush's
-		// refresh, the first convergence, a rebuild (links gone from the
-		// ring), or the refresh after a supersession — so a version waits
-		// for at most one canceled partial refresh plus one full one. The
-		// cancel func is armed before the tip is read, in one critical
-		// section, so every round published past that tip finds it.
-		if e.opts.policy.kind == rankImmediate && len(flushes) == 0 && !superseded &&
-			e.latest.Load() != nil && e.Behind() <= uint64(e.opts.history) {
+		// refresh, the first convergence, or the refresh after a
+		// supersession — so a version waits for at most one canceled partial
+		// refresh plus one full one. The cancel func is armed before the tip
+		// is read, in one critical section, so every round published past
+		// that tip finds it.
+		if e.opts.policy.kind == rankImmediate && len(flushes) == 0 && !superseded && e.latest.Load() != nil {
 			e.supersede = cancel
 		}
 		e.refreshTip = e.store.Current().Seq
@@ -473,7 +463,6 @@ func (e *Engine) refresher() {
 		switch {
 		case err == nil:
 			superseded = false
-			wake(e.ingestWake) // a round the history guard held back may go now
 		case e.ingestCtx.Err() != nil:
 			// Canceled by the pipeline's own shutdown: the documented close
 			// state, not a caller-visible cancellation.

@@ -27,21 +27,9 @@ import (
 // ReadMatrixMarket parses a MatrixMarket coordinate stream into a dynamic
 // graph. Only sparse ("coordinate") matrices are supported; array format is
 // rejected. Entries are 1-based per the format and converted to 0-based
-// vertex ids. The declared dimension is capped at DefaultMaxVertices —
-// ReadMatrixMarketCap raises it for genuinely larger matrices.
+// vertex ids. The declared dimension is capped at DefaultMaxVertices, so a
+// bogus size line fails fast instead of demanding a graph-sized allocation.
 func ReadMatrixMarket(r io.Reader) (*graph.Dynamic, error) {
-	return ReadMatrixMarketCap(r, DefaultMaxVertices)
-}
-
-// ReadMatrixMarketCap is ReadMatrixMarket with an explicit cap on the
-// declared dimension (0 or negative means DefaultMaxVertices), the same
-// escape hatch ReadEdgeListCap provides for the edge-list format: a bogus
-// size line must not demand a graph-sized allocation, but a real matrix
-// larger than the default cap must stay loadable.
-func ReadMatrixMarketCap(r io.Reader, maxVertices int) (*graph.Dynamic, error) {
-	if maxVertices <= 0 {
-		maxVertices = DefaultMaxVertices
-	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	if !sc.Scan() {
@@ -78,8 +66,8 @@ func ReadMatrixMarketCap(r io.Reader, maxVertices int) (*graph.Dynamic, error) {
 	if cols > n {
 		n = cols
 	}
-	if n > maxVertices {
-		return nil, fmt.Errorf("gio: MatrixMarket declares %d vertices, beyond the cap of %d (raise it with ReadMatrixMarketCap)", n, maxVertices)
+	if n > DefaultMaxVertices {
+		return nil, fmt.Errorf("gio: MatrixMarket declares %d vertices, beyond the cap of %d (gio.DefaultMaxVertices)", n, DefaultMaxVertices)
 	}
 	var edges []graph.Edge
 	read := 0
@@ -142,21 +130,11 @@ func WriteMatrixMarket(w io.Writer, d *graph.Dynamic) error {
 const DefaultMaxVertices = 1 << 27
 
 // ReadEdgeList parses a SNAP-style edge list ("u v" per line, '#' or '%'
-// comments). The vertex count is max id + 1, capped at DefaultMaxVertices —
-// use ReadEdgeListCap to raise the cap, or ReadKeyedEdgeList for files
-// whose ids are sparse.
+// comments). The vertex count is max id + 1, capped at DefaultMaxVertices:
+// ids at or above the cap fail fast — before any graph-sized allocation
+// happens — with an error pointing at ReadKeyedEdgeList, the loader for
+// files whose ids are sparse.
 func ReadEdgeList(r io.Reader) (*graph.Dynamic, error) {
-	return ReadEdgeListCap(r, DefaultMaxVertices)
-}
-
-// ReadEdgeListCap is ReadEdgeList with an explicit vertex cap (0 or
-// negative means DefaultMaxVertices). Ids at or above the cap fail fast —
-// before any graph-sized allocation happens — with an error pointing at the
-// keyed loader.
-func ReadEdgeListCap(r io.Reader, maxVertices int) (*graph.Dynamic, error) {
-	if maxVertices <= 0 {
-		maxVertices = DefaultMaxVertices
-	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var edges []graph.Edge
@@ -175,10 +153,10 @@ func ReadEdgeListCap(r io.Reader, maxVertices int) (*graph.Dynamic, error) {
 		if err1 != nil || err2 != nil || u < 0 || v < 0 {
 			return nil, fmt.Errorf("gio: bad edge line %q", line)
 		}
-		if u >= maxVertices || v >= maxVertices {
+		if u >= DefaultMaxVertices || v >= DefaultMaxVertices {
 			return nil, fmt.Errorf(
-				"gio: edge %q names vertex id beyond the cap of %d: dense ids index arrays, so a sparse id would allocate the whole range — raise the cap with ReadEdgeListCap, or load sparse/string ids with ReadKeyedEdgeList",
-				line, maxVertices)
+				"gio: edge %q names vertex id beyond the cap of %d: dense ids index arrays, so a sparse id would allocate the whole range — load sparse/string ids with ReadKeyedEdgeList",
+				line, DefaultMaxVertices)
 		}
 		edges = append(edges, graph.Edge{U: uint32(u), V: uint32(v)})
 		if u > maxID {

@@ -2,6 +2,7 @@ package gio
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -18,11 +19,12 @@ func TestReadEdgeListSparseIDCap(t *testing.T) {
 	if !strings.Contains(err.Error(), "ReadKeyedEdgeList") {
 		t.Errorf("cap error does not point at the keyed loader: %v", err)
 	}
-	// An explicit cap is honoured in both directions.
-	if _, err := ReadEdgeListCap(strings.NewReader("0 9\n"), 8); err == nil {
-		t.Error("id above explicit cap accepted")
+	// The cap is exclusive: an id equal to it fails as well, and ids below
+	// it size the graph by max id + 1.
+	if _, err := ReadEdgeList(strings.NewReader("0 " + strconv.Itoa(DefaultMaxVertices) + "\n")); err == nil {
+		t.Error("id at the cap accepted")
 	}
-	d, err := ReadEdgeListCap(strings.NewReader("0 9\n"), 16)
+	d, err := ReadEdgeList(strings.NewReader("0 9\n"))
 	if err != nil || d.N() != 10 {
 		t.Fatalf("in-cap read: %v (N=%v)", err, d)
 	}
@@ -55,7 +57,7 @@ func TestKeyedEdgeListRoundTrip(t *testing.T) {
 	}
 
 	// Write back through a dynamic graph and re-read into a fresh interner.
-	d, err := ReadEdgeListCap(strings.NewReader("0 1\n1 2\n0 2\n"), 0)
+	d, err := ReadEdgeList(strings.NewReader("0 1\n1 2\n0 2\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

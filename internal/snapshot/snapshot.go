@@ -4,12 +4,13 @@
 // snapshots* of the graph. A Store serialises writers and publishes
 // immutable versions lock-free to readers; a Ranker subscribes to a store
 // and keeps a PageRank vector current by replaying the update history with
-// the Dynamic Frontier algorithm, falling back to a static recomputation
-// when it has fallen too far behind. ResumeRanker builds a ranker, unranked
-// or at a checkpointed vector, and Refresh is the one way its ranks move.
-// Every run the package starts is lock-free: a cold run (the first
-// convergence, a rebuild) is StaticLF (Alg. 4), so a crash-stopped worker
-// anywhere is outlived by the others (§4.4), never waited for at a barrier.
+// the Dynamic Frontier algorithm. A store serves one ranker and keeps every
+// batch that ranker has not replayed, so however far it lags it catches up
+// by replay. ResumeRanker builds a ranker, unranked or at a checkpointed
+// vector, and Refresh is the one way its ranks move. Every run the package
+// starts is lock-free: the cold run (the first convergence) is StaticLF
+// (Alg. 4), so a crash-stopped worker anywhere is outlived by the others
+// (§4.4), never waited for at a barrier.
 //
 // This is the composition layer a downstream user actually deploys: the
 // core package answers "how do I update ranks for one batch", this package
@@ -64,10 +65,14 @@ type Store struct {
 	cur     atomic.Value // *Version
 	history []Link       // ring of recent chain links, oldest first
 	keep    int
+	// ranked is set once a Ranker serves the store; landed is the version
+	// it last landed on (or was built at). No link past landed is dropped.
+	ranked bool
+	landed uint64
 }
 
 // DefaultHistory is how many chain links (the current version's included) a
-// store retains for Ranker catch-up before old updates are forgotten.
+// store retains at least; links its ranker has not replayed stay beyond it.
 const DefaultHistory = 64
 
 // NewStore seals the dynamic graph (self-loops ensured) as version 0. The
@@ -143,35 +148,44 @@ func (s *Store) applyLocked(up batch.Update, seq uint64) (prev, next *Version) {
 	s.d.EnsureSelfLoops()
 	next = &Version{Link: Link{Seq: seq, Update: up, At: time.Now()}, G: s.d.Snapshot()}
 	s.history = append(s.history, next.Link)
-	if drop := len(s.history) - s.keep; drop > 0 {
-		// Shift in place and clear the vacated tail instead of re-slicing: a
-		// re-slice keeps the dropped links' batches reachable through the
-		// head of the backing array for as long as the store lives.
-		copy(s.history, s.history[drop:])
-		clear(s.history[s.keep:])
-		s.history = s.history[:s.keep]
-	}
+	s.trimLocked()
 	s.cur.Store(next)
 	return prev, next
 }
 
-// Since returns the chain links with Seq in (afterSeq, latest], oldest
-// first, together with the version they lead to — read under one lock, so
-// tip is exactly the graph the links produce. ok is false when the requested
-// range has left the ring (the caller must then recompute statically).
-func (s *Store) Since(afterSeq uint64) (links []Link, tip *Version, ok bool) {
+// trimLocked drops the oldest links while the ring holds more than keep and
+// the oldest is at or below the version the ranker last landed on: a link
+// the ranker has not replayed is never dropped. Caller holds s.mu.
+func (s *Store) trimLocked() {
+	drop := 0
+	for len(s.history)-drop > s.keep && (!s.ranked || s.history[drop].Seq <= s.landed) {
+		drop++
+	}
+	if drop > 0 {
+		// Shift in place and clear the vacated tail instead of re-slicing: a
+		// re-slice keeps the dropped links' batches reachable through the
+		// head of the backing array for as long as the store lives.
+		n := copy(s.history, s.history[drop:])
+		clear(s.history[n:])
+		s.history = s.history[:n]
+	}
+}
+
+// Since returns the retained chain links with Seq in (afterSeq, latest],
+// oldest first, together with the version they lead to — read under one
+// lock, so tip is exactly the graph the links produce. Every link past the
+// store's ranker is retained, so for afterSeq at or past that ranker's
+// version the links are the whole span.
+func (s *Store) Since(afterSeq uint64) (links []Link, tip *Version) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tip = s.Current()
 	if afterSeq >= tip.Seq {
-		return nil, tip, true // already current
-	}
-	if afterSeq+1 < s.history[0].Seq {
-		return nil, tip, false // evicted
+		return nil, tip // already current
 	}
 	i := slices.IndexFunc(s.history, func(l Link) bool { return l.Seq > afterSeq })
 	// A copy: the ring shifts in place under later applies.
-	return slices.Clone(s.history[i:]), tip, true
+	return slices.Clone(s.history[i:]), tip
 }
 
 // PublishedAfter returns the sequence and publication time of the oldest
@@ -198,10 +212,8 @@ type Ranker struct {
 	ranks []float64
 	cur   *Version // the store version ranks correspond to; nil while unranked
 
-	// Refreshes counts incremental refreshes; Rebuilds counts static
-	// rebuilds after the pending history was evicted. The first convergence
-	// of an unranked ranker is neither.
-	Refreshes, Rebuilds int
+	// Refreshes counts incremental refreshes (not the first convergence).
+	Refreshes int
 
 	// CoalesceSpans is a no-op kept for benchmark/probe.go, which assigns
 	// it: every multi-version catch-up is replayed as ONE incremental run
@@ -216,7 +228,10 @@ type Ranker struct {
 // (DFLF is the recommended default; a static algo recomputes from scratch
 // every time). Cancellation of ctx aborts the initial convergence.
 func NewRanker(ctx context.Context, s *Store, algo core.Algo, cfg core.Config) (*Ranker, core.Result, error) {
-	r, _ := ResumeRanker(s, algo, cfg, nil, 0) // without ranks it checks nothing and cannot fail
+	r, err := ResumeRanker(s, algo, cfg, nil, 0)
+	if err != nil {
+		return nil, core.Result{}, err
+	}
 	res, _, err := r.Refresh(ctx)
 	if err != nil {
 		return nil, res, err
@@ -232,20 +247,29 @@ func NewRanker(ctx context.Context, s *Store, algo core.Algo, cfg core.Config) (
 // exactly as if the ranker had been alive all along. The ranker takes
 // ownership of ranks (treat it as frozen). With nil ranks (seq is then not
 // checked) the ranker starts unranked, and its first Refresh converges the
-// store's newest version with the cold run.
+// store's newest version with the cold run. A store serves one ranker: from
+// here on its ring keeps every link past the ranker's version, so a store
+// that already has one is refused.
 func ResumeRanker(s *Store, algo core.Algo, cfg core.Config, ranks []float64, seq uint64) (*Ranker, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ranked {
+		return nil, errors.New("snapshot: the store already has a ranker")
+	}
 	r := &Ranker{store: s, cfg: cfg, algo: algo}
-	if ranks == nil {
-		return r, nil
-	}
 	v := s.Current()
-	if v.Seq != seq {
-		return nil, fmt.Errorf("snapshot: resume at version %d: store is at %d", seq, v.Seq)
+	if ranks != nil {
+		if v.Seq != seq {
+			return nil, fmt.Errorf("snapshot: resume at version %d: store is at %d", seq, v.Seq)
+		}
+		if v.G.N() != len(ranks) {
+			return nil, fmt.Errorf("snapshot: resume at version %d: %d ranks for %d vertices", seq, len(ranks), v.G.N())
+		}
+		r.ranks, r.cur = ranks, v
 	}
-	if v.G.N() != len(ranks) {
-		return nil, fmt.Errorf("snapshot: resume at version %d: %d ranks for %d vertices", seq, len(ranks), v.G.N())
-	}
-	r.ranks, r.cur = ranks, v
+	// An unranked ranker's cold run lands at the current version or later,
+	// so it never replays a link at or below it either.
+	s.ranked, s.landed = true, v.Seq
 	return r, nil
 }
 
@@ -312,15 +336,13 @@ func (r *Ranker) Behind() uint64 {
 // may be a superset of the true edge diff (churn cancelled within the
 // span); that only widens the initially affected set, never narrows it. A
 // static algo ignores the batch and the previous vector (core.RunCtx drops
-// them) and so recomputes from scratch. When the pending links have left the store's ring (the ranker
-// lagged more than its retention) it rebuilds with the cold run on the
-// newest version — there is no other sound way forward.
+// them) and so recomputes from scratch. The store keeps every link past the
+// ranker, so however far it lags, the span is there to replay.
 //
 // A run that fails (crashed workers) or is cancelled through ctx surfaces
 // as itself: the rank vector stays where it was (an unranked ranker stays
 // unranked) and the returned error wraps the run's own (core.ErrAllCrashed,
-// core.ErrCanceled). No rebuild is attempted — it would run under the same
-// fault plan.
+// core.ErrCanceled).
 func (r *Ranker) Refresh(ctx context.Context) (core.Result, int, error) {
 	from := r.next()
 	res, err := r.catchUp(ctx)
@@ -331,16 +353,12 @@ func (r *Ranker) Refresh(ctx context.Context) (core.Result, int, error) {
 // only through land, so Refresh reads the advance off r.cur.
 func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
 	if r.cur == nil {
-		return r.cold(ctx, r.store.Current(), nil)
+		return r.cold(ctx)
 	}
 	if r.store.Current().Seq == r.cur.Seq {
 		return core.Result{Ranks: r.ranks, Converged: true}, nil
 	}
-	// Replaying needs the pending links still in the ring.
-	links, tip, ok := r.store.Since(r.cur.Seq)
-	if !ok {
-		return r.cold(ctx, tip, &r.Rebuilds)
-	}
+	links, tip := r.store.Since(r.cur.Seq)
 	ups := make([]batch.Update, len(links))
 	for i, l := range links {
 		ups[i] = l.Update
@@ -358,7 +376,8 @@ func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
 	res := core.RunCtx(ctx, r.algo, in, r.cfg)
 	switch {
 	case res.Err == nil:
-		r.land(tip, res, &r.Refreshes)
+		r.Refreshes++
+		r.land(tip, res)
 		return res, nil
 	case errors.Is(res.Err, core.ErrCanceled):
 		return res, fmt.Errorf("snapshot: refresh aborted at version %d: %w", tip.Seq, res.Err)
@@ -367,26 +386,27 @@ func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
 	}
 }
 
-// cold lands the ranker on v through the cold run: the first convergence
-// (counter nil) and the rebuild after the history a refresh would replay
-// was evicted (counter &r.Rebuilds). StaticLF is lock-free, like every
+// cold is an unranked ranker's first convergence: it lands on the store's
+// newest version through the cold run. StaticLF is lock-free, like every
 // refresh, so a crash-stopped worker slows it down instead of breaking it.
-func (r *Ranker) cold(ctx context.Context, v *Version, counter *int) (core.Result, error) {
+func (r *Ranker) cold(ctx context.Context) (core.Result, error) {
+	v := r.store.Current()
 	res := core.RunCtx(ctx, core.AlgoStaticLF, core.Input{GNew: v.G}, r.cfg)
 	if res.Err != nil {
 		return res, fmt.Errorf("snapshot: cold run failed at version %d: %w", v.Seq, res.Err)
 	}
-	r.land(v, res, counter)
+	r.land(v, res)
 	return res, nil
 }
 
-// land makes a finished run the ranker's state, counting it in counter
-// unless that is nil. It is the only writer of ranks/cur and of the
-// Refreshes/Rebuilds counters after construction, so len(ranks) ==
-// Version().G.N() holds after every outcome.
-func (r *Ranker) land(v *Version, res core.Result, counter *int) {
+// land makes a finished run the ranker's state and tells the store, which
+// may then drop the links up to v. It is the only writer of ranks/cur after
+// construction, so len(ranks) == Version().G.N() holds after every outcome.
+func (r *Ranker) land(v *Version, res core.Result) {
 	r.ranks, r.cur = res.Ranks, v
-	if counter != nil {
-		*counter++
-	}
+	s := r.store
+	s.mu.Lock()
+	s.landed = v.Seq
+	s.trimLocked()
+	s.mu.Unlock()
 }

@@ -140,17 +140,15 @@ func WithThreads(n int) Option {
 	}
 }
 
-// WithHistory bounds two rings; keep must be positive (the default is 64).
-// The store keeps the batches of the last keep graph versions — an engine
-// whose ranks fall further behind than that rebuilds them statically instead
-// of replaying — and the engine keeps the last keep published rank views for
-// ViewAt and Delta. Neither ring holds a graph beyond the views' own: a
-// graph snapshot lives while it is current, ranked on, or viewed, and
+// WithHistory sizes two rings; keep must be positive (the default is 64).
+// The engine keeps the last keep published rank views for ViewAt and Delta,
+// and the store keeps the batches of at least the last keep graph versions.
+// Past that floor the store keeps every batch the ranks have not replayed,
+// however many, so ranks that lag further still catch up by one replay and
+// nothing ever waits for them. Neither ring holds a graph beyond the views'
+// own: a graph snapshot lives while it is current, ranked on, or viewed, and
 // consecutive snapshots share every row block their batch did not touch, so
 // each retained view costs its batch's blocks plus one 8n-byte rank vector.
-// keep also bounds how far the ingest loop runs ahead of the refresher: it
-// publishes at most keep versions past the ranks and coalesces the queue
-// until a refresh lands, so a scheduled refresh never becomes a rebuild.
 func WithHistory(keep int) Option {
 	return func(s *settings) error {
 		if keep <= 0 {

@@ -67,10 +67,6 @@ type Result struct {
 	// Advanced is the number of graph versions this call moved the ranks
 	// forward by (0 when the engine was already current).
 	Advanced int
-	// Rebuilt reports that this call ran a full static recomputation (one
-	// lock-free StaticLF run) because the pending history was evicted,
-	// instead of replaying batches incrementally.
-	Rebuilt bool
 	// View is the zero-copy read handle on the computed ranks — the same
 	// immutable view Engine.View returns for this version. A Rank that
 	// advanced nothing carries the already-published view. It is nil only
@@ -110,12 +106,10 @@ type Stats struct {
 	// Keyed reports an engine-owned key space (Open); Keys counts its keys.
 	Keyed bool `json:"keyed"`
 	Keys  int  `json:"keys,omitempty"`
-	// Refreshes are incremental DF-LF refreshes, Rebuilds static rebuilds
-	// after the history was evicted. Superseded counts the refresher's
-	// refreshes canceled under RankImmediate because a newer round was
-	// published; the refresh that followed replayed their span.
+	// Refreshes are incremental DF-LF refreshes. Superseded counts the
+	// refresher's refreshes canceled under RankImmediate because a newer
+	// round was published; the refresh that followed replayed their span.
 	Refreshes  int `json:"refreshes"`
-	Rebuilds   int `json:"rebuilds"`
 	Superseded int `json:"superseded"`
 	// QueuedEdits is the number of edits sitting in the ingest queue right
 	// now — accepted by Submit, not yet drained into a round. The

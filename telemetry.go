@@ -33,7 +33,6 @@ type engineMetrics struct {
 	ingestRounds    *telemetry.Counter // coalesced ingest rounds applied
 	ingestCoalesced *telemetry.Counter // edits those rounds carried, after merge
 	refreshes       *telemetry.Counter // incremental refreshes that advanced the ranks
-	rebuilds        *telemetry.Counter // refreshes that were static rebuilds instead
 	superseded      *telemetry.Counter // refreshes a newer published round canceled
 	sweepBlocks     *telemetry.Counter // rank-sweep chunks dispatched, over every run
 	frontierScanned *telemetry.Counter // frontier vertices the sweeps located, over every run
@@ -90,8 +89,6 @@ func (e *Engine) initTelemetry(reg *telemetry.Registry) {
 			"Edits applied through the ingest pipeline after coalescing."),
 		refreshes: reg.Counter("dfpr_rank_refreshes_total",
 			"Incremental rank refreshes completed."),
-		rebuilds: reg.Counter("dfpr_rank_rebuilds_total",
-			"Rank refreshes that fell back to a full static recomputation."),
 		superseded: reg.Counter("dfpr_rank_superseded_total",
 			"RankImmediate refreshes canceled by a newer published round; the next refresh replays their span."),
 		sweepBlocks: reg.Counter("dfpr_rank_sweep_block_scheduled_total",

@@ -490,8 +490,8 @@ func TestViewDeltaAcrossRestartJump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ckpt.Seq() != 0 || res.View.Seq() != tail || res.Rebuilt {
-		t.Fatalf("restart ranked %d → %d (rebuilt=%v), want an incremental 0 → %d", ckpt.Seq(), res.View.Seq(), res.Rebuilt, tail)
+	if refreshes := eng2.Stats().Refreshes; ckpt.Seq() != 0 || res.View.Seq() != tail || refreshes != 1 {
+		t.Fatalf("restart ranked %d → %d in %d refreshes, want one incremental 0 → %d", ckpt.Seq(), res.View.Seq(), refreshes, tail)
 	}
 	assertDelta(t, ckpt, res.View)
 }
