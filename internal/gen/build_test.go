@@ -1,6 +1,9 @@
 package gen
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -22,6 +25,43 @@ func TestBuildersMatchAddEdgeReference(t *testing.T) {
 			sameGraph(t, fmt.Sprintf("RoadGrid(%d, %d)", side, seed), RoadGrid(side, side, 0.3, seed), refRoadGrid(side, side, 0.3, seed))
 			sameGraph(t, fmt.Sprintf("KMerChain(%d, %d)", n, seed), KMerChain(n, 3, seed), refKMerChain(n, 3, seed))
 		}
+	}
+}
+
+// TestRMATStreamPinned pins the edge lists of RMAT at the sizes the
+// benchmark and the experiments build (seed 1, edge factor 16), as a
+// SHA-256 over Snapshot().Edges(nil) with each edge written as two
+// little-endian uint32s. TestBuildersMatchAddEdgeReference stops at scale 11
+// and edge factor 8, so a change to how RMAT draws (a threshold rounded at
+// run time instead of as a constant, say) could otherwise change every
+// benchmark input without any test failing.
+func TestRMATStreamPinned(t *testing.T) {
+	for _, c := range []struct {
+		scale int
+		sum   string
+	}{
+		{16, "01a562871348c2c82a9e8bbb476186ad727ee8ebc6fd651a7c40098440415d25"},
+		{14, "e8450fb3c1078185c646ba33cd60ee9ee835200d3fef0884a11a6868641731bf"},
+	} {
+		h := sha256.New()
+		var buf [8]byte
+		for _, e := range RMAT(c.scale, 16, 1).Snapshot().Edges(nil) {
+			binary.LittleEndian.PutUint32(buf[:4], e.U)
+			binary.LittleEndian.PutUint32(buf[4:], e.V)
+			h.Write(buf[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.sum {
+			t.Errorf("RMAT(%d, 16, 1) edge list SHA-256 = %s, pinned %s", c.scale, got, c.sum)
+		}
+	}
+}
+
+// BenchmarkRMAT draws and builds RMAT 2^16×16, the stream-rank benchmark's
+// graph.
+func BenchmarkRMAT(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		RMAT(16, 16, 1)
 	}
 }
 

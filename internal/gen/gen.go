@@ -63,31 +63,40 @@ func (c Class) String() string {
 // web-graph-like skew. Like RoadGrid and KMerChain it draws its edge list
 // first and builds the graph with one counting sort (graph.FromEdges drops
 // the duplicates), never a sorted insert per edge.
+//
+// Each level draws one uniform r and picks the quadrant by comparing it
+// with the cumulative thresholds a, a+b and a+b+c (constant expressions, so
+// they round once, at compile time). The quadrant's two bits come from
+// those comparisons rather than a four-way branch, which the CPU would
+// mispredict at almost every level: u's bit is r ≥ a+b (quadrants c and
+// d), and v's bit is the parity of the three comparisons (quadrants b and
+// d).
 func RMAT(scale, edgeFactor int, seed int64) *graph.Dynamic {
 	n := 1 << uint(scale)
 	rng := rand.New(rand.NewSource(seed))
 	const a, b, c = 0.57, 0.19, 0.19
 	m := edgeFactor * n
 	edges := make([]graph.Edge, 0, m)
-	for i := 0; i < m; i++ {
-		u, v := 0, 0
-		for bit := n >> 1; bit > 0; bit >>= 1 {
+	for range m {
+		var u, v uint32
+		for level := scale - 1; level >= 0; level-- {
 			r := rng.Float64()
-			switch {
-			case r < a:
-				// upper-left: no bits set
-			case r < a+b:
-				v |= bit
-			case r < a+b+c:
-				u |= bit
-			default:
-				u |= bit
-				v |= bit
-			}
+			ab := bit(r >= a+b)
+			u |= ab << level
+			v |= (bit(r >= a) ^ ab ^ bit(r >= a+b+c)) << level
 		}
-		edges = append(edges, graph.Edge{U: uint32(u), V: uint32(v)})
+		edges = append(edges, graph.Edge{U: u, V: v})
 	}
 	return graph.DynamicFromCSR(graph.FromEdges(n, edges))
+}
+
+// bit is 1 if x holds and 0 otherwise; the compiler lowers it to a flag
+// set, not a branch.
+func bit(x bool) uint32 {
+	if x {
+		return 1
+	}
+	return 0
 }
 
 // both appends the edge u–v in both directions.

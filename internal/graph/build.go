@@ -62,22 +62,18 @@ func parallelRanges(cuts []int, fn func(w, lo, hi int)) {
 
 // buildCSR materialises a CSR from per-vertex out-rows that are already
 // sorted and deduplicated. row(u) may alias caller storage — its contents are
-// copied. This is the cold-build path shared by FromEdges and
-// Dynamic.SnapshotFull: the out blocks are packed from the rows, then an
-// in-degree count sizes the in blocks and a scatter pass fills them, each
-// pass parallelised over contiguous block ranges once the graph is large
-// enough. Every block owns its arrays, so a later snapshot that shares a
-// few of them keeps nothing else alive. The scatter writes each in-row in
-// the CSR's order (see CSR): the self-loop goes in the row's first slot and
-// the scatter skips it.
+// copied. This is Dynamic.SnapshotFull's cold build: the out blocks are
+// packed from the rows, parallelised over contiguous block ranges once the
+// graph is large enough, then fillIn builds the in side. Every block owns
+// its arrays, so a later snapshot that shares a few of them keeps nothing
+// else alive.
 func buildCSR(n int, row func(u int) []uint32) *CSR {
 	nb := numBlocks(n)
 	g := &CSR{n: n, out: make(side, nb), in: make(side, nb)}
 	for u := 0; u < n; u++ {
 		g.m += len(row(u))
 	}
-	workers := buildWorkers(g.m)
-	parallelRanges(uniformCuts(nb, workers), func(_, blo, bhi int) {
+	parallelRanges(uniformCuts(nb, buildWorkers(g.m)), func(_, blo, bhi int) {
 		for b := blo; b < bhi; b++ {
 			lo, hi := blockSpan(b, n)
 			ptr := new(blockPtr)
@@ -94,7 +90,18 @@ func buildCSR(n int, row func(u int) []uint32) *CSR {
 			g.out[b] = rowBlock{ptr, adj}
 		}
 	})
+	g.fillIn()
+	return g
+}
 
+// fillIn builds the in side of a CSR whose out blocks are complete: an
+// in-degree count sizes the in blocks and a scatter pass fills them,
+// parallelised over block ranges of equal in-edge mass once the graph is
+// large enough. The scatter writes each in-row in the CSR's order (see
+// CSR): the self-loop goes in the row's first slot and the scatter skips it.
+func (g *CSR) fillIn() {
+	n, nb := g.n, len(g.out)
+	workers := buildWorkers(g.m)
 	// cur[v] counts v's in-degree, then becomes the slot of its next source
 	// in its block.
 	cur := make([]uint32, n)
@@ -144,7 +151,6 @@ func buildCSR(n int, row func(u int) []uint32) *CSR {
 			}
 		}
 	})
-	return g
 }
 
 // prefixCuts splits the index range of a prefix-sum array (edges before each
@@ -170,48 +176,103 @@ func prefixCuts(ptr []uint64, parts int) []int {
 // Duplicate edges are collapsed; edges with endpoints ≥ n cause a panic, as
 // that is always a programming error in this codebase.
 //
-// Construction is a counting sort by source (no comparison sort across the
-// edge list): a degree-count pass, a scatter into row storage, then an
-// independent sort+dedup of each row, parallelised for large inputs.
+// Construction is a two-pass counting sort (an LSD radix sort on the
+// (source, target) key; no comparison sort anywhere). The first pass
+// buckets the sources by target. The second reads the buckets in target
+// order and scatters the targets by source, straight into out blocks sized
+// for their rows with duplicates, so every row comes out sorted and one
+// linear pass per block drops the duplicates. fillIn then builds the in
+// side. Only the first pass reads the edge list and only the second the
+// bucket buffer, so neither is live while the blocks are finished.
 func FromEdges(n int, edges []Edge) *CSR {
-	off := make([]uint64, n+1)
+	deg, ends, src := bucketSources(n, &edges)
+	// bucketSources takes the list through a pointer so that no copy of it
+	// is left in this frame, and this drops the last reference. Otherwise a
+	// collection that interrupts a loop below scans this frame
+	// conservatively and keeps the whole list alive through the build.
+	edges = nil
+	g := &CSR{n: n, out: make(side, numBlocks(n)), in: make(side, numBlocks(n))}
+	// Each block's ptr[i+1] holds row i's first slot and serves as its
+	// cursor, so the scatter leaves it at the row's end.
+	for b := range g.out {
+		lo, hi := blockSpan(b, n)
+		ptr := new(blockPtr)
+		size := uint64(0)
+		for i := range blockRows {
+			ptr[i+1] = size
+			if lo+i < hi {
+				size += deg[lo+i]
+			}
+		}
+		g.out[b] = rowBlock{ptr, make([]uint32, size)}
+	}
+	start := uint64(0)
+	for v, end := range ends {
+		for _, u := range src[start:end] {
+			blk := &g.out[u>>blockShift]
+			cur := &blk.ptr[u&blockMask+1]
+			blk.adj[*cur] = uint32(v)
+			*cur++
+		}
+		start = end
+	}
+	for b := range g.out {
+		g.out[b].adj = dropRepeats(g.out[b])
+		g.m += len(g.out[b].adj)
+	}
+	g.fillIn()
+	return g
+}
+
+// bucketSources is FromEdges' counting pass and first scatter. It returns
+// each source's out-degree, the end of each target's bucket (target v's
+// bucket is src[ends[v-1]:ends[v]], from 0 for v = 0) and src, the edges'
+// sources grouped by target in list order; duplicates count throughout.
+// The bucket starts serve as the scatter's cursors, which leaves them at
+// the bucket ends.
+func bucketSources(n int, list *[]Edge) (deg, ends []uint64, src []uint32) {
+	edges := *list
+	deg, ends = make([]uint64, n), make([]uint64, n)
 	for _, e := range edges {
 		if int(e.U) >= n || int(e.V) >= n {
 			panic(fmtEdgeRange(e, n))
 		}
-		off[e.U+1]++
+		deg[e.U]++
+		ends[e.V]++
 	}
-	for u := 0; u < n; u++ {
-		off[u+1] += off[u]
+	next := uint64(0)
+	for v, c := range ends {
+		ends[v], next = next, next+c
 	}
-	buf := make([]uint32, len(edges))
-	cursor := make([]uint64, n)
-	copy(cursor, off[:n])
+	src = make([]uint32, len(edges))
 	for _, e := range edges {
-		buf[cursor[e.U]] = e.V
-		cursor[e.U]++
+		src[ends[e.V]] = e.U
+		ends[e.V]++
 	}
-	rowLen := make([]uint32, n)
-	parallelRanges(uniformCuts(n, buildWorkers(len(edges))), func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			rowLen[u] = uint32(len(sortUnique(buf[off[u]:off[u+1]])))
+	return deg, ends, src
+}
+
+// dropRepeats packs a block's sorted rows left without their repeated
+// entries, rewriting its ptr to match, and returns the block's adjacency
+// cut to the packed length.
+func dropRepeats(blk rowBlock) []uint32 {
+	ptr, adj := blk.ptr, blk.adj
+	w, lo := uint64(0), uint64(0)
+	for i := range blockRows {
+		hi := ptr[i+1]
+		for _, v := range adj[lo:hi] {
+			if w == ptr[i] || v != adj[w-1] {
+				adj[w] = v
+				w++
+			}
 		}
-	})
-	return buildCSR(n, func(u int) []uint32 {
-		return buf[off[u] : off[u]+uint64(rowLen[u])]
-	})
+		ptr[i+1] = w
+		lo = hi
+	}
+	return adj[:w]
 }
 
 func sortUnique(a []uint32) []uint32 {
-	if len(a) < 2 {
-		return a
-	}
 	slices.Sort(a)
-	out := a[:1]
-	for _, x := range a[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
+	return slices.Compact(a)
 }

@@ -149,6 +149,8 @@ func WithThreads(n int) Option {
 // own: a graph snapshot lives while it is current, ranked on, or viewed, and
 // consecutive snapshots share every row block their batch did not touch, so
 // each retained view costs its batch's blocks plus one 8n-byte rank vector.
+// At the default that is up to 512n bytes of rank vectors on top of the
+// graph: 32 MiB at n = 2^16, 4 GiB at n = 2^23.
 func WithHistory(keep int) Option {
 	return func(s *settings) error {
 		if keep <= 0 {
