@@ -125,10 +125,10 @@
 // channel sized for live serving; SetFaultPlan injects the paper's
 // thread-delay and crash-stop faults for chaos drills, and a refresh that
 // fails under a plan surfaces as itself with the ranks at the last good
-// version; the next refresh replays that span. The store keeps every batch
-// the ranks have not replayed (WithHistory is only the floor of that ring
-// and the count of retained views), so ranks always catch up by replay,
-// however far behind they are. Frontier size is
+// version; the next refresh replays that span. The store folds every batch
+// the ranks have not replayed into one pending span (WithHistory counts
+// retained views only), so ranks always catch up by replay, however far
+// behind they are. Frontier size is
 // observable from the run that served: the
 // dfpr_rank_sweep_block_frontier_total counter over dfpr_rank_refreshes_total.
 //

@@ -166,7 +166,7 @@ func restore(st settings, ck *wal.State) (*Engine, error) {
 	// store's base, so the first Rank refreshes over the replayed span
 	// incrementally — the path a live engine several versions behind takes.
 	// A rank-less checkpoint leaves it unranked.
-	e, err := engineOver(st, snapshot.NewStoreAt(graph.DynamicFromCSR(ck.Graph), st.history, ck.Seq), ck.Ranks)
+	e, err := engineOver(st, snapshot.NewStoreAt(graph.DynamicFromCSR(ck.Graph), ck.Seq), ck.Ranks)
 	if err != nil {
 		return nil, err
 	}

@@ -242,8 +242,8 @@ func Open(opts ...Option) (*Engine, error) {
 // grows the graph to cover it (new vertices materialise with only their
 // dead-end self-loop) instead of erroring. Batches from concurrent callers
 // are serialised; readers are never blocked. Ranks do not move until the
-// next Rank call, and the store keeps every batch applied since the last
-// one, however many, so that Rank replays them as one span. The context is
+// next Rank call, and the store folds every batch applied since the last
+// one, however many, into one pending span that Rank replays. The context is
 // consulted before the (brief, incremental) snapshot construction starts;
 // an already-canceled context applies nothing.
 func (e *Engine) Apply(ctx context.Context, del, ins []Edge) (uint64, error) {
@@ -341,8 +341,8 @@ func toInternal(edges []Edge) []graph.Edge {
 // and does not count as a refresh in Stats; every later call replays all
 // the batches applied since the last one as one merged span with DF-LF,
 // touching only frontier-sized work, however far the ranks lagged (the
-// store keeps every batch its ranks have not replayed, beyond WithHistory
-// if need be). Every run is lock-free, so a worker crash-stopped by a
+// store folds every batch its ranks have not replayed into one pending
+// span, whatever WithHistory is). Every run is lock-free, so a worker crash-stopped by a
 // FaultPlan slows a run down but cannot stop it while one worker lives.
 // Successful calls that advance the version publish one view and push the
 // Result to every subscriber.

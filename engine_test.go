@@ -661,6 +661,50 @@ func TestPublishToRankedTimesEveryVersion(t *testing.T) {
 	}
 }
 
+// TestPublishToRankedPastHistory lets ten versions, 20 ms apart, wait for
+// one Rank under a history of 2: that landing covers all ten, so its one
+// freshness sample must time the first of them — at least the wall time
+// since the first Apply, less a slack for the Apply itself — however few
+// views the engine keeps.
+func TestPublishToRankedPastHistory(t *testing.T) {
+	const versions, gap, slack = 10, 20 * time.Millisecond, 20 * time.Millisecond
+	ctx := context.Background()
+	n, edges, _ := testGraph(t, 9, 55)
+	eng, err := New(n, edges, WithThreads(1), WithHistory(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.Rank(ctx); err != nil {
+		t.Fatal(err)
+	}
+	hist := eng.met.publishSeconds
+	count, sum := hist.Count(), hist.Sum()
+	start := time.Now()
+	for i := range versions {
+		if i > 0 {
+			time.Sleep(gap)
+		}
+		if _, err := eng.Apply(ctx, nil, []Edge{{U: uint32(i), V: uint32(40 + i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := eng.Rank(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waited := time.Since(start)
+	if res.Advanced != versions {
+		t.Fatalf("Rank advanced %d versions, want %d", res.Advanced, versions)
+	}
+	if got := hist.Count() - count; got != 1 {
+		t.Fatalf("dfpr_publish_to_ranked_seconds took %d samples for one landing, want 1", got)
+	}
+	if got := time.Duration((hist.Sum() - sum) * float64(time.Second)); got < waited-slack {
+		t.Errorf("the landing's freshness sample is %v; the oldest version it covers waited at least %v", got, waited-slack)
+	}
+}
+
 // TestNewBuildsFromEdgeList builds New from one RMAT edge list, with
 // duplicates and edges that grow the universe past n, once shuffled and once
 // sorted: both engines hold the edge set an AddEdge build of the list holds

@@ -105,7 +105,7 @@ func main() {
 	refresh("6 batches past a history of 4: one replay")
 
 	fmt.Println("\nThe last refresh lagged further than the engine's history, and still")
-	fmt.Println("replayed the six batches as one merged span: the store keeps every")
-	fmt.Println("batch its ranks have not replayed, so a refresh never misses a deleted")
-	fmt.Println("edge and never has to start over.")
+	fmt.Println("replayed the six batches as one merged span: the store folds every")
+	fmt.Println("batch its ranks have not replayed into one pending span, so a refresh")
+	fmt.Println("never misses a deleted edge and never has to start over.")
 }

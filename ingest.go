@@ -86,8 +86,8 @@ func RankImmediate() RankPolicy { return RankPolicy{kind: rankImmediate} }
 // RankEveryN ranks once at least n edits (edges of the merged batches) have
 // been published since the last landed refresh. Leftovers below the
 // threshold stay unranked until more arrive or Flush forces a refresh,
-// however many versions they span (the store keeps their batches for the
-// replay); an engine without ranks converges at once.
+// however many versions they span (the store's pending span keeps them for
+// the replay); an engine without ranks converges at once.
 func RankEveryN(n int) RankPolicy { return RankPolicy{kind: rankEveryN, every: n} }
 
 // String names the policy for logs and stats pages.
@@ -387,7 +387,7 @@ func (e *Engine) handOff(published uint64, flushes []*flushReq) (idle bool) {
 }
 
 // refreshDueLocked reports whether the refresher has work: ranks lag the
-// graph, and a Flush waits or the edits of the versions past the ranks reach
+// graph, and a Flush waits or the edits of the store's pending span reach
 // the policy's threshold. A version whose batch carries no edges (pure
 // growth) still moved every rank and counts as one edit. Caller holds
 // e.ingestMu.
@@ -399,16 +399,10 @@ func (e *Engine) refreshDueLocked() bool {
 	case len(e.rankFlushes) > 0 || e.opts.policy.kind == rankImmediate:
 		return true
 	}
-	v := e.latest.Load()
-	if v == nil {
+	if e.latest.Load() == nil {
 		return true // the first convergence
 	}
-	links, _ := e.store.Since(v.seq)
-	edits := 0
-	for _, l := range links {
-		edits += max(l.Update.Size(), 1)
-	}
-	return edits >= e.opts.policy.every
+	return e.store.PendingEdits() >= e.opts.policy.every
 }
 
 // refresher ranks behind the ingest loop, and a follower's apply loop, on

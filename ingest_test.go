@@ -396,9 +396,9 @@ func TestSubmitAfterCloseAndQueuedTicketsFail(t *testing.T) {
 }
 
 // TestDeltaAcrossCoalescedVersions pins View.Delta across coalesced rounds
-// (each store version carries a MERGED update, and only the Flush publishes
-// a view): the answer is exact over the merged span, and still exact once
-// the span's history is evicted.
+// (each store version comes from a MERGED round, and only the Flush
+// publishes a view): the answer is exact over the merged span, and still
+// exact once the older view has left the engine's retained views.
 func TestDeltaAcrossCoalescedVersions(t *testing.T) {
 	ctx := context.Background()
 	eng, _, _ := ingestEngine(t, WithHistory(4), WithRankPolicy(RankEveryN(1<<20)))
@@ -437,7 +437,7 @@ func TestDeltaAcrossCoalescedVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertDelta(t, v0, v1)
-	// Push far past the retention of 4 so the store's links from v0 evict.
+	// Push far past the view retention of 4, so v0 is no longer retained.
 	step(8, 6, 500)
 	vN, err := eng.View()
 	if err != nil {

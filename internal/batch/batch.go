@@ -17,6 +17,7 @@ package batch
 import (
 	"math/rand"
 	"slices"
+	"time"
 
 	"dfpr/internal/gen"
 	"dfpr/internal/graph"
@@ -59,37 +60,82 @@ func (u Update) Inverse() Update {
 // from the pre-batch graph (inserted then deleted within the span) and the
 // Ins list edges already present; both are no-ops for the set-semantics
 // Dynamic store, and for the Dynamic Frontier marking they only widen the
-// initially affected set, never narrow it.
+// initially affected set, never narrow it. Merge is a Merger fed ups.
 func Merge(ups ...Update) Update {
-	var out Update
 	total := 0
 	for _, up := range ups {
 		total += up.Size()
-		if up.N > out.N {
-			out.N = up.N
-		}
 	}
-	if total == 0 {
-		return out // pure-growth updates still carry their merged N
-	}
-	lastDel := make(map[graph.Edge]bool, total)
-	order := make([]graph.Edge, 0, total)
-	note := func(e graph.Edge, del bool) {
-		if _, seen := lastDel[e]; !seen {
-			order = append(order, e)
-		}
-		lastDel[e] = del
-	}
+	m := Merger{lastDel: make(map[graph.Edge]bool, total), order: make([]graph.Edge, 0, total)}
 	for _, up := range ups {
-		for _, e := range up.Del {
-			note(e, true)
-		}
-		for _, e := range up.Ins {
-			note(e, false)
-		}
+		m.Add(up, time.Time{})
 	}
-	for _, e := range order {
-		if lastDel[e] {
+	return m.Update()
+}
+
+// Merger accumulates updates into the one Merge would return for them,
+// one update at a time, so a span of k batches over p distinct edges costs
+// p entries however large k grows. It also counts the span's raw edits
+// (max(Size, 1) per update: a pure-growth update still moved every rank)
+// and keeps the oldest time it was given. The zero Merger is empty and
+// ready to use.
+type Merger struct {
+	order   []graph.Edge        // first-touch order
+	lastDel map[graph.Edge]bool // last op per edge: true for a deletion
+	n       int
+	edits   int
+	oldest  time.Time
+}
+
+// Add folds up, published at at (zero when untimed), into the span.
+func (m *Merger) Add(up Update, at time.Time) {
+	for _, e := range up.Del {
+		m.note(e, true)
+	}
+	for _, e := range up.Ins {
+		m.note(e, false)
+	}
+	m.n = max(m.n, up.N)
+	m.edits += max(up.Size(), 1)
+	if m.oldest.IsZero() {
+		m.oldest = at
+	}
+}
+
+func (m *Merger) note(e graph.Edge, del bool) {
+	if m.lastDel == nil {
+		m.lastDel = make(map[graph.Edge]bool)
+	}
+	if _, seen := m.lastDel[e]; !seen {
+		m.order = append(m.order, e)
+	}
+	m.lastDel[e] = del
+}
+
+// Absorb folds later, a span that follows m's, into m: the result is what
+// Adding m's updates and then later's would have built.
+func (m *Merger) Absorb(later *Merger) {
+	for _, e := range later.order {
+		m.note(e, later.lastDel[e])
+	}
+	m.n = max(m.n, later.n)
+	m.edits += later.edits
+	if m.oldest.IsZero() {
+		m.oldest = later.oldest
+	}
+}
+
+// Edits returns how many raw edits the span's updates carried.
+func (m *Merger) Edits() int { return m.edits }
+
+// Oldest returns the first non-zero time the span was given.
+func (m *Merger) Oldest() time.Time { return m.oldest }
+
+// Update returns the span as one update, in first-touch order.
+func (m *Merger) Update() Update {
+	out := Update{N: m.n}
+	for _, e := range m.order {
+		if m.lastDel[e] {
 			out.Del = append(out.Del, e)
 		} else {
 			out.Ins = append(out.Ins, e)

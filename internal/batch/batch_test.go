@@ -1,9 +1,11 @@
 package batch
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dfpr/internal/gen"
 	"dfpr/internal/graph"
@@ -142,6 +144,141 @@ func TestMergeDeterministicOrder(t *testing.T) {
 	b := Merge(ups...)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("Merge of the same sequence differs between calls")
+	}
+}
+
+// refMerge is Merge as a standalone model: one pass over the sequence,
+// first-touch order, last op per edge, the largest N.
+func refMerge(ups []Update) Update {
+	var out Update
+	lastDel := map[graph.Edge]bool{}
+	var order []graph.Edge
+	note := func(e graph.Edge, del bool) {
+		if _, seen := lastDel[e]; !seen {
+			order = append(order, e)
+		}
+		lastDel[e] = del
+	}
+	for _, up := range ups {
+		out.N = max(out.N, up.N)
+		for _, e := range up.Del {
+			note(e, true)
+		}
+		for _, e := range up.Ins {
+			note(e, false)
+		}
+	}
+	for _, e := range order {
+		if lastDel[e] {
+			out.Del = append(out.Del, e)
+		} else {
+			out.Ins = append(out.Ins, e)
+		}
+	}
+	return out
+}
+
+// randomSpan draws k updates over a pool of p pairs, so edges repeat and
+// are deleted after they were inserted, with pure-growth and empty updates
+// among them; every third update carries no time.
+func randomSpan(rng *rand.Rand, k, p int) ([]Update, []time.Time) {
+	ups := make([]Update, k)
+	ats := make([]time.Time, k)
+	pair := func() graph.Edge { i := rng.Intn(p); return graph.Edge{U: uint32(i % 7), V: uint32(i)} }
+	for i := range ups {
+		switch rng.Intn(6) {
+		case 0:
+			ups[i] = Update{N: rng.Intn(100)} // pure growth
+		case 1: // empty
+		default:
+			for range rng.Intn(5) {
+				ups[i].Del = append(ups[i].Del, pair())
+			}
+			for range rng.Intn(5) {
+				ups[i].Ins = append(ups[i].Ins, pair())
+			}
+			ups[i].N = rng.Intn(3) * 20
+		}
+		if i%3 != 0 {
+			ats[i] = time.Unix(int64(1000+i), 0)
+		}
+	}
+	return ups, ats
+}
+
+func wantEdits(ups []Update) int {
+	edits := 0
+	for _, up := range ups {
+		edits += max(up.Size(), 1)
+	}
+	return edits
+}
+
+func firstTime(ats []time.Time) time.Time {
+	for _, at := range ats {
+		if !at.IsZero() {
+			return at
+		}
+	}
+	return time.Time{}
+}
+
+// TestMergerMatchesMerge: a Merger fed a sequence one update at a time
+// builds bitwise the update Merge (and the standalone model) builds from
+// the whole sequence, and counts its raw edits and first non-zero time;
+// Absorb of a later span is bitwise Adding both spans in order. The fixed
+// row is why Absorb exists: re-merging a merged span lists its deletions
+// before its insertions, so Merge(Merge(a, b), c) is not Merge(a, b, c).
+func TestMergerMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	for trial := range 300 {
+		ups, ats := randomSpan(rng, 1+rng.Intn(12), 1+rng.Intn(30))
+		var m Merger
+		for i, up := range ups {
+			m.Add(up, ats[i])
+		}
+		want := Merge(ups...)
+		if got := m.Update(); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(want, refMerge(ups)) {
+			t.Fatalf("trial %d: Add over %+v\n= %+v\nMerge %+v\nmodel %+v", trial, ups, got, want, refMerge(ups))
+		}
+		if m.Edits() != wantEdits(ups) || !m.Oldest().Equal(firstTime(ats)) {
+			t.Fatalf("trial %d: edits %d oldest %v, want %d %v", trial, m.Edits(), m.Oldest(), wantEdits(ups), firstTime(ats))
+		}
+
+		cut := rng.Intn(len(ups) + 1)
+		var a, b Merger
+		for i, up := range ups {
+			if i < cut {
+				a.Add(up, ats[i])
+			} else {
+				b.Add(up, ats[i])
+			}
+		}
+		a.Absorb(&b)
+		if got := a.Update(); !reflect.DeepEqual(got, want) || a.Edits() != m.Edits() || !a.Oldest().Equal(m.Oldest()) {
+			t.Fatalf("trial %d: Absorb at %d of %+v\n= %+v (%d edits, %v)\nwant %+v (%d edits, %v)",
+				trial, cut, ups, got, a.Edits(), a.Oldest(), want, m.Edits(), m.Oldest())
+		}
+	}
+
+	e := func(u, v uint32) graph.Edge { return graph.Edge{U: u, V: v} }
+	a := Update{Ins: []graph.Edge{e(1, 2)}}
+	b := Update{Del: []graph.Edge{e(3, 4)}}
+	c := Update{Ins: []graph.Edge{e(3, 4)}}
+	flat := Merge(a, b, c)
+	if want := []graph.Edge{e(1, 2), e(3, 4)}; !reflect.DeepEqual(flat.Ins, want) {
+		t.Fatalf("Merge(a, b, c).Ins = %v, want %v", flat.Ins, want)
+	}
+	if nested := Merge(Merge(a, b), c); reflect.DeepEqual(nested, flat) {
+		t.Errorf("Merge(Merge(a, b), c) = %+v equals Merge(a, b, c): the counterexample no longer holds", nested)
+	}
+	var ab, cm Merger
+	ab.Add(a, time.Time{})
+	ab.Add(b, time.Time{})
+	cm.Add(c, time.Time{})
+	ab.Absorb(&cm)
+	if got := ab.Update(); !reflect.DeepEqual(got, flat) {
+		t.Errorf("Absorb = %+v, want Merge(a, b, c) = %+v", got, flat)
 	}
 }
 

@@ -4,13 +4,14 @@
 // snapshots* of the graph. A Store serialises writers and publishes
 // immutable versions lock-free to readers; a Ranker subscribes to a store
 // and keeps a PageRank vector current by replaying the update history with
-// the Dynamic Frontier algorithm. A store serves one ranker and keeps every
-// batch that ranker has not replayed, so however far it lags it catches up
-// by replay. ResumeRanker builds a ranker, unranked or at a checkpointed
-// vector, and Refresh is the one way its ranks move. Every run the package
-// starts is lock-free: the cold run (the first convergence) is StaticLF
-// (Alg. 4), so a crash-stopped worker anywhere is outlived by the others
-// (§4.4), never waited for at a barrier.
+// the Dynamic Frontier algorithm. A store serves one ranker and folds every
+// batch it publishes into one pending span, the merged batch of everything
+// that ranker has not replayed, so however far it lags it catches up by one
+// replay whose cost is the span's distinct edits. ResumeRanker builds a
+// ranker, unranked or at a checkpointed vector, and Refresh is the one way
+// its ranks move. Every run the package starts is lock-free: the cold run
+// (the first convergence) is StaticLF (Alg. 4), so a crash-stopped worker
+// anywhere is outlived by the others (§4.4), never waited for at a barrier.
 //
 // This is the composition layer a downstream user actually deploys: the
 // core package answers "how do I update ranks for one batch", this package
@@ -21,7 +22,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,27 +32,16 @@ import (
 	"dfpr/internal/graph"
 )
 
-// Link is the chain link of one version: its sequence number, the batch
-// that produced it (empty for the initial version) and when Apply published
-// it (zero for the initial version, which no Apply published). It is
-// everything a replay merging a span needs, so the store's ring holds
-// links, a batch per round, never a graph.
-type Link struct {
-	Seq    uint64
-	Update batch.Update
-	At     time.Time
-}
-
-// Version is one immutable published state of the graph: a chain link plus
-// the graph snapshot it produced. Seq increases by one per applied batch.
-// Each row block of the CSR lives exactly as long as something holds a
-// *Version whose CSR includes it: the store as Current(), a view, or a
-// ranker positioned on it. Consecutive versions share every block their
-// batch did not touch, so a retained version costs the blocks its batch
-// rebuilt and two block tables, not a graph.
+// Version is one immutable published state of the graph: its sequence
+// number and the graph snapshot it produced. Seq increases by one per
+// applied batch. Each row block of the CSR lives exactly as long as
+// something holds a *Version whose CSR includes it: the store as Current(),
+// a view, or a ranker positioned on it. Consecutive versions share every
+// block their batch did not touch, so a retained version costs the blocks
+// its batch rebuilt and two block tables, not a graph.
 type Version struct {
-	Link
-	G *graph.CSR
+	Seq uint64
+	G   *graph.CSR
 }
 
 // Store is a single-writer multi-reader dynamic-graph store. Writers call
@@ -60,40 +49,31 @@ type Version struct {
 // it is one atomic pointer load, so rank computations always see a
 // consistent frozen graph no matter how many updates land meanwhile.
 type Store struct {
-	mu      sync.Mutex
-	d       *graph.Dynamic
-	cur     atomic.Value // *Version
-	history []Link       // ring of recent chain links, oldest first
-	keep    int
-	// ranked is set once a Ranker serves the store; landed is the version
-	// it last landed on (or was built at). No link past landed is dropped.
-	ranked bool
-	landed uint64
+	mu  sync.Mutex
+	d   *graph.Dynamic
+	cur atomic.Value // *Version
+	// ranked is set once a Ranker serves the store; from then on pending
+	// holds every batch published since the ranker last took the span.
+	ranked  bool
+	pending batch.Merger
 }
-
-// DefaultHistory is how many chain links (the current version's included) a
-// store retains at least; links its ranker has not replayed stay beyond it.
-const DefaultHistory = 64
 
 // NewStore seals the dynamic graph (self-loops ensured) as version 0. The
 // store takes ownership of d; callers must not mutate it afterwards.
+// keepHistory is unused: the store keeps no history, only the pending span
+// of its ranker. It stays until the benchmark's probe stops passing it.
 func NewStore(d *graph.Dynamic, keepHistory int) *Store {
-	return NewStoreAt(d, keepHistory, 0)
+	return NewStoreAt(d, 0)
 }
 
 // NewStoreAt is NewStore sealing the graph as version seq instead of 0 —
 // the warm-restart constructor: an engine recovering from a checkpoint
 // rebuilds its store at the checkpoint's sequence so replayed WAL records
 // and fresh writes continue the original version numbering.
-func NewStoreAt(d *graph.Dynamic, keepHistory int, seq uint64) *Store {
-	if keepHistory <= 0 {
-		keepHistory = DefaultHistory
-	}
+func NewStoreAt(d *graph.Dynamic, seq uint64) *Store {
 	d.EnsureSelfLoops()
-	s := &Store{d: d, keep: keepHistory}
-	v := &Version{Link: Link{Seq: seq}, G: d.Snapshot()}
-	s.cur.Store(v)
-	s.history = append(s.history, v.Link)
+	s := &Store{d: d}
+	s.cur.Store(&Version{Seq: seq, G: d.Snapshot()})
 	return s
 }
 
@@ -120,9 +100,9 @@ func (s *Store) Apply(up batch.Update) (prev, next *Version) {
 // the whole replayed WAL tail into ONE store application — one snapshot
 // materialisation instead of one per record, which is what makes restart
 // cost independent of tail length — and lands it at the tail's tip sequence
-// so fresh writes continue the logged numbering. The version's Update
-// carries the merged batch, so a ranker resuming from the base version
-// refreshes over it exactly as it would over a coalesced span. seq must
+// so fresh writes continue the logged numbering. The merged batch joins the
+// pending span, so a ranker resuming from the base version refreshes over
+// it exactly as it would over a coalesced span. seq must
 // exceed the current version's; ApplyAt panics otherwise (it is a
 // programming error, not a runtime condition).
 func (s *Store) ApplyAt(up batch.Update, seq uint64) (prev, next *Version) {
@@ -136,70 +116,50 @@ func (s *Store) ApplyAt(up batch.Update, seq uint64) (prev, next *Version) {
 }
 
 // applyLocked applies up to the dynamic graph and publishes the result as
-// version seq. Caller holds s.mu; prev is s.Current() at entry.
+// version seq, folding up into the pending span when a ranker will replay
+// it. Caller holds s.mu; prev is s.Current() at entry.
 func (s *Store) applyLocked(up batch.Update, seq uint64) (prev, next *Version) {
 	prev = s.Current()
 	s.d.Grow(up.Universe(s.d.N()))
 	// Deletions of edges beyond the (grown) universe cannot exist — drop
-	// them rather than grow for them, and publish the clamped list so the
-	// frontier marking over this version's batch stays in range.
+	// them rather than grow for them, and fold the clamped list so the
+	// frontier marking over the span stays in range.
 	up.Del = up.ClampDel(s.d.N())
 	s.d.Apply(up.Del, up.Ins)
 	s.d.EnsureSelfLoops()
-	next = &Version{Link: Link{Seq: seq, Update: up, At: time.Now()}, G: s.d.Snapshot()}
-	s.history = append(s.history, next.Link)
-	s.trimLocked()
+	next = &Version{Seq: seq, G: s.d.Snapshot()}
+	if s.ranked {
+		s.pending.Add(up, time.Now())
+	}
 	s.cur.Store(next)
 	return prev, next
 }
 
-// trimLocked drops the oldest links while the ring holds more than keep and
-// the oldest is at or below the version the ranker last landed on: a link
-// the ranker has not replayed is never dropped. Caller holds s.mu.
-func (s *Store) trimLocked() {
-	drop := 0
-	for len(s.history)-drop > s.keep && (!s.ranked || s.history[drop].Seq <= s.landed) {
-		drop++
-	}
-	if drop > 0 {
-		// Shift in place and clear the vacated tail instead of re-slicing: a
-		// re-slice keeps the dropped links' batches reachable through the
-		// head of the backing array for as long as the store lives.
-		n := copy(s.history, s.history[drop:])
-		clear(s.history[n:])
-		s.history = s.history[:n]
-	}
-}
-
-// Since returns the retained chain links with Seq in (afterSeq, latest],
-// oldest first, together with the version they lead to — read under one
-// lock, so tip is exactly the graph the links produce. Every link past the
-// store's ranker is retained, so for afterSeq at or past that ranker's
-// version the links are the whole span.
-func (s *Store) Since(afterSeq uint64) (links []Link, tip *Version) {
+// PendingEdits returns the raw edit count of the pending span: what the
+// ranker has not replayed, less a span a refresh in flight has taken.
+func (s *Store) PendingEdits() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tip = s.Current()
-	if afterSeq >= tip.Seq {
-		return nil, tip // already current
-	}
-	i := slices.IndexFunc(s.history, func(l Link) bool { return l.Seq > afterSeq })
-	// A copy: the ring shifts in place under later applies.
-	return slices.Clone(s.history[i:]), tip
+	return s.pending.Edits()
 }
 
-// PublishedAfter returns the sequence and publication time of the oldest
-// retained version past afterSeq that an Apply published; seq is 0 when
-// there is none.
-func (s *Store) PublishedAfter(afterSeq uint64) (seq uint64, at time.Time) {
+// take hands over the pending span together with the version it leads to,
+// read under one lock so tip is exactly the graph the span produces, and
+// leaves an empty span (a fresh one, so a burst's map is not kept).
+func (s *Store) take() (span batch.Merger, tip *Version) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, l := range s.history {
-		if l.Seq > afterSeq && !l.At.IsZero() {
-			return l.Seq, l.At
-		}
-	}
-	return 0, time.Time{}
+	span, s.pending = s.pending, batch.Merger{}
+	return span, s.Current()
+}
+
+// giveBack folds a span a refresh took but did not land back in front of
+// whatever was published since, so the span stays in batch order.
+func (s *Store) giveBack(span batch.Merger) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	span.Absorb(&s.pending)
+	s.pending = span
 }
 
 // Ranker keeps a PageRank vector synchronised with a Store. It is safe for
@@ -211,6 +171,9 @@ type Ranker struct {
 	algo  core.Algo
 	ranks []float64
 	cur   *Version // the store version ranks correspond to; nil while unranked
+	// oldest is when the oldest version the last landing covered was
+	// published; zero before the first landing or when it covered none.
+	oldest time.Time
 
 	// Refreshes counts incremental refreshes (not the first convergence).
 	Refreshes int
@@ -248,8 +211,8 @@ func NewRanker(ctx context.Context, s *Store, algo core.Algo, cfg core.Config) (
 // ownership of ranks (treat it as frozen). With nil ranks (seq is then not
 // checked) the ranker starts unranked, and its first Refresh converges the
 // store's newest version with the cold run. A store serves one ranker: from
-// here on its ring keeps every link past the ranker's version, so a store
-// that already has one is refused.
+// here on its pending span holds every batch published past the ranker's
+// version, so a store that already has one is refused.
 func ResumeRanker(s *Store, algo core.Algo, cfg core.Config, ranks []float64, seq uint64) (*Ranker, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -267,9 +230,7 @@ func ResumeRanker(s *Store, algo core.Algo, cfg core.Config, ranks []float64, se
 		}
 		r.ranks, r.cur = ranks, v
 	}
-	// An unranked ranker's cold run lands at the current version or later,
-	// so it never replays a link at or below it either.
-	s.ranked, s.landed = true, v.Seq
+	s.ranked = true
 	return r, nil
 }
 
@@ -292,6 +253,11 @@ func (r *Ranker) RanksShared() []float64 { return r.ranks }
 // carries the graph snapshot the ranks were converged on. It is nil while
 // the ranker is unranked.
 func (r *Ranker) Version() *Version { return r.cur }
+
+// Oldest returns when the oldest version the last landing covered was
+// published: zero before the first landing, and for a landing that covered
+// no published batch.
+func (r *Ranker) Oldest() time.Time { return r.oldest }
 
 // Seq returns the store version the ranks correspond to (0 while unranked).
 func (r *Ranker) Seq() uint64 {
@@ -322,12 +288,13 @@ func (r *Ranker) Behind() uint64 {
 // and the first convergence counts every version up to the one it lands
 // on, the initial one included).
 //
-// An unranked ranker converges with the cold run on the newest version. A
-// ranked one replays the whole pending chain as ONE run of the ranker's
-// algo: the chain's batches are merged (last op per edge wins, batch.Merge)
-// and the algorithm runs once from the ranker's graph to the store's
-// current one. This is the paper's cost model taken seriously — DF work
-// scales with the movement set, so k pending batches cost one frontier
+// An unranked ranker converges with the cold run on the newest version (and
+// drops the pending span: the cold run does not read it). A ranked one
+// replays the store's pending span as ONE run of the ranker's algo: the
+// store folded each batch into it as it published (last op per edge wins,
+// batch.Merger) and the algorithm runs once from the ranker's graph to the
+// store's current one. This is the paper's cost model taken seriously — DF
+// work scales with the movement set, so k pending batches cost one frontier
 // expansion over their union instead of k expansions over overlapping
 // frontiers. The run reads the store's tip and the merged batch, not the
 // ranker's own graph: the merged del list holds every edge the span
@@ -336,12 +303,14 @@ func (r *Ranker) Behind() uint64 {
 // may be a superset of the true edge diff (churn cancelled within the
 // span); that only widens the initially affected set, never narrows it. A
 // static algo ignores the batch and the previous vector (core.RunCtx drops
-// them) and so recomputes from scratch. The store keeps every link past the
-// ranker, so however far it lags, the span is there to replay.
+// them) and so recomputes from scratch. The span holds every batch past the
+// ranker, so however far it lags, it is there to replay, at the cost of its
+// distinct edits rather than of the batches that carried them.
 //
 // A run that fails (crashed workers) or is cancelled through ctx surfaces
 // as itself: the rank vector stays where it was (an unranked ranker stays
-// unranked) and the returned error wraps the run's own (core.ErrAllCrashed,
+// unranked), the span goes back in front of whatever was published
+// meanwhile, and the returned error wraps the run's own (core.ErrAllCrashed,
 // core.ErrCanceled).
 func (r *Ranker) Refresh(ctx context.Context) (core.Result, int, error) {
 	from := r.next()
@@ -350,63 +319,45 @@ func (r *Ranker) Refresh(ctx context.Context) (core.Result, int, error) {
 }
 
 // catchUp is Refresh without the distance bookkeeping: it moves the ranker
-// only through land, so Refresh reads the advance off r.cur.
+// only through its last statement, so Refresh reads the advance off r.cur,
+// and len(ranks) == Version().G.N() holds after every outcome.
 func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
-	if r.cur == nil {
-		return r.cold(ctx)
-	}
-	if r.store.Current().Seq == r.cur.Seq {
+	if r.cur != nil && r.store.Current().Seq == r.cur.Seq {
 		return core.Result{Ranks: r.ranks, Converged: true}, nil
 	}
-	links, tip := r.store.Since(r.cur.Seq)
-	ups := make([]batch.Update, len(links))
-	for i, l := range links {
-		ups[i] = l.Update
+	span, tip := r.store.take()
+	var res core.Result
+	if r.cur == nil {
+		// The cold run: StaticLF is lock-free, like every refresh, so a
+		// crash-stopped worker slows it down instead of breaking it.
+		res = core.RunCtx(ctx, core.AlgoStaticLF, core.Input{GNew: tip.G}, r.cfg)
+	} else {
+		up := span.Update()
+		// Growth rescales the ranks to the grown universe (core.GrowRanks):
+		// the exact fixed-point transform under self-loop dead-end
+		// elimination, which keeps a frontier-sized refresh over a grown
+		// version equivalent to a cold build.
+		prev := r.ranks
+		if n := tip.G.N(); n > len(prev) {
+			prev = core.GrowRanks(prev, n)
+		}
+		in := core.Input{GNew: tip.G, Del: up.Del, Ins: up.Ins, Prev: prev}
+		res = core.RunCtx(ctx, r.algo, in, r.cfg)
 	}
-	up := batch.Merge(ups...)
-	// Growth rescales the ranks to the grown universe (core.GrowRanks): the
-	// exact fixed-point transform under self-loop dead-end elimination, which
-	// keeps a frontier-sized refresh over a grown version equivalent to a
-	// cold build.
-	prev := r.ranks
-	if n := tip.G.N(); n > len(prev) {
-		prev = core.GrowRanks(prev, n)
-	}
-	in := core.Input{GNew: tip.G, Del: up.Del, Ins: up.Ins, Prev: prev}
-	res := core.RunCtx(ctx, r.algo, in, r.cfg)
-	switch {
-	case res.Err == nil:
-		r.Refreshes++
-		r.land(tip, res)
-		return res, nil
-	case errors.Is(res.Err, core.ErrCanceled):
-		return res, fmt.Errorf("snapshot: refresh aborted at version %d: %w", tip.Seq, res.Err)
-	default:
-		return res, fmt.Errorf("snapshot: incremental refresh failed at version %d: %w", tip.Seq, res.Err)
-	}
-}
-
-// cold is an unranked ranker's first convergence: it lands on the store's
-// newest version through the cold run. StaticLF is lock-free, like every
-// refresh, so a crash-stopped worker slows it down instead of breaking it.
-func (r *Ranker) cold(ctx context.Context) (core.Result, error) {
-	v := r.store.Current()
-	res := core.RunCtx(ctx, core.AlgoStaticLF, core.Input{GNew: v.G}, r.cfg)
 	if res.Err != nil {
-		return res, fmt.Errorf("snapshot: cold run failed at version %d: %w", v.Seq, res.Err)
+		r.store.giveBack(span)
+		what := "incremental refresh failed"
+		switch {
+		case r.cur == nil:
+			what = "cold run failed"
+		case errors.Is(res.Err, core.ErrCanceled):
+			what = "refresh aborted"
+		}
+		return res, fmt.Errorf("snapshot: %s at version %d: %w", what, tip.Seq, res.Err)
 	}
-	r.land(v, res)
+	if r.cur != nil {
+		r.Refreshes++
+	}
+	r.ranks, r.cur, r.oldest = res.Ranks, tip, span.Oldest()
 	return res, nil
-}
-
-// land makes a finished run the ranker's state and tells the store, which
-// may then drop the links up to v. It is the only writer of ranks/cur after
-// construction, so len(ranks) == Version().G.N() holds after every outcome.
-func (r *Ranker) land(v *Version, res core.Result) {
-	r.ranks, r.cur = res.Ranks, v
-	s := r.store
-	s.mu.Lock()
-	s.landed = v.Seq
-	s.trimLocked()
-	s.mu.Unlock()
 }

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -75,23 +76,45 @@ func TestEnsureSelfLoopsThroughStoreApply(t *testing.T) {
 	}
 }
 
+// TestSinceChains pins what a store keeps for its ranker: after five
+// Applies the pending span is bitwise batch.Merge of the five published
+// (clamped) batches, and a store whose ranker is current holds an empty one.
+// A store without a ranker keeps nothing.
 func TestSinceChains(t *testing.T) {
 	s := testStore(t, 8)
+	s.Apply(batch.Random(graph.DynamicFromCSR(s.Current().G), 4, 99))
+	if s.pending.Edits() != 0 || len(s.pending.Update().Ins) != 0 {
+		t.Fatal("a store without a ranker kept a pending span")
+	}
+	r, _, err := NewRanker(context.Background(), s, core.AlgoDFLF, testCfg(s.Current().G.N()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.pending.Update(); s.pending.Edits() != 0 || got.Size() != 0 {
+		t.Fatalf("a current store holds a span of %d edits (%d distinct)", s.pending.Edits(), got.Size())
+	}
+	var ups []batch.Update
 	for i := 0; i < 5; i++ {
 		up := batch.Random(graph.DynamicFromCSR(s.Current().G), 4, int64(i))
-		s.Apply(up)
-	}
-	chain, tip := s.Since(2)
-	if len(chain) != 3 || tip != s.Current() {
-		t.Fatalf("Since(2): len=%d tip=%d", len(chain), tip.Seq)
-	}
-	for i, l := range chain {
-		if l.Seq != uint64(3+i) {
-			t.Errorf("chain[%d].Seq = %d", i, l.Seq)
+		// Churn the same edges too, so the merge has last-op-wins work.
+		up.Ins = append(up.Ins, up.Del...)
+		if i == 2 {
+			up = batch.Update{N: s.Current().G.N() + 3} // pure growth
 		}
+		s.Apply(up)
+		ups = append(ups, up)
 	}
-	if chain, tip := s.Since(5); chain != nil || tip != s.Current() {
-		t.Error("Since(latest) should be empty")
+	if want, got := batch.Merge(ups...), s.pending.Update(); !reflect.DeepEqual(got, want) {
+		t.Errorf("span after five Applies:\n got %+v\nwant %+v", got, want)
+	}
+	if s.pending.Edits() != 4*6+1 || s.PendingEdits() != s.pending.Edits() {
+		t.Errorf("span counts %d edits (PendingEdits %d), want %d", s.pending.Edits(), s.PendingEdits(), 4*6+1)
+	}
+	if _, adv, err := r.Refresh(context.Background()); err != nil || adv != 5 {
+		t.Fatalf("refresh: advanced=%d err=%v", adv, err)
+	}
+	if got := s.pending.Update(); s.PendingEdits() != 0 || got.Size() != 0 || got.N != 0 {
+		t.Errorf("a current store holds %+v (%d edits)", got, s.PendingEdits())
 	}
 }
 
@@ -410,7 +433,7 @@ func TestRanksAreCopies(t *testing.T) {
 }
 
 // TestResumeRankerRefusesSecondRanker: a store serves one ranker, since
-// its ring keeps exactly the links that ranker has not replayed.
+// its pending span holds exactly the batches that ranker has not replayed.
 func TestResumeRankerRefusesSecondRanker(t *testing.T) {
 	s := testStore(t, 0)
 	cfg := testCfg(s.Current().G.N())
@@ -429,26 +452,33 @@ func TestResumeRankerRefusesSecondRanker(t *testing.T) {
 	}
 }
 
-// TestHistoryTrimReleasesEvictedVersions pins the retention rule: the ring
-// holds keep links while its ranker keeps up, and every link past the
-// ranker however far it lags, so a refresh always replays; a landing trims
-// it back to keep at once. The store holds chain links, never graphs, so a
-// superseded version nobody else holds is collectable at once — whatever
-// the ring size — and a held one lives exactly as long as its holder. Weak
-// pointers observe reachability directly.
+// TestHistoryTrimReleasesEvictedVersions pins what a store retains: no
+// version but its current one, and no batch but the pending span of its
+// ranker, which a landing releases. A ranker lagging K churned batches
+// over P distinct pairs holds a span of at most P edges, however large K
+// grows. The store holds no graph, so a superseded version nobody else
+// holds is collectable at once, and a held one lives exactly as long as its
+// holder. Weak pointers observe reachability directly.
 func TestHistoryTrimReleasesEvictedVersions(t *testing.T) {
-	const keep, kept, lag, heldSeq = 4, 10, 9, 12
+	const kept, lag, heldSeq, pairs = 10, 200, 12, 16
 	const total = kept + lag
-	s := testStore(t, keep)
-	r, _, err := NewRanker(context.Background(), s, core.AlgoDFLF, testCfg(s.Current().G.N()))
+	s := testStore(t, 4)
+	n := s.Current().G.N()
+	r, _, err := NewRanker(context.Background(), s, core.AlgoDFLF, testCfg(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	weaks := []weak.Pointer[Version]{weak.Make(s.Current())}
 	var held *Version
+	pool := make([]graph.Edge, pairs)
+	for i := range pool {
+		pool[i] = graph.Edge{U: uint32(i), V: uint32(n - 1 - i)}
+	}
 	apply := func(i int) {
 		t.Helper()
-		_, next := s.Apply(batch.Random(graph.DynamicFromCSR(s.Current().G), 2, int64(i)))
+		// Two pool pairs per batch, one deleted and one inserted.
+		up := batch.Update{Del: pool[i%pairs : i%pairs+1], Ins: pool[(i*7+3)%pairs : (i*7+3)%pairs+1]}
+		_, next := s.Apply(up)
 		weaks = append(weaks, weak.Make(next))
 		if next.Seq == heldSeq {
 			held = next
@@ -459,25 +489,22 @@ func TestHistoryTrimReleasesEvictedVersions(t *testing.T) {
 		if _, adv, err := r.Refresh(context.Background()); err != nil || adv != 1 {
 			t.Fatalf("refresh %d: advanced=%d err=%v", i, adv, err)
 		}
-		if want := min(i+1, keep); len(s.history) != want {
-			t.Fatalf("ranker keeping up at %d: ring holds %d links, want %d", i, len(s.history), want)
+		if s.PendingEdits() != 0 {
+			t.Fatalf("ranker keeping up at %d: span holds %d edits after the landing", i, s.PendingEdits())
 		}
 	}
 	for i := 1; i <= lag; i++ {
 		apply(kept + i)
-		if want := max(i, keep); len(s.history) != want {
-			t.Fatalf("ranker %d behind: ring holds %d links, want %d", i, len(s.history), want)
-		}
-		if links, _ := s.Since(r.Seq()); len(links) != i || links[0].Seq != r.Seq()+1 {
-			t.Fatalf("ranker %d behind: Since(%d) holds %d links, want all %d", i, r.Seq(), len(links), i)
+		if got := s.pending.Update().Size(); s.PendingEdits() != 2*i || got > min(2*i, pairs) {
+			t.Fatalf("ranker %d behind: span counts %d edits over %d distinct, want %d over at most %d",
+				i, s.PendingEdits(), got, 2*i, min(2*i, pairs))
 		}
 	}
 	if _, adv, err := r.Refresh(context.Background()); err != nil || adv != lag || r.Refreshes != kept+1 {
 		t.Fatalf("catch-up: advanced=%d refreshes=%d err=%v, want one refresh over %d", adv, r.Refreshes, err, lag)
 	}
-	if len(s.history) != keep || s.history[0].Seq != total-keep+1 {
-		t.Errorf("after the landing the ring holds %d links from %d, want %d from %d",
-			len(s.history), s.history[0].Seq, keep, total-keep+1)
+	if got := s.pending.Update(); s.PendingEdits() != 0 || got.Size() != 0 {
+		t.Errorf("after the landing the span holds %d edits (%d distinct)", s.PendingEdits(), got.Size())
 	}
 	runtime.GC()
 	runtime.GC()

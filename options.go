@@ -7,7 +7,6 @@ import (
 
 	"dfpr/internal/core"
 	"dfpr/internal/fault"
-	"dfpr/internal/snapshot"
 	"dfpr/internal/telemetry"
 	"dfpr/internal/wal"
 )
@@ -53,7 +52,7 @@ const (
 	// DefaultTolerance is the default iteration tolerance τ (L∞).
 	DefaultTolerance = core.DefaultTol
 	// DefaultHistory is the default WithHistory bound.
-	DefaultHistory = snapshot.DefaultHistory
+	DefaultHistory = 64
 	// DefaultIngestQueue is the default bound on edits queued in the ingest
 	// pipeline before Submit reports ErrQueueFull.
 	DefaultIngestQueue = 1 << 20
@@ -93,7 +92,7 @@ type settings struct {
 
 func defaultSettings() settings {
 	return settings{
-		history: snapshot.DefaultHistory, queue: DefaultIngestQueue,
+		history: DefaultHistory, queue: DefaultIngestQueue,
 		maxN: DefaultMaxVertices, ckptEvery: DefaultCheckpointEvery,
 	}
 }
@@ -140,15 +139,15 @@ func WithThreads(n int) Option {
 	}
 }
 
-// WithHistory sizes two rings; keep must be positive (the default is 64).
-// The engine keeps the last keep published rank views for ViewAt and Delta,
-// and the store keeps the batches of at least the last keep graph versions.
-// Past that floor the store keeps every batch the ranks have not replayed,
-// however many, so ranks that lag further still catch up by one replay and
-// nothing ever waits for them. Neither ring holds a graph beyond the views'
-// own: a graph snapshot lives while it is current, ranked on, or viewed, and
-// consecutive snapshots share every row block their batch did not touch, so
-// each retained view costs its batch's blocks plus one 8n-byte rank vector.
+// WithHistory sizes the ring of views; keep must be positive (the default
+// is 64). The engine keeps the last keep published rank views for ViewAt
+// and Delta. It bounds nothing else: the store folds every batch the ranks
+// have not replayed into one pending span, so ranks that lag however far
+// catch up by one replay and nothing ever waits for them. The ring holds no
+// graph beyond the views' own: a graph snapshot lives while it is current,
+// ranked on, or viewed, and consecutive snapshots share every row block
+// their batch did not touch, so each retained view costs its batch's blocks
+// plus one 8n-byte rank vector.
 // At the default that is up to 512n bytes of rank vectors on top of the
 // graph: 32 MiB at n = 2^16, 4 GiB at n = 2^23.
 func WithHistory(keep int) Option {

@@ -57,7 +57,6 @@ func (s *Subscription) Close() {
 func (e *Engine) publishLocked(res *Result) {
 	// The ranker never mutates a vector it has handed out (RanksShared).
 	v := &View{seq: res.Seq, ranks: e.ranker.RanksShared(), ver: e.ranker.Version(), keys: e.keys}
-	prev := e.latest.Load()
 	res.View = v
 	e.viewMu.Lock()
 	e.views = append(e.views, v)
@@ -71,7 +70,7 @@ func (e *Engine) publishLocked(res *Result) {
 	// Watermark after the latest-view store: a WaitRanked(seq) that returns
 	// is guaranteed to observe ranks at least that fresh through View().
 	e.rankWM.advance(res.Seq)
-	e.met.noteRanked(e.store, prev, res.Seq)
+	e.met.noteRanked(e.ranker)
 	if e.durable() != nil {
 		// Rank publication is the durability cadence point: clear the
 		// recovering flag once ranks catch the replayed tip, and kick off a

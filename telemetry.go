@@ -183,17 +183,12 @@ func (m *engineMetrics) noteRun(res core.Result) {
 	m.frontierScanned.Add(uint64(res.FrontierScanned))
 }
 
-// noteRanked times a rank landing at version seq whose predecessor was prev
-// (nil for the first): from the publication of the oldest version it
-// covers, the first one past prev, to now. Each version carries its own
-// publication time (snapshot.Link.At), so the versions a landing leaves
-// uncovered are timed by the landing that covers them.
-func (m *engineMetrics) noteRanked(s *snapshot.Store, prev *View, seq uint64) {
-	var after uint64
-	if prev != nil {
-		after = prev.seq
-	}
-	if first, at := s.PublishedAfter(after); first != 0 && first <= seq {
+// noteRanked times the ranker's last landing: from the publication of the
+// oldest version it covers (snapshot.Ranker.Oldest) to now. A landing
+// covers exactly the versions published since the one before it, so each
+// version is timed by the landing that covers it, however many it spans.
+func (m *engineMetrics) noteRanked(rk *snapshot.Ranker) {
+	if at := rk.Oldest(); !at.IsZero() {
 		m.publishSeconds.Observe(time.Since(at).Seconds())
 	}
 }
