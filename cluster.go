@@ -225,7 +225,7 @@ func (e *Engine) promote(dir string) error {
 	}
 	// The log is installed before the role flips, so the first
 	// post-promotion apply logs its record at tip+1.
-	e.installLog(log, ck.Seq, replayed)
+	e.installLog(log, replayed)
 	ok = true
 	return nil
 }

@@ -1,6 +1,7 @@
 package dfpr
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -217,7 +218,11 @@ func TestReplicaLagReadsWriterClock(t *testing.T) {
 		d.AddEdge(e.U, e.V)
 	}
 	d.EnsureSelfLoops()
-	snap := wal.EncodeState(&wal.State{Seq: 0, Graph: d.Snapshot()})
+	var wire bytes.Buffer
+	if err := wal.WriteState(&wire, &wal.State{Seq: 0, Graph: d.Snapshot()}); err != nil {
+		t.Fatal(err)
+	}
+	snap := wire.Bytes()
 	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		le := binary.LittleEndian
 		out := fmt.Appendf(nil, `{"proto":1,"start":0,"tip":1,"snapshot":%d}`+"\n", len(snap))

@@ -97,7 +97,6 @@ func main() {
 		keyed    = flag.Bool("keyed", false, "serve an open-universe keyed engine: -in is a keyed edge list ('fromKey toKey' per line); with -gen, vertices get synthetic v<id> keys")
 		data     = flag.String("data", "", "durability directory (WAL + checkpoints); applied edits survive restarts, and a directory with state warm-restarts the engine from it (-in/-gen then ignored)")
 		fsyncS   = flag.String("fsync", "batched", "with -data, WAL fsync policy: always|batched|batched:<dur>|none")
-		ckptN    = flag.Int("checkpoint-every", dfpr.DefaultCheckpointEvery, "with -data, checkpoint every N published rank versions")
 		logFmt   = flag.String("log-format", "text", "log output format: text|json")
 		logLvl   = flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -131,7 +130,7 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		opts = append(opts, dfpr.WithFsync(fp), dfpr.WithCheckpointEvery(*ckptN))
+		opts = append(opts, dfpr.WithFsync(fp))
 		if *clusterNode == "" {
 			// The cluster wires the directory itself (on the writer only);
 			// standalone durability attaches it here.

@@ -66,9 +66,11 @@
 // WithDurability(dir) makes all of it survive the process: every published
 // round is appended to a write-ahead log (CRC-framed, fsynced per
 // WithFsync: FsyncAlways, FsyncBatched group-commit, FsyncNone) before its
-// version is visible to readers, and periodic checkpoints
-// (WithCheckpointEvery, or an explicit Checkpoint call) snapshot graph,
-// ranks and key space to bound replay. Construction against a directory
+// version is visible to readers, and checkpoints snapshot graph, ranks and
+// key space to bound replay: the engine streams one to disk at a rank
+// publication once the WAL logged since the newest checkpoint is as large
+// as it, so checkpoint bytes stay at most the WAL's (Checkpoint forces
+// one). Construction against a directory
 // with state warm-restarts instead of building: reads serve the
 // checkpointed watermark immediately, the log tail replays through the
 // incremental path, Recovering reports true until the first Rank catches

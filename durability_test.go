@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dfpr/internal/batch"
 	"dfpr/internal/fault"
 	"dfpr/internal/telemetry"
 	"dfpr/internal/testutil"
@@ -377,18 +378,28 @@ func TestDurableRecoveryGoroutineLeak(t *testing.T) {
 	waitJoined := testutil.LeakCheck(t, "recovery+Close")
 
 	eng, err := New(8, []Edge{{U: 0, V: 1}, {U: 1, V: 0}},
-		durableOpts(dir, WithFsync(FsyncBatched(time.Millisecond)), WithCheckpointEvery(1))...)
+		durableOpts(dir, WithFsync(FsyncBatched(time.Millisecond)))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Rank(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Apply(ctx, nil, []Edge{{U: 2, V: 0}}); err != nil {
-		t.Fatal(err)
+	// Log until the WAL past the seed checkpoint is as large as it, so the
+	// next publication checkpoints.
+	for i := 0; !eng.durable().log.CheckpointDue(); i++ {
+		if i == 1000 {
+			t.Fatal("1000 applies did not make a checkpoint due")
+		}
+		if _, err := eng.Apply(ctx, nil, []Edge{{U: uint32(2 + i%6), V: uint32(i % 8)}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := eng.Rank(ctx); err != nil { // publication → background checkpoint
 		t.Fatal(err)
+	}
+	if !eng.durable().ckptBusy.Load() && eng.durable().log.Stats().CheckpointSeq == 0 {
+		t.Fatal("the publication started no checkpoint")
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
@@ -406,6 +417,99 @@ func TestDurableRecoveryGoroutineLeak(t *testing.T) {
 	}
 
 	waitJoined()
+}
+
+// TestDurableCheckpointDueByWALBytes pins the checkpoint cadence: a rank
+// publication checkpoints exactly when the WAL logged since the newest
+// checkpoint has reached that checkpoint's file size, the count carries
+// over a Close and Open (both sizes are read back from the directory), and
+// over 500 versions the checkpoints written after the seed add up to no
+// more than the WAL written.
+func TestDurableCheckpointDueByWALBytes(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	n, edges, mirror := testGraph(t, 8, 3)
+	// The ranks are not compared here, so the default tolerance does: it
+	// keeps 500 refreshes quick under -race.
+	opts := []Option{WithDurability(dir), WithThreads(2)}
+	eng, err := New(n, edges, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { eng.Close() }()
+	// logStats reads the log once no background checkpoint is in flight.
+	logStats := func() wal.Stats {
+		d := eng.durable()
+		d.ckptWG.Wait()
+		return d.log.Stats()
+	}
+	if _, err := eng.Rank(ctx); err != nil {
+		t.Fatal(err)
+	}
+	seed := logStats()
+	if seed.CheckpointBytes != seed.CheckpointSize || seed.SinceCheckpoint != 0 {
+		t.Fatalf("after the seed checkpoint: %+v", seed)
+	}
+	var walBytes, ckptBytes int64 // over both processes; checkpoints past the seed
+	fired, held, restarted := 0, 0, false
+	for i := 1; i <= 500; i++ {
+		up := batch.Random(mirror, 8, int64(i))
+		mirror.Apply(up.Del, up.Ins)
+		if _, err := eng.Apply(ctx, toPublic(up.Del), toPublic(up.Ins)); err != nil {
+			t.Fatal(err)
+		}
+		pre := logStats()
+		if !restarted && i >= 250 && pre.SinceCheckpoint > 0 {
+			restarted = true
+			walBytes += pre.WALBytes
+			ckptBytes += pre.CheckpointBytes - seed.CheckpointSize
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if eng, err = New(0, nil, opts...); err != nil {
+				t.Fatal(err)
+			}
+			after := logStats()
+			if after.SinceCheckpoint != pre.SinceCheckpoint || after.CheckpointSize != pre.CheckpointSize ||
+				after.CheckpointSeq != pre.CheckpointSeq {
+				t.Fatalf("version %d: restart counts %d WAL bytes past the %d-byte checkpoint %d, before Close %d past %d-byte %d",
+					i, after.SinceCheckpoint, after.CheckpointSize, after.CheckpointSeq,
+					pre.SinceCheckpoint, pre.CheckpointSize, pre.CheckpointSeq)
+			}
+			pre = after
+		}
+		if _, err := eng.Rank(ctx); err != nil {
+			t.Fatal(err)
+		}
+		post := logStats()
+		due := pre.SinceCheckpoint >= pre.CheckpointSize
+		if got := post.CheckpointSeq > pre.CheckpointSeq; got != due {
+			t.Fatalf("version %d: %d WAL bytes past a %d-byte checkpoint, checkpointed = %v",
+				i, pre.SinceCheckpoint, pre.CheckpointSize, got)
+		}
+		if !due {
+			held++
+			continue
+		}
+		fired++
+		// The ranks were at the tip, so nothing was logged past the new
+		// checkpoint, and its size is the file's.
+		fi, err := os.Stat(filepath.Join(dir, fmt.Sprintf("checkpoint-%016x.ckpt", post.CheckpointSeq)))
+		if err != nil || post.SinceCheckpoint != 0 || fi.Size() != post.CheckpointSize || post.CheckpointSeq != uint64(i) {
+			t.Fatalf("version %d: checkpoint %d with %d bytes past it, size %d (stat %v): %+v",
+				i, post.CheckpointSeq, post.SinceCheckpoint, post.CheckpointSize, err, fi)
+		}
+	}
+	final := logStats()
+	walBytes += final.WALBytes
+	ckptBytes += final.CheckpointBytes
+	if !restarted || fired < 2 || held == 0 {
+		t.Fatalf("restarted %v, %d checkpoints fired and %d held: the run does not exercise the rule", restarted, fired, held)
+	}
+	if ckptBytes > walBytes {
+		t.Errorf("checkpoints past the seed wrote %d bytes, the WAL %d", ckptBytes, walBytes)
+	}
+	t.Logf("%d checkpoints, %d bytes past the seed, against %d WAL bytes", fired, ckptBytes, walBytes)
 }
 
 func TestDurableFsyncAlwaysAndPolicyParse(t *testing.T) {

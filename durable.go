@@ -24,8 +24,6 @@ import (
 // durability is the engine's durable-state sidecar.
 type durability struct {
 	log *wal.Log
-	// ckptEvery is the checkpoint cadence in published rank versions.
-	ckptEvery uint64
 
 	// mu serialises append-then-apply so log order always equals publication
 	// order — the invariant replay depends on. keysLogged (the key-space
@@ -33,8 +31,7 @@ type durability struct {
 	mu         sync.Mutex
 	keysLogged int
 
-	lastCkpt atomic.Uint64 // seq of the newest durable checkpoint
-	ckptBusy atomic.Bool   // one background checkpoint in flight at a time
+	ckptBusy atomic.Bool // one background checkpoint in flight at a time
 	ckptWG   sync.WaitGroup
 
 	// recoverTip is the graph version replay reached before the log was
@@ -68,18 +65,13 @@ func openLog(st settings, dir string) (*wal.Log, *wal.Recovered, error) {
 
 // installLog makes the engine the owner of log: every later storeApply
 // appends before it publishes. It runs after restore and replay, so the
-// sidecar starts from what they left: the key prefix already durable, the
-// replayed tip ranks must catch before Recovering clears, and ckptSeq as the
-// newest checkpoint.
-func (e *Engine) installLog(log *wal.Log, ckptSeq uint64, replayed int) {
-	d := &durability{
-		log: log, ckptEvery: uint64(e.opts.ckptEvery),
-		recoverTip: e.store.Current().Seq, replayed: replayed,
-	}
+// sidecar starts from what they left: the key prefix already durable and
+// the replayed tip ranks must catch before Recovering clears.
+func (e *Engine) installLog(log *wal.Log, replayed int) {
+	d := &durability{log: log, recoverTip: e.store.Current().Seq, replayed: replayed}
 	if e.keys != nil {
 		d.keysLogged = e.keys.Len()
 	}
-	d.lastCkpt.Store(ckptSeq)
 	d.recovering.Store(replayed > 0)
 	e.dur.Store(d)
 	e.initDurabilityTelemetry()
@@ -114,7 +106,7 @@ func seedDurable(n int, edges []Edge, st settings, log *wal.Log) (*Engine, error
 	if err != nil {
 		return nil, err
 	}
-	e.installLog(log, 0, 0)
+	e.installLog(log, 0)
 	if err := e.Checkpoint(); err != nil {
 		// A directory that cannot take its seed checkpoint would be
 		// unrecoverable; refuse to start rather than run silently volatile.
@@ -137,7 +129,7 @@ func recoverDurable(st settings, log *wal.Log, rec *wal.Recovered) (*Engine, err
 	if err != nil {
 		return nil, fmt.Errorf("dfpr: recover %s: %w", st.durDir, err)
 	}
-	e.installLog(log, rec.Checkpoint.Seq, replayed)
+	e.installLog(log, replayed)
 	return e, nil
 }
 
@@ -291,15 +283,17 @@ func (e *Engine) storeApply(up batch.Update, at uint64) (uint64, error) {
 
 // maybeCheckpointLocked runs at every rank publication (caller holds e.mu):
 // it clears the recovering flag once ranks catch the replayed tip, and
-// kicks off a background checkpoint when the cadence is due. The checkpoint
-// snapshots only immutable data (the view's CSR, rank vector, and the
-// append-only key prefix), so it runs without any engine lock.
+// kicks off a background checkpoint when the log says one is due
+// (wal.Log.CheckpointDue: the records logged since the newest checkpoint
+// add up to its size). The checkpoint snapshots only immutable data (the
+// view's CSR, rank vector, and the append-only key prefix) and streams it
+// to disk, so it runs without any engine lock and holds no copy of them.
 func (e *Engine) maybeCheckpointLocked(v *View) {
 	d := e.durable()
 	if d.recovering.Load() && v.seq >= d.recoverTip {
 		d.recovering.Store(false)
 	}
-	if v.seq-d.lastCkpt.Load() < d.ckptEvery || d.log.Degraded() {
+	if !d.log.CheckpointDue() {
 		return
 	}
 	if !d.ckptBusy.CompareAndSwap(false, true) {
@@ -313,7 +307,6 @@ func (e *Engine) maybeCheckpointLocked(v *View) {
 		t0 := time.Now()
 		if d.log.WriteCheckpoint(st) == nil {
 			e.met.ckptSeconds.ObserveSince(t0)
-			d.noteCheckpoint(st.Seq)
 		}
 	}()
 }
@@ -330,23 +323,15 @@ func (e *Engine) checkpointState(seq uint64, g *graph.CSR, ranks []float64) *wal
 	return st
 }
 
-// noteCheckpoint records a durable checkpoint's seq, keeping the gauge
-// monotone under a racing manual Checkpoint and background writer.
-func (d *durability) noteCheckpoint(seq uint64) {
-	for {
-		cur := d.lastCkpt.Load()
-		if seq <= cur || d.lastCkpt.CompareAndSwap(cur, seq) {
-			return
-		}
-	}
-}
-
 // Checkpoint forces a durable checkpoint of the latest published rank
 // version (or of the current graph version, rank-less, before the first
-// Rank) and prunes the log behind it. The periodic cadence
-// (WithCheckpointEvery) makes this unnecessary in steady state; it exists
-// for tests, for pre-shutdown compaction, and for callers that just applied
-// a bulk load they do not want to replay ever again.
+// Rank) and prunes the log behind it. A version older than the newest
+// checkpoint is not written again. The engine checkpoints by itself at a
+// rank publication once the WAL logged since the newest checkpoint is as
+// large as that checkpoint, which keeps checkpoint bytes at most the WAL's
+// and a restart's replay at most one checkpoint's worth of records;
+// Checkpoint exists for tests, for pre-shutdown compaction, and for callers
+// that just applied a bulk load they do not want to replay ever again.
 func (e *Engine) Checkpoint() error {
 	d := e.durable()
 	if d == nil {
@@ -364,7 +349,6 @@ func (e *Engine) Checkpoint() error {
 		return fmt.Errorf("%w: %w", ErrDurabilityDegraded, err)
 	}
 	e.met.ckptSeconds.ObserveSince(t0)
-	d.noteCheckpoint(st.Seq)
 	return nil
 }
 

@@ -10,6 +10,7 @@ package gio
 // graphs cannot be re-parsed from text on every run.
 
 import (
+	"bufio"
 	"fmt"
 	"os"
 
@@ -17,15 +18,31 @@ import (
 )
 
 // WriteCSRFile writes g to path as a DFPRCSR1 container, replacing any
-// existing file. The write goes through a temp file + rename so a crash
-// mid-write cannot leave a truncated container at path.
+// existing file. The container streams to a temp file through a buffered
+// writer, so the write holds no graph-sized buffer, and the rename puts it
+// in place, so a crash mid-write cannot leave a truncated container at
+// path.
 func WriteCSRFile(path string, g *graph.CSR) error {
-	payload := g.AppendContainer(make([]byte, 0, g.ContainerSize()))
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, payload, 0o644); err != nil {
-		return fmt.Errorf("gio: write CSR file: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	err := func() error {
+		f, err := os.Create(tmp)
+		if err != nil {
+			return err
+		}
+		bw := bufio.NewWriterSize(f, 1<<16)
+		err = g.WriteContainer(bw)
+		if err == nil {
+			err = bw.Flush()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			err = os.Rename(tmp, path)
+		}
+		return err
+	}()
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("gio: write CSR file: %w", err)
 	}

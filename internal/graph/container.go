@@ -41,6 +41,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"slices"
 	"unsafe"
 )
@@ -58,43 +59,82 @@ func IsContainer(b []byte) bool {
 	return len(b) >= 8 && bytes.Equal(b[:8], containerMagic[:])
 }
 
-// ContainerSize returns the exact byte length AppendContainer produces.
+// ContainerSize returns the exact byte length WriteContainer writes.
 func (g *CSR) ContainerSize() int {
 	return containerHeader + 16*(g.n+1) + 8*g.m
 }
 
-// AppendContainer serialises g as a DFPRCSR1 container onto dst and returns
-// the extended slice, walking the blocks of each side: the offsets come out
-// global, the adjacency blobs as the concatenated rows.
-func (g *CSR) AppendContainer(dst []byte) []byte {
+// containerChunk is the scratch WriteContainer gathers the header and the
+// offsets in before handing them to the writer.
+const containerChunk = 16 << 10
+
+// WriteContainer streams g to w as a DFPRCSR1 container, walking the blocks
+// of each side: the offsets come out global, the adjacency blobs as the
+// concatenated rows. Offsets pass through one containerChunk scratch and
+// each block's adjacency goes to w in place, so writing a graph allocates
+// nothing graph-sized; wrap w in a bufio.Writer to batch the many small
+// writes. It stops at the first error w returns.
+func (g *CSR) WriteContainer(w io.Writer) error {
 	le := binary.LittleEndian
-	dst = slices.Grow(dst, g.ContainerSize())
-	dst = append(dst, containerMagic[:]...)
-	dst = le.AppendUint32(dst, containerVersion)
-	dst = le.AppendUint32(dst, 0) // flags
-	dst = le.AppendUint64(dst, uint64(g.n))
-	dst = le.AppendUint64(dst, uint64(g.m))
-	dst = le.AppendUint64(dst, uint64(g.m))
-	dst = le.AppendUint64(dst, uint64(4*g.m))
-	dst = le.AppendUint64(dst, uint64(4*g.m))
-	dst = le.AppendUint64(dst, 0) // reserved
+	buf := make([]byte, 0, containerChunk)
+	var err error
+	flush := func() {
+		if err == nil && len(buf) > 0 {
+			_, err = w.Write(buf)
+		}
+		buf = buf[:0]
+	}
+	buf = append(buf, containerMagic[:]...)
+	buf = le.AppendUint32(buf, containerVersion)
+	buf = le.AppendUint32(buf, 0) // flags
+	buf = le.AppendUint64(buf, uint64(g.n))
+	buf = le.AppendUint64(buf, uint64(g.m))
+	buf = le.AppendUint64(buf, uint64(g.m))
+	buf = le.AppendUint64(buf, uint64(4*g.m))
+	buf = le.AppendUint64(buf, uint64(4*g.m))
+	buf = le.AppendUint64(buf, 0) // reserved
 	for _, s := range []side{g.out, g.in} {
 		at := uint64(0)
 		for i, b := range s {
+			if len(buf)+8*(blockRows+1) > cap(buf) {
+				flush()
+			}
 			lo, hi := blockSpan(i, g.n)
 			for _, p := range b.ptr[:hi-lo] {
-				dst = le.AppendUint64(dst, at+p-b.ptr[0])
+				buf = le.AppendUint64(buf, at+p-b.ptr[0])
 			}
 			at += uint64(b.edges())
 		}
-		dst = le.AppendUint64(dst, at)
+		buf = le.AppendUint64(buf, at) // room left by the check above
 	}
+	flush()
 	for _, s := range []side{g.out, g.in} {
 		for _, b := range s {
-			dst = appendU32s(dst, b.adj[b.ptr[0]:b.ptr[blockRows]])
+			adj := b.adj[b.ptr[0]:b.ptr[blockRows]]
+			if leHost && len(adj) > 0 {
+				if err == nil {
+					_, err = w.Write(unsafe.Slice((*byte)(unsafe.Pointer(&adj[0])), 4*len(adj)))
+				}
+				continue
+			}
+			for _, x := range adj {
+				if len(buf)+4 > cap(buf) {
+					flush()
+				}
+				buf = le.AppendUint32(buf, x)
+			}
 		}
 	}
-	return dst
+	flush()
+	return err
+}
+
+// AppendContainer appends g's container to dst and returns the extended
+// slice: WriteContainer into memory.
+func (g *CSR) AppendContainer(dst []byte) []byte {
+	b := bytes.NewBuffer(slices.Grow(dst, g.ContainerSize()))
+	_ = g.WriteContainer(b) // a bytes.Buffer never fails
+	return b.Bytes()
 }
 
 // Bytes returns the resident size of the snapshot's arrays in bytes, counted
@@ -237,21 +277,6 @@ var leHost = func() bool {
 	x := uint16(0x0102)
 	return *(*byte)(unsafe.Pointer(&x)) == 0x02
 }()
-
-// appendU32s appends xs little-endian onto dst; one block copy on LE hosts.
-func appendU32s(dst []byte, xs []uint32) []byte {
-	if len(xs) == 0 {
-		return dst
-	}
-	if leHost {
-		return append(dst, unsafe.Slice((*byte)(unsafe.Pointer(&xs[0])), 4*len(xs))...)
-	}
-	le := binary.LittleEndian
-	for _, x := range xs {
-		dst = le.AppendUint32(dst, x)
-	}
-	return dst
-}
 
 // u64view decodes b (little-endian uint64s) into a []uint64. With alias
 // set, a little-endian host, and an 8-aligned buffer it returns a view over

@@ -113,22 +113,22 @@ func (f *Feed) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// version-0 state). The stream then tails from the checkpoint's seq
 	// instead of theirs.
 	start := from
-	var snap []byte
+	var snap *wal.State
+	var snapSize int64
 	if from < f.log.Floor() || r.URL.Query().Get("boot") == "1" {
 		st, err := f.log.LatestCheckpoint()
 		if err != nil {
 			http.Error(w, "feed: no bootstrap checkpoint: "+err.Error(), http.StatusServiceUnavailable)
 			return
 		}
-		snap = wal.EncodeState(st)
-		start = st.Seq
+		snap, snapSize, start = st, wal.StateSize(st), st.Seq
 	}
 	hdr, err := json.Marshal(feedHeader{
 		Proto:    feedProto,
 		Keyed:    f.opts.Keyed,
 		Start:    start,
 		Tip:      f.log.Stats().Seq,
-		Snapshot: len(snap),
+		Snapshot: int(snapSize),
 	})
 	if err != nil {
 		http.Error(w, "feed: "+err.Error(), http.StatusInternalServerError)
@@ -139,8 +139,10 @@ func (f *Feed) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if _, err := w.Write(append(hdr, '\n')); err != nil {
 		return
 	}
-	if len(snap) > 0 {
-		if _, err := w.Write(snap); err != nil {
+	if snap != nil {
+		// Streamed in the checkpoint format, not encoded whole: the
+		// bootstrap holds the decoded state, never a second copy of it.
+		if err := wal.WriteState(w, snap); err != nil {
 			return
 		}
 	}

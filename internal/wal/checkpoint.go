@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 
 	"dfpr/internal/graph"
@@ -21,47 +23,76 @@ type State struct {
 }
 
 // Checkpoint file layout: 8-byte magic, u32 CRC-32C of everything after the
-// checksum field, then the body. Files are written to a temp name, fsynced,
-// renamed into place and the directory fsynced — a checkpoint either exists
-// completely or not at all, and a bad checksum falls back to the previous
-// file.
+// checksum field, then the body: u64 seq, u32 container length, the graph's
+// DFPRCSR1 container, a rank flag byte (then u64 count and the ranks as
+// float64 bits), u32 key count and each key as u32 length plus bytes. Files
+// are written to a temp name, fsynced, renamed into place and the directory
+// fsynced — a checkpoint either exists completely or not at all, and a bad
+// checksum falls back to the previous file.
 var ckptMagic = [8]byte{'D', 'F', 'P', 'R', 'C', 'K', 'P', '1'}
 
-func encodeCheckpoint(st *State) []byte {
-	le := binary.LittleEndian
-	// Sized exactly, so the appends below never grow the buffer.
-	size := 8 + 4 + 8 + 4 + st.Graph.ContainerSize() + 1 + 4
+// ckptBuffer is the write buffer a checkpoint streams through: a checkpoint
+// smaller than it reaches the file in one Write.
+const ckptBuffer = 64 << 10
+
+// StateSize returns the length of st in the on-disk checkpoint format.
+func StateSize(st *State) int64 {
+	size := int64(8+4+8+4+1+4) + int64(st.Graph.ContainerSize())
 	if st.Ranks != nil {
-		size += 8 + 8*len(st.Ranks)
+		size += 8 + 8*int64(len(st.Ranks))
 	}
 	for _, k := range st.Keys {
-		size += 4 + len(k)
+		size += 4 + int64(len(k))
 	}
-	dst := make([]byte, 0, size)
-	dst = append(dst, ckptMagic[:]...)
-	dst = append(dst, 0, 0, 0, 0) // checksum placeholder
-	body := len(dst)
-	dst = le.AppendUint64(dst, st.Seq)
-	// The container goes straight into dst (ContainerSize is exact): a
-	// checkpoint holds one copy of the graph's bytes, not two.
-	dst = le.AppendUint32(dst, uint32(st.Graph.ContainerSize()))
-	dst = st.Graph.AppendContainer(dst)
+	return size
+}
+
+// WriteState streams st to w in the on-disk checkpoint format, in two
+// passes over the state: the first feeds the body to a CRC-32C hash for the
+// checksum at offset 8, the second writes the file. Neither pass holds a
+// copy of the graph, so writing a checkpoint costs two ckptBuffer buffers
+// whatever its size. Checkpoint files and the feed's bootstrap are written
+// here.
+func WriteState(w io.Writer, st *State) error {
+	h := crc32.New(crcTable)
+	if err := writeCheckpointBody(h, st); err != nil {
+		return err
+	}
+	var head [12]byte
+	copy(head[:], ckptMagic[:])
+	binary.LittleEndian.PutUint32(head[8:], h.Sum32())
+	bw := bufio.NewWriterSize(w, ckptBuffer)
+	bw.Write(head[:])
+	return writeCheckpointBody(bw, st)
+}
+
+// writeCheckpointBody writes the body of st's checkpoint to w through a
+// ckptBuffer buffer (w itself when it already is one) and flushes it.
+func writeCheckpointBody(w io.Writer, st *State) error {
+	bw := bufio.NewWriterSize(w, ckptBuffer)
+	var b [8]byte
+	u32 := func(x uint32) { bw.Write(binary.LittleEndian.AppendUint32(b[:0], x)) }
+	u64 := func(x uint64) { bw.Write(binary.LittleEndian.AppendUint64(b[:0], x)) }
+	u64(st.Seq)
+	u32(uint32(st.Graph.ContainerSize()))
+	if err := st.Graph.WriteContainer(bw); err != nil {
+		return err
+	}
 	if st.Ranks != nil {
-		dst = append(dst, 1)
-		dst = le.AppendUint64(dst, uint64(len(st.Ranks)))
+		bw.WriteByte(1)
+		u64(uint64(len(st.Ranks)))
 		for _, r := range st.Ranks {
-			dst = le.AppendUint64(dst, math.Float64bits(r))
+			u64(math.Float64bits(r))
 		}
 	} else {
-		dst = append(dst, 0)
+		bw.WriteByte(0)
 	}
-	dst = le.AppendUint32(dst, uint32(len(st.Keys)))
+	u32(uint32(len(st.Keys)))
 	for _, k := range st.Keys {
-		dst = le.AppendUint32(dst, uint32(len(k)))
-		dst = append(dst, k...)
+		u32(uint32(len(k)))
+		bw.WriteString(k)
 	}
-	le.PutUint32(dst[8:], crc32.Checksum(dst[body:], crcTable))
-	return dst
+	return bw.Flush() // a bufio.Writer keeps its first error and returns it here
 }
 
 func decodeCheckpoint(b []byte) (*State, error) {

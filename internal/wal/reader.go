@@ -39,6 +39,7 @@ type SegmentReader struct {
 	off  int64  // bytes of that segment consumed into buf so far
 	buf  []byte // read but not yet parsed bytes
 	pos  bool   // positioned on a segment
+	read int64  // frame bytes of the records delivered
 }
 
 // SegmentReader returns a reader delivering records with Seq > after.
@@ -77,6 +78,7 @@ func (r *SegmentReader) Next() (Record, error) {
 					continue // positioning overshoot: record already delivered
 				}
 				r.seq = rec.Seq
+				r.read += int64(n)
 				return rec, nil
 			case errors.Is(err, errShortRecord):
 				// Possibly a torn tail, possibly a frame still being written:
@@ -228,7 +230,7 @@ func (l *Log) LatestCheckpoint() (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st := l.newestCheckpoint(ckpts, false); st != nil {
+	if st, _ := l.newestCheckpoint(ckpts, false); st != nil {
 		return st, nil
 	}
 	return nil, fmt.Errorf("wal: %s holds no valid checkpoint", l.dir)
@@ -269,8 +271,5 @@ func DecodeRecord(b []byte) (Record, int, error) {
 	return r, n, err
 }
 
-// EncodeState encodes a checkpoint state in the on-disk checkpoint format.
-func EncodeState(st *State) []byte { return encodeCheckpoint(st) }
-
-// DecodeState decodes a checkpoint encoded by EncodeState.
+// DecodeState decodes a checkpoint written by WriteState.
 func DecodeState(b []byte) (*State, error) { return decodeCheckpoint(b) }

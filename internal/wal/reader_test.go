@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -310,7 +311,11 @@ func TestWireHelpersRoundtrip(t *testing.T) {
 		t.Fatalf("DecodeRecord(truncated) = %v, want ErrCorrupt", err)
 	}
 	st := &State{Seq: 11, Graph: testCSR(t, 8), Keys: []string{"a", "b"}}
-	dec, err := DecodeState(EncodeState(st))
+	var wire bytes.Buffer
+	if err := WriteState(&wire, st); err != nil || int64(wire.Len()) != StateSize(st) {
+		t.Fatalf("WriteState: %d bytes, %v; StateSize says %d", wire.Len(), err, StateSize(st))
+	}
+	dec, err := DecodeState(wire.Bytes())
 	if err != nil {
 		t.Fatalf("DecodeState: %v", err)
 	}

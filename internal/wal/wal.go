@@ -84,6 +84,13 @@ type Stats struct {
 	// Degraded reports the sticky failure state; Err is its cause.
 	Degraded bool
 	Err      error
+	// WALBytes and CheckpointBytes count the record and checkpoint file
+	// bytes this Log has written since Open.
+	WALBytes, CheckpointBytes int64
+	// SinceCheckpoint is the record bytes logged past the newest checkpoint,
+	// and CheckpointSize that checkpoint's file size: CheckpointDue compares
+	// the two. Both are read back from the directory at Open.
+	SinceCheckpoint, CheckpointSize int64
 }
 
 // Log is an append-only record log plus checkpoint store in one directory:
@@ -112,6 +119,9 @@ type Log struct {
 	cause    atomic.Pointer[error] // sticky degradation cause; nil while healthy
 	ckptSeq  atomic.Uint64
 	lastSync atomic.Int64 // unix nanos of the last successful fsync
+	// Byte counts behind Stats and CheckpointDue.
+	walBytes, ckptBytes atomic.Int64
+	sinceCkpt, ckptSize atomic.Int64
 
 	stop chan struct{}
 	done chan struct{}
@@ -155,23 +165,24 @@ func (l *Log) scan(dropTmp bool) (ckpts, segs []uint64, err error) {
 }
 
 // newestCheckpoint returns the first of ckpts (newest first) that reads
-// back valid, nil when none does. With drop, every invalid file passed on
-// the way is removed: a checkpoint that cannot be read back is garbage by
-// definition (its replacement rule is "previous file still exists"), and
-// left in place it would shadow the valid fallback at the next recovery.
-func (l *Log) newestCheckpoint(ckpts []uint64, drop bool) *State {
+// back valid and its file size, nil when none does. With drop, every
+// invalid file passed on the way is removed: a checkpoint that cannot be
+// read back is garbage by definition (its replacement rule is "previous
+// file still exists"), and left in place it would shadow the valid fallback
+// at the next recovery.
+func (l *Log) newestCheckpoint(ckpts []uint64, drop bool) (*State, int64) {
 	for _, seq := range ckpts {
 		name := filepath.Join(l.dir, ckptName(seq))
 		if b, err := l.fs.ReadFile(name); err == nil {
 			if st, derr := decodeCheckpoint(b); derr == nil && st.Seq == seq {
-				return st
+				return st, int64(len(b))
 			}
 		}
 		if drop {
 			_ = l.fs.Remove(name)
 		}
 	}
-	return nil
+	return nil, 0
 }
 
 // HasState reports whether dir holds durable engine state (any checkpoint
@@ -229,9 +240,10 @@ func (l *Log) recover() (*Recovered, error) {
 		return nil, err
 	}
 	rec := &Recovered{}
-	if st := l.newestCheckpoint(ckpts, true); st != nil {
+	if st, size := l.newestCheckpoint(ckpts, true); st != nil {
 		rec.HasState, rec.Checkpoint = true, st
 		l.ckptSeq.Store(st.Seq)
+		l.ckptSize.Store(size)
 	} else if len(segs) > 0 {
 		// Log segments with no checkpoint to anchor them: replay has no base
 		// state, which only a damaged directory produces (the engine writes
@@ -256,6 +268,7 @@ func (l *Log) recover() (*Recovered, error) {
 		break
 	}
 	l.seq.Store(r.seq)
+	l.sinceCkpt.Store(r.read)
 	l.base, l.size = r.base, r.off
 	if !r.pos {
 		l.base = after // no segment yet: the first one starts at the checkpoint
@@ -309,6 +322,8 @@ func (l *Log) Append(r *Record) error {
 		return l.degradeLocked(fmt.Errorf("append record %d: %w", r.Seq, err))
 	}
 	l.size += int64(n)
+	l.walBytes.Add(int64(n))
+	l.sinceCkpt.Add(int64(n))
 	l.seq.Store(r.Seq)
 	l.dirty = true
 	l.notifyLocked()
@@ -382,19 +397,38 @@ func (l *Log) err() error {
 // Degraded reports the sticky failure state without taking the lock.
 func (l *Log) Degraded() bool { return l.cause.Load() != nil }
 
-// WriteCheckpoint makes st durable — temp file, fsync, rename, directory
-// fsync — then prunes: checkpoints beyond the newest two and every sealed
-// segment whose records are all covered by st.Seq are removed, and the
-// active segment is rotated so the next checkpoint can prune the rounds
-// logged before this one. Concurrent Appends proceed during the (possibly
-// large) checkpoint write; only the final rotation takes the append lock.
+// CheckpointDue reports whether a checkpoint should be written now: the
+// record bytes logged past the newest checkpoint have reached that
+// checkpoint's file size, and the log is healthy. Checkpointing at that
+// point keeps the checkpoint bytes written at most the log's, and the tail
+// a restart replays at most one checkpoint's worth of records: the cost of
+// checkpoints follows the log, not the graph.
+func (l *Log) CheckpointDue() bool {
+	return !l.Degraded() && l.sinceCkpt.Load() >= l.ckptSize.Load()
+}
+
+// WriteCheckpoint makes st durable — streamed to a temp file, fsync,
+// rename, directory fsync — then prunes: checkpoints beyond the newest two
+// and every sealed segment whose records are all covered by st.Seq are
+// removed, and the active segment is rotated so the next checkpoint can
+// prune the rounds logged before this one. Concurrent Appends proceed
+// during the (possibly large) checkpoint write; only the final rotation
+// takes the append lock. A state older than the newest checkpoint is not
+// written: it would bound no replay. The record bytes counted toward the
+// next checkpoint start at this one's write, so a restart, which counts
+// every record past st.Seq, may count the few logged between st's version
+// and the write as well.
 func (l *Log) WriteCheckpoint(st *State) error {
 	l.ckptMu.Lock()
 	defer l.ckptMu.Unlock()
 	if err := l.err(); err != nil {
 		return err
 	}
-	b := encodeCheckpoint(st)
+	if st.Seq < l.ckptSeq.Load() {
+		return nil
+	}
+	since := l.sinceCkpt.Load()
+	size := StateSize(st)
 	tmp := filepath.Join(l.dir, fmt.Sprintf("checkpoint-%016x.tmp", st.Seq))
 	final := filepath.Join(l.dir, ckptName(st.Seq))
 	err := func() error {
@@ -402,7 +436,7 @@ func (l *Log) WriteCheckpoint(st *State) error {
 		if err != nil {
 			return err
 		}
-		if _, err := f.Write(b); err != nil {
+		if err := WriteState(f, st); err != nil {
 			f.Close()
 			return err
 		}
@@ -425,6 +459,9 @@ func (l *Log) WriteCheckpoint(st *State) error {
 		return l.degradeLocked(fmt.Errorf("checkpoint %d: %w", st.Seq, err))
 	}
 	l.ckptSeq.Store(st.Seq)
+	l.ckptBytes.Add(size)
+	l.ckptSize.Store(size)
+	l.sinceCkpt.Add(-since)
 
 	l.mu.Lock()
 	if l.err() == nil && l.seq.Load() > l.base {
@@ -460,7 +497,11 @@ func (l *Log) prune(seq uint64) {
 // Stats returns the log's current durability state. It takes no lock, so
 // it returns while an Append or the flusher sits in an fsync.
 func (l *Log) Stats() Stats {
-	s := Stats{Seq: l.seq.Load(), CheckpointSeq: l.ckptSeq.Load(), Err: l.err()}
+	s := Stats{
+		Seq: l.seq.Load(), CheckpointSeq: l.ckptSeq.Load(), Err: l.err(),
+		WALBytes: l.walBytes.Load(), CheckpointBytes: l.ckptBytes.Load(),
+		SinceCheckpoint: l.sinceCkpt.Load(), CheckpointSize: l.ckptSize.Load(),
+	}
 	s.Degraded = s.Err != nil
 	if ns := l.lastSync.Load(); ns != 0 {
 		s.LastSync = time.Unix(0, ns)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"dfpr/internal/fault"
@@ -123,15 +125,51 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointEncodesInOneBuffer pins the encoder's memory: the buffer is
-// sized exactly and the graph's container is written straight into it, so
-// encoding allocates once — a background checkpoint holds one graph-sized
-// byte slice, not a container copy plus a regrown buffer.
-func TestCheckpointEncodesInOneBuffer(t *testing.T) {
-	st := &State{Seq: 9, Graph: testCSR(t, 200), Ranks: make([]float64, 200), Keys: []string{"a", "bb"}}
-	if allocs := testing.AllocsPerRun(10, func() { encodeCheckpoint(st) }); allocs != 1 {
-		t.Errorf("encodeCheckpoint allocated %v times, want 1", allocs)
+// encodeCheckpoint is WriteState into memory: the file's bytes.
+func encodeCheckpoint(st *State) []byte {
+	var b bytes.Buffer
+	if err := WriteState(&b, st); err != nil {
+		panic(err)
 	}
+	return b.Bytes()
+}
+
+// TestCheckpointStreams pins the writer's memory: a checkpoint streams
+// through fixed buffers, so writing a 2 MB one allocates a few of them and
+// no graph-sized byte slice, and the bytes written are exactly the
+// StateSize the byte rule compares against.
+func TestCheckpointStreams(t *testing.T) {
+	const n = 50000
+	st := &State{Seq: 9, Graph: testCSR(t, n), Ranks: make([]float64, n), Keys: []string{"a", "bb"}}
+	size := StateSize(st)
+	if size < 16*ckptBuffer {
+		t.Fatalf("checkpoint of %d bytes is too small to tell streaming from buffering", size)
+	}
+	var cw countWriter
+	if err := WriteState(&cw, st); err != nil {
+		t.Fatal(err)
+	}
+	if cw.n != size || int64(len(encodeCheckpoint(st))) != size {
+		t.Fatalf("wrote %d bytes, StateSize says %d", cw.n, size)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 4 {
+		if err := WriteState(io.Discard, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := int64(after.TotalAlloc-before.TotalAlloc) / 4; per > 4*ckptBuffer {
+		t.Errorf("writing a %d-byte checkpoint allocated %d bytes, want at most %d", size, per, 4*ckptBuffer)
+	}
+}
+
+type countWriter struct{ n int64 }
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	c.n += int64(len(p))
+	return len(p), nil
 }
 
 func TestCheckpointCorruptionDetected(t *testing.T) {

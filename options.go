@@ -63,9 +63,6 @@ const (
 	// equal to gio.DefaultMaxVertices, the same guard at the file-loading
 	// entry point — raise both together.
 	DefaultMaxVertices = 1 << 27
-	// DefaultCheckpointEvery is how many published rank versions pass
-	// between durable checkpoints (see WithCheckpointEvery).
-	DefaultCheckpointEvery = 256
 	// DefaultFsyncInterval is the group-commit cadence of the default
 	// batched fsync policy.
 	DefaultFsyncInterval = wal.DefaultSyncInterval
@@ -73,16 +70,15 @@ const (
 
 // settings is the resolved configuration an Engine is built with.
 type settings struct {
-	cfg       core.Config
-	history   int
-	policy    RankPolicy
-	queue     int
-	maxN      int
-	keyed     bool
-	durDir    string
-	fsync     FsyncPolicy
-	ckptEvery int
-	walFS     wal.FS // test hook: fault-injecting filesystem
+	cfg     core.Config
+	history int
+	policy  RankPolicy
+	queue   int
+	maxN    int
+	keyed   bool
+	durDir  string
+	fsync   FsyncPolicy
+	walFS   wal.FS // test hook: fault-injecting filesystem
 
 	// tel is the engine's metrics registry, created by New after the options
 	// resolve (it is not an option: every engine has one, and the durable
@@ -92,8 +88,7 @@ type settings struct {
 
 func defaultSettings() settings {
 	return settings{
-		history: DefaultHistory, queue: DefaultIngestQueue,
-		maxN: DefaultMaxVertices, ckptEvery: DefaultCheckpointEvery,
+		history: DefaultHistory, queue: DefaultIngestQueue, maxN: DefaultMaxVertices,
 	}
 }
 
@@ -269,7 +264,8 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 
 // WithDurability enables the durability subsystem, rooted at dir: every
 // published round is appended to a write-ahead log before it becomes
-// visible, periodic checkpoints bound replay, and constructing an engine
+// visible, checkpoints (due once the log past the newest one is as large as
+// it) bound replay, and constructing an engine
 // over a dir that already holds state recovers it — latest valid
 // checkpoint, then the log tail through the incremental apply path,
 // tolerating a torn final record. The recovered fixed point matches a cold
@@ -291,20 +287,6 @@ func WithDurability(dir string) Option {
 func WithFsync(p FsyncPolicy) Option {
 	return func(s *settings) error {
 		s.fsync = p
-		return nil
-	}
-}
-
-// WithCheckpointEvery sets how many published rank versions pass between
-// durable checkpoints (default DefaultCheckpointEvery). Smaller values
-// bound restart replay tighter at the cost of more checkpoint I/O; see also
-// Engine.Checkpoint for forcing one. Only meaningful with WithDurability.
-func WithCheckpointEvery(versions int) Option {
-	return func(s *settings) error {
-		if versions <= 0 {
-			return fmt.Errorf("dfpr: checkpoint interval %d must be positive", versions)
-		}
-		s.ckptEvery = versions
 		return nil
 	}
 }

@@ -156,7 +156,15 @@ func (e *Engine) initDurabilityTelemetry() {
 		func() float64 { return float64(d.log.Stats().Seq) })
 	reg.GaugeFunc("dfpr_checkpoint_seq",
 		"Sequence of the newest durable checkpoint.",
-		func() float64 { return float64(d.lastCkpt.Load()) })
+		func() float64 { return float64(d.log.Stats().CheckpointSeq) })
+	// Write amplification is the ratio of these two: the byte rule keeps
+	// checkpoint bytes past the seed at most the WAL's.
+	reg.CounterFunc("dfpr_wal_bytes_total",
+		"WAL record bytes appended by this process.",
+		func() float64 { return float64(d.log.Stats().WALBytes) })
+	reg.CounterFunc("dfpr_checkpoint_bytes_total",
+		"Checkpoint file bytes written by this process, the seed checkpoint included.",
+		func() float64 { return float64(d.log.Stats().CheckpointBytes) })
 	reg.GaugeFunc("dfpr_recovering",
 		"1 while published ranks still trail the tail replayed at warm restart, else 0.",
 		func() float64 {
