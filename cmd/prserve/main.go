@@ -90,7 +90,7 @@ func main() {
 		deg      = flag.Int("deg", 12, "average degree for -gen")
 		threads  = flag.Int("threads", 0, "worker goroutines (0 = NumCPU)")
 		tol      = flag.Float64("tol", dfpr.DefaultTolerance, "iteration tolerance (L∞)")
-		history  = flag.Int("history", dfpr.DefaultHistory, "retained rank views (ViewAt / delta window)")
+		history  = flag.Int("history", dfpr.DefaultHistory, "retained rank views (ViewAt / delta window); each may pin up to a whole graph")
 		policy   = flag.String("rank-policy", "immediate", "when the refresher ranks behind the ingest loop: immediate|every")
 		everyN   = flag.Int("rank-every", 4096, "every: edits between refreshes")
 		queue    = flag.Int("queue", dfpr.DefaultIngestQueue, "ingest queue bound in edits (backpressure above)")

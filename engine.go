@@ -204,7 +204,7 @@ func newEngine(n int, edges []Edge, st settings) (*Engine, error) {
 // (a checkpoint's), or unranked when ranks is nil, so that the first Rank
 // converges cold.
 func engineOver(st settings, store *snapshot.Store, ranks []float64) (*Engine, error) {
-	rk, err := snapshot.ResumeRanker(store, core.AlgoDFLF, st.cfg, ranks, store.Current().Seq)
+	rk, err := snapshot.ResumeRanker(store, st.cfg, ranks)
 	if err != nil {
 		return nil, fmt.Errorf("dfpr: resume ranks: %w", err)
 	}

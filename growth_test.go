@@ -86,8 +86,8 @@ func (s *growthScript) nextBatch(grow int) (del, ins []Edge) {
 
 // TestGrowthEquivalenceAllVariants is the acceptance criterion: interleaved
 // grow+apply+rank matches a cold build of the final graph within L∞ ≤ 1e-12,
-// across seeds. This is the engine's DF-LF row; internal/snapshot's test of
-// the same name runs the store and ranker under all eight variants.
+// across seeds. This is the engine's DF-LF row; internal/core's test of the
+// same name runs all eight variants.
 func TestGrowthEquivalenceAllVariants(t *testing.T) {
 	ctx := context.Background()
 	seeds := []int64{1, 2, 3}

@@ -4,14 +4,15 @@
 // snapshots* of the graph. A Store serialises writers and publishes
 // immutable versions lock-free to readers; a Ranker subscribes to a store
 // and keeps a PageRank vector current by replaying the update history with
-// the Dynamic Frontier algorithm. A store serves one ranker and folds every
-// batch it publishes into one pending span, the merged batch of everything
-// that ranker has not replayed, so however far it lags it catches up by one
-// replay whose cost is the span's distinct edits. ResumeRanker builds a
-// ranker, unranked or at a checkpointed vector, and Refresh is the one way
-// its ranks move. Every run the package starts is lock-free: the cold run
-// (the first convergence) is StaticLF (Alg. 4), so a crash-stopped worker
-// anywhere is outlived by the others (§4.4), never waited for at a barrier.
+// DF-LF, the paper's lock-free Dynamic Frontier (Alg. 2). A store serves
+// one ranker and folds every batch it publishes into one pending span, the
+// merged batch of everything that ranker has not replayed, so however far
+// it lags it catches up by one replay whose cost is the span's distinct
+// edits. ResumeRanker builds a ranker, unranked or at a checkpointed
+// vector, and Refresh is the one way its ranks move. Every run the package
+// starts is lock-free: the cold run (the first convergence) is StaticLF
+// (Alg. 4), so a crash-stopped worker anywhere is outlived by the others
+// (§4.4), never waited for at a barrier.
 //
 // This is the composition layer a downstream user actually deploys: the
 // core package answers "how do I update ranks for one batch", this package
@@ -168,7 +169,6 @@ func (s *Store) giveBack(span batch.Merger) {
 type Ranker struct {
 	store *Store
 	cfg   core.Config
-	algo  core.Algo
 	ranks []float64
 	cur   *Version // the store version ranks correspond to; nil while unranked
 	// oldest is when the oldest version the last landing covered was
@@ -185,13 +185,16 @@ type Ranker struct {
 }
 
 // NewRanker is ResumeRanker without ranks plus its first Refresh: it
-// converges ranks on the store's current version with the cold run
-// (StaticLF, whichever algo is given) and returns a ranker positioned at
-// that version together with that run's result. Later Refreshes run algo
-// (DFLF is the recommended default; a static algo recomputes from scratch
-// every time). Cancellation of ctx aborts the initial convergence.
+// converges ranks on the store's current version with the cold run and
+// returns a ranker positioned at that version together with that run's
+// result. Cancellation of ctx aborts the initial convergence. algo must be
+// core.AlgoDFLF, the one algorithm a ranker refreshes with; any other is
+// refused before the store is touched.
 func NewRanker(ctx context.Context, s *Store, algo core.Algo, cfg core.Config) (*Ranker, core.Result, error) {
-	r, err := ResumeRanker(s, algo, cfg, nil, 0)
+	if algo != core.AlgoDFLF {
+		return nil, core.Result{}, fmt.Errorf("snapshot: a ranker refreshes with %v, not %v", core.AlgoDFLF, algo)
+	}
+	r, err := ResumeRanker(s, cfg, nil)
 	if err != nil {
 		return nil, core.Result{}, err
 	}
@@ -203,30 +206,27 @@ func NewRanker(ctx context.Context, s *Store, algo core.Algo, cfg core.Config) (
 }
 
 // ResumeRanker is the Ranker constructor. Given ranks it positions the
-// ranker at that already-converged vector for store version seq without
-// running anything — the warm-restart path: the vector comes from a
-// checkpoint, the store from NewStoreAt at the same sequence, and the first
-// Refresh replays whatever the store has moved past seq incrementally,
-// exactly as if the ranker had been alive all along. The ranker takes
-// ownership of ranks (treat it as frozen). With nil ranks (seq is then not
-// checked) the ranker starts unranked, and its first Refresh converges the
-// store's newest version with the cold run. A store serves one ranker: from
-// here on its pending span holds every batch published past the ranker's
+// ranker at that already-converged vector for the store's current version
+// without running anything — the warm-restart path: the vector comes from a
+// checkpoint, the store from NewStoreAt at the checkpoint's sequence, and
+// the first Refresh replays whatever the store publishes past it
+// incrementally, exactly as if the ranker had been alive all along. The
+// ranker takes ownership of ranks (treat it as frozen). With nil ranks the
+// ranker starts unranked, and its first Refresh converges the store's
+// newest version with the cold run. A store serves one ranker: from here
+// on its pending span holds every batch published past the ranker's
 // version, so a store that already has one is refused.
-func ResumeRanker(s *Store, algo core.Algo, cfg core.Config, ranks []float64, seq uint64) (*Ranker, error) {
+func ResumeRanker(s *Store, cfg core.Config, ranks []float64) (*Ranker, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ranked {
 		return nil, errors.New("snapshot: the store already has a ranker")
 	}
-	r := &Ranker{store: s, cfg: cfg, algo: algo}
+	r := &Ranker{store: s, cfg: cfg}
 	v := s.Current()
 	if ranks != nil {
-		if v.Seq != seq {
-			return nil, fmt.Errorf("snapshot: resume at version %d: store is at %d", seq, v.Seq)
-		}
 		if v.G.N() != len(ranks) {
-			return nil, fmt.Errorf("snapshot: resume at version %d: %d ranks for %d vertices", seq, len(ranks), v.G.N())
+			return nil, fmt.Errorf("snapshot: resume at version %d: %d ranks for %d vertices", v.Seq, len(ranks), v.G.N())
 		}
 		r.ranks, r.cur = ranks, v
 	}
@@ -275,37 +275,28 @@ func (r *Ranker) next() uint64 {
 	return r.cur.Seq + 1
 }
 
-// Behind reports how many versions the ranker lags the store; an unranked
-// ranker lags every version, the initial one included.
-func (r *Ranker) Behind() uint64 {
-	return r.store.Current().Seq + 1 - r.next()
-}
-
 // Refresh brings the ranks up to the store's latest version and returns the
-// last run's result with the number of versions advanced — always the
-// distance Behind fell during the call, whatever path moved the ranks (a
-// version published by ApplyAt at a sequence jump counts the whole jump,
-// and the first convergence counts every version up to the one it lands
-// on, the initial one included).
+// last run's result with the number of versions advanced, whatever path
+// moved the ranks (a version published by ApplyAt at a sequence jump counts
+// the whole jump, and the first convergence counts every version up to the
+// one it lands on, the initial one included).
 //
 // An unranked ranker converges with the cold run on the newest version (and
 // drops the pending span: the cold run does not read it). A ranked one
-// replays the store's pending span as ONE run of the ranker's algo: the
-// store folded each batch into it as it published (last op per edge wins,
-// batch.Merger) and the algorithm runs once from the ranker's graph to the
-// store's current one. This is the paper's cost model taken seriously — DF
-// work scales with the movement set, so k pending batches cost one frontier
-// expansion over their union instead of k expansions over overlapping
-// frontiers. The run reads the store's tip and the merged batch, not the
-// ranker's own graph: the merged del list holds every edge the span
-// removed (last op per edge wins, and Store.Apply clamped each batch to
-// its universe), which is what core.Input asks of Del. The merged lists
-// may be a superset of the true edge diff (churn cancelled within the
-// span); that only widens the initially affected set, never narrows it. A
-// static algo ignores the batch and the previous vector (core.RunCtx drops
-// them) and so recomputes from scratch. The span holds every batch past the
-// ranker, so however far it lags, it is there to replay, at the cost of its
-// distinct edits rather than of the batches that carried them.
+// replays the store's pending span as ONE DF-LF run: the store folded each
+// batch into it as it published (last op per edge wins, batch.Merger) and
+// the run goes once from the ranker's graph to the store's current one. This
+// is the paper's cost model taken seriously — DF work scales with the
+// movement set, so k pending batches cost one frontier expansion over their
+// union instead of k expansions over overlapping frontiers. The run reads
+// the store's tip and the merged batch, not the ranker's own graph: the
+// merged del list holds every edge the span removed (last op per edge wins,
+// and Store.Apply clamped each batch to its universe), which is what
+// core.Input asks of Del. The merged lists may be a superset of the true
+// edge diff (churn cancelled within the span); that only widens the
+// initially affected set, never narrows it. The span holds every batch past
+// the ranker, so however far it lags, it is there to replay, at the cost of
+// its distinct edits rather than of the batches that carried them.
 //
 // A run that fails (crashed workers) or is cancelled through ctx surfaces
 // as itself: the rank vector stays where it was (an unranked ranker stays
@@ -342,7 +333,7 @@ func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
 			prev = core.GrowRanks(prev, n)
 		}
 		in := core.Input{GNew: tip.G, Del: up.Del, Ins: up.Ins, Prev: prev}
-		res = core.RunCtx(ctx, r.algo, in, r.cfg)
+		res = core.RunCtx(ctx, core.AlgoDFLF, in, r.cfg)
 	}
 	if res.Err != nil {
 		r.store.giveBack(span)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -156,15 +157,15 @@ func TestRankerCatchesUpMultipleVersions(t *testing.T) {
 		up := batch.Random(graph.DynamicFromCSR(s.Current().G), 6, int64(100+i))
 		s.Apply(up)
 	}
-	if r.Behind() != 5 {
-		t.Fatalf("Behind = %d", r.Behind())
+	if behind := s.Current().Seq - r.Seq(); behind != 5 {
+		t.Fatalf("behind = %d", behind)
 	}
 	_, advanced, err := r.Refresh(context.Background())
 	if err != nil || advanced != 5 {
 		t.Fatalf("advanced=%d err=%v", advanced, err)
 	}
-	if r.Behind() != 0 || r.Seq() != 5 {
-		t.Errorf("behind=%d seq=%d", r.Behind(), r.Seq())
+	if behind := s.Current().Seq - r.Seq(); behind != 0 || r.Seq() != 5 {
+		t.Errorf("behind=%d seq=%d", behind, r.Seq())
 	}
 	ref := core.Reference(s.Current().G, core.Config{})
 	if e := topk.LInf(r.Ranks(), ref); e > 20*testCfg(n).Tol {
@@ -173,7 +174,7 @@ func TestRankerCatchesUpMultipleVersions(t *testing.T) {
 	// One pending version published across a sequence jump (what replay does
 	// with a folded WAL tail) advances by the jump, not by the chain length.
 	s.ApplyAt(batch.Random(graph.DynamicFromCSR(s.Current().G), 6, 105), s.Current().Seq+5)
-	behind := r.Behind()
+	behind := s.Current().Seq - r.Seq()
 	_, advanced, err = r.Refresh(context.Background())
 	if err != nil || behind != 5 || advanced != 5 || r.Seq() != 10 {
 		t.Fatalf("sequence jump: behind=%d advanced=%d seq=%d err=%v, want 5/5/10", behind, advanced, r.Seq(), err)
@@ -272,7 +273,6 @@ func TestRankerLandingInvariants(t *testing.T) {
 	cancel()
 	for _, tc := range []struct {
 		name    string
-		algo    core.Algo
 		pending int
 		crash   bool
 		ctx     context.Context
@@ -281,18 +281,17 @@ func TestRankerLandingInvariants(t *testing.T) {
 		wantErr   error
 		refreshes int
 	}{
-		{name: "one version", algo: core.AlgoDFLF, pending: 1, refreshes: 1},
-		{name: "coalesced span", algo: core.AlgoDFLF, pending: 4, refreshes: 1},
-		{name: "static algo", algo: core.AlgoStaticLF, pending: 3, refreshes: 1},
+		{name: "one version", pending: 1, refreshes: 1},
+		{name: "coalesced span", pending: 4, refreshes: 1},
 		// A failed run surfaces as itself: nothing else is tried (it would
 		// run under the same plan, whose crashes stop every worker).
-		{name: "failure without fallback", algo: core.AlgoDFLF, pending: 2, crash: true, wantErr: core.ErrAllCrashed},
-		{name: "cancellation", algo: core.AlgoDFLF, pending: 2, ctx: canceled, wantErr: core.ErrCanceled},
+		{name: "failure without fallback", pending: 2, crash: true, wantErr: core.ErrAllCrashed},
+		{name: "cancellation", pending: 2, ctx: canceled, wantErr: core.ErrCanceled},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := testStore(t, 0)
 			cfg := testCfg(s.Current().G.N())
-			r, _, err := NewRanker(context.Background(), s, tc.algo, cfg)
+			r, _, err := NewRanker(context.Background(), s, core.AlgoDFLF, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -335,40 +334,6 @@ func TestRankerLandingInvariants(t *testing.T) {
 				t.Errorf("the refresh's run reports %d sweep blocks although it executed", res.SweepBlocks)
 			}
 		})
-	}
-}
-
-func TestRankerStaticAlgoRecomputesPerRefresh(t *testing.T) {
-	s := testStore(t, 0)
-	n := s.Current().G.N()
-	r, init, err := NewRanker(context.Background(), s, core.AlgoStaticLF, testCfg(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !init.Converged {
-		t.Fatal("initial static run did not converge")
-	}
-	// Idle refresh is free.
-	if _, advanced, err := r.Refresh(context.Background()); err != nil || advanced != 0 {
-		t.Fatalf("idle static refresh: advanced=%d err=%v", advanced, err)
-	}
-	for i := 0; i < 3; i++ {
-		up := batch.Random(graph.DynamicFromCSR(s.Current().G), 4, int64(i))
-		s.Apply(up)
-	}
-	res, advanced, err := r.Refresh(context.Background())
-	if err != nil || advanced != 3 {
-		t.Fatalf("static refresh: advanced=%d err=%v", advanced, err)
-	}
-	if !res.Converged || r.Seq() != 3 {
-		t.Fatalf("converged=%v seq=%d", res.Converged, r.Seq())
-	}
-	if r.Refreshes != 1 {
-		t.Errorf("refreshes=%d (static refresh is one recompute)", r.Refreshes)
-	}
-	ref := core.Reference(s.Current().G, core.Config{})
-	if e := topk.LInf(r.Ranks(), ref); e > 20*testCfg(n).Tol {
-		t.Errorf("error after static refresh: %g", e)
 	}
 }
 
@@ -441,14 +406,38 @@ func TestResumeRankerRefusesSecondRanker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResumeRanker(s, core.AlgoDFLF, cfg, nil, 0); err == nil {
+	if _, err := ResumeRanker(s, cfg, nil); err == nil {
 		t.Error("ResumeRanker without ranks accepted a store that has a ranker")
 	}
-	if _, err := ResumeRanker(s, core.AlgoDFLF, cfg, r.Ranks(), r.Seq()); err == nil {
+	if _, err := ResumeRanker(s, cfg, r.Ranks()); err == nil {
 		t.Error("ResumeRanker with ranks accepted a store that has a ranker")
 	}
 	if _, _, err := NewRanker(context.Background(), s, core.AlgoDFLF, cfg); err == nil {
 		t.Error("NewRanker accepted a store that has a ranker")
+	}
+}
+
+// TestNewRankerRefusesOtherAlgos: a ranker refreshes with DF-LF alone, so
+// NewRanker refuses every other variant with an error naming it, before it
+// touches the store: the store stays ranker-free, and a DF-LF ranker on it
+// then builds.
+func TestNewRankerRefusesOtherAlgos(t *testing.T) {
+	s := testStore(t, 0)
+	cfg := testCfg(s.Current().G.N())
+	for _, algo := range core.Algos {
+		if algo == core.AlgoDFLF {
+			continue
+		}
+		r, _, err := NewRanker(context.Background(), s, algo, cfg)
+		if err == nil || r != nil {
+			t.Fatalf("NewRanker accepted %v", algo)
+		}
+		if !strings.Contains(err.Error(), algo.String()) {
+			t.Errorf("refusing %v: error %q does not name it", algo, err)
+		}
+	}
+	if _, _, err := NewRanker(context.Background(), s, core.AlgoDFLF, cfg); err != nil {
+		t.Fatalf("a DF-LF ranker on the store the other algos left: %v", err)
 	}
 }
 

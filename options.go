@@ -52,7 +52,7 @@ const (
 	// DefaultTolerance is the default iteration tolerance τ (L∞).
 	DefaultTolerance = core.DefaultTol
 	// DefaultHistory is the default WithHistory bound.
-	DefaultHistory = 64
+	DefaultHistory = 8
 	// DefaultIngestQueue is the default bound on edits queued in the ingest
 	// pipeline before Submit reports ErrQueueFull.
 	DefaultIngestQueue = 1 << 20
@@ -135,16 +135,19 @@ func WithThreads(n int) Option {
 }
 
 // WithHistory sizes the ring of views; keep must be positive (the default
-// is 64). The engine keeps the last keep published rank views for ViewAt
-// and Delta. It bounds nothing else: the store folds every batch the ranks
-// have not replayed into one pending span, so ranks that lag however far
-// catch up by one replay and nothing ever waits for them. The ring holds no
-// graph beyond the views' own: a graph snapshot lives while it is current,
-// ranked on, or viewed, and consecutive snapshots share every row block
-// their batch did not touch, so each retained view costs its batch's blocks
-// plus one 8n-byte rank vector.
-// At the default that is up to 512n bytes of rank vectors on top of the
-// graph: 32 MiB at n = 2^16, 4 GiB at n = 2^23.
+// is DefaultHistory, 8). The engine keeps the last keep published rank
+// views for ViewAt and Delta. It bounds nothing else: the store folds every
+// batch the ranks have not replayed into one pending span, so ranks that
+// lag however far catch up by one replay and nothing ever waits for them.
+// The ring holds no graph beyond the views' own: a graph snapshot lives
+// while it is current, ranked on, or viewed, and consecutive snapshots
+// share every row block the batches between them did not touch, so each
+// retained view costs one 8n-byte rank vector plus the blocks rebuilt since
+// the view before it: a few when ranks land after every batch, close to a
+// whole graph when many batches land between two views.
+// At the default that is up to 64n bytes of rank vectors (4 MiB at
+// n = 2^16, 512 MiB at n = 2^23) and up to 8 graphs on top of the current
+// one.
 func WithHistory(keep int) Option {
 	return func(s *settings) error {
 		if keep <= 0 {

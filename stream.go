@@ -51,7 +51,7 @@ func (s *Subscription) Close() {
 // its version: attaches the view to the result, retains it in the ViewAt
 // ring, makes it the lock-free latest, and pushes a copy of the result to
 // every subscriber. All of it is zero-copy — the rank vector is shared between
-// the result, the ring, Snapshot readers and every subscriber. Caller holds
+// the result, the ring, View readers and every subscriber. Caller holds
 // e.mu, which also makes it the only publisher — the conflating send below
 // relies on that.
 func (e *Engine) publishLocked(res *Result) {
