@@ -751,3 +751,38 @@ func TestNewBuildsFromEdgeList(t *testing.T) {
 		t.Errorf("shuffled and sorted builds rank differently (L∞ %g)", topk.LInf(ranks[0], ranks[1]))
 	}
 }
+
+// TestRankRefreshSecondsTimesTheRefresh: dfpr_rank_refresh_seconds holds,
+// for each publishing Rank, the refresh's wall time. That is more than the
+// run's Result.Elapsed, which starts after the run's setup and stops before
+// its ranks land, and at most the wall time around the Rank call.
+func TestRankRefreshSecondsTimesTheRefresh(t *testing.T) {
+	ctx := context.Background()
+	eng, err := New(64, ringEdges(64), WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	h := eng.met.rankSeconds
+	for i, ins := range [][]Edge{nil, {{U: 3, V: 40}}, {{U: 40, V: 7}, {U: 9, V: 3}}} {
+		if ins != nil {
+			if _, err := eng.Apply(ctx, nil, ins); err != nil {
+				t.Fatal(err)
+			}
+		}
+		count, sum := h.Count(), h.Sum()
+		t0 := time.Now()
+		res, err := eng.Rank(ctx)
+		around := time.Since(t0).Seconds()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Count() - count; got != 1 {
+			t.Fatalf("rank %d: %d samples, want 1", i, got)
+		}
+		if got := h.Sum() - sum; got <= res.Elapsed.Seconds() || got > around {
+			t.Errorf("rank %d: sample %gs outside [Result.Elapsed %gs, wall around Rank %gs]",
+				i, got, res.Elapsed.Seconds(), around)
+		}
+	}
+}

@@ -6,15 +6,18 @@
 // relies on racy-but-word-atomic accesses to a shared C++ double vector and
 // on 8-bit flag vectors (VA, C, RC). Go's memory model requires explicit
 // atomics for that pattern, so ranks are stored as []uint64 and bit-cast via
-// math.Float64bits / math.Float64frombits on every access, and flags are a
-// word-packed bitset (Flags) using compare-and-swap on 64-bit words, whose
-// all-zero detection scans n/64 words.
+// math.Float64bits / math.Float64frombits on every access (F64Of lays such
+// a vector over a []float64, which is filled and read plainly while no
+// other goroutine can reach it), and flags are a word-packed bitset (Flags)
+// using compare-and-swap on 64-bit words, whose all-zero detection scans
+// n/64 words.
 package avec
 
 import (
 	"math"
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
 )
 
 // F64 is a fixed-length vector of float64 values supporting atomic,
@@ -29,6 +32,16 @@ type F64 struct {
 // NewF64 returns a zeroed atomic float64 vector of length n.
 func NewF64(n int) *F64 {
 	return &F64{bits: make([]uint64, n)}
+}
+
+// F64Of returns a vector over xs's elements, without copying them. It is
+// how a vector is filled before it is shared and read after: the caller
+// writes xs with plain stores, which need no fence while no other goroutine
+// can reach the vector, and may read xs plainly again once every goroutine
+// that accessed the vector has been joined. In between, every access goes
+// through the vector.
+func F64Of(xs []float64) *F64 {
+	return &F64{bits: unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs))}
 }
 
 // Load atomically reads element i. It takes the vector by value, and a copy
@@ -46,38 +59,6 @@ func (v F64) Load(i int) float64 {
 //dfpr:hotpath
 func (v *F64) Store(i int, x float64) {
 	atomic.StoreUint64(&v.bits[i], math.Float64bits(x))
-}
-
-// Fill sets every element to x. Not atomic with respect to concurrent
-// accessors as a whole, but each element store is atomic.
-func (v *F64) Fill(x float64) {
-	b := math.Float64bits(x)
-	for i := range v.bits {
-		atomic.StoreUint64(&v.bits[i], b)
-	}
-}
-
-// CopyFrom stores src[i] into element i for all i. Lengths must match.
-func (v *F64) CopyFrom(src []float64) {
-	if len(src) != len(v.bits) {
-		panic("avec: CopyFrom length mismatch")
-	}
-	for i, x := range src {
-		atomic.StoreUint64(&v.bits[i], math.Float64bits(x))
-	}
-}
-
-// Snapshot copies the current contents into dst (allocating when dst is nil
-// or too short) and returns it. Element reads are individually atomic.
-func (v *F64) Snapshot(dst []float64) []float64 {
-	if cap(dst) < len(v.bits) {
-		dst = make([]float64, len(v.bits))
-	}
-	dst = dst[:len(v.bits)]
-	for i := range v.bits {
-		dst[i] = math.Float64frombits(atomic.LoadUint64(&v.bits[i]))
-	}
-	return dst
 }
 
 // Add atomically adds delta to element i using a CAS loop and returns the

@@ -8,8 +8,11 @@ import "testing"
 // figure in the evaluation.
 
 func BenchmarkF64Load(b *testing.B) {
-	v := NewF64(1024)
-	v.Fill(0.5)
+	xs := make([]float64, 1024)
+	for i := range xs {
+		xs[i] = 0.5
+	}
+	v := F64Of(xs)
 	b.ReportAllocs()
 	var sink float64
 	for i := 0; i < b.N; i++ {

@@ -40,33 +40,20 @@ func TestF64RoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestF64FillAndSnapshot(t *testing.T) {
-	v := NewF64(100)
-	v.Fill(0.25)
-	snap := v.Snapshot(nil)
-	if len(snap) != 100 {
-		t.Fatalf("snapshot length %d", len(snap))
-	}
-	for i, x := range snap {
-		if x != 0.25 {
-			t.Fatalf("snap[%d] = %v", i, x)
+// TestF64OfSharesElements: a vector made by F64Of reads the plain stores
+// made before it, and its stores show in the slice after it.
+func TestF64OfSharesElements(t *testing.T) {
+	xs := []float64{0.5, math.Pi, -1}
+	v := F64Of(xs)
+	for i, want := range []float64{0.5, math.Pi, -1} {
+		if got := v.Load(i); got != want {
+			t.Errorf("Load(%d) = %v, want %v", i, got, want)
 		}
 	}
-	// Snapshot into a reusable buffer must not allocate a new one.
-	buf := make([]float64, 100)
-	got := v.Snapshot(buf)
-	if &got[0] != &buf[0] {
-		t.Error("Snapshot ignored provided buffer")
+	v.Store(1, 2)
+	if xs[1] != 2 {
+		t.Errorf("xs[1] = %v after Store(1, 2)", xs[1])
 	}
-}
-
-func TestF64CopyFromMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on length mismatch")
-		}
-	}()
-	NewF64(3).CopyFrom([]float64{1, 2})
 }
 
 func TestF64ConcurrentAddIsExact(t *testing.T) {

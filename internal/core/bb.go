@@ -82,8 +82,8 @@ func runBB(ctx context.Context, vr variant, in Input, cfg Config) Result {
 	base := (1 - cfg.Alpha) / float64(n)
 
 	// The barrier-based kernel keeps the plain update: solving the self-loop
-	// pays only in Gauss–Seidel (DESIGN §2), so it needs no dinv.
-	ainv, _ := kernelFactors(g, cfg.Alpha, false)
+	// pays only in Gauss–Seidel (DESIGN §2), so it leaves dinv unused.
+	ainv, _ := kernelFactors(g, cfg.Alpha)
 
 	var init []float64
 	if vr != vStatic && len(in.Prev) == n {

@@ -20,7 +20,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"dfpr/internal/fault"
@@ -203,27 +205,48 @@ func Run(a Algo, in Input, cfg Config) Result {
 // When ctx is canceled (or its deadline passes) before the run converges,
 // workers stop taking work, every goroutine exits, and the Result carries
 // ErrCanceled — the run's output vector must then be discarded, as a
-// canceled pass may have computed only part of an iteration.
+// canceled pass may have computed only part of an iteration. A lock-free
+// variant runs through RunState on a State built fresh from in.GNew.
 func RunCtx(ctx context.Context, a Algo, in Input, cfg Config) Result {
 	switch a {
 	case AlgoStaticBB:
 		return runBB(ctx, vStatic, Input{GNew: in.GNew}, cfg)
-	case AlgoStaticLF:
-		return runLF(ctx, vStatic, Input{GNew: in.GNew}, cfg)
 	case AlgoNDBB:
 		return runBB(ctx, vND, Input{GNew: in.GNew, Prev: in.Prev}, cfg)
-	case AlgoNDLF:
-		return runLF(ctx, vND, Input{GNew: in.GNew, Prev: in.Prev}, cfg)
 	case AlgoDTBB:
 		return runBB(ctx, vDT, in, cfg)
-	case AlgoDTLF:
-		return runLF(ctx, vDT, in, cfg)
 	case AlgoDFBB:
 		return runBB(ctx, vDF, in, cfg)
-	case AlgoDFLF:
-		return runLF(ctx, vDF, in, cfg)
+	case AlgoStaticLF, AlgoNDLF, AlgoDTLF, AlgoDFLF:
+		return RunState(ctx, a, in, cfg, NewState(in.GNew, cfg))
 	default:
 		return Result{Err: errors.New("core: unknown algorithm")}
+	}
+}
+
+// RunState runs the lock-free variant a over st, the State of in.GNew under
+// cfg (NewState, or a State patched up to in.GNew): the run reads the
+// kernel's factors and the chunk bounds from st instead of building them.
+// The run never writes st, so a failed or canceled run leaves it valid.
+// RunState panics when a is not lock-free or st was built for another
+// graph size, damping factor or chunk size.
+func RunState(ctx context.Context, a Algo, in Input, cfg Config, st *State) Result {
+	d := cfg.withDefaults()
+	if len(st.ainv) != in.GNew.N() || st.alpha != d.Alpha || st.chunk != d.Chunk {
+		panic(fmt.Sprintf("core: RunState over a State of %d vertices (α %g, chunk %d) for %d vertices (α %g, chunk %d)",
+			len(st.ainv), st.alpha, st.chunk, in.GNew.N(), d.Alpha, d.Chunk))
+	}
+	switch a {
+	case AlgoStaticLF:
+		return runLF(ctx, vStatic, Input{GNew: in.GNew}, cfg, st)
+	case AlgoNDLF:
+		return runLF(ctx, vND, Input{GNew: in.GNew, Prev: in.Prev}, cfg, st)
+	case AlgoDTLF:
+		return runLF(ctx, vDT, in, cfg, st)
+	case AlgoDFLF:
+		return runLF(ctx, vDF, in, cfg, st)
+	default:
+		panic(fmt.Sprintf("core: RunState runs a lock-free algorithm, not %v", a))
 	}
 }
 
@@ -253,34 +276,107 @@ func invOutDeg(g *graph.CSR) []float64 {
 }
 
 // kernelFactors precomputes, in one pass over the vertices, the factors the
-// cached kernels multiply by: ainv[v] = α·(1/outdeg(v)) (0 for a dead end;
-// rounded as the barrier-based kernel has always had it), which turns a rank
-// store into a contribution-cache store (contrib[v] = rank[v]·ainv[v]), and
-// — when solve is set, for the lock-free kernel —
+// cached kernels multiply by (factorsOf): ainv[v] = α·(1/outdeg(v)) (0 for
+// a dead end; rounded as the barrier-based kernel has always had it), which
+// turns a rank store into a contribution-cache store
+// (contrib[v] = rank[v]·ainv[v]), and, for the lock-free kernel,
 // dinv[v] = 1/(1 − ainv[v]) if v has a self-loop and 1 otherwise (see
 // rankOfCachedAtomic). A self-loop leads v's in-row (graph.CSR), so finding
 // it is one test per vertex, and a graph that never ran EnsureSelfLoops
 // gets dinv = 1 wherever v has none.
-func kernelFactors(g *graph.CSR, alpha float64, solve bool) (ainv, dinv []float64) {
-	n := g.N()
-	ainv = make([]float64, n)
-	if solve {
-		dinv = make([]float64, n)
-	}
-	for v := uint32(0); int(v) < n; v++ {
-		if d := g.OutDeg(v); d > 0 {
-			ainv[v] = alpha * (1 / float64(d))
-		}
-		if !solve {
-			continue
-		}
-		dinv[v] = 1
-		if in := g.In(v); len(in) > 0 && in[0] == v {
-			dinv[v] = 1 / (1 - ainv[v])
-		}
+func kernelFactors(g *graph.CSR, alpha float64) (ainv, dinv []float64) {
+	ainv, dinv = make([]float64, g.N()), make([]float64, g.N())
+	for v := range ainv {
+		ainv[v], dinv[v] = factorsOf(g, alpha, uint32(v))
 	}
 	return ainv, dinv
 }
+
+// factorsOf is row v's ainv and dinv (kernelFactors): both read v's rows of
+// g and nothing else, which is what lets State patch them row by row.
+func factorsOf(g *graph.CSR, alpha float64, v uint32) (ainv, dinv float64) {
+	if d := g.OutDeg(v); d > 0 {
+		ainv = alpha * (1 / float64(d))
+	}
+	dinv = 1
+	if in := g.In(v); len(in) > 0 && in[0] == v {
+		dinv = 1 / (1 - ainv)
+	}
+	return ainv, dinv
+}
+
+// State is the part of a lock-free run's setup that depends on the graph
+// alone: the kernel's factors (kernelFactors) and the chunk bounds
+// (vertexBounds). Building it is O(n); a caller that runs over a sequence
+// of graphs, each its predecessor plus a batch, keeps one and patches it
+// (Patch) at O(batch) per run instead. Run and RunCtx build it fresh.
+//
+// The factors are a pure function of the graph's rows, so a patched
+// State holds a fresh build's factors bit for bit, and patching twice to
+// the same graph changes nothing. The bounds are re-cut only on growth or once
+// the edge count has drifted by more than 1/boundsDrift since the last cut:
+// bounds cut on an older graph still cover [0, n), they only balance the
+// chunks a little less well.
+type State struct {
+	alpha      float64
+	chunk      int
+	ainv, dinv []float64
+	bounds     []int
+	cutM       int // g.M() when bounds were cut
+}
+
+// boundsDrift is the inverse share of the edge count that may change
+// before Patch re-cuts the chunk bounds.
+const boundsDrift = 8
+
+// NewState builds the State of g for runs under cfg.
+func NewState(g *graph.CSR, cfg Config) *State {
+	cfg = cfg.withDefaults()
+	s := &State{alpha: cfg.Alpha, chunk: cfg.Chunk}
+	s.ainv, s.dinv = kernelFactors(g, cfg.Alpha)
+	s.cut(g)
+	return s
+}
+
+// cut re-cuts the bounds on g. It keeps a copy, because BalancedBounds
+// reserves room for n/8 chunks and the State outlives the run.
+func (s *State) cut(g *graph.CSR) {
+	s.bounds, s.cutM = slices.Clone(vertexBounds(g, s.chunk)), g.M()
+}
+
+// Patch moves s to g, a graph whose rows differ from those s describes
+// only at the sources of del and ins and at the rows g grew: it
+// recomputes exactly those rows' factors. A source named that did not
+// change, or named twice, costs one row and changes nothing, so a merged
+// span that is a superset of the true edge diff is a valid patch list.
+// Every endpoint must be a vertex of g (core.Input's rule), and g may not
+// have fewer vertices than s.
+func (s *State) Patch(g *graph.CSR, del, ins []graph.Edge) {
+	n, old := g.N(), len(s.ainv)
+	if n < old {
+		panic(fmt.Sprintf("core: State.Patch cannot shrink %d → %d vertices", old, n))
+	}
+	s.ainv, s.dinv = slices.Grow(s.ainv, n-old)[:n], slices.Grow(s.dinv, n-old)[:n]
+	for v := old; v < n; v++ {
+		s.ainv[v], s.dinv[v] = factorsOf(g, s.alpha, uint32(v))
+	}
+	for _, es := range [2][]graph.Edge{del, ins} {
+		for _, e := range es {
+			s.ainv[e.U], s.dinv[e.U] = factorsOf(g, s.alpha, e.U)
+		}
+	}
+	if d := g.M() - s.cutM; n != old || boundsDrift*max(d, -d) > s.cutM {
+		s.cut(g)
+	}
+}
+
+// Factors returns the kernel factors ainv and dinv (kernelFactors). The
+// slices are the State's own: read them, never write them.
+func (s *State) Factors() (ainv, dinv []float64) { return s.ainv, s.dinv }
+
+// Bounds returns the chunk bounds (vertexBounds) the State last cut. The
+// slice is the State's own: read it, never write it.
+func (s *State) Bounds() []int { return s.bounds }
 
 // balancedTarget is the per-chunk weight for edge-balanced chunking: Chunk
 // vertices' worth of average in-weight, so a pass dispenses about as many

@@ -38,13 +38,9 @@ func StaticLFNS(g *graph.CSR, cfg Config) Result {
 		return Result{Converged: true}
 	}
 	base := (1 - cfg.Alpha) / float64(n)
-	ainv, dinv := kernelFactors(g, cfg.Alpha, true)
-	ranks := avec.NewF64(n)
-	ranks.Fill(1 / float64(n))
-	contribs := avec.NewF64(n)
-	for v := 0; v < n; v++ {
-		contribs.Store(v, ranks.Load(v)*ainv[v])
-	}
+	ainv, dinv := kernelFactors(g, cfg.Alpha)
+	rk, cb := lfVectors(nil, ainv)
+	ranks, contribs := avec.F64Of(rk), avec.F64Of(cb)
 	rc := avec.NewFlags(n)
 	rc.SetAll()
 	ranges := sched.StaticRanges(n, cfg.Threads)
@@ -199,7 +195,7 @@ func StaticLFNS(g *graph.CSR, cfg Config) Result {
 	// early (see the protocol comment above).
 	converged := done.Load() != 0
 	res := Result{
-		Ranks:      ranks.Snapshot(nil),
+		Ranks:      rk, // sched.Run has joined every worker
 		Iterations: int(maxRound.Load()) + 1,
 		Converged:  converged,
 		Elapsed:    elapsed,

@@ -33,7 +33,7 @@ func modelLF(vr variant, in Input, gOld *graph.CSR, cfg Config, plain bool) lfMo
 	g := in.GNew
 	n := g.N()
 	base := (1 - cfg.Alpha) / float64(n)
-	ainv, dinv := kernelFactors(g, cfg.Alpha, true)
+	ainv, dinv := kernelFactors(g, cfg.Alpha)
 	m := lfModel{ranks: append([]float64(nil), in.Prev...)}
 	contrib := make([]float64, n)
 	for v := range contrib {

@@ -16,10 +16,32 @@ import (
 // Gauss–Seidel updates on a single shared rank vector, dynamic chunk
 // scheduling with no iteration barrier, and per-vertex convergence flags.
 func StaticLF(g *graph.CSR, cfg Config) Result {
-	return runLF(context.Background(), vStatic, Input{GNew: g}, cfg)
+	return runLF(context.Background(), vStatic, Input{GNew: g}, cfg, NewState(g, cfg))
 }
 
-func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
+// lfVectors returns a lock-free run's rank vector, a copy of prev (1/n
+// everywhere when prev is nil), and its contribution cache, rank·ainv. One
+// loop fills both with plain stores: no worker can reach them yet, so they
+// need no fences (avec.F64Of).
+func lfVectors(prev, ainv []float64) (rk, cb []float64) {
+	n := len(ainv)
+	rk, cb = make([]float64, n), make([]float64, n)
+	if prev == nil {
+		x := 1 / float64(n)
+		for v, a := range ainv {
+			rk[v], cb[v] = x, x*a
+		}
+		return rk, cb
+	}
+	prev = prev[:n]
+	for v, a := range ainv {
+		x := prev[v]
+		rk[v], cb[v] = x, x*a
+	}
+	return rk, cb
+}
+
+func runLF(ctx context.Context, vr variant, in Input, cfg Config, st *State) Result {
 	cfg = cfg.withDefaults()
 	g := in.GNew
 	n := g.N()
@@ -30,22 +52,18 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 		return Result{Err: ErrCanceled}
 	}
 	base := (1 - cfg.Alpha) / float64(n)
+	ainv, dinv := st.ainv, st.dinv
 
-	ainv, dinv := kernelFactors(g, cfg.Alpha, true)
-
-	ranks := avec.NewF64(n)
-	if vr != vStatic && len(in.Prev) == n {
-		ranks.CopyFrom(in.Prev)
-	} else {
-		ranks.Fill(1 / float64(n))
-	}
-	// Shared contribution cache: contribs[v] = α·rank[v]/outdeg(v), updated
+	// The run's own vectors: the rank vector it returns, and the shared
+	// contribution cache contribs[v] = α·rank[v]/outdeg(v), updated
 	// immediately before every rank store (so a reader never sees a
 	// contribution staler than the rank it would have read instead).
-	contribs := avec.NewF64(n)
-	for v := 0; v < n; v++ {
-		contribs.Store(v, ranks.Load(v)*ainv[v])
+	var prev []float64
+	if vr != vStatic && len(in.Prev) == n {
+		prev = in.Prev
 	}
+	rk, cb := lfVectors(prev, ainv)
+	ranks, contribs := avec.F64Of(rk), avec.F64Of(cb)
 
 	// RC[v]=1 ⇔ the rank of v has not converged yet. Static and ND variants
 	// process every vertex, so everything starts not-converged. (The paper's
@@ -70,7 +88,7 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 	}
 
 	inj := fault.NewInjector(cfg.Threads, cfg.Fault)
-	rounds := sched.NewRoundsBounds(vertexBounds(g, cfg.Chunk))
+	rounds := sched.NewRoundsBounds(st.bounds)
 	edgePool := sched.NewPool(len(edges), cfg.Chunk)
 	stats := make([]padStats, cfg.Threads)
 	var maxRound avec.Counter
@@ -249,9 +267,10 @@ func runLF(ctx context.Context, vr variant, in Input, cfg Config) Result {
 	sched.Run(cfg.Threads, worker)
 	elapsed := time.Since(start)
 
+	// sched.Run has joined every worker, so rk is read plainly from here.
 	converged := rc.AllClear()
 	res := Result{
-		Ranks:      ranks.Snapshot(nil),
+		Ranks:      rk,
 		Iterations: int(maxRound.Load()) + 1,
 		Converged:  converged,
 		Elapsed:    elapsed,

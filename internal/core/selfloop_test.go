@@ -71,7 +71,7 @@ func TestSelfLoopSolveWithoutSelfLoops(t *testing.T) {
 	}
 	gOld := d.Snapshot()
 	cfg := testCfg()
-	ainv, dinv := kernelFactors(gOld, cfg.withDefaults().Alpha, true)
+	ainv, dinv := kernelFactors(gOld, cfg.withDefaults().Alpha)
 	contribs := avec.NewF64(n)
 	for v := 0; v < n; v++ {
 		contribs.Store(v, float64(v+1)*ainv[v]/n)

@@ -171,6 +171,11 @@ type Ranker struct {
 	cfg   core.Config
 	ranks []float64
 	cur   *Version // the store version ranks correspond to; nil while unranked
+	// state is the kernel's factors and chunk bounds for the newest tip a
+	// run was started on (core.State); nil while unranked. It is built
+	// fresh by ResumeRanker and by the cold run, and patched from the span
+	// by every refresh before its run, so a failed run leaves it valid.
+	state *core.State
 	// oldest is when the oldest version the last landing covered was
 	// published; zero before the first landing or when it covered none.
 	oldest time.Time
@@ -228,7 +233,7 @@ func ResumeRanker(s *Store, cfg core.Config, ranks []float64) (*Ranker, error) {
 		if v.G.N() != len(ranks) {
 			return nil, fmt.Errorf("snapshot: resume at version %d: %d ranks for %d vertices", v.Seq, len(ranks), v.G.N())
 		}
-		r.ranks, r.cur = ranks, v
+		r.ranks, r.cur, r.state = ranks, v, core.NewState(v.G, cfg)
 	}
 	s.ranked = true
 	return r, nil
@@ -321,9 +326,11 @@ func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
 	if r.cur == nil {
 		// The cold run: StaticLF is lock-free, like every refresh, so a
 		// crash-stopped worker slows it down instead of breaking it.
-		res = core.RunCtx(ctx, core.AlgoStaticLF, core.Input{GNew: tip.G}, r.cfg)
+		r.state = core.NewState(tip.G, r.cfg)
+		res = core.RunState(ctx, core.AlgoStaticLF, core.Input{GNew: tip.G}, r.cfg, r.state)
 	} else {
 		up := span.Update()
+		r.state.Patch(tip.G, up.Del, up.Ins)
 		// Growth rescales the ranks to the grown universe (core.GrowRanks):
 		// the exact fixed-point transform under self-loop dead-end
 		// elimination, which keeps a frontier-sized refresh over a grown
@@ -333,7 +340,7 @@ func (r *Ranker) catchUp(ctx context.Context) (core.Result, error) {
 			prev = core.GrowRanks(prev, n)
 		}
 		in := core.Input{GNew: tip.G, Del: up.Del, Ins: up.Ins, Prev: prev}
-		res = core.RunCtx(ctx, core.AlgoDFLF, in, r.cfg)
+		res = core.RunState(ctx, core.AlgoDFLF, in, r.cfg, r.state)
 	}
 	if res.Err != nil {
 		r.store.giveBack(span)

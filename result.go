@@ -82,8 +82,10 @@ type Result struct {
 	// CrashedWorkers is the number of workers that crash-stopped under an
 	// injected FaultPlan.
 	CrashedWorkers int
-	// Elapsed is the wall-clock time of the final run, excluding input
-	// construction.
+	// Elapsed is the wall-clock time of the final run's passes: the paper's
+	// measure (§5.1.5), which starts after the run's vectors are built. The
+	// dfpr_rank_refresh_seconds histogram times the whole Rank call's
+	// refresh instead, that setup and the ranks' landing included.
 	Elapsed time.Duration
 }
 

@@ -96,7 +96,7 @@ func (e *Engine) initTelemetry(reg *telemetry.Registry) {
 		frontierScanned: reg.Counter("dfpr_rank_sweep_block_frontier_total",
 			"Affected-frontier vertices located by the sorted word-at-a-time flag scans of the rank sweeps."),
 		rankSeconds: reg.Histogram("dfpr_rank_refresh_seconds",
-			"Wall time of successful rank refreshes that advanced the rank version.", nil),
+			"Wall time of successful rank refreshes that advanced the rank version, from taking the pending span to landing the ranks.", nil),
 		publishSeconds: reg.Histogram("dfpr_publish_to_ranked_seconds",
 			"Freshness lag from a version's publication to ranks covering it.", nil),
 		walAppend: reg.Histogram("dfpr_wal_append_seconds",
